@@ -62,7 +62,7 @@ let minus a b =
 type rep = {
   cost : cost;
       (** For serve and chaos the whole run, set-up included, until
-          {!run} takes the median set-up out. *)
+          {!run} takes a set-up's allocation out. *)
   built : cost option;  (** Simulate: the build the repetition made. *)
   served : int;  (** Viewer stripe-requests served, summed over rounds. *)
   unserved : int;  (** ... and stalled: each stall is a failed operation. *)
@@ -71,16 +71,30 @@ type rep = {
   facts : (string * float) list;  (** Layer counters read off the outcome. *)
   stamps : int array;
       (** Clock at the round boundaries the workload can observe: the
-          end of every round for chaos (on_round), the start of the
-          first and the end of every round for simulate; none for
-          serve. *)
+          start of every round for serve (the engine's round spans),
+          the end of every round for chaos (on_round), the start of the
+          first and the end of every round for simulate. *)
 }
 
 (* A workload: [build] takes its scenario record to a system ready for
    round 1; [rep] runs one repetition.  [whole] marks the workloads whose
    library call cannot be split at round 1 (Serve.run, Chaos.run): their
-   repetition cost includes one build. *)
-type bench = { rounds : int; build : unit -> unit; rep : unit -> rep; whole : bool }
+   repetition cost includes one build.  [clocked] marks the ones whose
+   only round clock is the engine's round spans (Serve.run): every
+   repetition records spans, not just the traced ones. *)
+type bench = {
+  rounds : int;
+  build : unit -> unit;
+  rep : unit -> rep;
+  whole : bool;
+  clocked : bool;
+}
+
+let round_starts events =
+  List.filter_map
+    (fun e -> if e.Span.name = "round" then Some e.Span.start_ns else None)
+    events
+  |> List.sort compare |> Array.of_list
 
 (* ------------------------------------------------------------------ *)
 (* workloads                                                           *)
@@ -141,7 +155,15 @@ let serve_bench ~seed ~rounds ~rate ~config =
     | Error e -> fail "Serve.run: %s" e
   in
   let rep () =
+    let clock =
+      match Span.installed () with
+      | Some r -> r
+      | None -> fail "serve: no span recorder to clock the rounds"
+    in
     let o, cost = measure (fun () -> Span.with_ ~name:"serve.run" (fun () -> run rounds)) in
+    let stamps = round_starts (Span.events clock) in
+    if Array.length stamps <> rounds then
+      fail "serve: %d engine round spans for %d rounds" (Array.length stamps) rounds;
     let t = o.Serve.totals in
     if not (Serve.verdict_ok o) then
       fail "serve: verdict not ok (unserved %d, retries %d over %d retrying sessions)"
@@ -169,10 +191,10 @@ let serve_bench ~seed ~rounds ~rate ~config =
           ("serve.max_queue", float_of_int t.Serve.max_queue);
           ("serve.degraded_rounds", float_of_int t.Serve.degraded_rounds);
         ];
-      stamps = [||];
+      stamps;
     }
   in
-  { rounds; build = (fun () -> ignore (run 0)); rep; whole = true }
+  { rounds; build = (fun () -> ignore (run 0)); rep; whole = true; clocked = true }
 
 let chaos_groups = 32
 
@@ -180,53 +202,41 @@ let chaos_groups = 32
    rejoins at two thirds. *)
 let crash_round rounds = rounds / 3
 
-(* A group holding every replica of some stripe would stall that
-   stripe's viewers for the whole outage, whatever the program does, so
-   the outage takes the first group from [seed mod groups] on that
-   leaves every stripe a live replica.  The placement is the one
-   Chaos.run makes: a random permutation over the base fleet from the
-   scenario seed; box b sits in group b mod groups. *)
-let outage_group (s : Scenario.t) =
-  let fleet = Box.Fleet.homogeneous ~n:s.n ~u:s.u ~d:s.d in
-  let catalog = Catalog.create ~m:(Option.get s.m) ~c:s.c in
-  let alloc = Schemes.random_permutation (Prng.create ~seed:s.seed ()) ~fleet ~catalog ~k:s.k in
-  let doomed = Array.make chaos_groups false in
-  for stripe = 0 to Catalog.total_stripes catalog - 1 do
-    let boxes = Allocation.boxes_of_stripe alloc stripe in
-    let g = boxes.(0) mod chaos_groups in
-    if Array.for_all (fun b -> b mod chaos_groups = g) boxes then doomed.(g) <- true
-  done;
-  let first = ((s.seed mod chaos_groups) + chaos_groups) mod chaos_groups in
-  match List.find_opt (fun i -> not doomed.((first + i) mod chaos_groups)) (List.init chaos_groups Fun.id) with
-  | Some i -> (first + i) mod chaos_groups
-  | None -> fail "chaos: every group holds all replicas of some stripe"
+(* The scenario seeds chaos-outage runs, one picked by --seed; the
+   crashed group is the scenario seed mod groups.  A group that holds
+   every replica of some stripe stalls that stripe's viewers for the
+   whole outage, whatever the program does, and costs its rounds 2-3x
+   more.  Under the placement Chaos.run made when this list was drawn,
+   seeds 1, 5 and 9 of 0..31 crash such a group, so they are left out.
+   The list is fixed: it does not depend on the library under test, and
+   a change that puts a whole stripe in a crashed group shows as a
+   served_share below 1. *)
+let chaos_seeds =
+  Array.of_list (List.filter (fun s -> not (List.mem s [ 1; 5; 9 ])) (List.init 32 Fun.id))
 
 let chaos_scenario ~seed ~rounds =
-  let s =
-    {
-      Scenario.default with
-      Scenario.name = "perfbench-chaos";
-      n = 16384;
-      u = 2.0;
-      d = 4.0;
-      c = 4;
-      k = 4;
-      m = Some 12288;
-      mu = 1.2;
-      duration = 30;
-      rounds;
-      seed;
-      rate = 200.0;
-      groups = Some chaos_groups;
-      target_k = 3;
-      budget = 16;
-      helpers = [];
-    }
-  in
-  let group = outage_group s in
+  let n = Array.length chaos_seeds in
+  let seed = chaos_seeds.(((seed mod n) + n) mod n) in
+  let group = seed mod chaos_groups in
   {
-    s with
-    Scenario.events =
+    Scenario.default with
+    Scenario.name = "perfbench-chaos";
+    n = 16384;
+    u = 2.0;
+    d = 4.0;
+    c = 4;
+    k = 4;
+    m = Some 12288;
+    mu = 1.2;
+    duration = 30;
+    rounds;
+    seed;
+    rate = 200.0;
+    groups = Some chaos_groups;
+    target_k = 3;
+    budget = 16;
+    helpers = [];
+    events =
       [ (crash_round rounds, Plan.Group_crash group); (2 * rounds / 3, Plan.Group_rejoin group) ];
   }
 
@@ -279,7 +289,7 @@ let chaos_bench ~seed ~rounds =
       stamps;
     }
   in
-  { rounds; build = (fun () -> ignore (run 0)); rep; whole = true }
+  { rounds; build = (fun () -> ignore (run 0)); rep; whole = true; clocked = false }
 
 let sim_bench ~seed ~rounds =
   let build () =
@@ -329,7 +339,7 @@ let sim_bench ~seed ~rounds =
       stamps;
     }
   in
-  { rounds; build = (fun () -> ignore (build ())); rep; whole = false }
+  { rounds; build = (fun () -> ignore (build ())); rep; whole = false; clocked = false }
 
 (* Per workload: rounds per repetition, set-up builds timed, and the
    nominal seconds one repetition takes on the reference machine (it
@@ -347,20 +357,20 @@ let workloads =
   [
     {
       name = "serve-steady";
-      rounds = 150;
-      builds = 12;
-      rep_s = 1.6;
+      rounds = 300;
+      builds = 48;
+      rep_s = 3.3;
       make = serve_bench ~rate:200.0 ~config:Serve.default_config;
     };
     {
       name = "serve-storm";
       rounds = 30;
-      builds = 12;
+      builds = 48;
       rep_s = 1.25;
       make = serve_bench ~rate:2000.0 ~config:(Serve.config ~queue_cap:512 ());
     };
-    { name = "chaos-outage"; rounds = 120; builds = 8; rep_s = 5.0; make = chaos_bench };
-    { name = "simulate-64k"; rounds = 40; builds = 8; rep_s = 1.2; make = sim_bench };
+    { name = "chaos-outage"; rounds = 120; builds = 24; rep_s = 5.0; make = chaos_bench };
+    { name = "simulate-64k"; rounds = 40; builds = 16; rep_s = 1.2; make = sim_bench };
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -515,17 +525,13 @@ let record (r : rep) =
   failed := !failed + r.unserved;
   r
 
-let fastest reps = List.fold_left (fun acc r -> min acc r.cost.ns) max_int reps
-
-(* Rounds the workload lets the benchmark observe one by one are timed
-   one by one, and each counts at its fastest across the repetitions
-   (the work of round i is the same in every repetition); a serve run is
-   timed whole and counts at its fastest repetition.  Either way the
-   estimate keeps the quietest moment the run saw, see README.md. *)
-let round_ms ~rounds (reps : rep list) =
+(* Every round the benchmark sees is timed on its own, and each counts
+   at its fastest across the repetitions (the work of round i is the
+   same in every repetition), so the estimate keeps the quietest moment
+   the run saw for each round, see README.md. *)
+let round_ms (reps : rep list) =
   match reps with
   | [] -> invalid_arg "round_ms: no repetition"
-  | { stamps = [||]; _ } :: _ -> ms (fastest reps) /. float_of_int rounds
   | r0 :: _ ->
       let n = Array.length r0.stamps - 1 in
       let total = ref 0 in
@@ -555,7 +561,7 @@ let check_repeats ~alloc = function
 let run (w : sizing) ~seed ~seconds ~trace ~nproc =
   let b = w.make ~seed ~rounds:w.rounds in
   let rounds = float_of_int b.rounds in
-  let reps = max 2 (min 12 (int_of_float (Float.round (float_of_int seconds /. w.rep_s)))) in
+  let reps = max 2 (min 24 (int_of_float (Float.round (float_of_int seconds /. w.rep_s)))) in
   (* the traced run alternates untraced and traced repetitions, so drift
      in the machine hits both sides of the overhead alike *)
   let reps = if trace then max 4 (reps + (reps mod 2)) else reps in
@@ -563,7 +569,8 @@ let run (w : sizing) ~seed ~seconds ~trace ~nproc =
   (* Set-up samples: [builds] timed builds, spread over the run a few
      before each repetition so that one noisy stretch of the machine
      cannot hold them all; simulate adds each repetition's own build.
-     The first build of a process runs cold and is discarded. *)
+     The first build of a process runs cold and is discarded.  The
+     fastest build counts, for the reason the fastest rounds do. *)
   let per_rep = max 1 ((w.builds + reps - 1) / reps) in
   let setups = ref [] in
   b.build ();
@@ -574,7 +581,7 @@ let run (w : sizing) ~seed ~seconds ~trace ~nproc =
       setups := snd (measure b.build) :: !setups
     done;
     let phases = counter "dinic.bfs_phases" and paths = counter "dinic.augmenting_paths" in
-    if is_traced i then begin
+    if is_traced i || b.clocked then begin
       Span.clear recorder;
       Span.install recorder
     end;
@@ -594,12 +601,7 @@ let run (w : sizing) ~seed ~seconds ~trace ~nproc =
   in
   let raw = List.init reps repetition in
   let setups = List.rev !setups in
-  let setup =
-    {
-      (List.hd setups) with
-      ns = int_of_float (Stats.median (Array.of_list (List.map (fun c -> float_of_int c.ns) setups)));
-    }
-  in
+  let setup = List.fold_left (fun a c -> if c.ns < a.ns then c else a) (List.hd setups) setups in
   let rs = if b.whole then List.map (fun r -> { r with cost = minus r.cost setup }) raw else raw in
   let untraced = List.filteri (fun i _ -> not (is_traced i)) rs
   and traced = List.filteri (fun i _ -> is_traced i) rs in
@@ -608,9 +610,11 @@ let run (w : sizing) ~seed ~seconds ~trace ~nproc =
   let list f xs = String.concat ", " (List.map (fun x -> Printf.sprintf "%.3f" (f x)) xs) in
   Printf.printf
     {|context {"workload": "%s", "seed": %d, "ocaml": "%s", "nproc": %d, "jobs": 1, "domains": 1, "rounds_timed": %d, "repetitions": %d, "setup_builds": %d, "trace": %d, "clock": "Obs.Clock (gettimeofday, 1 us)", "round_ms_per_repetition": [%s], "setup_ms_per_build": [%s]}|}
-    w.name seed Sys.ocaml_version nproc b.rounds reps (List.length setups)
+    w.name seed Sys.ocaml_version nproc
+    (Array.length (List.hd rs).stamps - 1)
+    reps (List.length setups)
     (if trace then 1 else 0)
-    (list (fun r -> round_ms ~rounds:b.rounds [ r ]) rs)
+    (list (fun r -> round_ms [ r ]) rs)
     (list (fun c -> ms c.ns) setups);
   print_newline ();
   let metrics =
@@ -622,7 +626,7 @@ let run (w : sizing) ~seed ~seconds ~trace ~nproc =
         end_to_end
         [
           float_of_int setup.ns /. 1e9;
-          round_ms ~rounds:b.rounds rs;
+          round_ms rs;
           r.cost.alloc /. rounds /. 1e6;
           float_of_int heap /. 1e6;
           float_of_int r.served /. float_of_int (r.served + r.unserved);
@@ -635,8 +639,8 @@ let run (w : sizing) ~seed ~seconds ~trace ~nproc =
       (* the recorder holds the last traced repetition *)
       let events = Span.events recorder in
       let last = List.nth rs (reps - 1) and quiet = List.nth rs (reps - 2) in
-      let traced_ms = round_ms ~rounds:b.rounds traced
-      and untraced_ms = round_ms ~rounds:b.rounds untraced in
+      let traced_ms = round_ms traced
+      and untraced_ms = round_ms untraced in
       let per x = float_of_int x /. rounds in
       let measured =
         layer_metrics ~rounds:b.rounds ~events last
