@@ -202,42 +202,38 @@ let chaos_groups = 32
    rejoins at two thirds. *)
 let crash_round rounds = rounds / 3
 
-(* The scenario seeds chaos-outage runs, one picked by --seed; the
-   crashed group is the scenario seed mod groups.  A group that holds
-   every replica of some stripe stalls that stripe's viewers for the
-   whole outage, whatever the program does, and costs its rounds 2-3x
-   more.  Under the placement Chaos.run made when this list was drawn,
-   seeds 1, 5 and 9 of 0..31 crash such a group, so they are left out.
-   The list is fixed: it does not depend on the library under test, and
-   a change that puts a whole stripe in a crashed group shows as a
-   served_share below 1. *)
-let chaos_seeds =
-  Array.of_list (List.filter (fun s -> not (List.mem s [ 1; 5; 9 ])) (List.init 32 Fun.id))
-
+(* chaos-outage is the n=16384, m=12288, Poisson 200/round system at half
+   size in all three, so a repetition is short enough for a run to make
+   about twelve (see README.md).  It runs scenario seed --seed mod groups
+   and crashes the group of that number.  A group that holds every
+   replica of some stripe stalls that stripe's viewers for the whole
+   outage, whatever the program does, and costs its rounds 2-3x more.
+   Under the placement Chaos.run made when the size was chosen, no
+   scenario seed in 0..31 stalls a viewer.  The seeds depend on --seed
+   alone, not on the library under test, and a change that puts a whole
+   stripe in a crashed group shows as a served_share below 1. *)
 let chaos_scenario ~seed ~rounds =
-  let n = Array.length chaos_seeds in
-  let seed = chaos_seeds.(((seed mod n) + n) mod n) in
-  let group = seed mod chaos_groups in
+  let seed = ((seed mod chaos_groups) + chaos_groups) mod chaos_groups in
   {
     Scenario.default with
     Scenario.name = "perfbench-chaos";
-    n = 16384;
+    n = 8192;
     u = 2.0;
     d = 4.0;
     c = 4;
     k = 4;
-    m = Some 12288;
+    m = Some 6144;
     mu = 1.2;
     duration = 30;
     rounds;
     seed;
-    rate = 200.0;
+    rate = 100.0;
     groups = Some chaos_groups;
     target_k = 3;
     budget = 16;
     helpers = [];
     events =
-      [ (crash_round rounds, Plan.Group_crash group); (2 * rounds / 3, Plan.Group_rejoin group) ];
+      [ (crash_round rounds, Plan.Group_crash seed); (2 * rounds / 3, Plan.Group_rejoin seed) ];
   }
 
 let chaos_bench ~seed ~rounds =
@@ -369,7 +365,7 @@ let workloads =
       rep_s = 1.25;
       make = serve_bench ~rate:2000.0 ~config:(Serve.config ~queue_cap:512 ());
     };
-    { name = "chaos-outage"; rounds = 120; builds = 24; rep_s = 5.0; make = chaos_bench };
+    { name = "chaos-outage"; rounds = 120; builds = 24; rep_s = 2.0; make = chaos_bench };
     { name = "simulate-64k"; rounds = 40; builds = 16; rep_s = 1.2; make = sim_bench };
   ]
 
