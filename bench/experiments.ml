@@ -429,7 +429,7 @@ let e8_heterogeneous () =
     let size = Engine.swarm_size sim 0 in
     let target = int_of_float (ceil (float_of_int (max size 1) *. mu)) in
     let growth = max 0 (target - size) in
-    Engine.idle_boxes sim
+    Array.to_list (Engine.idle_boxes sim)
     |> List.filter (fun b -> fleet.(b).Box.upload < 1.0)
     |> List.filteri (fun i _ -> i < growth)
     |> List.map (fun b -> (b, 0))
@@ -1178,8 +1178,9 @@ let e20_request_scalability () =
       let next_video = ref 0 in
       (* keep exactly [cap] boxes watching pairwise-distinct videos *)
       let gen sim _time =
-        let busy = n - List.length (Engine.idle_boxes sim) in
-        Engine.idle_boxes sim
+        let idle = Engine.idle_boxes sim in
+        let busy = n - Array.length idle in
+        Array.to_list idle
         |> List.filteri (fun i _ -> busy + i < cap)
         |> List.map (fun b ->
                let v = !next_video mod m in

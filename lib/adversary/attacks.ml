@@ -8,7 +8,7 @@ let uncovered sim _time =
   let m = Catalog.videos cat in
   if m = 0 then []
   else
-    Engine.idle_boxes sim
+    Array.to_list (Engine.idle_boxes sim)
     |> List.map (fun b ->
            match Allocation.videos_not_stored alloc ~box:b with
            | v :: _ -> (b, v)
@@ -52,11 +52,11 @@ let tight_server_set g sim _time =
     in
     let ranked = Array.init m (fun v -> (slack_of_video v, v)) in
     Array.sort compare ranked;
-    let idle = Array.of_list (Engine.idle_boxes sim) in
+    let idle = Engine.idle_boxes sim in
     Sample.shuffle g idle;
     let count = min (Array.length idle) m in
     List.init count (fun i -> (idle.(i), snd ranked.(i)))
   end
 
 let stampede ~video sim _time =
-  Engine.idle_boxes sim |> List.map (fun b -> (b, video))
+  Array.to_list (Engine.idle_boxes sim) |> List.map (fun b -> (b, video))

@@ -326,7 +326,7 @@ let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
         | Plan.Restore b -> Engine.set_upload_factor engine ~box:b ~factor:1.0
         | Plan.Flaky p -> flaky := p
         | Plan.Flash_crowd (video, viewers) ->
-            let idle = Array.of_list (Engine.idle_boxes engine) in
+            let idle = Engine.idle_boxes engine in
             Sample.shuffle crowd_rng idle;
             let take = min viewers (Array.length idle) in
             for i = 0 to take - 1 do

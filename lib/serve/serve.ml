@@ -325,13 +325,26 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             try Some (Vod_analysis.Theorem1.nu ~u:s.u ~mu:s.mu ~c) with Invalid_argument _ -> None)
         | _ -> None
       in
-      (* session store and deterministic orders *)
+      (* session store and deterministic orders; a session leaves
+         [sessions] when it reaches a terminal state *)
       let sessions : (int, sess) Hashtbl.t = Hashtbl.create 256 in
       let next_id = ref 0 in
+      (* The arrival queue is a FIFO: the entries of [queue] from index
+         [!q_head] on.  Every enqueue at round t sets the deadline to
+         t + queue_patience, so the entries are in deadline order.  An
+         overflow shed advances [q_head] past the head; the shed entries
+         below it are no longer [Arriving] and leave [queue] at the next
+         filter pass, which resets [q_head] to 0. *)
       let queue : sess Vec.t = Vec.create () in
+      let q_head = ref 0 in
+      let queue_length () = Vec.length queue - !q_head in
+      let filter_queue keep =
+        Vec.filter_in_place keep queue;
+        q_head := 0
+      in
       let live_order : sess Vec.t = Vec.create () in
       let box_owner : (int, int) Hashtbl.t = Hashtbl.create 64 in
-      let retry_at : (int, int Vec.t) Hashtbl.t = Hashtbl.create 16 in
+      let retry_at : (int, sess Vec.t) Hashtbl.t = Hashtbl.create 16 in
       let admitted_vid : (int, int) Hashtbl.t = Hashtbl.create 16 in
       let tokens = ref token_burst in
       let degraded = ref false in
@@ -441,6 +454,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
                  (Session.state_name sess.state) sess.id)
       in
       let finalize sess =
+        Hashtbl.remove sessions sess.id;
         Hashtbl.remove box_owner sess.box;
         Backoff.reset backoff ~key:sess.id
       in
@@ -479,23 +493,26 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
                   Hashtbl.add retry_at at v;
                   v
             in
-            Vec.push bucket sess.id
-      in
-      let rebuild_queue kept =
-        Vec.clear queue;
-        List.iter (Vec.push queue) kept
+            Vec.push bucket sess
       in
       (* bounded arrival queue: on overflow the entry with the oldest
-         deadline is shed terminally (it is the closest to useless) *)
+         deadline is shed terminally (it is the closest to useless).  In
+         the deadline-ordered FIFO that is the head, or the arrival
+         itself when the head is not strictly older (the first of equal
+         deadlines in queue order, the arrival being last). *)
       let enqueue sess =
-        Vec.push queue sess;
-        if Vec.length queue > cfg.queue_cap then begin
-          let victim = ref sess in
-          Vec.iter (fun s -> if s.deadline < !victim.deadline then victim := s) queue;
-          let v = !victim in
-          let kept = Vec.to_list queue |> List.filter (fun s -> s.id <> v.id) in
-          rebuild_queue kept;
-          shed_terminal v;
+        if queue_length () < cfg.queue_cap then Vec.push queue sess
+        else begin
+          let head = Vec.get queue !q_head in
+          let victim =
+            if head.deadline < sess.deadline then begin
+              incr q_head;
+              Vec.push queue sess;
+              head
+            end
+            else sess
+          in
+          shed_terminal victim;
           incr t_overflow
         end
       in
@@ -531,11 +548,16 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             (* a flash crowd arrives as admission events, not as direct
                engine demands: every extra viewer queues like anyone
                else and is sheddable (priority 0) under overload *)
-            let idle =
-              Engine.idle_boxes engine
-              |> List.filter (fun b -> not (Hashtbl.mem box_owner b))
-              |> Array.of_list
-            in
+            let idle = Engine.idle_boxes engine in
+            let free = ref 0 in
+            Array.iter
+              (fun b ->
+                if not (Hashtbl.mem box_owner b) then begin
+                  idle.(!free) <- b;
+                  incr free
+                end)
+              idle;
+            let idle = Array.sub idle 0 !free in
             Sample.shuffle crowd_rng idle;
             let take = min viewers (Array.length idle) in
             for i = 0 to take - 1 do
@@ -592,7 +614,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
            round's not-yet-scanned arrivals, and would flag a healthy
            service degraded whenever the background rate alone tops the
            queue threshold) *)
-        let backlog = Vec.length queue in
+        let backlog = queue_length () in
         r_arrivals := 0;
         r_admitted := 0;
         r_retried := 0;
@@ -609,35 +631,32 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
            engine already dropped their requests with the box) or whose
            video lost every online replica of some stripe re-enter
            through the retry loop — recovered, never left to stall *)
-        let survivors =
-          Vec.fold_left
-            (fun acc sess ->
-              if not (is_live sess) then acc
-              else if
-                (not (Engine.is_online engine sess.box)) || not (sourceable sess.video)
-              then begin
-                if Engine.is_online engine sess.box then Engine.cancel engine sess.box;
-                park_retry sess ~time ~on_exhausted:`Shed;
-                incr r_interrupted;
-                incr t_interrupted;
-                Registry.incr obs_interrupted;
-                acc
-              end
-              else sess :: acc)
-            [] live_order
-        in
-        Vec.clear live_order;
-        List.iter (Vec.push live_order) (List.rev survivors);
+        Vec.filter_in_place
+          (fun sess ->
+            if not (is_live sess) then false
+            else if
+              (not (Engine.is_online engine sess.box)) || not (sourceable sess.video)
+            then begin
+              if Engine.is_online engine sess.box then Engine.cancel engine sess.box;
+              park_retry sess ~time ~on_exhausted:`Shed;
+              incr r_interrupted;
+              incr t_interrupted;
+              Registry.incr obs_interrupted;
+              false
+            end
+            else true)
+          live_order;
         (* 3. due retries re-join the arrival queue (idempotent: same
            session id, a re-admission never double-counts arrival) *)
         (match Hashtbl.find_opt retry_at time with
         | None -> ()
         | Some bucket ->
             Vec.iter
-              (fun id ->
-                let sess = Hashtbl.find sessions id in
+              (fun sess ->
                 if sess.state = Session.Retrying then begin
-                  deliver sess (Session.Join { session = id; box = sess.box; video = sess.video });
+                  deliver sess
+                    (Session.Join
+                       { session = sess.id; box = sess.box; video = sess.video });
                   sess.deadline <- time + cfg.queue_patience;
                   incr r_retried;
                   incr t_retries;
@@ -654,21 +673,16 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
           (generator engine time);
         (* 5. queue patience: out-waited arrivals expire into the retry
            loop (deadline-aware recovery, not a silent drop) *)
-        let kept =
-          Vec.fold_left
-            (fun acc sess ->
-              if sess.state <> Session.Arriving then acc
-              else if time > sess.deadline then begin
-                park_retry sess ~time ~on_exhausted:`Shed;
-                incr r_expired;
-                incr t_expired;
-                Registry.incr obs_expired;
-                acc
-              end
-              else sess :: acc)
-            [] queue
-        in
-        rebuild_queue (List.rev kept);
+        filter_queue (fun sess ->
+            if sess.state <> Session.Arriving then false
+            else if time > sess.deadline then begin
+              park_retry sess ~time ~on_exhausted:`Shed;
+              incr r_expired;
+              incr t_expired;
+              Registry.incr obs_expired;
+              false
+            end
+            else true);
         (* 6. measured headroom, degradation and overload shedding *)
         let slots = ref (online_slots ()) in
         let headroom = ref (!slots - reserve !slots - (c * live_count ()) - !shortfall) in
@@ -731,46 +745,42 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         end;
         (* 7. admission: token bucket + headroom + per-video mu bound *)
         tokens := min token_burst (!tokens + tokens_per_round);
-        let kept =
-          Vec.fold_left
-            (fun acc sess ->
-              if sess.state <> Session.Arriving then acc
-              else if !tokens <= 0 || !headroom < c then sess :: acc
-              else if allowed_new sess.video <= 0 then sess :: acc
-              else if not (sourceable sess.video) then sess :: acc
-                (* unsourceable title: hold in queue until Mend repairs
-                   it or the patience deadline recycles the session *)
-              else
-                match Engine.try_demand engine ~box:sess.box ~video:sess.video with
-                | Engine.Admitted ->
-                    deliver sess
-                      (Session.Grant { session = sess.id; deadline = time + cfg.startup_deadline });
-                    sess.admitted_at <- time;
-                    sess.deadline <- time + cfg.startup_deadline;
-                    decr tokens;
-                    headroom := !headroom - c;
-                    Hashtbl.replace admitted_vid sess.video
-                      (1
-                      +
-                      match Hashtbl.find_opt admitted_vid sess.video with
-                      | Some k -> k
-                      | None -> 0);
-                    Vec.push live_order sess;
-                    incr r_admitted;
-                    incr t_admitted;
-                    Registry.incr obs_admitted;
-                    Registry.observe obs_queue_wait (time - sess.arrived);
-                    acc
-                | Engine.Queued -> sess :: acc (* box mid-playback: wait *)
-                | Engine.Rejected Engine.Offline ->
-                    park_retry sess ~time ~on_exhausted:`Rejected;
-                    acc
-                | Engine.Rejected (Engine.Helper | Engine.Out_of_range) ->
-                    reject_terminal sess Session.Invalid;
-                    acc)
-            [] queue
-        in
-        rebuild_queue (List.rev kept);
+        filter_queue (fun sess ->
+            if sess.state <> Session.Arriving then false
+            else if !tokens <= 0 || !headroom < c then true
+            else if allowed_new sess.video <= 0 then true
+            else if not (sourceable sess.video) then true
+              (* unsourceable title: hold in queue until Mend repairs
+                 it or the patience deadline recycles the session *)
+            else
+              match Engine.try_demand engine ~box:sess.box ~video:sess.video with
+              | Engine.Admitted ->
+                  deliver sess
+                    (Session.Grant
+                       { session = sess.id; deadline = time + cfg.startup_deadline });
+                  sess.admitted_at <- time;
+                  sess.deadline <- time + cfg.startup_deadline;
+                  decr tokens;
+                  headroom := !headroom - c;
+                  Hashtbl.replace admitted_vid sess.video
+                    (1
+                    +
+                    match Hashtbl.find_opt admitted_vid sess.video with
+                    | Some k -> k
+                    | None -> 0);
+                  Vec.push live_order sess;
+                  incr r_admitted;
+                  incr t_admitted;
+                  Registry.incr obs_admitted;
+                  Registry.observe obs_queue_wait (time - sess.arrived);
+                  false
+              | Engine.Queued -> true (* box mid-playback: wait *)
+              | Engine.Rejected Engine.Offline ->
+                  park_retry sess ~time ~on_exhausted:`Rejected;
+                  false
+              | Engine.Rejected (Engine.Helper | Engine.Out_of_range) ->
+                  reject_terminal sess Session.Invalid;
+                  false);
         (* 8. the simulator round, with repair under it *)
         Mend.tick mend engine;
         let report = Engine.step engine in
@@ -818,7 +828,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
           end
         end;
         t_unserved := !t_unserved + report.Engine.unserved;
-        if Vec.length queue > !t_max_queue then t_max_queue := Vec.length queue;
+        if queue_length () > !t_max_queue then t_max_queue := queue_length ();
         observe_slos report;
         let live = live_count () in
         let streaming =
@@ -831,7 +841,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             (fun _ sess acc -> if sess.state = Session.Retrying then acc + 1 else acc)
             sessions 0
         in
-        Timeseries.push ts_queue (Vec.length queue);
+        Timeseries.push ts_queue (queue_length ());
         Timeseries.push ts_live live;
         Timeseries.push ts_tokens !tokens;
         Timeseries.push ts_headroom (max 0 !headroom);
@@ -839,16 +849,12 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
           {|{"type":"round","t":%d,"state":"%s","arrivals":%d,"admitted":%d,"retried":%d,"queue":%d,"tokens":%d,"headroom":%d,"shortfall":%d,"live":%d,"streaming":%d,"retrying":%d,"interrupted":%d,"expired":%d,"shed":%d,"rejected":%d,"completed":%d,"served":%d,"unserved":%d,"offline":%d}|}
           time
           (if !degraded then "degraded" else "ok")
-          !r_arrivals !r_admitted !r_retried (Vec.length queue) !tokens !headroom
+          !r_arrivals !r_admitted !r_retried (queue_length ()) !tokens !headroom
           !shortfall live streaming retrying !r_interrupted !r_expired !r_shed !r_rejected
           !r_completed report.Engine.served report.Engine.unserved
           report.Engine.offline_boxes
       done;
-      let live_at_end =
-        Hashtbl.fold
-          (fun _ sess acc -> if Session.is_terminal sess.state then acc else acc + 1)
-          sessions 0
-      in
+      let live_at_end = Hashtbl.length sessions in
       let totals =
         {
           arrivals = !t_arrivals;

@@ -76,7 +76,7 @@ type t = {
   topology : Topology.t option;
   online : bool array;
   helper : bool array; (* spare-upload boxes that never take demands *)
-  mutable last_loads : int array;
+  last_loads : int array;
   cumulative_loads : int array; (* stripe-rounds served per box, ever *)
   capacity : int array; (* matching upload slots per box, net of reservations *)
   upload_factor : float array; (* per-box degradation factor in [0, 1] *)
@@ -85,11 +85,13 @@ type t = {
   mutable now : int;
   active : request Vec.t;
   scheduled : (int, request Vec.t) Hashtbl.t; (* activation time -> requests *)
-  recent : (int, request Vec.t) Hashtbl.t; (* stripe -> recent requests, in issue order *)
+  recent : request Vec.t array; (* per stripe: recent requests, in issue order *)
   busy_until : int array;
   stripe_counter : int array; (* per video: preload round-robin *)
   swarm : int Vec.t array; (* per video: entry times, ordered *)
   pending : (int * int) Vec.t; (* (box, video) demands for the next step *)
+  pending_box : bool array; (* per box: a demand of the box is in [pending] *)
+  idle_buf : int array; (* scratch for [idle_boxes] *)
   mutable last_violator : Vod_graph.Bipartite.violator option;
   mutable last_instance : Vod_graph.Bipartite.t option;
   inst : Vod_graph.Bipartite.t;
@@ -171,11 +173,16 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
     now = 0;
     active = Vec.create ();
     scheduled = Hashtbl.create 64;
-    recent = Hashtbl.create 256;
+    recent =
+      Array.init
+        (Catalog.total_stripes (Allocation.catalog alloc))
+        (fun _ -> Vec.create ());
     busy_until = Array.make n 0;
     stripe_counter = Array.make (max m 1) 0;
     swarm = Array.init (max m 1) (fun _ -> Vec.create ());
     pending = Vec.create ();
+    pending_box = Array.make n false;
+    idle_buf = Array.make n 0;
     sched_rng = Vod_util.Prng.create ~seed:0x7ea ();
     last_violator = None;
     last_instance = None;
@@ -219,19 +226,19 @@ let is_helper t b =
   t.helper.(b)
 let last_loads t = Array.copy t.last_loads
 let cumulative_loads t = Array.copy t.cumulative_loads
-let is_idle t b =
-  t.online.(b)
-  && t.busy_until.(b) <= t.now
-  && not (Vec.exists (fun (pb, _) -> pb = b) t.pending)
+let is_idle t b = t.online.(b) && t.busy_until.(b) <= t.now && not t.pending_box.(b)
 
 (* Helpers are excluded: they are upload-only boxes, so no generator
    should ever draft them as viewers. *)
 let idle_boxes t =
-  let acc = ref [] in
-  for b = t.params.Params.n - 1 downto 0 do
-    if is_idle t b && not t.helper.(b) then acc := b :: !acc
+  let count = ref 0 in
+  for b = 0 to t.params.Params.n - 1 do
+    if is_idle t b && not t.helper.(b) then begin
+      t.idle_buf.(!count) <- b;
+      incr count
+    end
   done;
-  !acc
+  Array.sub t.idle_buf 0 !count
 
 let window_start t = t.now - t.params.Params.duration
 
@@ -314,6 +321,7 @@ let demand t ~box ~video =
   if video < 0 || video >= m then invalid_arg "Engine.demand: video out of range";
   if t.helper.(box) then invalid_arg "Engine.demand: box is a helper (takes no demands)";
   if not (is_idle t box) then invalid_arg "Engine.demand: box is busy";
+  t.pending_box.(box) <- true;
   Vec.push t.pending (box, video)
 
 type reject_reason = Offline | Helper | Out_of_range
@@ -327,6 +335,7 @@ let try_demand t ~box ~video =
   else if not t.online.(box) then Rejected Offline
   else if not (is_idle t box) then Queued
   else begin
+    t.pending_box.(box) <- true;
     Vec.push t.pending (box, video);
     Admitted
   end
@@ -409,12 +418,11 @@ let emit_requests t ~box ~video ~time =
 
 (* Boxes that cache data of a request: the owner always; the relay too
    when it forwarded the stripe (Section 4: r(b) caches what it
-   relays). *)
-let cachers req =
+   relays).  The relay that caches, or -1. *)
+let relay_cacher req =
   match req.kind with
-  | Preload | Postponed | Repair_transfer -> [ req.owner ]
-  | Relayed_preload | Relayed_postponed ->
-      if req.requester = req.owner then [ req.owner ] else [ req.owner; req.requester ]
+  | Relayed_preload | Relayed_postponed when req.requester <> req.owner -> req.requester
+  | Preload | Postponed | Repair_transfer | Relayed_preload | Relayed_postponed -> -1
 
 (* ------------------------------------------------------------------ *)
 (* Repair transfers (vod_fault's maintenance controller)               *)
@@ -448,21 +456,13 @@ let inject_repair t ~stripe ~dest ~rounds =
 
 let abort_repair t ~stripe ~dest =
   let removed = ref false in
-  let filter vec =
-    let keep =
-      Vec.to_list vec
-      |> List.filter (fun r ->
-             let doomed =
-               r.kind = Repair_transfer && r.stripe = stripe && r.owner = dest
-             in
-             if doomed then removed := true;
-             not doomed)
-    in
-    Vec.clear vec;
-    List.iter (Vec.push vec) keep
+  let keeps r =
+    let doomed = r.kind = Repair_transfer && r.stripe = stripe && r.owner = dest in
+    if doomed then removed := true;
+    not doomed
   in
-  filter t.active;
-  Hashtbl.iter (fun _ batch -> filter batch) t.scheduled;
+  Vec.filter_in_place keeps t.active;
+  Hashtbl.iter (fun _ batch -> Vec.filter_in_place keeps batch) t.scheduled;
   !removed
 
 let drain_completed_repairs t =
@@ -485,33 +485,20 @@ let repair_in_flight t =
 
 let prune_recent t =
   let lo = window_start t in
-  Hashtbl.iter
+  Array.iteri
     (fun stripe entries ->
       if Vec.length entries > 0 && (Vec.get entries 0).issued_at < lo then begin
-        let kept = Vec.to_list entries |> List.filter (fun r -> r.issued_at >= lo) in
-        Vec.clear entries;
-        List.iter (Vec.push entries) kept;
+        Vec.filter_in_place (fun r -> r.issued_at >= lo) entries;
         (* a cache entry left the window: the stripe's rows lost edges *)
         if t.track_delta then Hashtbl.replace t.touched stripe ()
       end)
     t.recent;
-  (* occasionally rebuild swarm vectors to stay compact *)
+  (* occasionally compact swarm vectors *)
   Array.iter
     (fun entries ->
-      if Vec.length entries > 64 && Vec.get entries 0 < lo then begin
-        let kept = Vec.to_list entries |> List.filter (fun e -> e >= lo) in
-        Vec.clear entries;
-        List.iter (Vec.push entries) kept
-      end)
+      if Vec.length entries > 64 && Vec.get entries 0 < lo then
+        Vec.filter_in_place (fun e -> e >= lo) entries)
     t.swarm
-
-let recent_for t stripe =
-  match Hashtbl.find_opt t.recent stripe with
-  | Some v -> v
-  | None ->
-      let v = Vec.create () in
-      Hashtbl.add t.recent stripe v;
-      v
 
 (* Per-video request statistics for checking Lemma 2 on live traces:
    for the set X of active requests of each video, the size i = |X|,
@@ -542,11 +529,12 @@ let video_request_stats t =
       Vec.iter
         (fun candidate ->
           if candidate.issued_at < req.issued_at && candidate.progress > req.progress
-          then
-            List.iter
-              (fun b -> if t.online.(b) then Bitset.add servers b)
-              (cachers candidate))
-        (recent_for t req.stripe))
+          then begin
+            if t.online.(candidate.owner) then Bitset.add servers candidate.owner;
+            let relay = relay_cacher candidate in
+            if relay >= 0 && t.online.(relay) then Bitset.add servers relay
+          end)
+        t.recent.(req.stripe))
     t.active;
   Hashtbl.fold
     (fun video (count, stripes, servers) acc ->
@@ -573,21 +561,13 @@ let cancel t box =
   (* the viewer leaves, but any repair transfer towards the box is
      maintenance traffic and survives the cancellation *)
   let keeps r = r.owner <> box || r.kind = Repair_transfer in
-  let keep =
-    Vec.to_list t.active
-    |> List.filter (fun r ->
-           let k = keeps r in
-           if not k then freeze_stripe t r;
-           k)
-  in
-  Vec.clear t.active;
-  List.iter (Vec.push t.active) keep;
-  Hashtbl.iter
-    (fun _ batch ->
-      let keep = Vec.to_list batch |> List.filter keeps in
-      Vec.clear batch;
-      List.iter (Vec.push batch) keep)
-    t.scheduled;
+  Vec.filter_in_place
+    (fun r ->
+      let k = keeps r in
+      if not k then freeze_stripe t r;
+      k)
+    t.active;
+  Hashtbl.iter (fun _ batch -> Vec.filter_in_place keeps batch) t.scheduled;
   t.busy_until.(box) <- t.now;
   t.awaiting_first.(box) <- 0
 
@@ -599,29 +579,47 @@ let set_online t box online =
     (* the viewer disappears: drop its in-flight and scheduled requests
        (its static replicas become unavailable through the matching
        capacity; its cache entries are filtered out while offline) *)
-    let keep =
-      Vec.to_list t.active
-      |> List.filter (fun r ->
-             let k = r.owner <> box in
-             if not k then freeze_stripe t r;
-             k)
-    in
-    Vec.clear t.active;
-    List.iter (Vec.push t.active) keep;
+    Vec.filter_in_place
+      (fun r ->
+        let k = r.owner <> box in
+        if not k then freeze_stripe t r;
+        k)
+      t.active;
     Hashtbl.iter
-      (fun _ batch ->
-        let keep = Vec.to_list batch |> List.filter (fun r -> r.owner <> box) in
-        Vec.clear batch;
-        List.iter (Vec.push batch) keep)
+      (fun _ batch -> Vec.filter_in_place (fun r -> r.owner <> box) batch)
       t.scheduled;
     (* demands registered but not yet turned into requests die with the
        box too, so stateless generators compose with churn plans *)
-    let keep = Vec.to_list t.pending |> List.filter (fun (pb, _) -> pb <> box) in
-    Vec.clear t.pending;
-    List.iter (Vec.push t.pending) keep;
+    if t.pending_box.(box) then begin
+      Vec.filter_in_place (fun (pb, _) -> pb <> box) t.pending;
+      t.pending_box.(box) <- false
+    end;
     t.busy_until.(box) <- t.now
   end;
   t.online.(box) <- online
+
+(* Box [b] may serve request [req] this round: it is online, and a
+   repair transfer copies from a peer (its destination never serves
+   itself). *)
+let usable t req b = t.online.(b) && (req.kind <> Repair_transfer || b <> req.owner)
+
+(* One row's edges, identical on the scratch and delta paths: the
+   static replicas, then the cache window's owners and relays, in
+   order. *)
+let emit_row t req emit =
+  let replicas = Allocation.boxes_of_stripe t.alloc req.stripe in
+  for i = 0 to Array.length replicas - 1 do
+    if usable t req replicas.(i) then emit replicas.(i)
+  done;
+  let window = t.recent.(req.stripe) in
+  for i = 0 to Vec.length window - 1 do
+    let candidate = Vec.get window i in
+    if candidate.issued_at < req.issued_at && candidate.progress > req.progress then begin
+      if usable t req candidate.owner then emit candidate.owner;
+      let relay = relay_cacher candidate in
+      if relay >= 0 && usable t req relay then emit relay
+    end
+  done
 
 let step t =
   Vod_obs.Span.with_ ~name:"round" @@ fun () ->
@@ -637,6 +635,7 @@ let step t =
     let new_demands = ref 0 in
     Vec.iter
       (fun (box, video) ->
+        t.pending_box.(box) <- false;
         if t.online.(box) then begin
           incr new_demands;
           emit_requests t ~box ~video ~time
@@ -654,15 +653,11 @@ let step t =
           (fun req ->
             Vec.push t.active req;
             if req.kind <> Repair_transfer then
-              Vec.push (recent_for t req.stripe) req)
+              Vec.push t.recent.(req.stripe) req)
           batch;
         Hashtbl.remove t.scheduled time);
     (* 3. Retire completed requests and prune stale cache entries. *)
-    let still_active =
-      Vec.to_list t.active |> List.filter (fun r -> r.progress < r.target)
-    in
-    Vec.clear t.active;
-    List.iter (Vec.push t.active) still_active;
+    Vec.filter_in_place (fun r -> r.progress < r.target) t.active;
     prune_recent t;
     new_demands
   in
@@ -680,28 +675,15 @@ let step t =
        the run's high-water mark, the whole build phase stops
        allocating *)
     let instance = t.inst in
-    (* one row's edges, identical on the scratch and delta paths: the
-       static replicas plus the cache window, filtered by [usable] (a
-       repair transfer must copy from a peer: the destination box never
-       serves itself) *)
-    let emit_row req emit =
-      let usable b = t.online.(b) && (req.kind <> Repair_transfer || b <> req.owner) in
-      Array.iter
-        (fun b -> if usable b then emit b)
-        (Allocation.boxes_of_stripe t.alloc req.stripe);
-      Vec.iter
-        (fun candidate ->
-          if candidate.issued_at < req.issued_at && candidate.progress > req.progress
-          then List.iter (fun b -> if usable b then emit b) (cachers candidate))
-        (recent_for t req.stripe)
-    in
     let scratch_build () =
       Vod_graph.Bipartite.reset instance ~n_left ~n_right:n
         ~right_cap:t.right_cap_scratch;
-      Array.iteri
-        (fun l req ->
-          emit_row req (fun b -> Vod_graph.Bipartite.add_edge instance ~left:l ~right:b))
-        requests
+      let left = ref 0 in
+      let emit b = Vod_graph.Bipartite.add_edge instance ~left:!left ~right:b in
+      for l = 0 to n_left - 1 do
+        left := l;
+        emit_row t requests.(l) emit
+      done
     in
     if not t.track_delta then scratch_build ()
     else if t.all_dirty then scratch_build ()
@@ -756,7 +738,7 @@ let step t =
         Vod_graph.Bipartite.delta_rebuild instance ~n_left
           ~right_cap:t.right_cap_scratch
           ~src_of:(fun l -> src.(l))
-          ~fill:(fun l emit -> emit_row requests.(l) emit)
+          ~fill:(fun l emit -> emit_row t requests.(l) emit)
       end
     end;
     if t.track_delta then begin
@@ -856,7 +838,7 @@ let step t =
   in
   let report =
     Vod_obs.Span.with_ ~name:"account" @@ fun () ->
-    t.last_loads <- Array.copy outcome.Vod_graph.Bipartite.right_load;
+    Array.blit outcome.Vod_graph.Bipartite.right_load 0 t.last_loads 0 n;
     Array.iteri
       (fun b load -> t.cumulative_loads.(b) <- t.cumulative_loads.(b) + load)
       outcome.Vod_graph.Bipartite.right_load;

@@ -204,12 +204,14 @@ val alloc : t -> Allocation.t
 val now : t -> int
 
 val is_idle : t -> int -> bool
-(** True when the box has no video in progress and may accept a demand. *)
+(** True when the box is online, has no video in progress and no demand
+    pending for the next step, so it may accept a demand.  O(1). *)
 
-val idle_boxes : t -> int list
-(** Idle online boxes that may be drafted as viewers.  Helper boxes
-    ({!set_helper}) are excluded — they are upload-only peers — so the
-    demand generators built on this list never target them. *)
+val idle_boxes : t -> int array
+(** Idle online boxes that may be drafted as viewers, in ascending
+    order.  Helper boxes ({!set_helper}) are excluded — they are
+    upload-only peers — so the demand generators built on this array
+    never target them.  The array is fresh: the caller may shuffle it. *)
 
 (** {2 Helper boxes (plug-and-play spare upload)}
 

@@ -1,4 +1,13 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state s0..s3 lives in 32 bytes, read and written as
+   little-endian int64 words: a mutable record field of type int64 is
+   boxed, so every store would allocate, while Bytes get/set compile to
+   unboxed loads and stores. *)
+type t = Bytes.t
+
+let s0 = 0
+let s1 = 8
+let s2 = 16
+let s3 = 24
 
 (* SplitMix64 step, used only for seeding and stream derivation. *)
 let splitmix64 state =
@@ -8,38 +17,53 @@ let splitmix64 state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+let make a b c d =
+  let g = Bytes.create 32 in
+  Bytes.set_int64_le g s0 a;
+  Bytes.set_int64_le g s1 b;
+  Bytes.set_int64_le g s2 c;
+  Bytes.set_int64_le g s3 d;
+  g
+
 let of_seed64 seed64 =
   let st = ref seed64 in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
+  let a = splitmix64 st in
+  let b = splitmix64 st in
+  let c = splitmix64 st in
+  let d = splitmix64 st in
   (* xoshiro must not start from the all-zero state. *)
-  if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+  if Int64.logor (Int64.logor a b) (Int64.logor c d) = 0L then make 1L 2L 3L 4L
+  else make a b c d
 
 let create ?(seed = 42) () = of_seed64 (Int64.of_int seed)
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let int64 g =
-  let result = Int64.mul (rotl (Int64.mul g.s1 5L) 7) 9L in
-  let t = Int64.shift_left g.s1 17 in
-  g.s2 <- Int64.logxor g.s2 g.s0;
-  g.s3 <- Int64.logxor g.s3 g.s1;
-  g.s1 <- Int64.logxor g.s1 g.s2;
-  g.s0 <- Int64.logxor g.s0 g.s3;
-  g.s2 <- Int64.logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+let[@inline] int64 g =
+  let x0 = Bytes.get_int64_le g s0
+  and x1 = Bytes.get_int64_le g s1
+  and x2 = Bytes.get_int64_le g s2
+  and x3 = Bytes.get_int64_le g s3 in
+  let result = Int64.mul (rotl (Int64.mul x1 5L) 7) 9L in
+  let t = Int64.shift_left x1 17 in
+  let x2 = Int64.logxor x2 x0 in
+  let x3 = Int64.logxor x3 x1 in
+  let x1 = Int64.logxor x1 x2 in
+  let x0 = Int64.logxor x0 x3 in
+  let x2 = Int64.logxor x2 t in
+  let x3 = rotl x3 45 in
+  Bytes.set_int64_le g s0 x0;
+  Bytes.set_int64_le g s1 x1;
+  Bytes.set_int64_le g s2 x2;
+  Bytes.set_int64_le g s3 x3;
   result
 
 let split g = of_seed64 (int64 g)
 
 let jump_to_stream g i =
-  let mix = ref (Int64.logxor g.s0 (Int64.of_int i)) in
+  let mix = ref (Int64.logxor (Bytes.get_int64_le g s0) (Int64.of_int i)) in
   let seed = splitmix64 mix in
   of_seed64 (Int64.logxor seed (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L))
 
@@ -48,15 +72,16 @@ let bits g = Int64.to_int (Int64.shift_right_logical (int64 g) 2)
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   if bound land (bound - 1) = 0 then bits g land (bound - 1)
-  else
+  else begin
     (* Rejection sampling on the top of the 62-bit range. *)
     let max_int62 = (1 lsl 62) - 1 in
     let limit = max_int62 - (max_int62 mod bound) in
-    let rec draw () =
-      let v = bits g in
-      if v >= limit then draw () else v mod bound
-    in
-    draw ()
+    let v = ref (bits g) in
+    while !v >= limit do
+      v := bits g
+    done;
+    !v mod bound
+  end
 
 let int_in_range g ~lo ~hi =
   if hi < lo then invalid_arg "Prng.int_in_range: hi < lo";

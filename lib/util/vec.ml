@@ -74,4 +74,15 @@ let exists p t =
   let rec loop i = i < t.len && (p t.data.(i) || loop (i + 1)) in
   loop 0
 
+let filter_in_place p t =
+  let kept = ref 0 in
+  for i = 0 to t.len - 1 do
+    let x = t.data.(i) in
+    if p x then begin
+      t.data.(!kept) <- x;
+      incr kept
+    end
+  done;
+  t.len <- !kept
+
 let to_list t = List.init t.len (fun i -> t.data.(i))

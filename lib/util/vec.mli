@@ -29,4 +29,9 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool
+val filter_in_place : ('a -> bool) -> 'a t -> unit
+(** [filter_in_place p t] keeps the elements satisfying [p], in their
+    order, and drops the rest without allocating.  [p] is applied once
+    to every element, first to last. *)
+
 val to_list : 'a t -> 'a list

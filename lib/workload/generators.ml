@@ -9,7 +9,7 @@ let catalog_size sim = Catalog.videos (Allocation.catalog (Engine.alloc sim))
 
 (* Draw [count] distinct idle boxes uniformly. *)
 let draw_idle g sim count =
-  let idle = Array.of_list (Engine.idle_boxes sim) in
+  let idle = Engine.idle_boxes sim in
   let count = min count (Array.length idle) in
   if count = 0 then []
   else begin

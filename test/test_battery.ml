@@ -272,7 +272,7 @@ let test_engine_helper_flag () =
   Engine.set_helper e 1 true;
   checkb "flag readable" true (Engine.is_helper e 1);
   checkb "helpers are not idle viewers" true
-    (not (List.mem 1 (Engine.idle_boxes e)));
+    (not (Array.mem 1 (Engine.idle_boxes e)));
   Alcotest.check_raises "demand on a helper raises"
     (Invalid_argument "Engine.demand: box is a helper (takes no demands)") (fun () ->
       Engine.demand e ~box:1 ~video:0);

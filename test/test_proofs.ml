@@ -148,7 +148,7 @@ let test_all_boxes_watching () =
   (* every round, every idle box demands a distinct video *)
   let next_video = ref 0 in
   let gen sim _time =
-    Engine.idle_boxes sim
+    Array.to_list (Engine.idle_boxes sim)
     |> List.map (fun b ->
            let v = !next_video mod m in
            incr next_video;

@@ -253,6 +253,78 @@ let test_golden_pin () =
       let golden = In_channel.with_open_text "serve_golden.jsonl" In_channel.input_all in
       checks "vod-serve/1 matches the golden pin" golden o.Serve.jsonl
 
+(* Byte-pins of the overflow and expiry paths, which the storm golden
+   above never reaches (it ends with overflow_shed 0).  Regenerate with
+     dune exec bin/vodctl.exe -- serve --scn examples/service_storm.scn \
+       --rounds 60 --arrivals poisson:20 --queue-cap CAP \
+       --out test/serve_overflowCAP_golden.jsonl
+   At cap 32 the stream holds 5 overflow sheds, 6 expiries, 23 retries
+   and 14 degraded rounds; at cap 16, 154 overflow sheds. *)
+let test_overflow_pin cap () =
+  match Scenario.load ~path:"../examples/service_storm.scn" with
+  | Error m -> Alcotest.fail m
+  | Ok s ->
+      let config = Serve.config ~queue_cap:cap () in
+      let o =
+        Result.get_ok (Serve.run ~rounds:60 ~config ~arrivals:(Serve.Poisson 20.0) s)
+      in
+      let golden =
+        In_channel.with_open_text
+          (Printf.sprintf "serve_overflow%d_golden.jsonl" cap)
+          In_channel.input_all
+      in
+      checks "vod-serve/1 matches the overflow pin" golden o.Serve.jsonl
+
+(* Allocation guard for the overflow path: 1024 boxes take Poisson
+   300/round into a 32-entry queue, so about 270 arrivals a round are
+   shed.  Minor-heap words per round per active stripe request are
+   deterministic: 227.4 when every shed scanned the queue and rebuilt it
+   as a list, under a boxed-int64 generator; 34.9 with the FIFO shed and
+   the unboxed generator.  The bound is their geometric mean (89): the
+   arithmetic midpoint (131) would let the rebuilding shed (112.8) back
+   in. *)
+let test_serve_alloc_guard () =
+  let s =
+    {
+      Scenario.default with
+      Scenario.name = "alloc-guard";
+      n = 1024;
+      u = 2.0;
+      d = 4.0;
+      c = 2;
+      k = 4;
+      m = Some 128;
+      mu = 1.5;
+      duration = 15;
+      rounds = 30;
+      seed = 5;
+      rate = 300.0;
+      groups = None;
+      helpers = [];
+      events = [];
+    }
+  in
+  let config = Serve.config ~queue_cap:32 () in
+  let w0 = Gc.minor_words () in
+  let o = Result.get_ok (Serve.run ~config s) in
+  let words = Gc.minor_words () -. w0 in
+  checkb "the queue overflows" true (o.Serve.totals.Serve.overflow_shed > 1000);
+  (* the round lines' served + unserved: active stripe requests *)
+  let count key =
+    let n = String.length key in
+    List.fold_left
+      (fun acc kv ->
+        if String.starts_with ~prefix:key kv then
+          acc + int_of_string (String.sub kv n (String.length kv - n))
+        else acc)
+      0
+      (String.split_on_char ',' o.Serve.jsonl)
+  in
+  let requests = count {|"served":|} + count {|"unserved":|} in
+  let per_request = words /. float_of_int requests in
+  if per_request > 89.0 then
+    Alcotest.failf "%.1f minor words per round per active request (bound 89)" per_request
+
 let test_jobs_identity () =
   let s = small_scenario () in
   let cat jobs =
@@ -322,7 +394,10 @@ let suites =
           test_backpressure_bounds_queue;
         Alcotest.test_case "overload sheds by policy" `Quick test_overload_sheds_by_policy;
         Alcotest.test_case "golden pin" `Quick test_golden_pin;
+        Alcotest.test_case "overflow pin, cap 32" `Quick (test_overflow_pin 32);
+        Alcotest.test_case "overflow pin, cap 16" `Quick (test_overflow_pin 16);
         Alcotest.test_case "jobs byte-identity" `Quick test_jobs_identity;
+        Alcotest.test_case "allocation guard" `Quick test_serve_alloc_guard;
         Alcotest.test_case "names parse" `Quick test_arrivals_and_policy_names;
       ] );
     ("serve.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);

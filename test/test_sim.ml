@@ -329,6 +329,141 @@ let test_sharded_engine_lockstep_with_scratch () =
       (view sharded = view scratch)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Idle bookkeeping                                                    *)
+(* ------------------------------------------------------------------ *)
+
+type idle_op =
+  | Try of int * int
+  | Demand of int * int
+  | Cancel of int
+  | Online of int * bool
+  | Step
+
+let idle_op_name = function
+  | Try (b, v) -> Printf.sprintf "try %d %d" b v
+  | Demand (b, v) -> Printf.sprintf "demand %d %d" b v
+  | Cancel b -> Printf.sprintf "cancel %d" b
+  | Online (b, f) -> Printf.sprintf "online %d %b" b f
+  | Step -> "step"
+
+(* [is_idle] reads a per-box pending flag.  The model tracks the
+   definition instead: online, busy_until <= now, and no pending demand
+   of the box.  busy_until follows the homogeneous preloading schedule:
+   a demand turned into requests at round t keeps its box busy until
+   t + T + 2, and cancel or going offline frees the box at once. *)
+let idle_matches_definition ops =
+  let n = 10 and m = 4 and t = 6 in
+  let params, fleet, alloc = build_system ~n ~m ~t () in
+  let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
+  let online = Array.make n true
+  and busy_until = Array.make n 0
+  and pending = Array.make n false
+  and now = ref 0 in
+  let idle b = online.(b) && busy_until.(b) <= !now && not pending.(b) in
+  let boxes = List.init n Fun.id in
+  let apply = function
+    | Try (b, v) ->
+        let admitted = Engine.try_demand sim ~box:b ~video:v = Engine.Admitted in
+        if admitted <> idle b then
+          Alcotest.failf "try_demand %d disagrees with the model" b;
+        if admitted then pending.(b) <- true
+    | Demand (b, v) ->
+        if idle b then begin
+          Engine.demand sim ~box:b ~video:v;
+          pending.(b) <- true
+        end
+    | Cancel b ->
+        Engine.cancel sim b;
+        busy_until.(b) <- !now
+    | Online (b, flag) ->
+        Engine.set_online sim b flag;
+        if online.(b) && not flag then begin
+          pending.(b) <- false;
+          busy_until.(b) <- !now
+        end;
+        online.(b) <- flag
+    | Step ->
+        incr now;
+        Array.iteri
+          (fun b p ->
+            if p then begin
+              pending.(b) <- false;
+              busy_until.(b) <- !now + t + 2
+            end)
+          pending;
+        ignore (Engine.step sim : Engine.round_report)
+  in
+  List.for_all
+    (fun op ->
+      apply op;
+      List.for_all (fun b -> Engine.is_idle sim b = idle b) boxes
+      && Array.to_list (Engine.idle_boxes sim) = List.filter idle boxes)
+    ops
+
+let idle_qcheck =
+  let n = 10 and m = 4 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun b v -> Try (b, v)) (int_bound (n - 1)) (int_bound (m - 1)));
+          (2, map2 (fun b v -> Demand (b, v)) (int_bound (n - 1)) (int_bound (m - 1)));
+          (1, map (fun b -> Cancel b) (int_bound (n - 1)));
+          (1, map2 (fun b f -> Online (b, f)) (int_bound (n - 1)) bool);
+          (3, return Step);
+        ])
+  in
+  QCheck.Test.make ~count:200 ~name:"is_idle matches its definition"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map idle_op_name ops))
+       QCheck.Gen.(list_size (int_range 1 80) op))
+    idle_matches_definition
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guard                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words per round per active request of a warmed n=4096
+   engine under Poisson arrivals.  The count is deterministic.  With
+   list-rebuilt request sets, a boxed-int64 generator and a closure
+   scanning the pending demands in every idle test it was 231.4; with
+   in-place compaction, the unboxed generator and the pending flag it is
+   8.5.  The bound is their geometric mean (44): the arithmetic midpoint
+   (120) would let the boxed generator (110.5) or the scanning idle test
+   (83.9) back in. *)
+let test_engine_alloc_guard () =
+  let sys =
+    Vod.System.homogeneous ~seed:5 ~m:512 ~n:4096 ~u:2.0 ~d:4.0 ~c:2 ~k:4 ~mu:1.5
+      ~duration:15 ()
+  in
+  let sim =
+    Engine.create ~params:sys.Vod.System.params ~fleet:sys.Vod.System.fleet
+      ~alloc:sys.Vod.System.alloc ~policy:Engine.Continue ()
+  in
+  let arrivals =
+    Vod_workload.Generators.uniform_arrivals (Prng.create ~seed:7 ()) ~rate:30.0
+  in
+  let round () =
+    let time = Engine.now sim + 1 in
+    List.iter
+      (fun (box, video) -> ignore (Engine.try_demand sim ~box ~video : Engine.admit))
+      (arrivals sim time);
+    Engine.step sim
+  in
+  for _ = 1 to 20 do
+    ignore (round () : Engine.round_report)
+  done;
+  let w0 = Gc.minor_words () in
+  let active = ref 0 in
+  for _ = 1 to 20 do
+    let r = round () in
+    active := !active + r.Engine.active_requests
+  done;
+  let per_request = (Gc.minor_words () -. w0) /. float_of_int !active in
+  if per_request > 44.0 then
+    Alcotest.failf "%.1f minor words per round per active request (bound 44)" per_request
+
 let test_metrics_summarise_empty () =
   let m = Metrics.summarise [] in
   checki "rounds" 0 m.Metrics.rounds;
@@ -363,4 +498,7 @@ let suites =
       ] );
     ( "sim.metrics",
       [ Alcotest.test_case "empty summary" `Quick test_metrics_summarise_empty ] );
+    ("sim.idle", [ QCheck_alcotest.to_alcotest idle_qcheck ]);
+    ( "sim.alloc",
+      [ Alcotest.test_case "engine allocation guard" `Quick test_engine_alloc_guard ] );
   ]

@@ -104,6 +104,174 @@ let test_prng_jump_stable () =
   let c = Prng.jump_to_stream g 5 in
   checkb "distinct stream ids differ" true (Prng.int64 c <> Prng.int64 (Prng.jump_to_stream g 4))
 
+(* The first 16 outputs of every draw, pinned per seed: [int64],
+   [int g 1_000_003] and [int g (2^61 + 1)] (the rejection path, the
+   second rejecting about half its draws), [float g 1.0], and [int64] of
+   the [split] child and of the [jump_to_stream g 3] child.  Every
+   golden stream downstream rests on these bits. *)
+type prng_pin = {
+  pin_seed : int;
+  pin_int64 : int64 list;
+  pin_int : int list;
+  pin_reject : int list;
+  pin_float : float list;
+  pin_split : int64 list;
+  pin_jump : int64 list;
+}
+
+let prng_pins =
+  [
+    {
+      pin_seed = 0;
+      pin_int64 =
+        [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+          7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+          7788427924976520344L; -8565655843838424513L; -2665238125909665999L;
+          -1496805473226810819L; 2108416074180405844L; 1240209487116192693L;
+          1967799970308132508L; -6367204219010229377L; 9150657576430337180L;
+          5466973851375020728L ];
+      pin_int =
+        [ 718618; 387545; 368908; 749466; 861416; 836513; 710266; 841756; 18836; 872087;
+          789750; 723301; 482934; 118418; 990893; 667307 ];
+      pin_reject =
+        [ 475095844711627192; 1921178025656535883; 1947106981244130086;
+          527104018545101461; 310052371779048173; 491949992577033127;
+          2287664394107584295; 1366743462843755182; 870162139428209060;
+          266547869399763449; 1440386989308246172; 2276659594988686283;
+          1483200616318392841; 1395582637495738939; 647827375404653751;
+          1347087623986549316 ];
+      pin_float =
+        [ 0x1.33d8be6d96ebep-1; 0x1.7edc3ef092ac8p-1; 0x1.a5f849d4933ep-4;
+          0x1.aa9653c498b4ap-2; 0x1.774b5a943f085p-1; 0x1.ffdf06ebb3d79p-1;
+          0x1.b05837bb4bd52p-2; 0x1.12415ac91f861p-1; 0x1.b60658174ea72p-1;
+          0x1.d6748eb47ce93p-1; 0x1.d42993fa43f28p-4; 0x1.1361bf526a148p-4;
+          0x1.b4f07a5ab3d88p-4; 0x1.4f464afed30dbp-1; 0x1.fbf6aa558177ep-2;
+          0x1.2f7a5f029e3aap-2 ];
+      pin_split =
+        [ 5518286860253071851L; 5198098526511828694L; 8466472784035676620L;
+          12425333751943282L; -3080620164582013701L; -9161360879159799346L;
+          2624222960415815568L; 3378575044916049102L; -1523563940506010180L;
+          -1197695863448760501L; -2555909091743670786L; -1312242512925527668L;
+          4651807611795549884L; -1927413719070702563L; 1848649706398778314L;
+          -7471711289139751410L ];
+      pin_jump =
+        [ 7761503524922348511L; 6141476833080752928L; -1501275837539444618L;
+          2697793893685659165L; 8514342173383937597L; -12567226015177280L;
+          -3708089368694894917L; 2926092679276791822L; 1687651273558075927L;
+          151857449248087338L; -9182867148158018000L; 9134308398870222407L;
+          1015800347601842570L; -4639701320836779427L; -8094531426373849364L;
+          -7410044594573541510L ];
+    };
+    {
+      pin_seed = 42;
+      pin_int64 =
+        [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L;
+          -1389169964527427423L; -151191095644234140L; -4247557243643801032L;
+          -5178765164775350862L; -2766855848391737209L; -4401865723017206658L;
+          -7685848651408622531L; -5857710645598733967L; 5362058279183681893L;
+          -3670453860372658506L; 5928998142081247042L; -5328343041887926323L;
+          -2254796632595466246L ];
+      pin_int =
+        [ 47120; 95646; 293302; 328589; 760693; 263172; 221351; 564257; 924104; 877490;
+          958572; 275681; 809830; 45405; 148771; 372280 ];
+      pin_reject =
+        [ 386749691100639685; 1747737923241135775; 1340514569795920473;
+          1482249535520311760; 428241451981137462; 825596990374639498;
+          2011600583562185327; 1448018208105111228; 2255998780752563472;
+          1840024857190162741; 1066842241513734902; 1910487353987387135;
+          206736083875502632; 2161719173959330428; 579455674371947228;
+          1464122830706485307 ];
+      pin_float =
+        [ 0x1.5780b2e0c2ecp-4; 0x1.84136619b444ep-2; 0x1.5c2ea66473c93p-1;
+          0x1.d9715a8e0766cp-1; 0x1.fbcdb8ffc5d8bp-1; 0x1.8a1b4a6202f2ap-1;
+          0x1.7042a90ab4cbbp-1; 0x1.b3344e87d7ccp-1; 0x1.85d2dce4dd2ecp-1;
+          0x1.2aacc2beeebf7p-1; 0x1.5d6a766818207p-1; 0x1.29a76e61cebe2p-2;
+          0x1.9a1fdb52600d8p-1; 0x1.4920219692d08p-2; 0x1.6c1bd877e5b1p-1;
+          0x1.c16ab4d172ccep-1 ];
+      pin_split =
+        [ -8150312660505607085L; 1184342940732292706L; 8258043193327897829L;
+          -7937530469794552443L; 4090181005887697149L; -2072551135223332111L;
+          3558450685933495791L; -5406025633808992172L; 1879381385959382130L;
+          -4837938882604465379L; -9138712183614892011L; 3545737951165234202L;
+          3704235347420641025L; 1801194517537436708L; -7467389750124929091L;
+          -4041656539192372095L ];
+      pin_jump =
+        [ 6468985842783907695L; -8797358010959313512L; -7276225280655781511L;
+          8009369943574012100L; -1021868004626317859L; 4388159858042177815L;
+          9132698269154538496L; 9175290022193528691L; 5971994948586495733L;
+          -1206962530372066989L; 797499511344583299L; 3878661695296913216L;
+          9035844023751225610L; 4185667937817451269L; -2745102830148880792L;
+          -2932030841552151701L ];
+    };
+    {
+      pin_seed = 1 lsl 40;
+      pin_int64 =
+        [ -7794965304565281922L; -44287127274702489L; 7040339152346828948L;
+          -3994291882321842148L; 6688168523897792436L; 6955219940481456461L;
+          -6774257906910435609L; 7690467217124919586L; -7388253301187821398L;
+          -3975896847465844457L; -8365761434484622838L; 9093719666958592558L;
+          1740187418392072818L; -8223910606874529708L; -6643511891876941389L;
+          -4047855925004824284L ];
+      pin_int =
+        [ 956998; 407860; 183693; 301747; 103520; 57952; 416918; 120552; 234693; 66415;
+          934921; 358729; 369821; 656659; 573376; 467707 ];
+      pin_reject =
+        [ 1760084788086707237; 1672042130974448109; 1738804985120364115;
+          1922616804281229896; 2273429916739648139; 435046854598018204;
+          392688819127076615; 142420681718737682; 271355015982419974;
+          1617489967539042811; 487586675628484196; 1834836255386957538;
+          1829335423631072183; 862752451972670574; 1016056707741903524;
+          1683843171858660694 ];
+      pin_float =
+        [ 0x1.27a570b5c1c89p-1; 0x1.fec5522f4d567p-1; 0x1.86d13ca187a14p-2;
+          0x1.9122d96431f5ep-1; 0x1.7344975923818p-2; 0x1.82179ebdfc716p-2;
+          0x1.43fa00a68371cp-1; 0x1.aae81cc0a6122p-2; 0x1.32ef4d88d02f8p-1;
+          0x1.91a58dc3ce67ep-1; 0x1.17cdb0991bc37p-1; 0x1.f8cd876d1033ap-2;
+          0x1.826633cb3dd1p-4; 0x1.1bbd99c0195a6p-1; 0x1.479b02442f2eep-1;
+          0x1.8fa640f720412p-1 ];
+      pin_split =
+        [ 4350218582159954124L; 2988085369641505467L; 6340060771686148126L;
+          -8147427911558760135L; -2806976584612855409L; 7619115876021688840L;
+          -7490988312623370274L; -733629890644114664L; -5476040157017510544L;
+          8538480915108162065L; 6866949014076439124L; -3180702205583832815L;
+          5117661315009811540L; 2445025399010590612L; -3910407437884002993L;
+          -9133831456333635337L ];
+      pin_jump =
+        [ 793421895651558563L; 7203901824219909044L; -2984567595658074391L;
+          -3606895481467882700L; -3989766554559515795L; -7502494743214992012L;
+          4979786858684165949L; 1188541131493805068L; -2847954418491599444L;
+          -942835418652267729L; -1237015806195248755L; 3435215007053704964L;
+          230673593184281839L; 5786315571555775568L; 2865985045802975804L;
+          -1040145508801440563L ];
+    };
+  ]
+
+let test_prng_pinned_streams () =
+  let first16 draw = List.init 16 (fun _ -> draw ()) in
+  List.iter
+    (fun p ->
+      let fresh () = Prng.create ~seed:p.pin_seed () in
+      let name what = Printf.sprintf "seed %d: %s" p.pin_seed what in
+      let g = fresh () in
+      check (Alcotest.list Alcotest.int64) (name "int64") p.pin_int64
+        (first16 (fun () -> Prng.int64 g));
+      let g = fresh () in
+      check (Alcotest.list Alcotest.int) (name "int 1_000_003") p.pin_int
+        (first16 (fun () -> Prng.int g 1_000_003));
+      let g = fresh () in
+      check (Alcotest.list Alcotest.int) (name "int 2^61+1") p.pin_reject
+        (first16 (fun () -> Prng.int g ((1 lsl 61) + 1)));
+      let g = fresh () in
+      check (Alcotest.list (Alcotest.float 0.0)) (name "float") p.pin_float
+        (first16 (fun () -> Prng.float g 1.0));
+      let child = Prng.split (fresh ()) in
+      check (Alcotest.list Alcotest.int64) (name "split child") p.pin_split
+        (first16 (fun () -> Prng.int64 child));
+      let child = Prng.jump_to_stream (fresh ()) 3 in
+      check (Alcotest.list Alcotest.int64) (name "jump_to_stream child") p.pin_jump
+        (first16 (fun () -> Prng.int64 child)))
+    prng_pins
+
 (* ------------------------------------------------------------------ *)
 (* Sample                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -648,6 +816,33 @@ let qcheck_cases =
         let v = Vec.create () in
         List.iter (Vec.push v) l;
         Vec.to_list v = l);
+    Test.make ~name:"vec filter_in_place is List.filter, in place" ~count:300
+      (triple
+         (list_of_size Gen.(int_range 0 96) small_int)
+         (int_range 1 5) (int_range 0 4))
+      (fun (l, k, r) ->
+        let keep x = x mod k = r mod k in
+        let v = Vec.create () in
+        List.iter (Vec.push v) l;
+        let seen = ref [] in
+        Vec.filter_in_place
+          (fun x ->
+            seen := x :: !seen;
+            keep x)
+          v;
+        let kept = List.filter keep l in
+        let len = List.length kept in
+        let stale =
+          match Vec.get v len with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        (* a push lands right after the kept prefix, over the dropped tail *)
+        Vec.push v (-1);
+        List.rev !seen = l
+        && stale
+        && Vec.length v = len + 1
+        && Vec.to_list v = kept @ [ -1 ]);
     Test.make ~name:"bitset add/mem agree with a reference set" ~count:200
       (list_of_size Gen.(int_range 0 64) (int_range 0 255))
       (fun l ->
@@ -700,6 +895,7 @@ let suites =
         Alcotest.test_case "uniformity" `Quick test_prng_uniformity;
         Alcotest.test_case "split independence" `Quick test_prng_split_independence;
         Alcotest.test_case "jump_to_stream stable" `Quick test_prng_jump_stable;
+        Alcotest.test_case "pinned streams" `Quick test_prng_pinned_streams;
       ] );
     ( "util.sample",
       [

@@ -87,7 +87,7 @@ let test_constant_rate_bound () =
   for _ = 1 to 5 do
     let time = Vod.Engine.now sim + 1 in
     let ds = gen sim time in
-    let idle = List.length (Vod.Engine.idle_boxes sim) in
+    let idle = Array.length (Vod.Engine.idle_boxes sim) in
     checkb "capped by idle population" true (List.length ds <= min 4 idle);
     List.iter (fun (b, v) -> Vod.Engine.demand sim ~box:b ~video:v) ds;
     ignore (Vod.Engine.step sim)
