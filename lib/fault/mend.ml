@@ -163,8 +163,10 @@ let tick (t : t) e =
         let has_donor = Array.exists (fun b -> alive.(b)) holders in
         let candidates = ref [] in
         for b = n - 1 downto 0 do
-          if alive.(b) && free.(b) > 0 && not (Array.mem b holders) then
-            candidates := b :: !candidates
+          if
+            alive.(b) && free.(b) > 0
+            && not (Allocation.possesses alloc ~box:b ~stripe:s)
+          then candidates := b :: !candidates
         done;
         let candidates = Array.of_list !candidates in
         if (not has_donor) || Array.length candidates = 0 then
@@ -211,7 +213,7 @@ let collect (t : t) e =
           | Some d -> Registry.observe obs_time_to_repair (max 0 (now - d))
           | None -> ());
           Backoff.reset t.backoff ~key:stripe;
-          if not (Array.mem dest per_stripe.(stripe)) then begin
+          if not (Int_array.mem dest per_stripe.(stripe)) then begin
             per_stripe.(stripe) <- Array.append per_stripe.(stripe) [| dest |];
             incr installed;
             t.installed <- t.installed + 1;
@@ -228,12 +230,12 @@ let pending (t : t) e =
   let fleet = Engine.fleet e in
   let alloc = Engine.alloc e in
   let alive = Array.init n (Engine.is_online e) in
-  let free_somewhere holders =
+  let free_somewhere s =
     let rec go b =
       b < n
       && ((alive.(b)
            && Box.storage_slots ~c fleet.(b) - Allocation.box_load alloc b > 0
-           && not (Array.mem b holders))
+           && not (Allocation.possesses alloc ~box:b ~stripe:s))
          || go (b + 1))
     in
     go 0
@@ -242,7 +244,7 @@ let pending (t : t) e =
   List.partition
     (fun s ->
       let holders = Allocation.boxes_of_stripe alloc s in
-      Array.exists (fun b -> alive.(b)) holders && free_somewhere holders)
+      Array.exists (fun b -> alive.(b)) holders && free_somewhere s)
     under
 
 let quiesced (t : t) e =

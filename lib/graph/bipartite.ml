@@ -1,9 +1,10 @@
 open Vod_util
 module F = Flow_network
 
-(* The instance is CSR-backed: [Csr.t] holds the edges (insertion order,
-   deduplicated on finalize) and the per-right capacities, and doubles
-   as the reusable builder the engine refills every round via [reset].
+(* The instance is CSR-backed: [Csr.t] holds the edges and the
+   per-right capacities, and doubles as the reusable builder: [reset] +
+   [add_edge] fill it through the pending list, and [delta_rebuild]
+   (the engine's per-round path) writes its rows directly.
    [dedup] memoises the sorted [int array array] view still consumed by
    the legacy solver paths, certificates and min-cost/greedy solvers. *)
 type t = {
@@ -15,26 +16,25 @@ type t = {
 let validate_shape ~who ~n_left ~n_right ~right_cap =
   if n_left < 0 || n_right < 0 then invalid_arg (who ^ ": negative size");
   if Array.length right_cap <> n_right then
-    invalid_arg (who ^ ": right_cap length mismatch");
-  Array.iter (fun c -> if c < 0 then invalid_arg (who ^ ": negative capacity")) right_cap
+    invalid_arg (who ^ ": right_cap length mismatch")
 
 let create ~n_left ~n_right ~right_cap =
   validate_shape ~who:"Bipartite.create" ~n_left ~n_right ~right_cap;
   let csr = Csr.create () in
   Csr.reset csr ~n_left ~n_right;
-  Array.iteri (fun r c -> Csr.set_right_cap csr r c) right_cap;
+  Csr.set_right_caps csr right_cap;
   { csr; dedup = None; layout = None }
 
 let reset t ~n_left ~n_right ~right_cap =
   validate_shape ~who:"Bipartite.reset" ~n_left ~n_right ~right_cap;
   Csr.reset t.csr ~n_left ~n_right;
-  Array.iteri (fun r c -> Csr.set_right_cap t.csr r c) right_cap;
+  Csr.set_right_caps t.csr right_cap;
   t.dedup <- None
 
 let delta_rebuild t ~n_left ~right_cap ~src_of ~fill =
   let n_right = Csr.n_right t.csr in
   validate_shape ~who:"Bipartite.delta_rebuild" ~n_left ~n_right ~right_cap;
-  Array.iteri (fun r c -> Csr.set_right_cap t.csr r c) right_cap;
+  Csr.set_right_caps t.csr right_cap;
   Csr.rebuild_rows t.csr ~n_left ~src_of ~fill;
   t.dedup <- None
 
@@ -83,8 +83,7 @@ let layout_of t =
       t.layout <- Some lay;
       lay
 
-let solve ?arena ?(algorithm = Dinic_flow) ?(layout = false) t =
-  let arena = match arena with Some a -> a | None -> Arena.create () in
+let solve_in_arena ~arena ?(algorithm = Dinic_flow) ?(layout = false) t =
   let csr = csr t in
   let lay = if layout then Some (layout_of t) else None in
   let csr = match lay with Some l -> Layout.prepare l csr | None -> csr in
@@ -95,7 +94,11 @@ let solve ?arena ?(algorithm = Dinic_flow) ?(layout = false) t =
     | Hopcroft_karp_matching -> Hopcroft_karp.solve_csr ~arena csr
   in
   (match lay with Some l -> Layout.commit l arena | None -> ());
-  outcome_of_arena t arena size
+  size
+
+let solve ?arena ?algorithm ?layout t =
+  let arena = match arena with Some a -> a | None -> Arena.create () in
+  outcome_of_arena t arena (solve_in_arena ~arena ?algorithm ?layout t)
 
 (* ------------------------------------------------------------------ *)
 (* Legacy adj-array solver paths                                       *)

@@ -17,9 +17,10 @@ val create : n_left:int -> n_right:int -> right_cap:int array -> t
 
 val reset : t -> n_left:int -> n_right:int -> right_cap:int array -> unit
 (** Rewind to an empty instance of the given (possibly different) shape,
-    reusing every backing buffer — the engine's per-round rebuild path;
-    once buffers reach their high-water mark a reset + refill allocates
-    nothing.  Same validation as {!create}. *)
+    reusing every backing buffer; once buffers reach their high-water
+    mark a reset + refill through {!add_edge} allocates nothing.  The
+    capacities are checked and copied in one pass.  Same validation as
+    {!create}. *)
 
 val delta_rebuild :
   t ->
@@ -28,14 +29,15 @@ val delta_rebuild :
   src_of:(int -> int) ->
   fill:(int -> (int -> unit) -> unit) ->
   unit
-(** Rebuild the instance for the next round from the current one,
-    copying unchanged rows and re-emitting only dirty ones — the
-    engine's churn-proportional alternative to {!reset} + {!add_edge}.
-    [src_of l] names the current row new row [l] copies verbatim, or
-    [-1] for a row refilled by [fill l emit]; the number of rights is
-    unchanged and their capacities are set from [right_cap].  See
-    {!Csr.rebuild_rows} for cost and the frozen-instance caveat
-    ({!add_edge} raises until the next {!reset}).
+(** Rebuild the instance for the next round in one row-major pass —
+    the engine's only per-round build.  [src_of l] names the current row
+    new row [l] copies verbatim, or [-1] for a row written by
+    [fill l emit] straight into the CSR column array; with
+    [~src_of:(fun _ -> -1)] it is a scratch build.  The number of
+    rights is unchanged and their capacities are copied from
+    [right_cap] in one checked pass.  See {!Csr.rebuild_rows} for cost
+    and the frozen-instance caveat ({!add_edge} raises until the next
+    {!reset}).
     @raise Invalid_argument as {!reset}, or as {!Csr.rebuild_rows}. *)
 
 val add_edge : t -> left:int -> right:int -> unit
@@ -84,6 +86,14 @@ val solve : ?arena:Arena.t -> ?algorithm:algorithm -> ?layout:bool -> t -> outco
     bit-identical to the identity layout (the permutation is
     order-preserving per component — DESIGN.md section 12); for
     {!Push_relabel_flow} only the matching size is guaranteed. *)
+
+val solve_in_arena : arena:Arena.t -> ?algorithm:algorithm -> ?layout:bool -> t -> int
+(** {!val:solve} without the copies: returns the matching size and
+    leaves the result in the arena — [Arena.assignment arena] (entries
+    [0 .. n_left - 1]) and [Arena.right_load arena] (entries
+    [0 .. n_right - 1]), borrowed and valid until the arena's next
+    solve.  The engine's per-round path; {!val:solve} is this plus a
+    copy into fresh arrays. *)
 
 val solve_legacy : ?algorithm:algorithm -> t -> outcome
 (** The historical solver paths — an explicit {!Flow_network} for

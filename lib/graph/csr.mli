@@ -7,14 +7,17 @@
     replace the [int array array] adjacency rows the solvers used to
     traverse, eliminating a pointer chase and a per-row allocation.
 
-    The value doubles as its own builder: [reset] rewinds it to an empty
-    instance of a (possibly different) shape while keeping every backing
-    buffer, [add_edge] appends pending edges in arbitrary order, and
-    [finalize] compacts them into row-major CSR form — deduplicating
-    repeated (left, right) pairs — via a counting sort that allocates
-    nothing once the buffers have grown to the high-water mark.  The
-    engine rebuilds its round instance through exactly this path, so the
-    steady state of a simulation run performs zero allocation here.
+    The value doubles as its own builder, in two forms.  [reset]
+    rewinds it to an empty instance of a (possibly different) shape
+    while keeping every backing buffer, [add_edge] appends pending edges
+    in arbitrary order, and [finalize] compacts them into row-major CSR
+    form — deduplicating repeated (left, right) pairs — via a counting
+    sort that allocates nothing once the buffers have grown to the
+    high-water mark.  [rebuild_rows] skips the pending list: it writes
+    each row straight into the row view, copying rows unchanged since
+    the last build and sorting the rest in place.  The engine rebuilds
+    its round instance through [rebuild_rows] only; [finalize] serves
+    the [add_edge] callers (tests, oracles, shard instances, probes).
 
     Buffers returned by [row_start], [col] and [right_cap_array] are
     borrowed: they remain owned by the instance, are invalidated by the
@@ -35,6 +38,12 @@ val set_right_cap : t -> int -> int -> unit
 (** [set_right_cap t r c] sets the capacity of right vertex [r].
     @raise Invalid_argument if [r] is out of range or [c < 0]. *)
 
+val set_right_caps : t -> int array -> unit
+(** [set_right_caps t caps] sets every right's capacity from
+    [caps.(0 .. n_right - 1)] in one checked pass.
+    @raise Invalid_argument if [caps] is shorter than [n_right] or holds
+    a negative capacity; the rights before it are already set. *)
+
 val add_edge : t -> left:int -> right:int -> unit
 (** Append a pending edge; duplicates are collapsed by [finalize].
     @raise Invalid_argument on out-of-range endpoints. *)
@@ -49,20 +58,27 @@ val finalize : t -> unit
 
 val rebuild_rows :
   t -> n_left:int -> src_of:(int -> int) -> fill:(int -> (int -> unit) -> unit) -> unit
-(** Delta rebuild of the finalized row view for the next round, reusing
-    rows unchanged since the last one.  [src_of l] names the current
-    row whose edge set new row [l] copies verbatim (a clean row), or
-    [-1] for a dirty row whose neighbours are re-emitted by
-    [fill l emit] (in any order, duplicates allowed — the row is sorted
-    and deduplicated in place afterwards, so it lands in the same
-    normal form as [finalize]).  Cost is O(dirty edges + n_left) plus a
-    [blit] of the clean bytes — per-round work proportional to churn,
-    not to instance size.  The number of rights and the capacity array
-    are untouched; set capacities separately.  Afterwards the instance
-    is {e frozen}: the pending-edge list no longer mirrors the row
-    view, so [add_edge] raises until the next [reset].
-    @raise Invalid_argument if [src_of] names an out-of-range row or
-    [fill] emits an out-of-range right. *)
+(** One row-major pass that builds the finalized row view for the next
+    round.  [src_of l] names the current row whose edge set new row [l]
+    copies verbatim (a clean row), or [-1] for a dirty row whose
+    neighbours are written by [fill l emit] straight into the column
+    array (in any order, duplicates allowed — the row is then sorted
+    and deduplicated in place, so it lands in the same normal form as
+    [finalize]).  With [src_of] always [-1] this is a scratch build in
+    O(edges + n_left), with no counting sort and no O(n_right) pass.
+    Otherwise the cost is O(dirty edges + n_left) plus a [blit] of the
+    clean bytes — work proportional to churn, not to instance size.
+    Short rows are insertion-sorted; long ones (a popular stripe's
+    cache window) are radix-sorted, O(d) for a row of d entries.  One
+    [emit] closure serves the whole rebuild, and the sort scratch lives
+    in the instance, so once the buffers have grown the pass allocates
+    nothing.  The number of rights and the capacity array are
+    untouched; set capacities separately ({!set_right_caps}).
+    Afterwards the instance is {e frozen}: the pending-edge list no
+    longer mirrors the row view, so [add_edge] raises until the next
+    [reset].
+    @raise Invalid_argument on a negative [n_left], if [src_of] names
+    an out-of-range row or [fill] emits an out-of-range right. *)
 
 val n_left : t -> int
 val n_right : t -> int

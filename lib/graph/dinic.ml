@@ -88,9 +88,10 @@ let max_flow ?(limit = max_int) net ~src ~sink =
    CSR edge id carrying it ([matched_edge], -1 when free at the source)
    and the sink arcs by per-right load counters.  Reverse-residual
    traversal (right -> matched occupant) runs over a CSR transpose built
-   in the arena by counting sort; each transpose entry packs
-   [(left lsl 31) lor edge_id] into one word, so the occupant sweep
-   loads one cell where it used to load two.
+   in the arena by counting sort, only when greedy first-fit leaves a
+   request free; each transpose entry packs [(left lsl 31) lor edge_id]
+   into one word, so the occupant sweep loads one cell where it used to
+   load two.
 
    The BFS mirrors the Hopcroft-Karp kernel: a greedy first-fit pass
    seeds the matching, then layered word-parallel phases build the
@@ -119,30 +120,11 @@ let solve_csr ?warm_start ~arena csr =
   let frontier = Arena.bits arena.Arena.frontier nr in
   let visited = Arena.bits arena.Arena.visited_right nr in
   let packed_mask = (1 lsl 31) - 1 in
-  (* transpose: packed (left, edge id) per right, via counting sort *)
-  Array.fill t_row_start 0 (nr + 1) 0;
-  for e = 0 to m - 1 do
-    let r = col.(e) in
-    t_row_start.(r + 1) <- t_row_start.(r + 1) + 1
-  done;
-  for r = 0 to nr - 1 do
-    t_row_start.(r + 1) <- t_row_start.(r + 1) + t_row_start.(r);
-    it_right.(r) <- t_row_start.(r)
-  done;
-  for l = 0 to nl - 1 do
-    for e = row_start.(l) to row_start.(l + 1) - 1 do
-      let r = col.(e) in
-      t_packed.(it_right.(r)) <- (l lsl 31) lor e;
-      it_right.(r) <- it_right.(r) + 1
-    done
-  done;
   Array.fill matched_edge 0 nl (-1);
-  Array.fill load 0 nr 0;
-  (* versioned level: 0 everywhere is "never visited" for every phase *)
-  Array.fill level 0 (nl + nr) 0;
   Bitset.set_prefix free_left nl;
   Bitset.clear free_right;
   for r = 0 to nr - 1 do
+    load.(r) <- 0;
     if cap.(r) > 0 then Bitset.unsafe_add free_right r
   done;
   let size = ref 0 in
@@ -195,6 +177,31 @@ let solve_csr ?warm_start ~arena csr =
     done;
     l := Bitset.next_set_bit free_left (li + 1)
   done;
+  (* The phases below read the transpose and [level] only when greedy
+     left a request free.  Above the upload threshold it seats every
+     one, and the first [bfs ()] returns at once: a round pays for the
+     augmenting machinery only when feasibility is in question. *)
+  if !size < nl then begin
+    (* transpose: packed (left, edge id) per right, via counting sort *)
+    Array.fill t_row_start 0 (nr + 1) 0;
+    for e = 0 to m - 1 do
+      let r = col.(e) in
+      t_row_start.(r + 1) <- t_row_start.(r + 1) + 1
+    done;
+    for r = 0 to nr - 1 do
+      t_row_start.(r + 1) <- t_row_start.(r + 1) + t_row_start.(r);
+      it_right.(r) <- t_row_start.(r)
+    done;
+    for l = 0 to nl - 1 do
+      for e = row_start.(l) to row_start.(l + 1) - 1 do
+        let r = col.(e) in
+        t_packed.(it_right.(r)) <- (l lsl 31) lor e;
+        it_right.(r) <- it_right.(r) + 1
+      done
+    done;
+    (* versioned level: 0 everywhere is "never visited" for every phase *)
+    Array.fill level 0 (nl + nr) 0
+  end;
   let fw = Bitset.words frontier in
   let wsh = Bitset.word_shift and bmask = Bitset.bit_mask in
   let base = ref 1 in

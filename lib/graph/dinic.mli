@@ -16,7 +16,10 @@ val solve_csr : ?warm_start:int array -> arena:Arena.t -> Csr.t -> int
     flow value (= matching size); the assignment and per-right loads are
     left in [Arena.assignment] / [Arena.right_load] (borrowed, valid
     until the arena's next solve).  All scratch lives in the arena, so
-    steady-state calls allocate nothing.  [warm_start] (length at least
+    steady-state calls allocate nothing.  A greedy first-fit pass seeds
+    the matching; the reverse-residual transpose and the BFS levels are
+    built only when it leaves a request free, so a solve that greedy
+    saturates costs O(n_left + n_right + scanned edges).  [warm_start] (length at least
     [n_left], entries a right vertex or -1; extra cells ignored)
     pre-pushes each left's unit onto its previous right when still
     adjacent and under capacity — this replaces the flow pre-push of

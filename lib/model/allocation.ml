@@ -47,7 +47,8 @@ let stripes_of_box t b =
 let replica_count t s = Array.length (boxes_of_stripe t s)
 let box_load t b = Array.length (stripes_of_box t b)
 
-let possesses t ~box ~stripe = Array.mem box (boxes_of_stripe t stripe)
+(* [Int_array.mem], not [Array.mem]: this runs once per served request *)
+let possesses t ~box ~stripe = Int_array.mem box (boxes_of_stripe t stripe)
 
 let stores_video t ~box ~video =
   Array.exists (fun s -> possesses t ~box ~stripe:s) (Catalog.stripes_of_video t.cat video)

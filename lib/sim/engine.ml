@@ -95,9 +95,11 @@ type t = {
   mutable last_violator : Vod_graph.Bipartite.violator option;
   mutable last_instance : Vod_graph.Bipartite.t option;
   inst : Vod_graph.Bipartite.t;
-      (* the one matching instance, reset and refilled every round *)
+      (* the one matching instance, rebuilt in place every round *)
   arena : Vod_graph.Arena.t; (* solver scratch, allocated once per engine *)
-  right_cap_scratch : int array; (* per-round online-masked capacities *)
+  online_cap : int array;
+      (* per box: [capacity] if online, else 0 — the matching's right
+         capacities, kept in step by [set_online]/[set_upload_factor] *)
   inc_state : Vod_graph.Bipartite.Incremental.state option;
       (* warm-start matcher, Some iff matching = Incremental *)
   shard : Vod_graph.Shard.t option; (* Some iff matching = Sharded *)
@@ -188,7 +190,7 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
     last_instance = None;
     inst = Vod_graph.Bipartite.create ~n_left:0 ~n_right:n ~right_cap:(Array.make n 0);
     arena = Vod_graph.Arena.create ();
-    right_cap_scratch = Array.make n 0;
+    online_cap = Array.copy capacity;
     inc_state =
       (match matching with
       | Scratch | Sharded -> None
@@ -299,7 +301,8 @@ let set_upload_factor t ~box ~factor =
   t.upload_factor.(box) <- factor;
   t.capacity.(box) <-
     compute_capacity ~params:t.params ~fleet:t.fleet ~compensation:t.compensation
-      ~factor box
+      ~factor box;
+  if t.online.(box) then t.online_cap.(box) <- t.capacity.(box)
 
 let upload_factor t box =
   if box < 0 || box >= t.params.Params.n then
@@ -596,7 +599,8 @@ let set_online t box online =
     end;
     t.busy_until.(box) <- t.now
   end;
-  t.online.(box) <- online
+  t.online.(box) <- online;
+  t.online_cap.(box) <- (if online then t.capacity.(box) else 0)
 
 (* Box [b] may serve request [req] this round: it is online, and a
    repair transfer copies from a peer (its destination never serves
@@ -667,26 +671,17 @@ let step t =
     Vod_obs.Span.with_ ~name:"build" @@ fun () ->
     let requests = Vec.to_array t.active in
     let n_left = Array.length requests in
-    let n = t.params.Params.n in
-    for b = 0 to n - 1 do
-      t.right_cap_scratch.(b) <- (if t.online.(b) then t.capacity.(b) else 0)
-    done;
-    (* refill the persistent instance in place: once its buffers reach
-       the run's high-water mark, the whole build phase stops
-       allocating *)
+    (* one row-major pass refills the persistent instance in place:
+       every row is written straight into its CSR column array, and
+       once the buffers reach the run's high-water mark the whole build
+       phase stops allocating.  A scratch build is the all-dirty case. *)
     let instance = t.inst in
-    let scratch_build () =
-      Vod_graph.Bipartite.reset instance ~n_left ~n_right:n
-        ~right_cap:t.right_cap_scratch;
-      let left = ref 0 in
-      let emit b = Vod_graph.Bipartite.add_edge instance ~left:!left ~right:b in
-      for l = 0 to n_left - 1 do
-        left := l;
-        emit_row t requests.(l) emit
-      done
+    let rebuild src_of =
+      Vod_graph.Bipartite.delta_rebuild instance ~n_left ~right_cap:t.online_cap ~src_of
+        ~fill:(fun l emit -> emit_row t requests.(l) emit)
     in
-    if not t.track_delta then scratch_build ()
-    else if t.all_dirty then scratch_build ()
+    let all_dirty_rows _ = -1 in
+    if (not t.track_delta) || t.all_dirty then rebuild all_dirty_rows
     else begin
       (* map each surviving row to its row in the previous instance.
          Activation appends and every filter preserves order, so the
@@ -730,15 +725,12 @@ let step t =
       done;
       if 2 * !dirty > n_left then begin
         Vod_obs.Registry.incr obs_delta_fallbacks;
-        scratch_build ()
+        rebuild all_dirty_rows
       end
       else begin
         Vod_obs.Registry.incr obs_delta_builds;
         Vod_obs.Registry.add obs_delta_rows !dirty;
-        Vod_graph.Bipartite.delta_rebuild instance ~n_left
-          ~right_cap:t.right_cap_scratch
-          ~src_of:(fun l -> src.(l))
-          ~fill:(fun l emit -> emit_row t requests.(l) emit)
+        rebuild (fun l -> src.(l))
       end
     end;
     if t.track_delta then begin
@@ -770,13 +762,13 @@ let step t =
         ~layout:t.layout sh
         (Vod_graph.Bipartite.csr instance)
     in
-    {
-      Vod_graph.Bipartite.matched = size;
-      assignment = Array.sub (Vod_graph.Shard.assignment sh) 0 n_left;
-      right_load = Array.sub (Vod_graph.Shard.right_load sh) 0 n;
-    }
+    (size, Vod_graph.Shard.assignment sh, Vod_graph.Shard.right_load sh)
   in
-  let outcome =
+  let of_outcome o = Vod_graph.Bipartite.(o.matched, o.assignment, o.right_load) in
+  (* [assignment] and [right_load] may be borrowed from the arena or the
+     shard pool: only entries [0 .. n_left - 1] and [0 .. n - 1] are
+     read, before the next solve. *)
+  let matched, assignment, right_load =
     Vod_obs.Span.with_ ~name:"matching" @@ fun () ->
     match t.scheduler with
     | Arbitrary -> (
@@ -785,9 +777,17 @@ let step t =
         | None -> (
             match t.inc_state with
             | Some st ->
-                Vod_graph.Bipartite.solve_incremental st ~arena:t.arena
-                  ~warm_start:(incremental_warm ()) ~layout:t.layout instance
-            | None -> Vod_graph.Bipartite.solve ~arena:t.arena ~layout:t.layout instance))
+                of_outcome
+                  (Vod_graph.Bipartite.solve_incremental st ~arena:t.arena
+                     ~warm_start:(incremental_warm ()) ~layout:t.layout instance)
+            | None ->
+                let size =
+                  Vod_graph.Bipartite.solve_in_arena ~arena:t.arena ~layout:t.layout
+                    instance
+                in
+                ( size,
+                  Vod_graph.Arena.assignment t.arena,
+                  Vod_graph.Arena.right_load t.arena )))
     | Prefer_cache ->
         (* serving from a static replica costs 1, from a cache 0: among
            maximum matchings, minimise the load on the allocation *)
@@ -796,7 +796,7 @@ let step t =
           then 1
           else 0
         in
-        Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost
+        of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
     | Sticky -> (
         match t.shard with
         | Some sh ->
@@ -810,8 +810,9 @@ let step t =
                rewires only along repair augmenting paths — the
                incremental analogue of the min-churn objective, at a
                fraction of the min-cost-flow price *)
-                Vod_graph.Bipartite.solve_incremental st ~arena:t.arena
-                  ~warm_start:(incremental_warm ()) ~layout:t.layout instance
+                of_outcome
+                  (Vod_graph.Bipartite.solve_incremental st ~arena:t.arena
+                     ~warm_start:(incremental_warm ()) ~layout:t.layout instance)
             | None ->
                 (* keeping last round's connection costs 0, rewiring
                    costs 1: among maximum matchings, minimise connection
@@ -819,29 +820,26 @@ let step t =
                 let cost ~left ~right =
                   if requests.(left).last_server = right then 0 else 1
                 in
-                Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost))
+                of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)))
     | Greedy_proposals rounds ->
         (* no global view: persistent connections carry over, then boxes
            negotiate locally for a few rounds for the rest *)
         let warm_start = Array.map (fun req -> req.last_server) requests in
-        Vod_graph.Bipartite.solve_greedy ~warm_start ~rounds t.sched_rng instance
+        of_outcome
+          (Vod_graph.Bipartite.solve_greedy ~warm_start ~rounds t.sched_rng instance)
     | Prefer_local ->
         (* among maximum matchings, minimise cross-group connections *)
         let topo = Option.get t.topology in
         let cost ~left ~right = Topology.cost topo requests.(left).owner right in
-        Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost
+        of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
     | Balance_load ->
         (* among maximum matchings, steer connections towards the boxes
            that have served the least so far *)
         let cost ~left:_ ~right = t.cumulative_loads.(right) in
-        Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost
+        of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
   in
   let report =
     Vod_obs.Span.with_ ~name:"account" @@ fun () ->
-    Array.blit outcome.Vod_graph.Bipartite.right_load 0 t.last_loads 0 n;
-    Array.iteri
-      (fun b load -> t.cumulative_loads.(b) <- t.cumulative_loads.(b) + load)
-      outcome.Vod_graph.Bipartite.right_load;
     (* 5. Progress the served requests and account cache vs allocation.
        A matched connection may still be dropped by a transient link
        fault (the slot was consumed; the data never arrived): the
@@ -854,7 +852,7 @@ let step t =
       (fun l req ->
         let is_repair = req.kind = Repair_transfer in
         if is_repair then incr repair_active else incr user_active;
-        let server = outcome.Vod_graph.Bipartite.assignment.(l) in
+        let server = assignment.(l) in
         if server >= 0 then begin
           let dropped =
             match t.link_faults with
@@ -904,13 +902,23 @@ let step t =
     let unserved = !user_active - !user_served in
     Vod_obs.Registry.add obs_unserved unserved;
     Vod_obs.Registry.add obs_repair_served !repair_served;
-    if outcome.Vod_graph.Bipartite.matched < n_left then
-      t.last_violator <- Vod_graph.Bipartite.hall_violator instance;
+    (* one pass over the boxes: this round's loads and the box states *)
     let busy = ref 0 and offline = ref 0 in
+    let online = t.online and busy_until = t.busy_until and pending_box = t.pending_box in
+    let last_loads = t.last_loads and cumulative_loads = t.cumulative_loads in
     for b = 0 to n - 1 do
-      if not (is_idle t b) then incr busy;
-      if not t.online.(b) then incr offline
+      let load = right_load.(b) in
+      last_loads.(b) <- load;
+      cumulative_loads.(b) <- cumulative_loads.(b) + load;
+      (* [is_idle], inlined *)
+      if not online.(b) then begin
+        incr offline;
+        incr busy
+      end
+      else if busy_until.(b) > time || pending_box.(b) then incr busy
     done;
+    if matched < n_left then
+      t.last_violator <- Vod_graph.Bipartite.hall_violator instance;
     {
       time;
       new_demands;

@@ -423,6 +423,49 @@ let test_arena_reuse_deterministic () =
       done)
     [ Bipartite.Dinic_flow; Bipartite.Push_relabel_flow; Bipartite.Hopcroft_karp_matching ]
 
+(* Dinic builds its reverse-residual transpose and clears its levels
+   only when greedy first-fit leaves a request free.  One dirtied arena
+   runs three instances: the first needs an augmenting phase, the
+   second is saturated by greedy (no transpose built), the third has a
+   different shape and needs a phase again.  Its augmenting path must
+   find the occupant of right 1 through a fresh transpose: the first
+   instance's transpose lists a different edge there, so reusing it
+   leaves a request unmatched. *)
+let test_dinic_lazy_transpose () =
+  let arena = Arena.create () in
+  let g = Prng.create ~seed:0x1a2 () in
+  let instance ~right_cap adj =
+    let b =
+      Bipartite.create ~n_left:(Array.length adj) ~n_right:(Array.length right_cap)
+        ~right_cap
+    in
+    Array.iteri
+      (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
+      adj;
+    b
+  in
+  (* dirty every slab with unrelated solves *)
+  List.iter
+    (fun algorithm ->
+      let adj, right_cap =
+        random_bipartite g ~n_left:9 ~n_right:6 ~max_cap:2 ~edge_prob:0.5
+      in
+      let o = Bipartite.solve ~arena ~algorithm (instance ~right_cap adj) in
+      ignore (o : Bipartite.outcome))
+    Bipartite.[ Push_relabel_flow; Hopcroft_karp_matching; Dinic_flow ];
+  let step name ~right_cap adj =
+    let b = instance ~right_cap adj in
+    let legacy = Bipartite.solve_legacy ~algorithm:Bipartite.Dinic_flow b in
+    let size = Dinic.solve_csr ~arena (Bipartite.csr b) in
+    checki name legacy.Bipartite.matched size;
+    checki (name ^ ": all served") (Array.length adj) size
+  in
+  (* greedy seats 0 on 0; 1 is free and reroutes 0 to 1 *)
+  step "needs a phase" ~right_cap:[| 1; 1 |] [| [| 0; 1 |]; [| 0 |] |];
+  step "greedy saturates" ~right_cap:[| 1; 1; 1 |] [| [| 0 |]; [| 1 |]; [| 2 |] |];
+  (* greedy seats 0 on 1; 1 is free and reroutes 0 to 2 *)
+  step "new shape needs a phase" ~right_cap:[| 1; 1; 1 |] [| [| 1; 2 |]; [| 1 |] |]
+
 let test_bipartite_reset_reuse () =
   let b = Bipartite.create ~n_left:2 ~n_right:2 ~right_cap:[| 1; 1 |] in
   Bipartite.add_edge b ~left:0 ~right:0;
@@ -543,6 +586,89 @@ let test_delta_rebuild_freezes () =
   Bipartite.reset b ~n_left:1 ~n_right:2 ~right_cap:[| 1; 1 |];
   Bipartite.add_edge b ~left:0 ~right:1;
   checki "reset thaws" 1 (Bipartite.solve b).Bipartite.matched
+
+(* A raw row of a degree-bounded request: each right with probability
+   0.4, some twice, shuffled. *)
+let short_row g n_right =
+  let picks = ref [] in
+  for r = 0 to n_right - 1 do
+    if Prng.float g 1.0 < 0.4 then begin
+      picks := r :: !picks;
+      if Prng.float g 1.0 < 0.2 then picks := r :: !picks
+    end
+  done;
+  let row = Array.of_list !picks in
+  Sample.shuffle g row;
+  row
+
+(* A raw cache-window row: 25 to 64 draws with repetition, long enough
+   for the radix sort, mixed with short rows. *)
+let long_or_short_row g n_right =
+  if Prng.bool g then short_row g (min n_right 8)
+  else Array.init (25 + Prng.int g 40) (fun _ -> Prng.int g n_right)
+
+(* Successive [delta_rebuild]s — churn, all-dirty shrinking, all-dirty
+   growing past every buffer — against [reset] + [add_edge] + [finalize]
+   builds of the same rows.  [random_row g n_right] draws a raw row:
+   unsorted, duplicates allowed, as the engine emits it. *)
+let delta_tracks_scratch ~random_row (seed, n_left, n_right) =
+  let g = Prng.create ~seed () in
+  let random_row () = random_row g n_right in
+  let random_caps () = Array.init n_right (fun _ -> Prng.int g 3) in
+  let right_cap = ref (random_caps ()) in
+  let rows = ref (Array.init n_left (fun _ -> random_row ())) in
+  let load bip =
+    Array.iteri
+      (fun l rs -> Array.iter (fun r -> Bipartite.add_edge bip ~left:l ~right:r) rs)
+      !rows
+  in
+  let delta = Bipartite.create ~n_left ~n_right ~right_cap:!right_cap in
+  load delta;
+  let scratch = Bipartite.create ~n_left ~n_right ~right_cap:!right_cap in
+  load scratch;
+  let widest = ref n_left in
+  let ok = ref true in
+  for step = 1 to 8 do
+    right_cap := random_caps ();
+    let next =
+      match step mod 4 with
+      | 2 ->
+          (* all dirty, shrinking: a scratch build of half the rows *)
+          List.init (Array.length !rows / 2) (fun _ -> (-1, random_row ()))
+      | 0 ->
+          (* all dirty, growing past every buffer's capacity *)
+          List.init ((4 * !widest) + 9) (fun _ -> (-1, random_row ()))
+      | _ ->
+          (* churn: drop some rows, rewrite some survivors, append
+             a few *)
+          let survivors =
+            Array.to_list (Array.mapi (fun i row -> (i, row)) !rows)
+            |> List.filter (fun _ -> Prng.float g 1.0 < 0.8)
+          in
+          List.map
+            (fun (src, row) ->
+              if Prng.float g 1.0 < 0.3 then (-1, random_row ()) else (src, row))
+            survivors
+          @ List.init (Prng.int g 3) (fun _ -> (-1, random_row ()))
+    in
+    let src = Array.of_list (List.map fst next) in
+    rows := Array.of_list (List.map snd next);
+    let n_left' = Array.length !rows in
+    widest := max !widest n_left';
+    Bipartite.delta_rebuild delta ~n_left:n_left' ~right_cap:!right_cap
+      ~src_of:(fun l -> src.(l))
+      ~fill:(fun l emit -> Array.iter emit !rows.(l));
+    Bipartite.reset scratch ~n_left:n_left' ~n_right ~right_cap:!right_cap;
+    load scratch;
+    if
+      Csr.to_adjacency (Bipartite.csr delta)
+      <> Csr.to_adjacency (Bipartite.csr scratch)
+      || Bipartite.right_cap delta <> Bipartite.right_cap scratch
+      || outcome_triple (Bipartite.solve delta)
+         <> outcome_triple (Bipartite.solve scratch)
+    then ok := false
+  done;
+  !ok
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
@@ -832,60 +958,18 @@ let qcheck_cases =
         && exact_identical Bipartite.Dinic_flow
         && pr_valid && sharded_identical && incremental_identical);
     Test.make ~name:"delta rebuilds track scratch builds under churn" ~count:60 arb
-      (fun (seed, n_left, n_right) ->
-        let g = Prng.create ~seed () in
-        let random_row () =
-          (* raw neighbour list, duplicates allowed: the rebuild dedups *)
-          let picks = ref [] in
-          for r = 0 to n_right - 1 do
-            if Prng.float g 1.0 < 0.4 then begin
-              picks := r :: !picks;
-              if Prng.float g 1.0 < 0.2 then picks := r :: !picks
-            end
-          done;
-          Array.of_list !picks
-        in
-        let right_cap = Array.init n_right (fun _ -> Prng.int g 3) in
-        let rows = ref (Array.init n_left (fun _ -> random_row ())) in
-        let load bip =
-          Array.iteri
-            (fun l rs -> Array.iter (fun r -> Bipartite.add_edge bip ~left:l ~right:r) rs)
-            !rows
-        in
-        let delta = Bipartite.create ~n_left ~n_right ~right_cap in
-        load delta;
-        let scratch = Bipartite.create ~n_left ~n_right ~right_cap in
-        load scratch;
-        let ok = ref true in
-        for _ = 1 to 5 do
-          (* churn: drop some rows, rewrite some survivors, append a few *)
-          let survivors =
-            Array.to_list (Array.mapi (fun i row -> (i, row)) !rows)
-            |> List.filter (fun _ -> Prng.float g 1.0 < 0.8)
-          in
-          let next =
-            List.map
-              (fun (src, row) ->
-                if Prng.float g 1.0 < 0.3 then (-1, random_row ()) else (src, row))
-              survivors
-            @ List.init (Prng.int g 3) (fun _ -> (-1, random_row ()))
-          in
-          let src = Array.of_list (List.map fst next) in
-          rows := Array.of_list (List.map snd next);
-          let n_left' = Array.length !rows in
-          Bipartite.delta_rebuild delta ~n_left:n_left' ~right_cap
-            ~src_of:(fun l -> src.(l))
-            ~fill:(fun l emit -> Array.iter emit !rows.(l));
-          Bipartite.reset scratch ~n_left:n_left' ~n_right ~right_cap;
-          load scratch;
-          if
-            Csr.to_adjacency (Bipartite.csr delta)
-            <> Csr.to_adjacency (Bipartite.csr scratch)
-            || outcome_triple (Bipartite.solve delta)
-               <> outcome_triple (Bipartite.solve scratch)
-          then ok := false
-        done;
-        !ok);
+      (delta_tracks_scratch ~random_row:short_row);
+    Test.make ~name:"delta rebuilds track scratch builds on long rows" ~count:40
+      (make
+         Gen.(
+           let* seed = int_range 0 1_000_000 in
+           let* n_left = int_range 1 10 in
+           (* one, two and three 8-bit radix passes *)
+           let* n_right =
+             oneof [ int_range 1 255; int_range 256 65_536; int_range 65_537 70_000 ]
+           in
+           return (seed, n_left, n_right)))
+      (delta_tracks_scratch ~random_row:long_or_short_row);
     Test.make ~name:"max flow is invariant under solver choice" ~count:100
       (make
          Gen.(
@@ -952,6 +1036,7 @@ let suites =
         Alcotest.test_case "round-trip basics" `Quick test_csr_roundtrip_basic;
         Alcotest.test_case "builder reuse" `Quick test_csr_builder_reuse;
         Alcotest.test_case "arena reuse deterministic" `Quick test_arena_reuse_deterministic;
+        Alcotest.test_case "dinic lazy transpose" `Quick test_dinic_lazy_transpose;
         Alcotest.test_case "bipartite reset reuse" `Quick test_bipartite_reset_reuse;
         Alcotest.test_case "network clear + arc_hint" `Quick test_network_clear_reuse;
       ] );

@@ -412,6 +412,13 @@ let test_vec_push_get () =
     checki "get" (i * i) (Vec.get v i)
   done
 
+let test_int_array_mem () =
+  let a = [| 5; -1; 7; 5 |] in
+  List.iter
+    (fun x -> checkb (Printf.sprintf "mem %d" x) (Array.mem x a) (Int_array.mem x a))
+    [ 5; -1; 7; 0; 6 ];
+  checkb "empty" false (Int_array.mem 0 [||])
+
 let test_vec_pop_lifo () =
   let v = Vec.create () in
   List.iter (Vec.push v) [ 1; 2; 3 ];
@@ -923,6 +930,7 @@ let suites =
         Alcotest.test_case "bounds checking" `Quick test_vec_bounds;
         Alcotest.test_case "conversions" `Quick test_vec_conversions;
       ] );
+    ("util.int_array", [ Alcotest.test_case "mem" `Quick test_int_array_mem ]);
     ( "util.bitset",
       [
         Alcotest.test_case "basic ops" `Quick test_bitset_basic;
