@@ -4,6 +4,7 @@ open Vod_analysis
 module Engine = Vod_sim.Engine
 module Registry = Vod_obs.Registry
 module Slo = Vod_obs.Slo
+module Span = Vod_obs.Span
 
 let obs_crashes = Registry.counter Registry.default "fault.crashes"
 let obs_rejoins = Registry.counter Registry.default "fault.rejoins"
@@ -342,14 +343,18 @@ let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
       in
       for _ = 1 to rounds do
         let time = Engine.now engine + 1 in
-        List.iter (apply_event time) (Plan.events_at plan time);
+        Span.with_ ~name:"faults" (fun () ->
+            List.iter (apply_event time) (Plan.events_at plan time));
         List.iter
           (fun (box, video) -> count_admit (Engine.try_demand engine ~box ~video))
           (workload engine time);
-        Mend.tick mend engine;
+        Span.with_ ~name:"repair" (fun () -> Mend.tick mend engine);
         let report = Engine.step engine in
-        let installs = Mend.collect mend engine in
-        let repairable, unrepairable = Mend.pending mend engine in
+        let installs, (repairable, unrepairable) =
+          Span.with_ ~name:"repair" (fun () ->
+              let installs = Mend.collect mend engine in
+              (installs, Mend.pending mend engine))
+        in
         reports := report :: !reports;
         let online = n_total - report.Engine.offline_boxes in
         if online < !min_online then min_online := online;

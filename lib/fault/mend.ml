@@ -48,6 +48,12 @@ type t = {
   mutable aborted : int;
   mutable retries : int;
   mutable installed : int;
+  (* [under]: the under-replicated stripes of engine [under_of] at box
+     epoch [under_epoch] (see [under_replicated]) *)
+  mutable under_of : Engine.t option;
+  mutable under_epoch : int;
+  mutable under : int list;
+  mutable candidates : int array; (* scratch for [tick], n entries once used *)
 }
 
 let create ?(seed = 42) cfg =
@@ -66,6 +72,10 @@ let create ?(seed = 42) cfg =
     aborted = 0;
     retries = 0;
     installed = 0;
+    under_of = None;
+    under_epoch = 0;
+    under = [];
+    candidates = [||];
   }
 
 type stats = {
@@ -92,11 +102,36 @@ let attempts_of (t : t) s = Backoff.attempts t.backoff ~key:s
 let record_failure (t : t) ~stripe ~time =
   ignore (Backoff.record_failure t.backoff ~key:stripe ~time : Backoff.verdict)
 
+(* The under-replicated stripes against the engine's current allocation
+   and online set.  Both change only through mutators that bump
+   [Engine.box_epoch], so [Repair.under_replicated] runs again only when
+   the epoch moved (or the controller meets another engine): a round
+   without a fault event or an install reuses the list. *)
+let under_replicated (t : t) e =
+  let epoch = Engine.box_epoch e in
+  match t.under_of with
+  | Some e' when e' == e && t.under_epoch = epoch -> t.under
+  | _ ->
+      let alive = Array.init (Engine.params e).Params.n (Engine.is_online e) in
+      let under =
+        Vod_alloc.Repair.under_replicated ~alloc:(Engine.alloc e) ~alive
+          ~target_k:t.cfg.target_k
+      in
+      t.under_of <- Some e;
+      t.under_epoch <- epoch;
+      t.under <- under;
+      under
+
+(* Storage slots box [b] has left; 0 for an offline box. *)
+let free_slots e ~c alloc b =
+  if Engine.is_online e b then
+    Box.storage_slots ~c (Engine.fleet e).(b) - Allocation.box_load alloc b
+  else 0
+
 let tick (t : t) e =
   let time = Engine.now e + 1 in
   let params = Engine.params e in
   let n = params.Params.n and c = params.Params.c in
-  let fleet = Engine.fleet e in
   (* 1. reap transfers lost to destination crashes (the engine already
      dropped the request with the box) or overrunning their deadline
      (donors saturated for too long: give the slot back and retry
@@ -118,8 +153,7 @@ let tick (t : t) e =
     lost;
   (* 2. detect under-replicated stripes against the current allocation *)
   let alloc = Engine.alloc e in
-  let alive = Array.init n (Engine.is_online e) in
-  let under = Vod_alloc.Repair.under_replicated ~alloc ~alive ~target_k:t.cfg.target_k in
+  let under = under_replicated t e in
   let under_set = Hashtbl.create (List.length under) in
   List.iter
     (fun s ->
@@ -141,13 +175,15 @@ let tick (t : t) e =
       Backoff.reset t.backoff ~key:s)
     healed;
   (* 3. schedule new transfers under the bandwidth budget.  Free storage
-     accounts for slots already promised to in-flight destinations. *)
+     accounts for slots already promised to in-flight destinations; it
+     is built the first time a stripe with a live donor is examined,
+     before any transfer of this tick starts. *)
   let free =
-    Array.init n (fun b ->
-        if alive.(b) then Box.storage_slots ~c fleet.(b) - Allocation.box_load alloc b
-        else 0)
+    lazy
+      (let free = Array.init n (free_slots e ~c alloc) in
+       List.iter (fun tr -> free.(tr.dest) <- free.(tr.dest) - 1) t.in_flight;
+       free)
   in
-  List.iter (fun tr -> free.(tr.dest) <- free.(tr.dest) - 1) t.in_flight;
   let slots = ref (t.cfg.budget - List.length t.in_flight) in
   (* Determinism contract (mirrors Vod_alloc.Repair.repair): stripes in
      ascending id order, destination drawn by one shuffle per stripe
@@ -160,21 +196,31 @@ let tick (t : t) e =
         && Backoff.ready t.backoff ~key:s ~time
       then begin
         let holders = Allocation.boxes_of_stripe alloc s in
-        let has_donor = Array.exists (fun b -> alive.(b)) holders in
-        let candidates = ref [] in
-        for b = n - 1 downto 0 do
-          if
-            alive.(b) && free.(b) > 0
-            && not (Allocation.possesses alloc ~box:b ~stripe:s)
-          then candidates := b :: !candidates
-        done;
-        let candidates = Array.of_list !candidates in
-        if (not has_donor) || Array.length candidates = 0 then
+        let has_donor = Array.exists (Engine.is_online e) holders in
+        if Array.length t.candidates < n then t.candidates <- Array.make n 0;
+        let candidates = t.candidates in
+        let count =
+          if not has_donor then 0
+          else begin
+            let free = Lazy.force free in
+            let count = ref 0 in
+            for b = 0 to n - 1 do
+              (* [free] is 0 on offline boxes *)
+              if free.(b) > 0 && not (Allocation.possesses alloc ~box:b ~stripe:s)
+              then begin
+                candidates.(!count) <- b;
+                incr count
+              end
+            done;
+            !count
+          end
+        in
+        if count = 0 then
           (* dead stripe or no storage anywhere: back off and re-examine
              later (a rejoin may make it repairable) *)
           record_failure t ~stripe:s ~time
         else begin
-          Sample.shuffle t.rng candidates;
+          Sample.shuffle_prefix t.rng candidates ~len:count;
           let dest = candidates.(0) in
           Engine.inject_repair e ~stripe:s ~dest ~rounds:t.cfg.transfer_rounds;
           let detected = try Hashtbl.find t.detected_at s with Not_found -> time in
@@ -185,6 +231,7 @@ let tick (t : t) e =
             t.retries <- t.retries + 1;
             Registry.incr obs_retries
           end;
+          let free = Lazy.force free in
           free.(dest) <- free.(dest) - 1;
           decr slots
         end
@@ -193,16 +240,12 @@ let tick (t : t) e =
 
 let collect (t : t) e =
   let now = Engine.now e in
-  let completed = Engine.drain_completed_repairs e in
-  match completed with
+  match Engine.drain_completed_repairs e with
   | [] -> 0
-  | _ ->
+  | completed ->
       let alloc = Engine.alloc e in
-      let n = Allocation.n_boxes alloc in
-      let catalog = Allocation.catalog alloc in
-      let total = Catalog.total_stripes catalog in
-      let per_stripe = Array.init total (Allocation.boxes_of_stripe alloc) in
-      let installed = ref 0 in
+      (* replicas to install, newest first *)
+      let fresh = ref [] in
       List.iter
         (fun (stripe, dest) ->
           t.completed <- t.completed + 1;
@@ -213,39 +256,41 @@ let collect (t : t) e =
           | Some d -> Registry.observe obs_time_to_repair (max 0 (now - d))
           | None -> ());
           Backoff.reset t.backoff ~key:stripe;
-          if not (Int_array.mem dest per_stripe.(stripe)) then begin
-            per_stripe.(stripe) <- Array.append per_stripe.(stripe) [| dest |];
-            incr installed;
+          let held =
+            Allocation.possesses alloc ~box:dest ~stripe || List.mem (stripe, dest) !fresh
+          in
+          if not held then begin
+            fresh := (stripe, dest) :: !fresh;
             t.installed <- t.installed + 1;
             Registry.incr obs_installed
           end)
         completed;
-      if !installed > 0 then
-        Engine.set_alloc e (Allocation.of_replica_lists ~catalog ~n_boxes:n per_stripe);
-      !installed
+      (match !fresh with
+      | [] -> ()
+      | fresh -> Engine.set_alloc e (Allocation.add_replicas alloc (List.rev fresh)));
+      List.length !fresh
 
 let pending (t : t) e =
-  let params = Engine.params e in
-  let n = params.Params.n and c = params.Params.c in
-  let fleet = Engine.fleet e in
-  let alloc = Engine.alloc e in
-  let alive = Array.init n (Engine.is_online e) in
-  let free_somewhere s =
-    let rec go b =
-      b < n
-      && ((alive.(b)
-           && Box.storage_slots ~c fleet.(b) - Allocation.box_load alloc b > 0
-           && not (Allocation.possesses alloc ~box:b ~stripe:s))
-         || go (b + 1))
-    in
-    go 0
-  in
-  let under = Vod_alloc.Repair.under_replicated ~alloc ~alive ~target_k:t.cfg.target_k in
-  List.partition
-    (fun s ->
-      let holders = Allocation.boxes_of_stripe alloc s in
-      Array.exists (fun b -> alive.(b)) holders && free_somewhere s)
-    under
+  match under_replicated t e with
+  | [] -> ([], [])
+  | under ->
+      let params = Engine.params e in
+      let n = params.Params.n and c = params.Params.c in
+      let alloc = Engine.alloc e in
+      let free_somewhere s =
+        let rec go b =
+          b < n
+          && ((free_slots e ~c alloc b > 0
+              && not (Allocation.possesses alloc ~box:b ~stripe:s))
+             || go (b + 1))
+        in
+        go 0
+      in
+      List.partition
+        (fun s ->
+          let holders = Allocation.boxes_of_stripe alloc s in
+          Array.exists (Engine.is_online e) holders && free_somewhere s)
+        under
 
 let quiesced (t : t) e =
   match t.in_flight with

@@ -74,7 +74,9 @@ val tick : t -> Vod_sim.Engine.t -> unit
 
 val collect : t -> Vod_sim.Engine.t -> int
 (** Drain the engine's completed transfers and install the new replicas
-    as one allocation swap; returns how many were installed.  Call
+    as one allocation swap ({!Vod_model.Allocation.add_replicas}: the
+    untouched rows are shared); returns how many were installed.  A
+    replica the allocation already holds is not installed again.  Call
     {e after} [Engine.step]. *)
 
 val pending : t -> Vod_sim.Engine.t -> int list * int list
@@ -82,7 +84,9 @@ val pending : t -> Vod_sim.Engine.t -> int list * int list
     now, split by whether repair is currently possible: a stripe is
     repairable when some alive box holds a replica (donor) {e and} some
     alive non-holder has a free storage slot (destination).  Both lists
-    ascend. *)
+    ascend.  The under-replicated list is recomputed only when
+    [Engine.box_epoch] moved since the last call (for [tick] or
+    [pending]); otherwise an empty list answers at once. *)
 
 val quiesced : t -> Vod_sim.Engine.t -> bool
 (** No transfer in flight and no repairable stripe left — the

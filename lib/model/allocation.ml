@@ -32,6 +32,35 @@ let of_replica_lists ~catalog ~n_boxes boxes_of_stripe =
     stripes_of_box = Array.map Vec.to_array per_box;
   }
 
+(* [row] ascending and without [x]: the row with [x] inserted in order *)
+let insert_sorted row x =
+  let len = Array.length row in
+  let i = ref 0 in
+  while !i < len && row.(!i) < x do
+    incr i
+  done;
+  let out = Array.make (len + 1) x in
+  Array.blit row 0 out 0 !i;
+  Array.blit row !i out (!i + 1) (len - !i);
+  out
+
+let add_replicas t pairs =
+  let boxes_of_stripe = Array.copy t.boxes_of_stripe in
+  let stripes_of_box = Array.copy t.stripes_of_box in
+  List.iter
+    (fun (stripe, box) ->
+      if stripe < 0 || stripe >= Array.length boxes_of_stripe then
+        invalid_arg "Allocation.add_replicas: stripe out of range";
+      if box < 0 || box >= t.n_boxes then
+        invalid_arg "Allocation.add_replicas: box out of range";
+      let row = boxes_of_stripe.(stripe) in
+      if Int_array.mem box row then
+        invalid_arg "Allocation.add_replicas: duplicate replica in one box";
+      boxes_of_stripe.(stripe) <- Array.append row [| box |];
+      stripes_of_box.(box) <- insert_sorted stripes_of_box.(box) stripe)
+    pairs;
+  { t with boxes_of_stripe; stripes_of_box }
+
 let catalog t = t.cat
 let n_boxes t = t.n_boxes
 

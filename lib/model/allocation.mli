@@ -12,6 +12,17 @@ val of_replica_lists : catalog:Catalog.t -> n_boxes:int -> int array array -> t
     @raise Invalid_argument on out-of-range boxes, wrong outer length,
     or duplicate replicas of a stripe in one box. *)
 
+val add_replicas : t -> (int * int) list -> t
+(** [add_replicas t pairs] is [t] with one more replica of [stripe] on
+    [box] for each [(stripe, box)], in list order: [box] is appended to
+    the stripe's replica list and [stripe] enters the box's list in
+    ascending order, so the result is row for row the allocation
+    {!of_replica_lists} builds from the appended lists.  Untouched rows
+    are shared with [t], which is unchanged.  O(number of stripes +
+    number of boxes) for the two outer arrays, plus the touched rows.
+    @raise Invalid_argument on an out-of-range stripe or box, or on a
+    box that already holds the stripe (in [t] or earlier in [pairs]). *)
+
 val catalog : t -> Catalog.t
 val n_boxes : t -> int
 

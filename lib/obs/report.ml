@@ -368,6 +368,7 @@ let validate t =
 type phase_row = {
   name : string;
   depth : int; (* nesting depth below a round span; 0 = round itself *)
+  outside : bool; (* a root span outside every round, after the round's rows *)
   count : int;
   total_ns : float;
   mean_ns : float;
@@ -410,29 +411,38 @@ let summarise t =
   let have_rounds =
     List.exists (fun (e : Span.event) -> e.Span.name = round_span_name) t.spans
   in
-  let groups : (string, (int * float list ref)) Hashtbl.t = Hashtbl.create 32 in
+  let is_root (e : Span.event) =
+    e.Span.parent < 0 || not (Hashtbl.mem by_id e.Span.parent)
+  in
+  (* keyed by (name, outside): a chaos or serve loop's [repair] between
+     rounds and a solver's [repair] inside one are different phases *)
+  let groups : (string * bool, int * float list ref) Hashtbl.t = Hashtbl.create 32 in
   let order = ref [] in
   List.iter
     (fun (e : Span.event) ->
-      (* with rounds: the round spans and their descendants; without
-         (e.g. a bench run driving the solvers directly): every span,
-         grouped from the roots down *)
-      let depth =
-        if have_rounds then round_depth e
-        else if e.Span.parent < 0 || not (Hashtbl.mem by_id e.Span.parent) then Some 0
-        else Some 1
+      (* with rounds: the round spans and their descendants, then the
+         roots outside every round; without (e.g. a bench run driving
+         the solvers directly): every span, grouped from the roots down *)
+      let place =
+        if have_rounds then
+          match round_depth e with
+          | Some d -> Some (d, false)
+          | None -> if is_root e then Some (0, true) else None
+        else if is_root e then Some (0, false)
+        else Some (1, false)
       in
-      match depth with
+      match place with
       | None -> ()
-      | Some d ->
+      | Some (d, outside) ->
+          let key = (e.Span.name, outside) in
           let dur = float_of_int (e.Span.stop_ns - e.Span.start_ns) in
-          (match Hashtbl.find_opt groups e.Span.name with
+          (match Hashtbl.find_opt groups key with
           | Some (d0, durs) ->
               durs := dur :: !durs;
-              Hashtbl.replace groups e.Span.name (min d0 d, durs)
+              Hashtbl.replace groups key (min d0 d, durs)
           | None ->
-              Hashtbl.add groups e.Span.name (d, ref [ dur ]);
-              order := e.Span.name :: !order))
+              Hashtbl.add groups key (d, ref [ dur ]);
+              order := key :: !order))
     t.spans;
   let order = List.rev !order in
   let round_total_ns, rounds =
@@ -471,13 +481,14 @@ let summarise t =
   in
   let rows =
     List.map
-      (fun name ->
-        let depth, durs = Hashtbl.find groups name in
+      (fun ((name, outside) as key) ->
+        let depth, durs = Hashtbl.find groups key in
         let xs = Array.of_list !durs in
         let total = Array.fold_left ( +. ) 0.0 xs in
         {
           name;
           depth;
+          outside;
           count = Array.length xs;
           total_ns = total;
           mean_ns = Stats.mean xs;
@@ -488,7 +499,8 @@ let summarise t =
         })
       order
     |> List.sort (fun a b ->
-           if a.depth <> b.depth then compare a.depth b.depth
+           if a.outside <> b.outside then compare a.outside b.outside
+           else if a.depth <> b.depth then compare a.depth b.depth
            else compare b.total_ns a.total_ns)
   in
   {

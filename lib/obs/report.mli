@@ -33,6 +33,11 @@ val validate : trace -> (unit, string) result
 type phase_row = {
   name : string;
   depth : int;  (** Nesting depth below a round span (0 = round). *)
+  outside : bool;
+      (** A root span outside every round: work the loop around the
+          engine does between steps (the chaos and serve loops' [faults]
+          and [repair] spans).  Depth 0; its share is against the same
+          round total. *)
   count : int;
   total_ns : float;
   mean_ns : float;
@@ -43,7 +48,10 @@ type phase_row = {
 }
 
 type summary = {
-  rows : phase_row list;  (** Ordered by depth, then total time. *)
+  rows : phase_row list;
+      (** The round and its descendants by depth, then total time; then
+          the [outside] rows by total time.  Rows group by name within
+          each of the two parts. *)
   round_total_ns : float;
   top_level_coverage : float;
       (** Fraction of round time covered by the rounds' direct children

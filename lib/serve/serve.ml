@@ -9,6 +9,7 @@ module Session = Vod_proto.Session
 module Generators = Vod_workload.Generators
 module Registry = Vod_obs.Registry
 module Slo = Vod_obs.Slo
+module Span = Vod_obs.Span
 module Timeseries = Vod_obs.Timeseries
 
 let obs_arrivals = Registry.counter Registry.default "serve.arrivals"
@@ -219,6 +220,17 @@ type sess = {
 
 let is_live s = s.state = Session.Admitted || s.state = Session.Streaming
 
+let n_states = 7
+
+let state_index = function
+  | Session.Arriving -> 0
+  | Session.Admitted -> 1
+  | Session.Streaming -> 2
+  | Session.Completed -> 3
+  | Session.Retrying -> 4
+  | Session.Shed -> 5
+  | Session.Rejected -> 6
+
 let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
     (s : Scenario.t) =
   match Chaos.prepare s with
@@ -299,12 +311,21 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
           min slots (Array.length (Allocation.stripes_of_box (Engine.alloc engine) b))
         else slots
       in
+      (* every input of the total moves the engine's box epoch, so the
+         O(n) scan runs only on rounds with a fault event or a helper
+         draft *)
+      let slots_epoch = ref (-1) and slots_total = ref 0 in
       let online_slots () =
-        let total = ref 0 in
-        for b = 0 to n_total - 1 do
-          if Engine.is_online engine b then total := !total + box_slots b
-        done;
-        !total
+        let epoch = Engine.box_epoch engine in
+        if epoch <> !slots_epoch then begin
+          let total = ref 0 in
+          for b = 0 to n_total - 1 do
+            if Engine.is_online engine b then total := !total + box_slots b
+          done;
+          slots_epoch := epoch;
+          slots_total := !total
+        end;
+        !slots_total
       in
       let reserve slots =
         s.budget + int_of_float (ceil (cfg.headroom_margin *. float_of_int slots))
@@ -445,9 +466,19 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
       (* ------------------------------------------------------------ *)
       (* session plumbing                                              *)
       (* ------------------------------------------------------------ *)
+      (* sessions per state, kept by [deliver] (the only place a state
+         changes) and [new_session] (which starts one in [Arriving]) *)
+      let in_state = Array.make n_states 0 in
+      let count st = in_state.(state_index st) in
+      let tally st delta =
+        in_state.(state_index st) <- in_state.(state_index st) + delta
+      in
       let deliver sess msg =
         match Session.transition sess.state msg with
-        | Some st -> sess.state <- st
+        | Some st ->
+            tally sess.state (-1);
+            tally st 1;
+            sess.state <- st
         | None ->
             invalid_arg
               (Printf.sprintf "Serve: illegal message in state %s (session %d)"
@@ -532,6 +563,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
           }
         in
         Hashtbl.replace sessions id sess;
+        tally Session.Arriving 1;
         Hashtbl.replace box_owner box id;
         incr r_arrivals;
         incr t_arrivals;
@@ -576,7 +608,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         let target = int_of_float (ceil (float_of_int (max size 1) *. s.mu)) in
         target - size
       in
-      let live_count () = Vec.fold_left (fun acc s -> if is_live s then acc + 1 else acc) 0 live_order in
+      let live_count () = count Session.Admitted + count Session.Streaming in
       (* Sourcing feasibility: a video is streamable only while every
          one of its stripes has an online replica on a box with upload
          capacity left after degradation (the live allocation includes
@@ -626,7 +658,8 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         Hashtbl.reset admitted_vid;
         Hashtbl.reset sourceable_memo;
         (* 1. fault-plan events (flash crowds enqueue arrival bursts) *)
-        List.iter (apply_event time) (Plan.events_at plan time);
+        Span.with_ ~name:"faults" (fun () ->
+            List.iter (apply_event time) (Plan.events_at plan time));
         (* 2. interrupts: admitted viewers whose box went dark (the
            engine already dropped their requests with the box) or whose
            video lost every online replica of some stripe re-enter
@@ -782,9 +815,9 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
                   reject_terminal sess Session.Invalid;
                   false);
         (* 8. the simulator round, with repair under it *)
-        Mend.tick mend engine;
+        Span.with_ ~name:"repair" (fun () -> Mend.tick mend engine);
         let report = Engine.step engine in
-        ignore (Mend.collect mend engine : int);
+        Span.with_ ~name:"repair" (fun () -> ignore (Mend.collect mend engine : int));
         (* 9. session accounting: startups, completions, missed
            startup deadlines *)
         Vec.iter
@@ -831,16 +864,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         if queue_length () > !t_max_queue then t_max_queue := queue_length ();
         observe_slos report;
         let live = live_count () in
-        let streaming =
-          Vec.fold_left
-            (fun acc sess -> if sess.state = Session.Streaming then acc + 1 else acc)
-            0 live_order
-        in
-        let retrying =
-          Hashtbl.fold
-            (fun _ sess acc -> if sess.state = Session.Retrying then acc + 1 else acc)
-            sessions 0
-        in
+        let streaming = count Session.Streaming and retrying = count Session.Retrying in
         Timeseries.push ts_queue (queue_length ());
         Timeseries.push ts_live live;
         Timeseries.push ts_tokens !tokens;

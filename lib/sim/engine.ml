@@ -76,6 +76,9 @@ type t = {
   topology : Topology.t option;
   online : bool array;
   helper : bool array; (* spare-upload boxes that never take demands *)
+  mutable box_epoch : int;
+      (* bumped by every mutator a derived per-box view reads (online
+         flips, upload factors, helper marks, the allocation) *)
   last_loads : int array;
   cumulative_loads : int array; (* stripe-rounds served per box, ever *)
   capacity : int array; (* matching upload slots per box, net of reservations *)
@@ -85,6 +88,9 @@ type t = {
   mutable now : int;
   active : request Vec.t;
   scheduled : (int, request Vec.t) Hashtbl.t; (* activation time -> requests *)
+  mutable drop_pending : bool;
+      (* a box went offline since the last [flush_dropped]: [active] and
+         [scheduled] may still hold its requests *)
   recent : request Vec.t array; (* per stripe: recent requests, in issue order *)
   busy_until : int array;
   stripe_counter : int array; (* per video: preload round-robin *)
@@ -166,6 +172,7 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
     topology;
     online = Array.make n true;
     helper = Array.make n false;
+    box_epoch = 0;
     last_loads = Array.make n 0;
     cumulative_loads = Array.make n 0;
     capacity;
@@ -175,6 +182,7 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
     now = 0;
     active = Vec.create ();
     scheduled = Hashtbl.create 64;
+    drop_pending = false;
     recent =
       Array.init
         (Catalog.total_stripes (Allocation.catalog alloc))
@@ -218,10 +226,12 @@ let fleet t = t.fleet
 let alloc t = t.alloc
 let now t = t.now
 let is_online t b = t.online.(b)
+let box_epoch t = t.box_epoch
 
 let set_helper t b flag =
   if b < 0 || b >= t.params.Params.n then invalid_arg "Engine.set_helper: box out of range";
-  t.helper.(b) <- flag
+  t.helper.(b) <- flag;
+  t.box_epoch <- t.box_epoch + 1
 
 let is_helper t b =
   if b < 0 || b >= t.params.Params.n then invalid_arg "Engine.is_helper: box out of range";
@@ -279,7 +289,31 @@ let swarm_size t v =
   Vec.iter (fun e -> if e >= lo then incr count) entries;
   !count
 
-let active_request_count t = Vec.length t.active
+(* Taking a box offline only raises [drop_pending]; the requests it
+   owned leave [active] and [scheduled] here, in one pass for every box
+   that went offline since the last flush.  No request is ever queued
+   for an offline owner (demands and repairs need an online box, and a
+   rejoin flushes first), so "owner offline" picks out exactly the
+   crashed boxes' requests.  Every reader of [active] or [scheduled]
+   flushes first. *)
+let flush_dropped t =
+  if t.drop_pending then begin
+    t.drop_pending <- false;
+    let online = t.online in
+    Vec.filter_in_place
+      (fun r ->
+        let k = online.(r.owner) in
+        if not k then freeze_stripe t r;
+        k)
+      t.active;
+    Hashtbl.iter
+      (fun _ batch -> Vec.filter_in_place (fun r -> online.(r.owner)) batch)
+      t.scheduled
+  end
+
+let active_request_count t =
+  flush_dropped t;
+  Vec.length t.active
 let upload_slots_of_box t b = t.capacity.(b)
 
 let set_alloc t alloc =
@@ -291,6 +325,7 @@ let set_alloc t alloc =
     || Catalog.videos cat <> Catalog.videos cat0
   then invalid_arg "Engine.set_alloc: catalog shape changed";
   t.alloc <- alloc;
+  t.box_epoch <- t.box_epoch + 1;
   if t.track_delta then t.all_dirty <- true
 
 let set_upload_factor t ~box ~factor =
@@ -302,7 +337,8 @@ let set_upload_factor t ~box ~factor =
   t.capacity.(box) <-
     compute_capacity ~params:t.params ~fleet:t.fleet ~compensation:t.compensation
       ~factor box;
-  if t.online.(box) then t.online_cap.(box) <- t.capacity.(box)
+  if t.online.(box) then t.online_cap.(box) <- t.capacity.(box);
+  t.box_epoch <- t.box_epoch + 1
 
 let upload_factor t box =
   if box < 0 || box >= t.params.Params.n then
@@ -458,6 +494,7 @@ let inject_repair t ~stripe ~dest ~rounds =
     }
 
 let abort_repair t ~stripe ~dest =
+  flush_dropped t;
   let removed = ref false in
   let keeps r =
     let doomed = r.kind = Repair_transfer && r.stripe = stripe && r.owner = dest in
@@ -476,6 +513,7 @@ let drain_completed_repairs t =
 (* Completed transfers linger in [active] until the next step's retire
    phase; they are no longer in flight, so they are not counted. *)
 let repair_in_flight t =
+  flush_dropped t;
   let count = ref 0 in
   let tally vec =
     Vec.iter
@@ -508,6 +546,7 @@ let prune_recent t =
    the number i1 of distinct stripes requested, and |B(X)|, the number
    of online boxes possessing data some request needs. *)
 let video_request_stats t =
+  flush_dropped t;
   let c = t.params.Params.c in
   let by_video = Hashtbl.create 16 in
   Vec.iter
@@ -561,6 +600,7 @@ let set_round_sink t sink = t.round_sink <- sink
    exactly as a real departure mid-video would. *)
 let cancel t box =
   if box < 0 || box >= t.params.Params.n then invalid_arg "Engine.cancel: box out of range";
+  flush_dropped t;
   (* the viewer leaves, but any repair transfer towards the box is
      maintenance traffic and survives the cancellation *)
   let keeps r = r.owner <> box || r.kind = Repair_transfer in
@@ -577,20 +617,18 @@ let cancel t box =
 let set_online t box online =
   if box < 0 || box >= t.params.Params.n then
     invalid_arg "Engine.set_online: box out of range";
-  if t.track_delta && t.online.(box) <> online then t.all_dirty <- true;
+  if t.online.(box) <> online then begin
+    t.box_epoch <- t.box_epoch + 1;
+    if t.track_delta then t.all_dirty <- true
+  end;
+  (* a rejoining box must not find its requests from before the crash *)
+  if online then flush_dropped t;
   if t.online.(box) && not online then begin
-    (* the viewer disappears: drop its in-flight and scheduled requests
-       (its static replicas become unavailable through the matching
-       capacity; its cache entries are filtered out while offline) *)
-    Vec.filter_in_place
-      (fun r ->
-        let k = r.owner <> box in
-        if not k then freeze_stripe t r;
-        k)
-      t.active;
-    Hashtbl.iter
-      (fun _ batch -> Vec.filter_in_place (fun r -> r.owner <> box) batch)
-      t.scheduled;
+    (* the viewer disappears: its in-flight and scheduled requests are
+       dropped at the next [flush_dropped] (its static replicas become
+       unavailable through the matching capacity; its cache entries are
+       filtered out while offline) *)
+    t.drop_pending <- true;
     (* demands registered but not yet turned into requests die with the
        box too, so stateless generators compose with churn plans *)
     if t.pending_box.(box) then begin
@@ -627,6 +665,7 @@ let emit_row t req emit =
 
 let step t =
   Vod_obs.Span.with_ ~name:"round" @@ fun () ->
+  flush_dropped t;
   let time = t.now + 1 in
   t.now <- time;
   Vod_obs.Registry.incr obs_rounds;

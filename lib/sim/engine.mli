@@ -241,6 +241,14 @@ val upload_slots_of_box : t -> int -> int
 
 val is_online : t -> int -> bool
 
+val box_epoch : t -> int
+(** A counter that moves whenever per-box state a derived view may read
+    changes: an online flip ({!set_online}), an upload factor
+    ({!set_upload_factor}), a helper mark ({!set_helper}) or the
+    allocation ({!set_alloc}).  A view computed from those (the
+    under-replicated stripes, the online upload-slot total) stays valid
+    while the epoch is unchanged.  O(1). *)
+
 val cancel : t -> int -> unit
 (** The user stops watching: the box's in-flight and scheduled requests
     are dropped and it becomes idle; what it already cached keeps
@@ -253,7 +261,9 @@ val set_online : t -> int -> bool -> unit
     gone), removes its upload slots and replicas from the matching, and
     hides its cache; bringing it back restores its static replicas and
     upload.  Repair transfers towards the box die with it — the partial
-    copy is lost.
+    copy is lost.  The requests of every box taken offline leave in one
+    pass, before anything next reads the request set; the observable
+    result is the same as dropping them box by box.
     @raise Invalid_argument on out-of-range box. *)
 
 (** {2 Fault injection and self-healing hooks}

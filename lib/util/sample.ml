@@ -1,10 +1,13 @@
-let shuffle g a =
-  for i = Array.length a - 1 downto 1 do
+let shuffle_prefix g a ~len =
+  if len < 0 || len > Array.length a then invalid_arg "Sample.shuffle_prefix: len";
+  for i = len - 1 downto 1 do
     let j = Prng.int g (i + 1) in
     let tmp = a.(i) in
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
+
+let shuffle g a = shuffle_prefix g a ~len:(Array.length a)
 
 let permutation g n =
   let a = Array.init n (fun i -> i) in

@@ -3,6 +3,12 @@
 val shuffle : Prng.t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
+val shuffle_prefix : Prng.t -> 'a array -> len:int -> unit
+(** [shuffle_prefix g a ~len] shuffles [a.(0) .. a.(len - 1)] in place
+    and leaves the rest of [a] alone: the same draws and the same
+    result as {!shuffle} on [Array.sub a 0 len], without the copy.
+    @raise Invalid_argument unless [0 <= len <= Array.length a]. *)
+
 val permutation : Prng.t -> int -> int array
 (** [permutation g n] is a uniform random permutation of [0..n-1]. *)
 

@@ -282,6 +282,77 @@ let test_repair_dies_with_dest () =
   checkb "second abort finds nothing" false (Engine.abort_repair e ~stripe:1 ~dest:2);
   checki "aborted transfer gone" 0 (Engine.repair_in_flight e)
 
+(* Taking a box offline only raises a flag: its requests leave in one
+   pass at the next reader of the request set.  Reading the set after
+   every crash ([active_request_count] flushes) replays the box-by-box
+   drop, so both runs must agree on every round.  The first group has a
+   box that rejoins in its crash round (the flush at the rejoin), the
+   second is flushed by the step.  No stripe loses every replica, so
+   every round serves all its requests, and then the sharded engine's
+   delta build must match the scratch build: the dropped requests freeze
+   their stripes' cache-window rows. *)
+let test_batched_crash_drop () =
+  let n = 24 in
+  let run ~matching ~eager =
+    let params, fleet, alloc = build_system ~n ~u:2.0 ~d:4.0 ~c:2 ~k:3 ~m:12 ~seed:9 () in
+    let e = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue ~matching () in
+    let g = Prng.create ~seed:4 () in
+    let view () =
+      Option.map
+        (fun b -> Vod_graph.Csr.to_adjacency (Vod_graph.Bipartite.csr b))
+        (Engine.last_instance e)
+    in
+    List.init 30 (fun i ->
+        let round = i + 1 in
+        for _ = 1 to 3 do
+          let box = Prng.int g n and video = Prng.int g 12 in
+          ignore (Engine.try_demand e ~box ~video : Engine.admit)
+        done;
+        let stripe = Prng.int g 24 and dest = Prng.int g n in
+        if
+          round mod 3 = 1 && Engine.is_online e dest
+          && not (Allocation.possesses (Engine.alloc e) ~box:dest ~stripe)
+        then Engine.inject_repair e ~stripe ~dest ~rounds:4;
+        if round = 8 || round = 17 then begin
+          let first = if round = 8 then 0 else 12 in
+          for b = first to first + 5 do
+            Engine.set_online e b false;
+            if eager then ignore (Engine.active_request_count e : int)
+          done;
+          if round = 8 then Engine.set_online e (first + 3) true
+        end;
+        if round = 13 then
+          for b = 0 to 5 do
+            Engine.set_online e b true
+          done;
+        let r = Engine.step e in
+        (r, Engine.repair_in_flight e, view ()))
+  in
+  let batched_equals_eager matching =
+    let batched = run ~matching ~eager:false and eager = run ~matching ~eager:true in
+    List.iteri
+      (fun i ((r, inflight, inst), (r', inflight', inst')) ->
+        let round = Printf.sprintf "round %d" (i + 1) in
+        checkb (round ^ ": report") true (r = r');
+        checki (round ^ ": repair in flight") inflight' inflight;
+        checkb (round ^ ": instance") true (inst = inst'))
+      (List.combine batched eager);
+    batched
+  in
+  let scratch = batched_equals_eager Engine.Scratch in
+  let sharded = batched_equals_eager Engine.Sharded in
+  checkb "the crashes took boxes offline" true
+    (List.exists
+       (fun ((r : Engine.round_report), _, _) -> r.Engine.offline_boxes > 0)
+       scratch);
+  List.iteri
+    (fun i (((r : Engine.round_report), _, inst), (_, _, inst')) ->
+      checki (Printf.sprintf "round %d: all served" (i + 1)) 0 r.Engine.unserved;
+      checkb
+        (Printf.sprintf "round %d: delta build = scratch build" (i + 1))
+        true (inst = inst'))
+    (List.combine scratch sharded)
+
 (* ------------------------------------------------------------------ *)
 (* Mend                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -351,6 +422,201 @@ let test_mend_unrepairable_classification () =
   let repairable, unrepairable = Mend.pending mend e in
   checki "healed by rejoin (repairable)" 0 (List.length repairable);
   checki "healed by rejoin (unrepairable)" 0 (List.length unrepairable)
+
+(* [collect] installs each completed replica once: a second completion
+   of the same (stripe, dest) in one drain, or a replica the allocation
+   already holds, counts as completed but is not installed again. *)
+let test_mend_collect_skips_held () =
+  let params, fleet, alloc = sole_holder_system ~u:3.0 in
+  let e = engine_of ~params ~fleet ~alloc in
+  let mend = Mend.create (Mend.config ~target_k:1 ~transfer_rounds:2 ()) in
+  let transfer stripe dest = Engine.inject_repair e ~stripe ~dest ~rounds:2 in
+  let two_rounds () =
+    ignore (Engine.step e : Engine.round_report);
+    ignore (Engine.step e : Engine.round_report)
+  in
+  transfer 0 1;
+  transfer 0 1;
+  transfer 1 2;
+  two_rounds ();
+  checki "one install per replica" 2 (Mend.collect mend e);
+  checkb "stripe 0 gained box 1 once" true
+    (Allocation.boxes_of_stripe (Engine.alloc e) 0 = [| 0; 1 |]);
+  transfer 1 3;
+  Engine.set_alloc e (Allocation.add_replicas (Engine.alloc e) [ (1, 3) ]);
+  two_rounds ();
+  checki "a held replica is not installed again" 0 (Mend.collect mend e);
+  let st = Mend.stats mend in
+  checki "every transfer completed" 4 st.Mend.completed;
+  checki "two replicas installed" 2 st.Mend.installed
+
+(* Mend caches its under-replicated list on [Engine.box_epoch].  The
+   reference recomputes [Mend.pending] from scratch: one
+   [Repair.under_replicated] over a fresh alive array, split by the
+   repairable predicate (a live donor and a live non-holder with a free
+   storage slot). *)
+let reference_pending ~target_k e =
+  let params = Engine.params e in
+  let n = params.Params.n and c = params.Params.c in
+  let alloc = Engine.alloc e and fleet = Engine.fleet e in
+  let alive = Array.init n (Engine.is_online e) in
+  let under = Vod_alloc.Repair.under_replicated ~alloc ~alive ~target_k in
+  let destination s b =
+    alive.(b)
+    && Box.storage_slots ~c fleet.(b) > Allocation.box_load alloc b
+    && not (Allocation.possesses alloc ~box:b ~stripe:s)
+  in
+  List.partition
+    (fun s ->
+      Array.exists (fun b -> alive.(b)) (Allocation.boxes_of_stripe alloc s)
+      && List.exists (destination s) (List.init n Fun.id))
+    under
+
+type mend_op =
+  | Flip of int
+  | Factor of int * float
+  | Helper of int * bool
+  | Swap_alloc
+  | Round of int * int (* a demand, then tick / step / collect *)
+
+let mend_op_name = function
+  | Flip b -> Printf.sprintf "flip %d" b
+  | Factor (b, f) -> Printf.sprintf "factor %d %.1f" b f
+  | Helper (b, h) -> Printf.sprintf "helper %d %b" b h
+  | Swap_alloc -> "swap alloc"
+  | Round (b, v) -> Printf.sprintf "round (demand %d %d)" b v
+
+(* After every operation: [Mend.pending] equals the reference, and the
+   epoch contract holds — while [box_epoch] stands still, so does every
+   per-box input of a cached view (online flags, upload factors, helper
+   marks, the allocation).  Dropping the epoch bump from any one of the
+   four mutators fails one of the two checks. *)
+let mend_epoch_qcheck =
+  let open QCheck in
+  let n = 12 and m = 10 and target_k = 3 in
+  let op =
+    Gen.(
+      frequency
+        [
+          (3, map (fun b -> Flip b) (int_bound (n - 1)));
+          ( 2,
+            map2
+              (fun b f -> Factor (b, f))
+              (int_bound (n - 1))
+              (oneofl [ 0.0; 0.5; 1.0 ]) );
+          (1, map2 (fun b h -> Helper (b, h)) (int_bound (n - 1)) bool);
+          (1, return Swap_alloc);
+          (4, map2 (fun b v -> Round (b, v)) (int_bound (n - 1)) (int_bound (m - 1)));
+        ])
+  in
+  Test.make ~name:"mend: pending tracks the engine's box epoch" ~count:100
+    (make
+       ~print:
+         Print.(pair int (fun ops -> String.concat "; " (List.map mend_op_name ops)))
+       Gen.(pair (int_bound 1_000_000) (list_size (int_range 1 60) op)))
+    (fun (seed, ops) ->
+      let params, fleet, alloc_a = build_system ~n ~u:2.0 ~d:4.0 ~c:2 ~k:3 ~m ~seed () in
+      let _, _, alloc_b =
+        build_system ~n ~u:2.0 ~d:4.0 ~c:2 ~k:2 ~m ~seed:(seed + 1) ()
+      in
+      let e = engine_of ~params ~fleet ~alloc:alloc_a in
+      let mend =
+        Mend.create ~seed:(seed + 2)
+          (Mend.config ~target_k ~budget:4 ~transfer_rounds:2 ())
+      in
+      let state () =
+        ( Array.init n (Engine.is_online e),
+          Array.init n (Engine.upload_factor e),
+          Array.init n (Engine.is_helper e) )
+      in
+      let snapshot = ref (Engine.box_epoch e, state (), Engine.alloc e) in
+      let check label =
+        let epoch, st, alloc = !snapshot in
+        if Engine.box_epoch e = epoch then begin
+          if st <> state () || alloc != Engine.alloc e then
+            Test.fail_reportf "%s: box state changed under epoch %d" label epoch
+        end
+        else snapshot := (Engine.box_epoch e, state (), Engine.alloc e);
+        if Mend.pending mend e <> reference_pending ~target_k e then
+          Test.fail_reportf "%s: pending differs from the recomputed reference" label
+      in
+      check "start";
+      List.iter
+        (fun op ->
+          (match op with
+          | Flip b -> Engine.set_online e b (not (Engine.is_online e b))
+          | Factor (box, factor) -> Engine.set_upload_factor e ~box ~factor
+          | Helper (b, h) -> Engine.set_helper e b h
+          | Swap_alloc ->
+              Engine.set_alloc e (if Engine.alloc e == alloc_b then alloc_a else alloc_b)
+          | Round (box, video) ->
+              ignore (Engine.try_demand e ~box ~video : Engine.admit);
+              Mend.tick mend e;
+              ignore (Engine.step e : Engine.round_report);
+              ignore (Mend.collect mend e : int));
+          check (mend_op_name op))
+        ops;
+      true)
+
+(* Words [Mend.tick] + [Mend.pending] allocate per fault-free round of a
+   warmed n=4096 engine, on both heaps, net of the measurement's own
+   allocation.  The minor count comes from [Gc.minor_words], which is
+   exact at the call; [Gc.quick_stat]'s minor count only moves at a
+   minor collection, too rarely for windows this short.
+
+   It was 21_336 words per round when both calls rebuilt an n-word
+   alive array and rescanned the catalogue every round, and [tick] an
+   n-word free array.  It is 85 with the under-replicated list cached on
+   the box epoch and the arrays built only when a transfer is about to
+   be scheduled.  The bound is their geometric mean (1347): one n-word
+   array per round exceeds it. *)
+let test_mend_alloc_guard () =
+  let sys =
+    Vod.System.homogeneous ~seed:5 ~m:512 ~n:4096 ~u:2.0 ~d:4.0 ~c:2 ~k:4 ~mu:1.5
+      ~duration:15 ()
+  in
+  let e =
+    Engine.create ~params:sys.Vod.System.params ~fleet:sys.Vod.System.fleet
+      ~alloc:sys.Vod.System.alloc ~policy:Engine.Continue ()
+  in
+  let mend = Mend.create (Mend.config ~target_k:3 ()) in
+  let arrivals =
+    Vod_workload.Generators.uniform_arrivals (Prng.create ~seed:7 ()) ~rate:30.0
+  in
+  let words () =
+    let minor = Gc.minor_words () in
+    let s = Gc.quick_stat () in
+    minor +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  (* what one empty measurement window allocates itself *)
+  let overhead =
+    let w0 = words () in
+    words () -. w0
+  in
+  let spent = ref 0.0 in
+  let round () =
+    List.iter
+      (fun (box, video) -> ignore (Engine.try_demand e ~box ~video : Engine.admit))
+      (arrivals e (Engine.now e + 1));
+    let w0 = words () in
+    Mend.tick mend e;
+    let w1 = words () in
+    ignore (Engine.step e : Engine.round_report);
+    ignore (Mend.collect mend e : int);
+    let w2 = words () in
+    ignore (Mend.pending mend e : int list * int list);
+    spent := !spent +. (w1 -. w0) +. (words () -. w2) -. (2.0 *. overhead)
+  in
+  for _ = 1 to 10 do
+    round ()
+  done;
+  spent := 0.0;
+  for _ = 1 to 20 do
+    round ()
+  done;
+  let per_round = !spent /. 20.0 in
+  if per_round > 1347.0 then
+    Alcotest.failf "%.1f words per fault-free Mend round (bound 1347)" per_round
 
 (* ------------------------------------------------------------------ *)
 (* Chaos                                                               *)
@@ -589,12 +855,17 @@ let suites =
         Alcotest.test_case "repair slot contention" `Quick test_repair_slot_contention;
         Alcotest.test_case "repair lifecycle" `Quick test_repair_lifecycle;
         Alcotest.test_case "repair dies with dest" `Quick test_repair_dies_with_dest;
+        Alcotest.test_case "group crash drops in one pass" `Quick test_batched_crash_drop;
       ] );
     ( "fault.mend",
       [
         Alcotest.test_case "heals a crash" `Quick test_mend_heals_crash;
         Alcotest.test_case "unrepairable classification" `Quick
           test_mend_unrepairable_classification;
+        Alcotest.test_case "collect skips held replicas" `Quick
+          test_mend_collect_skips_held;
+        QCheck_alcotest.to_alcotest mend_epoch_qcheck;
+        Alcotest.test_case "allocation guard" `Quick test_mend_alloc_guard;
       ] );
     ( "fault.chaos",
       [

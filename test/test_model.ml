@@ -178,6 +178,103 @@ let test_allocation_utilisation () =
   (* 6 replicas... actually 2+1+1+2 = 6 replicas, 3 boxes x 2 slots = 6 *)
   checkf "utilisation" 1.0 (Allocation.storage_utilisation a ~fleet ~c:2)
 
+(* [add_replicas] against the rebuild it replaces in the repair
+   controller: append each pair's box to its stripe's row, then
+   [of_replica_lists].  [None] where the rebuild rejects the rows. *)
+let rebuilt_with a pairs =
+  let catalog = Allocation.catalog a and n_boxes = Allocation.n_boxes a in
+  let total = Catalog.total_stripes catalog in
+  let rows = Array.init total (Allocation.boxes_of_stripe a) in
+  match
+    List.iter
+      (fun (s, b) ->
+        if s < 0 || s >= total then invalid_arg "stripe out of range";
+        rows.(s) <- Array.append rows.(s) [| b |])
+      pairs;
+    Allocation.of_replica_lists ~catalog ~n_boxes rows
+  with
+  | a' -> Some a'
+  | exception Invalid_argument _ -> None
+
+(* Row for row: both directions of the incidence, loads and membership. *)
+let same_allocation a b =
+  let n = Allocation.n_boxes a in
+  let stripes = List.init (Catalog.total_stripes (Allocation.catalog a)) Fun.id in
+  let boxes = List.init n Fun.id in
+  n = Allocation.n_boxes b
+  && List.for_all
+       (fun s -> Allocation.boxes_of_stripe a s = Allocation.boxes_of_stripe b s)
+       stripes
+  && List.for_all
+       (fun x ->
+         Allocation.stripes_of_box a x = Allocation.stripes_of_box b x
+         && Allocation.box_load a x = Allocation.box_load b x)
+       boxes
+  && List.for_all
+       (fun s ->
+         List.for_all
+           (fun box ->
+             Allocation.possesses a ~box ~stripe:s
+             = Allocation.possesses b ~box ~stripe:s)
+           boxes)
+       stripes
+
+let test_add_replicas_cases () =
+  let a = tiny_allocation () in
+  let a' = Allocation.add_replicas a [ (1, 0); (1, 2); (2, 0) ] in
+  checkb "stripe row appended in order" true
+    (Allocation.boxes_of_stripe a' 1 = [| 1; 0; 2 |]);
+  checkb "box rows stay ascending" true
+    (Allocation.stripes_of_box a' 0 = [| 0; 1; 2; 3 |]
+    && Allocation.stripes_of_box a' 2 = [| 1; 2; 3 |]);
+  checkb "equals the rebuild" true
+    (match rebuilt_with a [ (1, 0); (1, 2); (2, 0) ] with
+    | Some r -> same_allocation a' r
+    | None -> false);
+  checkb "the source allocation is unchanged" true
+    (same_allocation a (tiny_allocation ()));
+  checkb "an empty batch changes nothing" true
+    (same_allocation a (Allocation.add_replicas a []));
+  let raises name msg pairs =
+    Alcotest.check_raises name (Invalid_argument ("Allocation.add_replicas: " ^ msg))
+      (fun () -> ignore (Allocation.add_replicas a pairs))
+  in
+  raises "duplicate pair in one batch" "duplicate replica in one box" [ (1, 0); (1, 0) ];
+  raises "already held" "duplicate replica in one box" [ (0, 1) ];
+  raises "stripe above range" "stripe out of range" [ (4, 0) ];
+  raises "negative stripe" "stripe out of range" [ (-1, 0) ];
+  raises "box above range" "box out of range" [ (0, 3) ];
+  raises "negative box" "box out of range" [ (1, -1) ]
+
+let add_replicas_qcheck =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* n = int_range 1 6 and* m = int_range 1 3 and* c = int_range 1 2 in
+      (* distinct boxes per stripe, in any order *)
+      let row =
+        let* boxes = shuffle_l (List.init n Fun.id) and* k = int_range 0 (min n 3) in
+        return (Array.of_list (List.filteri (fun i _ -> i < k) boxes))
+      in
+      let* rows = array_repeat (m * c) row in
+      (* mostly in range; the rest reach one past each end *)
+      let in_range = pair (int_bound ((m * c) - 1)) (int_bound (n - 1)) in
+      let wild = pair (int_range (-1) (m * c)) (int_range (-1) n) in
+      let* pairs = list_size (int_range 0 5) (frequency [ (9, in_range); (1, wild) ]) in
+      return (n, m, c, rows, pairs))
+  in
+  Test.make ~name:"add_replicas equals of_replica_lists on the appended rows" ~count:300
+    (make gen) (fun (n, m, c, rows, pairs) ->
+      let catalog = Catalog.create ~m ~c in
+      let a = Allocation.of_replica_lists ~catalog ~n_boxes:n rows in
+      let added =
+        try Some (Allocation.add_replicas a pairs) with Invalid_argument _ -> None
+      in
+      match (rebuilt_with a pairs, added) with
+      | Some r, Some a' -> same_allocation r a'
+      | None, None -> true
+      | _ -> false)
+
 let suites =
   [
     ( "model.params",
@@ -213,6 +310,8 @@ let suites =
         Alcotest.test_case "validate" `Quick test_allocation_validate;
         Alcotest.test_case "missing replica" `Quick test_allocation_missing_replica;
         Alcotest.test_case "utilisation" `Quick test_allocation_utilisation;
+        Alcotest.test_case "add_replicas cases" `Quick test_add_replicas_cases;
+        QCheck_alcotest.to_alcotest add_replicas_qcheck;
       ] );
   ]
 

@@ -294,6 +294,41 @@ let test_summarise_phases () =
   checkf "matching total" 140.0 (row "matching").Report.total_ns;
   checkf "repair share" 0.3 (row "repair").Report.share
 
+(* A driver loop's spans between rounds (the chaos and serve loops'
+   [faults] and [repair]) are rows of their own after the round's,
+   apart from a solver phase of the same name inside the round. *)
+let test_summarise_outside_rounds () =
+  let r = Span.create_recorder () in
+  List.iter
+    (fun base ->
+      ignore (Span.emit r ~name:"faults" ~start_ns:base ~stop_ns:(base + 5) ());
+      ignore (Span.emit r ~name:"repair" ~start_ns:(base + 5) ~stop_ns:(base + 25) ());
+      let round =
+        Span.emit r ~name:"round" ~start_ns:(base + 30) ~stop_ns:(base + 130) ()
+      in
+      ignore
+        (Span.emit r ~parent:round ~name:"repair" ~start_ns:(base + 30)
+           ~stop_ns:(base + 40) ()))
+    [ 0; 1000 ];
+  let summary = Report.summarise (Report.of_recorder r) in
+  checkf "round total" 200.0 summary.Report.round_total_ns;
+  checkf "coverage counts the round's children only" 0.1
+    summary.Report.top_level_coverage;
+  let rows =
+    List.map
+      (fun (row : Report.phase_row) ->
+        (row.Report.name, row.Report.outside, row.Report.depth, row.Report.total_ns))
+      summary.Report.rows
+  in
+  checkb "round rows, then the outside rows by total" true
+    (rows
+    = [
+        ("round", false, 0, 200.0);
+        ("repair", false, 1, 20.0);
+        ("repair", true, 0, 40.0);
+        ("faults", true, 0, 10.0);
+      ])
+
 (* ------------------------------------------------------------------ *)
 (* Timeseries sliding windows                                          *)
 (* ------------------------------------------------------------------ *)
@@ -662,6 +697,8 @@ let suites =
         Alcotest.test_case "validate rejects bad traces" `Quick
           test_validate_rejects_bad_traces;
         Alcotest.test_case "summarise phases" `Quick test_summarise_phases;
+        Alcotest.test_case "summarise outside rounds" `Quick
+          test_summarise_outside_rounds;
       ] );
     ( "obs.par",
       [

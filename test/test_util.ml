@@ -812,6 +812,19 @@ let qcheck_cases =
         let a = Array.of_list l in
         Sample.shuffle g a;
         List.sort compare (Array.to_list a) = List.sort compare l);
+    Test.make ~name:"shuffle_prefix is shuffle on the prefix" ~count:200
+      (triple small_int (list_of_size Gen.(int_range 0 64) int) (int_range 0 64))
+      (fun (seed, l, len) ->
+        let a = Array.of_list l in
+        let len = min len (Array.length a) in
+        let whole = Array.copy a and prefix = Array.sub a 0 len in
+        let g = Prng.create ~seed () and g' = Prng.create ~seed () in
+        Sample.shuffle_prefix g whole ~len;
+        Sample.shuffle g' prefix;
+        Array.sub whole 0 len = prefix
+        && Array.sub whole len (Array.length a - len)
+           = Array.sub a len (Array.length a - len)
+        && Prng.int g 1_000_000 = Prng.int g' 1_000_000);
     Test.make ~name:"heap drain is sorted" ~count:200
       (list_of_size Gen.(int_range 0 128) int)
       (fun l ->
