@@ -1,6 +1,6 @@
 (* Micro-benchmarks for the word-parallel matching kernels.
 
-   Three sections, each a pair of records so compare.exe tracks kernel
+   Two sections, each a pair of records so compare.exe tracks kernel
    drift (and the won speedups) point by point:
 
      kernels/layer_build/{bitset,array}    one BFS layer expansion —
@@ -8,16 +8,13 @@
          path is the Hopcroft-Karp/Dinic inner loop (raw word writes +
          andnot sweep); the array baseline is the per-vertex seen-array
          walk the kernels replaced.
-     kernels/adjacency_sweep/{packed,unpacked}    whole-edge-set pass:
-         the packed (owner lsl 31 | server) flat sweep vs the nested
-         row_start/col loop.
      kernels/csr_hk_layout/{clustered,interleaved}    the full HK core
          on the same swarm-structured instance with components laid out
          contiguously vs round-robin interleaved across the id space —
-         the locality gap the Layout renumbering pass closes.
+         the locality cost of an arrival-ordered instance.
 
    [matched_per_round] carries a deterministic work measure per section
-   (bits built, edges visited, requests matched) so the compare gate's
+   (bits built, requests matched) so the compare gate's
    drift check also pins kernel outputs, not just their speed. *)
 
 open Vod
@@ -129,45 +126,6 @@ let time_layer_array csr =
   (now_ns () -. t0, !built, Gc.allocated_bytes () -. b0)
 
 (* ------------------------------------------------------------------ *)
-(* Adjacency sweep                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let sweep_rounds = 64
-
-let time_sweep_unpacked csr =
-  let n_left = Csr.n_left csr in
-  let row_start = Csr.row_start csr and col = Csr.col csr in
-  let visited = ref 0 and acc = ref 0 in
-  let b0 = Gc.allocated_bytes () in
-  let t0 = now_ns () in
-  for _ = 1 to sweep_rounds do
-    for l = 0 to n_left - 1 do
-      for i = row_start.(l) to row_start.(l + 1) - 1 do
-        acc := !acc lxor (l + Array.unsafe_get col i);
-        incr visited
-      done
-    done
-  done;
-  ignore (Sys.opaque_identity !acc);
-  (now_ns () -. t0, !visited, Gc.allocated_bytes () -. b0)
-
-let time_sweep_packed csr =
-  let m = Csr.n_edges csr in
-  let packed = Csr.packed_edges csr in
-  let visited = ref 0 and acc = ref 0 in
-  let b0 = Gc.allocated_bytes () in
-  let t0 = now_ns () in
-  for _ = 1 to sweep_rounds do
-    for i = 0 to m - 1 do
-      let p = Array.unsafe_get packed i in
-      acc := !acc lxor ((p lsr Csr.packed_shift) + (p land Csr.packed_mask));
-      incr visited
-    done
-  done;
-  ignore (Sys.opaque_identity !acc);
-  (now_ns () -. t0, !visited, Gc.allocated_bytes () -. b0)
-
-(* ------------------------------------------------------------------ *)
 (* Layout: clustered vs interleaved component order                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -178,8 +136,7 @@ let layout_degree = 8
 let layout_rounds = 8
 
 (* The same swarm population laid out two ways: [clustered] numbers
-   each swarm contiguously (the renumbering the Layout pass computes),
-   [interleaved] round-robins the swarms across the id space (the shape
+   each swarm contiguously, [interleaved] round-robins the swarms across the id space (the shape
    an arrival-ordered engine instance takes).  Identical edge
    multiset up to relabelling, so matched counts agree. *)
 let make_layout_instance ~interleaved =
@@ -209,25 +166,15 @@ let make_layout_instance ~interleaved =
   done;
   Bipartite.csr b
 
-let time_hk ?layout csr =
+let time_hk csr =
   let arena = Arena.create () in
-  let lay = Layout.create () in
-  let round () =
-    let instance =
-      match layout with Some true -> Layout.prepare lay csr | _ -> csr
-    in
-    let m = Hopcroft_karp.solve_csr ~arena instance in
-    (match layout with Some true -> Layout.commit lay arena | _ -> ());
-    m
-  in
-  (* one untimed round grows the arena AND the layout's tables /
-     permuted instance to their high-water marks *)
-  ignore (round ());
+  (* one untimed round grows the arena to its high-water mark *)
+  ignore (Hopcroft_karp.solve_csr ~arena csr);
   let matched = ref 0 in
   let b0 = Gc.allocated_bytes () in
   let t0 = now_ns () in
   for _ = 1 to layout_rounds do
-    matched := !matched + round ()
+    matched := !matched + Hopcroft_karp.solve_csr ~arena csr
   done;
   (now_ns () -. t0, !matched, Gc.allocated_bytes () -. b0)
 
@@ -255,34 +202,22 @@ let run () =
     failwith
       (Printf.sprintf "bench_kernels: layer builds disagree (bitset %d, array %d)"
          bits cells);
-  ignore (time_sweep_unpacked layer);
-  ignore (time_sweep_packed layer);
-  let unpacked = best_of ~repeats:5 (fun () -> time_sweep_unpacked layer) in
-  let packed = best_of ~repeats:5 (fun () -> time_sweep_packed layer) in
   let clustered_csr = make_layout_instance ~interleaved:false in
   let interleaved_csr = make_layout_instance ~interleaved:true in
   let clustered = best_of ~repeats:3 (fun () -> time_hk clustered_csr) in
   let interleaved = best_of ~repeats:3 (fun () -> time_hk interleaved_csr) in
-  let relabelled = best_of ~repeats:3 (fun () -> time_hk ~layout:true interleaved_csr) in
-  let (_, mc, _) = clustered and (_, mi, _) = interleaved and (_, mr, _) = relabelled in
-  if mc <> mi || mi <> mr then
+  let (_, mc, _) = clustered and (_, mi, _) = interleaved in
+  if mc <> mi then
     failwith
       (Printf.sprintf
-         "bench_kernels: layout variants disagree (clustered %d, interleaved %d, \
-          relabelled %d)"
-         mc mi mr);
+         "bench_kernels: layout variants disagree (clustered %d, interleaved %d)" mc mi);
   [
     mk "kernels/layer_build/bitset" layer_n_left layer_rounds bitset;
     mk "kernels/layer_build/array" layer_n_left layer_rounds array;
-    mk "kernels/adjacency_sweep/packed" layer_n_left sweep_rounds packed;
-    mk "kernels/adjacency_sweep/unpacked" layer_n_left sweep_rounds unpacked;
     mk "kernels/csr_hk_layout/clustered"
       (layout_blocks * layout_block_lefts)
       layout_rounds clustered;
     mk "kernels/csr_hk_layout/interleaved"
       (layout_blocks * layout_block_lefts)
       layout_rounds interleaved;
-    mk "kernels/csr_hk_layout/relabelled"
-      (layout_blocks * layout_block_lefts)
-      layout_rounds relabelled;
   ]

@@ -1,12 +1,11 @@
-(* Scratch-vs-incremental matching benchmark.
+(* Connection-matching benchmark.
 
    Synthesises round sequences that mimic the engine's per-round
    instance delta — a small fraction of requests departs and is
    replaced by fresh arrivals each round, capacities drift slightly —
-   and times three paths over the identical instance sequence:
+   and times two paths over the identical instance sequence:
 
      scratch      Bipartite.solve (Dinic CSR core) into a shared arena
-     incremental  warm-start repair (Bipartite.solve_incremental)
      csr_hk       the bare Hopcroft–Karp CSR core over a shared arena,
                   no outcome materialisation — the zero-allocation path
 
@@ -35,9 +34,8 @@ let scenarios = [ { label = "low-churn"; churn = 0.02 }; { label = "high-churn";
 let sizes = [ 256; 1024; 4096; 16384 ]
 
 (* One identity-stable synthetic round sequence: request l keeps its row
-   (and hence its warm seat) unless churned, in which case it models a
-   departure plus a fresh arrival.  Returns the instances plus the
-   per-round churn sets (the lefts whose warm seat must be dropped). *)
+   unless churned, in which case it models a departure plus a fresh
+   arrival. *)
 let make_sequence ~seed ~n_left ~rounds ~churn =
   let g = Prng.create ~seed () in
   let n_right = max 1 (n_left / 4) in
@@ -47,12 +45,8 @@ let make_sequence ~seed ~n_left ~rounds ~churn =
   let adj = Array.init n_left (fun _ -> fresh_row ()) in
   let instances = ref [] in
   for _round = 1 to rounds do
-    let churned = ref [] in
     for l = 0 to n_left - 1 do
-      if Prng.float g 1.0 < churn then begin
-        adj.(l) <- fresh_row ();
-        churned := l :: !churned
-      end
+      if Prng.float g 1.0 < churn then adj.(l) <- fresh_row ()
     done;
     (* capacity drift: a couple of boxes gain or lose one upload slot *)
     for _ = 1 to max 1 (n_right / 128) do
@@ -67,7 +61,7 @@ let make_sequence ~seed ~n_left ~rounds ~churn =
        pays for either *)
     ignore (Bipartite.csr inst);
     ignore (Bipartite.adjacency inst);
-    instances := (inst, !churned) :: !instances
+    instances := inst :: !instances
   done;
   List.rev !instances
 
@@ -81,25 +75,8 @@ let time_scratch seq ~arena =
   let b0 = Gc.allocated_bytes () in
   let t0 = now_ns () in
   List.iter
-    (fun (inst, _) ->
+    (fun inst ->
       let o = Bipartite.solve ~arena inst in
-      matched := !matched + o.Bipartite.matched)
-    seq;
-  let ns = now_ns () -. t0 in
-  (ns, !matched, Gc.allocated_bytes () -. b0)
-
-let time_incremental seq ~arena ~n_left =
-  let st = Bipartite.Incremental.create () in
-  let warm = ref (Array.make n_left (-1)) in
-  let matched = ref 0 in
-  let b0 = Gc.allocated_bytes () in
-  let t0 = now_ns () in
-  List.iter
-    (fun (inst, churned) ->
-      (* departures/arrivals lose their seat; survivors keep theirs *)
-      List.iter (fun l -> !warm.(l) <- -1) churned;
-      let o = Bipartite.solve_incremental st ~arena ~warm_start:!warm inst in
-      warm := o.Bipartite.assignment;
       matched := !matched + o.Bipartite.matched)
     seq;
   let ns = now_ns () -. t0 in
@@ -112,8 +89,7 @@ let time_csr_hk seq ~arena =
   let b0 = Gc.allocated_bytes () in
   let t0 = now_ns () in
   List.iter
-    (fun (inst, _) ->
-      matched := !matched + Hopcroft_karp.solve_csr ~arena (Bipartite.csr inst))
+    (fun inst -> matched := !matched + Hopcroft_karp.solve_csr ~arena (Bipartite.csr inst))
     seq;
   let ns = now_ns () -. t0 in
   (ns, !matched, Gc.allocated_bytes () -. b0)
@@ -135,7 +111,6 @@ let run () =
           (* warm all paths once (allocator, code, arena growth) before
              timing *)
           ignore (time_scratch [ List.hd seq ] ~arena);
-          ignore (time_incremental [ List.hd seq ] ~arena ~n_left);
           ignore (time_csr_hk [ List.hd seq ] ~arena);
           (* best-of-5: scheduler hiccups only ever add time, so the
              minimum is the stable estimate the regression gate needs;
@@ -153,16 +128,12 @@ let run () =
           let scratch_ns, scratch_matched, scratch_b =
             best_of (fun () -> time_scratch seq ~arena)
           in
-          let inc_ns, inc_matched, inc_b =
-            best_of (fun () -> time_incremental seq ~arena ~n_left)
-          in
           let hk_ns, hk_matched, hk_b = best_of (fun () -> time_csr_hk seq ~arena) in
-          if scratch_matched <> inc_matched || scratch_matched <> hk_matched then
+          if scratch_matched <> hk_matched then
             failwith
               (Printf.sprintf
-                 "bench_matching: solvers disagree at n=%d %s (scratch %d, \
-                  incremental %d, csr_hk %d)"
-                 n_left label scratch_matched inc_matched hk_matched);
+                 "bench_matching: solvers disagree at n=%d %s (scratch %d, csr_hk %d)"
+                 n_left label scratch_matched hk_matched);
           let r = float_of_int rounds in
           let mk name ns matched bytes =
             {
@@ -176,8 +147,6 @@ let run () =
           in
           records :=
             mk (Printf.sprintf "matching/csr_hk/%s" label) hk_ns hk_matched hk_b
-            :: mk (Printf.sprintf "matching/incremental/%s" label) inc_ns inc_matched
-                 inc_b
             :: mk (Printf.sprintf "matching/scratch/%s" label) scratch_ns
                  scratch_matched scratch_b
             :: !records)
@@ -214,15 +183,13 @@ let run_smoke () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Component-sharded solving at swarm scale                            *)
+(* Whole-instance solving at swarm scale                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Swarm-structured instances: the catalog decomposes the fleet into
    independent swarms, so a round's bipartite instance is a disjoint
-   union of blocks — exactly the shape the component sharder exploits.
-   [block_lefts] requests share [block_rights] boxes; churn rewrites a
-   row inside its own block, so the component structure is stable and a
-   delta rebuild touches only the dirty rows.  This is the regime of
+   union of blocks.  [block_lefts] requests share [block_rights] boxes;
+   churn rewrites a row inside its own block.  This is the regime of
    the large-n acceptance points (n = 262144 and n = 1e6). *)
 let block_lefts = 128
 let block_rights = 32
@@ -239,10 +206,10 @@ let swarm_refill g rows l =
 type swarm_pass = { ns : float; matched : int; bytes : float }
 
 (* One pass: build the instance once, then [rounds] churn steps, each a
-   delta-CSR rebuild of the dirty rows followed by [solve].  The timed
-   region covers rebuild + solve — the full per-round cost the engine
-   pays — but not the initial construction or the solver warm-up. *)
-let run_swarm_pass ~seed ~n_left ~rounds ~solve =
+   full row-major rebuild followed by a Hopcroft-Karp solve.  The timed
+   region covers rebuild + solve — the per-round cost the engine pays —
+   but not the initial construction or the solver warm-up. *)
+let run_swarm_pass ~seed ~n_left ~rounds ~arena =
   let g = Prng.create ~seed () in
   let n_right = swarm_n_right n_left in
   let right_cap = Array.init n_right (fun _ -> 2 + Prng.int g 7) in
@@ -256,84 +223,45 @@ let run_swarm_pass ~seed ~n_left ~rounds ~solve =
     done
   in
   let inst = Bipartite.create ~n_left ~n_right ~right_cap in
-  for l = 0 to n_left - 1 do
-    for i = 0 to swarm_degree - 1 do
-      Bipartite.add_edge inst ~left:l ~right:rows.((l * swarm_degree) + i)
-    done
-  done;
-  ignore (Bipartite.csr inst);
-  ignore (solve inst);
-  let dirty = Array.make n_left false in
+  let solve () = Hopcroft_karp.solve_csr ~arena (Bipartite.csr inst) in
+  Bipartite.rebuild inst ~n_left ~right_cap ~fill;
+  ignore (solve ());
   let matched = ref 0 in
   let b0 = Gc.allocated_bytes () in
   let t0 = now_ns () in
   for _round = 1 to rounds do
-    Array.fill dirty 0 n_left false;
     for _ = 1 to max 1 (int_of_float (float_of_int n_left *. swarm_churn)) do
-      let l = Prng.int g n_left in
-      dirty.(l) <- true;
-      swarm_refill g rows l
+      swarm_refill g rows (Prng.int g n_left)
     done;
-    Bipartite.delta_rebuild inst ~n_left ~right_cap
-      ~src_of:(fun l -> if dirty.(l) then -1 else l)
-      ~fill;
-    matched := !matched + solve inst
+    Bipartite.rebuild inst ~n_left ~right_cap ~fill;
+    matched := !matched + solve ()
   done;
   let ns = now_ns () -. t0 in
   { ns; matched = !matched; bytes = Gc.allocated_bytes () -. b0 }
 
-(* The sharded path carries its warm seating across rounds, like the
-   sharded engine does; stale seats re-validate inside the solver. *)
-let sharded_solve ~n_left () =
-  let sh = Shard.create () in
-  let jobs = max 1 (Par.default_jobs ()) in
-  let warm = Array.make (max n_left 1) (-1) in
-  fun inst ->
-    let size = Shard.solve ~jobs ~warm_start:warm sh (Bipartite.csr inst) in
-    Array.blit (Shard.assignment sh) 0 warm 0 n_left;
-    size
-
-let hk_solve ~arena inst = Hopcroft_karp.solve_csr ~arena (Bipartite.csr inst)
 let scale_sizes = [ 262_144; 1_000_000 ]
 
-let run_sharded () =
+let run_swarms () =
   let arena = Arena.create () in
-  List.concat_map
+  List.map
     (fun n_left ->
       let rounds = if n_left >= 1_000_000 then 3 else 6 in
       let reps = if n_left >= 1_000_000 then 2 else 3 in
-      let best f =
-        let p = ref (f ()) in
-        for _ = 2 to reps do
-          let q = f () in
-          if q.ns < !p.ns then p := q
-        done;
-        !p
-      in
       let seed = 0x5a2d + n_left in
-      let sharded =
-        best (fun () ->
-            run_swarm_pass ~seed ~n_left ~rounds ~solve:(sharded_solve ~n_left ()))
-      in
-      let hk =
-        best (fun () -> run_swarm_pass ~seed ~n_left ~rounds ~solve:(hk_solve ~arena))
-      in
-      if sharded.matched <> hk.matched then
-        failwith
-          (Printf.sprintf
-             "bench_matching: sharded disagrees with csr_hk at n=%d (%d vs %d)"
-             n_left sharded.matched hk.matched);
-      let mk name p =
-        {
-          name;
-          n = n_left;
-          rounds;
-          ns_per_round = p.ns /. float_of_int rounds;
-          matched_per_round = float_of_int p.matched /. float_of_int rounds;
-          alloc_per_round = p.bytes /. float_of_int rounds;
-        }
-      in
-      [ mk "matching/sharded/swarms" sharded; mk "matching/csr_hk/swarms" hk ])
+      let p = ref (run_swarm_pass ~seed ~n_left ~rounds ~arena) in
+      for _ = 2 to reps do
+        let q = run_swarm_pass ~seed ~n_left ~rounds ~arena in
+        if q.ns < !p.ns then p := q
+      done;
+      let p = !p in
+      {
+        name = "matching/csr_hk/swarms";
+        n = n_left;
+        rounds;
+        ns_per_round = p.ns /. float_of_int rounds;
+        matched_per_round = float_of_int p.matched /. float_of_int rounds;
+        alloc_per_round = p.bytes /. float_of_int rounds;
+      })
     scale_sizes
 
 (* Catalog-scaling sweep: the per-request admission cost must stay flat
@@ -343,6 +271,7 @@ let run_sharded () =
 let sweep_sizes = [ 10; 100; 1000; 10_000; 100_000; 1_000_000 ]
 
 let print_scaling_sweep () =
+  let arena = Arena.create () in
   let tbl =
     Table.create
       ~columns:
@@ -362,10 +291,7 @@ let print_scaling_sweep () =
         else if n_left <= 100_000 then 8
         else 3
       in
-      let p =
-        run_swarm_pass ~seed:(0x51ee + n_left) ~n_left ~rounds
-          ~solve:(sharded_solve ~n_left ())
-      in
+      let p = run_swarm_pass ~seed:(0x51ee + n_left) ~n_left ~rounds ~arena in
       let per_round = p.ns /. float_of_int rounds in
       Table.add_row tbl
         [
@@ -377,7 +303,7 @@ let print_scaling_sweep () =
         ])
     sweep_sizes;
   Table.print
-    ~title:"Sharded matching: catalog scaling (admission cost per request, Theorem 1)"
+    ~title:"Whole-instance matching: catalog scaling (admission cost per request, Theorem 1)"
     tbl
 
 let print_table records =
@@ -405,15 +331,13 @@ let print_table records =
           Printf.sprintf "%.0f" r.alloc_per_round;
         ])
     records;
-  Table.print ~title:"Connection matching: scratch vs warm-start incremental" tbl;
-  (* headline: the ratio the acceptance gate watches *)
+  Table.print ~title:"Connection matching: Dinic outcome vs bare Hopcroft-Karp core" tbl;
+  (* headline: the price of the outcome copies over the bare core *)
   let find name n = List.find_opt (fun r -> r.name = name && r.n = n) records in
-  match
-    (find "matching/scratch/low-churn" 4096, find "matching/incremental/low-churn" 4096)
-  with
-  | Some s, Some i when i.ns_per_round > 0.0 ->
-      Printf.printf "low-churn n=4096 speed-up (scratch / incremental): %.1fx\n"
-        (s.ns_per_round /. i.ns_per_round)
+  match (find "matching/scratch/low-churn" 4096, find "matching/csr_hk/low-churn" 4096) with
+  | Some s, Some h when h.ns_per_round > 0.0 ->
+      Printf.printf "low-churn n=4096 (scratch / csr_hk): %.1fx\n"
+        (s.ns_per_round /. h.ns_per_round)
   | _ -> ()
 
 let emit_json records ~path =

@@ -5,10 +5,9 @@
    2. Runs Bechamel micro-benchmarks of the performance-critical
       substrate: max-flow solvers, allocation construction and the
       simulator round loop.
-   3. Runs the scratch-vs-incremental matching benchmark
-      (bench_matching.ml) and, with [--json PATH], writes its records
-      as machine-readable JSON for the CI regression gate
-      (bench/compare.exe).
+   3. Runs the connection-matching benchmark (bench_matching.ml) and,
+      with [--json PATH], writes its records as machine-readable JSON
+      for the CI regression gate (bench/compare.exe).
 
    Run with:            dune exec bench/main.exe
    Skip micro-benches:  dune exec bench/main.exe -- --no-micro
@@ -173,7 +172,7 @@ let () =
     else None
   in
   let records =
-    Bench_matching.run () @ Bench_matching.run_sharded () @ Bench_kernels.run ()
+    Bench_matching.run () @ Bench_matching.run_swarms () @ Bench_kernels.run ()
     @ Bench_serve.run ()
   in
   (match recorder with

@@ -179,7 +179,7 @@ let run ?(seed = 42) ?(instances = 1000) ?(scenarios = 12) ?(rounds = 30) ?repro
 
 let pp_summary fmt s =
   Format.fprintf fmt
-    "@[<v>%d bipartite instances x 17 solvers, %d scenarios x 9 engines@,\
+    "@[<v>%d bipartite instances x 7 solvers, %d scenarios x 3 engines@,\
      %d engine failure rounds with independently confirmed Hall certificates@,\
      %d oracle failure(s)@]"
     s.instances_checked s.scenarios_checked s.failure_rounds_certified

@@ -10,63 +10,11 @@ let probe_cost ~left ~right = (left + (2 * right)) mod 5
 
 let solver_agreement inst =
   let bip = Instance.to_bipartite inst in
-  let dinic = B.solve ~algorithm:B.Dinic_flow bip in
-  (* The incremental solver joins the panel twice: cold (no warm start:
-     must equal a scratch solve) and warm-started from another solver's
-     assignment (every seat re-validates, repair must find nothing new
-     to add beyond the optimum). *)
-  let inc st ?warm_start () = B.solve_incremental st ?warm_start bip in
-  (* The sharded solver joins three times: default sharding, two
-     workers (jobs must never change anything) and a single shard (the
-     whole instance through the shard plumbing).  Its contract is
-     stronger than cardinality: the merged assignment must be
-     bit-identical to the plain CSR Hopcroft-Karp's, because HK's
-     phases never cross component boundaries. *)
-  let sharded ?max_shards ?jobs ?layout () =
-    let sh = Vod_graph.Shard.create ?max_shards () in
-    let csr = B.csr bip in
-    let size = Vod_graph.Shard.solve ?jobs ?layout sh csr in
-    {
-      B.matched = size;
-      assignment = Array.sub (Vod_graph.Shard.assignment sh) 0 (Vod_graph.Csr.n_left csr);
-      right_load = Array.sub (Vod_graph.Shard.right_load sh) 0 (Vod_graph.Csr.n_right csr);
-    }
-  in
-  let hk = B.solve ~algorithm:B.Hopcroft_karp_matching bip in
-  let sharded_variants =
-    [
-      ("sharded", sharded ());
-      ("sharded_jobs2", sharded ~jobs:2 ());
-      ("sharded_single_shard", sharded ~max_shards:1 ());
-      ("sharded_layout", sharded ~layout:true ());
-    ]
-  in
-  (* Layout-renumbered runs of the exact kernels: the permutation is
-     order-preserving per component, so each must reproduce its
-     identity-layout counterpart bit for bit (DESIGN.md section 12).
-     Push-relabel's gap heuristic is global, so it stays off this
-     list. *)
-  let hk_layout = B.solve ~algorithm:B.Hopcroft_karp_matching ~layout:true bip in
-  let dinic_layout = B.solve ~algorithm:B.Dinic_flow ~layout:true bip in
-  let inc_layout =
-    B.solve_incremental (B.Incremental.create ()) ~warm_start:dinic.B.assignment
-      ~layout:true bip
-  in
-  let inc_plain =
-    B.solve_incremental (B.Incremental.create ()) ~warm_start:dinic.B.assignment bip
-  in
-  let layout_pairs =
-    [
-      ("hopcroft_karp_layout", hk_layout, "hopcroft_karp", hk);
-      ("dinic_layout", dinic_layout, "dinic", dinic);
-      ("incremental_warm_layout", inc_layout, "incremental_warm", inc_plain);
-    ]
-  in
   let outcomes =
     [
-      ("dinic", dinic);
+      ("dinic", B.solve ~algorithm:B.Dinic_flow bip);
       ("push_relabel", B.solve ~algorithm:B.Push_relabel_flow bip);
-      ("hopcroft_karp", hk);
+      ("hopcroft_karp", B.solve ~algorithm:B.Hopcroft_karp_matching bip);
       (* The pre-CSR implementations (explicit Flow_network / slot
          expansion) stay on the panel as independent oracles for the
          flat solver cores. *)
@@ -74,16 +22,7 @@ let solver_agreement inst =
       ("push_relabel_legacy", B.solve_legacy ~algorithm:B.Push_relabel_flow bip);
       ("hopcroft_karp_slots", B.solve_legacy ~algorithm:B.Hopcroft_karp_matching bip);
       ("min_cost_flow", B.solve_min_cost bip ~edge_cost:probe_cost);
-      ("incremental_cold", inc (B.Incremental.create ()) ());
-      ( "incremental_warm_hk",
-        inc (B.Incremental.create ()) ~warm_start:dinic.B.assignment () );
-      ( "incremental_warm_dinic",
-        inc
-          (B.Incremental.create ~algorithm:B.Dinic_flow ())
-          ~warm_start:dinic.B.assignment () );
     ]
-    @ sharded_variants
-    @ List.map (fun (name, o, _, _) -> (name, o)) layout_pairs
   in
   let* () =
     List.fold_left
@@ -103,30 +42,6 @@ let solver_agreement inst =
         ("solvers disagree on matched cardinality: "
         ^ String.concat ", "
             (List.map (fun (n, m) -> Printf.sprintf "%s=%d" n m) counts))
-  in
-  let* () =
-    List.fold_left
-      (fun acc (name, o) ->
-        let* () = acc in
-        if o.B.assignment = hk.B.assignment && o.B.right_load = hk.B.right_load then
-          Ok ()
-        else
-          Error
-            (Printf.sprintf
-               "%s: merged sharded assignment differs from hopcroft_karp's" name))
-      (Ok ()) sharded_variants
-  in
-  let* () =
-    List.fold_left
-      (fun acc (name, o, ref_name, ref_o) ->
-        let* () = acc in
-        if o.B.assignment = ref_o.B.assignment && o.B.right_load = ref_o.B.right_load
-        then Ok ()
-        else
-          Error
-            (Printf.sprintf "%s: layout-renumbered outcome differs from %s's" name
-               ref_name))
-      (Ok ()) layout_pairs
   in
   match (B.hall_violator bip, reference = inst.Instance.n_left) with
   | None, true -> Ok reference
@@ -176,28 +91,14 @@ let audit_failure name engine (report : Engine.round_report) =
               else Ok ()))
 
 let scheduler_agreement ~params ~fleet ~alloc ?compensation ~rounds ~script () =
-  let mk ?matching ?layout scheduler =
-    Engine.create ~params ~fleet ~alloc ?compensation ~policy:Engine.Continue
-      ~scheduler ?matching ?layout ()
+  let mk scheduler =
+    Engine.create ~params ~fleet ~alloc ?compensation ~policy:Engine.Continue ~scheduler ()
   in
-  (* The incremental engines ride in the same lockstep: every round,
-     their served counts must equal the scratch arbitrary engine's
-     (warm-start repair must never lose cardinality), and their failure
-     rounds are certified with the same independent Hall checks. *)
   let engines =
     [
       ("arbitrary", mk Engine.Arbitrary);
       ("prefer_cache", mk Engine.Prefer_cache);
       ("sticky", mk Engine.Sticky);
-      ("arbitrary_incremental", mk ~matching:Engine.Incremental Engine.Arbitrary);
-      ("sticky_incremental", mk ~matching:Engine.Incremental Engine.Sticky);
-      ("arbitrary_sharded", mk ~matching:Engine.Sharded Engine.Arbitrary);
-      ("sticky_sharded", mk ~matching:Engine.Sharded Engine.Sticky);
-      (* layout renumbering must be invisible in the lockstep: same
-         served counts, same certified failure rounds *)
-      ( "arbitrary_incremental_layout",
-        mk ~matching:Engine.Incremental ~layout:true Engine.Arbitrary );
-      ("arbitrary_sharded_layout", mk ~matching:Engine.Sharded ~layout:true Engine.Arbitrary);
     ]
   in
   let failure_rounds = ref 0 and certified = ref 0 in

@@ -3,24 +3,19 @@
     Two levels, mirroring the two layers whose correctness the paper's
     guarantees rest on:
 
-    - {!solver_agreement}: the maximum-matching solvers (the CSR/arena
-      cores of Dinic, push-relabel and Hopcroft–Karp, their pre-CSR
-      legacy implementations over an explicit flow network / slot
-      expansion, min-cost flow, plus the warm-start incremental solver
-      both cold and warm-started from another solver's assignment,
-      under each of its two backends) run on the same bipartite
+    - {!solver_agreement}: the seven maximum-matching solvers (the
+      CSR/arena cores of Dinic, push-relabel and Hopcroft–Karp, their
+      pre-CSR legacy implementations over an explicit flow network /
+      slot expansion, and min-cost flow) run on the same bipartite
       instance must report the same matched cardinality,
       each matching must replay as a valid assignment, and on deficit
       the Hall violator must be a checker-confirmed cut witness tight
       against the matching (König duality);
     - {!scheduler_agreement}: the simulator driven by the same demand
       script under the [Arbitrary], [Prefer_cache] and [Sticky]
-      schedulers — plus [Arbitrary] and [Sticky] re-run on the
-      {!Vod_sim.Engine.Incremental} matching engine — must report
-      identical per-round matched counts: the schedulers only pick
-      {e which} maximum matching, and warm-start repair must never lose
-      cardinality against a from-scratch solve.  Every failure round
-      must yield a confirmed certificate.  Counts are compared up to and
+      schedulers must report identical per-round matched counts: the
+      schedulers only pick {e which} maximum matching.  Every failure
+      round must yield a confirmed certificate.  Counts are compared up to and
       including the first failing round: beyond it the engines may
       legitimately stall {e different} requests, so the states (and
       hence later rounds) diverge. *)
@@ -33,7 +28,7 @@ type sched_outcome = {
   rounds_run : int;
   failure_rounds : int;  (** Rounds (of the arbitrary engine) with a deficit. *)
   certified_failure_rounds : int;
-      (** Engine failure rounds (across all five lockstep engines) whose
+      (** Engine failure rounds (across all three lockstep engines) whose
           Hall certificate the checker independently confirmed. *)
 }
 
@@ -46,8 +41,8 @@ val scheduler_agreement :
   script:(int * int * int) list ->
   unit ->
   (sched_outcome, string) result
-(** Drives the five engines (three schedulers + the two incremental
-    variants) in lockstep over the [(time, box, video)] demand script
+(** Drives the three scheduler engines in lockstep over the
+    [(time, box, video)] demand script
     (busy boxes skipped, as in {!Vod_sim.Engine.run}). *)
 
 type chaos_outcome = {

@@ -14,23 +14,17 @@ module Dinic = Vod_graph.Dinic
 module Push_relabel = Vod_graph.Push_relabel
 module Hopcroft_karp = Vod_graph.Hopcroft_karp
 module Bipartite = Vod_graph.Bipartite
-module Shard = Vod_graph.Shard
-module Layout = Vod_graph.Layout
 module Min_cost_flow = Vod_graph.Min_cost_flow
-module Expander = Vod_graph.Expander
 
 module Params = Vod_model.Params
 module Box = Vod_model.Box
 module Catalog = Vod_model.Catalog
 module Allocation = Vod_model.Allocation
 module Codec = Vod_model.Codec
-module Striping = Vod_model.Striping
 module Topology = Vod_model.Topology
-module Parity = Vod_model.Parity
 
 module Schemes = Vod_alloc.Schemes
 module Balance = Vod_alloc.Balance
-module Mutate = Vod_alloc.Mutate
 module Repair = Vod_alloc.Repair
 
 module Engine = Vod_sim.Engine
@@ -51,7 +45,6 @@ module Piece_swarm = Vod_swarm.Piece_swarm
 module Protocol = Vod_proto.Protocol
 
 module Probe = Vod_adversary.Probe
-module Expansion = Vod_adversary.Expansion
 module Attacks = Vod_adversary.Attacks
 module Catalog_search = Vod_adversary.Catalog_search
 

@@ -26,56 +26,22 @@ type alloc_scheme = Permutation | Round_robin
 
 type engine_config = {
   label : string;
-  matching : Engine.matching_engine;
   scheduler : Engine.scheduler;
   scheme : alloc_scheme;
 }
 
 let default_config =
-  { label = "scratch"; matching = Engine.Scratch; scheduler = Engine.Arbitrary; scheme = Permutation }
+  { label = "scratch"; scheduler = Engine.Arbitrary; scheme = Permutation }
 
 let config_of_name = function
   | "scratch" -> Ok default_config
-  | "incremental" ->
-      Ok
-        {
-          label = "incremental";
-          matching = Engine.Incremental;
-          scheduler = Engine.Arbitrary;
-          scheme = Permutation;
-        }
-  | "sticky" ->
-      Ok
-        {
-          label = "sticky";
-          matching = Engine.Scratch;
-          scheduler = Engine.Sticky;
-          scheme = Permutation;
-        }
+  | "sticky" -> Ok { label = "sticky"; scheduler = Engine.Sticky; scheme = Permutation }
   | "prefer-cache" ->
-      Ok
-        {
-          label = "prefer-cache";
-          matching = Engine.Scratch;
-          scheduler = Engine.Prefer_cache;
-          scheme = Permutation;
-        }
+      Ok { label = "prefer-cache"; scheduler = Engine.Prefer_cache; scheme = Permutation }
   | "balance-load" ->
-      Ok
-        {
-          label = "balance-load";
-          matching = Engine.Scratch;
-          scheduler = Engine.Balance_load;
-          scheme = Permutation;
-        }
+      Ok { label = "balance-load"; scheduler = Engine.Balance_load; scheme = Permutation }
   | "round-robin" ->
-      Ok
-        {
-          label = "round-robin";
-          matching = Engine.Scratch;
-          scheduler = Engine.Arbitrary;
-          scheme = Round_robin;
-        }
+      Ok { label = "round-robin"; scheduler = Engine.Arbitrary; scheme = Round_robin }
   | name -> Error (Printf.sprintf "unknown engine config '%s'" name)
 
 type outcome = {
@@ -237,7 +203,7 @@ let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
       in
       let engine =
         Engine.create ~params ~fleet ~alloc ?compensation ~policy:Engine.Continue
-          ~scheduler:config.scheduler ~matching:config.matching ?topology ()
+          ~scheduler:config.scheduler ?topology ()
       in
       Array.iter
         (fun (start, count) ->

@@ -18,18 +18,17 @@ type alloc_scheme = Permutation | Round_robin
 
 type engine_config = {
   label : string;  (** Appears as ["config"] in the meta line and the scorecard. *)
-  matching : Vod_sim.Engine.matching_engine;
   scheduler : Vod_sim.Engine.scheduler;
   scheme : alloc_scheme;  (** Static allocation scheme for the base fleet. *)
 }
 (** One engine/allocation column of a battery matrix. *)
 
 val default_config : engine_config
-(** ["scratch"]: scratch max-flow, arbitrary scheduler, random
+(** ["scratch"]: max-flow from scratch, arbitrary scheduler, random
     permutation allocation — the engine's defaults. *)
 
 val config_of_name : string -> (engine_config, string) result
-(** Named configs: [scratch], [incremental], [sticky], [prefer-cache],
+(** Named configs: [scratch], [sticky], [prefer-cache],
     [balance-load], [round-robin]. *)
 
 type outcome = {

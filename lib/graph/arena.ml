@@ -9,7 +9,6 @@ type t = {
   assignment : slab;
   right_load : slab;
   queue : slab;
-  warm : slab;
   hk_dist : slab;
   seat_start : slab;
   seats : slab;
@@ -42,7 +41,6 @@ let create () =
     assignment = slab ();
     right_load = slab ();
     queue = slab ();
-    warm = slab ();
     hk_dist = slab ();
     seat_start = slab ();
     seats = slab ();
@@ -98,7 +96,7 @@ let right_load t = t.right_load.buf
 let words t =
   let slabs =
     [
-      t.assignment; t.right_load; t.queue; t.warm; t.hk_dist; t.seat_start; t.seats;
+      t.assignment; t.right_load; t.queue; t.hk_dist; t.seat_start; t.seats;
       t.level; t.it_left; t.it_right; t.matched_edge; t.t_row_start; t.t_eid;
       t.t_packed; t.edge_left; t.excess; t.height; t.height_count; t.edge_flow;
       t.src_flow; t.pr_it; t.in_queue;

@@ -3,14 +3,13 @@ module F = Flow_network
 
 (* The instance is CSR-backed: [Csr.t] holds the edges and the
    per-right capacities, and doubles as the reusable builder: [reset] +
-   [add_edge] fill it through the pending list, and [delta_rebuild]
-   (the engine's per-round path) writes its rows directly.
+   [add_edge] fill it through the pending list, and [rebuild] (the
+   engine's per-round path) writes its rows directly.
    [dedup] memoises the sorted [int array array] view still consumed by
    the legacy solver paths, certificates and min-cost/greedy solvers. *)
 type t = {
   csr : Csr.t;
   mutable dedup : int array array option; (* memoised sorted adjacency rows *)
-  mutable layout : Layout.t option; (* lazily created renumbering pass *)
 }
 
 let validate_shape ~who ~n_left ~n_right ~right_cap =
@@ -23,7 +22,7 @@ let create ~n_left ~n_right ~right_cap =
   let csr = Csr.create () in
   Csr.reset csr ~n_left ~n_right;
   Csr.set_right_caps csr right_cap;
-  { csr; dedup = None; layout = None }
+  { csr; dedup = None }
 
 let reset t ~n_left ~n_right ~right_cap =
   validate_shape ~who:"Bipartite.reset" ~n_left ~n_right ~right_cap;
@@ -31,11 +30,11 @@ let reset t ~n_left ~n_right ~right_cap =
   Csr.set_right_caps t.csr right_cap;
   t.dedup <- None
 
-let delta_rebuild t ~n_left ~right_cap ~src_of ~fill =
+let rebuild t ~n_left ~right_cap ~fill =
   let n_right = Csr.n_right t.csr in
-  validate_shape ~who:"Bipartite.delta_rebuild" ~n_left ~n_right ~right_cap;
+  validate_shape ~who:"Bipartite.rebuild" ~n_left ~n_right ~right_cap;
   Csr.set_right_caps t.csr right_cap;
-  Csr.rebuild_rows t.csr ~n_left ~src_of ~fill;
+  Csr.rebuild_rows t.csr ~n_left ~fill;
   t.dedup <- None
 
 let add_edge t ~left ~right =
@@ -75,30 +74,16 @@ let outcome_of_arena t arena size =
     right_load = Array.sub (Arena.right_load arena) 0 (n_right t);
   }
 
-let layout_of t =
-  match t.layout with
-  | Some lay -> lay
-  | None ->
-      let lay = Layout.create () in
-      t.layout <- Some lay;
-      lay
-
-let solve_in_arena ~arena ?(algorithm = Dinic_flow) ?(layout = false) t =
+let solve_in_arena ~arena ?(algorithm = Dinic_flow) t =
   let csr = csr t in
-  let lay = if layout then Some (layout_of t) else None in
-  let csr = match lay with Some l -> Layout.prepare l csr | None -> csr in
-  let size =
-    match algorithm with
-    | Dinic_flow -> Dinic.solve_csr ~arena csr
-    | Push_relabel_flow -> Push_relabel.solve_csr ~arena csr
-    | Hopcroft_karp_matching -> Hopcroft_karp.solve_csr ~arena csr
-  in
-  (match lay with Some l -> Layout.commit l arena | None -> ());
-  size
+  match algorithm with
+  | Dinic_flow -> Dinic.solve_csr ~arena csr
+  | Push_relabel_flow -> Push_relabel.solve_csr ~arena csr
+  | Hopcroft_karp_matching -> Hopcroft_karp.solve_csr ~arena csr
 
-let solve ?arena ?algorithm ?layout t =
+let solve ?arena ?algorithm t =
   let arena = match arena with Some a -> a | None -> Arena.create () in
-  outcome_of_arena t arena (solve_in_arena ~arena ?algorithm ?layout t)
+  outcome_of_arena t arena (solve_in_arena ~arena ?algorithm t)
 
 (* ------------------------------------------------------------------ *)
 (* Legacy adj-array solver paths                                       *)
@@ -344,158 +329,3 @@ let hall_violator t =
     done;
     Some { requests = !requests; servers = !servers; server_slots = !slots }
   end
-
-(* ------------------------------------------------------------------ *)
-(* Warm-start incremental solving                                      *)
-(* ------------------------------------------------------------------ *)
-
-module Incremental = struct
-  (* Observability hooks (registered once; O(1) per event recorded). *)
-  let obs_reseated =
-    Vod_obs.Registry.counter Vod_obs.Registry.default "matching.seats_revalidated"
-  let obs_dirty = Vod_obs.Registry.counter Vod_obs.Registry.default "matching.dirty"
-  let obs_fallbacks =
-    Vod_obs.Registry.counter Vod_obs.Registry.default "matching.fallbacks"
-  let obs_repairs =
-    Vod_obs.Registry.counter Vod_obs.Registry.default "matching.incremental_solves"
-  let obs_repaired = Vod_obs.Registry.counter Vod_obs.Registry.default "matching.repaired"
-
-  type stats = {
-    rounds : int;
-    full_solves : int;
-    incremental_solves : int;
-    reseated : int;
-    repaired : int;
-  }
-
-  type state = {
-    algorithm : algorithm;
-    fallback_threshold : float;
-    mutable s_rounds : int;
-    mutable s_full : int;
-    mutable s_incremental : int;
-    mutable s_reseated : int;
-    mutable s_repaired : int;
-  }
-
-  let create ?(algorithm = Hopcroft_karp_matching) ?(fallback_threshold = 0.5) () =
-    (match algorithm with
-    | Hopcroft_karp_matching | Dinic_flow -> ()
-    | Push_relabel_flow ->
-        invalid_arg "Bipartite.Incremental.create: push-relabel has no warm-start path");
-    if not (fallback_threshold >= 0.0 && fallback_threshold <= 1.0) then
-      invalid_arg "Bipartite.Incremental.create: threshold outside [0, 1]";
-    {
-      algorithm;
-      fallback_threshold;
-      s_rounds = 0;
-      s_full = 0;
-      s_incremental = 0;
-      s_reseated = 0;
-      s_repaired = 0;
-    }
-
-  let stats st =
-    {
-      rounds = st.s_rounds;
-      full_solves = st.s_full;
-      incremental_solves = st.s_incremental;
-      reseated = st.s_reseated;
-      repaired = st.s_repaired;
-    }
-
-  (* Validate the caller's warm seats against the *current* instance:
-     the previous server must still be adjacent (departures, cache
-     expiry) and still within its possibly-shrunk capacity (churn,
-     relay reservation changes).  The cleaned seating lands in the
-     arena's [warm] slab (the solver below reads it as its warm start)
-     and the per-right load scratch rides in [right_load], which every
-     solver re-initialises anyway — so validation allocates nothing. *)
-  let validate_seats t arena warm =
-    let csr = csr t in
-    let nl = Csr.n_left csr and nr = Csr.n_right csr in
-    let row_start = Csr.row_start csr and col = Csr.col csr in
-    let right_cap = Csr.right_cap_array csr in
-    let cleaned = Arena.ints arena.Arena.warm (max nl 1) in
-    let load = Arena.ints arena.Arena.right_load (max nr 1) in
-    Array.fill load 0 nr 0;
-    let seated = ref 0 in
-    for l = 0 to nl - 1 do
-      let r = warm.(l) in
-      cleaned.(l) <- -1;
-      if r >= 0 && r < nr && load.(r) < right_cap.(r) then begin
-        let adjacent = ref false in
-        let i = ref row_start.(l) in
-        let stop = row_start.(l + 1) in
-        while (not !adjacent) && !i < stop do
-          if col.(!i) = r then adjacent := true;
-          incr i
-        done;
-        if !adjacent then begin
-          cleaned.(l) <- r;
-          load.(r) <- load.(r) + 1;
-          incr seated
-        end
-      end
-    done;
-    (cleaned, !seated)
-
-  let solve st ?arena ?warm_start ?(layout = false) t =
-    let arena = match arena with Some a -> a | None -> Arena.create () in
-    st.s_rounds <- st.s_rounds + 1;
-    (match warm_start with
-    | Some ws when Array.length ws <> n_left t ->
-        invalid_arg "Bipartite.Incremental.solve: warm_start length mismatch"
-    | _ -> ());
-    let cleaned, seated =
-      Vod_obs.Span.with_ ~name:"revalidate" (fun () ->
-          match warm_start with
-          | None ->
-              let cleaned = Arena.ints arena.Arena.warm (max (n_left t) 1) in
-              Array.fill cleaned 0 (n_left t) (-1);
-              (cleaned, 0)
-          | Some ws -> validate_seats t arena ws)
-    in
-    st.s_reseated <- st.s_reseated + seated;
-    Vod_obs.Registry.add obs_reseated seated;
-    let dirty = n_left t - seated in
-    Vod_obs.Registry.add obs_dirty dirty;
-    if
-      n_left t > 0
-      && float_of_int dirty > st.fallback_threshold *. float_of_int (n_left t)
-    then begin
-      st.s_full <- st.s_full + 1;
-      Vod_obs.Registry.incr obs_fallbacks;
-      Vod_obs.Span.with_ ~name:"fallback" (fun () ->
-          solve ~arena ~algorithm:st.algorithm ~layout t)
-    end
-    else begin
-      st.s_incremental <- st.s_incremental + 1;
-      Vod_obs.Registry.incr obs_repairs;
-      let outcome =
-        Vod_obs.Span.with_ ~name:"repair" (fun () ->
-            let lay = if layout then Some (layout_of t) else None in
-            let instance =
-              match lay with Some l -> Layout.prepare l (csr t) | None -> csr t
-            in
-            let warm =
-              match lay with Some l -> Layout.project_warm l cleaned | None -> cleaned
-            in
-            let size =
-              match st.algorithm with
-              | Hopcroft_karp_matching ->
-                  Hopcroft_karp.solve_csr ~warm_start:warm ~arena instance
-              | Dinic_flow -> Dinic.solve_csr ~warm_start:warm ~arena instance
-              | Push_relabel_flow -> assert false
-            in
-            (match lay with Some l -> Layout.commit l arena | None -> ());
-            outcome_of_arena t arena size)
-      in
-      st.s_repaired <- st.s_repaired + (outcome.matched - seated);
-      Vod_obs.Registry.add obs_repaired (outcome.matched - seated);
-      outcome
-    end
-end
-
-let solve_incremental st ?arena ?warm_start ?layout t =
-  Incremental.solve st ?arena ?warm_start ?layout t

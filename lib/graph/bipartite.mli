@@ -22,18 +22,11 @@ val reset : t -> n_left:int -> n_right:int -> right_cap:int array -> unit
     capacities are checked and copied in one pass.  Same validation as
     {!create}. *)
 
-val delta_rebuild :
-  t ->
-  n_left:int ->
-  right_cap:int array ->
-  src_of:(int -> int) ->
-  fill:(int -> (int -> unit) -> unit) ->
-  unit
+val rebuild :
+  t -> n_left:int -> right_cap:int array -> fill:(int -> (int -> unit) -> unit) -> unit
 (** Rebuild the instance for the next round in one row-major pass —
-    the engine's only per-round build.  [src_of l] names the current row
-    new row [l] copies verbatim, or [-1] for a row written by
-    [fill l emit] straight into the CSR column array; with
-    [~src_of:(fun _ -> -1)] it is a scratch build.  The number of
+    the engine's only per-round build.  Row [l] is written by
+    [fill l emit] straight into the CSR column array.  The number of
     rights is unchanged and their capacities are copied from
     [right_cap] in one checked pass.  See {!Csr.rebuild_rows} for cost
     and the frozen-instance caveat ({!add_edge} raises until the next
@@ -71,23 +64,15 @@ type outcome = {
   right_load : int array;  (** Slots used per box. *)
 }
 
-val solve : ?arena:Arena.t -> ?algorithm:algorithm -> ?layout:bool -> t -> outcome
+val solve : ?arena:Arena.t -> ?algorithm:algorithm -> t -> outcome
 (** Maximum matching; default algorithm {!Dinic_flow}.  All three
     algorithms run their CSR/arena cores; pass [arena] (one per engine /
     harness / parallel task — arenas are not domain-safe) to reuse the
     scratch buffers across calls, otherwise a fresh arena is allocated.
     The returned [outcome] arrays are freshly allocated and owned by the
-    caller either way.
+    caller either way. *)
 
-    [layout] (default false) runs the solver on a {!Layout}
-    component-clustered renumbering of the instance and unpermutes the
-    result, so multi-component instances traverse contiguous memory.
-    For {!Hopcroft_karp_matching} and {!Dinic_flow} the outcome is
-    bit-identical to the identity layout (the permutation is
-    order-preserving per component — DESIGN.md section 12); for
-    {!Push_relabel_flow} only the matching size is guaranteed. *)
-
-val solve_in_arena : arena:Arena.t -> ?algorithm:algorithm -> ?layout:bool -> t -> int
+val solve_in_arena : arena:Arena.t -> ?algorithm:algorithm -> t -> int
 (** {!val:solve} without the copies: returns the matching size and
     leaves the result in the arena — [Arena.assignment arena] (entries
     [0 .. n_left - 1]) and [Arena.right_load arena] (entries
@@ -140,64 +125,3 @@ val hall_violator : t -> violator option
 (** [None] when the instance is feasible; otherwise a certificate set
     [X] with [slots(B(X)) < |X|], extracted from the min cut of a
     maximum flow. *)
-
-(** Warm-start incremental solving.
-
-    The engine's per-round instances differ by a small delta (arrivals,
-    departures, playback advance, cache churn — at most a factor [mu]
-    of swarm growth between rounds), so the previous round's matching is
-    an excellent starting point.  {!Incremental.solve} re-seats each
-    request on its previous server when that seat is still valid in the
-    {e current} instance, then repairs only the augmenting paths the
-    delta disturbed; when the delta exceeds [fallback_threshold] (the
-    fraction of requests whose seat did not survive) it falls back to a
-    from-scratch solve.  Either way the result is a true {e maximum}
-    matching — warm starts change the work, never the cardinality. *)
-module Incremental : sig
-  type stats = {
-    rounds : int;  (** Total {!solve} calls. *)
-    full_solves : int;  (** Rounds that fell back to a scratch solve. *)
-    incremental_solves : int;  (** Rounds solved by warm-start repair. *)
-    reseated : int;  (** Warm seats that survived validation, summed. *)
-    repaired : int;  (** Requests matched by repair augmentation, summed. *)
-  }
-
-  type state
-  (** Persistent engine state: chosen backend, fallback threshold and
-      lifetime counters.  The previous matching itself is supplied by
-      the caller per round (as [warm_start]) because request indices are
-      re-numbered between rounds; the caller owns the identity map. *)
-
-  val create : ?algorithm:algorithm -> ?fallback_threshold:float -> unit -> state
-  (** Backend [algorithm] must be {!Hopcroft_karp_matching} (default;
-      pure combinatorial repair, no network construction) or
-      {!Dinic_flow} (pre-pushed residual flow).  [fallback_threshold]
-      (default 0.5) is the dirty-request fraction above which a scratch
-      solve is cheaper than repair.
-      @raise Invalid_argument on {!Push_relabel_flow} or a threshold
-      outside [0, 1]. *)
-
-  val solve :
-    state -> ?arena:Arena.t -> ?warm_start:int array -> ?layout:bool -> t -> outcome
-  (** [warm_start] maps each left to its previous server (or -1); seats
-      invalidated by the delta are dropped before repair.  Omitting it
-      is a cold start (counts as a full solve when [n_left > 0]).
-      [arena] as in {!val:solve}: seat validation and both repair
-      backends run entirely in arena scratch.  [layout] as in
-      {!val:solve}: validated seats are projected into the permuted id
-      space before repair, and the outcome is unpermuted — bit-identical
-      for both backends.
-      @raise Invalid_argument on a length mismatch. *)
-
-  val stats : state -> stats
-end
-
-val solve_incremental :
-  Incremental.state ->
-  ?arena:Arena.t ->
-  ?warm_start:int array ->
-  ?layout:bool ->
-  t ->
-  outcome
-(** Alias for {!Incremental.solve}: maximum matching via warm-start
-    delta repair with scratch fallback. *)

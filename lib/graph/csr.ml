@@ -25,17 +25,10 @@ type t = {
   mutable rcnt : int array; (* per-right counting-sort cursors *)
   mutable order : int array; (* pending-edge ids sorted by right *)
   mutable dirty : bool;
-  (* delta rebuilds: double buffers swapped by [rebuild_rows] *)
-  mutable col_alt : int array;
-  mutable row_start_alt : int array;
   mutable frozen : bool; (* true after [rebuild_rows]: pending list is stale *)
   (* scratch for radix-sorting a long row in [rebuild_rows] *)
   mutable row_tmp : int array;
   digit_cnt : int array; (* 257 bucket cursors, one 8-bit digit *)
-  (* packed [(left lsl 31) lor right] view of the finalized edges,
-     rebuilt lazily whenever the row view changes *)
-  mutable packed : int array;
-  mutable packed_valid : bool;
 }
 
 let next_cap n =
@@ -86,13 +79,9 @@ let create () =
     rcnt = [||];
     order = [||];
     dirty = false;
-    col_alt = [||];
-    row_start_alt = [||];
     frozen = false;
     row_tmp = [||];
     digit_cnt = Array.make 257 0;
-    packed = [||];
-    packed_valid = false;
   }
 
 let reset t ~n_left ~n_right =
@@ -106,8 +95,7 @@ let reset t ~n_left ~n_right =
   t.row_start <- ensure t.row_start (n_left + 1);
   Array.fill t.row_start 0 (n_left + 1) 0;
   t.dirty <- false;
-  t.frozen <- false;
-  t.packed_valid <- false
+  t.frozen <- false
 
 let set_right_cap t r c =
   if r < 0 || r >= t.n_right then invalid_arg "Csr.set_right_cap: right out of range";
@@ -210,8 +198,7 @@ let finalize t =
     done;
     row_start.(nl) <- !w;
     t.n_edges <- !w;
-    t.dirty <- false;
-    t.packed_valid <- false
+    t.dirty <- false
   end
 
 (* LSD radix sort of [a.(lo .. hi - 1)], one 8-bit digit a pass,
@@ -277,23 +264,17 @@ let sort_dedup_row t a lo hi =
   !w
 
 (* Row-major rebuild: produce the next round's finalized row view in
-   one pass over the rows, copying clean rows wholesale from the current
-   view and writing dirty rows straight into [col], each then sorted and
-   deduplicated in place.  With every row dirty this is a scratch build
-   that never touches the pending-edge list or the counting sorts.
-   Writes go to the alternate buffers, then the buffer pairs are
-   swapped, so clean-row blits read stable memory.  The pending-edge
-   list is NOT maintained, so the instance is [frozen] afterwards:
-   [add_edge] refuses until the next [reset]. *)
-let rebuild_rows t ~n_left ~src_of ~fill =
+   one pass over the rows, writing each row straight into [col], then
+   sorting and deduplicating it in place.  It never touches the
+   pending-edge list or the counting sorts, so the instance is [frozen]
+   afterwards: [add_edge] refuses until the next [reset]. *)
+let rebuild_rows t ~n_left ~fill =
   if n_left < 0 then invalid_arg "Csr.rebuild_rows: negative dimension";
-  finalize t;
-  let old_row_start = t.row_start and old_col = t.col and old_n_left = t.n_left in
   let n_right = t.n_right in
-  let row_start = ensure t.row_start_alt (n_left + 1) in
-  (* [col] grows as rows are written: a dirty row's size is unknown
-     until it is filled *)
-  let col = ref (ensure t.col_alt (max t.n_edges 8)) in
+  let row_start = ensure t.row_start (n_left + 1) in
+  (* [col] grows as rows are written: a row's size is unknown until it
+     is filled *)
+  let col = ref (ensure t.col 8) in
   let w = ref 0 in
   let reserve need =
     if Array.length !col < need then begin
@@ -302,7 +283,7 @@ let rebuild_rows t ~n_left ~src_of ~fill =
       col := grown
     end
   in
-  (* one [emit] closure per rebuild, shared by every dirty row *)
+  (* one [emit] closure per rebuild, shared by every row *)
   let emit r =
     if r < 0 || r >= n_right then
       invalid_arg "Csr.rebuild_rows: emitted right out of range";
@@ -312,35 +293,18 @@ let rebuild_rows t ~n_left ~src_of ~fill =
   in
   row_start.(0) <- 0;
   for l = 0 to n_left - 1 do
-    let src = src_of l in
-    if src >= 0 then begin
-      (* clean row: blit the old segment verbatim *)
-      if src >= old_n_left then invalid_arg "Csr.rebuild_rows: src_of out of range";
-      let rb = old_row_start.(src) in
-      let len = old_row_start.(src + 1) - rb in
-      reserve (!w + len);
-      blit_ints old_col rb !col !w len;
-      w := !w + len
-    end
-    else begin
-      (* dirty row: written by [fill], then sorted + deduped in place *)
-      let row_begin = !w in
-      fill l emit;
-      w := sort_dedup_row t !col row_begin !w
-    end;
+    let row_begin = !w in
+    fill l emit;
+    w := sort_dedup_row t !col row_begin !w;
     row_start.(l + 1) <- !w
   done;
-  (* swap the buffer pairs: the fresh view becomes primary *)
-  t.row_start_alt <- old_row_start;
-  t.col_alt <- old_col;
   t.row_start <- row_start;
   t.col <- !col;
   t.n_left <- n_left;
   t.n_edges <- !w;
   t.n_pending <- 0;
   t.dirty <- false;
-  t.frozen <- true;
-  t.packed_valid <- false
+  t.frozen <- true
 
 let n_left t = t.n_left
 let n_right t = t.n_right
@@ -356,26 +320,6 @@ let row_start t =
 let col t =
   finalize t;
   t.col
-
-let packed_shift = 31
-let packed_mask = (1 lsl packed_shift) - 1
-
-let packed_edges t =
-  finalize t;
-  if not t.packed_valid then begin
-    if t.n_left lor t.n_right >= 1 lsl packed_shift then
-      invalid_arg "Csr.packed_edges: instance too large to pack";
-    let packed = ensure t.packed t.n_edges in
-    t.packed <- packed;
-    for l = 0 to t.n_left - 1 do
-      let hi = l lsl packed_shift in
-      for i = t.row_start.(l) to t.row_start.(l + 1) - 1 do
-        packed.(i) <- hi lor t.col.(i)
-      done
-    done;
-    t.packed_valid <- true
-  end;
-  t.packed
 
 let right_cap_array t = t.right_cap
 
@@ -419,51 +363,6 @@ let load_adjacency t ?right_cap ~n_right adj =
       set_right_caps t caps);
   Array.iteri (fun l row -> Array.iter (fun r -> add_edge t ~left:l ~right:r) row) adj;
   finalize t
-
-(* The permuted instance is emitted directly in finalized row-major
-   form: row [l'] of [dst] is row [left_old.(l')] of [src] with every
-   column mapped through [right_new].  No counting sort is needed
-   because the caller guarantees [right_new] is monotone on each row's
-   neighbour set (true for any renumbering that is order-preserving
-   within connected components), so sorted source rows stay sorted —
-   this is checked and rejected otherwise.  [dst] comes out frozen:
-   its pending-edge list is not maintained. *)
-let load_permuted dst src ~left_old ~right_old ~right_new =
-  finalize src;
-  let nl = src.n_left and nr = src.n_right in
-  if Array.length left_old < nl || Array.length right_old < nr
-     || Array.length right_new < nr
-  then invalid_arg "Csr.load_permuted: permutation table too short";
-  let row_start = ensure dst.row_start (nl + 1) in
-  let col = ensure dst.col (max src.n_edges 1) in
-  let right_cap = ensure dst.right_cap nr in
-  dst.row_start <- row_start;
-  dst.col <- col;
-  dst.right_cap <- right_cap;
-  dst.n_left <- nl;
-  dst.n_right <- nr;
-  dst.n_pending <- 0;
-  dst.dirty <- false;
-  dst.frozen <- true;
-  dst.packed_valid <- false;
-  for r' = 0 to nr - 1 do
-    right_cap.(r') <- src.right_cap.(right_old.(r'))
-  done;
-  let w = ref 0 in
-  row_start.(0) <- 0;
-  for l' = 0 to nl - 1 do
-    let l = left_old.(l') in
-    let row_begin = !w in
-    for i = src.row_start.(l) to src.row_start.(l + 1) - 1 do
-      let c = right_new.(src.col.(i)) in
-      if !w > row_begin && col.(!w - 1) >= c then
-        invalid_arg "Csr.load_permuted: renumbering does not preserve row order";
-      col.(!w) <- c;
-      incr w
-    done;
-    row_start.(l' + 1) <- !w
-  done;
-  dst.n_edges <- !w
 
 let of_adjacency ?right_cap ~n_right adj =
   let t = create () in

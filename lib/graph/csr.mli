@@ -14,10 +14,9 @@
     form — deduplicating repeated (left, right) pairs — via a counting
     sort that allocates nothing once the buffers have grown to the
     high-water mark.  [rebuild_rows] skips the pending list: it writes
-    each row straight into the row view, copying rows unchanged since
-    the last build and sorting the rest in place.  The engine rebuilds
-    its round instance through [rebuild_rows] only; [finalize] serves
-    the [add_edge] callers (tests, oracles, shard instances, probes).
+    each row straight into the row view and sorts it in place.  The
+    engine rebuilds its round instance through [rebuild_rows] only;
+    [finalize] serves the [add_edge] callers (tests, oracles, probes).
 
     Buffers returned by [row_start], [col] and [right_cap_array] are
     borrowed: they remain owned by the instance, are invalidated by the
@@ -56,29 +55,24 @@ val finalize : t -> unit
     by the accessors below, so calling it explicitly is only useful for
     timing. *)
 
-val rebuild_rows :
-  t -> n_left:int -> src_of:(int -> int) -> fill:(int -> (int -> unit) -> unit) -> unit
+val rebuild_rows : t -> n_left:int -> fill:(int -> (int -> unit) -> unit) -> unit
 (** One row-major pass that builds the finalized row view for the next
-    round.  [src_of l] names the current row whose edge set new row [l]
-    copies verbatim (a clean row), or [-1] for a dirty row whose
-    neighbours are written by [fill l emit] straight into the column
-    array (in any order, duplicates allowed — the row is then sorted
-    and deduplicated in place, so it lands in the same normal form as
-    [finalize]).  With [src_of] always [-1] this is a scratch build in
-    O(edges + n_left), with no counting sort and no O(n_right) pass.
-    Otherwise the cost is O(dirty edges + n_left) plus a [blit] of the
-    clean bytes — work proportional to churn, not to instance size.
-    Short rows are insertion-sorted; long ones (a popular stripe's
-    cache window) are radix-sorted, O(d) for a row of d entries.  One
-    [emit] closure serves the whole rebuild, and the sort scratch lives
-    in the instance, so once the buffers have grown the pass allocates
+    round: the neighbours of row [l] are written by [fill l emit]
+    straight into the column array (in any order, duplicates allowed —
+    the row is then sorted and deduplicated in place, so it lands in the
+    same normal form as [finalize]).  O(edges + n_left), with no
+    counting sort and no O(n_right) pass.  Short rows are
+    insertion-sorted; long ones (a popular stripe's cache window) are
+    radix-sorted, O(d) for a row of d entries.  One [emit] closure
+    serves the whole rebuild, and the sort scratch lives in the
+    instance, so once the buffers have grown the pass allocates
     nothing.  The number of rights and the capacity array are
     untouched; set capacities separately ({!set_right_caps}).
     Afterwards the instance is {e frozen}: the pending-edge list no
     longer mirrors the row view, so [add_edge] raises until the next
     [reset].
-    @raise Invalid_argument on a negative [n_left], if [src_of] names
-    an out-of-range row or [fill] emits an out-of-range right. *)
+    @raise Invalid_argument on a negative [n_left] or if [fill] emits an
+    out-of-range right. *)
 
 val n_left : t -> int
 val n_right : t -> int
@@ -98,17 +92,6 @@ val col : t -> int array
 val right_cap_array : t -> int array
 (** Borrowed; entries [0 .. n_right - 1] are meaningful. *)
 
-val packed_shift : int
-val packed_mask : int
-
-val packed_edges : t -> int array
-(** Borrowed packed edge list: entry [i] is
-    [(left lsl 31) lor col.(i)], aligned with [col] (finalizes first).
-    One flat sweep replaces the nested row loop in whole-edge passes
-    (union-find labelling, layout analysis), halving the loads.
-    Rebuilt lazily whenever the row view changes.
-    @raise Invalid_argument if a dimension exceeds [2^31 - 1]. *)
-
 val right_cap : t -> int -> int
 val degree : t -> int -> int
 (** Distinct-neighbour degree of a left vertex (finalizes first). *)
@@ -121,22 +104,6 @@ val iter_row : t -> int -> (int -> unit) -> unit
 
 val total_cap : t -> int
 (** Sum of right capacities. *)
-
-val load_permuted :
-  t -> t -> left_old:int array -> right_old:int array -> right_new:int array -> unit
-(** [load_permuted dst src ~left_old ~right_old ~right_new] rebuilds
-    [dst] as [src] with vertices renumbered: new left [l'] is old left
-    [left_old.(l')], new right [r'] is old right [right_old.(r')], and
-    [right_new] is the inverse of [right_old].  Emitted directly in
-    finalized form (no counting sort): requires the renumbering to be
-    order-preserving on each row's neighbour set — true for any
-    per-component order-preserving permutation, since a row's
-    neighbours all share its component — so source rows map to sorted
-    rows.  [dst] comes out frozen ([add_edge] raises until [reset]).
-    O(edges + n_left + n_right), allocation-free at the high-water
-    mark.
-    @raise Invalid_argument if a table is too short or the renumbering
-    breaks row order. *)
 
 val of_adjacency : ?right_cap:int array -> n_right:int -> int array array -> t
 (** Fresh instance from adjacency rows (duplicates allowed); rights all

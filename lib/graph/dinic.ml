@@ -101,7 +101,7 @@ let max_flow ?(limit = max_int) net ~src ~sink =
    unvisited), and the current-arc pointers are re-armed at visit time,
    so per-phase costs track the visited region instead of O(n).  All
    scratch lives in the arena: steady-state calls allocate nothing. *)
-let solve_csr ?warm_start ~arena csr =
+let solve_csr ~arena csr =
   let nl = Csr.n_left csr and nr = Csr.n_right csr in
   let row_start = Csr.row_start csr and col = Csr.col csr in
   let cap = Csr.right_cap_array csr in
@@ -134,29 +134,6 @@ let solve_csr ?warm_start ~arena csr =
     load.(r) <- f;
     if f = cap.(r) then Bitset.unsafe_remove free_right r
   in
-  (match warm_start with
-  | None -> ()
-  | Some ws ->
-      (* at least [nl]: arena slabs are capacity-sized, extra cells ignored *)
-      if Array.length ws < nl then invalid_arg "Dinic.solve_csr: warm_start length";
-      for l = 0 to nl - 1 do
-        let r = ws.(l) in
-        if r >= 0 && r < nr && load.(r) < cap.(r) then begin
-          let e = ref (-1) in
-          let i = ref row_start.(l) in
-          let stop = row_start.(l + 1) in
-          while !e < 0 && !i < stop do
-            if col.(!i) = r then e := !i;
-            incr i
-          done;
-          if !e >= 0 then begin
-            matched_edge.(l) <- !e;
-            take_seat r;
-            Bitset.unsafe_remove free_left l;
-            incr size
-          end
-        end
-      done);
   (* Greedy first-fit: identical to what the first phase would do (every
      free left takes its first edge to a right with a free seat, and no
      occupant can be displaced yet), at early-row-break cost. *)

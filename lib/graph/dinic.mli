@@ -9,7 +9,7 @@ val max_flow : ?limit:int -> Flow_network.t -> src:int -> sink:int -> int
     useful for early-exit feasibility checks.
     @raise Invalid_argument if [src = sink] or either is out of range. *)
 
-val solve_csr : ?warm_start:int array -> arena:Arena.t -> Csr.t -> int
+val solve_csr : arena:Arena.t -> Csr.t -> int
 (** Dinic specialised to the implicit bipartite matching network
     (src -> lefts cap 1 -> rights via the CSR edges cap 1 -> sink with
     cap [right_cap]); no [Flow_network] is materialised.  Returns the
@@ -19,10 +19,4 @@ val solve_csr : ?warm_start:int array -> arena:Arena.t -> Csr.t -> int
     steady-state calls allocate nothing.  A greedy first-fit pass seeds
     the matching; the reverse-residual transpose and the BFS levels are
     built only when it leaves a request free, so a solve that greedy
-    saturates costs O(n_left + n_right + scanned edges).  [warm_start] (length at least
-    [n_left], entries a right vertex or -1; extra cells ignored)
-    pre-pushes each left's unit onto its previous right when still
-    adjacent and under capacity — this replaces the flow pre-push of
-    the old warm Dinic path.
-    @raise Invalid_argument when [warm_start] is shorter than
-    [n_left]. *)
+    saturates costs O(n_left + n_right + scanned edges). *)

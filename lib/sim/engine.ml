@@ -13,15 +13,6 @@ let obs_link_failures =
 let obs_repair_served =
   Vod_obs.Registry.counter Vod_obs.Registry.default "repair.slot_rounds_served"
 
-let obs_delta_builds =
-  Vod_obs.Registry.counter Vod_obs.Registry.default "engine.delta_builds"
-
-let obs_delta_rows =
-  Vod_obs.Registry.counter Vod_obs.Registry.default "engine.delta_rows"
-
-let obs_delta_fallbacks =
-  Vod_obs.Registry.counter Vod_obs.Registry.default "engine.delta_fallbacks"
-
 type kind = Preload | Postponed | Relayed_preload | Relayed_postponed | Repair_transfer
 
 type request = {
@@ -44,8 +35,6 @@ type scheduler =
   | Greedy_proposals of int
   | Prefer_local
   | Balance_load
-
-type matching_engine = Scratch | Incremental | Sharded
 
 type round_report = {
   time : int;
@@ -106,21 +95,6 @@ type t = {
   online_cap : int array;
       (* per box: [capacity] if online, else 0 — the matching's right
          capacities, kept in step by [set_online]/[set_upload_factor] *)
-  inc_state : Vod_graph.Bipartite.Incremental.state option;
-      (* warm-start matcher, Some iff matching = Incremental *)
-  shard : Vod_graph.Shard.t option; (* Some iff matching = Sharded *)
-  jobs : int; (* worker count for the sharded solver *)
-  layout : bool; (* component-clustered vertex renumbering before solves *)
-  (* delta-CSR build tracking (Sharded only): which rows of the next
-     round's instance can be blitted from the current one *)
-  track_delta : bool;
-  mutable prev_requests : request array; (* rows of the last built instance *)
-  touched : (int, unit) Hashtbl.t; (* stripes dirtied since the last build *)
-  mutable all_dirty : bool; (* global invalidation (online/alloc change) *)
-  frozen_until : (int, int) Hashtbl.t;
-      (* stripe -> last round its frozen mid-flight cache entries stay
-         in the window; rows of the stripe are dirty until then *)
-  mutable src_buf : int array; (* per-row source index for delta builds *)
   sched_rng : Vod_util.Prng.t; (* randomness for the decentralised scheduler *)
   demand_round : int array; (* per box: round of its current demand's first request *)
   awaiting_first : int array; (* per box: stripes of the current demand not yet streaming *)
@@ -143,10 +117,8 @@ let compute_capacity ~params ~fleet ~compensation ~factor b =
        (Float.max 0.0 ((fleet.(b).Box.upload *. factor) -. reserved)))
 
 let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
-    ?(preloading = true) ?(scheduler = Arbitrary) ?(matching = Scratch) ?(jobs = 1)
-    ?max_shards ?(layout = false) ?topology () =
+    ?(preloading = true) ?(scheduler = Arbitrary) ?topology () =
   let n = params.Params.n in
-  if jobs < 1 then invalid_arg "Engine.create: jobs < 1";
   (match (scheduler, topology) with
   | Prefer_local, None ->
       invalid_arg "Engine.create: Prefer_local requires a topology"
@@ -199,22 +171,6 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
     inst = Vod_graph.Bipartite.create ~n_left:0 ~n_right:n ~right_cap:(Array.make n 0);
     arena = Vod_graph.Arena.create ();
     online_cap = Array.copy capacity;
-    inc_state =
-      (match matching with
-      | Scratch | Sharded -> None
-      | Incremental -> Some (Vod_graph.Bipartite.Incremental.create ()));
-    shard =
-      (match matching with
-      | Scratch | Incremental -> None
-      | Sharded -> Some (Vod_graph.Shard.create ?max_shards ()));
-    jobs;
-    layout;
-    track_delta = (matching = Sharded);
-    prev_requests = [||];
-    touched = Hashtbl.create 64;
-    all_dirty = true;
-    frozen_until = Hashtbl.create 16;
-    src_buf = [||];
     demand_round = Array.make n 0;
     awaiting_first = Array.make n 0;
     startups = Vec.create ();
@@ -254,32 +210,6 @@ let idle_boxes t =
 
 let window_start t = t.now - t.params.Params.duration
 
-(* Delta-build bookkeeping (Sharded only).  A cancelled or
-   offline-dropped in-flight request stays in [recent] with its
-   progress frozen; the relative-progress relations against the rows
-   that keep advancing shift every round it remains in the window, so
-   rows of its stripe cannot be blitted until the entry expires. *)
-let freeze_stripe t req =
-  if t.track_delta && req.kind <> Repair_transfer then begin
-    let until = req.issued_at + t.params.Params.duration in
-    let cur =
-      match Hashtbl.find_opt t.frozen_until req.stripe with
-      | Some u -> u
-      | None -> min_int
-    in
-    if until > cur then Hashtbl.replace t.frozen_until req.stripe until
-  end
-
-let stripe_frozen t stripe ~time =
-  match Hashtbl.find_opt t.frozen_until stripe with
-  | None -> false
-  | Some until ->
-      if time <= until then true
-      else begin
-        Hashtbl.remove t.frozen_until stripe;
-        false
-      end
-
 let swarm_size t v =
   let entries = t.swarm.(v) in
   let lo = window_start t in
@@ -300,12 +230,7 @@ let flush_dropped t =
   if t.drop_pending then begin
     t.drop_pending <- false;
     let online = t.online in
-    Vec.filter_in_place
-      (fun r ->
-        let k = online.(r.owner) in
-        if not k then freeze_stripe t r;
-        k)
-      t.active;
+    Vec.filter_in_place (fun r -> online.(r.owner)) t.active;
     Hashtbl.iter
       (fun _ batch -> Vec.filter_in_place (fun r -> online.(r.owner)) batch)
       t.scheduled
@@ -325,8 +250,7 @@ let set_alloc t alloc =
     || Catalog.videos cat <> Catalog.videos cat0
   then invalid_arg "Engine.set_alloc: catalog shape changed";
   t.alloc <- alloc;
-  t.box_epoch <- t.box_epoch + 1;
-  if t.track_delta then t.all_dirty <- true
+  t.box_epoch <- t.box_epoch + 1
 
 let set_upload_factor t ~box ~factor =
   if box < 0 || box >= t.params.Params.n then
@@ -359,6 +283,7 @@ let demand t ~box ~video =
   if box < 0 || box >= t.params.Params.n then invalid_arg "Engine.demand: box out of range";
   if video < 0 || video >= m then invalid_arg "Engine.demand: video out of range";
   if t.helper.(box) then invalid_arg "Engine.demand: box is a helper (takes no demands)";
+  if not t.online.(box) then invalid_arg "Engine.demand: box is offline";
   if not (is_idle t box) then invalid_arg "Engine.demand: box is busy";
   t.pending_box.(box) <- true;
   Vec.push t.pending (box, video)
@@ -526,13 +451,10 @@ let repair_in_flight t =
 
 let prune_recent t =
   let lo = window_start t in
-  Array.iteri
-    (fun stripe entries ->
-      if Vec.length entries > 0 && (Vec.get entries 0).issued_at < lo then begin
-        Vec.filter_in_place (fun r -> r.issued_at >= lo) entries;
-        (* a cache entry left the window: the stripe's rows lost edges *)
-        if t.track_delta then Hashtbl.replace t.touched stripe ()
-      end)
+  Array.iter
+    (fun entries ->
+      if Vec.length entries > 0 && (Vec.get entries 0).issued_at < lo then
+        Vec.filter_in_place (fun r -> r.issued_at >= lo) entries)
     t.recent;
   (* occasionally compact swarm vectors *)
   Array.iter
@@ -586,9 +508,6 @@ let video_request_stats t =
 let last_violator t = t.last_violator
 let last_instance t = t.last_instance
 
-let matching_stats t =
-  Option.map Vod_graph.Bipartite.Incremental.stats t.inc_state
-
 let startup_delays t = Vec.to_array t.startups
 let startup_count t = Vec.length t.startups
 let startup_delay t i = Vec.get t.startups i
@@ -604,12 +523,7 @@ let cancel t box =
   (* the viewer leaves, but any repair transfer towards the box is
      maintenance traffic and survives the cancellation *)
   let keeps r = r.owner <> box || r.kind = Repair_transfer in
-  Vec.filter_in_place
-    (fun r ->
-      let k = keeps r in
-      if not k then freeze_stripe t r;
-      k)
-    t.active;
+  Vec.filter_in_place keeps t.active;
   Hashtbl.iter (fun _ batch -> Vec.filter_in_place keeps batch) t.scheduled;
   t.busy_until.(box) <- t.now;
   t.awaiting_first.(box) <- 0
@@ -617,10 +531,7 @@ let cancel t box =
 let set_online t box online =
   if box < 0 || box >= t.params.Params.n then
     invalid_arg "Engine.set_online: box out of range";
-  if t.online.(box) <> online then begin
-    t.box_epoch <- t.box_epoch + 1;
-    if t.track_delta then t.all_dirty <- true
-  end;
+  if t.online.(box) <> online then t.box_epoch <- t.box_epoch + 1;
   (* a rejoining box must not find its requests from before the crash *)
   if online then flush_dropped t;
   if t.online.(box) && not online then begin
@@ -645,9 +556,8 @@ let set_online t box online =
    itself). *)
 let usable t req b = t.online.(b) && (req.kind <> Repair_transfer || b <> req.owner)
 
-(* One row's edges, identical on the scratch and delta paths: the
-   static replicas, then the cache window's owners and relays, in
-   order. *)
+(* One row's edges: the static replicas, then the cache window's owners
+   and relays, in order. *)
 let emit_row t req emit =
   let replicas = Allocation.boxes_of_stripe t.alloc req.stripe in
   for i = 0 to Array.length replicas - 1 do
@@ -713,120 +623,26 @@ let step t =
     (* one row-major pass refills the persistent instance in place:
        every row is written straight into its CSR column array, and
        once the buffers reach the run's high-water mark the whole build
-       phase stops allocating.  A scratch build is the all-dirty case. *)
+       phase stops allocating *)
     let instance = t.inst in
-    let rebuild src_of =
-      Vod_graph.Bipartite.delta_rebuild instance ~n_left ~right_cap:t.online_cap ~src_of
-        ~fill:(fun l emit -> emit_row t requests.(l) emit)
-    in
-    let all_dirty_rows _ = -1 in
-    if (not t.track_delta) || t.all_dirty then rebuild all_dirty_rows
-    else begin
-      (* map each surviving row to its row in the previous instance.
-         Activation appends and every filter preserves order, so the
-         survivors keep their relative order and a single two-pointer
-         scan (on physical request identity) recovers the mapping; a
-         request activated this round is new by construction. *)
-      let prev = t.prev_requests in
-      let n_prev = Array.length prev in
-      let src =
-        if Array.length t.src_buf >= n_left then t.src_buf
-        else Array.make (max (2 * n_left) 64) 0
-      in
-      t.src_buf <- src;
-      let dirty = ref 0 in
-      let p = ref 0 in
-      for l = 0 to n_left - 1 do
-        let req = requests.(l) in
-        let s =
-          if req.issued_at = time then -1
-          else begin
-            while !p < n_prev && not (prev.(!p) == req) do
-              incr p
-            done;
-            if !p >= n_prev then -1
-            else begin
-              let s = !p in
-              incr p;
-              (* a repair row's own progress relation against the cache
-                 window shifts every round, so it is never blitted *)
-              if
-                req.kind = Repair_transfer
-                || Hashtbl.mem t.touched req.stripe
-                || stripe_frozen t req.stripe ~time
-              then -1
-              else s
-            end
-          end
-        in
-        src.(l) <- s;
-        if s < 0 then incr dirty
-      done;
-      if 2 * !dirty > n_left then begin
-        Vod_obs.Registry.incr obs_delta_fallbacks;
-        rebuild all_dirty_rows
-      end
-      else begin
-        Vod_obs.Registry.incr obs_delta_builds;
-        Vod_obs.Registry.add obs_delta_rows !dirty;
-        rebuild (fun l -> src.(l))
-      end
-    end;
-    if t.track_delta then begin
-      t.prev_requests <- requests;
-      Hashtbl.reset t.touched;
-      t.all_dirty <- false
-    end;
+    Vod_graph.Bipartite.rebuild instance ~n_left ~right_cap:t.online_cap
+      ~fill:(fun l emit -> emit_row t requests.(l) emit);
     t.last_instance <- Some instance;
     (requests, instance)
   in
   let n_left = Array.length requests in
   let n = t.params.Params.n in
   Vod_obs.Registry.set obs_active n_left;
-  (* Warm start for the incremental matcher: each surviving request
-     still carries its previous server, so [last_server] is exactly the
-     previous matching projected through the round's delta (arrivals
-     enter at -1, departures simply vanish, capacity shrink is handled
-     by seat validation). *)
-  let incremental_warm () =
-    Array.map (fun req -> req.last_server) requests
-  in
-  (* Component-sharded parallel solve: the previous round's servers
-     carry over as warm-start hints exactly like the incremental path;
-     the merged result is bit-identical for any jobs or shard count
-     (see Shard's determinism contract). *)
-  let solve_sharded sh =
-    let size =
-      Vod_graph.Shard.solve ~jobs:t.jobs ~warm_start:(incremental_warm ())
-        ~layout:t.layout sh
-        (Vod_graph.Bipartite.csr instance)
-    in
-    (size, Vod_graph.Shard.assignment sh, Vod_graph.Shard.right_load sh)
-  in
   let of_outcome o = Vod_graph.Bipartite.(o.matched, o.assignment, o.right_load) in
-  (* [assignment] and [right_load] may be borrowed from the arena or the
-     shard pool: only entries [0 .. n_left - 1] and [0 .. n - 1] are
-     read, before the next solve. *)
+  (* [assignment] and [right_load] may be borrowed from the arena: only
+     entries [0 .. n_left - 1] and [0 .. n - 1] are read, before the
+     next solve. *)
   let matched, assignment, right_load =
     Vod_obs.Span.with_ ~name:"matching" @@ fun () ->
     match t.scheduler with
-    | Arbitrary -> (
-        match t.shard with
-        | Some sh -> solve_sharded sh
-        | None -> (
-            match t.inc_state with
-            | Some st ->
-                of_outcome
-                  (Vod_graph.Bipartite.solve_incremental st ~arena:t.arena
-                     ~warm_start:(incremental_warm ()) ~layout:t.layout instance)
-            | None ->
-                let size =
-                  Vod_graph.Bipartite.solve_in_arena ~arena:t.arena ~layout:t.layout
-                    instance
-                in
-                ( size,
-                  Vod_graph.Arena.assignment t.arena,
-                  Vod_graph.Arena.right_load t.arena )))
+    | Arbitrary ->
+        let size = Vod_graph.Bipartite.solve_in_arena ~arena:t.arena instance in
+        (size, Vod_graph.Arena.assignment t.arena, Vod_graph.Arena.right_load t.arena)
     | Prefer_cache ->
         (* serving from a static replica costs 1, from a cache 0: among
            maximum matchings, minimise the load on the allocation *)
@@ -836,30 +652,11 @@ let step t =
           else 0
         in
         of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
-    | Sticky -> (
-        match t.shard with
-        | Some sh ->
-            (* the warm start preserves every still-valid seat, the same
-               churn-minimising approximation the incremental path uses *)
-            solve_sharded sh
-        | None -> (
-            match t.inc_state with
-            | Some st ->
-            (* warm-start repair preserves every still-valid seat and
-               rewires only along repair augmenting paths — the
-               incremental analogue of the min-churn objective, at a
-               fraction of the min-cost-flow price *)
-                of_outcome
-                  (Vod_graph.Bipartite.solve_incremental st ~arena:t.arena
-                     ~warm_start:(incremental_warm ()) ~layout:t.layout instance)
-            | None ->
-                (* keeping last round's connection costs 0, rewiring
-                   costs 1: among maximum matchings, minimise connection
-                   churn *)
-                let cost ~left ~right =
-                  if requests.(left).last_server = right then 0 else 1
-                in
-                of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)))
+    | Sticky ->
+        (* keeping last round's connection costs 0, rewiring costs 1:
+           among maximum matchings, minimise connection churn *)
+        let cost ~left ~right = if requests.(left).last_server = right then 0 else 1 in
+        of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
     | Greedy_proposals rounds ->
         (* no global view: persistent connections carry over, then boxes
            negotiate locally for a few rounds for the rest *)
@@ -900,10 +697,7 @@ let step t =
           in
           if dropped then begin
             incr faulted;
-            Vod_obs.Registry.incr obs_link_failures;
-            (* the stall desynchronises this request's progress from its
-               stripe's cache window: those rows must be refilled *)
-            if t.track_delta then Hashtbl.replace t.touched req.stripe ()
+            Vod_obs.Registry.incr obs_link_failures
           end
           else begin
             if is_repair then incr repair_served else incr user_served;
@@ -932,11 +726,7 @@ let step t =
                  maintenance controller at the next drain *)
               Vec.push t.completed_repairs (req.stripe, req.owner)
           end
-        end
-        else if t.track_delta then
-          (* unmatched: the stall shifts this request's progress
-             relative to every peer in its stripe's cache window *)
-          Hashtbl.replace t.touched req.stripe ())
+        end)
       requests;
     let unserved = !user_active - !user_served in
     Vod_obs.Registry.add obs_unserved unserved;

@@ -86,38 +86,6 @@ type scheduler =
       (** Among maximum matchings, minimise the total historical load of
           the chosen servers — a long-run forwarding-load balancer. *)
 
-(** How the per-round connection matching is computed. *)
-type matching_engine =
-  | Scratch  (** Re-solve the max-flow from scratch every round. *)
-  | Incremental
-      (** Warm-start the solver with the previous round's matching
-          ({!Vod_graph.Bipartite.Incremental}): each surviving request
-          is re-seated on its previous server when still valid, and only
-          the augmenting paths disturbed by the round's delta are
-          repaired, falling back to a scratch solve on large deltas.
-          Served counts are identical to [Scratch] (both are maximum
-          matchings); only the work per round changes.  Honoured by the
-          [Arbitrary] and [Sticky] schedulers — for [Sticky] the warm
-          start itself preserves still-valid connections, approximating
-          the min-churn objective without a min-cost flow.  The other
-          schedulers optimise global objectives that need a fresh
-          min-cost solve and ignore this knob. *)
-  | Sharded
-      (** Component-sharded parallel matching ({!Vod_graph.Shard}): the
-          round's instance is partitioned along its connected components
-          (independent swarms never share an augmenting path), shards
-          are solved concurrently over [jobs] workers with the previous
-          round's servers as warm-start hints, and the instance itself
-          is rebuilt {e incrementally} — rows untouched by churn are
-          blitted from the previous round's CSR view, so per-round build
-          cost scales with the delta, not with [n].  Output is
-          bit-identical for any [jobs] or shard count, and served counts
-          equal [Scratch]'s (all maximum matchings).  Honoured by
-          [Arbitrary] and [Sticky] (the warm start preserves still-valid
-          connections, as [Incremental] does); other schedulers need a
-          global min-cost solve and ignore this knob, though they still
-          benefit from the delta builds. *)
-
 type round_report = {
   time : int;
   new_demands : int;
@@ -171,10 +139,6 @@ val create :
   ?policy:failure_policy ->
   ?preloading:bool ->
   ?scheduler:scheduler ->
-  ?matching:matching_engine ->
-  ?jobs:int ->
-  ?max_shards:int ->
-  ?layout:bool ->
   ?topology:Topology.t ->
   unit ->
   t
@@ -183,20 +147,9 @@ val create :
     every box request all [c] stripes at once — the naive strategy the
     paper's Lemma 2 analysis rules out, kept as an ablation.
     A [topology] enables cross-group traffic accounting and the
-    [Prefer_local] scheduler.  [matching] (default [Scratch]) selects
-    the per-round matching engine; see {!matching_engine}.  [jobs]
-    (default 1) is the worker count for the [Sharded] engine's parallel
-    shard solves — it never affects results, only wall-clock time —
-    and [max_shards] (default 64) its shard-count bound, a property of
-    the run, not of the machine, forwarded to {!Vod_graph.Shard.create}.
-    [layout] (default false) runs the exact solvers on a
-    component-clustered vertex renumbering ({!Vod_graph.Layout}) —
-    results are bit-identical, only memory locality changes; it applies
-    to the [Scratch], [Incremental] and [Sharded] engines' exact paths
-    (min-cost and greedy schedulers are unaffected).
+    [Prefer_local] scheduler.
     @raise Invalid_argument when fleet size, allocation, topology and
-    params disagree, [Prefer_local] is chosen without a topology, or
-    [jobs < 1]. *)
+    params disagree, or [Prefer_local] is chosen without a topology. *)
 
 val params : t -> Params.t
 val fleet : t -> Box.t array
@@ -360,8 +313,8 @@ val demand : t -> box:int -> video:int -> unit
     compensation follows the Theorem 2 request strategy; otherwise the
     box issues plain requests (as in the paper's negative-result
     scenario, where boxes below the threshold have no relays).
-    @raise Invalid_argument when the box is busy, a helper, or the video
-    is out of range. *)
+    @raise Invalid_argument when the box is busy, offline, a helper, or
+    the video is out of range. *)
 
 type reject_reason =
   | Offline  (** The box is offline; a rejoin may make it admissible. *)
@@ -397,12 +350,6 @@ val step : t -> round_report
 
 val last_violator : t -> Vod_graph.Bipartite.violator option
 (** Hall certificate of the most recent failed round, if any. *)
-
-val matching_stats : t -> Vod_graph.Bipartite.Incremental.stats option
-(** Lifetime counters of the warm-start matcher ([None] under
-    [Scratch]): rounds, full vs incremental solves, seats reseated and
-    requests repaired — the observability hook the bench harness and
-    [vodctl simulate --engine incremental] report. *)
 
 val last_instance : t -> Vod_graph.Bipartite.t option
 (** The bipartite connection-matching instance built by the most recent

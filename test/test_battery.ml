@@ -78,17 +78,13 @@ let battery_scenarios () =
       | Error m -> Alcotest.fail m)
     files
 
-let battery_configs =
-  [
-    Result.get_ok (Chaos.config_of_name "scratch");
-    Result.get_ok (Chaos.config_of_name "incremental");
-  ]
+let battery_configs = [ Result.get_ok (Chaos.config_of_name "scratch") ]
 
 let test_golden_scorecard () =
   let scenarios = battery_scenarios () in
   let r = Result.get_ok (Battery.run ~jobs:1 ~configs:battery_configs scenarios) in
   checkb "curated battery is within budget" true (Battery.ok r);
-  checki "full matrix ran" (2 * List.length scenarios) (List.length r.Battery.cells);
+  checki "full matrix ran" (List.length scenarios) (List.length r.Battery.cells);
   let golden = In_channel.with_open_text "battery_golden.jsonl" In_channel.input_all in
   checks "scorecard matches the golden pin" golden r.Battery.jsonl;
   let r2 = Result.get_ok (Battery.run ~jobs:2 ~configs:battery_configs scenarios) in
@@ -138,7 +134,7 @@ let test_config_names () =
       match Chaos.config_of_name name with
       | Ok c -> checks "label echoes the name" name c.Chaos.label
       | Error m -> Alcotest.fail m)
-    [ "scratch"; "incremental"; "sticky"; "prefer-cache"; "balance-load"; "round-robin" ];
+    [ "scratch"; "sticky"; "prefer-cache"; "balance-load"; "round-robin" ];
   match Chaos.config_of_name "bogus" with
   | Ok _ -> Alcotest.fail "parsed unknown config"
   | Error _ -> ()

@@ -1,5 +1,4 @@
-(* Tests for the data-plane codec, start-up delay tracking, trace
-   recording and online catalog mutation. *)
+(* Tests for start-up delay tracking and trace recording. *)
 
 open Vod_util
 open Vod_model
@@ -8,68 +7,6 @@ module Trace = Vod_sim.Trace
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
-let check_packets = Alcotest.check (Alcotest.array Alcotest.string)
-
-let packets n = Array.init n (fun i -> Printf.sprintf "pkt%03d" i)
-
-(* ------------------------------------------------------------------ *)
-(* Striping                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_split_shapes () =
-  let stripes = Striping.split ~c:3 (packets 10) in
-  checki "c stripes" 3 (Array.length stripes);
-  (* 10 packets over 3 stripes: lengths 4,3,3 *)
-  checki "stripe 0 len" 4 (Array.length stripes.(0));
-  checki "stripe 1 len" 3 (Array.length stripes.(1));
-  checki "stripe 2 len" 3 (Array.length stripes.(2));
-  check_packets "stripe 0 packets" [| "pkt000"; "pkt003"; "pkt006"; "pkt009" |] stripes.(0)
-
-let test_split_join_roundtrip () =
-  List.iter
-    (fun (n, c) ->
-      let v = packets n in
-      check_packets
-        (Printf.sprintf "roundtrip n=%d c=%d" n c)
-        v
-        (Striping.join (Striping.split ~c v)))
-    [ (0, 1); (1, 1); (7, 1); (7, 2); (10, 3); (12, 4); (5, 8) ]
-
-let test_prefix_decodability () =
-  (* after p rounds, the first p*c packets are playable in order *)
-  let v = packets 12 in
-  let stripes = Striping.split ~c:4 v in
-  for rounds = 0 to 3 do
-    check_packets
-      (Printf.sprintf "prefix after %d rounds" rounds)
-      (Array.sub v 0 (rounds * 4))
-      (Striping.prefix ~stripes ~rounds)
-  done
-
-let test_prefix_bounds () =
-  let stripes = Striping.split ~c:2 (packets 5) in
-  Alcotest.check_raises "too many rounds"
-    (Invalid_argument "Striping.prefix: rounds exceeds stripe length") (fun () ->
-      ignore (Striping.prefix ~stripes ~rounds:3))
-
-let test_stripe_length_formula () =
-  (* matches the actual split *)
-  for n = 0 to 20 do
-    for c = 1 to 5 do
-      let stripes = Striping.split ~c (packets n) in
-      for i = 0 to c - 1 do
-        checki
-          (Printf.sprintf "length n=%d c=%d i=%d" n c i)
-          (Array.length stripes.(i))
-          (Striping.stripe_length ~total_packets:n ~c ~index:i)
-      done
-    done
-  done
-
-let test_join_incoherent () =
-  Alcotest.check_raises "length gap 2"
-    (Invalid_argument "Striping.join: incoherent stripe lengths") (fun () ->
-      ignore (Striping.join [| packets 3; packets 1 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Startup delays                                                      *)
@@ -171,108 +108,8 @@ let test_trace_failure_rounds () =
   Trace.run trace sim ~rounds:4 ~demands_for:Vod_workload.Generators.nothing;
   checkb "failures detected" true (Trace.failure_rounds trace <> [])
 
-(* ------------------------------------------------------------------ *)
-(* Mutate                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_add_video_grows_catalog () =
-  let g = Prng.create ~seed:13 () in
-  let fleet = Box.Fleet.homogeneous ~n:8 ~u:1.5 ~d:4.0 in
-  (* start at half occupancy so there is room *)
-  let catalog = Catalog.create ~m:8 ~c:2 in
-  let alloc = Vod_alloc.Schemes.random_permutation g ~fleet ~catalog ~k:2 in
-  match Vod_alloc.Mutate.add_video g ~fleet ~alloc ~k:2 with
-  | Error e -> Alcotest.failf "add failed: %s" e
-  | Ok alloc' ->
-      checki "m grew" 9 (Catalog.videos (Allocation.catalog alloc'));
-      (* old stripes unchanged *)
-      for s = 0 to 15 do
-        Alcotest.check (Alcotest.array Alcotest.int) "old stripes intact"
-          (Allocation.boxes_of_stripe alloc s)
-          (Allocation.boxes_of_stripe alloc' s)
-      done;
-      (* new stripes have k replicas and validate *)
-      checki "new stripe replicas" 2 (Allocation.replica_count alloc' 16);
-      checki "new stripe replicas" 2 (Allocation.replica_count alloc' 17);
-      checkb "validates" true (Allocation.validate alloc' ~fleet ~c:2 = Ok ())
-
-let test_add_video_until_full () =
-  let g = Prng.create ~seed:17 () in
-  let fleet = Box.Fleet.homogeneous ~n:4 ~u:1.5 ~d:2.0 in
-  (* capacity: 4 boxes x 4 slots = 16 slots; k=2, c=2 -> 4 slots per
-     video: exactly 4 videos fit *)
-  let catalog = Catalog.create ~m:3 ~c:2 in
-  let alloc = Vod_alloc.Schemes.random_permutation g ~fleet ~catalog ~k:2 in
-  (match Vod_alloc.Mutate.add_video g ~fleet ~alloc ~k:2 with
-  | Error e -> Alcotest.failf "4th video should fit: %s" e
-  | Ok alloc' -> (
-      checki "m" 4 (Catalog.videos (Allocation.catalog alloc'));
-      match Vod_alloc.Mutate.add_video g ~fleet ~alloc:alloc' ~k:2 with
-      | Ok _ -> Alcotest.fail "5th video cannot fit"
-      | Error _ -> ()))
-
-let test_remove_video_renumbers () =
-  let g = Prng.create ~seed:19 () in
-  let fleet = Box.Fleet.homogeneous ~n:8 ~u:1.5 ~d:4.0 in
-  let catalog = Catalog.create ~m:4 ~c:2 in
-  let alloc = Vod_alloc.Schemes.random_permutation g ~fleet ~catalog ~k:2 in
-  match Vod_alloc.Mutate.remove_video ~alloc ~video:1 with
-  | Error e -> Alcotest.failf "remove failed: %s" e
-  | Ok alloc' ->
-      checki "m shrank" 3 (Catalog.videos (Allocation.catalog alloc'));
-      (* video 0 untouched; old videos 2,3 become 1,2 *)
-      for j = 0 to 1 do
-        Alcotest.check (Alcotest.array Alcotest.int) "video 0 intact"
-          (Allocation.boxes_of_stripe alloc j)
-          (Allocation.boxes_of_stripe alloc' j);
-        Alcotest.check (Alcotest.array Alcotest.int) "old video 2 -> 1"
-          (Allocation.boxes_of_stripe alloc (4 + j))
-          (Allocation.boxes_of_stripe alloc' (2 + j));
-        Alcotest.check (Alcotest.array Alcotest.int) "old video 3 -> 2"
-          (Allocation.boxes_of_stripe alloc (6 + j))
-          (Allocation.boxes_of_stripe alloc' (4 + j))
-      done
-
-let test_remove_invalid () =
-  let g = Prng.create ~seed:23 () in
-  let fleet = Box.Fleet.homogeneous ~n:4 ~u:1.5 ~d:2.0 in
-  let catalog = Catalog.create ~m:2 ~c:2 in
-  let alloc = Vod_alloc.Schemes.random_permutation g ~fleet ~catalog ~k:1 in
-  checkb "out of range" true (Result.is_error (Vod_alloc.Mutate.remove_video ~alloc ~video:2))
-
-let test_add_remove_roundtrip_serves () =
-  (* mutated allocations still drive the engine *)
-  let g = Prng.create ~seed:29 () in
-  let n = 12 in
-  let fleet = Box.Fleet.homogeneous ~n ~u:2.0 ~d:4.0 in
-  let catalog = Catalog.create ~m:8 ~c:2 in
-  let alloc = Vod_alloc.Schemes.random_permutation g ~fleet ~catalog ~k:2 in
-  let alloc =
-    match Vod_alloc.Mutate.add_video g ~fleet ~alloc ~k:2 with
-    | Ok a -> a
-    | Error e -> Alcotest.failf "add: %s" e
-  in
-  let params = Params.make ~n ~c:2 ~mu:2.0 ~duration:8 in
-  let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
-  (* demand the freshly added video *)
-  Engine.demand sim ~box:0 ~video:8;
-  let unserved = ref 0 in
-  for _ = 1 to 10 do
-    unserved := !unserved + (Engine.step sim).Engine.unserved
-  done;
-  checki "new video streams" 0 !unserved
-
 let suites =
   [
-    ( "model.striping",
-      [
-        Alcotest.test_case "split shapes" `Quick test_split_shapes;
-        Alcotest.test_case "split/join roundtrip" `Quick test_split_join_roundtrip;
-        Alcotest.test_case "prefix decodability" `Quick test_prefix_decodability;
-        Alcotest.test_case "prefix bounds" `Quick test_prefix_bounds;
-        Alcotest.test_case "stripe_length formula" `Quick test_stripe_length_formula;
-        Alcotest.test_case "join incoherent" `Quick test_join_incoherent;
-      ] );
     ( "sim.startup",
       [
         Alcotest.test_case "homogeneous = 1 round" `Quick test_startup_delay_homogeneous;
@@ -285,71 +122,4 @@ let suites =
         Alcotest.test_case "csv format" `Quick test_trace_csv_format;
         Alcotest.test_case "failure rounds" `Quick test_trace_failure_rounds;
       ] );
-    ( "alloc.mutate",
-      [
-        Alcotest.test_case "add video" `Quick test_add_video_grows_catalog;
-        Alcotest.test_case "add until full" `Quick test_add_video_until_full;
-        Alcotest.test_case "remove renumbers" `Quick test_remove_video_renumbers;
-        Alcotest.test_case "remove invalid" `Quick test_remove_invalid;
-        Alcotest.test_case "mutated allocation serves" `Quick test_add_remove_roundtrip_serves;
-      ] );
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Parity                                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* fixed-size packets for the parity code *)
-let fixed_packets n = Array.init n (fun i -> Printf.sprintf "%06d" i)
-
-let test_parity_roundtrip_each_stripe () =
-  List.iter
-    (fun (n, c) ->
-      let v = fixed_packets n in
-      let stripes = Striping.split ~c v in
-      let parity = Parity.parity_stripe stripes in
-      for lost = 0 to c - 1 do
-        let damaged = Array.mapi (fun i s -> if i = lost then None else Some s) stripes in
-        let recovered = Parity.recover ~total_packets:n ~stripes:damaged ~parity in
-        check_packets
-          (Printf.sprintf "n=%d c=%d lost=%d" n c lost)
-          v
-          (Striping.join recovered)
-      done)
-    [ (10, 3); (12, 4); (7, 2); (5, 5); (9, 1) ]
-
-let test_parity_rejects_uneven_packets () =
-  let stripes = Striping.split ~c:2 [| "aa"; "b" |] in
-  Alcotest.check_raises "uneven" (Invalid_argument "Parity: packets must all have the same size")
-    (fun () -> ignore (Parity.parity_stripe stripes))
-
-let test_parity_recover_validation () =
-  let v = fixed_packets 8 in
-  let stripes = Striping.split ~c:2 v in
-  let parity = Parity.parity_stripe stripes in
-  Alcotest.check_raises "nothing missing"
-    (Invalid_argument "Parity.recover: nothing is missing") (fun () ->
-      ignore (Parity.recover ~total_packets:8 ~stripes:(Array.map Option.some stripes) ~parity));
-  Alcotest.check_raises "two missing"
-    (Invalid_argument "Parity.recover: more than one stripe missing") (fun () ->
-      ignore (Parity.recover ~total_packets:8 ~stripes:[| None; None |] ~parity))
-
-let test_parity_binary_content () =
-  (* packets containing zero bytes and high bytes survive *)
-  let v = Array.init 9 (fun i -> String.init 4 (fun j -> Char.chr ((i * 67 + j * 31) mod 256))) in
-  let stripes = Striping.split ~c:3 v in
-  let parity = Parity.parity_stripe stripes in
-  let damaged = [| Some stripes.(0); None; Some stripes.(2) |] in
-  check_packets "binary safe" v
-    (Striping.join (Parity.recover ~total_packets:9 ~stripes:damaged ~parity))
-
-let parity_suite =
-  ( "model.parity",
-    [
-      Alcotest.test_case "roundtrip each lost stripe" `Quick test_parity_roundtrip_each_stripe;
-      Alcotest.test_case "uneven packets rejected" `Quick test_parity_rejects_uneven_packets;
-      Alcotest.test_case "recover validation" `Quick test_parity_recover_validation;
-      Alcotest.test_case "binary content" `Quick test_parity_binary_content;
-    ] )
-
-let suites = suites @ [ parity_suite ]

@@ -306,53 +306,6 @@ let test_matching_vs_bruteforce () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Expander                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_expander_perfect_matching_graph () =
-  (* identity graph: each left sees exactly its own right; ratio 1 *)
-  let adj = Array.init 4 (fun i -> [| i |]) in
-  checkf "identity ratio" 1.0 (Expander.exact_min_ratio ~adj ~n_right:4)
-
-let test_expander_star () =
-  (* all lefts share one right: worst X is everything, ratio 1/4 *)
-  let adj = Array.init 4 (fun _ -> [| 0 |]) in
-  checkf "star ratio" 0.25 (Expander.exact_min_ratio ~adj ~n_right:1)
-
-let test_expander_slot_weighting () =
-  let adj = Array.init 4 (fun _ -> [| 0 |]) in
-  checkf "slots lift ratio" 1.0 (Expander.exact_min_slot_ratio ~adj ~right_cap:[| 4 |])
-
-let test_expander_sampled_upper_bounds_exact () =
-  let g = Prng.create ~seed:5 () in
-  for _ = 1 to 20 do
-    let n_left = 2 + Prng.int g 8 and n_right = 2 + Prng.int g 6 in
-    let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:3 ~edge_prob:0.6 in
-    let exact = Expander.exact_min_slot_ratio ~adj ~right_cap in
-    let sampled = Expander.sampled_min_slot_ratio g ~adj ~right_cap ~samples:20 in
-    checkb "sampled >= exact (upper bound on min)" true (sampled >= exact -. 1e-9)
-  done
-
-let test_expander_rejects_large () =
-  let adj = Array.make 23 [| 0 |] in
-  Alcotest.check_raises "too large"
-    (Invalid_argument "Expander: exact scan limited to 22 left vertices") (fun () ->
-      ignore (Expander.exact_min_ratio ~adj ~n_right:1))
-
-(* Lemma 1 consistency: feasibility iff min slot-expansion ratio >= 1. *)
-let test_hall_iff_expansion () =
-  let g = Prng.create ~seed:11 () in
-  for _ = 1 to 60 do
-    let n_left = 1 + Prng.int g 7 and n_right = 1 + Prng.int g 5 in
-    let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:2 ~edge_prob:0.6 in
-    let ratio = Expander.exact_min_slot_ratio ~adj ~right_cap in
-    let b = Bipartite.create ~n_left ~n_right ~right_cap in
-    Array.iteri (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs) adj;
-    let feasible = Bipartite.is_feasible b in
-    checkb "Lemma 1: feasible iff expansion >= 1" feasible (ratio >= 1.0 -. 1e-9)
-  done
-
-(* ------------------------------------------------------------------ *)
 (* CSR builder and solver arenas                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -501,84 +454,24 @@ let test_network_clear_reuse () =
       ignore (Flow_network.create ~arc_hint:(-1) 2))
 
 (* ------------------------------------------------------------------ *)
-(* Component sharding and delta-CSR rebuilds                           *)
+(* Row-major rebuilds                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_shard_two_components () =
-  (* two disjoint components {l0,l1}x{r0} and {l2}x{r2}; r1 isolated *)
-  let b = Bipartite.create ~n_left:3 ~n_right:3 ~right_cap:[| 2; 1; 1 |] in
-  Bipartite.add_edge b ~left:0 ~right:0;
-  Bipartite.add_edge b ~left:1 ~right:0;
-  Bipartite.add_edge b ~left:2 ~right:2;
-  let sh = Shard.create () in
-  Shard.partition sh (Bipartite.csr b);
-  checki "components" 2 (Shard.n_components sh);
-  checki "shards" 2 (Shard.n_shards sh);
-  let cl = Shard.component_of_left sh and cr = Shard.component_of_right sh in
-  checki "l0 and l1 share a component" cl.(0) cl.(1);
-  checki "r0 rides with l0" cl.(0) cr.(0);
-  checki "isolated right unlabelled" (-1) cr.(1);
-  checkb "components distinct" true (cl.(0) <> cl.(2));
-  checki "matched across shards" 3 (Shard.solve sh (Bipartite.csr b));
-  checki "l2 seated on its own component" 2 (Shard.assignment sh).(2);
-  checki "r0 carries two seats" 2 (Shard.right_load sh).(0);
-  Alcotest.check_raises "max_shards validated"
-    (Invalid_argument "Shard.create: max_shards < 1") (fun () ->
-      ignore (Shard.create ~max_shards:0 ()));
-  Alcotest.check_raises "warm_start length validated"
-    (Invalid_argument "Shard.solve: warm_start too short") (fun () ->
-      ignore (Shard.solve ~warm_start:[| 0 |] sh (Bipartite.csr b)))
-
-(* Swarm-scale lockstep with renumbering on: 2048 swarms of 128
-   requests x 32 boxes, interleaved across the id space (request [l]
-   belongs to swarm [l mod 2048]), so the layout pass computes a
-   genuinely non-trivial clustering permutation.  The sharded solve
-   with renumbering must still be bit-identical to plain CSR
-   Hopcroft-Karp. *)
-let test_shard_layout_lockstep_at_scale () =
-  let blocks = 2048 and block_lefts = 128 and block_rights = 32 and degree = 8 in
-  let n_left = blocks * block_lefts and n_right = blocks * block_rights in
-  let g = Prng.create ~seed:9 () in
-  let right_cap = Array.init n_right (fun _ -> 2 + Prng.int g 7) in
-  let b = Bipartite.create ~n_left ~n_right ~right_cap in
-  for l = 0 to n_left - 1 do
-    let swarm = l mod blocks in
-    for _ = 1 to degree do
-      (* right [swarm + blocks * j] is box [j] of this swarm *)
-      Bipartite.add_edge b ~left:l ~right:(swarm + (blocks * Prng.int g block_rights))
-    done
-  done;
-  let hk = Bipartite.solve ~algorithm:Bipartite.Hopcroft_karp_matching b in
-  let lay = Layout.create () in
-  let p = Layout.prepare lay (Bipartite.csr b) in
-  checkb "interleaved swarms renumber non-trivially" false (Layout.is_identity lay);
-  checkb "permuted instance is a fresh view" false (p == Bipartite.csr b);
-  let sh = Shard.create () in
-  let size = Shard.solve ~layout:true sh (Bipartite.csr b) in
-  checki "matched in lockstep" hk.Bipartite.matched size;
-  checkb "assignment bit-identical under renumbering" true
-    (Array.sub (Shard.assignment sh) 0 n_left = hk.Bipartite.assignment);
-  checkb "right_load bit-identical under renumbering" true
-    (Array.sub (Shard.right_load sh) 0 n_right = hk.Bipartite.right_load);
-  (* whole-instance layout path too: Bipartite.solve ~layout *)
-  let hk_layout = Bipartite.solve ~algorithm:Bipartite.Hopcroft_karp_matching ~layout:true b in
-  checkb "solve ~layout bit-identical" true
-    (outcome_triple hk_layout = outcome_triple hk)
-
-let test_delta_rebuild_freezes () =
+let test_rebuild_freezes () =
   let b = Bipartite.create ~n_left:2 ~n_right:2 ~right_cap:[| 1; 1 |] in
   Bipartite.add_edge b ~left:0 ~right:0;
   Bipartite.add_edge b ~left:1 ~right:1;
-  (* keep row 0, rewrite row 1 with duplicates the rebuild must dedup *)
-  Bipartite.delta_rebuild b ~n_left:2 ~right_cap:[| 1; 1 |]
-    ~src_of:(fun l -> if l = 0 then 0 else -1)
-    ~fill:(fun _ emit ->
-      emit 1;
-      emit 0;
-      emit 1);
-  checkb "delta view" true
+  (* row 1 arrives unsorted, with a duplicate the rebuild must drop *)
+  Bipartite.rebuild b ~n_left:2 ~right_cap:[| 1; 1 |] ~fill:(fun l emit ->
+      if l = 0 then emit 0
+      else begin
+        emit 1;
+        emit 0;
+        emit 1
+      end);
+  checkb "rebuilt view" true
     (Csr.to_adjacency (Bipartite.csr b) = [| [| 0 |]; [| 0; 1 |] |]);
-  checki "delta solve" 2 (Bipartite.solve b).Bipartite.matched;
+  checki "rebuilt solve" 2 (Bipartite.solve b).Bipartite.matched;
   Alcotest.check_raises "frozen after rebuild"
     (Invalid_argument "Csr.add_edge: instance is frozen after rebuild_rows (reset it first)")
     (fun () -> Bipartite.add_edge b ~left:0 ~right:1);
@@ -607,68 +500,28 @@ let long_or_short_row g n_right =
   if Prng.bool g then short_row g (min n_right 8)
   else Array.init (25 + Prng.int g 40) (fun _ -> Prng.int g n_right)
 
-(* Successive [delta_rebuild]s — churn, all-dirty shrinking, all-dirty
-   growing past every buffer — against [reset] + [add_edge] + [finalize]
-   builds of the same rows.  [random_row g n_right] draws a raw row:
-   unsorted, duplicates allowed, as the engine emits it. *)
-let delta_tracks_scratch ~random_row (seed, n_left, n_right) =
+(* [Csr.rebuild_rows] against [reset] + [add_edge] + [finalize] builds
+   of the same raw rows — unsorted, duplicates allowed, as the engine
+   emits them — over successive rebuilds of one instance that shrink it
+   and then grow it past every buffer.  Long rows take the radix sort;
+   the generator's [n_right] ranges give it one, two and three 8-bit
+   passes. *)
+let rebuild_equals_finalize (seed, n_left, n_right) =
   let g = Prng.create ~seed () in
-  let random_row () = random_row g n_right in
-  let random_caps () = Array.init n_right (fun _ -> Prng.int g 3) in
-  let right_cap = ref (random_caps ()) in
-  let rows = ref (Array.init n_left (fun _ -> random_row ())) in
-  let load bip =
-    Array.iteri
-      (fun l rs -> Array.iter (fun r -> Bipartite.add_edge bip ~left:l ~right:r) rs)
-      !rows
-  in
-  let delta = Bipartite.create ~n_left ~n_right ~right_cap:!right_cap in
-  load delta;
-  let scratch = Bipartite.create ~n_left ~n_right ~right_cap:!right_cap in
-  load scratch;
-  let widest = ref n_left in
-  let ok = ref true in
-  for step = 1 to 8 do
-    right_cap := random_caps ();
-    let next =
-      match step mod 4 with
-      | 2 ->
-          (* all dirty, shrinking: a scratch build of half the rows *)
-          List.init (Array.length !rows / 2) (fun _ -> (-1, random_row ()))
-      | 0 ->
-          (* all dirty, growing past every buffer's capacity *)
-          List.init ((4 * !widest) + 9) (fun _ -> (-1, random_row ()))
-      | _ ->
-          (* churn: drop some rows, rewrite some survivors, append
-             a few *)
-          let survivors =
-            Array.to_list (Array.mapi (fun i row -> (i, row)) !rows)
-            |> List.filter (fun _ -> Prng.float g 1.0 < 0.8)
-          in
-          List.map
-            (fun (src, row) ->
-              if Prng.float g 1.0 < 0.3 then (-1, random_row ()) else (src, row))
-            survivors
-          @ List.init (Prng.int g 3) (fun _ -> (-1, random_row ()))
-    in
-    let src = Array.of_list (List.map fst next) in
-    rows := Array.of_list (List.map snd next);
-    let n_left' = Array.length !rows in
-    widest := max !widest n_left';
-    Bipartite.delta_rebuild delta ~n_left:n_left' ~right_cap:!right_cap
-      ~src_of:(fun l -> src.(l))
-      ~fill:(fun l emit -> Array.iter emit !rows.(l));
-    Bipartite.reset scratch ~n_left:n_left' ~n_right ~right_cap:!right_cap;
-    load scratch;
-    if
-      Csr.to_adjacency (Bipartite.csr delta)
-      <> Csr.to_adjacency (Bipartite.csr scratch)
-      || Bipartite.right_cap delta <> Bipartite.right_cap scratch
-      || outcome_triple (Bipartite.solve delta)
-         <> outcome_triple (Bipartite.solve scratch)
-    then ok := false
-  done;
-  !ok
+  let rebuilt = Csr.create () and built = Csr.create () in
+  Csr.reset rebuilt ~n_left:0 ~n_right;
+  List.for_all
+    (fun n_left ->
+      let rows = Array.init n_left (fun _ -> long_or_short_row g n_right) in
+      Csr.rebuild_rows rebuilt ~n_left ~fill:(fun l emit -> Array.iter emit rows.(l));
+      Csr.reset built ~n_left ~n_right;
+      Array.iteri
+        (fun l row -> Array.iter (fun r -> Csr.add_edge built ~left:l ~right:r) row)
+        rows;
+      Csr.finalize built;
+      Csr.n_edges rebuilt = Csr.n_edges built
+      && Csr.to_adjacency rebuilt = Csr.to_adjacency built)
+    [ n_left; (n_left + 1) / 2; (4 * n_left) + 9 ]
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
@@ -787,179 +640,7 @@ let qcheck_cases =
             Bipartite.Push_relabel_flow;
             Bipartite.Hopcroft_karp_matching;
           ]);
-    Test.make ~name:"component labelling partitions the pending edge set" ~count:150 arb
-      (fun (seed, n_left, n_right) ->
-        let g = Prng.create ~seed () in
-        let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:3 ~edge_prob:0.4 in
-        let b = Bipartite.create ~n_left ~n_right ~right_cap in
-        Array.iteri
-          (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
-          adj;
-        let csr = Bipartite.csr b in
-        let sh = Shard.create ~max_shards:4 () in
-        Shard.partition sh csr;
-        let cl = Shard.component_of_left sh and cr = Shard.component_of_right sh in
-        let global = Csr.to_adjacency csr in
-        (* every edge joins identically-labelled endpoints *)
-        let endpoints_ok = ref true in
-        Array.iteri
-          (fun l rs ->
-            Array.iter
-              (fun r -> if cl.(l) < 0 || cl.(l) <> cr.(r) then endpoints_ok := false)
-              rs)
-          global;
-        (* the shard edge sets, mapped back to global ids, recover every
-           pending edge exactly once and nothing else *)
-        let seen = Hashtbl.create 64 in
-        let owner_l = Array.make n_left 0 and owner_r = Array.make n_right 0 in
-        for i = 0 to Shard.n_shards sh - 1 do
-          let local = Shard.shard_csr sh i in
-          let lefts = Shard.shard_lefts sh i and rights = Shard.shard_rights sh i in
-          for ll = 0 to Csr.n_left local - 1 do
-            owner_l.(lefts.(ll)) <- owner_l.(lefts.(ll)) + 1
-          done;
-          for rr = 0 to Csr.n_right local - 1 do
-            owner_r.(rights.(rr)) <- owner_r.(rights.(rr)) + 1
-          done;
-          Array.iteri
-            (fun ll rs ->
-              Array.iter
-                (fun rr ->
-                  let key = (lefts.(ll), rights.(rr)) in
-                  let prior = try Hashtbl.find seen key with Not_found -> 0 in
-                  Hashtbl.replace seen key (prior + 1))
-                rs)
-            (Csr.to_adjacency local)
-        done;
-        let covered = ref true in
-        Array.iteri
-          (fun l rs ->
-            Array.iter
-              (fun r ->
-                if (try Hashtbl.find seen (l, r) with Not_found -> 0) <> 1 then
-                  covered := false)
-              rs)
-          global;
-        let n_edges = Array.fold_left (fun a rs -> a + Array.length rs) 0 global in
-        (* engaged vertices sit in exactly one shard; isolated ones in none *)
-        let placed_once owner comp =
-          let ok = ref true in
-          Array.iteri
-            (fun v c ->
-              let want = if comp.(v) >= 0 then 1 else 0 in
-              if c <> want then ok := false)
-            owner;
-          !ok
-        in
-        !endpoints_ok && !covered
-        && Hashtbl.length seen = n_edges
-        && placed_once owner_l cl && placed_once owner_r cr);
-    Test.make ~name:"merged sharded matching is identical to hopcroft-karp" ~count:100 arb
-      (fun (seed, n_left, n_right) ->
-        let g = Prng.create ~seed () in
-        let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:3 ~edge_prob:0.5 in
-        let b = Bipartite.create ~n_left ~n_right ~right_cap in
-        Array.iteri
-          (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
-          adj;
-        let hk = Bipartite.solve ~algorithm:Bipartite.Hopcroft_karp_matching b in
-        (* shard composition is a function of (instance, max_shards) and
-           the merge is order-fixed, so any jobs/shard setting must
-           reproduce HK bit for bit, not merely its cardinality *)
-        List.for_all
-          (fun (jobs, max_shards) ->
-            let sh = Shard.create ~max_shards () in
-            let size = Shard.solve ~jobs sh (Bipartite.csr b) in
-            size = hk.Bipartite.matched
-            && Array.sub (Shard.assignment sh) 0 n_left = hk.Bipartite.assignment
-            && Array.sub (Shard.right_load sh) 0 n_right = hk.Bipartite.right_load)
-          [ (1, 1); (1, 4); (2, 4); (4, 64) ]);
-    Test.make ~name:"layout permutation preserves edges, caps and order" ~count:150 arb
-      (fun (seed, n_left, n_right) ->
-        let g = Prng.create ~seed () in
-        (* sparse instances fragment into several interleaved components,
-           so the renumbering is frequently non-trivial *)
-        let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:3 ~edge_prob:0.25 in
-        let b = Bipartite.create ~n_left ~n_right ~right_cap in
-        Array.iteri
-          (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
-          adj;
-        let csr = Bipartite.csr b in
-        let lay = Layout.create () in
-        let p = Layout.prepare lay csr in
-        if Layout.is_identity lay then p == csr
-        else begin
-          let lo = Layout.left_old lay and ro = Layout.right_old lay in
-          let orig = Csr.to_adjacency csr and perm = Csr.to_adjacency p in
-          Csr.n_left p = n_left && Csr.n_right p = n_right
-          (* per-component order preservation: mapping a permuted row
-             back to original ids must reproduce the original row
-             verbatim, still ascending — no sort needed *)
-          && Array.for_all Fun.id
-               (Array.init n_left (fun l' -> Array.map (fun r' -> ro.(r')) perm.(l') = orig.(lo.(l'))))
-          && Array.for_all Fun.id
-               (Array.init n_right (fun r' -> Csr.right_cap p r' = right_cap.(ro.(r'))))
-          (* both tables are bijections *)
-          && List.sort_uniq compare (Array.to_list (Array.sub lo 0 n_left))
-             = List.init n_left Fun.id
-          && List.sort_uniq compare (Array.to_list (Array.sub ro 0 n_right))
-             = List.init n_right Fun.id
-        end);
-    Test.make ~name:"layout-renumbered solves equal identity-layout solves" ~count:100 arb
-      (fun (seed, n_left, n_right) ->
-        let g = Prng.create ~seed () in
-        let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:3 ~edge_prob:0.25 in
-        let b = Bipartite.create ~n_left ~n_right ~right_cap in
-        Array.iteri
-          (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
-          adj;
-        let hk = Bipartite.solve ~algorithm:Bipartite.Hopcroft_karp_matching b in
-        let exact_identical algorithm =
-          let plain = Bipartite.solve ~algorithm b in
-          outcome_triple (Bipartite.solve ~algorithm ~layout:true b) = outcome_triple plain
-        in
-        (* push-relabel's gap heuristic is global, not component-local:
-           only size and validity survive the renumbering *)
-        let pr = Bipartite.solve ~algorithm:Bipartite.Push_relabel_flow ~layout:true b in
-        let pr_valid =
-          let load = Array.make n_right 0 in
-          let ok = ref true in
-          Array.iteri
-            (fun l r ->
-              if r >= 0 then begin
-                if not (Array.mem r adj.(l)) then ok := false;
-                load.(r) <- load.(r) + 1
-              end)
-            pr.Bipartite.assignment;
-          Array.iteri (fun r c -> if c > right_cap.(r) then ok := false) load;
-          !ok && pr.Bipartite.matched = hk.Bipartite.matched
-        in
-        let sharded_identical =
-          let sh = Shard.create ~max_shards:4 () in
-          let size = Shard.solve ~layout:true sh (Bipartite.csr b) in
-          size = hk.Bipartite.matched
-          && Array.sub (Shard.assignment sh) 0 n_left = hk.Bipartite.assignment
-          && Array.sub (Shard.right_load sh) 0 n_right = hk.Bipartite.right_load
-        in
-        let incremental_identical =
-          let plain =
-            Bipartite.solve_incremental
-              (Bipartite.Incremental.create ())
-              ~warm_start:hk.Bipartite.assignment b
-          in
-          let renumbered =
-            Bipartite.solve_incremental
-              (Bipartite.Incremental.create ())
-              ~warm_start:hk.Bipartite.assignment ~layout:true b
-          in
-          outcome_triple renumbered = outcome_triple plain
-        in
-        exact_identical Bipartite.Hopcroft_karp_matching
-        && exact_identical Bipartite.Dinic_flow
-        && pr_valid && sharded_identical && incremental_identical);
-    Test.make ~name:"delta rebuilds track scratch builds under churn" ~count:60 arb
-      (delta_tracks_scratch ~random_row:short_row);
-    Test.make ~name:"delta rebuilds track scratch builds on long rows" ~count:40
+    Test.make ~name:"rebuild_rows equals an add_edge + finalize build" ~count:100
       (make
          Gen.(
            let* seed = int_range 0 1_000_000 in
@@ -969,7 +650,7 @@ let qcheck_cases =
              oneof [ int_range 1 255; int_range 256 65_536; int_range 65_537 70_000 ]
            in
            return (seed, n_left, n_right)))
-      (delta_tracks_scratch ~random_row:long_or_short_row);
+      rebuild_equals_finalize;
     Test.make ~name:"max flow is invariant under solver choice" ~count:100
       (make
          Gen.(
@@ -1022,15 +703,6 @@ let suites =
         Alcotest.test_case "empty instance" `Quick test_bipartite_empty;
         Alcotest.test_case "matches brute force" `Quick test_matching_vs_bruteforce;
       ] );
-    ( "graph.expander",
-      [
-        Alcotest.test_case "identity graph" `Quick test_expander_perfect_matching_graph;
-        Alcotest.test_case "star graph" `Quick test_expander_star;
-        Alcotest.test_case "slot weighting" `Quick test_expander_slot_weighting;
-        Alcotest.test_case "sampled upper-bounds exact" `Quick test_expander_sampled_upper_bounds_exact;
-        Alcotest.test_case "rejects large instances" `Quick test_expander_rejects_large;
-        Alcotest.test_case "Lemma 1: Hall iff expansion" `Quick test_hall_iff_expansion;
-      ] );
     ( "graph.csr",
       [
         Alcotest.test_case "round-trip basics" `Quick test_csr_roundtrip_basic;
@@ -1039,12 +711,7 @@ let suites =
         Alcotest.test_case "dinic lazy transpose" `Quick test_dinic_lazy_transpose;
         Alcotest.test_case "bipartite reset reuse" `Quick test_bipartite_reset_reuse;
         Alcotest.test_case "network clear + arc_hint" `Quick test_network_clear_reuse;
-      ] );
-    ( "graph.shard",
-      [
-        Alcotest.test_case "two components" `Quick test_shard_two_components;
-        Alcotest.test_case "layout lockstep at scale" `Slow test_shard_layout_lockstep_at_scale;
-        Alcotest.test_case "delta rebuild freezes" `Quick test_delta_rebuild_freezes;
+        Alcotest.test_case "rebuild freezes" `Quick test_rebuild_freezes;
       ] );
     ("graph.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
   ]

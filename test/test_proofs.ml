@@ -1,5 +1,5 @@
-(* Tests for the proof-internals exposure (phi curve), allocation-graph
-   expansion, the diurnal workload and request scalability. *)
+(* Tests for the proof-internals exposure (phi curve), the diurnal
+   workload and request scalability. *)
 
 open Vod_util
 open Vod_model
@@ -43,49 +43,6 @@ let test_phi_minimiser_requires_kappa () =
   Alcotest.check_raises "kappa <= 0"
     (Invalid_argument "Obstruction_bound.phi_minimiser: requires k > 2/nu") (fun () ->
       ignore (OB.phi_minimiser ~u_eff:2.0 ~n:64 ~c:2 ~k:3 ~nu:(1.0 /. 12.0) ~d_prime:4.0))
-
-(* ------------------------------------------------------------------ *)
-(* Allocation-graph expansion                                          *)
-(* ------------------------------------------------------------------ *)
-
-let small_system ~seed ~u ~k ~m =
-  let fleet = Box.Fleet.homogeneous ~n:8 ~u ~d:4.0 in
-  let catalog = Catalog.create ~m ~c:2 in
-  let g = Prng.create ~seed () in
-  let alloc = Vod_alloc.Schemes.random_permutation g ~fleet ~catalog ~k in
-  (fleet, alloc)
-
-let test_exact_expansion_matches_feasibility () =
-  (* ratio >= 1 iff every distinct-stripe cold start is feasible;
-     cross-check against direct probes on small systems *)
-  for seed = 1 to 15 do
-    let u = if seed mod 2 = 0 then 2.0 else 0.5 in
-    let fleet, alloc = small_system ~seed ~u ~k:2 ~m:8 in
-    let ratio = Vod_adversary.Expansion.exact_ratio ~fleet ~alloc ~c:2 in
-    (* sampled never reports below the exact minimum *)
-    let g = Prng.create ~seed:(100 + seed) () in
-    let sampled = Vod_adversary.Expansion.sampled_ratio g ~fleet ~alloc ~c:2 ~samples:30 in
-    checkb "sampled >= exact" true (sampled >= ratio -. 1e-9);
-    if u = 0.5 then
-      (* 16 stripes, 8 slots in total: the full set is a violator *)
-      checkb "below threshold: ratio < 1" true (ratio < 1.0)
-  done
-
-let test_exact_expansion_high_u () =
-  let fleet, alloc = small_system ~seed:3 ~u:2.0 ~k:4 ~m:8 in
-  let ratio = Vod_adversary.Expansion.exact_ratio ~fleet ~alloc ~c:2 in
-  checkb "healthy allocation expands" true (ratio >= 1.0);
-  checkb "cold-start certificate" true
-    (Vod_adversary.Expansion.certifies_cold_start ~fleet ~alloc ~c:2 ~samples:20)
-
-let test_exact_expansion_rejects_large () =
-  let fleet, alloc = small_system ~seed:1 ~u:2.0 ~k:2 ~m:12 in
-  (* 24 stripes > 22 limit *)
-  checkb "raises" true
-    (try
-       ignore (Vod_adversary.Expansion.exact_ratio ~fleet ~alloc ~c:2);
-       false
-     with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Diurnal workload                                                    *)
@@ -168,12 +125,6 @@ let suites =
       [
         Alcotest.test_case "unimodal shape" `Quick test_phi_unimodal;
         Alcotest.test_case "minimiser precondition" `Quick test_phi_minimiser_requires_kappa;
-      ] );
-    ( "adversary.expansion",
-      [
-        Alcotest.test_case "exact vs sampled + threshold" `Quick test_exact_expansion_matches_feasibility;
-        Alcotest.test_case "healthy allocation" `Quick test_exact_expansion_high_u;
-        Alcotest.test_case "size limits" `Quick test_exact_expansion_rejects_large;
       ] );
     ( "workload.diurnal",
       [

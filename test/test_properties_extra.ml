@@ -7,32 +7,6 @@ open Vod_model
 let qcheck_cases =
   let open QCheck in
   [
-    Test.make ~name:"striping: split/join roundtrip" ~count:300
-      (pair (int_range 0 200) (int_range 1 12))
-      (fun (n, c) ->
-        let v = Array.init n (fun i -> Printf.sprintf "p%d" i) in
-        Striping.join (Striping.split ~c v) = v);
-    Test.make ~name:"striping: prefix equals stream prefix" ~count:300
-      (pair (int_range 1 120) (int_range 1 8))
-      (fun (n, c) ->
-        let v = Array.init n (fun i -> Printf.sprintf "p%d" i) in
-        let stripes = Striping.split ~c v in
-        let min_len = Array.fold_left (fun a s -> min a (Array.length s)) max_int stripes in
-        let rounds = min_len in
-        Striping.prefix ~stripes ~rounds = Array.sub v 0 (rounds * c));
-    Test.make ~name:"parity: any single lost stripe is recoverable" ~count:200
-      (pair (int_range 1 100) (int_range 1 8))
-      (fun (n, c) ->
-        let v = Array.init n (fun i -> Printf.sprintf "%08d" i) in
-        let stripes = Striping.split ~c v in
-        let parity = Parity.parity_stripe stripes in
-        List.for_all
-          (fun lost ->
-            let damaged =
-              Array.mapi (fun i s -> if i = lost then None else Some s) stripes
-            in
-            Striping.join (Parity.recover ~total_packets:n ~stripes:damaged ~parity) = v)
-          (List.init c Fun.id));
     Test.make ~name:"codec: allocation roundtrips for any random system" ~count:150
       (make
          Gen.(
@@ -74,27 +48,6 @@ let qcheck_cases =
             let found, hops = Vod_directory.Ring.lookup r ~origin ~key in
             found = Vod_directory.Ring.successor_of_key r key && hops >= 0 && hops < n)
           [ 0; n / 2; n - 1 ]);
-    Test.make ~name:"mutate: add then remove restores catalog size" ~count:100
-      (make
-         Gen.(
-           let* seed = int_range 0 1_000_000 in
-           let* n = int_range 4 16 in
-           return (seed, n)))
-      (fun (seed, n) ->
-        let g = Prng.create ~seed () in
-        let fleet = Box.Fleet.homogeneous ~n ~u:1.5 ~d:4.0 in
-        (* half occupancy so the new video always fits *)
-        let m = max 1 (Vod_alloc.Schemes.max_catalog ~fleet ~c:2 ~k:2 / 2) in
-        let catalog = Catalog.create ~m ~c:2 in
-        let alloc = Vod_alloc.Schemes.random_permutation g ~fleet ~catalog ~k:2 in
-        match Vod_alloc.Mutate.add_video g ~fleet ~alloc ~k:2 with
-        | Error _ -> false
-        | Ok alloc' -> (
-            match Vod_alloc.Mutate.remove_video ~alloc:alloc' ~video:m with
-            | Error _ -> false
-            | Ok alloc'' ->
-                Catalog.videos (Allocation.catalog alloc'') = m
-                && Allocation.validate alloc'' ~fleet ~c:2 = Ok ()));
     Test.make ~name:"repair: never overfills and reaches target when space allows"
       ~count:100
       (make

@@ -68,7 +68,10 @@ let test_demand_validation () =
   Alcotest.check_raises "bad video" (Invalid_argument "Engine.demand: video out of range")
     (fun () -> Engine.demand sim ~box:0 ~video:10_000);
   Alcotest.check_raises "bad box" (Invalid_argument "Engine.demand: box out of range")
-    (fun () -> Engine.demand sim ~box:(-1) ~video:0)
+    (fun () -> Engine.demand sim ~box:(-1) ~video:0);
+  Engine.set_online sim 0 false;
+  Alcotest.check_raises "offline box" (Invalid_argument "Engine.demand: box is offline")
+    (fun () -> Engine.demand sim ~box:0 ~video:0)
 
 let test_swarm_tracking () =
   let params, fleet, alloc = build_system () in
@@ -242,92 +245,6 @@ let test_poor_box_plain_requests_allowed () =
   Engine.demand sim ~box:poor ~video:0;
   let r = Engine.step sim in
   checki "request issued" 1 r.Engine.active_requests
-
-(* The sharded matching engine must be bit-identical at any job count:
-   shard composition and merge order never depend on [jobs], only on
-   the instance.  Heavy churn (cancels, outages) exercises the
-   delta-CSR tracking on every engine equally. *)
-let test_sharded_engine_jobs_identical () =
-  let mk jobs =
-    let params, fleet, alloc = build_system ~n:12 ~m:4 () in
-    Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue
-      ~matching:Engine.Sharded ~jobs ()
-  in
-  let engines = [ mk 1; mk 2; mk 4 ] in
-  let reference = List.hd engines in
-  let g = Prng.create ~seed:21 () in
-  let instance_view e =
-    Option.map
-      (fun b -> Vod_graph.Csr.to_adjacency (Vod_graph.Bipartite.csr b))
-      (Engine.last_instance e)
-  in
-  for _ = 1 to 40 do
-    for _ = 1 to 1 + Prng.int g 3 do
-      let box = Prng.int g 12 and video = Prng.int g 4 in
-      if Engine.is_idle reference box then
-        List.iter (fun e -> Engine.demand e ~box ~video) engines
-    done;
-    if Prng.int g 5 = 0 then begin
-      let box = Prng.int g 12 in
-      List.iter (fun e -> Engine.cancel e box) engines
-    end;
-    if Prng.int g 7 = 0 then begin
-      let box = Prng.int g 12 in
-      let online = not (Engine.is_online reference box) in
-      List.iter (fun e -> Engine.set_online e box online) engines
-    end;
-    match List.map (fun e -> (e, Engine.step e)) engines with
-    | (_, r0) :: rest ->
-        List.iter
-          (fun (_, r) ->
-            checki "served identical across jobs" r0.Engine.served r.Engine.served;
-            checki "active identical across jobs" r0.Engine.active_requests
-              r.Engine.active_requests;
-            checki "unserved identical across jobs" r0.Engine.unserved r.Engine.unserved)
-          rest;
-        let v0 = instance_view reference in
-        List.iter
-          (fun (e, _) ->
-            checkb "instances identical across jobs" true (instance_view e = v0))
-          rest
-    | [] -> ()
-  done
-
-(* With the same scheduler and no deficits, the sharded engine runs in
-   lockstep with the scratch engine: its delta-rebuilt instances carry
-   the same edge sets and its merged matchings are maximum on them. *)
-let test_sharded_engine_lockstep_with_scratch () =
-  let mk matching =
-    let params, fleet, alloc = build_system ~n:12 ~m:4 () in
-    Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue ~matching ()
-  in
-  let scratch = mk Engine.Scratch and sharded = mk Engine.Sharded in
-  let g = Prng.create ~seed:22 () in
-  for _ = 1 to 40 do
-    for _ = 1 to 1 + Prng.int g 3 do
-      let box = Prng.int g 12 and video = Prng.int g 4 in
-      if Engine.is_idle scratch box then begin
-        Engine.demand scratch ~box ~video;
-        Engine.demand sharded ~box ~video
-      end
-    done;
-    if Prng.int g 4 = 0 then begin
-      let box = Prng.int g 12 in
-      Engine.cancel scratch box;
-      Engine.cancel sharded box
-    end;
-    let rs = Engine.step scratch and rh = Engine.step sharded in
-    checki "no deficit in the comfortable system" 0 rs.Engine.unserved;
-    checki "served in lockstep" rs.Engine.served rh.Engine.served;
-    checki "active in lockstep" rs.Engine.active_requests rh.Engine.active_requests;
-    let view e =
-      Option.map
-        (fun b -> Vod_graph.Csr.to_adjacency (Vod_graph.Bipartite.csr b))
-        (Engine.last_instance e)
-    in
-    checkb "delta-rebuilt instance equals the scratch build" true
-      (view sharded = view scratch)
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Idle bookkeeping                                                    *)
@@ -504,11 +421,6 @@ let suites =
       [
         Alcotest.test_case "relay lifecycle" `Quick test_relay_lifecycle;
         Alcotest.test_case "poor box plain requests" `Quick test_poor_box_plain_requests_allowed;
-      ] );
-    ( "sim.sharded",
-      [
-        Alcotest.test_case "jobs-identical outputs" `Quick test_sharded_engine_jobs_identical;
-        Alcotest.test_case "lockstep with scratch" `Quick test_sharded_engine_lockstep_with_scratch;
       ] );
     ( "sim.metrics",
       [ Alcotest.test_case "empty summary" `Quick test_metrics_summarise_empty ] );
