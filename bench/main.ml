@@ -7,7 +7,10 @@
       simulator round loop.
    3. Runs the connection-matching benchmark (bench_matching.ml) and,
       with [--json PATH], writes its records as machine-readable JSON
-      for the CI regression gate (bench/compare.exe).
+      for the CI regression gate (bench/compare.exe).  The same record
+      set times the serve loop (bench_serve.ml) and, with [--json] only
+      (a minute or two and ~0.5 GB), simulate rounds at n = 262144 and
+      1e6 (bench_sim.ml).
 
    Run with:            dune exec bench/main.exe
    Skip micro-benches:  dune exec bench/main.exe -- --no-micro
@@ -174,6 +177,7 @@ let () =
   let records =
     Bench_matching.run () @ Bench_matching.run_swarms () @ Bench_kernels.run ()
     @ Bench_serve.run ()
+    @ if json = None then [] else Bench_sim.run ()
   in
   (match recorder with
   | None -> ()

@@ -293,9 +293,9 @@ let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
         | Plan.Restore b -> Engine.set_upload_factor engine ~box:b ~factor:1.0
         | Plan.Flaky p -> flaky := p
         | Plan.Flash_crowd (video, viewers) ->
-            let idle = Engine.idle_boxes engine in
-            Sample.shuffle crowd_rng idle;
-            let take = min viewers (Array.length idle) in
+            let idle, len = Engine.borrow_idle engine in
+            Sample.shuffle_prefix crowd_rng idle ~len;
+            let take = min viewers len in
             for i = 0 to take - 1 do
               match Engine.try_demand engine ~box:idle.(i) ~video with
               | Engine.Admitted -> Registry.incr obs_flash_demands

@@ -4,6 +4,7 @@ type t = {
   cat : Catalog.t;
   n_boxes : int;
   boxes_of_stripe : int array array;
+  sorted_boxes : int array array; (* per stripe, [boxes_of_stripe]'s row ascending *)
   stripes_of_box : int array array;
 }
 
@@ -11,25 +12,52 @@ let of_replica_lists ~catalog ~n_boxes boxes_of_stripe =
   if Array.length boxes_of_stripe <> Catalog.total_stripes catalog then
     invalid_arg "Allocation.of_replica_lists: outer length must be total stripe count";
   if n_boxes < 1 then invalid_arg "Allocation.of_replica_lists: n_boxes must be >= 1";
-  let per_box = Array.init n_boxes (fun _ -> Vec.create ()) in
+  (* [last_stripe.(b)]: the last stripe [b] was listed in; the stripes
+     are read in order, so a repeat within one row finds its own *)
+  let last_stripe = Array.make n_boxes (-1) and load = Array.make n_boxes 0 in
   Array.iteri
     (fun stripe replicas ->
-      let seen = Hashtbl.create (Array.length replicas) in
       Array.iter
         (fun b ->
           if b < 0 || b >= n_boxes then
             invalid_arg "Allocation.of_replica_lists: box out of range";
-          if Hashtbl.mem seen b then
+          if last_stripe.(b) = stripe then
             invalid_arg "Allocation.of_replica_lists: duplicate replica in one box";
-          Hashtbl.add seen b ();
-          Vec.push per_box.(b) stripe)
+          last_stripe.(b) <- stripe;
+          load.(b) <- load.(b) + 1)
         replicas)
     boxes_of_stripe;
+  (* both transposes by counting: the stripes go into the box rows in
+     ascending order, and each stripe's row gets its boxes in ascending
+     order *)
+  let stripes_of_box = Array.map (fun l -> Array.make l 0) load in
+  Array.fill load 0 n_boxes 0;
+  Array.iteri
+    (fun stripe replicas ->
+      Array.iter
+        (fun b ->
+          stripes_of_box.(b).(load.(b)) <- stripe;
+          load.(b) <- load.(b) + 1)
+        replicas)
+    boxes_of_stripe;
+  let sorted_boxes =
+    Array.map (fun row -> Array.make (Array.length row) 0) boxes_of_stripe
+  in
+  let filled = Array.make (Array.length boxes_of_stripe) 0 in
+  Array.iteri
+    (fun b stripes ->
+      Array.iter
+        (fun s ->
+          sorted_boxes.(s).(filled.(s)) <- b;
+          filled.(s) <- filled.(s) + 1)
+        stripes)
+    stripes_of_box;
   {
     cat = catalog;
     n_boxes;
     boxes_of_stripe = Array.map Array.copy boxes_of_stripe;
-    stripes_of_box = Array.map Vec.to_array per_box;
+    sorted_boxes;
+    stripes_of_box;
   }
 
 (* [row] ascending and without [x]: the row with [x] inserted in order *)
@@ -46,6 +74,7 @@ let insert_sorted row x =
 
 let add_replicas t pairs =
   let boxes_of_stripe = Array.copy t.boxes_of_stripe in
+  let sorted_boxes = Array.copy t.sorted_boxes in
   let stripes_of_box = Array.copy t.stripes_of_box in
   List.iter
     (fun (stripe, box) ->
@@ -57,9 +86,10 @@ let add_replicas t pairs =
       if Int_array.mem box row then
         invalid_arg "Allocation.add_replicas: duplicate replica in one box";
       boxes_of_stripe.(stripe) <- Array.append row [| box |];
+      sorted_boxes.(stripe) <- insert_sorted sorted_boxes.(stripe) box;
       stripes_of_box.(box) <- insert_sorted stripes_of_box.(box) stripe)
     pairs;
-  { t with boxes_of_stripe; stripes_of_box }
+  { t with boxes_of_stripe; sorted_boxes; stripes_of_box }
 
 let catalog t = t.cat
 let n_boxes t = t.n_boxes
@@ -69,6 +99,11 @@ let boxes_of_stripe t s =
     invalid_arg "Allocation.boxes_of_stripe: out of range";
   t.boxes_of_stripe.(s)
 
+let sorted_boxes_of_stripe t s =
+  if s < 0 || s >= Array.length t.sorted_boxes then
+    invalid_arg "Allocation.sorted_boxes_of_stripe: out of range";
+  t.sorted_boxes.(s)
+
 let stripes_of_box t b =
   if b < 0 || b >= t.n_boxes then invalid_arg "Allocation.stripes_of_box: out of range";
   t.stripes_of_box.(b)
@@ -77,7 +112,7 @@ let replica_count t s = Array.length (boxes_of_stripe t s)
 let box_load t b = Array.length (stripes_of_box t b)
 
 (* [Int_array.mem], not [Array.mem]: this runs once per served request *)
-let possesses t ~box ~stripe = Int_array.mem box (boxes_of_stripe t stripe)
+let possesses t ~box ~stripe = Int_array.mem box (sorted_boxes_of_stripe t stripe)
 
 let stores_video t ~box ~video =
   Array.exists (fun s -> possesses t ~box ~stripe:s) (Catalog.stripes_of_video t.cat video)

@@ -16,10 +16,11 @@ val add_replicas : t -> (int * int) list -> t
 (** [add_replicas t pairs] is [t] with one more replica of [stripe] on
     [box] for each [(stripe, box)], in list order: [box] is appended to
     the stripe's replica list and [stripe] enters the box's list in
-    ascending order, so the result is row for row the allocation
+    ascending order (as [box] does the stripe's {!sorted_boxes_of_stripe}
+    row), so the result is row for row the allocation
     {!of_replica_lists} builds from the appended lists.  Untouched rows
     are shared with [t], which is unchanged.  O(number of stripes +
-    number of boxes) for the two outer arrays, plus the touched rows.
+    number of boxes) for the outer arrays, plus the touched rows.
     @raise Invalid_argument on an out-of-range stripe or box, or on a
     box that already holds the stripe (in [t] or earlier in [pairs]). *)
 
@@ -28,6 +29,10 @@ val n_boxes : t -> int
 
 val boxes_of_stripe : t -> int -> int array
 (** Boxes holding a replica of the stripe (allocation only, not caches). *)
+
+val sorted_boxes_of_stripe : t -> int -> int array
+(** The boxes of {!boxes_of_stripe}, ascending: the order of the
+    engine's CSR rows, so a row emitted from it needs no reordering. *)
 
 val stripes_of_box : t -> int -> int array
 (** Stripe replicas stored by the box. *)

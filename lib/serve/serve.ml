@@ -580,18 +580,17 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             (* a flash crowd arrives as admission events, not as direct
                engine demands: every extra viewer queues like anyone
                else and is sheddable (priority 0) under overload *)
-            let idle = Engine.idle_boxes engine in
+            let idle, len = Engine.borrow_idle engine in
             let free = ref 0 in
-            Array.iter
-              (fun b ->
-                if not (Hashtbl.mem box_owner b) then begin
-                  idle.(!free) <- b;
-                  incr free
-                end)
-              idle;
-            let idle = Array.sub idle 0 !free in
-            Sample.shuffle crowd_rng idle;
-            let take = min viewers (Array.length idle) in
+            for i = 0 to len - 1 do
+              let b = idle.(i) in
+              if not (Hashtbl.mem box_owner b) then begin
+                idle.(!free) <- b;
+                incr free
+              end
+            done;
+            Sample.shuffle_prefix crowd_rng idle ~len:!free;
+            let take = min viewers !free in
             for i = 0 to take - 1 do
               new_session ~box:idle.(i) ~video ~time ~priority:0;
               incr t_flash

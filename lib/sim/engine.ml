@@ -15,16 +15,130 @@ let obs_repair_served =
 
 type kind = Preload | Postponed | Relayed_preload | Relayed_postponed | Repair_transfer
 
-type request = {
-  stripe : int;
-  owner : int;
-  requester : int;
-  issued_at : int;
-  kind : kind;
-  target : int; (* rounds of service needed to complete (T for user requests) *)
-  mutable progress : int;
-  mutable last_server : int; (* box that served the previous round, -1 *)
-}
+let[@inline] is_repair = function
+  | Repair_transfer -> true
+  | Preload | Postponed | Relayed_preload | Relayed_postponed -> false
+
+(* A growable buffer of slot ids.  The request sets hold ints only, so
+   they stay monomorphic arrays the compiler reads without a tag test. *)
+type ibuf = { mutable data : int array; mutable len : int }
+
+let ibuf () = { data = [||]; len = 0 }
+
+let push b x =
+  if b.len = Array.length b.data then begin
+    let data = Array.make (max 8 (2 * b.len)) 0 in
+    Array.blit b.data 0 data 0 b.len;
+    b.data <- data
+  end;
+  b.data.(b.len) <- x;
+  b.len <- b.len + 1
+
+(* The request store: one slot per stripe request, its fields in
+   parallel arrays indexed by the slot id.  A slot is held by the
+   active/scheduled set ([queued]) and, for viewer requests once
+   activated, by its stripe's cache window ([windowed]); it returns to
+   the free list when it holds neither.  The arrays grow by doubling to
+   the run's high-water mark and never shrink. *)
+module Store = struct
+  type t = {
+    mutable stripe : int array;
+    mutable owner : int array; (* the box that plays (or, for repairs, stores) *)
+    mutable requester : int array; (* the owner or its relay *)
+    mutable issued_at : int array; (* the activation round *)
+    mutable kind : kind array;
+    mutable target : int array; (* rounds of service needed to complete *)
+    mutable progress : int array;
+    mutable last_server : int array; (* box that served the previous round, -1 *)
+    mutable next_in_window : int array; (* the stripe window's next slot, -1 *)
+    mutable holds : int array; (* [queued] lor [windowed] *)
+    mutable free : int array; (* released slots, a stack *)
+    mutable n_free : int;
+    mutable minted : int; (* slots 0 .. minted - 1 have been handed out *)
+  }
+
+  let queued = 1
+  let windowed = 2
+
+  let create () =
+    {
+      stripe = [||];
+      owner = [||];
+      requester = [||];
+      issued_at = [||];
+      kind = [||];
+      target = [||];
+      progress = [||];
+      last_server = [||];
+      next_in_window = [||];
+      holds = [||];
+      free = [||];
+      n_free = 0;
+      minted = 0;
+    }
+
+  let grow st =
+    let cap = max 64 (2 * st.minted) in
+    let extend a fill =
+      let a' = Array.make cap fill in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    in
+    st.stripe <- extend st.stripe 0;
+    st.owner <- extend st.owner 0;
+    st.requester <- extend st.requester 0;
+    st.issued_at <- extend st.issued_at 0;
+    st.kind <- extend st.kind Preload;
+    st.target <- extend st.target 0;
+    st.progress <- extend st.progress 0;
+    st.last_server <- extend st.last_server (-1);
+    st.next_in_window <- extend st.next_in_window (-1);
+    st.holds <- extend st.holds 0;
+    st.free <- extend st.free 0
+
+  let alloc st ~stripe ~owner ~requester ~issued_at ~kind ~target =
+    let s =
+      if st.n_free > 0 then begin
+        st.n_free <- st.n_free - 1;
+        st.free.(st.n_free)
+      end
+      else begin
+        if st.minted = Array.length st.stripe then grow st;
+        st.minted <- st.minted + 1;
+        st.minted - 1
+      end
+    in
+    st.stripe.(s) <- stripe;
+    st.owner.(s) <- owner;
+    st.requester.(s) <- requester;
+    st.issued_at.(s) <- issued_at;
+    st.kind.(s) <- kind;
+    st.target.(s) <- target;
+    st.progress.(s) <- 0;
+    st.last_server.(s) <- -1;
+    st.next_in_window.(s) <- -1;
+    st.holds.(s) <- queued;
+    s
+
+  let release st s hold =
+    let h = st.holds.(s) land lnot hold in
+    st.holds.(s) <- h;
+    if h = 0 then begin
+      st.free.(st.n_free) <- s;
+      st.n_free <- st.n_free + 1
+    end
+
+  let live st = st.minted - st.n_free
+
+  (* Boxes that cache data of a request: the owner always; the relay too
+     when it forwarded the stripe (Section 4: r(b) caches what it
+     relays).  The relay that caches, or -1. *)
+  let relay_cacher st s =
+    match st.kind.(s) with
+    | (Relayed_preload | Relayed_postponed) when st.requester.(s) <> st.owner.(s) ->
+        st.requester.(s)
+    | Preload | Postponed | Repair_transfer | Relayed_preload | Relayed_postponed -> -1
+end
 
 type failure_policy = Fail_fast | Continue
 
@@ -54,6 +168,10 @@ type round_report = {
 
 exception Defeated of round_report
 
+(* Requests are scheduled at most three rounds ahead (a relayed demand's
+   tail at t+3), so four buckets indexed by [round land 3] hold them. *)
+let schedule_ring = 4
+
 type t = {
   params : Params.t;
   fleet : Box.t array;
@@ -75,18 +193,27 @@ type t = {
   mutable link_faults : (time:int -> owner:int -> server:int -> bool) option;
   completed_repairs : (int * int) Vec.t; (* (stripe, dest), completion order *)
   mutable now : int;
-  active : request Vec.t;
-  scheduled : (int, request Vec.t) Hashtbl.t; (* activation time -> requests *)
+  store : Store.t;
+  active : ibuf; (* the matching's rows, in activation order *)
+  scheduled : ibuf array; (* [schedule_ring] buckets by activation round *)
   mutable drop_pending : bool;
       (* a box went offline since the last [flush_dropped]: [active] and
          [scheduled] may still hold its requests *)
-  recent : request Vec.t array; (* per stripe: recent requests, in issue order *)
+  window_head : int array; (* per stripe: the cache window's oldest slot, -1 *)
+  window_tail : int array; (* per stripe: its newest slot, -1 *)
+  expiry : ibuf array;
+      (* T + 1 buckets by activation round: the slots that entered a
+         window at round r leave it at the start of round r + T + 1 *)
   busy_until : int array;
+  idle_from : int array;
+      (* per box: the round from which it may be drafted as a viewer
+         ([busy_until]), or [max_int] while it is offline, has a demand
+         pending or is a helper *)
   stripe_counter : int array; (* per video: preload round-robin *)
-  swarm : int Vec.t array; (* per video: entry times, ordered *)
+  swarm : ibuf array; (* per video: entry rounds, ascending *)
   pending : (int * int) Vec.t; (* (box, video) demands for the next step *)
   pending_box : bool array; (* per box: a demand of the box is in [pending] *)
-  idle_buf : int array; (* scratch for [idle_boxes] *)
+  idle_buf : int array; (* the idle draw's output, lent by [borrow_idle] *)
   mutable last_violator : Vod_graph.Bipartite.violator option;
   mutable last_instance : Vod_graph.Bipartite.t option;
   inst : Vod_graph.Bipartite.t;
@@ -133,6 +260,7 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
     Array.init n (compute_capacity ~params ~fleet ~compensation ~factor:1.0)
   in
   let m = Catalog.videos (Allocation.catalog alloc) in
+  let stripes = Catalog.total_stripes (Allocation.catalog alloc) in
   {
     params;
     fleet;
@@ -152,16 +280,17 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
     link_faults = None;
     completed_repairs = Vec.create ();
     now = 0;
-    active = Vec.create ();
-    scheduled = Hashtbl.create 64;
+    store = Store.create ();
+    active = ibuf ();
+    scheduled = Array.init schedule_ring (fun _ -> ibuf ());
     drop_pending = false;
-    recent =
-      Array.init
-        (Catalog.total_stripes (Allocation.catalog alloc))
-        (fun _ -> Vec.create ());
+    window_head = Array.make stripes (-1);
+    window_tail = Array.make stripes (-1);
+    expiry = Array.init (params.Params.duration + 1) (fun _ -> ibuf ());
     busy_until = Array.make n 0;
+    idle_from = Array.make n 0;
     stripe_counter = Array.make (max m 1) 0;
-    swarm = Array.init (max m 1) (fun _ -> Vec.create ());
+    swarm = Array.init (max m 1) (fun _ -> ibuf ());
     pending = Vec.create ();
     pending_box = Array.make n false;
     idle_buf = Array.make n 0;
@@ -184,9 +313,17 @@ let now t = t.now
 let is_online t b = t.online.(b)
 let box_epoch t = t.box_epoch
 
+(* Every mutator of [online], [pending_box], [helper] or [busy_until]
+   calls this for the box it touched. *)
+let refresh_idle t b =
+  t.idle_from.(b) <-
+    (if t.online.(b) && (not t.pending_box.(b)) && not t.helper.(b) then t.busy_until.(b)
+     else max_int)
+
 let set_helper t b flag =
   if b < 0 || b >= t.params.Params.n then invalid_arg "Engine.set_helper: box out of range";
   t.helper.(b) <- flag;
+  refresh_idle t b;
   t.box_epoch <- t.box_epoch + 1
 
 let is_helper t b =
@@ -196,28 +333,78 @@ let last_loads t = Array.copy t.last_loads
 let cumulative_loads t = Array.copy t.cumulative_loads
 let is_idle t b = t.online.(b) && t.busy_until.(b) <= t.now && not t.pending_box.(b)
 
-(* Helpers are excluded: they are upload-only boxes, so no generator
-   should ever draft them as viewers. *)
-let idle_boxes t =
+(* The draftable boxes, ascending, into [idle_buf]: one compare per box.
+   Helpers are excluded ([idle_from] is [max_int] for them): they are
+   upload-only boxes, so no generator should ever draft them as
+   viewers. *)
+let fill_idle t =
+  let now = t.now and idle_from = t.idle_from and buf = t.idle_buf in
   let count = ref 0 in
-  for b = 0 to t.params.Params.n - 1 do
-    if is_idle t b && not t.helper.(b) then begin
-      t.idle_buf.(!count) <- b;
-      incr count
-    end
+  for b = 0 to Array.length idle_from - 1 do
+    (* branch-free: the slot is overwritten unless the box is idle *)
+    buf.(!count) <- b;
+    count := !count + Bool.to_int (idle_from.(b) <= now)
   done;
-  Array.sub t.idle_buf 0 !count
+  !count
+
+let borrow_idle t =
+  let len = fill_idle t in
+  (t.idle_buf, len)
+
+let idle_boxes t = Array.sub t.idle_buf 0 (fill_idle t)
 
 let window_start t = t.now - t.params.Params.duration
 
+(* First index of [b.data.(0 .. b.len - 1)] (ascending) holding a value
+   [>= lo]. *)
+let lower_bound b lo =
+  let l = ref 0 and h = ref b.len in
+  while !l < !h do
+    let mid = (!l + !h) lsr 1 in
+    if b.data.(mid) < lo then l := mid + 1 else h := mid
+  done;
+  !l
+
 let swarm_size t v =
   let entries = t.swarm.(v) in
-  let lo = window_start t in
-  (* entries are appended in time order: count the suffix within the
-     window (old entries are lazily dropped by rebuilding). *)
-  let count = ref 0 in
-  Vec.iter (fun e -> if e >= lo then incr count) entries;
-  !count
+  entries.len - lower_bound entries (window_start t)
+
+(* Entries leave a swarm vector when it is full and about to grow: the
+   prefix older than the window is dropped first. *)
+let join_swarm t video time =
+  let entries = t.swarm.(video) in
+  if entries.len = Array.length entries.data then begin
+    let stale = lower_bound entries (window_start t) in
+    if stale > 0 then begin
+      Array.blit entries.data stale entries.data 0 (entries.len - stale);
+      entries.len <- entries.len - stale
+    end
+  end;
+  push entries time
+
+(* Keep the slots of [b] that [keep] accepts, in place and in order;
+   the others leave the active/scheduled set.  True when one left. *)
+let filter_queued st b keep =
+  let kept = ref 0 in
+  for i = 0 to b.len - 1 do
+    let s = b.data.(i) in
+    if keep s then begin
+      b.data.(!kept) <- s;
+      incr kept
+    end
+    else Store.release st s Store.queued
+  done;
+  let removed = !kept < b.len in
+  b.len <- !kept;
+  removed
+
+(* Remove from [active] and every [scheduled] bucket the slots [keep]
+   rejects; true when one was removed. *)
+let drop_requests t keep =
+  Array.fold_left
+    (fun removed b -> filter_queued t.store b keep || removed)
+    (filter_queued t.store t.active keep)
+    t.scheduled
 
 (* Taking a box offline only raises [drop_pending]; the requests it
    owned leave [active] and [scheduled] here, in one pass for every box
@@ -229,16 +416,13 @@ let swarm_size t v =
 let flush_dropped t =
   if t.drop_pending then begin
     t.drop_pending <- false;
-    let online = t.online in
-    Vec.filter_in_place (fun r -> online.(r.owner)) t.active;
-    Hashtbl.iter
-      (fun _ batch -> Vec.filter_in_place (fun r -> online.(r.owner)) batch)
-      t.scheduled
+    let online = t.online and owner = t.store.Store.owner in
+    ignore (drop_requests t (fun s -> online.(owner.(s))) : bool)
   end
 
 let active_request_count t =
   flush_dropped t;
-  Vec.length t.active
+  t.active.len
 let upload_slots_of_box t b = t.capacity.(b)
 
 let set_alloc t alloc =
@@ -278,6 +462,11 @@ let relay_of t b =
       let r = comp.Vod_analysis.Theorem2.relay_of.(b) in
       if r >= 0 then Some r else None
 
+let register_demand t ~box ~video =
+  t.pending_box.(box) <- true;
+  refresh_idle t box;
+  Vec.push t.pending (box, video)
+
 let demand t ~box ~video =
   let m = Catalog.videos (Allocation.catalog t.alloc) in
   if box < 0 || box >= t.params.Params.n then invalid_arg "Engine.demand: box out of range";
@@ -285,8 +474,7 @@ let demand t ~box ~video =
   if t.helper.(box) then invalid_arg "Engine.demand: box is a helper (takes no demands)";
   if not t.online.(box) then invalid_arg "Engine.demand: box is offline";
   if not (is_idle t box) then invalid_arg "Engine.demand: box is busy";
-  t.pending_box.(box) <- true;
-  Vec.push t.pending (box, video)
+  register_demand t ~box ~video
 
 type reject_reason = Offline | Helper | Out_of_range
 type admit = Admitted | Queued | Rejected of reject_reason
@@ -299,8 +487,7 @@ let try_demand t ~box ~video =
   else if not t.online.(box) then Rejected Offline
   else if not (is_idle t box) then Queued
   else begin
-    t.pending_box.(box) <- true;
-    Vec.push t.pending (box, video);
+    register_demand t ~box ~video;
     Admitted
   end
 
@@ -309,16 +496,13 @@ let awaiting_first t box =
     invalid_arg "Engine.awaiting_first: box out of range";
   t.awaiting_first.(box)
 
-let schedule t time req =
-  let bucket =
-    match Hashtbl.find_opt t.scheduled time with
-    | Some v -> v
-    | None ->
-        let v = Vec.create () in
-        Hashtbl.add t.scheduled time v;
-        v
-  in
-  Vec.push bucket req
+(* A new request, queued for activation at round [at]. *)
+let schedule t ~at ~kind ~stripe ~owner ~requester ~target =
+  let offset = at - t.now in
+  if offset < 0 || offset >= schedule_ring then
+    invalid_arg "Engine.schedule: activation round outside the schedule ring";
+  let s = Store.alloc t.store ~stripe ~owner ~requester ~issued_at:at ~kind ~target in
+  push t.scheduled.(at land (schedule_ring - 1)) s
 
 (* Translate one user demand into its request schedule.  [time] is the
    round at which the preloading request is issued. *)
@@ -327,24 +511,15 @@ let emit_requests t ~box ~video ~time =
   let cat = Allocation.catalog t.alloc in
   let preload_index = t.stripe_counter.(video) mod c in
   t.stripe_counter.(video) <- t.stripe_counter.(video) + 1;
-  let stripe i = Catalog.stripe_id cat ~video ~index:i in
   let make ~kind ~requester ~index ~at =
-    schedule t at
-      {
-        stripe = stripe index;
-        owner = box;
-        requester;
-        issued_at = at;
-        kind;
-        target = t.params.Params.duration;
-        progress = 0;
-        last_server = -1;
-      }
+    schedule t ~at ~kind
+      ~stripe:(Catalog.stripe_id cat ~video ~index)
+      ~owner:box ~requester ~target:t.params.Params.duration
   in
-  Vec.push t.swarm.(video) time;
+  join_swarm t video time;
   t.demand_round.(box) <- time;
   t.awaiting_first.(box) <- c;
-  match relay_of t box with
+  (match relay_of t box with
   | None ->
       if t.preloading then begin
         make ~kind:Preload ~requester:box ~index:preload_index ~at:time;
@@ -378,15 +553,8 @@ let emit_requests t ~box ~video ~time =
         make ~kind:Relayed_postponed ~requester:relay ~index:((preload_index + j) mod c)
           ~at:(time + 3)
       done;
-      t.busy_until.(box) <- time + t.params.Params.duration + 4
-
-(* Boxes that cache data of a request: the owner always; the relay too
-   when it forwarded the stripe (Section 4: r(b) caches what it
-   relays).  The relay that caches, or -1. *)
-let relay_cacher req =
-  match req.kind with
-  | Relayed_preload | Relayed_postponed when req.requester <> req.owner -> req.requester
-  | Preload | Postponed | Repair_transfer | Relayed_preload | Relayed_postponed -> -1
+      t.busy_until.(box) <- time + t.params.Params.duration + 4);
+  refresh_idle t box
 
 (* ------------------------------------------------------------------ *)
 (* Repair transfers (vod_fault's maintenance controller)               *)
@@ -405,30 +573,14 @@ let inject_repair t ~stripe ~dest ~rounds =
     invalid_arg "Engine.inject_repair: dest out of range";
   if not t.online.(dest) then invalid_arg "Engine.inject_repair: dest is offline";
   if rounds < 1 then invalid_arg "Engine.inject_repair: rounds < 1";
-  let at = t.now + 1 in
-  schedule t at
-    {
-      stripe;
-      owner = dest;
-      requester = dest;
-      issued_at = at;
-      kind = Repair_transfer;
-      target = rounds;
-      progress = 0;
-      last_server = -1;
-    }
+  schedule t ~at:(t.now + 1) ~kind:Repair_transfer ~stripe ~owner:dest ~requester:dest
+    ~target:rounds
 
 let abort_repair t ~stripe ~dest =
   flush_dropped t;
-  let removed = ref false in
-  let keeps r =
-    let doomed = r.kind = Repair_transfer && r.stripe = stripe && r.owner = dest in
-    if doomed then removed := true;
-    not doomed
-  in
-  Vec.filter_in_place keeps t.active;
-  Hashtbl.iter (fun _ batch -> Vec.filter_in_place keeps batch) t.scheduled;
-  !removed
+  let st = t.store in
+  drop_requests t (fun s ->
+      not (is_repair st.Store.kind.(s) && st.Store.stripe.(s) = stripe && st.Store.owner.(s) = dest))
 
 let drain_completed_repairs t =
   let l = Vec.to_list t.completed_repairs in
@@ -439,29 +591,46 @@ let drain_completed_repairs t =
    phase; they are no longer in flight, so they are not counted. *)
 let repair_in_flight t =
   flush_dropped t;
+  let st = t.store in
   let count = ref 0 in
-  let tally vec =
-    Vec.iter
-      (fun r -> if r.kind = Repair_transfer && r.progress < r.target then incr count)
-      vec
+  let tally b =
+    for i = 0 to b.len - 1 do
+      let s = b.data.(i) in
+      if is_repair st.Store.kind.(s) && st.Store.progress.(s) < st.Store.target.(s) then
+        incr count
+    done
   in
   tally t.active;
-  Hashtbl.iter (fun _ batch -> tally batch) t.scheduled;
+  Array.iter tally t.scheduled;
   !count
 
-let prune_recent t =
-  let lo = window_start t in
-  Array.iter
-    (fun entries ->
-      if Vec.length entries > 0 && (Vec.get entries 0).issued_at < lo then
-        Vec.filter_in_place (fun r -> r.issued_at >= lo) entries)
-    t.recent;
-  (* occasionally compact swarm vectors *)
-  Array.iter
-    (fun entries ->
-      if Vec.length entries > 64 && Vec.get entries 0 < lo then
-        Vec.filter_in_place (fun e -> e >= lo) entries)
-    t.swarm
+(* The slots that entered a cache window at round [time - T - 1] leave
+   it now.  Windows are FIFOs in activation order, so each is its
+   stripe's oldest entry. *)
+let expire_windows t time =
+  let st = t.store in
+  let bucket = t.expiry.(time mod Array.length t.expiry) in
+  for i = 0 to bucket.len - 1 do
+    let s = bucket.data.(i) in
+    let stripe = st.Store.stripe.(s) in
+    assert (t.window_head.(stripe) = s);
+    let next = st.Store.next_in_window.(s) in
+    t.window_head.(stripe) <- next;
+    if next < 0 then t.window_tail.(stripe) <- -1;
+    Store.release st s Store.windowed
+  done;
+  bucket.len <- 0
+
+(* Slot [s] becomes its stripe window's newest entry at round [time]. *)
+let enter_window t s time =
+  let st = t.store in
+  let stripe = st.Store.stripe.(s) in
+  let tail = t.window_tail.(stripe) in
+  if tail < 0 then t.window_head.(stripe) <- s else st.Store.next_in_window.(tail) <- s;
+  t.window_tail.(stripe) <- s;
+  st.Store.next_in_window.(s) <- -1;
+  st.Store.holds.(s) <- st.Store.holds.(s) lor Store.windowed;
+  push t.expiry.(time mod Array.length t.expiry) s
 
 (* Per-video request statistics for checking Lemma 2 on live traces:
    for the set X of active requests of each video, the size i = |X|,
@@ -470,12 +639,13 @@ let prune_recent t =
 let video_request_stats t =
   flush_dropped t;
   let c = t.params.Params.c in
+  let st = t.store in
   let by_video = Hashtbl.create 16 in
-  Vec.iter
-    (fun req ->
-      if req.kind = Repair_transfer then ()
-      else
-      let video = req.stripe / c in
+  for i = 0 to t.active.len - 1 do
+    let s = t.active.data.(i) in
+    if not (is_repair st.Store.kind.(s)) then begin
+      let stripe = st.Store.stripe.(s) in
+      let video = stripe / c in
       let entry =
         match Hashtbl.find_opt by_video video with
         | Some e -> e
@@ -486,20 +656,25 @@ let video_request_stats t =
       in
       let count, stripes, servers = entry in
       incr count;
-      Hashtbl.replace stripes req.stripe ();
+      Hashtbl.replace stripes stripe ();
       Array.iter
         (fun b -> if t.online.(b) then Bitset.add servers b)
-        (Allocation.boxes_of_stripe t.alloc req.stripe);
-      Vec.iter
-        (fun candidate ->
-          if candidate.issued_at < req.issued_at && candidate.progress > req.progress
-          then begin
-            if t.online.(candidate.owner) then Bitset.add servers candidate.owner;
-            let relay = relay_cacher candidate in
-            if relay >= 0 && t.online.(relay) then Bitset.add servers relay
-          end)
-        t.recent.(req.stripe))
-    t.active;
+        (Allocation.boxes_of_stripe t.alloc stripe);
+      let cand = ref t.window_head.(stripe) in
+      while !cand >= 0 do
+        let w = !cand in
+        if st.Store.issued_at.(w) < st.Store.issued_at.(s)
+           && st.Store.progress.(w) > st.Store.progress.(s)
+        then begin
+          let owner = st.Store.owner.(w) in
+          if t.online.(owner) then Bitset.add servers owner;
+          let relay = Store.relay_cacher st w in
+          if relay >= 0 && t.online.(relay) then Bitset.add servers relay
+        end;
+        cand := st.Store.next_in_window.(w)
+      done
+    end
+  done;
   Hashtbl.fold
     (fun video (count, stripes, servers) acc ->
       (video, !count, Hashtbl.length stripes, Bitset.cardinal servers) :: acc)
@@ -515,17 +690,19 @@ let set_round_sink t sink = t.round_sink <- sink
 
 (* The user stops watching: drop the box's in-flight and scheduled
    requests and free it immediately.  Its playback cache entries remain
-   in [recent] and keep serving the swarm for the rest of the window,
+   in their windows and keep serving the swarm until they expire,
    exactly as a real departure mid-video would. *)
 let cancel t box =
   if box < 0 || box >= t.params.Params.n then invalid_arg "Engine.cancel: box out of range";
   flush_dropped t;
+  let st = t.store in
   (* the viewer leaves, but any repair transfer towards the box is
      maintenance traffic and survives the cancellation *)
-  let keeps r = r.owner <> box || r.kind = Repair_transfer in
-  Vec.filter_in_place keeps t.active;
-  Hashtbl.iter (fun _ batch -> Vec.filter_in_place keeps batch) t.scheduled;
+  ignore
+    (drop_requests t (fun s -> st.Store.owner.(s) <> box || is_repair st.Store.kind.(s))
+      : bool);
   t.busy_until.(box) <- t.now;
+  refresh_idle t box;
   t.awaiting_first.(box) <- 0
 
 let set_online t box online =
@@ -549,29 +726,42 @@ let set_online t box online =
     t.busy_until.(box) <- t.now
   end;
   t.online.(box) <- online;
+  refresh_idle t box;
   t.online_cap.(box) <- (if online then t.capacity.(box) else 0)
 
-(* Box [b] may serve request [req] this round: it is online, and a
-   repair transfer copies from a peer (its destination never serves
-   itself). *)
-let usable t req b = t.online.(b) && (req.kind <> Repair_transfer || b <> req.owner)
-
 (* One row's edges: the static replicas, then the cache window's owners
-   and relays, in order. *)
-let emit_row t req emit =
-  let replicas = Allocation.boxes_of_stripe t.alloc req.stripe in
+   and relays, in order.  A box serves the row only while online, and a
+   repair transfer's destination never serves itself. *)
+let emit_row t s emit =
+  let st = t.store and online = t.online in
+  let stripe = st.Store.stripe.(s) in
+  let skip = if is_repair st.Store.kind.(s) then st.Store.owner.(s) else -1 in
+  let replicas = Allocation.sorted_boxes_of_stripe t.alloc stripe in
   for i = 0 to Array.length replicas - 1 do
-    if usable t req replicas.(i) then emit replicas.(i)
+    let b = replicas.(i) in
+    if online.(b) && b <> skip then emit b
   done;
-  let window = t.recent.(req.stripe) in
-  for i = 0 to Vec.length window - 1 do
-    let candidate = Vec.get window i in
-    if candidate.issued_at < req.issued_at && candidate.progress > req.progress then begin
-      if usable t req candidate.owner then emit candidate.owner;
-      let relay = relay_cacher candidate in
-      if relay >= 0 && usable t req relay then emit relay
-    end
+  let issued_at = st.Store.issued_at and progress = st.Store.progress in
+  let issued = issued_at.(s) and position = progress.(s) in
+  (* the window is in activation order: no entry from [issued] on
+     is ahead of this request *)
+  let cand = ref t.window_head.(stripe) in
+  while !cand >= 0 && issued_at.(!cand) < issued do
+    let w = !cand in
+    if progress.(w) > position then begin
+      let owner = st.Store.owner.(w) in
+      if online.(owner) && owner <> skip then emit owner;
+      let relay = Store.relay_cacher st w in
+      if relay >= 0 && online.(relay) && relay <> skip then emit relay
+    end;
+    cand := st.Store.next_in_window.(w)
   done
+
+(* Completed requests leave the active set (their slots stay in their
+   windows until expiry). *)
+let retire t =
+  let progress = t.store.Store.progress and target = t.store.Store.target in
+  ignore (filter_queued t.store t.active (fun s -> progress.(s) < target.(s)) : bool)
 
 let step t =
   Vod_obs.Span.with_ ~name:"round" @@ fun () ->
@@ -581,7 +771,12 @@ let step t =
   Vod_obs.Registry.incr obs_rounds;
   let new_demands =
     Vod_obs.Span.with_ ~name:"demand-admit" @@ fun () ->
-    (* 1. Turn pending user demands into scheduled requests.  Demands
+    (* 1. Retire last round's completed requests and expire the cache
+       entries that left the window [time - T, time].  Both only free
+       slots, so they run before anything new takes one. *)
+    retire t;
+    expire_windows t time;
+    (* 2. Turn pending user demands into scheduled requests.  Demands
        whose box went offline since registration are skipped silently,
        like demands on busy boxes, so stateless generators compose with
        churn plans. *)
@@ -595,42 +790,37 @@ let step t =
         end)
       t.pending;
     Vec.clear t.pending;
-    let new_demands = !new_demands in
-    (* 2. Activate requests scheduled for this round.  Repair transfers
+    (* 3. Activate requests scheduled for this round.  Repair transfers
        stay out of the playback-cache window: a partially copied replica
        is not cache content other viewers may stream from. *)
-    (match Hashtbl.find_opt t.scheduled time with
-    | None -> ()
-    | Some batch ->
-        Vec.iter
-          (fun req ->
-            Vec.push t.active req;
-            if req.kind <> Repair_transfer then
-              Vec.push t.recent.(req.stripe) req)
-          batch;
-        Hashtbl.remove t.scheduled time);
-    (* 3. Retire completed requests and prune stale cache entries. *)
-    Vec.filter_in_place (fun r -> r.progress < r.target) t.active;
-    prune_recent t;
-    new_demands
+    let batch = t.scheduled.(time land (schedule_ring - 1)) in
+    let kind = t.store.Store.kind in
+    for i = 0 to batch.len - 1 do
+      let s = batch.data.(i) in
+      push t.active s;
+      if not (is_repair kind.(s)) then enter_window t s time
+    done;
+    batch.len <- 0;
+    !new_demands
   in
   Vod_obs.Registry.add obs_demands new_demands;
+  (* No slot is taken from here to the end of the round, so the store's
+     arrays and the row buffer stay put. *)
+  let st = t.store in
+  let rows = t.active.data and n_left = t.active.len in
   (* 4. Build the connection-matching instance (Section 2.2). *)
-  let requests, instance =
+  let instance =
     Vod_obs.Span.with_ ~name:"build" @@ fun () ->
-    let requests = Vec.to_array t.active in
-    let n_left = Array.length requests in
     (* one row-major pass refills the persistent instance in place:
        every row is written straight into its CSR column array, and
        once the buffers reach the run's high-water mark the whole build
        phase stops allocating *)
     let instance = t.inst in
     Vod_graph.Bipartite.rebuild instance ~n_left ~right_cap:t.online_cap
-      ~fill:(fun l emit -> emit_row t requests.(l) emit);
+      ~fill:(fun l emit -> emit_row t rows.(l) emit);
     t.last_instance <- Some instance;
-    (requests, instance)
+    instance
   in
-  let n_left = Array.length requests in
   let n = t.params.Params.n in
   Vod_obs.Registry.set obs_active n_left;
   let of_outcome o = Vod_graph.Bipartite.(o.matched, o.assignment, o.right_load) in
@@ -647,7 +837,7 @@ let step t =
         (* serving from a static replica costs 1, from a cache 0: among
            maximum matchings, minimise the load on the allocation *)
         let cost ~left ~right =
-          if Allocation.possesses t.alloc ~box:right ~stripe:requests.(left).stripe
+          if Allocation.possesses t.alloc ~box:right ~stripe:st.Store.stripe.(rows.(left))
           then 1
           else 0
         in
@@ -655,18 +845,18 @@ let step t =
     | Sticky ->
         (* keeping last round's connection costs 0, rewiring costs 1:
            among maximum matchings, minimise connection churn *)
-        let cost ~left ~right = if requests.(left).last_server = right then 0 else 1 in
+        let cost ~left ~right = if st.Store.last_server.(rows.(left)) = right then 0 else 1 in
         of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
     | Greedy_proposals rounds ->
         (* no global view: persistent connections carry over, then boxes
            negotiate locally for a few rounds for the rest *)
-        let warm_start = Array.map (fun req -> req.last_server) requests in
+        let warm_start = Array.init n_left (fun l -> st.Store.last_server.(rows.(l))) in
         of_outcome
           (Vod_graph.Bipartite.solve_greedy ~warm_start ~rounds t.sched_rng instance)
     | Prefer_local ->
         (* among maximum matchings, minimise cross-group connections *)
         let topo = Option.get t.topology in
-        let cost ~left ~right = Topology.cost topo requests.(left).owner right in
+        let cost ~left ~right = Topology.cost topo st.Store.owner.(rows.(left)) right in
         of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
     | Balance_load ->
         (* among maximum matchings, steer connections towards the boxes
@@ -684,50 +874,52 @@ let step t =
     let user_active = ref 0 and user_served = ref 0 in
     let repair_active = ref 0 and repair_served = ref 0 in
     let faulted = ref 0 in
-    Array.iteri
-      (fun l req ->
-        let is_repair = req.kind = Repair_transfer in
-        if is_repair then incr repair_active else incr user_active;
-        let server = assignment.(l) in
-        if server >= 0 then begin
-          let dropped =
-            match t.link_faults with
-            | Some fault -> fault ~time ~owner:req.owner ~server
-            | None -> false
-          in
-          if dropped then begin
-            incr faulted;
-            Vod_obs.Registry.incr obs_link_failures
-          end
-          else begin
-            if is_repair then incr repair_served else incr user_served;
-            if not is_repair then begin
-              (* the cache/rewiring/locality tallies describe viewer
-                 connections; maintenance traffic stays out of them *)
-              if not (Allocation.possesses t.alloc ~box:server ~stripe:req.stripe)
-              then incr served_from_cache;
-              if req.last_server >= 0 && req.last_server <> server then incr rewired;
-              match t.topology with
-              | Some topo ->
-                  if not (Topology.same_group topo req.owner server) then
-                    incr cross_group
-              | None -> ()
-            end;
-            req.last_server <- server;
-            if (not is_repair) && req.progress = 0 then begin
-              (* first byte of this stripe: one fewer stream to wait for *)
-              t.awaiting_first.(req.owner) <- t.awaiting_first.(req.owner) - 1;
-              if t.awaiting_first.(req.owner) = 0 then
-                Vec.push t.startups (time - t.demand_round.(req.owner))
-            end;
-            req.progress <- req.progress + 1;
-            if is_repair && req.progress >= req.target then
-              (* the replica copy is complete: hand it to the
-                 maintenance controller at the next drain *)
-              Vec.push t.completed_repairs (req.stripe, req.owner)
-          end
-        end)
-      requests;
+    let stripe_of = st.Store.stripe and owner_of = st.Store.owner in
+    let progress = st.Store.progress and last_server = st.Store.last_server in
+    for l = 0 to n_left - 1 do
+      let s = rows.(l) in
+      let is_repair = is_repair st.Store.kind.(s) in
+      if is_repair then incr repair_active else incr user_active;
+      let server = assignment.(l) in
+      if server >= 0 then begin
+        let owner = owner_of.(s) in
+        let dropped =
+          match t.link_faults with
+          | Some fault -> fault ~time ~owner ~server
+          | None -> false
+        in
+        if dropped then begin
+          incr faulted;
+          Vod_obs.Registry.incr obs_link_failures
+        end
+        else begin
+          if is_repair then incr repair_served else incr user_served;
+          if not is_repair then begin
+            (* the cache/rewiring/locality tallies describe viewer
+               connections; maintenance traffic stays out of them *)
+            if not (Allocation.possesses t.alloc ~box:server ~stripe:stripe_of.(s)) then
+              incr served_from_cache;
+            if last_server.(s) >= 0 && last_server.(s) <> server then incr rewired;
+            match t.topology with
+            | Some topo ->
+                if not (Topology.same_group topo owner server) then incr cross_group
+            | None -> ()
+          end;
+          last_server.(s) <- server;
+          if (not is_repair) && progress.(s) = 0 then begin
+            (* first byte of this stripe: one fewer stream to wait for *)
+            t.awaiting_first.(owner) <- t.awaiting_first.(owner) - 1;
+            if t.awaiting_first.(owner) = 0 then
+              Vec.push t.startups (time - t.demand_round.(owner))
+          end;
+          progress.(s) <- progress.(s) + 1;
+          if is_repair && progress.(s) >= st.Store.target.(s) then
+            (* the replica copy is complete: hand it to the
+               maintenance controller at the next drain *)
+            Vec.push t.completed_repairs (stripe_of.(s), owner)
+        end
+      end
+    done;
     let unserved = !user_active - !user_served in
     Vod_obs.Registry.add obs_unserved unserved;
     Vod_obs.Registry.add obs_repair_served !repair_served;
@@ -767,6 +959,70 @@ let step t =
   (match t.round_sink with None -> () | Some sink -> sink report);
   if report.unserved > 0 && t.policy = Fail_fast then raise (Defeated report);
   report
+
+(* ------------------------------------------------------------------ *)
+(* Request-store audit                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let request_slots t = (Store.live t.store, t.store.Store.minted)
+
+let audit_requests t =
+  let st = t.store in
+  let minted = st.Store.minted in
+  let queued_seen = Array.make minted 0 and windowed_seen = Array.make minted 0 in
+  let problems = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
+  let visit seen where s =
+    if s < 0 || s >= minted then fail "%s holds slot %d outside the pool" where s
+    else seen.(s) <- seen.(s) + 1
+  in
+  let scan where b =
+    for i = 0 to b.len - 1 do
+      visit queued_seen where b.data.(i)
+    done
+  in
+  scan "active" t.active;
+  Array.iteri (fun k b -> scan (Printf.sprintf "scheduled bucket %d" k) b) t.scheduled;
+  Array.iteri
+    (fun stripe head ->
+      let cand = ref head and last = ref (-1) and steps = ref 0 in
+      while !cand >= 0 && !steps <= minted do
+        let s = !cand in
+        visit windowed_seen "a window" s;
+        if s >= 0 && s < minted then begin
+          if st.Store.stripe.(s) <> stripe then fail "slot %d sits in stripe %d's window" s stripe;
+          last := s;
+          cand := st.Store.next_in_window.(s)
+        end
+        else cand := -1;
+        incr steps
+      done;
+      if !steps > minted then fail "stripe %d's window has a cycle" stripe;
+      if t.window_tail.(stripe) <> !last then fail "stripe %d's window tail is stale" stripe)
+    t.window_head;
+  let expiring = Array.make minted 0 in
+  Array.iter (fun b -> for i = 0 to b.len - 1 do visit expiring "expiry" b.data.(i) done) t.expiry;
+  let freed = Array.make minted 0 in
+  for i = 0 to st.Store.n_free - 1 do
+    visit freed "the free list" st.Store.free.(i)
+  done;
+  let reachable = ref 0 in
+  for s = 0 to minted - 1 do
+    let q = queued_seen.(s) and w = windowed_seen.(s) in
+    if q > 1 then fail "slot %d is queued %d times" s q;
+    if w > 1 then fail "slot %d is in windows %d times" s w;
+    if expiring.(s) <> w then fail "slot %d's expiry entry disagrees with its window" s;
+    let holds = st.Store.holds.(s) in
+    if (q > 0) <> (holds land Store.queued <> 0) then fail "slot %d's queued mark is wrong" s;
+    if (w > 0) <> (holds land Store.windowed <> 0) then fail "slot %d's window mark is wrong" s;
+    if q + w > 0 then incr reachable;
+    if freed.(s) > 1 then fail "slot %d is freed %d times" s freed.(s);
+    if freed.(s) > 0 && (q + w > 0 || holds <> 0) then fail "freed slot %d is reachable" s;
+    if freed.(s) = 0 && q + w = 0 then fail "slot %d is leaked" s
+  done;
+  if !reachable <> Store.live st then
+    fail "%d reachable slots against %d live" !reachable (Store.live st);
+  match List.rev !problems with [] -> Ok () | p :: _ -> Error p
 
 (* Single source of truth for the report's scalar fields: Trace.to_csv
    and pp_report derive their column order from this list, so adding a

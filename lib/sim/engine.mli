@@ -42,20 +42,6 @@ type kind =
           that box busy, and it stays out of the swarm, cache-window and
           start-up accounting. *)
 
-type request = {
-  stripe : int;
-  owner : int;  (** The box that will play (or, for repairs, store) the data. *)
-  requester : int;  (** The box issuing the request ([owner] or its relay). *)
-  issued_at : int;
-  kind : kind;
-  target : int;
-      (** Rounds of service needed to complete: the video duration [T]
-          for user requests, the configured transfer length for repair
-          transfers. *)
-  mutable progress : int;  (** Positions downloaded so far, 0..[target]. *)
-  mutable last_server : int;  (** Box that served last round, or -1. *)
-}
-
 type failure_policy =
   | Fail_fast  (** Raise {!Defeated} on the first imperfect matching. *)
   | Continue  (** Record the failure; unmatched requests stall. *)
@@ -164,7 +150,15 @@ val idle_boxes : t -> int array
 (** Idle online boxes that may be drafted as viewers, in ascending
     order.  Helper boxes ({!set_helper}) are excluded — they are
     upload-only peers — so the demand generators built on this array
-    never target them.  The array is fresh: the caller may shuffle it. *)
+    never target them.  The array is fresh: the caller may shuffle it.
+    O(n). *)
+
+val borrow_idle : t -> int array * int
+(** [borrow_idle t] is [(buf, len)]: the boxes {!idle_boxes} returns,
+    written into [buf.(0 .. len - 1)], with no allocation.  [buf] is
+    the engine's own scratch, so the caller may shuffle or overwrite
+    its prefix, but it is only valid until the next [borrow_idle] or
+    {!idle_boxes}.  One sequential compare per box. *)
 
 (** {2 Helper boxes (plug-and-play spare upload)}
 
@@ -365,6 +359,24 @@ val video_request_stats : t -> (int * int * int * int) list
     the request count, the number of distinct stripes requested, and
     the number of online boxes possessing data some request needs —
     the quantities of Lemma 2, measurable on a live trace. *)
+
+(** {2 Request store}
+
+    Requests live in slots: parallel int arrays indexed by a slot id,
+    with a free list.  A slot is held by the active/scheduled set and,
+    for a viewer request once activated, by its stripe's cache window
+    until the window expires it; it is freed when it holds neither. *)
+
+val request_slots : t -> int * int
+(** [(live, minted)]: the slots in use, and the slots ever handed out
+    (the pool's high-water mark; freed slots are reused first). *)
+
+val audit_requests : t -> (unit, string) result
+(** Check the request store: every slot in the active set, the schedule
+    or a cache window is live and appears there once, each window is
+    its stripe's FIFO, no freed slot is reachable and no live one is
+    unreachable.  [Error] names the first violation.  O(pool + stripes);
+    for tests. *)
 
 val run :
   t -> rounds:int -> demands_for:(t -> int -> (int * int) list) -> round_report list

@@ -73,14 +73,20 @@ let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   if bound land (bound - 1) = 0 then bits g land (bound - 1)
   else begin
-    (* Rejection sampling on the top of the 62-bit range. *)
+    (* Rejection sampling on the top of the 62-bit range: draws at or
+       above [limit] are redrawn.  [limit > max_int62 - bound], so a draw
+       at or below that is accepted without computing [limit]. *)
     let max_int62 = (1 lsl 62) - 1 in
-    let limit = max_int62 - (max_int62 mod bound) in
-    let v = ref (bits g) in
-    while !v >= limit do
-      v := bits g
-    done;
-    !v mod bound
+    let v = bits g in
+    if v <= max_int62 - bound then v mod bound
+    else begin
+      let limit = max_int62 - (max_int62 mod bound) in
+      let v = ref v in
+      while !v >= limit do
+        v := bits g
+      done;
+      !v mod bound
+    end
   end
 
 let int_in_range g ~lo ~hi =

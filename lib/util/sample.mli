@@ -1,9 +1,9 @@
 (** Random sampling primitives built on {!Prng}. *)
 
-val shuffle : Prng.t -> 'a array -> unit
+val shuffle : Prng.t -> int array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val shuffle_prefix : Prng.t -> 'a array -> len:int -> unit
+val shuffle_prefix : Prng.t -> int array -> len:int -> unit
 (** [shuffle_prefix g a ~len] shuffles [a.(0) .. a.(len - 1)] in place
     and leaves the rest of [a] alone: the same draws and the same
     result as {!shuffle} on [Array.sub a 0 len], without the copy.

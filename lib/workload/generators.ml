@@ -7,14 +7,15 @@ type t = Engine.t -> int -> (int * int) list
 
 let catalog_size sim = Catalog.videos (Allocation.catalog (Engine.alloc sim))
 
-(* Draw [count] distinct idle boxes uniformly. *)
+(* Draw [count] distinct idle boxes uniformly: shuffle all the idle
+   boxes, in the engine's borrowed buffer, and keep a prefix. *)
 let draw_idle g sim count =
-  let idle = Engine.idle_boxes sim in
-  let count = min count (Array.length idle) in
+  let idle, len = Engine.borrow_idle sim in
+  let count = min count len in
   if count = 0 then []
   else begin
-    Sample.shuffle g idle;
-    Array.to_list (Array.sub idle 0 count)
+    Sample.shuffle_prefix g idle ~len;
+    List.init count (fun i -> idle.(i))
   end
 
 let zipf_arrivals g ~rate ~s =

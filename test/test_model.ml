@@ -218,12 +218,21 @@ let same_allocation a b =
              = Allocation.possesses b ~box ~stripe:s)
            boxes)
        stripes
+  && List.for_all
+       (fun s ->
+         let sorted = Allocation.sorted_boxes_of_stripe a s in
+         sorted = Allocation.sorted_boxes_of_stripe b s
+         && Array.to_list sorted
+            = List.sort compare (Array.to_list (Allocation.boxes_of_stripe a s)))
+       stripes
 
 let test_add_replicas_cases () =
   let a = tiny_allocation () in
   let a' = Allocation.add_replicas a [ (1, 0); (1, 2); (2, 0) ] in
   checkb "stripe row appended in order" true
     (Allocation.boxes_of_stripe a' 1 = [| 1; 0; 2 |]);
+  checkb "sorted stripe row stays ascending" true
+    (Allocation.sorted_boxes_of_stripe a' 1 = [| 0; 1; 2 |]);
   checkb "box rows stay ascending" true
     (Allocation.stripes_of_box a' 0 = [| 0; 1; 2; 3 |]
     && Allocation.stripes_of_box a' 2 = [| 1; 2; 3 |]);

@@ -796,9 +796,38 @@ let bitset_word_laws =
         Bitset.intersects a b = List.exists (fun i -> List.mem i lb) la);
   ]
 
+(* [Prng.int] as it was written before it skipped the limit division:
+   compute the rejection limit, redraw at or above it, reduce. *)
+let reference_int g bound =
+  if bound land (bound - 1) = 0 then Prng.bits g land (bound - 1)
+  else begin
+    let max_int62 = (1 lsl 62) - 1 in
+    let limit = max_int62 - (max_int62 mod bound) in
+    let v = ref (Prng.bits g) in
+    while !v >= limit do
+      v := Prng.bits g
+    done;
+    !v mod bound
+  end
+
+(* Bounds 1, 2^k and 2^k +- 1 up to 2^61: near 2^61 about half the
+   draws land above the fast path's cut and take the rejection loop. *)
+let int_bound_gen =
+  QCheck.Gen.(
+    map2
+      (fun k d -> max 1 ((1 lsl k) + d))
+      (int_range 0 61)
+      (oneofl [ -1; 0; 1 ]))
+
 let qcheck_cases =
   let open QCheck in
   [
+    Test.make ~name:"prng: int is the two-division reference" ~count:500
+      (pair small_int (make ~print:Print.(list int) Gen.(list_size (int_range 1 40) int_bound_gen)))
+      (fun (seed, bounds) ->
+        let g = Prng.create ~seed () and g' = Prng.create ~seed () in
+        List.for_all (fun b -> Prng.int g b = reference_int g' b) bounds
+        && Prng.int64 g = Prng.int64 g');
     Test.make ~name:"prng: int g b always in [0,b)" ~count:500
       (pair small_int (int_range 1 10_000))
       (fun (seed, bound) ->
