@@ -275,6 +275,40 @@ let test_overflow_pin cap () =
       in
       checks "vod-serve/1 matches the overflow pin" golden o.Serve.jsonl
 
+(* Byte-pins of the paths that move the engine's box epoch in the
+   middle of a run: an upload degrade and restore (isp_bottleneck), a
+   helper join, leave and rejoin around a crash window (helpers_churn),
+   and a helper-first draft of 8 standby boxes inside a round (the
+   overload scenario above).  Both streams are pinned, vod-serve/1 and
+   vod-slo/1.  Regenerate the battery pins with
+     dune exec bin/vodctl.exe -- serve --scn examples/battery/NAME.scn \
+       --out test/serve_NAME_golden.jsonl \
+       --slo-out test/serve_NAME_slo_golden.jsonl
+   and the overload pin by writing the [jsonl] and [slo_jsonl] of the
+   helper-first run in [test_overload_sheds_by_policy] to
+   serve_overload_helper_golden.jsonl and
+   serve_overload_helper_slo_golden.jsonl. *)
+let check_pins name (o : Serve.outcome) =
+  let read file = In_channel.with_open_text file In_channel.input_all in
+  checks "vod-serve/1 matches the golden pin"
+    (read (Printf.sprintf "serve_%s_golden.jsonl" name))
+    o.Serve.jsonl;
+  checks "vod-slo/1 matches the golden pin"
+    (read (Printf.sprintf "serve_%s_slo_golden.jsonl" name))
+    o.Serve.slo_jsonl
+
+let test_battery_pin name () =
+  match Scenario.load ~path:(Printf.sprintf "../examples/battery/%s.scn" name) with
+  | Error m -> Alcotest.fail m
+  | Ok s -> check_pins name (Result.get_ok (Serve.run s))
+
+let test_helper_draft_pin () =
+  let config =
+    Serve.config ~headroom_margin:0.0 ~tokens_per_round:6 ~token_burst:12
+      ~shed_policy:Serve.Helper_first ()
+  in
+  check_pins "overload_helper" (Result.get_ok (Serve.run ~config (overload_scenario ())))
+
 (* Allocation guard for the overflow path: 1024 boxes take Poisson
    300/round into a 32-entry queue, so about 270 arrivals a round are
    shed.  Minor-heap words per round per active stripe request are
@@ -396,6 +430,9 @@ let suites =
         Alcotest.test_case "golden pin" `Quick test_golden_pin;
         Alcotest.test_case "overflow pin, cap 32" `Quick (test_overflow_pin 32);
         Alcotest.test_case "overflow pin, cap 16" `Quick (test_overflow_pin 16);
+        Alcotest.test_case "degrade/restore pin" `Quick (test_battery_pin "isp_bottleneck");
+        Alcotest.test_case "helper churn pin" `Quick (test_battery_pin "helpers_churn");
+        Alcotest.test_case "helper-first draft pin" `Quick test_helper_draft_pin;
         Alcotest.test_case "jobs byte-identity" `Quick test_jobs_identity;
         Alcotest.test_case "allocation guard" `Quick test_serve_alloc_guard;
         Alcotest.test_case "names parse" `Quick test_arrivals_and_policy_names;
