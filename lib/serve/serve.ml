@@ -346,9 +346,6 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             try Some (Vod_analysis.Theorem1.nu ~u:s.u ~mu:s.mu ~c) with Invalid_argument _ -> None)
         | _ -> None
       in
-      (* session store and deterministic orders; a session leaves
-         [sessions] when it reaches a terminal state *)
-      let sessions : (int, sess) Hashtbl.t = Hashtbl.create 256 in
       let next_id = ref 0 in
       (* The arrival queue is a FIFO: the entries of [queue] from index
          [!q_head] on.  Every enqueue at round t sets the deadline to
@@ -363,10 +360,22 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         Vec.filter_in_place keep queue;
         q_head := 0
       in
+      (* The admitted and streaming sessions in admission order.  Only
+         live sessions are in it between rounds: step 9 drops the rest. *)
       let live_order : sess Vec.t = Vec.create () in
-      let box_owner : (int, int) Hashtbl.t = Hashtbl.create 64 in
+      (* boxes with a non-terminal session; a trace may name a box
+         outside the fleet, which is never marked and is rejected at
+         admission *)
+      let owned = Bytes.make n_total '\000' in
+      let is_owned box = box >= 0 && box < n_total && Bytes.get owned box <> '\000' in
+      let set_owned box flag =
+        if box >= 0 && box < n_total then
+          Bytes.set owned box (if flag then '\001' else '\000')
+      in
       let retry_at : (int, sess Vec.t) Hashtbl.t = Hashtbl.create 16 in
-      let admitted_vid : (int, int) Hashtbl.t = Hashtbl.create 16 in
+      (* this round's grants per video: [granted.(v)] counts while
+         [granted_round.(v)] is the current round *)
+      let granted = Array.make m 0 and granted_round = Array.make m (-1) in
       let tokens = ref token_burst in
       let degraded = ref false in
       (* Measured matching shortfall, in slots.  Aggregate headroom
@@ -485,8 +494,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
                  (Session.state_name sess.state) sess.id)
       in
       let finalize sess =
-        Hashtbl.remove sessions sess.id;
-        Hashtbl.remove box_owner sess.box;
+        set_owned sess.box false;
         Backoff.reset backoff ~key:sess.id
       in
       let shed_terminal sess =
@@ -562,9 +570,8 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             admitted_at = -1;
           }
         in
-        Hashtbl.replace sessions id sess;
         tally Session.Arriving 1;
-        Hashtbl.replace box_owner box id;
+        set_owned box true;
         incr r_arrivals;
         incr t_arrivals;
         Registry.incr obs_arrivals;
@@ -584,7 +591,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             let free = ref 0 in
             for i = 0 to len - 1 do
               let b = idle.(i) in
-              if not (Hashtbl.mem box_owner b) then begin
+              if not (is_owned b) then begin
                 idle.(!free) <- b;
                 incr free
               end
@@ -599,40 +606,61 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         | Plan.Helper_join _ | Plan.Helper_leave _ ->
             assert false (* Plan.compile expanded these *)
       in
-      let allowed_new video =
-        let admitted_now =
-          match Hashtbl.find_opt admitted_vid video with Some k -> k | None -> 0
-        in
+      let allowed_new ~time video =
+        let admitted_now = if granted_round.(video) = time then granted.(video) else 0 in
         let size = Engine.swarm_size engine video + admitted_now in
         let target = int_of_float (ceil (float_of_int (max size 1) *. s.mu)) in
         target - size
       in
       let live_count () = count Session.Admitted + count Session.Streaming in
+      (* The box epoch step 2 last swept at, and whether it swept this
+         round.  Invariant: every session in [live_order] at step 2 had
+         an online box and a sourceable video at [!swept_epoch], checked
+         by that sweep or at its admission in step 7.  Every input of the
+         check moves the epoch (an online flip, an upload factor, a
+         helper mark, an install), so while the epoch stays put the sweep
+         would interrupt no one and is skipped.  A step-6 draft or a
+         step-8 install moves the epoch after step 2, so the next round
+         sweeps the sessions admitted since. *)
+      let swept_epoch = ref (-1) and swept_now = ref false in
       (* Sourcing feasibility: a video is streamable only while every
          one of its stripes has an online replica on a box with upload
          capacity left after degradation (the live allocation includes
          Mend's repairs).  Conservative — the matching can also source
          from playback caches — but a [false] here means an admitted
          viewer of that video is at risk of stalling, and the contract
-         is to recover such sessions, not stall them. *)
-      let sourceable_memo : (int, bool) Hashtbl.t = Hashtbl.create 16 in
+         is to recover such sessions, not stall them.
+
+         Memoised on the box epoch: an entry holds while the epoch it
+         was computed at ([memo_epoch.(v)]) is current.  On a round that
+         swept, the entries computed at the sweep's epoch also hold for
+         the rest of the round, so after a step-6 helper draft step 7
+         reads the values the sweep saw, not values after the draft
+         (the golden transcripts pin this).  No entry from an earlier
+         round has that epoch then: an unchanged epoch skips the sweep,
+         and a draft leaves no helper to draft until the epoch moves
+         again. *)
+      let memo = Bytes.make m '\000' and memo_epoch = Array.make m (-1) in
       let sourceable video =
-        match Hashtbl.find_opt sourceable_memo video with
-        | Some v -> v
-        | None ->
-            let alloc_now = Engine.alloc engine in
-            let cat = Allocation.catalog alloc_now in
-            let v =
-              Array.for_all
-                (fun stripe ->
-                  Array.exists
-                    (fun b ->
-                      Engine.is_online engine b && Engine.upload_slots_of_box engine b > 0)
-                    (Allocation.boxes_of_stripe alloc_now stripe))
-                (Catalog.stripes_of_video cat video)
-            in
-            Hashtbl.replace sourceable_memo video v;
-            v
+        let epoch = Engine.box_epoch engine and at = memo_epoch.(video) in
+        if at = epoch || (!swept_now && at = !swept_epoch) then
+          Bytes.get memo video <> '\000'
+        else begin
+          let alloc_now = Engine.alloc engine in
+          let cat = Allocation.catalog alloc_now in
+          let v =
+            Array.for_all
+              (fun stripe ->
+                Array.exists
+                  (fun b ->
+                    Engine.is_online engine b && Engine.upload_slots_of_box engine b > 0)
+                  (Allocation.boxes_of_stripe alloc_now stripe))
+              (Catalog.stripes_of_video cat video)
+          in
+          Bytes.set memo video (if v then '\001' else '\000');
+          memo_epoch.(video) <- epoch;
+          v
+        end
       in
       (* ------------------------------------------------------------ *)
       (* the round loop                                                *)
@@ -654,30 +682,32 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         r_interrupted := 0;
         r_expired := 0;
         r_completed := 0;
-        Hashtbl.reset admitted_vid;
-        Hashtbl.reset sourceable_memo;
         (* 1. fault-plan events (flash crowds enqueue arrival bursts) *)
         Span.with_ ~name:"faults" (fun () ->
             List.iter (apply_event time) (Plan.events_at plan time));
         (* 2. interrupts: admitted viewers whose box went dark (the
            engine already dropped their requests with the box) or whose
            video lost every online replica of some stripe re-enter
-           through the retry loop — recovered, never left to stall *)
-        Vec.filter_in_place
-          (fun sess ->
-            if not (is_live sess) then false
-            else if
-              (not (Engine.is_online engine sess.box)) || not (sourceable sess.video)
-            then begin
-              if Engine.is_online engine sess.box then Engine.cancel engine sess.box;
-              park_retry sess ~time ~on_exhausted:`Shed;
-              incr r_interrupted;
-              incr t_interrupted;
-              Registry.incr obs_interrupted;
-              false
-            end
-            else true)
-          live_order;
+           through the retry loop — recovered, never left to stall.
+           Only on rounds whose box epoch moved (see [swept_epoch]). *)
+        let epoch = Engine.box_epoch engine in
+        swept_now := epoch <> !swept_epoch;
+        if !swept_now then begin
+          swept_epoch := epoch;
+          Vec.filter_in_place
+            (fun sess ->
+              if (not (Engine.is_online engine sess.box)) || not (sourceable sess.video)
+              then begin
+                if Engine.is_online engine sess.box then Engine.cancel engine sess.box;
+                park_retry sess ~time ~on_exhausted:`Shed;
+                incr r_interrupted;
+                incr t_interrupted;
+                Registry.incr obs_interrupted;
+                false
+              end
+              else true)
+            live_order
+        end;
         (* 3. due retries re-join the arrival queue (idempotent: same
            session id, a re-admission never double-counts arrival) *)
         (match Hashtbl.find_opt retry_at time with
@@ -700,7 +730,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         (* 4. background arrivals *)
         List.iter
           (fun (box, video) ->
-            if not (Hashtbl.mem box_owner box) then
+            if not (is_owned box) then
               new_session ~box ~video ~time ~priority:1)
           (generator engine time);
         (* 5. queue patience: out-waited arrivals expire into the retry
@@ -741,7 +771,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
                   end
                 done)
               helper_ranges;
-          let live = ref (Vec.to_list live_order |> List.filter is_live) in
+          let live = ref (Vec.to_list live_order) in
           while !headroom < 0 && !live <> [] do
             let victim, rest =
               match cfg.shed_policy with
@@ -780,7 +810,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         filter_queue (fun sess ->
             if sess.state <> Session.Arriving then false
             else if !tokens <= 0 || !headroom < c then true
-            else if allowed_new sess.video <= 0 then true
+            else if allowed_new ~time sess.video <= 0 then true
             else if not (sourceable sess.video) then true
               (* unsourceable title: hold in queue until Mend repairs
                  it or the patience deadline recycles the session *)
@@ -794,12 +824,11 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
                   sess.deadline <- time + cfg.startup_deadline;
                   decr tokens;
                   headroom := !headroom - c;
-                  Hashtbl.replace admitted_vid sess.video
-                    (1
-                    +
-                    match Hashtbl.find_opt admitted_vid sess.video with
-                    | Some k -> k
-                    | None -> 0);
+                  if granted_round.(sess.video) <> time then begin
+                    granted_round.(sess.video) <- time;
+                    granted.(sess.video) <- 0
+                  end;
+                  granted.(sess.video) <- granted.(sess.video) + 1;
                   Vec.push live_order sess;
                   incr r_admitted;
                   incr t_admitted;
@@ -817,9 +846,13 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         Span.with_ ~name:"repair" (fun () -> Mend.tick mend engine);
         let report = Engine.step engine in
         Span.with_ ~name:"repair" (fun () -> ignore (Mend.collect mend engine : int));
-        (* 9. session accounting: startups, completions, missed
-           startup deadlines *)
-        Vec.iter
+        (* 9. session accounting, one pass: startups, completions (a
+           session that starts this round can also complete), missed
+           startup deadlines; the sessions no longer live leave
+           [live_order], step 6's overload victims among them.  Each
+           step touches only the session's own box and backoff key, so
+           fusing the passes keeps the retry draws in order. *)
+        Vec.filter_in_place
           (fun sess ->
             if sess.state = Session.Admitted then begin
               if Engine.awaiting_first engine sess.box = 0 then
@@ -833,17 +866,15 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
                 incr t_expired;
                 Registry.incr obs_expired
               end
-            end)
-          live_order;
-        Vec.iter
-          (fun sess ->
+            end;
             if sess.state = Session.Streaming && Engine.is_idle engine sess.box then begin
               deliver sess (Session.Complete { session = sess.id; round = time });
               finalize sess;
               incr r_completed;
               incr t_completed;
               Registry.incr obs_completed
-            end)
+            end;
+            is_live sess)
           live_order;
         (* 10. stall accounting, SLOs, telemetry, the round line *)
         if report.Engine.unserved > 0 then begin
@@ -877,7 +908,11 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
           !r_completed report.Engine.served report.Engine.unserved
           report.Engine.offline_boxes
       done;
-      let live_at_end = Hashtbl.length sessions in
+      (* the sessions not yet terminal *)
+      let live_at_end =
+        count Session.Arriving + count Session.Admitted + count Session.Streaming
+        + count Session.Retrying
+      in
       let totals =
         {
           arrivals = !t_arrivals;
