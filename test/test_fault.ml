@@ -756,6 +756,37 @@ let test_chaos_rejects_bad_scenarios () =
   | Ok _ -> Alcotest.fail "ran with a flash video outside the catalog"
   | Error _ -> ()
 
+(* Byte-pins of both chaos streams, vod-chaos/1 and vod-slo/1:
+   - crash_rejoin: every event kind (crash, group crash, degrade and
+     restore, flaky links, direct flash demands, rejoins);
+   - flash_during_outage: a flash crowd over a group outage, with stalls;
+   - helpers_churn: helper fleets joining and leaving;
+   - rich_poor_balanced under round-robin: the Round_robin scheme and
+     Theorem 2 relay compensation.
+   Regenerate with
+     dune exec bin/vodctl.exe -- chaos SCN \
+       --out test/chaos_NAME_golden.jsonl --slo-out test/chaos_NAME_slo_golden.jsonl
+   for the scratch config, and from [Chaos.run ~config] for the others. *)
+let chaos_pins =
+  [
+    ("crash_rejoin", "../examples/crash_rejoin.scn", "scratch");
+    ("flash_during_outage", "../examples/battery/flash_during_outage.scn", "scratch");
+    ("helpers_churn", "../examples/battery/helpers_churn.scn", "scratch");
+    ( "rich_poor_balanced_round_robin",
+      "../examples/battery/rich_poor_balanced.scn",
+      "round-robin" );
+  ]
+
+let test_chaos_pin (name, path, config) () =
+  let s = Result.get_ok (Scenario.load ~path) in
+  let config = Result.get_ok (Chaos.config_of_name config) in
+  let o = Result.get_ok (Chaos.run ~config s) in
+  let golden kind =
+    In_channel.with_open_bin ("chaos_" ^ name ^ kind) In_channel.input_all
+  in
+  checks "vod-chaos/1 matches the golden pin" (golden "_golden.jsonl") o.Chaos.jsonl;
+  checks "vod-slo/1 matches the golden pin" (golden "_slo_golden.jsonl") o.Chaos.slo_jsonl
+
 (* ------------------------------------------------------------------ *)
 (* Chaos-mode repair oracle                                            *)
 (* ------------------------------------------------------------------ *)
@@ -866,6 +897,10 @@ let suites =
           test_chaos_slo_compilation;
         Alcotest.test_case "rejects bad scenarios" `Quick test_chaos_rejects_bad_scenarios;
         Alcotest.test_case "repair oracle agreement" `Quick test_chaos_repair_agreement;
-      ] );
+      ]
+      @ List.map
+          (fun ((name, _, _) as pin) ->
+            Alcotest.test_case ("golden pin " ^ name) `Quick (test_chaos_pin pin))
+          chaos_pins );
     ("fault.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
   ]
