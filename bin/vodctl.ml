@@ -762,201 +762,199 @@ let check_cmd =
        $ repro_dir_arg $ replay_arg))
 
 (* ------------------------------------------------------------------ *)
+(* Scenario runs: what chaos, serve and battery share                  *)
+(* ------------------------------------------------------------------ *)
+
+let scn_override name ~docv ~what =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ name ] ~docv ~doc:(Printf.sprintf "Override the scenario's %s." what))
+
+let scn_rounds_arg = scn_override "rounds" ~docv:"R" ~what:"round count"
+let scn_seed_arg = scn_override "seed" ~docv:"SEED" ~what:"seed"
+
+let replications_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "replications" ] ~docv:"N"
+        ~doc:"Independent replications (replication $(i,i) runs at seed + 1000*i).")
+
+let jobs_arg ~runs =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "jobs"; "j" ] ~docv:"J"
+        ~doc:
+          (Printf.sprintf "Workers for parallel %s; the output is independent of $(docv)."
+             runs))
+
+let out_arg ~stream =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "out" ] ~docv:"FILE"
+        ~doc:(Printf.sprintf "Write the %s to FILE instead of stdout." stream))
+
+let slo_out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "slo-out" ] ~docv:"FILE"
+        ~doc:
+          "Write the vod-slo/1 burn-rate stream (the SLOs compiled from the scenario's \
+           kpi budgets; serve adds a stall SLO) to FILE; byte-identical at any --jobs.")
+
+let obs_out_arg ~run ~naming =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "obs-out" ] ~docv:"FILE"
+        ~doc:
+          (Printf.sprintf
+             "Record an observability trace per %s and write it to FILE (%s, so nothing \
+              interleaves); forces sequential %ss."
+             run naming run))
+
+let obs_summary_arg ~run =
+  Arg.(
+    value & flag
+    & info [ "obs-summary" ]
+        ~doc:
+          (Printf.sprintf
+             "Record observability traces and print a per-phase timing table per %s \
+              after the output; forces sequential %ss."
+             run run))
+
+let with_seed seed (s : Vod.Fault.Scenario.t) =
+  match seed with Some seed -> { s with Vod.Fault.Scenario.seed } | None -> s
+
+(* Trace capture for --obs-out/--obs-summary: the summaries wait until
+   the streams are written. *)
+type obs = {
+  obs_out : string option;
+  obs_summary : bool;
+  mutable traces : (string * Vod.Obs.Report.trace) list;
+}
+
+let obs_of obs_out obs_summary =
+  if obs_out = None && not obs_summary then None
+  else Some { obs_out; obs_summary; traces = [] }
+
+(* Run [f] under a fresh recorder and registry, then write its trace
+   to [path base] (--obs-out, naming it on stderr as [tag]) and keep its
+   summary under [title] (--obs-summary). *)
+let traced obs ~tag ~title ~path f =
+  Vod.Obs.Registry.reset Vod.Obs.Registry.default;
+  let r = Vod.Obs.Span.create_recorder () in
+  Vod.Obs.Span.install r;
+  let v = f () in
+  Vod.Obs.Span.uninstall ();
+  Option.iter
+    (fun base ->
+      let p = path base in
+      Vod.Obs.Export.save ~registry:Vod.Obs.Registry.default r ~path:p;
+      Printf.eprintf "observability trace (%s) written to %s\n" tag p)
+    obs.obs_out;
+  if obs.obs_summary then
+    obs.traces <-
+      (title, Vod.Obs.Report.of_recorder ~registry:Vod.Obs.Registry.default r)
+      :: obs.traces;
+  v
+
+let print_summaries obs =
+  List.iter
+    (fun (title, trace) ->
+      Printf.printf "--- observability summary: %s ---\n" title;
+      Vod.Obs.Report.print_summary trace)
+    (List.rev obs.traces)
+
+(* The replications of a chaos or serve run, through the driver's
+   fan-out.  Traced, they run one at a time (one job), each under its
+   own recorder (see warn_obs_sequential), at the same seeds, so the
+   streams are the ones a plain run emits. *)
+let replicate obs ~jobs ~replications ~run scenario =
+  if obs <> None then warn_obs_sequential jobs;
+  let jobs = if obs = None then jobs else Some 1 in
+  Vod.Fault.Driver.replicate ?jobs ~replications scenario ~run:(fun ~rep ~seed ->
+      match obs with
+      | None -> run ~seed
+      | Some obs ->
+          let path base =
+            if replications = 1 then base else suffixed base (Printf.sprintf ".rep%d" rep)
+          in
+          traced obs ~tag:(Printf.sprintf "rep %d" rep)
+            ~title:(Printf.sprintf "replication %d" rep)
+            ~path
+            (fun () -> run ~seed))
+
+(* A stream goes to its FILE, named on stderr as [what], or without
+   one to stdout when [stdout]. *)
+let write_stream ~what ~stdout file text =
+  match file with
+  | None -> if stdout then print_string text
+  | Some path ->
+      Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
+      Printf.eprintf "%s written to %s\n" what path
+
+(* Replication streams, concatenated in order: byte-identical at any
+   --jobs value. *)
+let write_streams ~what ~out ~slo_out outcomes ~jsonl ~slo_jsonl =
+  write_stream ~what ~stdout:true out (String.concat "" (List.map jsonl outcomes));
+  write_stream ~what:"SLO verdict stream" ~stdout:false slo_out
+    (String.concat "" (List.map slo_jsonl outcomes))
+
+let verdict ~bad ~failed runs =
+  match List.length (List.filter bad runs) with
+  | 0 -> `Ok ()
+  | k -> `Error (false, Printf.sprintf "%d of %d %s" k (List.length runs) failed)
+
+(* ------------------------------------------------------------------ *)
 (* chaos                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let chaos_cmd =
+  let module Chaos = Vod.Fault.Chaos in
   let run path rounds seed replications jobs out slo_out obs_out obs_summary =
     if replications < 1 then `Error (false, "need at least 1 replication")
     else
-      match Vod.Fault.Scenario.load ~path with
+      let obs = obs_of obs_out obs_summary in
+      match
+        Result.bind (Vod.Fault.Scenario.load ~path) (fun scenario ->
+            let scenario = with_seed seed scenario in
+            replicate obs ~jobs ~replications scenario ~run:(fun ~seed ->
+                Chaos.run ?rounds ~seed scenario))
+      with
       | Error e -> `Error (false, e)
-      | Ok scenario -> (
-          let scenario =
-            match seed with
-            | Some seed -> { scenario with Vod.Fault.Scenario.seed }
-            | None -> scenario
-          in
-          let obs_on = obs_out <> None || obs_summary in
-          let obs_traces = ref [] in
-          let result =
-            if obs_on then begin
-              (* per-replication recorder, sequential (see
-                 warn_obs_sequential); seeds match run_many's formula so
-                 the verdict streams are the ones a plain run emits *)
-              warn_obs_sequential jobs;
-              match Vod.Fault.Chaos.validate scenario with
-              | Error _ as err -> err
-              | Ok () ->
-                  let rec go i acc =
-                    if i = replications then Ok (List.rev acc)
-                    else begin
-                      Vod.Obs.Registry.reset Vod.Obs.Registry.default;
-                      let r = Vod.Obs.Span.create_recorder () in
-                      Vod.Obs.Span.install r;
-                      let res =
-                        Vod.Fault.Chaos.run ?rounds
-                          ~seed:(scenario.Vod.Fault.Scenario.seed + (1000 * i))
-                          scenario
-                      in
-                      Vod.Obs.Span.uninstall ();
-                      match res with
-                      | Error _ as err -> err
-                      | Ok o ->
-                          (match obs_out with
-                          | None -> ()
-                          | Some base ->
-                              let p =
-                                if replications = 1 then base
-                                else suffixed base (Printf.sprintf ".rep%d" i)
-                              in
-                              Vod.Obs.Export.save ~registry:Vod.Obs.Registry.default r
-                                ~path:p;
-                              Printf.eprintf "observability trace (rep %d) written to %s\n"
-                                i p);
-                          if obs_summary then
-                            obs_traces :=
-                              ( i,
-                                Vod.Obs.Report.of_recorder
-                                  ~registry:Vod.Obs.Registry.default r )
-                              :: !obs_traces;
-                          go (i + 1) (o :: acc)
-                    end
-                  in
-                  go 0 []
-            end
-            else if replications = 1 then
-              Result.map (fun o -> [ o ]) (Vod.Fault.Chaos.run ?rounds scenario)
-            else Vod.Fault.Chaos.run_many ?rounds ?jobs ~replications scenario
-          in
-          match result with
-          | Error e -> `Error (false, e)
-          | Ok outcomes ->
-              (* The JSONL stream (replications concatenated in order) is
-                 the machine-readable verdict: byte-identical for the
-                 same scenario/seed at any --jobs value. *)
-              let jsonl =
-                String.concat "" (List.map (fun o -> o.Vod.Fault.Chaos.jsonl) outcomes)
-              in
-              (match out with
-              | None -> print_string jsonl
-              | Some path ->
-                  Out_channel.with_open_text path (fun oc ->
-                      Out_channel.output_string oc jsonl);
-                  Printf.eprintf "chaos verdict stream written to %s\n" path);
-              (match slo_out with
-              | None -> ()
-              | Some path ->
-                  (* vod-slo/1, replications concatenated in order: the
-                     same byte-identity contract as the chaos stream *)
-                  let slo =
-                    String.concat ""
-                      (List.map (fun o -> o.Vod.Fault.Chaos.slo_jsonl) outcomes)
-                  in
-                  Out_channel.with_open_text path (fun oc ->
-                      Out_channel.output_string oc slo);
-                  Printf.eprintf "SLO verdict stream written to %s\n" path);
-              List.iter
-                (fun (i, trace) ->
-                  Printf.printf "--- observability summary: replication %d ---\n" i;
-                  Vod.Obs.Report.print_summary trace)
-                (List.rev !obs_traces);
-              List.iteri
-                (fun i o ->
-                  Printf.eprintf
-                    "rep %d (seed %d): %s; %d transfers (%d completed, %d aborted, %d \
-                     retries), %d replicas installed, %d unrepairable, time to full \
-                     replication %s, min online %d, unserved %d, faulted %d\n"
-                    i o.Vod.Fault.Chaos.seed
-                    (if Vod.Fault.Chaos.verdict_ok o then "RECOVERED" else "NOT RECOVERED")
-                    o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.started
-                    o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.completed
-                    o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.aborted
-                    o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.retries
-                    o.Vod.Fault.Chaos.stats.Vod.Fault.Mend.installed
-                    o.Vod.Fault.Chaos.unrepairable
-                    (match o.Vod.Fault.Chaos.time_to_full_replication with
-                    | -1 -> "never"
-                    | t -> Printf.sprintf "%d rounds" t)
-                    o.Vod.Fault.Chaos.min_online o.Vod.Fault.Chaos.total_unserved
-                    o.Vod.Fault.Chaos.total_faulted)
-                outcomes;
-              if List.for_all Vod.Fault.Chaos.verdict_ok outcomes then `Ok ()
-              else
-                `Error
-                  ( false,
-                    Printf.sprintf "%d of %d replications did not recover"
-                      (List.length
-                         (List.filter (fun o -> not (Vod.Fault.Chaos.verdict_ok o)) outcomes))
-                      (List.length outcomes) ))
+      | Ok outcomes ->
+          write_streams ~what:"chaos verdict stream" ~out ~slo_out outcomes
+            ~jsonl:(fun o -> o.Chaos.jsonl)
+            ~slo_jsonl:(fun o -> o.Chaos.slo_jsonl);
+          Option.iter print_summaries obs;
+          List.iteri
+            (fun i (o : Chaos.outcome) ->
+              let st = o.stats in
+              Printf.eprintf
+                "rep %d (seed %d): %s; %d transfers (%d completed, %d aborted, %d \
+                 retries), %d replicas installed, %d unrepairable, time to full \
+                 replication %s, min online %d, unserved %d, faulted %d\n"
+                i o.seed
+                (if Chaos.verdict_ok o then "RECOVERED" else "NOT RECOVERED")
+                st.started st.completed st.aborted st.retries st.installed o.unrepairable
+                (match o.time_to_full_replication with
+                | -1 -> "never"
+                | t -> Printf.sprintf "%d rounds" t)
+                o.min_online o.total_unserved o.total_faulted)
+            outcomes;
+          verdict ~failed:"replications did not recover"
+            ~bad:(fun o -> not (Chaos.verdict_ok o))
+            outcomes
   in
   let scenario_arg =
     Arg.(
       required
       & pos 0 (some string) None
       & info [] ~docv:"SCENARIO" ~doc:"Chaos scenario file (see examples/crash_rejoin.scn).")
-  in
-  let chaos_rounds_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "rounds" ] ~docv:"R" ~doc:"Override the scenario's round count.")
-  in
-  let chaos_seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's seed.")
-  in
-  let replications_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "replications" ] ~docv:"N"
-          ~doc:"Independent replications (replication $(i,i) runs at seed + 1000*i).")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"J"
-          ~doc:"Workers for parallel replications; the output is independent of $(docv).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the JSONL verdict stream to FILE instead of stdout.")
-  in
-  let slo_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "slo-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the vod-slo/1 burn-rate stream (SLOs compiled from the scenario's \
-             kpi budgets) to FILE; byte-identical at any --jobs, like the chaos \
-             stream.")
-  in
-  let obs_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "obs-out" ] ~docv:"FILE"
-          ~doc:
-            "Record an observability trace per replication and write it to FILE \
-             (replication $(i,i) goes to FILE with a .rep$(i,i) suffix when there are \
-             several, so parallel runs never interleave writes); forces sequential \
-             replications.")
-  in
-  let obs_summary_arg =
-    Arg.(
-      value & flag
-      & info [ "obs-summary" ]
-          ~doc:
-            "Record observability traces and print a per-phase timing table per \
-             replication after the verdict stream; forces sequential replications.")
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -966,163 +964,70 @@ let chaos_cmd =
           verdict stream (exit 0 iff every replication recovered).")
     Term.(
       ret
-        (const run $ scenario_arg $ chaos_rounds_arg $ chaos_seed_arg $ replications_arg
-       $ jobs_arg $ out_arg $ slo_out_arg $ obs_out_arg $ obs_summary_arg))
+        (const run $ scenario_arg $ scn_rounds_arg $ scn_seed_arg $ replications_arg
+        $ jobs_arg ~runs:"replications"
+        $ out_arg ~stream:"JSONL verdict stream"
+        $ slo_out_arg
+        $ obs_out_arg ~run:"replication"
+            ~naming:"replication $(i,i) with a .rep$(i,i) suffix when there are several"
+        $ obs_summary_arg ~run:"replication"))
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let serve_cmd =
+  let module Serve = Vod.Serve in
   let run scn rounds seed arrivals policy queue_cap retry_budget replications jobs out
       slo_out obs_out obs_summary =
     if replications < 1 then `Error (false, "need at least 1 replication")
     else
-      let scenario_res =
-        match scn with
-        | Some path -> Vod.Fault.Scenario.load ~path
-        | None -> Ok Vod.Fault.Scenario.default
+      let obs = obs_of obs_out obs_summary in
+      let ( let* ) = Result.bind in
+      let result =
+        let* scenario =
+          match scn with
+          | Some path -> Vod.Fault.Scenario.load ~path
+          | None -> Ok Vod.Fault.Scenario.default
+        in
+        let* arrivals = Serve.arrivals_of_name arrivals in
+        let* shed_policy = Serve.shed_policy_of_name policy in
+        let* config =
+          try Ok (Serve.config ?queue_cap ?retry_budget ~shed_policy ())
+          with Invalid_argument e -> Error e
+        in
+        let scenario = with_seed seed scenario in
+        replicate obs ~jobs ~replications scenario ~run:(fun ~seed ->
+            Serve.run ?rounds ~seed ~config ~arrivals scenario)
       in
-      match scenario_res with
+      match result with
       | Error e -> `Error (false, e)
-      | Ok scenario -> (
-          let scenario =
-            match seed with
-            | Some seed -> { scenario with Vod.Fault.Scenario.seed }
-            | None -> scenario
-          in
-          match Vod.Serve.arrivals_of_name arrivals with
-          | Error e -> `Error (false, e)
-          | Ok arrivals -> (
-              match Vod.Serve.shed_policy_of_name policy with
-              | Error e -> `Error (false, e)
-              | Ok shed_policy -> (
-                  match
-                    Vod.Serve.config ?queue_cap ?retry_budget ~shed_policy ()
-                  with
-                  | exception Invalid_argument e -> `Error (false, e)
-                  | config -> (
-                      let obs_on = obs_out <> None || obs_summary in
-                      let obs_traces = ref [] in
-                      let result =
-                        if obs_on then begin
-                          (* per-replication recorder, sequential (see
-                             warn_obs_sequential); seeds follow run_many's
-                             formula so the streams match a plain run *)
-                          warn_obs_sequential jobs;
-                          match Vod.Serve.validate scenario with
-                          | Error _ as err -> err
-                          | Ok () ->
-                              let rec go i acc =
-                                if i = replications then Ok (List.rev acc)
-                                else begin
-                                  Vod.Obs.Registry.reset Vod.Obs.Registry.default;
-                                  let r = Vod.Obs.Span.create_recorder () in
-                                  Vod.Obs.Span.install r;
-                                  let res =
-                                    Vod.Serve.run ?rounds
-                                      ~seed:(scenario.Vod.Fault.Scenario.seed + (1000 * i))
-                                      ~config ~arrivals scenario
-                                  in
-                                  Vod.Obs.Span.uninstall ();
-                                  match res with
-                                  | Error _ as err -> err
-                                  | Ok o ->
-                                      (match obs_out with
-                                      | None -> ()
-                                      | Some base ->
-                                          let p =
-                                            if replications = 1 then base
-                                            else suffixed base (Printf.sprintf ".rep%d" i)
-                                          in
-                                          Vod.Obs.Export.save
-                                            ~registry:Vod.Obs.Registry.default r ~path:p;
-                                          Printf.eprintf
-                                            "observability trace (rep %d) written to %s\n" i
-                                            p);
-                                      if obs_summary then
-                                        obs_traces :=
-                                          ( i,
-                                            Vod.Obs.Report.of_recorder
-                                              ~registry:Vod.Obs.Registry.default r )
-                                          :: !obs_traces;
-                                      go (i + 1) (o :: acc)
-                                end
-                              in
-                              go 0 []
-                        end
-                        else if replications = 1 then
-                          Result.map
-                            (fun o -> [ o ])
-                            (Vod.Serve.run ?rounds ~config ~arrivals scenario)
-                        else
-                          Vod.Serve.run_many ?rounds ?jobs ~config ~arrivals ~replications
-                            scenario
-                      in
-                      match result with
-                      | Error e -> `Error (false, e)
-                      | Ok outcomes ->
-                          (* vod-serve/1, replications concatenated in order:
-                             byte-identical at any --jobs value *)
-                          let jsonl =
-                            String.concat ""
-                              (List.map (fun o -> o.Vod.Serve.jsonl) outcomes)
-                          in
-                          (match out with
-                          | None -> print_string jsonl
-                          | Some path ->
-                              Out_channel.with_open_text path (fun oc ->
-                                  Out_channel.output_string oc jsonl);
-                              Printf.eprintf "serve verdict stream written to %s\n" path);
-                          (match slo_out with
-                          | None -> ()
-                          | Some path ->
-                              let slo =
-                                String.concat ""
-                                  (List.map (fun o -> o.Vod.Serve.slo_jsonl) outcomes)
-                              in
-                              Out_channel.with_open_text path (fun oc ->
-                                  Out_channel.output_string oc slo);
-                              Printf.eprintf "SLO verdict stream written to %s\n" path);
-                          List.iter
-                            (fun (i, trace) ->
-                              Printf.printf
-                                "--- observability summary: replication %d ---\n" i;
-                              Vod.Obs.Report.print_summary trace)
-                            (List.rev !obs_traces);
-                          List.iteri
-                            (fun i o ->
-                              let t = o.Vod.Serve.totals in
-                              Printf.eprintf
-                                "rep %d (seed %d): %s; %d arrivals (%d flash), %d \
-                                 admitted, %d completed, %d shed, %d rejected, %d \
-                                 retries over %d sessions, %d interrupted, %d expired, \
-                                 %d helpers drafted, max queue %d, %d degraded rounds, \
-                                 unserved %d\n"
-                                i o.Vod.Serve.seed
-                                ((if Vod.Serve.verdict_ok o then "GRACEFUL" else "STALLED")
-                                ^
-                                if Vod.Serve.slo_breached o then " (SLO BREACH)" else "")
-                                t.Vod.Serve.arrivals t.Vod.Serve.flash_arrivals
-                                t.Vod.Serve.admitted t.Vod.Serve.completed t.Vod.Serve.shed
-                                t.Vod.Serve.rejected t.Vod.Serve.retries
-                                t.Vod.Serve.retry_sessions t.Vod.Serve.interrupted
-                                t.Vod.Serve.expired t.Vod.Serve.helpers_drafted
-                                t.Vod.Serve.max_queue t.Vod.Serve.degraded_rounds
-                                t.Vod.Serve.total_unserved)
-                            outcomes;
-                          let bad o =
-                            (not (Vod.Serve.verdict_ok o)) || Vod.Serve.slo_breached o
-                          in
-                          if not (List.exists bad outcomes) then `Ok ()
-                          else
-                            `Error
-                              ( false,
-                                Printf.sprintf
-                                  "%d of %d replications stalled admitted sessions, \
-                                   blew the retry budget or breached an SLO"
-                                  (List.length (List.filter bad outcomes))
-                                  (List.length outcomes) )))))
+      | Ok outcomes ->
+          write_streams ~what:"serve verdict stream" ~out ~slo_out outcomes
+            ~jsonl:(fun o -> o.Serve.jsonl)
+            ~slo_jsonl:(fun o -> o.Serve.slo_jsonl);
+          Option.iter print_summaries obs;
+          List.iteri
+            (fun i (o : Serve.outcome) ->
+              let t = o.totals in
+              Printf.eprintf
+                "rep %d (seed %d): %s; %d arrivals (%d flash), %d admitted, %d \
+                 completed, %d shed, %d rejected, %d retries over %d sessions, %d \
+                 interrupted, %d expired, %d helpers drafted, max queue %d, %d degraded \
+                 rounds, unserved %d\n"
+                i o.seed
+                ((if Serve.verdict_ok o then "GRACEFUL" else "STALLED")
+                ^ if Serve.slo_breached o then " (SLO BREACH)" else "")
+                t.arrivals t.flash_arrivals t.admitted t.completed t.shed t.rejected
+                t.retries t.retry_sessions t.interrupted t.expired t.helpers_drafted
+                t.max_queue t.degraded_rounds t.total_unserved)
+            outcomes;
+          verdict
+            ~failed:
+              "replications stalled admitted sessions, blew the retry budget or \
+               breached an SLO"
+            ~bad:(fun o -> (not (Serve.verdict_ok o)) || Serve.slo_breached o)
+            outcomes
   in
   let scn_arg =
     Arg.(
@@ -1132,18 +1037,6 @@ let serve_cmd =
           ~doc:
             "Scenario file driving faults, helpers and kpi budgets (default: the \
              built-in crash/rejoin scenario).")
-  in
-  let serve_rounds_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "rounds" ] ~docv:"R" ~doc:"Override the scenario's round count.")
-  in
-  let serve_seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's seed.")
   in
   let arrivals_arg =
     Arg.(
@@ -1174,53 +1067,6 @@ let serve_cmd =
       & info [ "retry-budget" ] ~docv:"N"
           ~doc:"Max retries per session before it is dropped (default 3).")
   in
-  let replications_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "replications" ] ~docv:"N"
-          ~doc:"Independent replications (replication $(i,i) runs at seed + 1000*i).")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"J"
-          ~doc:"Workers for parallel replications; the output is independent of $(docv).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the vod-serve/1 JSONL stream to FILE instead of stdout.")
-  in
-  let slo_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "slo-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the vod-slo/1 burn-rate stream (stall SLO plus SLOs compiled from \
-             the scenario's kpi budgets) to FILE.")
-  in
-  let obs_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "obs-out" ] ~docv:"FILE"
-          ~doc:
-            "Record an observability trace per replication and write it to FILE \
-             (.rep$(i,i) suffix when there are several); forces sequential \
-             replications.")
-  in
-  let obs_summary_arg =
-    Arg.(
-      value & flag
-      & info [ "obs-summary" ]
-          ~doc:
-            "Record observability traces and print a per-phase timing table per \
-             replication; forces sequential replications.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1233,15 +1079,21 @@ let serve_cmd =
           inside its SLOs.")
     Term.(
       ret
-        (const run $ scn_arg $ serve_rounds_arg $ serve_seed_arg $ arrivals_arg
-       $ policy_arg $ queue_cap_arg $ retry_budget_arg $ replications_arg $ jobs_arg
-       $ out_arg $ slo_out_arg $ obs_out_arg $ obs_summary_arg))
+        (const run $ scn_arg $ scn_rounds_arg $ scn_seed_arg $ arrivals_arg $ policy_arg
+        $ queue_cap_arg $ retry_budget_arg $ replications_arg
+        $ jobs_arg ~runs:"replications"
+        $ out_arg ~stream:"vod-serve/1 JSONL stream"
+        $ slo_out_arg
+        $ obs_out_arg ~run:"replication"
+            ~naming:"replication $(i,i) with a .rep$(i,i) suffix when there are several"
+        $ obs_summary_arg ~run:"replication"))
 
 (* ------------------------------------------------------------------ *)
 (* battery                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let battery_cmd =
+  let module Battery = Vod.Battery.Battery in
   let run paths configs jobs out obs_out obs_summary =
     let collect path =
       if Sys.is_directory path then
@@ -1255,85 +1107,51 @@ let battery_cmd =
     | exception Sys_error e -> `Error (false, e)
     | [] -> `Error (false, "no .scn scenario files found")
     | files -> (
-        let rec load_all acc = function
-          | [] -> Ok (List.rev acc)
-          | f :: rest -> (
-              match Vod.Fault.Scenario.load ~path:f with
-              | Ok s -> load_all (s :: acc) rest
-              | Error _ as e -> e)
-        in
-        let rec parse_configs acc = function
-          | [] -> Ok (List.rev acc)
-          | name :: rest -> (
-              match Vod.Fault.Chaos.config_of_name name with
-              | Ok c -> parse_configs (c :: acc) rest
-              | Error _ as e -> e)
+        (* [f] over the list, or its first [Error] *)
+        let rec all_ok f = function
+          | [] -> Ok []
+          | x :: rest ->
+              Result.bind (f x) (fun y -> Result.map (List.cons y) (all_ok f rest))
         in
         let config_names =
           String.split_on_char ',' configs |> List.map String.trim
           |> List.filter (fun s -> s <> "")
         in
-        match (load_all [] files, parse_configs [] config_names) with
+        match
+          ( all_ok (fun path -> Vod.Fault.Scenario.load ~path) files,
+            all_ok Vod.Fault.Chaos.config_of_name config_names )
+        with
         | Error e, _ | _, Error e -> `Error (false, e)
         | Ok scenarios, Ok configs -> (
-            let obs_on = obs_out <> None || obs_summary in
-            let obs_traces = ref [] in
+            let obs = obs_of obs_out obs_summary in
+            (* per-cell recorder; Battery.run goes sequential when a
+               wrapper is present, so trace files never interleave *)
             let wrap_cell =
-              if not obs_on then None
-              else begin
-                (* per-cell recorder; Battery.run goes sequential when a
-                   wrapper is present, so trace files never interleave *)
-                warn_obs_sequential jobs;
-                Some
-                  (fun ~scenario ~config thunk ->
-                    Vod.Obs.Registry.reset Vod.Obs.Registry.default;
-                    let r = Vod.Obs.Span.create_recorder () in
-                    Vod.Obs.Span.install r;
-                    let cell = thunk () in
-                    Vod.Obs.Span.uninstall ();
+              Option.map
+                (fun obs ->
+                  warn_obs_sequential jobs;
+                  fun ~scenario ~config thunk ->
                     let label =
                       Printf.sprintf "%s.%s" scenario.Vod.Fault.Scenario.name
                         config.Vod.Fault.Chaos.label
                     in
-                    (match obs_out with
-                    | None -> ()
-                    | Some base ->
-                        let p = suffixed base ("." ^ label) in
-                        Vod.Obs.Export.save ~registry:Vod.Obs.Registry.default r ~path:p;
-                        Printf.eprintf "observability trace (%s) written to %s\n" label p);
-                    if obs_summary then
-                      obs_traces :=
-                        ( label,
-                          Vod.Obs.Report.of_recorder ~registry:Vod.Obs.Registry.default r )
-                        :: !obs_traces;
-                    cell)
-              end
+                    traced obs ~tag:label ~title:label
+                      ~path:(fun base -> suffixed base ("." ^ label))
+                      thunk)
+                obs
             in
-            match Vod.Battery.Battery.run ?jobs ?wrap_cell ~configs scenarios with
+            match Battery.run ?jobs ?wrap_cell ~configs scenarios with
             | Error e -> `Error (false, e)
             | Ok report ->
                 (* scorecard (machine-readable) on stdout or --out; the
                    human-readable ranking goes to stderr so piping the
                    JSONL stays clean *)
-                (match out with
-                | None -> print_string report.Vod.Battery.Battery.jsonl
-                | Some path ->
-                    Out_channel.with_open_text path (fun oc ->
-                        Out_channel.output_string oc report.Vod.Battery.Battery.jsonl);
-                    Printf.eprintf "scorecard written to %s\n" path);
-                List.iter
-                  (fun (label, trace) ->
-                    Printf.printf "--- observability summary: %s ---\n" label;
-                    Vod.Obs.Report.print_summary trace)
-                  (List.rev !obs_traces);
-                prerr_string report.Vod.Battery.Battery.table;
-                if Vod.Battery.Battery.ok report then `Ok ()
-                else
-                  `Error
-                    ( false,
-                      Printf.sprintf "%d of %d cells breached their KPI budgets"
-                        report.Vod.Battery.Battery.breached
-                        (List.length report.Vod.Battery.Battery.cells) )))
+                write_stream ~what:"scorecard" ~stdout:true out report.Battery.jsonl;
+                Option.iter print_summaries obs;
+                prerr_string report.Battery.table;
+                verdict ~failed:"cells breached their KPI budgets"
+                  ~bad:(fun c -> c.Battery.breaches <> [])
+                  report.Battery.cells))
   in
   let paths_arg =
     Arg.(
@@ -1351,38 +1169,6 @@ let battery_cmd =
             "Comma-separated engine configs forming the matrix columns: $(b,scratch), \
              $(b,sticky), $(b,prefer-cache), $(b,balance-load), $(b,round-robin).")
   in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"J"
-          ~doc:"Workers for parallel cells; the scorecard is byte-identical at any $(docv).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the vod-scorecard/1 JSONL to FILE instead of stdout.")
-  in
-  let obs_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "obs-out" ] ~docv:"FILE"
-          ~doc:
-            "Record an observability trace per cell and write it to FILE with a \
-             .$(i,scenario).$(i,config) suffix (one file per cell, so nothing \
-             interleaves); forces sequential cells.")
-  in
-  let obs_summary_arg =
-    Arg.(
-      value & flag
-      & info [ "obs-summary" ]
-          ~doc:
-            "Record observability traces and print a per-phase timing table per cell \
-             after the scorecard; forces sequential cells.")
-  in
   Cmd.v
     (Cmd.info "battery"
        ~doc:
@@ -1391,8 +1177,10 @@ let battery_cmd =
           breaches its declared KPI budgets).")
     Term.(
       ret
-        (const run $ paths_arg $ configs_arg $ jobs_arg $ out_arg $ obs_out_arg
-       $ obs_summary_arg))
+        (const run $ paths_arg $ configs_arg $ jobs_arg ~runs:"cells"
+        $ out_arg ~stream:"vod-scorecard/1 JSONL"
+        $ obs_out_arg ~run:"cell" ~naming:"with a .$(i,scenario).$(i,config) suffix"
+        $ obs_summary_arg ~run:"cell"))
 
 (* ------------------------------------------------------------------ *)
 (* obs-report                                                          *)

@@ -2,6 +2,8 @@ module Scenario = Vod_fault.Scenario
 module Chaos = Vod_fault.Chaos
 module Table = Vod_util.Table
 
+module Export = Vod_obs.Export
+
 type cell = {
   scenario : Scenario.t;
   config : Chaos.engine_config;
@@ -11,20 +13,6 @@ type cell = {
 }
 
 type report = { cells : cell list; breached : int; jsonl : string; table : string }
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* Worst cells first.  Every comparison key is either an exact integer
    or a float computed identically on every platform, and the final
@@ -52,14 +40,14 @@ let to_jsonl ~configs ~n_scenarios ~breached ranked =
   line {|{"type":"meta","version":"vod-scorecard/1","cells":%d,"scenarios":%d,"configs":[%s]}|}
     (List.length ranked) n_scenarios
     (String.concat ","
-       (List.map (fun c -> "\"" ^ json_escape c.Chaos.label ^ "\"") configs));
+       (List.map (fun c -> "\"" ^ Export.escape c.Chaos.label ^ "\"") configs));
   List.iteri
     (fun i c ->
       line {|{"type":"cell","rank":%d,"scenario":"%s","config":"%s",%s,"breaches":[%s],"slo":[%s]}|}
         (i + 1)
-        (json_escape c.scenario.Scenario.name)
-        (json_escape c.config.Chaos.label) (Kpi.to_json c.kpi)
-        (String.concat "," (List.map (fun b -> "\"" ^ json_escape b ^ "\"") c.breaches))
+        (Export.escape c.scenario.Scenario.name)
+        (Export.escape c.config.Chaos.label) (Kpi.to_json c.kpi)
+        (String.concat "," (List.map (fun b -> "\"" ^ Export.escape b ^ "\"") c.breaches))
         (String.concat "," (List.map Vod_obs.Slo.summary_json c.slo)))
     ranked;
   line {|{"type":"summary","cells":%d,"breached":%d,"ok":%b}|} (List.length ranked) breached
@@ -116,16 +104,14 @@ let run ?jobs ?wrap_cell ~configs scenarios =
   if configs = [] then Error "battery needs at least one engine config"
   else if scenarios = [] then Error "battery needs at least one scenario"
   else
-    let rec validate_all = function
-      | [] -> Ok ()
-      | s :: rest -> (
-          match Chaos.validate s with
-          | Ok () -> validate_all rest
-          | Error msg -> Error (Printf.sprintf "%s: %s" s.Scenario.name msg))
+    let invalid s =
+      match Chaos.validate s with
+      | Ok () -> None
+      | Error msg -> Some (Printf.sprintf "%s: %s" s.Scenario.name msg)
     in
-    match validate_all scenarios with
-    | Error _ as err -> err
-    | Ok () ->
+    match List.find_map invalid scenarios with
+    | Some msg -> Error msg
+    | None ->
         (* cells in (scenario, config) row-major order; [Par.map]
            returns results by index, so ranking sees the same cells in
            the same order at any --jobs value *)

@@ -14,7 +14,7 @@
     runs of the same scenario, at any [--jobs] value, are
     byte-identical. *)
 
-type alloc_scheme = Permutation | Round_robin
+type alloc_scheme = Driver.alloc_scheme = Permutation | Round_robin
 
 type engine_config = {
   label : string;  (** Appears as ["config"] in the meta line and the scorecard. *)
@@ -75,22 +75,8 @@ type tick = {
     [vodctl top] dashboard feed. *)
 
 val validate : Scenario.t -> (unit, string) result
-(** Static validation without running: plan compilation (including
-    helper ranges and topology), catalog fit against the {e base}
+(** {!Driver.validate}: plan compilation, catalog fit against the base
     fleet, flash-crowd videos inside the catalog. *)
-
-val prepare :
-  Scenario.t ->
-  ( Vod_model.Box.t array
-    * Vod_model.Box.t array
-    * int
-    * Vod_model.Topology.t option
-    * (int * int) array,
-    string )
-  result
-(** The validated system build behind {!validate}, shared with the
-    service layer ({!Vod_serve}): [(base fleet, full fleet with helper
-    boxes appended, catalog size, topology, helper ranges)]. *)
 
 val run :
   ?rounds:int ->
@@ -116,14 +102,10 @@ val run :
     [on_round] observes each completed round (report, repair backlog,
     live SLO evaluators).  It must not mutate the engine or scenario:
     the callback exists for dashboards and progress meters, and the
-    determinism contract assumes the run is a closed system.  The scenario's helper
-    fleets are appended after the [n] base boxes, seeded with replicas
-    and set offline as helpers before round 1; a rich/poor population
-    builds the Theorem 2 two-class base fleet and compensates it at
-    [u_star] when feasible (uncompensated otherwise).  [Error] on an
-    invalid scenario: plan compilation failure, flash-crowd video
-    outside the catalog, or replicas that do not fit the base fleet's
-    storage. *)
+    determinism contract assumes the run is a closed system.  The system
+    is {!Driver.create}'s, under [config]'s scheduler and scheme; a
+    flash crowd demands its video directly from the idle boxes it
+    lands on.  [Error] on an invalid scenario, as {!validate}. *)
 
 val run_many :
   ?rounds:int ->
@@ -132,11 +114,9 @@ val run_many :
   replications:int ->
   Scenario.t ->
   (outcome list, string) result
-(** [replications] independent runs (replication [i] uses seed
-    [scenario.seed + 1000 * i]) fanned out over [jobs] workers with
-    {!Vod_par.Par.map}; outcomes are in replication order regardless of
-    scheduling.  Validates once up front so [Error] is returned, not
-    raised, from workers. *)
+(** [replications] independent runs through {!Driver.replicate}
+    (replication [i] at seed [scenario.seed + 1000 * i], outcomes in
+    replication order at any [jobs]). *)
 
 val verdict_ok : outcome -> bool
 (** The run's pass criterion: full target replication was restored

@@ -202,7 +202,39 @@ let parse_line t line =
       | _ -> Error "'backoff' takes <base> <cap>")
   | key :: _ -> Error (Printf.sprintf "malformed directive '%s'" key)
 
-let check t =
+(* Every float directive, by name.  A NaN passes every [x < bound]
+   test below, so finiteness is checked first. *)
+let float_fields t =
+  [ ("u", t.u); ("d", t.d); ("mu", t.mu); ("rate", t.rate) ]
+  @ List.concat_map (fun f -> [ ("helpers u", f.Helpers.u); ("helpers d", f.Helpers.d) ])
+      t.helpers
+  @ List.filter_map
+      (fun (name, v) -> Option.map (fun v -> ("kpi " ^ name, v)) v)
+      [
+        ("max-rejection", t.kpi.max_rejection);
+        ("max-startup-p95", t.kpi.max_startup_p95);
+        ("max-sourcing-share", t.kpi.max_sourcing_share);
+      ]
+  @
+  match t.population with
+  | Homogeneous -> []
+  | Rich_poor { rich_fraction; u_rich; u_poor; u_star } ->
+      [
+        ("population rich-poor fraction", rich_fraction);
+        ("population rich-poor u_rich", u_rich);
+        ("population rich-poor u_poor", u_poor);
+        ("population rich-poor u_star", u_star);
+      ]
+
+(* Room left in an array of [n] base boxes plus every helper box;
+   negative when the fleet cannot be allocated.  Stops at the first
+   overflow, so huge counts cannot wrap the sum around. *)
+let fleet_room t =
+  List.fold_left
+    (fun room f -> if room < 0 then room else room - max 0 f.Helpers.count)
+    (Sys.max_array_length - t.n) t.helpers
+
+let check_ranges t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   if t.n < 1 then err "n must be >= 1"
   else if t.c < 1 then err "c must be >= 1"
@@ -248,6 +280,15 @@ let check t =
                 else if u_rich < 0.0 || u_poor < 0.0 || u_star < 0.0 then
                   err "population rich-poor capacities must be >= 0"
                 else Ok t))
+
+let check t =
+  match List.find_opt (fun (_, v) -> not (Float.is_finite v)) (float_fields t) with
+  | Some (name, v) -> Error (Printf.sprintf "%s must be a finite number, got %g" name v)
+  | None when fleet_room t < 0 ->
+      Error
+        (Printf.sprintf "n plus helper boxes exceeds the largest fleet (%d boxes)"
+           Sys.max_array_length)
+  | None -> check_ranges t
 
 (* Final whole-scenario validation errors carry the scenario (file)
    name just like line errors do, so a failing [load] always says which

@@ -6,6 +6,12 @@
 val schema : string
 (** ["vod-obs/1"]. *)
 
+val escape : string -> string
+(** The body of a JSON string literal holding these bytes: quote,
+    backslash, newline and tab get their two-character escapes, other
+    control bytes [\u00XX], and every other byte is copied.  The one
+    escape every JSONL stream of the repository uses. *)
+
 val meta_line : events:int -> dropped:int -> string
 val span_line : Span.event -> string
 val counter_line : string -> int -> string

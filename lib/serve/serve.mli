@@ -138,7 +138,7 @@ type outcome = {
 }
 
 val validate : Scenario.t -> (unit, string) result
-(** {!Vod_fault.Chaos.validate}: the service shares the scenario
+(** {!Vod_fault.Driver.validate}: the service shares the scenario
     format and system build. *)
 
 val run :

@@ -151,6 +151,29 @@ let test_scenario_errors () =
   | Ok _ -> Alcotest.fail "parsed inverted backoff"
   | Error _ -> ()
 
+(* A NaN slips past every [x < bound] check, and a fleet too large for
+   an array used to escape as Invalid_argument from the system build:
+   both are parse errors now. *)
+let test_scenario_rejects_non_finite () =
+  List.iter
+    (fun directive ->
+      match Scenario.parse ~name:"bad" ("n 16\nrounds 5\n" ^ directive ^ "\n") with
+      | Ok _ -> Alcotest.failf "parsed '%s'" directive
+      | Error _ -> ())
+    [
+      "rate nan";
+      "mu nan";
+      "u inf";
+      "d nan";
+      "helpers 8 nan 1.0";
+      "kpi max-rejection nan";
+      "population rich-poor nan 3.0 0.75 1.25";
+      "n 4611686018427387903";
+      Printf.sprintf "n %d\nhelpers %d 1.0 1.0" (Sys.max_array_length - 4) 8;
+    ];
+  checkb "finite values still parse" true
+    (Result.is_ok (Scenario.parse ~name:"ok" "n 16\nrounds 5\nrate 0.5\nmu 1.5\n"))
+
 let test_scenario_roundtrip () =
   let s = Result.get_ok (Scenario.parse ~name:"inline" scenario_text) in
   let s' = Result.get_ok (Scenario.parse ~name:"inline" (Scenario.to_text s)) in
@@ -865,6 +888,8 @@ let suites =
       [
         Alcotest.test_case "parse" `Quick test_scenario_parse;
         Alcotest.test_case "errors" `Quick test_scenario_errors;
+        Alcotest.test_case "non-finite and oversized" `Quick
+          test_scenario_rejects_non_finite;
         Alcotest.test_case "round-trip" `Quick test_scenario_roundtrip;
       ] );
     ( "fault.engine",

@@ -571,6 +571,20 @@ let qcheck_cases =
                Ts.window_percentile s ~window:w p
                = Registry.percentile_of_counts counts ~total:keep p)
              [ 0.0; 50.0; 95.0; 99.0; 100.0 ]);
+    (* The escape every JSONL stream shares: quotes, backslashes,
+       control bytes and high bytes must all survive the parser. *)
+    Test.make ~name:"span name and attribute bytes survive export and parse" ~count:500
+      (string_gen Gen.char)
+      (fun str ->
+        let r = Span.create_recorder () in
+        ignore
+          (Span.emit r ~attrs:[ (str, str) ] ~name:str ~start_ns:1 ~stop_ns:2 () : int);
+        match Report.of_string (Export.to_jsonl r) with
+        | Error msg -> Test.fail_report msg
+        | Ok trace -> (
+            match trace.Report.spans with
+            | [ e ] -> e.Span.name = str && e.Span.attrs = [ (str, str) ]
+            | _ -> Test.fail_report "expected one span"));
     Test.make ~name:"random span trees validate" ~count:100
       (int_range 0 1_000_000)
       (fun seed ->
