@@ -9,9 +9,10 @@ test:
 	dune runtest
 
 # Short-budget differential fuzz pass (separate from `dune runtest`):
-# 200 random bipartite instances x 7 max-matching solvers (the CSR
-# cores of Dinic, push-relabel and Hopcroft-Karp, their three legacy
-# implementations and min-cost flow) plus 6 simulated scenarios x 3
+# 200 random bipartite instances x 5 max-matching solvers (the
+# engine's CSR Dinic core, legacy Dinic and push-relabel over an
+# explicit flow network, slot-expansion Hopcroft-Karp and min-cost
+# flow) plus 6 simulated scenarios x 3
 # lockstep schedulers, every engine failure round certified by an
 # independent Hall-violator check.  Fixed seed, so the pass is deterministic and CI-friendly.
 # The verdict carries a one-line obs summary of the solver counters

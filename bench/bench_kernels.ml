@@ -5,11 +5,11 @@
 
      kernels/layer_build/{bitset,array}    one BFS layer expansion —
          OR the frontier lefts' rows into a right-side set.  The bitset
-         path is the Hopcroft-Karp/Dinic inner loop (raw word writes +
+         path is the Dinic BFS inner loop (raw word writes +
          andnot sweep); the array baseline is the per-vertex seen-array
          walk the kernels replaced.
-     kernels/csr_hk_layout/{clustered,interleaved}    the full HK core
-         on the same swarm-structured instance with components laid out
+     kernels/csr_layout/{clustered,interleaved}    the full CSR Dinic
+         core on the same swarm-structured instance with components laid out
          contiguously vs round-robin interleaved across the id space —
          the locality cost of an arrival-ordered instance.
 
@@ -166,15 +166,15 @@ let make_layout_instance ~interleaved =
   done;
   Bipartite.csr b
 
-let time_hk csr =
+let time_csr csr =
   let arena = Arena.create () in
   (* one untimed round grows the arena to its high-water mark *)
-  ignore (Hopcroft_karp.solve_csr ~arena csr);
+  ignore (Dinic.solve_csr ~arena csr);
   let matched = ref 0 in
   let b0 = Gc.allocated_bytes () in
   let t0 = now_ns () in
   for _ = 1 to layout_rounds do
-    matched := !matched + Hopcroft_karp.solve_csr ~arena csr
+    matched := !matched + Dinic.solve_csr ~arena csr
   done;
   (now_ns () -. t0, !matched, Gc.allocated_bytes () -. b0)
 
@@ -204,8 +204,8 @@ let run () =
          bits cells);
   let clustered_csr = make_layout_instance ~interleaved:false in
   let interleaved_csr = make_layout_instance ~interleaved:true in
-  let clustered = best_of ~repeats:3 (fun () -> time_hk clustered_csr) in
-  let interleaved = best_of ~repeats:3 (fun () -> time_hk interleaved_csr) in
+  let clustered = best_of ~repeats:3 (fun () -> time_csr clustered_csr) in
+  let interleaved = best_of ~repeats:3 (fun () -> time_csr interleaved_csr) in
   let (_, mc, _) = clustered and (_, mi, _) = interleaved in
   if mc <> mi then
     failwith
@@ -214,10 +214,10 @@ let run () =
   [
     mk "kernels/layer_build/bitset" layer_n_left layer_rounds bitset;
     mk "kernels/layer_build/array" layer_n_left layer_rounds array;
-    mk "kernels/csr_hk_layout/clustered"
+    mk "kernels/csr_layout/clustered"
       (layout_blocks * layout_block_lefts)
       layout_rounds clustered;
-    mk "kernels/csr_hk_layout/interleaved"
+    mk "kernels/csr_layout/interleaved"
       (layout_blocks * layout_block_lefts)
       layout_rounds interleaved;
   ]

@@ -5,13 +5,15 @@
    replaced by fresh arrivals each round, capacities drift slightly —
    and times two paths over the identical instance sequence:
 
-     scratch      Bipartite.solve (Dinic CSR core) into a shared arena
-     csr_hk       the bare Hopcroft–Karp CSR core over a shared arena,
-                  no outcome materialisation — the zero-allocation path
+     scratch      Bipartite.solve (Dinic CSR core) into a shared arena,
+                  outcome arrays copied out
+     csr          the bare Dinic CSR core over a shared arena, no
+                  outcome materialisation — the zero-allocation path
+                  the engine runs
 
    Besides ns/round each record carries alloc/round, the
    [Gc.allocated_bytes] delta per round of the timed region: the
-   csr_hk row is the one the zero-allocation acceptance watches (~0
+   csr row is the one the zero-allocation acceptance watches (~0
    bytes once the arena has grown).  Emits both a human table and (via
    {!emit_json}) the machine-readable [BENCH_matching.json] record set
    that `bench/compare.exe` diffs against the committed baseline in
@@ -84,12 +86,12 @@ let time_scratch seq ~arena =
 
 (* The bare CSR core: no outcome arrays, results stay in the arena.
    This is the ~0 bytes/round row. *)
-let time_csr_hk seq ~arena =
+let time_csr seq ~arena =
   let matched = ref 0 in
   let b0 = Gc.allocated_bytes () in
   let t0 = now_ns () in
   List.iter
-    (fun inst -> matched := !matched + Hopcroft_karp.solve_csr ~arena (Bipartite.csr inst))
+    (fun inst -> matched := !matched + Dinic.solve_csr ~arena (Bipartite.csr inst))
     seq;
   let ns = now_ns () -. t0 in
   (ns, !matched, Gc.allocated_bytes () -. b0)
@@ -111,7 +113,7 @@ let run () =
           (* warm all paths once (allocator, code, arena growth) before
              timing *)
           ignore (time_scratch [ List.hd seq ] ~arena);
-          ignore (time_csr_hk [ List.hd seq ] ~arena);
+          ignore (time_csr [ List.hd seq ] ~arena);
           (* best-of-5: scheduler hiccups only ever add time, so the
              minimum is the stable estimate the regression gate needs;
              allocation is deterministic, so any run's delta serves *)
@@ -128,12 +130,12 @@ let run () =
           let scratch_ns, scratch_matched, scratch_b =
             best_of (fun () -> time_scratch seq ~arena)
           in
-          let hk_ns, hk_matched, hk_b = best_of (fun () -> time_csr_hk seq ~arena) in
-          if scratch_matched <> hk_matched then
+          let csr_ns, csr_matched, csr_b = best_of (fun () -> time_csr seq ~arena) in
+          if scratch_matched <> csr_matched then
             failwith
               (Printf.sprintf
-                 "bench_matching: solvers disagree at n=%d %s (scratch %d, csr_hk %d)"
-                 n_left label scratch_matched hk_matched);
+                 "bench_matching: paths disagree at n=%d %s (scratch %d, csr %d)" n_left
+                 label scratch_matched csr_matched);
           let r = float_of_int rounds in
           let mk name ns matched bytes =
             {
@@ -146,7 +148,7 @@ let run () =
             }
           in
           records :=
-            mk (Printf.sprintf "matching/csr_hk/%s" label) hk_ns hk_matched hk_b
+            mk (Printf.sprintf "matching/csr/%s" label) csr_ns csr_matched csr_b
             :: mk (Printf.sprintf "matching/scratch/%s" label) scratch_ns
                  scratch_matched scratch_b
             :: !records)
@@ -154,18 +156,18 @@ let run () =
     scenarios;
   List.rev !records
 
-(* The single pinned point of the CI kernel smoke: the bare CSR
-   Hopcroft-Karp core at n=16384 low churn, checked against an absolute
+(* The single pinned point of the CI kernel smoke: the bare CSR Dinic
+   core at n=16384 low churn, checked against an absolute
    ns/round ceiling (compare.exe --ceiling) so a kernel regression
    fails fast without waiting for the full bench leg. *)
 let run_smoke () =
   let arena = Arena.create () in
   let n_left = 16384 and rounds = 12 in
   let seq = make_sequence ~seed:(0xbe2c + n_left) ~n_left ~rounds ~churn:0.02 in
-  ignore (time_csr_hk [ List.hd seq ] ~arena);
+  ignore (time_csr [ List.hd seq ] ~arena);
   let best = ref infinity and matched = ref 0 and bytes = ref 0.0 in
   for _ = 1 to 5 do
-    let ns, m, b = time_csr_hk seq ~arena in
+    let ns, m, b = time_csr seq ~arena in
     if ns < !best then best := ns;
     matched := m;
     bytes := b
@@ -173,7 +175,7 @@ let run_smoke () =
   let r = float_of_int rounds in
   [
     {
-      name = "matching/csr_hk/low-churn";
+      name = "matching/csr/low-churn";
       n = n_left;
       rounds;
       ns_per_round = !best /. r;
@@ -206,7 +208,7 @@ let swarm_refill g rows l =
 type swarm_pass = { ns : float; matched : int; bytes : float }
 
 (* One pass: build the instance once, then [rounds] churn steps, each a
-   full row-major rebuild followed by a Hopcroft-Karp solve.  The timed
+   full row-major rebuild followed by a CSR Dinic solve.  The timed
    region covers rebuild + solve — the per-round cost the engine pays —
    but not the initial construction or the solver warm-up. *)
 let run_swarm_pass ~seed ~n_left ~rounds ~arena =
@@ -223,7 +225,7 @@ let run_swarm_pass ~seed ~n_left ~rounds ~arena =
     done
   in
   let inst = Bipartite.create ~n_left ~n_right ~right_cap in
-  let solve () = Hopcroft_karp.solve_csr ~arena (Bipartite.csr inst) in
+  let solve () = Dinic.solve_csr ~arena (Bipartite.csr inst) in
   Bipartite.rebuild inst ~n_left ~right_cap ~fill;
   ignore (solve ());
   let matched = ref 0 in
@@ -255,7 +257,7 @@ let run_swarms () =
       done;
       let p = !p in
       {
-        name = "matching/csr_hk/swarms";
+        name = "matching/csr/swarms";
         n = n_left;
         rounds;
         ns_per_round = p.ns /. float_of_int rounds;
@@ -331,13 +333,13 @@ let print_table records =
           Printf.sprintf "%.0f" r.alloc_per_round;
         ])
     records;
-  Table.print ~title:"Connection matching: Dinic outcome vs bare Hopcroft-Karp core" tbl;
+  Table.print ~title:"Connection matching: Dinic outcome vs bare Dinic CSR core" tbl;
   (* headline: the price of the outcome copies over the bare core *)
   let find name n = List.find_opt (fun r -> r.name = name && r.n = n) records in
-  match (find "matching/scratch/low-churn" 4096, find "matching/csr_hk/low-churn" 4096) with
-  | Some s, Some h when h.ns_per_round > 0.0 ->
-      Printf.printf "low-churn n=4096 (scratch / csr_hk): %.1fx\n"
-        (s.ns_per_round /. h.ns_per_round)
+  match (find "matching/scratch/low-churn" 4096, find "matching/csr/low-churn" 4096) with
+  | Some s, Some c when c.ns_per_round > 0.0 ->
+      Printf.printf "low-churn n=4096 (scratch / csr): %.1fx\n"
+        (s.ns_per_round /. c.ns_per_round)
   | _ -> ()
 
 let emit_json records ~path =

@@ -503,13 +503,13 @@ let e9_solvers () =
           Bipartite.add_edge inst ~left:l ~right:(Prng.int g n_right)
         done
       done;
-      let d = (Bipartite.solve ~algorithm:Bipartite.Dinic_flow inst).Bipartite.matched in
-      let p =
-        (Bipartite.solve ~algorithm:Bipartite.Push_relabel_flow inst).Bipartite.matched
-      in
-      let h =
-        (Bipartite.solve ~algorithm:Bipartite.Hopcroft_karp_matching inst).Bipartite.matched
-      in
+      (* the engine's CSR Dinic core against the independent legacy
+         push-relabel (explicit flow network) and slot-expansion
+         Hopcroft-Karp *)
+      let d = (Bipartite.solve inst).Bipartite.matched in
+      let legacy algorithm = (Bipartite.solve_legacy ~algorithm inst).Bipartite.matched in
+      let p = legacy Bipartite.Push_relabel_flow in
+      let h = legacy Bipartite.Hopcroft_karp_matching in
       Table.add_row tbl
         [
           string_of_int n_left;

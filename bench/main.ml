@@ -3,8 +3,8 @@
    1. Runs the reproduction experiments E1-E9 (each regenerates one of
       the paper's claims as a printed table; see EXPERIMENTS.md).
    2. Runs Bechamel micro-benchmarks of the performance-critical
-      substrate: max-flow solvers, allocation construction and the
-      simulator round loop.
+      substrate: the engine's matcher against the legacy oracle
+      solvers, allocation construction and the simulator round loop.
    3. Runs the connection-matching benchmark (bench_matching.ml) and,
       with [--json PATH], writes its records as machine-readable JSON
       for the CI regression gate (bench/compare.exe).  The same record
@@ -16,7 +16,7 @@
    Skip micro-benches:  dune exec bench/main.exe -- --no-micro
    Skip experiments:    dune exec bench/main.exe -- --quick
    Kernel smoke only:   dune exec bench/main.exe -- --smoke --json OUT
-                        (pinned csr_hk gate point + kernel micros, for
+                        (pinned CSR Dinic gate point + kernel micros, for
                         the CI ceiling check)
    Emit bench records:  dune exec bench/main.exe -- --json BENCH_matching.json
    Observability:       dune exec bench/main.exe -- --obs  (record spans/metrics
@@ -41,11 +41,11 @@ let make_matching_instance ~seed ~n_left ~n_right =
 
 let micro_benchmarks () =
   let open Bechamel in
-  let solver_test name algorithm =
+  let solver_test name solve =
     Test.make ~name
       (Staged.stage (fun () ->
            let inst = make_matching_instance ~seed:3 ~n_left:512 ~n_right:128 in
-           ignore (Bipartite.solve ~algorithm inst)))
+           ignore (solve inst : Bipartite.outcome)))
   in
   let alloc_test =
     Test.make ~name:"random_permutation n=256 m=256 c=2 k=4"
@@ -87,9 +87,11 @@ let micro_benchmarks () =
   let tests =
     Test.make_grouped ~name:"vod"
       [
-        solver_test "matching: dinic 512x128" Bipartite.Dinic_flow;
-        solver_test "matching: push-relabel 512x128" Bipartite.Push_relabel_flow;
-        solver_test "matching: hopcroft-karp 512x128" Bipartite.Hopcroft_karp_matching;
+        solver_test "matching: dinic 512x128" (fun inst -> Bipartite.solve inst);
+        solver_test "matching: push-relabel legacy 512x128"
+          (Bipartite.solve_legacy ~algorithm:Bipartite.Push_relabel_flow);
+        solver_test "matching: hopcroft-karp slots 512x128"
+          (Bipartite.solve_legacy ~algorithm:Bipartite.Hopcroft_karp_matching);
         alloc_test;
         step_test;
         ring_test;

@@ -694,9 +694,10 @@ let check_cmd =
           Vod.Check.Fuzz.run ~seed ~instances ~scenarios ~rounds ?repro_dir ()
         in
         Printf.printf
-          "differential check (seed %d): %d bipartite instances x 7 solvers, %d \
+          "differential check (seed %d): %d bipartite instances x %d solvers, %d \
            scenarios x 3 engines (arbitrary, prefer-cache, sticky)\n"
           seed summary.Vod.Check.Fuzz.instances_checked
+          (List.length Vod.Check.Oracle.solvers)
           summary.Vod.Check.Fuzz.scenarios_checked;
         Printf.printf
           "engine failure rounds with independently confirmed Hall certificates: %d\n"

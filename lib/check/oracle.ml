@@ -8,22 +8,21 @@ let ( let* ) = Result.bind
    any cost function must leave the matched cardinality maximal. *)
 let probe_cost ~left ~right = (left + (2 * right)) mod 5
 
+let solvers =
+  [
+    ("dinic", fun bip -> B.solve bip);
+    (* The pre-CSR implementations (explicit Flow_network / slot
+       expansion) stay on the panel as independent oracles for the
+       engine's flat Dinic core. *)
+    ("dinic_legacy", B.solve_legacy ~algorithm:B.Dinic_flow);
+    ("push_relabel_legacy", B.solve_legacy ~algorithm:B.Push_relabel_flow);
+    ("hopcroft_karp_slots", B.solve_legacy ~algorithm:B.Hopcroft_karp_matching);
+    ("min_cost_flow", B.solve_min_cost ~edge_cost:probe_cost);
+  ]
+
 let solver_agreement inst =
   let bip = Instance.to_bipartite inst in
-  let outcomes =
-    [
-      ("dinic", B.solve ~algorithm:B.Dinic_flow bip);
-      ("push_relabel", B.solve ~algorithm:B.Push_relabel_flow bip);
-      ("hopcroft_karp", B.solve ~algorithm:B.Hopcroft_karp_matching bip);
-      (* The pre-CSR implementations (explicit Flow_network / slot
-         expansion) stay on the panel as independent oracles for the
-         flat solver cores. *)
-      ("dinic_legacy", B.solve_legacy ~algorithm:B.Dinic_flow bip);
-      ("push_relabel_legacy", B.solve_legacy ~algorithm:B.Push_relabel_flow bip);
-      ("hopcroft_karp_slots", B.solve_legacy ~algorithm:B.Hopcroft_karp_matching bip);
-      ("min_cost_flow", B.solve_min_cost bip ~edge_cost:probe_cost);
-    ]
-  in
+  let outcomes = List.map (fun (name, solve) -> (name, solve bip)) solvers in
   let* () =
     List.fold_left
       (fun acc (name, o) ->

@@ -3,11 +3,11 @@
     Two levels, mirroring the two layers whose correctness the paper's
     guarantees rest on:
 
-    - {!solver_agreement}: the seven maximum-matching solvers (the
-      CSR/arena cores of Dinic, push-relabel and Hopcroft–Karp, their
-      pre-CSR legacy implementations over an explicit flow network /
-      slot expansion, and min-cost flow) run on the same bipartite
-      instance must report the same matched cardinality,
+    - {!solver_agreement}: the maximum-matching solvers of {!solvers}
+      (the engine's CSR Dinic core, the legacy Dinic and push-relabel
+      over an explicit flow network, slot-expansion Hopcroft–Karp, and
+      min-cost flow) run on the same bipartite instance must report
+      the same matched cardinality,
       each matching must replay as a valid assignment, and on deficit
       the Hall violator must be a checker-confirmed cut witness tight
       against the matching (König duality);
@@ -19,6 +19,12 @@
       including the first failing round: beyond it the engines may
       legitimately stall {e different} requests, so the states (and
       hence later rounds) diverge. *)
+
+val solvers : (string * (Vod_graph.Bipartite.t -> Vod_graph.Bipartite.outcome)) list
+(** The solver panel, by name, in the order {!solver_agreement} runs
+    it; the first entry ([dinic], {!Vod_graph.Bipartite.solve}) is the
+    engine's matcher and the reference the Hall certificate is checked
+    against. *)
 
 val solver_agreement : Instance.t -> (int, string) result
 (** The agreed matched cardinality, or a description of the first

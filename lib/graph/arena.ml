@@ -1,6 +1,6 @@
-(* Scratch-buffer arena shared by the CSR solver cores.  See the mli
-   for the slab discipline; the implementation is just named growable
-   int-array cells. *)
+(* Scratch-buffer arena of the CSR Dinic core.  See the mli for the
+   slab discipline; the implementation is just named growable int-array
+   cells. *)
 
 type slab = { mutable buf : int array }
 type bitslab = { mutable bits : Vod_util.Bitset.t }
@@ -9,24 +9,12 @@ type t = {
   assignment : slab;
   right_load : slab;
   queue : slab;
-  hk_dist : slab;
-  seat_start : slab;
-  seats : slab;
   level : slab;
   it_left : slab;
   it_right : slab;
   matched_edge : slab;
   t_row_start : slab;
-  t_eid : slab;
   t_packed : slab;
-  edge_left : slab;
-  excess : slab;
-  height : slab;
-  height_count : slab;
-  edge_flow : slab;
-  src_flow : slab;
-  pr_it : slab;
-  in_queue : slab;
   free_left : bitslab;
   free_right : bitslab;
   frontier : bitslab;
@@ -41,24 +29,12 @@ let create () =
     assignment = slab ();
     right_load = slab ();
     queue = slab ();
-    hk_dist = slab ();
-    seat_start = slab ();
-    seats = slab ();
     level = slab ();
     it_left = slab ();
     it_right = slab ();
     matched_edge = slab ();
     t_row_start = slab ();
-    t_eid = slab ();
     t_packed = slab ();
-    edge_left = slab ();
-    excess = slab ();
-    height = slab ();
-    height_count = slab ();
-    edge_flow = slab ();
-    src_flow = slab ();
-    pr_it = slab ();
-    in_queue = slab ();
     free_left = bitslab ();
     free_right = bitslab ();
     frontier = bitslab ();
@@ -96,10 +72,8 @@ let right_load t = t.right_load.buf
 let words t =
   let slabs =
     [
-      t.assignment; t.right_load; t.queue; t.hk_dist; t.seat_start; t.seats;
-      t.level; t.it_left; t.it_right; t.matched_edge; t.t_row_start; t.t_eid;
-      t.t_packed; t.edge_left; t.excess; t.height; t.height_count; t.edge_flow;
-      t.src_flow; t.pr_it; t.in_queue;
+      t.assignment; t.right_load; t.queue; t.level; t.it_left; t.it_right;
+      t.matched_edge; t.t_row_start; t.t_packed;
     ]
   in
   let bitslabs = [ t.free_left; t.free_right; t.frontier; t.visited_right ] in

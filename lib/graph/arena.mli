@@ -1,21 +1,21 @@
-(** Reusable solver arena: every scratch buffer the matching / max-flow
-    cores need, grown with amortised doubling and never shrunk.
+(** Reusable solver arena: every scratch buffer the CSR matching core
+    ({!Dinic.solve_csr}) needs, grown with amortised doubling and never
+    shrunk.
 
     An arena is allocated once (per engine, per bench harness, per sweep
     task — arenas are NOT domain-safe, each parallel task owns its own)
-    and passed to [Hopcroft_karp.solve_csr], [Dinic.solve_csr],
-    [Push_relabel.solve_csr] or [Bipartite.solve ~arena].  Once every
-    slab has reached the high-water mark of the instances being solved,
-    repeat solves allocate nothing.
+    and passed to [Dinic.solve_csr] or [Bipartite.solve ~arena].  Once
+    every slab has reached the high-water mark of the instances being
+    solved, repeat solves allocate nothing.
 
-    Slabs are deliberately exposed: the solvers live in this library and
-    index the raw arrays on their hot paths.  Outside code should treat
+    Slabs are deliberately exposed: the solver lives in this library and
+    indexes the raw arrays on its hot paths.  Outside code should treat
     everything except [assignment] / [right_load] / [words] as private.
 
     Slab discipline: [ints slab n] returns the backing array grown to at
     least [n] cells.  Newly grown cells are zero but surviving cells
     keep whatever the previous solve left behind — a "dirty" arena —
-    so every solver initialises the prefix it reads.  This is what makes
+    so the solver initialises the prefix it reads.  This is what makes
     solving the same instance twice through a dirty arena deterministic
     (property-tested in [test_graph]). *)
 
@@ -26,30 +26,15 @@ type t = {
   (* results of the last solve *)
   assignment : slab;  (** per left: matched right or -1 *)
   right_load : slab;  (** per right: seats taken *)
-  (* shared scratch *)
-  queue : slab;  (** BFS / FIFO worklist *)
-  (* Hopcroft-Karp (seat-counter capacitated variant) *)
-  hk_dist : slab;
-  seat_start : slab;  (** per right: first seat index (prefix sums) *)
-  seats : slab;  (** occupied-seat registry: owning left per seat *)
   (* Dinic (implicit bipartite network) *)
+  queue : slab;  (** BFS worklist *)
   level : slab;
   it_left : slab;
   it_right : slab;
   matched_edge : slab;  (** per left: CSR edge id carrying its unit, or -1 *)
   t_row_start : slab;  (** CSR transpose: per right, first incoming edge *)
-  t_eid : slab;  (** transpose payload: original CSR edge ids *)
   t_packed : slab;  (** transpose payload, packed [(left lsl 31) lor edge_id] *)
-  edge_left : slab;  (** per CSR edge id: its left endpoint *)
-  (* push-relabel (FIFO + gap heuristic) *)
-  excess : slab;
-  height : slab;
-  height_count : slab;
-  edge_flow : slab;  (** per CSR edge id: 0/1 *)
-  src_flow : slab;  (** per left: 0/1 on the implicit source arc *)
-  pr_it : slab;  (** current-arc pointers *)
-  in_queue : slab;  (** 0/1 FIFO membership *)
-  (* word-parallel BFS scratch (Hopcroft-Karp and Dinic) *)
+  (* word-parallel BFS scratch *)
   free_left : bitslab;  (** lefts still unmatched *)
   free_right : bitslab;  (** rights with a free seat *)
   frontier : bitslab;  (** rights reached by the layer being expanded *)

@@ -63,8 +63,6 @@ let adjacency t =
 
 let degree t l = Csr.degree t.csr l
 
-type algorithm = Dinic_flow | Push_relabel_flow | Hopcroft_karp_matching
-
 type outcome = { matched : int; assignment : int array; right_load : int array }
 
 let outcome_of_arena t arena size =
@@ -74,16 +72,11 @@ let outcome_of_arena t arena size =
     right_load = Array.sub (Arena.right_load arena) 0 (n_right t);
   }
 
-let solve_in_arena ~arena ?(algorithm = Dinic_flow) t =
-  let csr = csr t in
-  match algorithm with
-  | Dinic_flow -> Dinic.solve_csr ~arena csr
-  | Push_relabel_flow -> Push_relabel.solve_csr ~arena csr
-  | Hopcroft_karp_matching -> Hopcroft_karp.solve_csr ~arena csr
+let solve_in_arena ~arena t = Dinic.solve_csr ~arena (csr t)
 
-let solve ?arena ?algorithm t =
+let solve ?arena t =
   let arena = match arena with Some a -> a | None -> Arena.create () in
-  outcome_of_arena t arena (solve_in_arena ~arena ?algorithm t)
+  outcome_of_arena t arena (solve_in_arena ~arena t)
 
 (* ------------------------------------------------------------------ *)
 (* Legacy adj-array solver paths                                       *)
@@ -91,44 +84,40 @@ let solve ?arena ?algorithm t =
 (* The historical implementations — an explicit [Flow_network] for the *)
 (* flow algorithms and slot expansion for Hopcroft-Karp — are kept as  *)
 (* independent algorithms so the vod_check oracle panel and the fuzz   *)
-(* harness can diff the CSR/arena cores against them on every          *)
+(* harness can diff the engine's CSR Dinic core against them on every  *)
 (* instance.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Flow-network encoding of Lemma 1: source -> request (cap 1),
-   request -> box (unbounded), box -> sink (cap = upload slots). *)
-let build_network_full t =
-  let src = 0 in
-  let left_base = 1 in
-  let right_base = 1 + n_left t in
-  let sink = 1 + n_left t + n_right t in
+(* Flow-network encoding of Lemma 1: source 0 -> request [1 + l]
+   (cap 1), request -> box [1 + n_left + r] (cap [middle_cap]), box ->
+   sink (cap = upload slots).  Returns the network, its sink and the
+   request -> box arc of each adjacency cell. *)
+let build_network ~middle_cap t =
+  let nl = n_left t and nr = n_right t in
+  let right_base = 1 + nl in
+  let sink = 1 + nl + nr in
   let right_cap = Csr.right_cap_array t.csr in
   let adj = adjacency t in
   let arc_hint =
     (* src arcs + middle arcs + sink arcs, two arc cells each *)
-    2 * (n_left t + Csr.n_edges t.csr + n_right t)
+    2 * (nl + Csr.n_edges t.csr + nr)
   in
   let net = F.create ~arc_hint (sink + 1) in
-  let src_arcs = Array.make (max (n_left t) 1) 0 in
-  for l = 0 to n_left t - 1 do
-    src_arcs.(l) <- F.add_edge net ~src ~dst:(left_base + l) ~cap:1
+  for l = 0 to nl - 1 do
+    ignore (F.add_edge net ~src:0 ~dst:(1 + l) ~cap:1)
   done;
-  let middle = Array.make (max (n_left t) 1) [||] in
-  for l = 0 to n_left t - 1 do
-    middle.(l) <-
-      Array.map
-        (fun r -> F.add_edge net ~src:(left_base + l) ~dst:(right_base + r) ~cap:1)
-        adj.(l)
+  let middle =
+    Array.mapi
+      (fun l row ->
+        Array.map
+          (fun r -> F.add_edge net ~src:(1 + l) ~dst:(right_base + r) ~cap:middle_cap)
+          row)
+      adj
+  in
+  for r = 0 to nr - 1 do
+    ignore (F.add_edge net ~src:(right_base + r) ~dst:sink ~cap:right_cap.(r))
   done;
-  let sink_arcs = Array.make (max (n_right t) 1) 0 in
-  for r = 0 to n_right t - 1 do
-    sink_arcs.(r) <- F.add_edge net ~src:(right_base + r) ~dst:sink ~cap:right_cap.(r)
-  done;
-  (net, src, sink, middle, src_arcs, sink_arcs)
-
-let build_network t =
-  let net, src, sink, middle, _, _ = build_network_full t in
-  (net, src, sink, middle)
+  (net, sink, middle)
 
 let outcome_of_flow t net middle =
   let adj = adjacency t in
@@ -148,21 +137,23 @@ let outcome_of_flow t net middle =
   done;
   { matched = !matched; assignment; right_load }
 
-let solve_legacy ?(algorithm = Dinic_flow) t =
+type algorithm = Dinic_flow | Push_relabel_flow | Hopcroft_karp_matching
+
+let solve_legacy ~algorithm t =
   match algorithm with
   | Dinic_flow ->
-      let net, src, sink, middle = build_network t in
-      let (_ : int) = Dinic.max_flow net ~src ~sink in
+      let net, sink, middle = build_network ~middle_cap:1 t in
+      let (_ : int) = Dinic.max_flow net ~src:0 ~sink in
       outcome_of_flow t net middle
   | Push_relabel_flow ->
-      let net, src, sink, middle = build_network t in
-      let (_ : int) = Push_relabel.max_flow net ~src ~sink in
+      let net, sink, middle = build_network ~middle_cap:1 t in
+      let (_ : int) = Push_relabel.max_flow net ~src:0 ~sink in
       outcome_of_flow t net middle
   | Hopcroft_karp_matching ->
       let r =
         Hopcroft_karp.solve_slots ~n_left:(n_left t) ~n_right:(n_right t)
           ~adj:(adjacency t)
-          ~right_cap:(Csr.right_cap_array t.csr |> fun a -> Array.sub a 0 (n_right t))
+          ~right_cap:(right_cap t)
           ()
       in
       { matched = r.Hopcroft_karp.size; assignment = r.assignment; right_load = r.right_load }
@@ -275,54 +266,29 @@ let solve_greedy ?(until_stable = false) ?warm_start ~rounds g t =
   done;
   { matched = !matched; assignment; right_load }
 
-let is_feasible ?(algorithm = Dinic_flow) t =
-  let o = solve ~algorithm t in
-  o.matched = n_left t
+let is_feasible t = (solve t).matched = n_left t
 
 type violator = { requests : int list; servers : int list; server_slots : int }
 
+(* Request -> box arcs are uncuttable, so the source side S of the
+   minimum cut is a request set X together with all of B(X), and the
+   cut's capacity is |requests outside X| + slots(B(X)).  Any maximum
+   flow leaves the same S reachable in its residual network (the
+   minimal minimum cut), so the certificate does not depend on which
+   augmenting paths the solver took. *)
 let hall_violator t =
-  let net, src, sink, _middle = build_network t in
-  let value = Dinic.max_flow net ~src ~sink in
-  if value = n_left t then None
+  let nl = n_left t in
+  let net, sink, _middle = build_network ~middle_cap:F.infinite_capacity t in
+  if Dinic.max_flow net ~src:0 ~sink = nl then None
   else begin
-    (* Source side S of the min cut.  X = requests in S; because
-       request->box arcs carry flow at most 1 but have capacity 1 — we
-       need them uncuttable, so recompute reachability treating middle
-       arcs as uncut: a middle arc from a reachable request is only
-       saturated if the request is matched, and then the box is reached
-       through the reverse arc of the box->sink path...  To keep the
-       certificate exact we rebuild the network with unbounded middle
-       arcs. *)
-    let adj = adjacency t in
     let right_cap = Csr.right_cap_array t.csr in
-    let left_base = 1 in
-    let right_base = 1 + n_left t in
-    let sink' = 1 + n_left t + n_right t in
-    let net' = F.create (sink' + 1) in
-    for l = 0 to n_left t - 1 do
-      ignore (F.add_edge net' ~src:0 ~dst:(left_base + l) ~cap:1)
-    done;
-    for l = 0 to n_left t - 1 do
-      Array.iter
-        (fun r ->
-          ignore
-            (F.add_edge net' ~src:(left_base + l) ~dst:(right_base + r)
-               ~cap:F.infinite_capacity))
-        adj.(l)
-    done;
-    for r = 0 to n_right t - 1 do
-      ignore (F.add_edge net' ~src:(right_base + r) ~dst:sink' ~cap:right_cap.(r))
-    done;
-    let value' = Dinic.max_flow net' ~src:0 ~sink:sink' in
-    assert (value' = value);
-    let reachable = F.residual_reachable net' ~src:0 in
+    let reachable = F.residual_reachable net ~src:0 in
     let requests = ref [] and servers = ref [] and slots = ref 0 in
-    for l = n_left t - 1 downto 0 do
-      if Bitset.mem reachable (left_base + l) then requests := l :: !requests
+    for l = nl - 1 downto 0 do
+      if Bitset.mem reachable (1 + l) then requests := l :: !requests
     done;
     for r = n_right t - 1 downto 0 do
-      if Bitset.mem reachable (right_base + r) then begin
+      if Bitset.mem reachable (1 + nl + r) then begin
         servers := r :: !servers;
         slots := !slots + right_cap.(r)
       end

@@ -45,9 +45,8 @@ val right_cap : t -> int array
 val csr : t -> Csr.t
 (** The instance's flat CSR representation, finalized (borrowed: owned
     by the instance, invalidated by {!reset}; mutating it directly is
-    not allowed).  This is what the CSR solver cores traverse; exposed
-    so harnesses can call e.g. [Hopcroft_karp.solve_csr] without an
-    adjacency materialisation. *)
+    not allowed).  This is what {!Dinic.solve_csr} traverses; exposed
+    so harnesses can call it without an adjacency materialisation. *)
 
 val adjacency : t -> int array array
 (** Left-to-right adjacency, sorted per row with duplicates removed
@@ -56,23 +55,21 @@ val adjacency : t -> int array array
 val degree : t -> int -> int
 (** Number of distinct boxes able to serve a request. *)
 
-type algorithm = Dinic_flow | Push_relabel_flow | Hopcroft_karp_matching
-
 type outcome = {
   matched : int;  (** Number of requests served. *)
   assignment : int array;  (** request -> serving box, or -1. *)
   right_load : int array;  (** Slots used per box. *)
 }
 
-val solve : ?arena:Arena.t -> ?algorithm:algorithm -> t -> outcome
-(** Maximum matching; default algorithm {!Dinic_flow}.  All three
-    algorithms run their CSR/arena cores; pass [arena] (one per engine /
-    harness / parallel task — arenas are not domain-safe) to reuse the
-    scratch buffers across calls, otherwise a fresh arena is allocated.
-    The returned [outcome] arrays are freshly allocated and owned by the
+val solve : ?arena:Arena.t -> t -> outcome
+(** Maximum matching by the CSR Dinic core ({!Dinic.solve_csr}), the
+    engine's only matcher.  Pass [arena] (one per engine / harness /
+    parallel task — arenas are not domain-safe) to reuse the scratch
+    buffers across calls, otherwise a fresh arena is allocated.  The
+    returned [outcome] arrays are freshly allocated and owned by the
     caller either way. *)
 
-val solve_in_arena : arena:Arena.t -> ?algorithm:algorithm -> t -> int
+val solve_in_arena : arena:Arena.t -> t -> int
 (** {!val:solve} without the copies: returns the matching size and
     leaves the result in the arena — [Arena.assignment arena] (entries
     [0 .. n_left - 1]) and [Arena.right_load arena] (entries
@@ -80,7 +77,9 @@ val solve_in_arena : arena:Arena.t -> ?algorithm:algorithm -> t -> int
     solve.  The engine's per-round path; {!val:solve} is this plus a
     copy into fresh arrays. *)
 
-val solve_legacy : ?algorithm:algorithm -> t -> outcome
+type algorithm = Dinic_flow | Push_relabel_flow | Hopcroft_karp_matching
+
+val solve_legacy : algorithm:algorithm -> t -> outcome
 (** The historical solver paths — an explicit {!Flow_network} for
     {!Dinic_flow} / {!Push_relabel_flow} and slot expansion for
     {!Hopcroft_karp_matching} — kept as independent implementations for
@@ -112,7 +111,7 @@ val solve_greedy :
     are box ids or -1; invalid or over-capacity seats are ignored) —
     persistent connections, as a deployed system would keep. *)
 
-val is_feasible : ?algorithm:algorithm -> t -> bool
+val is_feasible : t -> bool
 (** True iff every request can be served simultaneously. *)
 
 type violator = {
@@ -123,5 +122,8 @@ type violator = {
 
 val hall_violator : t -> violator option
 (** [None] when the instance is feasible; otherwise a certificate set
-    [X] with [slots(B(X)) < |X|], extracted from the min cut of a
-    maximum flow. *)
+    [X] with [slots(B(X)) < |X|], extracted from the min cut of one
+    maximum flow over uncuttable request-to-box arcs.  [X] is the
+    minimal minimum cut's request side: the requests reachable by
+    alternating paths from the requests any maximum matching leaves
+    unserved, whichever maximum matching that is. *)

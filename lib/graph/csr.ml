@@ -97,11 +97,6 @@ let reset t ~n_left ~n_right =
   t.dirty <- false;
   t.frozen <- false
 
-let set_right_cap t r c =
-  if r < 0 || r >= t.n_right then invalid_arg "Csr.set_right_cap: right out of range";
-  if c < 0 then invalid_arg "Csr.set_right_cap: negative capacity";
-  t.right_cap.(r) <- c
-
 let set_right_caps t caps =
   if Array.length caps < t.n_right then invalid_arg "Csr.set_right_caps: array too short";
   let right_cap = t.right_cap in
@@ -337,20 +332,6 @@ let mem t ~left ~right =
   if left < 0 || left >= t.n_left then invalid_arg "Csr.mem: left out of range";
   let rec scan i = i < t.row_start.(left + 1) && (t.col.(i) = right || scan (i + 1)) in
   scan t.row_start.(left)
-
-let iter_row t l f =
-  finalize t;
-  if l < 0 || l >= t.n_left then invalid_arg "Csr.iter_row: left out of range";
-  for i = t.row_start.(l) to t.row_start.(l + 1) - 1 do
-    f t.col.(i)
-  done
-
-let total_cap t =
-  let s = ref 0 in
-  for r = 0 to t.n_right - 1 do
-    s := !s + t.right_cap.(r)
-  done;
-  !s
 
 let load_adjacency t ?right_cap ~n_right adj =
   let n_left = Array.length adj in

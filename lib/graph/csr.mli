@@ -1,7 +1,7 @@
 (** Flat compressed-sparse-row bipartite instance.
 
-    A [Csr.t] is the cache-friendly wire format shared by all matching /
-    max-flow solvers: the edges of left vertex [l] live in
+    A [Csr.t] is the cache-friendly wire format the matching core
+    ({!Dinic.solve_csr}) traverses: the edges of left vertex [l] live in
     [col.(row_start.(l)) .. col.(row_start.(l + 1) - 1)], with the
     per-right capacities in a flat [right_cap] array.  Two [int array]s
     replace the [int array array] adjacency rows the solvers used to
@@ -32,10 +32,6 @@ val reset : t -> n_left:int -> n_right:int -> unit
 (** Rewind to an empty [n_left] x [n_right] instance with all right
     capacities 0, retaining backing buffers.
     @raise Invalid_argument on negative dimensions. *)
-
-val set_right_cap : t -> int -> int -> unit
-(** [set_right_cap t r c] sets the capacity of right vertex [r].
-    @raise Invalid_argument if [r] is out of range or [c < 0]. *)
 
 val set_right_caps : t -> int array -> unit
 (** [set_right_caps t caps] sets every right's capacity from
@@ -98,12 +94,6 @@ val degree : t -> int -> int
 
 val mem : t -> left:int -> right:int -> bool
 (** Linear scan of [left]'s row (finalizes first). *)
-
-val iter_row : t -> int -> (int -> unit) -> unit
-(** [iter_row t l f] applies [f] to each distinct neighbour of [l]. *)
-
-val total_cap : t -> int
-(** Sum of right capacities. *)
 
 val of_adjacency : ?right_cap:int array -> n_right:int -> int array array -> t
 (** Fresh instance from adjacency rows (duplicates allowed); rights all

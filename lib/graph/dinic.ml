@@ -93,7 +93,7 @@ let max_flow ?(limit = max_int) net ~src ~sink =
    into one word, so the occupant sweep loads one cell where it used to
    load two.
 
-   The BFS mirrors the Hopcroft-Karp kernel: a greedy first-fit pass
+   The BFS runs Hopcroft-Karp-style phases: a greedy first-fit pass
    seeds the matching, then layered word-parallel phases build the
    right-side frontier as a bitset, probe it against the free-seat set
    and stop at the first layer that can reach the sink.  [level] is

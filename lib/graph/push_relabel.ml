@@ -93,184 +93,3 @@ let max_flow net ~src ~sink =
     discharge v
   done;
   excess.(sink)
-
-(* CSR bipartite specialisation over the implicit matching network
-   (src = nl+nr, sink = nl+nr+1; unit arcs src->left and left->right,
-   right->sink with cap right_cap).  Arc lists are never materialised:
-   a left's arcs are [reverse-to-src; its CSR row], a right's arcs are
-   [forward-to-sink; the CSR transpose of its column], addressed through
-   per-node current-arc pointers.  Flows live in flat 0/1 arrays
-   ([src_flow] per left, [edge_flow] per CSR edge) plus per-right load
-   counters for the sink arcs.  All scratch lives in the arena, so
-   steady-state calls allocate nothing. *)
-let solve_csr ~arena csr =
-  let nl = Csr.n_left csr and nr = Csr.n_right csr in
-  let row_start = Csr.row_start csr and col = Csr.col csr in
-  let cap = Csr.right_cap_array csr in
-  let m = Csr.n_edges csr in
-  let n = nl + nr + 2 in
-  let src = nl + nr and sink = nl + nr + 1 in
-  let excess = Arena.ints arena.Arena.excess n in
-  let height = Arena.ints arena.Arena.height n in
-  let height_count = Arena.ints arena.Arena.height_count ((2 * n) + 1) in
-  let edge_flow = Arena.ints arena.Arena.edge_flow (max m 1) in
-  let src_flow = Arena.ints arena.Arena.src_flow (max nl 1) in
-  let load = Arena.ints arena.Arena.right_load (max nr 1) in
-  let it = Arena.ints arena.Arena.pr_it (max (nl + nr) 1) in
-  let in_queue = Arena.ints arena.Arena.in_queue (max (nl + nr) 1) in
-  let queue = Arena.ints arena.Arena.queue (max (nl + nr) 1) in
-  let t_row_start = Arena.ints arena.Arena.t_row_start (nr + 1) in
-  let t_eid = Arena.ints arena.Arena.t_eid (max m 1) in
-  let edge_left = Arena.ints arena.Arena.edge_left (max m 1) in
-  (* transpose: incoming edge ids per right, via counting sort (the
-     cursor rides in [it], re-zeroed below) *)
-  Array.fill t_row_start 0 (nr + 1) 0;
-  for l = 0 to nl - 1 do
-    for e = row_start.(l) to row_start.(l + 1) - 1 do
-      edge_left.(e) <- l;
-      let r = col.(e) in
-      t_row_start.(r + 1) <- t_row_start.(r + 1) + 1
-    done
-  done;
-  for r = 0 to nr - 1 do
-    t_row_start.(r + 1) <- t_row_start.(r + 1) + t_row_start.(r);
-    it.(r) <- t_row_start.(r)
-  done;
-  for e = 0 to m - 1 do
-    let r = col.(e) in
-    t_eid.(it.(r)) <- e;
-    it.(r) <- it.(r) + 1
-  done;
-  Array.fill excess 0 n 0;
-  Array.fill height 0 n 0;
-  Array.fill height_count 0 ((2 * n) + 1) 0;
-  Array.fill edge_flow 0 m 0;
-  Array.fill load 0 nr 0;
-  Array.fill it 0 (nl + nr) 0;
-  Array.fill in_queue 0 (nl + nr) 0;
-  let qcap = max (nl + nr) 1 in
-  let head = ref 0 and tail = ref 0 in
-  let enqueue v =
-    if in_queue.(v) = 0 && excess.(v) > 0 then begin
-      in_queue.(v) <- 1;
-      queue.(!tail mod qcap) <- v;
-      incr tail
-    end
-  in
-  height.(src) <- n;
-  height_count.(0) <- n - 1;
-  height_count.(n) <- 1;
-  (* saturate the source arcs: every left starts with one unit *)
-  for l = 0 to nl - 1 do
-    src_flow.(l) <- 1;
-    excess.(l) <- 1;
-    enqueue l
-  done;
-  let deg v = if v < nl then row_start.(v + 1) - row_start.(v) else t_row_start.(v - nl + 1) - t_row_start.(v - nl) in
-  let relabel v =
-    (* Gap heuristic: if v's old height level empties, every node above it
-       is unreachable from the sink and can jump to n+1. *)
-    Vod_obs.Registry.incr obs_relabels;
-    let old_height = height.(v) in
-    let min_height = ref ((2 * n) + 1) in
-    if v < nl then begin
-      let l = v in
-      if src_flow.(l) > 0 then min_height := min !min_height (height.(src) + 1);
-      for e = row_start.(l) to row_start.(l + 1) - 1 do
-        if edge_flow.(e) = 0 then min_height := min !min_height (height.(nl + col.(e)) + 1)
-      done
-    end
-    else begin
-      let r = v - nl in
-      if load.(r) < cap.(r) then min_height := min !min_height (height.(sink) + 1);
-      for j = t_row_start.(r) to t_row_start.(r + 1) - 1 do
-        let e = t_eid.(j) in
-        if edge_flow.(e) = 1 then min_height := min !min_height (height.(edge_left.(e)) + 1)
-      done
-    end;
-    let new_height = if !min_height > 2 * n then 2 * n else !min_height in
-    height_count.(old_height) <- height_count.(old_height) - 1;
-    height.(v) <- new_height;
-    height_count.(new_height) <- height_count.(new_height) + 1;
-    if height_count.(old_height) = 0 && old_height < n then
-      for w = 0 to nl + nr - 1 do
-        if height.(w) > old_height && height.(w) <= n then begin
-          height_count.(height.(w)) <- height_count.(height.(w)) - 1;
-          height.(w) <- n + 1;
-          height_count.(n + 1) <- height_count.(n + 1) + 1
-        end
-      done;
-    it.(v) <- 0
-  in
-  let discharge v =
-    while excess.(v) > 0 do
-      if it.(v) > deg v then relabel v
-      else if v < nl then begin
-        let l = v in
-        let k = it.(v) in
-        if k = 0 then begin
-          (* reverse arc to the source *)
-          if src_flow.(l) > 0 && height.(l) = height.(src) + 1 then begin
-            Vod_obs.Registry.incr obs_pushes;
-            src_flow.(l) <- 0;
-            excess.(l) <- excess.(l) - 1
-          end
-          else it.(v) <- it.(v) + 1
-        end
-        else begin
-          let e = row_start.(l) + k - 1 in
-          let r = col.(e) in
-          if edge_flow.(e) = 0 && height.(l) = height.(nl + r) + 1 then begin
-            Vod_obs.Registry.incr obs_pushes;
-            edge_flow.(e) <- 1;
-            excess.(l) <- excess.(l) - 1;
-            excess.(nl + r) <- excess.(nl + r) + 1;
-            enqueue (nl + r)
-          end
-          else it.(v) <- it.(v) + 1
-        end
-      end
-      else begin
-        let r = v - nl in
-        let k = it.(v) in
-        if k = 0 then begin
-          (* forward arc to the sink *)
-          if load.(r) < cap.(r) && height.(v) = height.(sink) + 1 then begin
-            Vod_obs.Registry.incr obs_pushes;
-            let delta = min excess.(v) (cap.(r) - load.(r)) in
-            load.(r) <- load.(r) + delta;
-            excess.(v) <- excess.(v) - delta;
-            excess.(sink) <- excess.(sink) + delta
-          end
-          else it.(v) <- it.(v) + 1
-        end
-        else begin
-          let e = t_eid.(t_row_start.(r) + k - 1) in
-          let l' = edge_left.(e) in
-          if edge_flow.(e) = 1 && height.(v) = height.(l') + 1 then begin
-            Vod_obs.Registry.incr obs_pushes;
-            edge_flow.(e) <- 0;
-            excess.(v) <- excess.(v) - 1;
-            excess.(l') <- excess.(l') + 1;
-            enqueue l'
-          end
-          else it.(v) <- it.(v) + 1
-        end
-      end
-    done
-  in
-  while !head < !tail do
-    let v = queue.(!head mod qcap) in
-    incr head;
-    in_queue.(v) <- 0;
-    discharge v
-  done;
-  let assignment = Arena.ints arena.Arena.assignment (max nl 1) in
-  for l = 0 to nl - 1 do
-    let a = ref (-1) in
-    for e = row_start.(l) to row_start.(l + 1) - 1 do
-      if edge_flow.(e) = 1 then a := col.(e)
-    done;
-    assignment.(l) <- !a
-  done;
-  excess.(sink)

@@ -5,12 +5,3 @@
 val max_flow : Flow_network.t -> src:int -> sink:int -> int
 (** Computes a maximum flow destructively and returns its value.
     @raise Invalid_argument if [src = sink] or either is out of range. *)
-
-val solve_csr : arena:Arena.t -> Csr.t -> int
-(** Push-relabel specialised to the implicit bipartite matching network
-    (src -> lefts cap 1 -> rights via the CSR edges cap 1 -> sink with
-    cap [right_cap]); no [Flow_network] is materialised.  Returns the
-    flow value (= matching size); the assignment and per-right loads are
-    left in [Arena.assignment] / [Arena.right_load] (borrowed, valid
-    until the arena's next solve).  All scratch lives in the arena, so
-    steady-state calls allocate nothing. *)

@@ -53,12 +53,11 @@ let test_checker_accepts_genuine () =
   let inst = instance_of_seed 1234 in
   let bip = Instance.to_bipartite inst in
   List.iter
-    (fun algorithm ->
-      let o = B.solve ~algorithm bip in
-      match Certificate.check_matching inst o with
+    (fun (name, solve) ->
+      match Certificate.check_matching inst (solve bip) with
       | Ok () -> ()
-      | Error m -> Alcotest.failf "genuine matching rejected: %s" m)
-    [ B.Dinic_flow; B.Push_relabel_flow; B.Hopcroft_karp_matching ]
+      | Error m -> Alcotest.failf "genuine %s matching rejected: %s" name m)
+    Oracle.solvers
 
 let test_checker_rejects_corrupt_assignment () =
   let inst = contested_instance () in
@@ -203,9 +202,9 @@ let qcheck_cases =
         List.for_all
           (fun o -> Certificate.check_matching inst o = Ok ())
           [
-            B.solve ~algorithm:B.Dinic_flow bip;
-            B.solve ~algorithm:B.Push_relabel_flow bip;
-            B.solve ~algorithm:B.Hopcroft_karp_matching bip;
+            B.solve bip;
+            B.solve_legacy ~algorithm:B.Push_relabel_flow bip;
+            B.solve_legacy ~algorithm:B.Hopcroft_karp_matching bip;
             B.solve_min_cost bip ~edge_cost:(fun ~left ~right -> (left + right) mod 3);
           ]);
     (* 4 *)

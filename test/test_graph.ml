@@ -136,7 +136,7 @@ let test_solvers_agree_random () =
 let test_hk_perfect_matching () =
   (* 3 requests, 3 boxes, a cycle structure with a unique perfect matching *)
   let r =
-    Hopcroft_karp.solve ~n_left:3 ~n_right:3
+    Hopcroft_karp.solve_slots ~n_left:3 ~n_right:3
       ~adj:[| [| 0 |]; [| 0; 1 |]; [| 1; 2 |] |]
       ~right_cap:[| 1; 1; 1 |] ()
   in
@@ -148,7 +148,7 @@ let test_hk_perfect_matching () =
 let test_hk_capacitated () =
   (* one box with 3 slots serves all requests *)
   let r =
-    Hopcroft_karp.solve ~n_left:3 ~n_right:1
+    Hopcroft_karp.solve_slots ~n_left:3 ~n_right:1
       ~adj:[| [| 0 |]; [| 0 |]; [| 0 |] |]
       ~right_cap:[| 3 |] ()
   in
@@ -157,27 +157,30 @@ let test_hk_capacitated () =
 
 let test_hk_saturated () =
   let r =
-    Hopcroft_karp.solve ~n_left:3 ~n_right:1
+    Hopcroft_karp.solve_slots ~n_left:3 ~n_right:1
       ~adj:[| [| 0 |]; [| 0 |]; [| 0 |] |]
       ~right_cap:[| 2 |] ()
   in
   checki "only two served" 2 r.size
 
 let test_hk_empty () =
-  let r = Hopcroft_karp.solve ~n_left:0 ~n_right:0 ~adj:[||] ~right_cap:[||] () in
+  let r = Hopcroft_karp.solve_slots ~n_left:0 ~n_right:0 ~adj:[||] ~right_cap:[||] () in
   checki "empty" 0 r.size
 
 let test_hk_isolated_left () =
   let r =
-    Hopcroft_karp.solve ~n_left:2 ~n_right:1 ~adj:[| [||]; [| 0 |] |] ~right_cap:[| 1 |] ()
+    Hopcroft_karp.solve_slots ~n_left:2 ~n_right:1 ~adj:[| [||]; [| 0 |] |]
+      ~right_cap:[| 1 |] ()
   in
   checki "isolated unmatched" 1 r.size;
   checki "unmatched is -1" (-1) r.assignment.(0)
 
 let test_hk_invalid () =
-  Alcotest.check_raises "neg cap" (Invalid_argument "Hopcroft_karp.solve: negative cap")
-    (fun () ->
-      ignore (Hopcroft_karp.solve ~n_left:1 ~n_right:1 ~adj:[| [| 0 |] |] ~right_cap:[| -1 |] ()))
+  Alcotest.check_raises "neg cap"
+    (Invalid_argument "Hopcroft_karp.solve_slots: negative cap") (fun () ->
+      ignore
+        (Hopcroft_karp.solve_slots ~n_left:1 ~n_right:1 ~adj:[| [| 0 |] |]
+           ~right_cap:[| -1 |] ()))
 
 (* ------------------------------------------------------------------ *)
 (* Bipartite                                                           *)
@@ -191,16 +194,28 @@ let simple_instance () =
   Bipartite.add_edge b ~left:3 ~right:2;
   b
 
+(* The engine's matcher and the two independent legacy matchers the
+   oracle panel diffs it against. *)
+let matchers =
+  [
+    (fun b -> Bipartite.solve b);
+    Bipartite.solve_legacy ~algorithm:Bipartite.Push_relabel_flow;
+    Bipartite.solve_legacy ~algorithm:Bipartite.Hopcroft_karp_matching;
+  ]
+
+let legacy_algorithms =
+  Bipartite.[ Dinic_flow; Push_relabel_flow; Hopcroft_karp_matching ]
+
 let test_bipartite_feasible_all_algorithms () =
   List.iter
-    (fun algorithm ->
+    (fun solve ->
       let b = simple_instance () in
-      let o = Bipartite.solve ~algorithm b in
+      let o : Bipartite.outcome = solve b in
       checki "all matched" 4 o.matched;
       (* box 0 has 2 slots and serves requests 0 and 1 *)
       checki "box0 load" 2 o.right_load.(0);
       Array.iteri (fun l r -> checkb (Printf.sprintf "req %d served" l) true (r >= 0)) o.assignment)
-    [ Bipartite.Dinic_flow; Bipartite.Push_relabel_flow; Bipartite.Hopcroft_karp_matching ]
+    matchers
 
 let test_bipartite_duplicate_edges_ignored () =
   let b = Bipartite.create ~n_left:1 ~n_right:1 ~right_cap:[| 5 |] in
@@ -299,11 +314,70 @@ let test_matching_vs_bruteforce () =
     let b = Bipartite.create ~n_left ~n_right ~right_cap in
     Array.iteri (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs) adj;
     List.iter
-      (fun algorithm ->
-        let o = Bipartite.solve ~algorithm b in
-        checki "matches brute force" truth o.matched)
-      [ Bipartite.Dinic_flow; Bipartite.Push_relabel_flow; Bipartite.Hopcroft_karp_matching ]
+      (fun solve -> checki "matches brute force" truth (solve b).Bipartite.matched)
+      matchers
   done
+
+(* The Hall certificate is canonical: its requests are exactly the
+   lefts reachable by alternating paths (any edge left -> right, a
+   matched edge right -> left) from the requests [Bipartite.solve]'s
+   maximum matching leaves free, and its servers are the rights those
+   paths reach.  That set is the minimal minimum cut's source side, the
+   same whichever maximum flow or matching produced it. *)
+let alternating_closure ~adj ~n_right (o : Bipartite.outcome) =
+  let n_left = Array.length adj in
+  let occupants = Array.make n_right [] in
+  Array.iteri
+    (fun l r -> if r >= 0 then occupants.(r) <- l :: occupants.(r))
+    o.assignment;
+  let left_seen = Array.make n_left false and right_seen = Array.make n_right false in
+  let queue = Queue.create () in
+  Array.iteri
+    (fun l r ->
+      if r < 0 then begin
+        left_seen.(l) <- true;
+        Queue.add l queue
+      end)
+    o.assignment;
+  while not (Queue.is_empty queue) do
+    Array.iter
+      (fun r ->
+        if not right_seen.(r) then begin
+          right_seen.(r) <- true;
+          List.iter
+            (fun l' ->
+              if not left_seen.(l') then begin
+                left_seen.(l') <- true;
+                Queue.add l' queue
+              end)
+            occupants.(r)
+        end)
+      adj.(Queue.pop queue)
+  done;
+  let members seen =
+    List.filter (fun i -> seen.(i)) (List.init (Array.length seen) Fun.id)
+  in
+  (members left_seen, members right_seen)
+
+let test_hall_certificate_canonical () =
+  let g = Prng.create ~seed:0xca11 () in
+  let infeasible = ref 0 in
+  for _ = 1 to 300 do
+    let n_left = 1 + Prng.int g 12 and n_right = 1 + Prng.int g 8 in
+    let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:2 ~edge_prob:0.3 in
+    let b = Bipartite.create ~n_left ~n_right ~right_cap in
+    Array.iteri
+      (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
+      adj;
+    match Bipartite.hall_violator b with
+    | None -> checki "feasible" n_left (Bipartite.solve b).Bipartite.matched
+    | Some v ->
+        incr infeasible;
+        let requests, servers = alternating_closure ~adj ~n_right (Bipartite.solve b) in
+        Alcotest.(check (list int)) "requests = alternating closure" requests v.requests;
+        Alcotest.(check (list int)) "servers = rights it reaches" servers v.servers
+  done;
+  checkb "draws include infeasible instances" true (!infeasible >= 100)
 
 (* ------------------------------------------------------------------ *)
 (* CSR builder and solver arenas                                       *)
@@ -355,26 +429,24 @@ let outcome_triple (o : Bipartite.outcome) =
 let test_arena_reuse_deterministic () =
   let g = Prng.create ~seed:0xa3e () in
   let arena = Arena.create () in
-  List.iter
-    (fun algorithm ->
-      for _ = 1 to 20 do
-        let n_left = 1 + Prng.int g 12 and n_right = 1 + Prng.int g 8 in
-        let adj, right_cap =
-          random_bipartite g ~n_left ~n_right ~max_cap:3 ~edge_prob:0.5
-        in
-        let b = Bipartite.create ~n_left ~n_right ~right_cap in
-        Array.iteri
-          (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
-          adj;
-        (* same instance twice through the same dirty arena: solvers must
-           initialise everything they read, so outcomes are identical *)
-        let o1 = Bipartite.solve ~arena ~algorithm b in
-        let o2 = Bipartite.solve ~arena ~algorithm b in
-        checkb "dirty-arena determinism" true (outcome_triple o1 = outcome_triple o2);
+  for _ = 1 to 60 do
+    let n_left = 1 + Prng.int g 12 and n_right = 1 + Prng.int g 8 in
+    let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:3 ~edge_prob:0.5 in
+    let b = Bipartite.create ~n_left ~n_right ~right_cap in
+    Array.iteri
+      (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
+      adj;
+    (* same instance twice through the same dirty arena: the solver
+       must initialise everything it reads, so outcomes are identical *)
+    let o1 = Bipartite.solve ~arena b in
+    let o2 = Bipartite.solve ~arena b in
+    checkb "dirty-arena determinism" true (outcome_triple o1 = outcome_triple o2);
+    List.iter
+      (fun algorithm ->
         checki "agrees with legacy" (Bipartite.solve_legacy ~algorithm b).Bipartite.matched
-          o1.Bipartite.matched
-      done)
-    [ Bipartite.Dinic_flow; Bipartite.Push_relabel_flow; Bipartite.Hopcroft_karp_matching ]
+          o1.Bipartite.matched)
+      legacy_algorithms
+  done
 
 (* Dinic builds its reverse-residual transpose and clears its levels
    only when greedy first-fit leaves a request free.  One dirtied arena
@@ -398,14 +470,12 @@ let test_dinic_lazy_transpose () =
     b
   in
   (* dirty every slab with unrelated solves *)
-  List.iter
-    (fun algorithm ->
-      let adj, right_cap =
-        random_bipartite g ~n_left:9 ~n_right:6 ~max_cap:2 ~edge_prob:0.5
-      in
-      let o = Bipartite.solve ~arena ~algorithm (instance ~right_cap adj) in
-      ignore (o : Bipartite.outcome))
-    Bipartite.[ Push_relabel_flow; Hopcroft_karp_matching; Dinic_flow ];
+  for _ = 1 to 3 do
+    let adj, right_cap =
+      random_bipartite g ~n_left:9 ~n_right:6 ~max_cap:2 ~edge_prob:0.5
+    in
+    ignore (Bipartite.solve ~arena (instance ~right_cap adj) : Bipartite.outcome)
+  done;
   let step name ~right_cap adj =
     let b = instance ~right_cap adj in
     let legacy = Bipartite.solve_legacy ~algorithm:Bipartite.Dinic_flow b in
@@ -546,10 +616,9 @@ let qcheck_cases =
         Array.iteri
           (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
           adj;
-        let d = (Bipartite.solve ~algorithm:Bipartite.Dinic_flow b).matched in
-        let p = (Bipartite.solve ~algorithm:Bipartite.Push_relabel_flow b).matched in
-        let h = (Bipartite.solve ~algorithm:Bipartite.Hopcroft_karp_matching b).matched in
-        d = p && p = h);
+        match List.map (fun solve -> (solve b).Bipartite.matched) matchers with
+        | [ d; p; h ] -> d = p && p = h
+        | _ -> false);
     Test.make ~name:"assignment respects adjacency and capacity" ~count:150 arb
       (fun (seed, n_left, n_right) ->
         let g = Prng.create ~seed () in
@@ -628,18 +697,14 @@ let qcheck_cases =
         let noise = Bipartite.create ~n_left:5 ~n_right:2 ~right_cap:[| 1; 2 |] in
         Bipartite.add_edge noise ~left:0 ~right:1;
         ignore (Bipartite.solve ~arena noise);
-        List.for_all
-          (fun algorithm ->
-            let o1 = Bipartite.solve ~arena ~algorithm b in
-            let o2 = Bipartite.solve ~arena ~algorithm b in
-            outcome_triple o1 = outcome_triple o2
-            && o1.Bipartite.matched
+        let o1 = Bipartite.solve ~arena b in
+        let o2 = Bipartite.solve ~arena b in
+        outcome_triple o1 = outcome_triple o2
+        && List.for_all
+             (fun algorithm ->
+               o1.Bipartite.matched
                = (Bipartite.solve_legacy ~algorithm b).Bipartite.matched)
-          [
-            Bipartite.Dinic_flow;
-            Bipartite.Push_relabel_flow;
-            Bipartite.Hopcroft_karp_matching;
-          ]);
+             legacy_algorithms);
     Test.make ~name:"rebuild_rows equals an add_edge + finalize build" ~count:100
       (make
          Gen.(
@@ -702,6 +767,8 @@ let suites =
         Alcotest.test_case "zero-capacity boxes" `Quick test_bipartite_zero_capacity_boxes;
         Alcotest.test_case "empty instance" `Quick test_bipartite_empty;
         Alcotest.test_case "matches brute force" `Quick test_matching_vs_bruteforce;
+        Alcotest.test_case "hall certificate is canonical" `Quick
+          test_hall_certificate_canonical;
       ] );
     ( "graph.csr",
       [
