@@ -47,13 +47,13 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --quick $(BENCH_ARGS)
 
-# Machine-readable perf trajectory: scratch Dinic / bare CSR
-# Hopcroft-Karp records (ns, matched and allocated bytes per round) at
-# n in {256, 1024, 4096, 16384}, plus the whole-instance swarm points
-# at n in {262144, 1000000} (full rebuild + HK solve per round) and the
-# service-loop points (`vodctl serve` round
-# cost and admission-decision latency at n=16384, bench_serve.ml),
-# written to BENCH_matching.json at the repo root.
+# Machine-readable perf trajectory: scratch Dinic / bare CSR Dinic
+# records (ns, matched and allocated bytes per round) at n in {256,
+# 1024, 4096, 16384}, the whole-instance swarm points at n in {262144,
+# 1000000} (full rebuild + solve per round), the kernel micro-records
+# and the simulate-round points at the same two sizes (bench_sim.ml),
+# written to BENCH_matching.json at the repo root.  The serve loop is
+# timed by perfbench's serve-steady/serve-storm workloads, not here.
 # The printed output also carries the catalog-scaling sweep (ns/round/n
 # across six orders of magnitude — Theorem 1's linear admission cost).
 bench-json:

@@ -29,8 +29,6 @@ type record = Bench_matching.record = {
   alloc_per_round : float;
 }
 
-let now_ns () = Unix.gettimeofday () *. 1e9
-
 let best_of ~repeats f =
   let best = ref infinity and work = ref 0 and bytes = ref 0.0 in
   for _ = 1 to repeats do
@@ -72,7 +70,7 @@ let time_layer_bitset csr =
   let frontier = Bitset.create n_right and visited = Bitset.create n_right in
   let built = ref 0 in
   let b0 = Gc.allocated_bytes () in
-  let t0 = now_ns () in
+  let t0 = Obs.Clock.now_ns () in
   for _ = 1 to layer_rounds do
     Bitset.clear visited;
     for r = 0 to (n_right / 3) - 1 do
@@ -93,7 +91,7 @@ let time_layer_bitset csr =
     Bitset.andnot_into ~dst:frontier visited;
     built := !built + Bitset.cardinal frontier
   done;
-  (now_ns () -. t0, !built, Gc.allocated_bytes () -. b0)
+  (float_of_int (Obs.Clock.now_ns () - t0), !built, Gc.allocated_bytes () -. b0)
 
 let time_layer_array csr =
   let n_left = Csr.n_left csr and n_right = Csr.n_right csr in
@@ -102,7 +100,7 @@ let time_layer_array csr =
   let layer = Array.make n_right 0 in
   let built = ref 0 in
   let b0 = Gc.allocated_bytes () in
-  let t0 = now_ns () in
+  let t0 = Obs.Clock.now_ns () in
   for _ = 1 to layer_rounds do
     Array.fill seen 0 n_right false;
     for r = 0 to (n_right / 3) - 1 do
@@ -123,7 +121,7 @@ let time_layer_array csr =
     done;
     built := !built + !filled
   done;
-  (now_ns () -. t0, !built, Gc.allocated_bytes () -. b0)
+  (float_of_int (Obs.Clock.now_ns () - t0), !built, Gc.allocated_bytes () -. b0)
 
 (* ------------------------------------------------------------------ *)
 (* Layout: clustered vs interleaved component order                    *)
@@ -172,11 +170,11 @@ let time_csr csr =
   ignore (Dinic.solve_csr ~arena csr);
   let matched = ref 0 in
   let b0 = Gc.allocated_bytes () in
-  let t0 = now_ns () in
+  let t0 = Obs.Clock.now_ns () in
   for _ = 1 to layout_rounds do
     matched := !matched + Dinic.solve_csr ~arena csr
   done;
-  (now_ns () -. t0, !matched, Gc.allocated_bytes () -. b0)
+  (float_of_int (Obs.Clock.now_ns () - t0), !matched, Gc.allocated_bytes () -. b0)
 
 (* ------------------------------------------------------------------ *)
 

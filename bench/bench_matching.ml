@@ -67,21 +67,19 @@ let make_sequence ~seed ~n_left ~rounds ~churn =
   done;
   List.rev !instances
 
-let now_ns () = Unix.gettimeofday () *. 1e9
-
 (* Every timed path reuses one arena per call, like the engine does;
    each timer returns (elapsed ns, total matched, allocated bytes). *)
 
 let time_scratch seq ~arena =
   let matched = ref 0 in
   let b0 = Gc.allocated_bytes () in
-  let t0 = now_ns () in
+  let t0 = Obs.Clock.now_ns () in
   List.iter
     (fun inst ->
       let o = Bipartite.solve ~arena inst in
       matched := !matched + o.Bipartite.matched)
     seq;
-  let ns = now_ns () -. t0 in
+  let ns = float_of_int (Obs.Clock.now_ns () - t0) in
   (ns, !matched, Gc.allocated_bytes () -. b0)
 
 (* The bare CSR core: no outcome arrays, results stay in the arena.
@@ -89,11 +87,11 @@ let time_scratch seq ~arena =
 let time_csr seq ~arena =
   let matched = ref 0 in
   let b0 = Gc.allocated_bytes () in
-  let t0 = now_ns () in
+  let t0 = Obs.Clock.now_ns () in
   List.iter
     (fun inst -> matched := !matched + Dinic.solve_csr ~arena (Bipartite.csr inst))
     seq;
-  let ns = now_ns () -. t0 in
+  let ns = float_of_int (Obs.Clock.now_ns () - t0) in
   (ns, !matched, Gc.allocated_bytes () -. b0)
 
 let run () =
@@ -230,7 +228,7 @@ let run_swarm_pass ~seed ~n_left ~rounds ~arena =
   ignore (solve ());
   let matched = ref 0 in
   let b0 = Gc.allocated_bytes () in
-  let t0 = now_ns () in
+  let t0 = Obs.Clock.now_ns () in
   for _round = 1 to rounds do
     for _ = 1 to max 1 (int_of_float (float_of_int n_left *. swarm_churn)) do
       swarm_refill g rows (Prng.int g n_left)
@@ -238,7 +236,7 @@ let run_swarm_pass ~seed ~n_left ~rounds ~arena =
     Bipartite.rebuild inst ~n_left ~right_cap ~fill;
     matched := !matched + solve ()
   done;
-  let ns = now_ns () -. t0 in
+  let ns = float_of_int (Obs.Clock.now_ns () - t0) in
   { ns; matched = !matched; bytes = Gc.allocated_bytes () -. b0 }
 
 let scale_sizes = [ 262_144; 1_000_000 ]

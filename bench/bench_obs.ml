@@ -21,19 +21,14 @@ let n = 16384
 let rounds = 40
 let reps = 3 (* best-of, same discipline as the matching bench *)
 
-let build () =
-  let fleet = Box.Fleet.homogeneous ~n ~u:2.0 ~d:4.0 in
-  let catalog = Catalog.create ~m:256 ~c:2 in
-  let g = Prng.create ~seed:5 () in
-  let alloc = Schemes.random_permutation g ~fleet ~catalog ~k:4 in
-  let params = Params.make ~n ~c:2 ~mu:1.5 ~duration:15 in
-  (params, fleet, alloc)
-
 (* One run; both variants share the workload seed so they process the
    identical demand sequence.  Returns (ns total, served total). *)
 let run_once ~telemetry =
-  let params, fleet, alloc = build () in
-  let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
+  let sim =
+    System.engine
+      (System.homogeneous ~seed:5 ~m:256 ~n ~u:2.0 ~d:4.0 ~c:2 ~k:4 ~mu:1.5
+         ~duration:15 ())
+  in
   let tele =
     if telemetry then begin
       let t = Telemetry.create ~slos:(Telemetry.default_slos ()) () in
@@ -45,9 +40,9 @@ let run_once ~telemetry =
   let wg = Prng.create ~seed:9 () in
   let gen = Generators.zipf_arrivals wg ~rate:400.0 ~s:0.9 in
   let b0 = Gc.allocated_bytes () in
-  let t0 = Unix.gettimeofday () *. 1e9 in
+  let t0 = Obs.Clock.now_ns () in
   let reports = Engine.run sim ~rounds ~demands_for:gen in
-  let ns = (Unix.gettimeofday () *. 1e9) -. t0 in
+  let ns = float_of_int (Obs.Clock.now_ns () - t0) in
   let bytes = Gc.allocated_bytes () -. b0 in
   let served = List.fold_left (fun acc r -> acc + r.Engine.served) 0 reports in
   (match tele with

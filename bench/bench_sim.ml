@@ -35,10 +35,7 @@ let run_size n =
     System.homogeneous ~seed:(0x5e + n) ~m:(n / 8) ~n ~u:2.0 ~d:4.0 ~c:2 ~k:4 ~mu:1.5
       ~duration:15 ()
   in
-  let engine =
-    Engine.create ~params:sys.System.params ~fleet:sys.System.fleet ~alloc:sys.System.alloc
-      ~policy:Engine.Continue ()
-  in
+  let engine = System.engine sys in
   let rate = 500.0 *. float_of_int n /. 65536.0 in
   let arrivals = Generators.uniform_arrivals (Prng.create ~seed:(n + 7) ()) ~rate in
   let round () =

@@ -39,150 +39,7 @@
    clean, 1 regression/drift/missing, 2 bad input.  Wired as the CI
    perf stage and as `make bench-compare`. *)
 
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON reader (objects, arrays, strings, numbers — the subset
-   bench_matching.emit_json writes; no external JSON dependency).      *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Bool of bool
-  | Null
-
-exception Parse of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail m = raise (Parse (Printf.sprintf "%s at offset %d" m !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    if !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    then begin
-      advance ();
-      skip_ws ()
-    end
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then fail (Printf.sprintf "expected '%c'" c);
-    advance ()
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail ("expected " ^ word)
-  in
-  let string_body () =
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          if !pos >= n then fail "dangling escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | c -> fail (Printf.sprintf "unsupported escape \\%c" c));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            expect '"';
-            let key = string_body () in
-            expect ':';
-            let v = value () in
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                members ()
-            | '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ();
-          Obj (List.rev !fields)
-        end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                elements ()
-            | ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ();
-          Arr (List.rev !items)
-        end
-    | '"' ->
-        advance ();
-        Str (string_body ())
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | c when c = '-' || (c >= '0' && c <= '9') -> Num (number ())
-    | _ -> fail "unexpected character"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+open Vod_json
 
 (* ------------------------------------------------------------------ *)
 (* Record extraction and comparison                                    *)
@@ -195,10 +52,6 @@ type record = {
   matched_per_round : float option; (* absent in pre-drift-gate files *)
 }
 
-let field key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
-
 let records_of_file path =
   let contents =
     let ic = open_in path in
@@ -206,7 +59,9 @@ let records_of_file path =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let root = parse_json contents in
+  let root =
+    try parse contents with Parse m -> raise (Parse (Printf.sprintf "%s: %s" path m))
+  in
   (match field "schema" root with
   | Some (Str "vod-bench-matching/1") -> ()
   | _ -> raise (Parse (path ^ ": missing or unknown \"schema\"")));

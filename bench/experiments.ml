@@ -370,12 +370,9 @@ let e7_preloading () =
         ]
   in
   let run ~mu ~preloading =
-    let fleet = Box.Fleet.homogeneous ~n ~u ~d in
-    let m = Schemes.max_catalog ~fleet ~c ~k in
-    let catalog = Catalog.create ~m ~c in
-    let g = Prng.create ~seed:23 () in
-    let alloc = Schemes.random_permutation g ~fleet ~catalog ~k in
-    let params = Params.make ~n ~c ~mu ~duration in
+    let { System.params; fleet; alloc; _ } =
+      System.homogeneous ~seed:23 ~n ~u ~d ~c ~k ~mu ~duration ()
+    in
     let sim =
       Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue ~preloading ()
     in
@@ -543,13 +540,10 @@ let e10_scheduler () =
   in
   List.iter
     (fun (name, scheduler) ->
-      let fleet = Box.Fleet.homogeneous ~n ~u ~d:4.0 in
-      let m = Schemes.max_catalog ~fleet ~c ~k in
-      let catalog = Catalog.create ~m ~c in
-      let g = Prng.create ~seed:53 () in
-      let alloc = Schemes.random_permutation g ~fleet ~catalog ~k in
-      let params = Params.make ~n ~c ~mu:1.3 ~duration in
-      let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue ~scheduler () in
+      let sim =
+        System.engine ~scheduler
+          (System.homogeneous ~seed:53 ~n ~u ~d:4.0 ~c ~k ~mu:1.3 ~duration ())
+      in
       let wg = Prng.create ~seed:59 () in
       let crowd = Generators.flash_crowd wg ~video:0 ~background_rate:1.0 () in
       let reports = Engine.run sim ~rounds:50 ~demands_for:crowd in
@@ -592,14 +586,9 @@ let e11_churn () =
     (fun k ->
       List.iter
         (fun offline_count ->
-          let fleet = Box.Fleet.homogeneous ~n ~u ~d:4.0 in
-          let m = Schemes.max_catalog ~fleet ~c ~k in
-          let catalog = Catalog.create ~m ~c in
-          let g = Prng.create ~seed:(61 + k) () in
-          let alloc = Schemes.random_permutation g ~fleet ~catalog ~k in
-          let params = Params.make ~n ~c ~mu:2.0 ~duration in
           let sim =
-            Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue ()
+            System.engine
+              (System.homogeneous ~seed:(61 + k) ~n ~u ~d:4.0 ~c ~k ~mu:2.0 ~duration ())
           in
           let wg = Prng.create ~seed:67 () in
           let gen = Generators.uniform_arrivals wg ~rate:2.0 in
@@ -694,13 +683,10 @@ let e13_sticky () =
   in
   List.iter
     (fun (name, scheduler) ->
-      let fleet = Box.Fleet.homogeneous ~n ~u ~d:4.0 in
-      let m = Schemes.max_catalog ~fleet ~c ~k in
-      let catalog = Catalog.create ~m ~c in
-      let g = Prng.create ~seed:79 () in
-      let alloc = Schemes.random_permutation g ~fleet ~catalog ~k in
-      let params = Params.make ~n ~c ~mu:1.3 ~duration in
-      let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue ~scheduler () in
+      let sim =
+        System.engine ~scheduler
+          (System.homogeneous ~seed:79 ~n ~u ~d:4.0 ~c ~k ~mu:1.3 ~duration ())
+      in
       let wg = Prng.create ~seed:83 () in
       let gen = Generators.zipf_arrivals wg ~rate:3.0 ~s:0.9 in
       let reports = Engine.run sim ~rounds:60 ~demands_for:gen in
@@ -811,13 +797,10 @@ let e15_decentralised () =
         ]
   in
   let run name scheduler rounds_label =
-    let fleet = Box.Fleet.homogeneous ~n ~u ~d:4.0 in
-    let m = Schemes.max_catalog ~fleet ~c ~k in
-    let catalog = Catalog.create ~m ~c in
-    let g = Prng.create ~seed:97 () in
-    let alloc = Schemes.random_permutation g ~fleet ~catalog ~k in
-    let params = Params.make ~n ~c ~mu:1.3 ~duration in
-    let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue ~scheduler () in
+    let sim =
+      System.engine ~scheduler
+        (System.homogeneous ~seed:97 ~n ~u ~d:4.0 ~c ~k ~mu:1.3 ~duration ())
+    in
     let wg = Prng.create ~seed:101 () in
     let crowd = Generators.flash_crowd wg ~video:0 ~background_rate:1.0 () in
     let reports = Engine.run sim ~rounds:50 ~demands_for:crowd in
@@ -864,15 +847,10 @@ let e16_locality () =
   in
   List.iter
     (fun (name, scheduler) ->
-      let fleet = Box.Fleet.homogeneous ~n ~u ~d:4.0 in
-      let topology = Topology.uniform_groups ~n ~groups in
-      let m = Schemes.max_catalog ~fleet ~c ~k in
-      let catalog = Catalog.create ~m ~c in
-      let g = Prng.create ~seed:103 () in
-      let alloc = Schemes.random_permutation g ~fleet ~catalog ~k in
-      let params = Params.make ~n ~c ~mu:1.3 ~duration in
       let sim =
-        Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue ~scheduler ~topology ()
+        System.engine ~scheduler
+          ~topology:(Topology.uniform_groups ~n ~groups)
+          (System.homogeneous ~seed:103 ~n ~u ~d:4.0 ~c ~k ~mu:1.3 ~duration ())
       in
       let wg = Prng.create ~seed:107 () in
       let gen = Generators.zipf_arrivals wg ~rate:3.0 ~s:0.9 in
@@ -903,12 +881,9 @@ let e16_locality () =
 let e17_protocol () =
   section "E17 (extension): message-level protocol vs the oracle engine";
   let n = 48 and u = 2.0 and c = 2 and k = 3 and duration = 15 in
-  let fleet = Box.Fleet.homogeneous ~n ~u ~d:4.0 in
-  let params = Params.make ~n ~c ~mu:2.0 ~duration in
-  let m = Schemes.max_catalog ~fleet ~c ~k in
-  let catalog = Catalog.create ~m ~c in
-  let g = Prng.create ~seed:109 () in
-  let alloc = Schemes.random_permutation g ~fleet ~catalog ~k in
+  let sys = System.homogeneous ~seed:109 ~n ~u ~d:4.0 ~c ~k ~mu:2.0 ~duration () in
+  let { System.params; fleet; alloc; _ } = sys in
+  let m = System.catalog_size sys in
   let tbl =
     Table.create
       ~columns:
@@ -921,7 +896,7 @@ let e17_protocol () =
         ]
   in
   (* oracle engine *)
-  let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
+  let sim = System.engine sys in
   let g1 = Prng.create ~seed:113 () in
   let gen = Generators.uniform_arrivals g1 ~rate:2.0 in
   let reports = Engine.run sim ~rounds:100 ~demands_for:gen in
@@ -1032,13 +1007,16 @@ let e18_repair () =
   in
   List.iter
     (fun repair_on ->
-      let fleet = Box.Fleet.homogeneous ~n ~u ~d:4.0 in
       (* leave storage headroom so repair has somewhere to write *)
-      let m = Schemes.max_catalog ~fleet ~c ~k * 2 / 3 in
-      let catalog = Catalog.create ~m ~c in
-      let g = Prng.create ~seed:127 () in
-      let alloc = ref (Schemes.random_independent g ~fleet ~catalog ~k) in
-      let params = Params.make ~n ~c ~mu:2.0 ~duration in
+      let m =
+        Schemes.max_catalog ~fleet:(Box.Fleet.homogeneous ~n ~u ~d:4.0) ~c ~k * 2 / 3
+      in
+      let sys =
+        System.homogeneous ~seed:127 ~scheme:Schemes.Independent ~m ~n ~u ~d:4.0 ~c ~k
+          ~mu:2.0 ~duration ()
+      in
+      let fleet = sys.System.fleet in
+      let alloc = ref sys.System.alloc in
       let alive = Array.make n true in
       let cg = Prng.create ~seed:131 () in
       let wg = Prng.create ~seed:137 () in
@@ -1046,7 +1024,7 @@ let e18_repair () =
       (* the engine is rebuilt after each repair (the allocation is
          immutable); in-flight state resets, which biases unserved
          DOWNWARD equally for both rows *)
-      let sim = ref (Engine.create ~params ~fleet ~alloc:!alloc ~policy:Engine.Continue ()) in
+      let sim = ref (System.engine sys) in
       let sync_online () =
         Array.iteri (fun b ok -> Engine.set_online !sim b ok) alive
       in
@@ -1066,7 +1044,7 @@ let e18_repair () =
             | Ok (alloc', report) ->
                 alloc := alloc';
                 recreated := !recreated + report.Vod_alloc.Repair.replicas_added;
-                sim := Engine.create ~params ~fleet ~alloc:!alloc ~policy:Engine.Continue ();
+                sim := System.engine { sys with System.alloc = alloc' };
                 sync_online ()
             | Error _ -> ()
           end
@@ -1112,13 +1090,10 @@ let e19_fairness () =
   in
   List.iter
     (fun (name, scheduler) ->
-      let fleet = Box.Fleet.homogeneous ~n ~u ~d:4.0 in
-      let m = Schemes.max_catalog ~fleet ~c ~k in
-      let catalog = Catalog.create ~m ~c in
-      let g = Prng.create ~seed:139 () in
-      let alloc = Schemes.random_permutation g ~fleet ~catalog ~k in
-      let params = Params.make ~n ~c ~mu:1.3 ~duration in
-      let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue ~scheduler () in
+      let sim =
+        System.engine ~scheduler
+          (System.homogeneous ~seed:139 ~n ~u ~d:4.0 ~c ~k ~mu:1.3 ~duration ())
+      in
       let wg = Prng.create ~seed:149 () in
       let gen = Generators.zipf_arrivals wg ~rate:3.0 ~s:0.9 in
       ignore (Engine.run sim ~rounds:80 ~demands_for:gen);
@@ -1167,13 +1142,9 @@ let e20_request_scalability () =
   in
   List.iter
     (fun percent ->
-      let fleet = Box.Fleet.homogeneous ~n ~u ~d:4.0 in
-      let m = Schemes.max_catalog ~fleet ~c ~k in
-      let catalog = Catalog.create ~m ~c in
-      let g = Prng.create ~seed:151 () in
-      let alloc = Schemes.random_permutation g ~fleet ~catalog ~k in
-      let params = Params.make ~n ~c ~mu:2.0 ~duration in
-      let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
+      let sys = System.homogeneous ~seed:151 ~n ~u ~d:4.0 ~c ~k ~mu:2.0 ~duration () in
+      let m = System.catalog_size sys in
+      let sim = System.engine sys in
       let cap = n * percent / 100 in
       let next_video = ref 0 in
       (* keep exactly [cap] boxes watching pairwise-distinct videos *)

@@ -1,6 +1,6 @@
 (* Benchmark harness entry point.
 
-   1. Runs the reproduction experiments E1-E9 (each regenerates one of
+   1. Runs the reproduction experiments E1-E20 (each regenerates one of
       the paper's claims as a printed table; see EXPERIMENTS.md).
    2. Runs Bechamel micro-benchmarks of the performance-critical
       substrate: the engine's matcher against the legacy oracle
@@ -8,9 +8,10 @@
    3. Runs the connection-matching benchmark (bench_matching.ml) and,
       with [--json PATH], writes its records as machine-readable JSON
       for the CI regression gate (bench/compare.exe).  The same record
-      set times the serve loop (bench_serve.ml) and, with [--json] only
-      (a minute or two and ~0.5 GB), simulate rounds at n = 262144 and
-      1e6 (bench_sim.ml).
+      set carries the kernel micro-records (bench_kernels.ml) and, with
+      [--json] only (a minute or two and ~0.5 GB), simulate rounds at
+      n = 262144 and 1e6 (bench_sim.ml).  The serve loop is timed by
+      perfbench/ (serve-steady, serve-storm), not here.
 
    Run with:            dune exec bench/main.exe
    Skip micro-benches:  dune exec bench/main.exe -- --no-micro
@@ -58,12 +59,11 @@ let micro_benchmarks () =
   let step_test =
     Test.make ~name:"engine: 20 rounds, n=64, zipf load"
       (Staged.stage (fun () ->
-           let fleet = Box.Fleet.homogeneous ~n:64 ~u:2.0 ~d:4.0 in
-           let catalog = Catalog.create ~m:32 ~c:2 in
-           let g = Prng.create ~seed:7 () in
-           let alloc = Schemes.random_permutation g ~fleet ~catalog ~k:4 in
-           let params = Params.make ~n:64 ~c:2 ~mu:1.5 ~duration:15 in
-           let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
+           let sim =
+             System.engine
+               (System.homogeneous ~seed:7 ~m:32 ~n:64 ~u:2.0 ~d:4.0 ~c:2 ~k:4 ~mu:1.5
+                  ~duration:15 ())
+           in
            let wg = Prng.create ~seed:9 () in
            let gen = Generators.zipf_arrivals wg ~rate:2.0 ~s:0.9 in
            ignore (Engine.run sim ~rounds:20 ~demands_for:gen)))
@@ -178,7 +178,6 @@ let () =
   in
   let records =
     Bench_matching.run () @ Bench_matching.run_swarms () @ Bench_kernels.run ()
-    @ Bench_serve.run ()
     @ if json = None then [] else Bench_sim.run ()
   in
   (match recorder with

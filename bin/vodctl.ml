@@ -68,41 +68,18 @@ let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 let scheme_arg =
-  let schemes =
-    [
-      ("permutation", Vod.System.Permutation);
-      ("independent", Vod.System.Independent);
-      ("round-robin", Vod.System.Round_robin);
-      ("full-replication", Vod.System.Full_replication);
-    ]
-  in
   Arg.(
     value
-    & opt (enum schemes) Vod.System.Permutation
+    & opt (enum Vod.Schemes.names) Vod.Schemes.Permutation
     & info [ "scheme" ] ~docv:"SCHEME"
         ~doc:"Allocation scheme: $(b,permutation), $(b,independent), \
               $(b,round-robin) or $(b,full-replication).")
 
-let default_c ~u ~mu =
-  if u > 1.0 then min 16 (Vod.Theorem1.recommended_c ~u ~mu) else 2
-
-let build_system ~n ~u ~d ~c ~k ~m ~mu ~duration ~seed ~scheme =
-  let c = match c with Some c -> c | None -> default_c ~u ~mu in
-  let params = Vod.Params.make ~n ~c ~mu ~duration in
-  let fleet = Vod.Box.Fleet.homogeneous ~n ~u ~d in
-  let m =
-    match m with Some m -> m | None -> Vod.Schemes.max_catalog ~fleet ~c ~k
-  in
-  let catalog = Vod.Catalog.create ~m ~c in
-  let g = Vod.Prng.create ~seed () in
-  let alloc =
-    match scheme with
-    | Vod.System.Permutation -> Vod.Schemes.random_permutation g ~fleet ~catalog ~k
-    | Vod.System.Independent -> Vod.Schemes.random_independent g ~fleet ~catalog ~k
-    | Vod.System.Round_robin -> Vod.Schemes.round_robin ~fleet ~catalog ~k
-    | Vod.System.Full_replication -> Vod.Schemes.full_replication ~fleet ~catalog
-  in
-  (params, fleet, alloc)
+(* -c: the Theorem 1 recommendation (at most 16) above the threshold,
+   2 below it. *)
+let stripes ~u ~mu = function
+  | Some c -> c
+  | None -> if u > 1.0 then min 16 (Vod.Theorem1.recommended_c ~u ~mu) else 2
 
 (* [suffixed "a/b.jsonl" ".rep2"] = "a/b.rep2.jsonl": the per-replication
    (or per-cell) trace naming of chaos/battery --obs-out. *)
@@ -128,6 +105,67 @@ let warn_obs_sequential jobs =
          (the output bytes do not depend on --jobs)\n"
         j
   | _ -> ()
+
+let obs_out_arg ~per =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "obs-out" ] ~docv:"FILE"
+        ~doc:
+          (Printf.sprintf
+             "Record an observability trace (spans + metrics) %s and write it to FILE \
+              as JSONL; inspect it with $(b,vodctl obs-report)."
+             per))
+
+let obs_summary_arg ~per =
+  Arg.(
+    value & flag
+    & info [ "obs-summary" ]
+        ~doc:
+          (Printf.sprintf
+             "Record observability traces and print the per-phase timing table and \
+              metric counters %s after the output."
+             per))
+
+(* Trace capture for --obs-out/--obs-summary: the summaries wait until
+   the streams are written. *)
+type obs = {
+  obs_out : string option;
+  obs_summary : bool;
+  mutable traces : (string * Vod.Obs.Report.trace) list;
+}
+
+let obs_of obs_out obs_summary =
+  if obs_out = None && not obs_summary then None
+  else Some { obs_out; obs_summary; traces = [] }
+
+(* Run [f] under a fresh recorder and registry, then write its trace
+   to [path base] (--obs-out, naming it on stderr as [tag]) and keep its
+   summary under [title] (--obs-summary). *)
+let traced obs ~tag ~title ~path f =
+  Vod.Obs.Registry.reset Vod.Obs.Registry.default;
+  let r = Vod.Obs.Span.create_recorder () in
+  Vod.Obs.Span.install r;
+  let v = f () in
+  Vod.Obs.Span.uninstall ();
+  Option.iter
+    (fun base ->
+      let p = path base in
+      Vod.Obs.Export.save ~registry:Vod.Obs.Registry.default r ~path:p;
+      Printf.eprintf "observability trace (%s) written to %s\n" tag p)
+    obs.obs_out;
+  if obs.obs_summary then
+    obs.traces <-
+      (title, Vod.Obs.Report.of_recorder ~registry:Vod.Obs.Registry.default r)
+      :: obs.traces;
+  v
+
+let print_summaries obs =
+  List.iter
+    (fun (title, trace) ->
+      Printf.printf "--- observability summary: %s ---\n" title;
+      Vod.Obs.Report.print_summary trace)
+    (List.rev obs.traces)
 
 (* ------------------------------------------------------------------ *)
 (* bounds                                                              *)
@@ -192,8 +230,9 @@ let bounds_cmd =
 let allocate_cmd =
   let run n u d c k m mu seed scheme trials save =
     try
-      let params, fleet, alloc =
-        build_system ~n ~u ~d ~c ~k ~m ~mu ~duration:30 ~seed ~scheme
+      let { Vod.System.params; fleet; alloc; _ } =
+        Vod.System.homogeneous ~seed ~scheme ?m ~n ~u ~d ~c:(stripes ~u ~mu c) ~k ~mu
+          ~duration:30 ()
       in
       let c = params.Vod.Params.c in
       let cat = Vod.Allocation.catalog alloc in
@@ -250,6 +289,14 @@ let rate_arg =
   Arg.(
     value & opt float 2.0 & info [ "rate" ] ~docv:"RATE" ~doc:"Mean arrivals per round.")
 
+(* The --workload generator at --rate, on its own stream (seed + 7). *)
+let arrivals ~seed ~rate workload =
+  let g = Vod.Prng.create ~seed:(seed + 7) () in
+  match workload with
+  | `Zipf -> Vod.Generators.zipf_arrivals g ~rate ~s:0.9
+  | `Uniform -> Vod.Generators.uniform_arrivals g ~rate
+  | `Flash -> Vod.Generators.flash_crowd g ~video:0 ~background_rate:rate ()
+
 (* Names of the solver counters worth a one-line summary after a run. *)
 let solver_counters =
   [
@@ -263,9 +310,11 @@ let simulate_cmd =
   let run n u d c k m mu duration rounds seed scheme workload rate csv load obs_out
       obs_summary =
     try
-      let params, fleet, alloc =
+      let sys =
         match load with
-        | None -> build_system ~n ~u ~d ~c ~k ~m ~mu ~duration ~seed ~scheme
+        | None ->
+            Vod.System.homogeneous ~seed ~scheme ?m ~n ~u ~d ~c:(stripes ~u ~mu c) ~k
+              ~mu ~duration ()
         | Some path -> (
             match Vod.Codec.load ~path with
             | Error e -> failwith (Printf.sprintf "cannot load %s: %s" path e)
@@ -274,30 +323,25 @@ let simulate_cmd =
                 let c =
                   Vod.Catalog.stripes_per_video (Vod.Allocation.catalog alloc)
                 in
-                let params = Vod.Params.make ~n ~c ~mu ~duration in
-                let fleet = Vod.Box.Fleet.homogeneous ~n ~u ~d in
-                (params, fleet, alloc))
+                {
+                  Vod.System.params = Vod.Params.make ~n ~c ~mu ~duration;
+                  fleet = Vod.Box.Fleet.homogeneous ~n ~u ~d;
+                  alloc;
+                  compensation = None;
+                })
       in
-      let recorder =
-        if obs_out <> None || obs_summary then begin
-          (* start the run from zero so the trace covers exactly this run *)
-          Vod.Obs.Registry.reset Vod.Obs.Registry.default;
-          let r = Vod.Obs.Span.create_recorder () in
-          Vod.Obs.Span.install r;
-          Some r
-        end
-        else None
+      let obs = obs_of obs_out obs_summary in
+      let simulate () =
+        let sim = Vod.System.engine sys in
+        let trace = Vod.Trace.create () in
+        Vod.Trace.run trace sim ~rounds ~demands_for:(arrivals ~seed ~rate workload);
+        (sim, trace)
       in
-      let sim = Vod.Engine.create ~params ~fleet ~alloc ~policy:Vod.Engine.Continue () in
-      let g = Vod.Prng.create ~seed:(seed + 7) () in
-      let gen =
-        match workload with
-        | `Zipf -> Vod.Generators.zipf_arrivals g ~rate ~s:0.9
-        | `Uniform -> Vod.Generators.uniform_arrivals g ~rate
-        | `Flash -> Vod.Generators.flash_crowd g ~video:0 ~background_rate:rate ()
+      let sim, trace =
+        match obs with
+        | None -> simulate ()
+        | Some obs -> traced obs ~tag:"simulate" ~title:"simulate" ~path:Fun.id simulate
       in
-      let trace = Vod.Trace.create () in
-      Vod.Trace.run trace sim ~rounds ~demands_for:gen;
       let metrics = Vod.Trace.summarise trace in
       Format.printf "%a@." Vod.Metrics.pp metrics;
       Printf.printf "peak active stripe requests: %d (mean %.1f)\n"
@@ -318,18 +362,7 @@ let simulate_cmd =
       | Some path ->
           Vod.Trace.save_csv trace ~path;
           Printf.printf "per-round trace written to %s\n" path);
-      (match recorder with
-      | None -> ()
-      | Some r ->
-          Vod.Obs.Span.uninstall ();
-          (match obs_out with
-          | None -> ()
-          | Some path ->
-              Vod.Obs.Export.save ~registry:Vod.Obs.Registry.default r ~path;
-              Printf.printf "observability trace written to %s\n" path);
-          if obs_summary then
-            Vod.Obs.Report.print_summary
-              (Vod.Obs.Report.of_recorder ~registry:Vod.Obs.Registry.default r));
+      Option.iter print_summaries obs;
       `Ok ()
     with
     | Invalid_argument e -> `Error (false, e)
@@ -349,28 +382,14 @@ let simulate_cmd =
           ~doc:"Load the allocation from FILE (written by allocate --save) instead of \
                 generating one; -n/-c/-k/-m/--scheme are then ignored.")
   in
-  let obs_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "obs-out" ] ~docv:"FILE"
-          ~doc:"Record an observability trace (spans + metrics) and write it to FILE \
-                as JSONL; inspect it with $(b,vodctl obs-report).")
-  in
-  let obs_summary_arg =
-    Arg.(
-      value & flag
-      & info [ "obs-summary" ]
-          ~doc:"Record an observability trace and print the per-phase timing table \
-                and metric counters after the run.")
-  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a demand workload through the round engine.")
     Term.(
       ret
         (const run $ n_arg $ u_arg $ d_arg $ c_arg $ k_arg $ m_arg $ mu_arg
        $ duration_arg $ rounds_arg $ seed_arg $ scheme_arg $ workload_arg $ rate_arg
-       $ csv_arg $ load_arg $ obs_out_arg $ obs_summary_arg))
+       $ csv_arg $ load_arg $ obs_out_arg ~per:"of the run"
+       $ obs_summary_arg ~per:"of the run"))
 
 (* ------------------------------------------------------------------ *)
 (* attack                                                              *)
@@ -379,11 +398,10 @@ let simulate_cmd =
 let attack_cmd =
   let run n u d c k m mu duration rounds seed scheme attack =
     try
-      let params, fleet, alloc =
-        build_system ~n ~u ~d ~c ~k ~m ~mu ~duration ~seed ~scheme
-      in
       let sim =
-        Vod.Engine.create ~params ~fleet ~alloc ~policy:Vod.Engine.Continue ()
+        Vod.System.engine
+          (Vod.System.homogeneous ~seed ~scheme ?m ~n ~u ~d ~c:(stripes ~u ~mu c) ~k ~mu
+             ~duration ())
       in
       let g = Vod.Prng.create ~seed:(seed + 13) () in
       let gen =
@@ -806,69 +824,12 @@ let slo_out_arg =
           "Write the vod-slo/1 burn-rate stream (the SLOs compiled from the scenario's \
            kpi budgets; serve adds a stall SLO) to FILE; byte-identical at any --jobs.")
 
-let obs_out_arg ~run ~naming =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "obs-out" ] ~docv:"FILE"
-        ~doc:
-          (Printf.sprintf
-             "Record an observability trace per %s and write it to FILE (%s, so nothing \
-              interleaves); forces sequential %ss."
-             run naming run))
-
-let obs_summary_arg ~run =
-  Arg.(
-    value & flag
-    & info [ "obs-summary" ]
-        ~doc:
-          (Printf.sprintf
-             "Record observability traces and print a per-phase timing table per %s \
-              after the output; forces sequential %ss."
-             run run))
+let rep_traces =
+  "per replication (replication $(i,i) with a .rep$(i,i) suffix when there are several; \
+   replications then run one at a time)"
 
 let with_seed seed (s : Vod.Fault.Scenario.t) =
   match seed with Some seed -> { s with Vod.Fault.Scenario.seed } | None -> s
-
-(* Trace capture for --obs-out/--obs-summary: the summaries wait until
-   the streams are written. *)
-type obs = {
-  obs_out : string option;
-  obs_summary : bool;
-  mutable traces : (string * Vod.Obs.Report.trace) list;
-}
-
-let obs_of obs_out obs_summary =
-  if obs_out = None && not obs_summary then None
-  else Some { obs_out; obs_summary; traces = [] }
-
-(* Run [f] under a fresh recorder and registry, then write its trace
-   to [path base] (--obs-out, naming it on stderr as [tag]) and keep its
-   summary under [title] (--obs-summary). *)
-let traced obs ~tag ~title ~path f =
-  Vod.Obs.Registry.reset Vod.Obs.Registry.default;
-  let r = Vod.Obs.Span.create_recorder () in
-  Vod.Obs.Span.install r;
-  let v = f () in
-  Vod.Obs.Span.uninstall ();
-  Option.iter
-    (fun base ->
-      let p = path base in
-      Vod.Obs.Export.save ~registry:Vod.Obs.Registry.default r ~path:p;
-      Printf.eprintf "observability trace (%s) written to %s\n" tag p)
-    obs.obs_out;
-  if obs.obs_summary then
-    obs.traces <-
-      (title, Vod.Obs.Report.of_recorder ~registry:Vod.Obs.Registry.default r)
-      :: obs.traces;
-  v
-
-let print_summaries obs =
-  List.iter
-    (fun (title, trace) ->
-      Printf.printf "--- observability summary: %s ---\n" title;
-      Vod.Obs.Report.print_summary trace)
-    (List.rev obs.traces)
 
 (* The replications of a chaos or serve run, through the driver's
    fan-out.  Traced, they run one at a time (one job), each under its
@@ -969,9 +930,8 @@ let chaos_cmd =
         $ jobs_arg ~runs:"replications"
         $ out_arg ~stream:"JSONL verdict stream"
         $ slo_out_arg
-        $ obs_out_arg ~run:"replication"
-            ~naming:"replication $(i,i) with a .rep$(i,i) suffix when there are several"
-        $ obs_summary_arg ~run:"replication"))
+        $ obs_out_arg ~per:rep_traces
+        $ obs_summary_arg ~per:"per replication (replications then run one at a time)"))
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -1085,9 +1045,8 @@ let serve_cmd =
         $ jobs_arg ~runs:"replications"
         $ out_arg ~stream:"vod-serve/1 JSONL stream"
         $ slo_out_arg
-        $ obs_out_arg ~run:"replication"
-            ~naming:"replication $(i,i) with a .rep$(i,i) suffix when there are several"
-        $ obs_summary_arg ~run:"replication"))
+        $ obs_out_arg ~per:rep_traces
+        $ obs_summary_arg ~per:"per replication (replications then run one at a time)"))
 
 (* ------------------------------------------------------------------ *)
 (* battery                                                             *)
@@ -1180,8 +1139,11 @@ let battery_cmd =
       ret
         (const run $ paths_arg $ configs_arg $ jobs_arg ~runs:"cells"
         $ out_arg ~stream:"vod-scorecard/1 JSONL"
-        $ obs_out_arg ~run:"cell" ~naming:"with a .$(i,scenario).$(i,config) suffix"
-        $ obs_summary_arg ~run:"cell"))
+        $ obs_out_arg
+            ~per:
+              "per cell (with a .$(i,scenario).$(i,config) suffix; cells then run one \
+               at a time)"
+        $ obs_summary_arg ~per:"per cell (cells then run one at a time)"))
 
 (* ------------------------------------------------------------------ *)
 (* obs-report                                                          *)
@@ -1372,11 +1334,10 @@ let top_cmd =
           (* simulate mode: drive the engine like `simulate`, with the
              default rejection/startup SLO panel *)
           try
-            let params, fleet, alloc =
-              build_system ~n ~u ~d ~c ~k ~m ~mu ~duration ~seed ~scheme
-            in
             let sim =
-              Vod.Engine.create ~params ~fleet ~alloc ~policy:Vod.Engine.Continue ()
+              Vod.System.engine
+                (Vod.System.homogeneous ~seed ~scheme ?m ~n ~u ~d ~c:(stripes ~u ~mu c)
+                   ~k ~mu ~duration ())
             in
             let tele = Vod.Telemetry.create ~slos:(Vod.Telemetry.default_slos ()) () in
             let title = Printf.sprintf "vodctl top — simulate n=%d" n in
@@ -1391,14 +1352,9 @@ let top_cmd =
                        (render ~title ~round ~total:rounds
                           ~ts:(Vod.Telemetry.timeseries tele) ~series_list
                           ~slos:(Vod.Telemetry.slos tele) ~footer:[])));
-            let g = Vod.Prng.create ~seed:(seed + 7) () in
-            let gen =
-              match workload with
-              | `Zipf -> Vod.Generators.zipf_arrivals g ~rate ~s:0.9
-              | `Uniform -> Vod.Generators.uniform_arrivals g ~rate
-              | `Flash -> Vod.Generators.flash_crowd g ~video:0 ~background_rate:rate ()
+            let reports =
+              Vod.Engine.run sim ~rounds ~demands_for:(arrivals ~seed ~rate workload)
             in
-            let reports = Vod.Engine.run sim ~rounds ~demands_for:gen in
             let total_unserved =
               List.fold_left (fun acc r -> acc + r.Vod.Engine.unserved) 0 reports
             in
@@ -1451,9 +1407,8 @@ let top_cmd =
 let proto_cmd =
   let run n u d c k mu duration rounds seed rate =
     try
-      let params, fleet, alloc =
-        build_system ~n ~u ~d ~c ~k ~m:None ~mu ~duration ~seed
-          ~scheme:Vod.System.Permutation
+      let { Vod.System.params; fleet; alloc; _ } =
+        Vod.System.homogeneous ~seed ~n ~u ~d ~c:(stripes ~u ~mu c) ~k ~mu ~duration ()
       in
       let p = Vod.Protocol.create { Vod.Protocol.params; fleet; alloc } in
       let g = Vod.Prng.create ~seed:(seed + 3) () in

@@ -15,17 +15,14 @@
 
 let () =
   let n = 48 and c = 2 and k = 3 and duration = 15 in
-  let fleet = Vod.Box.Fleet.homogeneous ~n ~u:2.0 ~d:4.0 in
-  let params = Vod.Params.make ~n ~c ~mu:2.0 ~duration in
-  let m = Vod.Schemes.max_catalog ~fleet ~c ~k in
-  let catalog = Vod.Catalog.create ~m ~c in
-  let g = Vod.Prng.create ~seed:21 () in
-  let alloc = Vod.Schemes.random_permutation g ~fleet ~catalog ~k in
+  let sys = Vod.System.homogeneous ~seed:21 ~n ~u:2.0 ~d:4.0 ~c ~k ~mu:2.0 ~duration () in
+  let { Vod.System.params; fleet; alloc; _ } = sys in
+  let m = Vod.System.catalog_size sys in
   Printf.printf "system: %d boxes, %d-video catalog, c = %d stripes, k = %d replicas\n\n"
     n m c k;
 
   (* 1. oracle *)
-  let sim = Vod.Engine.create ~params ~fleet ~alloc ~policy:Vod.Engine.Continue () in
+  let sim = Vod.System.engine sys in
   let g1 = Vod.Prng.create ~seed:23 () in
   let gen = Vod.Generators.uniform_arrivals g1 ~rate:2.0 in
   let reports = Vod.Engine.run sim ~rounds:100 ~demands_for:gen in

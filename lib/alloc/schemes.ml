@@ -149,3 +149,20 @@ let full_replication ~fleet ~catalog =
     done;
     build ~catalog ~n_boxes:n per_stripe
   end
+
+type scheme = Permutation | Independent | Round_robin | Full_replication
+
+let names =
+  [
+    ("permutation", Permutation);
+    ("independent", Independent);
+    ("round-robin", Round_robin);
+    ("full-replication", Full_replication);
+  ]
+
+let allocate g ~scheme ~fleet ~catalog ~k =
+  match scheme with
+  | Permutation -> random_permutation g ~fleet ~catalog ~k
+  | Independent -> random_independent g ~fleet ~catalog ~k
+  | Round_robin -> round_robin ~fleet ~catalog ~k
+  | Full_replication -> full_replication ~fleet ~catalog

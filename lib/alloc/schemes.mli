@@ -52,3 +52,21 @@ val full_replication : fleet:Box.t array -> catalog:Catalog.t -> Allocation.t
     threshold, per the paper's negative result).  Needs [m] storage
     slots per box.  @raise Invalid_argument when some box's storage is
     below the catalog size. *)
+
+type scheme = Permutation | Independent | Round_robin | Full_replication
+
+val names : (string * scheme) list
+(** Every scheme under its command-line name, in declaration order:
+    [permutation], [independent], [round-robin], [full-replication]. *)
+
+val allocate :
+  Vod_util.Prng.t ->
+  scheme:scheme ->
+  fleet:Box.t array ->
+  catalog:Catalog.t ->
+  k:int ->
+  Allocation.t
+(** The one scheme dispatch: {!random_permutation},
+    {!random_independent}, {!round_robin} or {!full_replication}
+    (which ignores [k]).  The deterministic schemes draw nothing from
+    the generator.  Raises as the scheme does. *)

@@ -82,10 +82,6 @@ let compensate fleet ~u_star =
     poor;
   if !ok then Some { relay_of; reserved } else None
 
-let is_balanced fleet ~u_star =
-  Box.Fleet.is_storage_balanced fleet ~threshold:u_star
-  && compensate fleet ~u_star <> None
-
 let scalability_lower_bound fleet =
   let n = float_of_int (Array.length fleet) in
   1.0 +. (Box.Fleet.upload_deficit fleet ~threshold:1.0 /. n)

@@ -49,9 +49,6 @@ val compensate : Box.Fleet.t -> u_star:float -> compensation option
     assignment is found (the system is not u_star-upload-compensable by
     this heuristic). *)
 
-val is_balanced : Box.Fleet.t -> u_star:float -> bool
-(** Storage-balanced and compensable. *)
-
 val scalability_lower_bound : Box.Fleet.t -> float
 (** The intuitive necessary condition of Section 4:
     [u >= 1 + Delta(1)/n].  Returns [1 + Delta(1)/n] for comparison with

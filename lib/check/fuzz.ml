@@ -176,12 +176,3 @@ let run ?(seed = 42) ?(instances = 1000) ?(scenarios = 12) ?(rounds = 30) ?repro
     failure_rounds_certified = !certified;
     failures = List.rev !failures;
   }
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "@[<v>%d bipartite instances x %d solvers, %d scenarios x 3 engines@,\
-     %d engine failure rounds with independently confirmed Hall certificates@,\
-     %d oracle failure(s)@]"
-    s.instances_checked (List.length Oracle.solvers) s.scenarios_checked
-    s.failure_rounds_certified
-    (List.length s.failures)

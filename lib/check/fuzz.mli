@@ -47,5 +47,3 @@ val run :
 (** Checks [instances] random bipartite instances (default 1000) with
     the cross-solver oracle and [scenarios] simulator scenarios
     (default 12, [rounds] rounds each) with the cross-scheduler oracle. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -76,25 +76,23 @@ let scenario g ?(rounds = 30) () =
   let duration = 6 + Prng.int g 19 in
   let params = Params.make ~n ~c ~mu ~duration in
   let fleet = Box.Fleet.homogeneous ~n ~u ~d in
-  let scheme = Prng.int g 4 in
+  let scheme_name, scheme = List.nth Schemes.names (Prng.int g 4) in
   let m_max = Schemes.max_catalog ~fleet ~c ~k in
   let m = max 1 (min m_max ((n / 2) + Prng.int g n)) in
   (* full replication stores one stripe of every video on every box *)
-  let m = if scheme = 3 then max 1 (min m (Box.storage_slots ~c fleet.(0))) else m in
+  let m =
+    if scheme = Schemes.Full_replication then
+      max 1 (min m (Box.storage_slots ~c fleet.(0)))
+    else m
+  in
   let catalog = Catalog.create ~m ~c in
   let scheme_name, alloc =
-    let permutation () = Schemes.random_permutation g ~fleet ~catalog ~k in
-    match scheme with
-    | 0 -> ("permutation", permutation ())
-    | 1 -> (
-        match Schemes.random_independent g ~fleet ~catalog ~k with
-        | alloc -> ("independent", alloc)
-        | exception Failure _ -> ("permutation", permutation ()))
-    | 2 -> ("round-robin", Schemes.round_robin ~fleet ~catalog ~k)
-    | _ -> (
-        match Schemes.full_replication ~fleet ~catalog with
-        | alloc -> ("full-replication", alloc)
-        | exception Invalid_argument _ -> ("permutation", permutation ()))
+    (* independent placement can run out of room, full replication
+       out of per-box slots: both fall back to a permutation *)
+    match Schemes.allocate g ~scheme ~fleet ~catalog ~k with
+    | alloc -> (scheme_name, alloc)
+    | exception (Failure _ | Invalid_argument _) ->
+        ("permutation", Schemes.allocate g ~scheme:Schemes.Permutation ~fleet ~catalog ~k)
   in
   let rate = 1.0 +. Prng.float g (float_of_int n /. 6.0) in
   let wg = Prng.split g in

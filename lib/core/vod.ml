@@ -66,7 +66,7 @@ module Serve = Vod_serve.Serve
     around the engine ([Serve.run]), driven by continuous arrivals and
     the scenario's fault plan — the [vodctl serve] runner. *)
 
-module Session = Vod_proto.Session
+module Session = Vod_serve.Session
 (** The per-client control-plane state machine the service drives
     ([Arriving -> Admitted -> Streaming -> Completed] with retry /
     shed / reject exits). *)
@@ -103,20 +103,11 @@ module System = struct
     compensation : Theorem2.compensation option;
   }
 
-  type scheme = Permutation | Independent | Round_robin | Full_replication
-
-  let allocate g ~scheme ~fleet ~catalog ~k =
-    match scheme with
-    | Permutation -> Schemes.random_permutation g ~fleet ~catalog ~k
-    | Independent -> Schemes.random_independent g ~fleet ~catalog ~k
-    | Round_robin -> Schemes.round_robin ~fleet ~catalog ~k
-    | Full_replication -> Schemes.full_replication ~fleet ~catalog
-
   (** Build a homogeneous (n,u,d)-system with an [m]-video catalog
       ([m] defaults to the storage-maximal catalog [dn/k]) allocated by
       [scheme] (default random permutation). *)
-  let homogeneous ?(seed = 42) ?(scheme = Permutation) ?m ~n ~u ~d ~c ~k ~mu ~duration
-      () =
+  let homogeneous ?(seed = 42) ?(scheme = Schemes.Permutation) ?m ~n ~u ~d ~c ~k ~mu
+      ~duration () =
     let g = Prng.create ~seed () in
     let fleet = Box.Fleet.homogeneous ~n ~u ~d in
     let params = Params.make ~n ~c ~mu ~duration in
@@ -124,14 +115,14 @@ module System = struct
       match m with Some m -> m | None -> Schemes.max_catalog ~fleet ~c ~k
     in
     let catalog = Catalog.create ~m ~c in
-    let alloc = allocate g ~scheme ~fleet ~catalog ~k in
+    let alloc = Schemes.allocate g ~scheme ~fleet ~catalog ~k in
     { params; fleet; alloc; compensation = None }
 
   (** Build a heterogeneous system from an explicit fleet; when some box
       has upload below [u_star] a compensation assignment is computed
       (raising [Failure] when none exists). *)
-  let heterogeneous ?(seed = 42) ?(scheme = Permutation) ?m ?(u_star = 1.25) ~fleet ~c
-      ~k ~mu ~duration () =
+  let heterogeneous ?(seed = 42) ?(scheme = Schemes.Permutation) ?m ?(u_star = 1.25)
+      ~fleet ~c ~k ~mu ~duration () =
     let g = Prng.create ~seed () in
     let n = Array.length fleet in
     let params = Params.make ~n ~c ~mu ~duration in
@@ -139,7 +130,7 @@ module System = struct
       match m with Some m -> m | None -> Schemes.max_catalog ~fleet ~c ~k
     in
     let catalog = Catalog.create ~m ~c in
-    let alloc = allocate g ~scheme ~fleet ~catalog ~k in
+    let alloc = Schemes.allocate g ~scheme ~fleet ~catalog ~k in
     let compensation =
       if Array.exists (fun b -> b.Box.upload < u_star) fleet then
         match Theorem2.compensate fleet ~u_star with

@@ -17,26 +17,26 @@ let count_admit = function
   | Engine.Queued -> Registry.incr obs_demands_queued
   | Engine.Rejected _ -> Registry.incr obs_demands_rejected
 
-type alloc_scheme = Driver.alloc_scheme = Permutation | Round_robin
+module Schemes = Vod_alloc.Schemes
 
 type engine_config = {
   label : string;
   scheduler : Engine.scheduler;
-  scheme : alloc_scheme;
+  scheme : Schemes.scheme;
 }
 
 let default_config =
-  { label = "scratch"; scheduler = Engine.Arbitrary; scheme = Permutation }
+  { label = "scratch"; scheduler = Engine.Arbitrary; scheme = Schemes.Permutation }
 
 let config_of_name = function
   | "scratch" -> Ok default_config
-  | "sticky" -> Ok { label = "sticky"; scheduler = Engine.Sticky; scheme = Permutation }
+  | "sticky" -> Ok { default_config with label = "sticky"; scheduler = Engine.Sticky }
   | "prefer-cache" ->
-      Ok { label = "prefer-cache"; scheduler = Engine.Prefer_cache; scheme = Permutation }
+      Ok { default_config with label = "prefer-cache"; scheduler = Engine.Prefer_cache }
   | "balance-load" ->
-      Ok { label = "balance-load"; scheduler = Engine.Balance_load; scheme = Permutation }
+      Ok { default_config with label = "balance-load"; scheduler = Engine.Balance_load }
   | "round-robin" ->
-      Ok { label = "round-robin"; scheduler = Engine.Arbitrary; scheme = Round_robin }
+      Ok { default_config with label = "round-robin"; scheme = Schemes.Round_robin }
   | name -> Error (Printf.sprintf "unknown engine config '%s'" name)
 
 type outcome = {

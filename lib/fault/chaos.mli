@@ -14,12 +14,10 @@
     runs of the same scenario, at any [--jobs] value, are
     byte-identical. *)
 
-type alloc_scheme = Driver.alloc_scheme = Permutation | Round_robin
-
 type engine_config = {
   label : string;  (** Appears as ["config"] in the meta line and the scorecard. *)
   scheduler : Vod_sim.Engine.scheduler;
-  scheme : alloc_scheme;  (** Static allocation scheme for the base fleet. *)
+  scheme : Vod_alloc.Schemes.scheme;  (** Static allocation scheme for the base fleet. *)
 }
 (** One engine/allocation column of a battery matrix. *)
 

@@ -9,8 +9,6 @@ let obs_crashes = Registry.counter Registry.default "fault.crashes"
 let obs_rejoins = Registry.counter Registry.default "fault.rejoins"
 let obs_degradations = Registry.counter Registry.default "fault.degradations"
 
-type alloc_scheme = Permutation | Round_robin
-
 type t = {
   scenario : Scenario.t;
   seed : int;
@@ -72,7 +70,8 @@ let prepare ~seed (s : Scenario.t) =
 
 let validate s = Result.map ignore (prepare ~seed:s.Scenario.seed s)
 
-let create ?rounds ?seed ?(scheduler = Engine.Arbitrary) ?(scheme = Permutation)
+let create ?rounds ?seed ?(scheduler = Engine.Arbitrary)
+    ?(scheme = Vod_alloc.Schemes.Permutation)
     (s : Scenario.t) =
   let seed = Option.value seed ~default:s.seed in
   match prepare ~seed s with
@@ -84,11 +83,8 @@ let create ?rounds ?seed ?(scheduler = Engine.Arbitrary) ?(scheme = Permutation)
       (* allocation over the base fleet, then deterministic helper
          seeding on top — the base replica lists are untouched *)
       let base_alloc =
-        match scheme with
-        | Permutation ->
-            Vod_alloc.Schemes.random_permutation (Prng.create ~seed ()) ~fleet:base
-              ~catalog ~k:s.k
-        | Round_robin -> Vod_alloc.Schemes.round_robin ~fleet:base ~catalog ~k:s.k
+        Vod_alloc.Schemes.allocate (Prng.create ~seed ()) ~scheme ~fleet:base ~catalog
+          ~k:s.k
       in
       let alloc =
         if s.helpers = [] then base_alloc

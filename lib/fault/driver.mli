@@ -9,8 +9,6 @@
     admit-everything runner; serve puts admission, backpressure and
     recovery between {!faults} and {!step}. *)
 
-type alloc_scheme = Permutation | Round_robin
-
 type t = private {
   scenario : Scenario.t;
   seed : int;  (** The seed this replication runs with. *)
@@ -39,7 +37,7 @@ val create :
   ?rounds:int ->
   ?seed:int ->
   ?scheduler:Vod_sim.Engine.scheduler ->
-  ?scheme:alloc_scheme ->
+  ?scheme:Vod_alloc.Schemes.scheme ->
   Scenario.t ->
   (t, string) result
 (** Build the system once: the base fleet (homogeneous, or the Theorem
@@ -48,7 +46,9 @@ val create :
     seeded on top and start offline), the engine under [scheduler]
     (default [Arbitrary]) with the plan's link faults wired in, and the
     {!Mend} controller.  [rounds] and [seed] override the scenario's.
-    [Error] as {!validate}. *)
+    [Error] as {!validate}; the fit check is the permutation's, so
+    [Independent] and [Full_replication] can still raise as
+    {!Vod_alloc.Schemes.allocate} does. *)
 
 val faults :
   t -> time:int -> flash:(time:int -> video:int -> viewers:int -> unit) -> unit

@@ -56,7 +56,6 @@ let gauge t name =
 
 let set g v = g.g_value <- v
 let gauge_value g = g.g_value
-let gauge_name g = g.g_name
 
 let histogram t name =
   match Hashtbl.find_opt t.histograms name with
@@ -85,7 +84,6 @@ let observe h v =
 
 let hist_count h = h.h_count
 let hist_sum h = h.h_sum
-let hist_name h = h.h_name
 let hist_counts h = Array.copy h.h_counts
 
 let merge ~into h =

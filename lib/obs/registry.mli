@@ -30,7 +30,6 @@ val counter_name : counter -> string
 val gauge : t -> string -> gauge
 val set : gauge -> int -> unit
 val gauge_value : gauge -> int
-val gauge_name : gauge -> string
 
 val histogram : t -> string -> histogram
 (** Log-scale (powers of two) histogram: bucket [i] counts values [v]
@@ -42,7 +41,6 @@ val observe : histogram -> int -> unit
 
 val hist_count : histogram -> int
 val hist_sum : histogram -> int
-val hist_name : histogram -> string
 
 val hist_counts : histogram -> int array
 (** Per-bucket counts (a copy); index = exponent. *)

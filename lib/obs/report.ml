@@ -1,152 +1,14 @@
 (* Parse, validate and summarise vod-obs JSONL traces.
 
-   The parser accepts the subset of JSON that {!Export} emits (objects,
-   arrays, strings, integers) with no external dependency, mirroring the
-   stdlib-only reader in bench/compare.ml.  Validation is structural:
-   schema header, timestamp sanity, id uniqueness, parent-before-child,
-   child intervals contained in their parent's, histogram bucket sums.
+   Lines are read with {!Vod_json}, the stdlib-only reader
+   bench/compare.ml shares.  Validation is structural: schema header,
+   timestamp sanity, id uniqueness, parent-before-child, child
+   intervals contained in their parent's, histogram bucket sums.
    The summary renders the per-phase time table `vodctl simulate
    --obs-summary` and `vodctl obs-report` print. *)
 
 open Vod_util
-
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON reader                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-
-exception Parse of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail m = raise (Parse (Printf.sprintf "%s at offset %d" m !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then fail (Printf.sprintf "expected '%c'" c);
-    advance ()
-  in
-  let string_body () =
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          if !pos >= n then fail "dangling escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-              | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
-              | Some _ -> Buffer.add_char buf '?'
-              | None -> fail "malformed \\u escape");
-              pos := !pos + 4
-          | c -> fail (Printf.sprintf "unsupported escape \\%c" c));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            expect '"';
-            let key = string_body () in
-            expect ':';
-            let v = value () in
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                members ()
-            | '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ();
-          Obj (List.rev !fields)
-        end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                elements ()
-            | ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ();
-          Arr (List.rev !items)
-        end
-    | '"' ->
-        advance ();
-        Str (string_body ())
-    | c when c = '-' || (c >= '0' && c <= '9') -> Num (number ())
-    | _ -> fail "unexpected character"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+open Vod_json
 
 (* ------------------------------------------------------------------ *)
 (* Trace model                                                         *)
@@ -161,8 +23,6 @@ type trace = {
   hists : (string * hist) list;
   dropped : int;
 }
-
-let field key = function Obj fields -> List.assoc_opt key fields | _ -> None
 
 let int_field key obj =
   match field key obj with Some (Num f) -> Some (int_of_float f) | _ -> None
@@ -195,7 +55,7 @@ let of_string s =
   | [] -> Error "empty trace"
   | meta :: rest -> (
       try
-        let mobj = parse_json meta in
+        let mobj = parse meta in
         (match str_field "type" mobj with
         | Some "meta" -> ()
         | _ -> raise (Parse "first line is not a meta event"));
@@ -215,7 +75,7 @@ let of_string s =
         and hists = ref [] in
         List.iteri
           (fun i line ->
-            let obj = parse_json line in
+            let obj = parse line in
             let bad what = raise (Parse (Printf.sprintf "line %d: %s" (i + 2) what)) in
             match str_field "type" obj with
             | Some "span" -> (

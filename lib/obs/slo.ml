@@ -138,10 +138,6 @@ let spec_json sp =
   Printf.sprintf "{\"name\":\"%s\",\"target\":%.4f,\"fast\":%d,\"slow\":%d,\"breach_burn\":%.4f}"
     sp.sp_name sp.sp_target sp.sp_fast sp.sp_slow sp.sp_breach_burn
 
-let meta_json specs =
-  Printf.sprintf "{\"type\":\"meta\",\"version\":\"vod-slo/1\",\"slos\":[%s]}"
-    (String.concat "," (List.map spec_json specs))
-
 let verdict_json t ~round =
   Printf.sprintf
     "{\"type\":\"slo\",\"t\":%d,\"name\":\"%s\",\"state\":\"%s\",\"window\":\"%s\",\"fast_burn\":%.4f,\"slow_burn\":%.4f}"

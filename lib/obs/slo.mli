@@ -92,11 +92,6 @@ val summary_json : summary -> string
 val spec_json : spec -> string
 (** One spec as a JSON object (name, target, windows, threshold). *)
 
-val meta_json : spec list -> string
-(** [{"type":"meta","version":"vod-slo/1","slos":[...]}] with each
-    spec's name, target and windows.  Emitters needing run context
-    (scenario, seed) build their own meta line from {!spec_json}. *)
-
 val verdict_json : t -> round:int -> string
 (** [{"type":"slo","t":R,"name":N,"state":S,"window":W,
       "fast_burn":F,"slow_burn":F}]. *)

@@ -3,7 +3,6 @@ open Vod_model
 module Engine = Vod_sim.Engine
 module Scenario = Vod_fault.Scenario
 module Driver = Vod_fault.Driver
-module Session = Vod_proto.Session
 module Generators = Vod_workload.Generators
 module Export = Vod_obs.Export
 module Registry = Vod_obs.Registry

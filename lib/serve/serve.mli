@@ -5,7 +5,7 @@
     the batch simulator, [Serve] runs the system as a {e service}: a
     deterministic virtual-time event queue carries continuous arrivals
     (Poisson, Zipf or trace-driven through {!Vod_workload.Generators}),
-    per-client sessions step through the {!Vod_proto.Session} state
+    per-client sessions step through the {!Session} state
     machine, and an admission controller decides each round who enters
     the matching:
 

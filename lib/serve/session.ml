@@ -45,13 +45,3 @@ let state_name = function
   | Retrying -> "retrying"
   | Shed -> "shed"
   | Rejected -> "rejected"
-
-let session_of = function
-  | Join { session; _ }
-  | Grant { session; _ }
-  | Deny { session; _ }
-  | Retry_after { session; _ }
-  | First_chunk { session; _ }
-  | Shed_notice { session }
-  | Complete { session; _ } ->
-      session

@@ -67,6 +67,3 @@ val is_terminal : state -> bool
 
 val state_name : state -> string
 (** Lowercase, for JSONL streams: ["arriving"], ["admitted"], ... *)
-
-val session_of : msg -> int
-(** The session id every message carries. *)

@@ -512,6 +512,77 @@ let test_telemetry_attach () =
     (Ts.window_sum (Telemetry.series tele2 "served") ~window:100)
 
 (* ------------------------------------------------------------------ *)
+(* The shared JSON reader and the bench gate built on it               *)
+(* ------------------------------------------------------------------ *)
+
+let test_json_reader_union () =
+  (* literals (the bench gate's copy read them) and \u escapes (the
+     trace reader's copy read them) in one document *)
+  match
+    Vod_json.parse
+      {|{"t": true, "f": false, "z": null, "s": "\u0041\n", "a": [1, -2.5e1]}|}
+  with
+  | Vod_json.Obj
+      [
+        ("t", Bool true);
+        ("f", Bool false);
+        ("z", Null);
+        ("s", Str "A\n");
+        ("a", Arr [ Num 1.0; Num -25.0 ]);
+      ] ->
+      ()
+  | _ -> Alcotest.fail "unexpected parse"
+
+(* bench/compare.exe on [base] and a [current] holding [text]:
+   (exit status, stderr). *)
+let compare_exe ~base text =
+  let cur = Filename.temp_file "bench" ".json" in
+  let err = Filename.temp_file "bench" ".err" in
+  Out_channel.with_open_bin cur (fun oc -> Out_channel.output_string oc text);
+  let code =
+    Sys.command
+      (Printf.sprintf "../bench/compare.exe %s %s >/dev/null 2>%s" (Filename.quote base)
+         (Filename.quote cur) (Filename.quote err))
+  in
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove cur;
+  Sys.remove err;
+  (code, stderr)
+
+let test_compare_rejects_malformed () =
+  let doc =
+    {|{"schema": "vod-bench-matching/1", "records": [{"name": "m/x", "n": 16,
+        "ns_per_round": 5.0, "matched_per_round": 3.0}]}|}
+  in
+  let base = Filename.temp_file "bench" ".json" in
+  Out_channel.with_open_bin base (fun oc -> Out_channel.output_string oc doc);
+  Alcotest.(check int) "well-formed input passes" 0 (fst (compare_exe ~base doc));
+  let bad =
+    List.init (String.length doc - 1) (String.sub doc 0)
+    @ [
+        String.make 100_000 '[';
+        {|{"schema": "vod-bench-matching/1", "records": [{"name": "\q"}]}|};
+        {|{"schema": "vod-bench-matching/1", "records": [{"name": 1, "n": "16"}]}|};
+        {|{"schema": "vod-bench-matching/1", "records": {}}|};
+        {|{"schema": "other/1", "records": []}|};
+        doc ^ " trailing";
+        "\000\255 not json";
+      ]
+  in
+  List.iter
+    (fun text ->
+      let code, stderr = compare_exe ~base text in
+      let what = Printf.sprintf "%S" (String.sub text 0 (min 40 (String.length text))) in
+      Alcotest.(check int) (what ^ ": exit 2") 2 code;
+      Alcotest.(check bool)
+        (what ^ ": one compare: message, no exception")
+        true
+        (String.starts_with ~prefix:"compare: " stderr
+        && List.length (String.split_on_char '\n' (String.trim stderr)) = 1))
+    bad;
+  Sys.remove base
+
+(* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -713,6 +784,10 @@ let suites =
         Alcotest.test_case "summarise phases" `Quick test_summarise_phases;
         Alcotest.test_case "summarise outside rounds" `Quick
           test_summarise_outside_rounds;
+        Alcotest.test_case "json reader reads literals and escapes" `Quick
+          test_json_reader_union;
+        Alcotest.test_case "bench compare rejects malformed json" `Quick
+          test_compare_rejects_malformed;
       ] );
     ( "obs.par",
       [

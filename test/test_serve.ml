@@ -7,7 +7,7 @@
 
 open Vod_util
 module Scenario = Vod_fault.Scenario
-module Session = Vod_proto.Session
+module Session = Vod_serve.Session
 module Serve = Vod_serve.Serve
 
 let checkb = Alcotest.check Alcotest.bool

@@ -24,7 +24,7 @@ let test_schemes_selectable () =
           ~duration:10 ()
       in
       checkb "catalog built" true (Vod.System.catalog_size s > 0))
-    [ Vod.System.Permutation; Vod.System.Independent; Vod.System.Round_robin ]
+    [ Vod.Schemes.Permutation; Vod.Schemes.Independent; Vod.Schemes.Round_robin ]
 
 let test_simulate_and_scheduler_options () =
   let s = Vod.System.homogeneous ~n:16 ~u:2.0 ~d:4.0 ~c:2 ~k:3 ~mu:1.5 ~duration:10 () in
