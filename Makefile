@@ -13,8 +13,10 @@ test:
 # engine's CSR Dinic core, legacy Dinic and push-relabel over an
 # explicit flow network, slot-expansion Hopcroft-Karp and min-cost
 # flow) plus 6 simulated scenarios x 3
-# lockstep schedulers, every engine failure round certified by an
-# independent Hall-violator check.  Fixed seed, so the pass is deterministic and CI-friendly.
+# lockstep schedulers.  Every engine failure round's Hall certificate
+# (read off the engine's own CSR solve) is checked independently by
+# Check.Certificate, not recomputed by a second solver.  Fixed seed, so
+# the pass is deterministic and CI-friendly.
 # The verdict carries a one-line obs summary of the solver counters
 # (vod_obs).
 check: build

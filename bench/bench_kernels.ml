@@ -1,7 +1,7 @@
 (* Micro-benchmarks for the word-parallel matching kernels.
 
-   Two sections, each a pair of records so compare.exe tracks kernel
-   drift (and the won speedups) point by point:
+   Three sections; the first two are pairs of records so compare.exe
+   tracks kernel drift (and the won speedups) point by point:
 
      kernels/layer_build/{bitset,array}    one BFS layer expansion —
          OR the frontier lefts' rows into a right-side set.  The bitset
@@ -12,10 +12,13 @@
          core on the same swarm-structured instance with components laid out
          contiguously vs round-robin interleaved across the id space —
          the locality cost of an arrival-ordered instance.
+     kernels/hall_certificate    [Bipartite.hall_violator] on a stall
+         round's instance through a warm arena: the CSR solve plus the
+         read of its last BFS phase, the engine's certificate path.
 
    [matched_per_round] carries a deterministic work measure per section
-   (bits built, requests matched) so the compare gate's
-   drift check also pins kernel outputs, not just their speed. *)
+   (bits built, requests matched, certificate size |X|) so the compare
+   gate's drift check also pins kernel outputs, not just their speed. *)
 
 open Vod
 module Bitset = Vod_util.Bitset
@@ -177,6 +180,43 @@ let time_csr csr =
   (float_of_int (Obs.Clock.now_ns () - t0), !matched, Gc.allocated_bytes () -. b0)
 
 (* ------------------------------------------------------------------ *)
+(* Hall certificate                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let hall_n_left = 16384
+let hall_rounds = 8
+
+(* n/4 boxes of 2-8 slots, each request adjacent to 8 random boxes,
+   except every eighth request, which only boxes 0-63 (two slots each)
+   can serve: 2048 requests on 128 slots, so the round stalls and the
+   certificate is that cluster's alternating closure. *)
+let make_hall_instance () =
+  let g = Prng.create ~seed:0x4a11 () in
+  let n_right = hall_n_left / 4 in
+  let right_cap = Array.init n_right (fun r -> if r < 64 then 2 else 2 + Prng.int g 7) in
+  let b = Bipartite.create ~n_left:hall_n_left ~n_right ~right_cap in
+  for l = 0 to hall_n_left - 1 do
+    for _ = 1 to 8 do
+      Bipartite.add_edge b ~left:l ~right:(Prng.int g (if l mod 8 = 0 then 64 else n_right))
+    done
+  done;
+  b
+
+let time_hall b =
+  let arena = Arena.create () in
+  (* one untimed round finalizes the instance and grows the arena *)
+  ignore (Bipartite.hall_violator ~arena b);
+  let size = ref 0 in
+  let b0 = Gc.allocated_bytes () in
+  let t0 = Obs.Clock.now_ns () in
+  for _ = 1 to hall_rounds do
+    match Bipartite.hall_violator ~arena b with
+    | Some v -> size := !size + List.length v.Bipartite.requests
+    | None -> failwith "bench_kernels: the certificate instance is feasible"
+  done;
+  (float_of_int (Obs.Clock.now_ns () - t0), !size, Gc.allocated_bytes () -. b0)
+
+(* ------------------------------------------------------------------ *)
 
 let run () =
   let mk name n rounds (ns, work, bytes) =
@@ -209,6 +249,8 @@ let run () =
     failwith
       (Printf.sprintf
          "bench_kernels: layout variants disagree (clustered %d, interleaved %d)" mc mi);
+  let hall = make_hall_instance () in
+  let certificate = best_of ~repeats:3 (fun () -> time_hall hall) in
   [
     mk "kernels/layer_build/bitset" layer_n_left layer_rounds bitset;
     mk "kernels/layer_build/array" layer_n_left layer_rounds array;
@@ -218,4 +260,5 @@ let run () =
     mk "kernels/csr_layout/interleaved"
       (layout_blocks * layout_block_lefts)
       layout_rounds interleaved;
+    mk "kernels/hall_certificate" hall_n_left hall_rounds certificate;
   ]

@@ -59,10 +59,8 @@ let make_sequence ~seed ~n_left ~rounds ~churn =
     Array.iteri
       (fun l row -> Array.iter (fun r -> Bipartite.add_edge inst ~left:l ~right:r) row)
       adj;
-    (* force CSR finalize and the memoised dedup now so no timed solver
-       pays for either *)
+    (* force CSR finalize now so no timed solver pays for it *)
     ignore (Bipartite.csr inst);
-    ignore (Bipartite.adjacency inst);
     instances := inst :: !instances
   done;
   List.rev !instances

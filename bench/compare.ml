@@ -54,10 +54,14 @@ type record = {
 
 let records_of_file path =
   let contents =
+    (* [open_in]'s error names the path; a read error (the path is a
+       directory) does not *)
     let ic = open_in path in
     Fun.protect
       ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+      (fun () ->
+        try really_input_string ic (in_channel_length ic)
+        with Sys_error m -> raise (Sys_error (path ^ ": " ^ m)))
   in
   let root =
     try parse contents with Parse m -> raise (Parse (Printf.sprintf "%s: %s" path m))

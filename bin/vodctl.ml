@@ -81,6 +81,13 @@ let stripes ~u ~mu = function
   | Some c -> c
   | None -> if u > 1.0 then min 16 (Vod.Theorem1.recommended_c ~u ~mu) else 2
 
+(* The one error handler of the commands that build and run a system:
+   the library rejects bad arguments with [Invalid_argument] and builds
+   it cannot make (an allocation no box can take) with [Failure]; both
+   become a one-line cmdliner error (exit 124), not an uncaught
+   exception. *)
+let guarded f = try f () with Invalid_argument e | Failure e -> `Error (false, e)
+
 (* [suffixed "a/b.jsonl" ".rep2"] = "a/b.rep2.jsonl": the per-replication
    (or per-cell) trace naming of chaos/battery --obs-out. *)
 let suffixed path tag =
@@ -229,34 +236,33 @@ let bounds_cmd =
 
 let allocate_cmd =
   let run n u d c k m mu seed scheme trials save =
-    try
-      let { Vod.System.params; fleet; alloc; _ } =
-        Vod.System.homogeneous ~seed ~scheme ?m ~n ~u ~d ~c:(stripes ~u ~mu c) ~k ~mu
-          ~duration:30 ()
-      in
-      let c = params.Vod.Params.c in
-      let cat = Vod.Allocation.catalog alloc in
-      Printf.printf "allocated %d videos x %d stripes x k replicas on %d boxes\n"
-        (Vod.Catalog.videos cat) c n;
-      let b = Vod.Balance.measure alloc ~fleet ~c in
-      Format.printf "balance: %a@." Vod.Balance.pp b;
-      let mn, mx, mean = Vod.Balance.replica_spread alloc in
-      Printf.printf "replicas per stripe: min %d, max %d, mean %.2f\n" mn mx mean;
-      (match Vod.Allocation.validate alloc ~fleet ~c with
-      | Ok () -> print_endline "validation: OK"
-      | Error e -> Printf.printf "validation: FAILED (%s)\n" e);
-      let g = Vod.Prng.create ~seed:(seed + 1) () in
-      let ok = Vod.Probe.survives_battery g ~fleet ~alloc ~c ~trials in
-      Printf.printf "adversarial audit (%d random probes + worst-case probes): %s\n"
-        trials
-        (if ok then "PASS" else "FAIL");
-      (match save with
-      | None -> ()
-      | Some path ->
-          Vod.Codec.save alloc ~path;
-          Printf.printf "allocation written to %s\n" path);
-      `Ok ()
-    with Invalid_argument e -> `Error (false, e)
+    guarded @@ fun () ->
+    let { Vod.System.params; fleet; alloc; _ } =
+      Vod.System.homogeneous ~seed ~scheme ?m ~n ~u ~d ~c:(stripes ~u ~mu c) ~k ~mu
+        ~duration:30 ()
+    in
+    let c = params.Vod.Params.c in
+    let cat = Vod.Allocation.catalog alloc in
+    Printf.printf "allocated %d videos x %d stripes x k replicas on %d boxes\n"
+      (Vod.Catalog.videos cat) c n;
+    let b = Vod.Balance.measure alloc ~fleet ~c in
+    Format.printf "balance: %a@." Vod.Balance.pp b;
+    let mn, mx, mean = Vod.Balance.replica_spread alloc in
+    Printf.printf "replicas per stripe: min %d, max %d, mean %.2f\n" mn mx mean;
+    (match Vod.Allocation.validate alloc ~fleet ~c with
+    | Ok () -> print_endline "validation: OK"
+    | Error e -> Printf.printf "validation: FAILED (%s)\n" e);
+    let g = Vod.Prng.create ~seed:(seed + 1) () in
+    let ok = Vod.Probe.survives_battery g ~fleet ~alloc ~c ~trials in
+    Printf.printf "adversarial audit (%d random probes + worst-case probes): %s\n"
+      trials
+      (if ok then "PASS" else "FAIL");
+    (match save with
+    | None -> ()
+    | Some path ->
+        Vod.Codec.save alloc ~path;
+        Printf.printf "allocation written to %s\n" path);
+    `Ok ()
   in
   let trials_arg =
     Arg.(value & opt int 20 & info [ "trials" ] ~doc:"Random adversarial probes.")
@@ -309,64 +315,61 @@ let solver_counters =
 let simulate_cmd =
   let run n u d c k m mu duration rounds seed scheme workload rate csv load obs_out
       obs_summary =
-    try
-      let sys =
-        match load with
-        | None ->
-            Vod.System.homogeneous ~seed ~scheme ?m ~n ~u ~d ~c:(stripes ~u ~mu c) ~k
-              ~mu ~duration ()
-        | Some path -> (
-            match Vod.Codec.load ~path with
-            | Error e -> failwith (Printf.sprintf "cannot load %s: %s" path e)
-            | Ok alloc ->
-                let n = Vod.Allocation.n_boxes alloc in
-                let c =
-                  Vod.Catalog.stripes_per_video (Vod.Allocation.catalog alloc)
-                in
-                {
-                  Vod.System.params = Vod.Params.make ~n ~c ~mu ~duration;
-                  fleet = Vod.Box.Fleet.homogeneous ~n ~u ~d;
-                  alloc;
-                  compensation = None;
-                })
-      in
-      let obs = obs_of obs_out obs_summary in
-      let simulate () =
-        let sim = Vod.System.engine sys in
-        let trace = Vod.Trace.create () in
-        Vod.Trace.run trace sim ~rounds ~demands_for:(arrivals ~seed ~rate workload);
-        (sim, trace)
-      in
-      let sim, trace =
-        match obs with
-        | None -> simulate ()
-        | Some obs -> traced obs ~tag:"simulate" ~title:"simulate" ~path:Fun.id simulate
-      in
-      let metrics = Vod.Trace.summarise trace in
-      Format.printf "%a@." Vod.Metrics.pp metrics;
-      Printf.printf "peak active stripe requests: %d (mean %.1f)\n"
-        metrics.Vod.Metrics.peak_active metrics.Vod.Metrics.mean_active;
-      Printf.printf "swarming share: %.1f%%\n" (100.0 *. metrics.Vod.Metrics.cache_share);
-      let delays = Vod.Engine.startup_delays sim in
-      if Array.length delays > 0 then begin
-        let fdelays = Array.map float_of_int delays in
-        Printf.printf "start-up delay (rounds until all stripes stream): mean %.2f, max %.0f\n"
-          (Vod.Stats.mean fdelays)
-          (Array.fold_left Float.max 0.0 fdelays)
-      end;
-      (match metrics.Vod.Metrics.first_failure with
-      | None -> print_endline "verdict: every request served on time"
-      | Some t -> Printf.printf "verdict: first failed round at t = %d\n" t);
-      (match csv with
-      | None -> ()
-      | Some path ->
-          Vod.Trace.save_csv trace ~path;
-          Printf.printf "per-round trace written to %s\n" path);
-      Option.iter print_summaries obs;
-      `Ok ()
-    with
-    | Invalid_argument e -> `Error (false, e)
-    | Failure e -> `Error (false, e)
+    guarded @@ fun () ->
+    let sys =
+      match load with
+      | None ->
+          Vod.System.homogeneous ~seed ~scheme ?m ~n ~u ~d ~c:(stripes ~u ~mu c) ~k
+            ~mu ~duration ()
+      | Some path -> (
+          match Vod.Codec.load ~path with
+          | Error e -> failwith (Printf.sprintf "cannot load %s: %s" path e)
+          | Ok alloc ->
+              let n = Vod.Allocation.n_boxes alloc in
+              let c =
+                Vod.Catalog.stripes_per_video (Vod.Allocation.catalog alloc)
+              in
+              {
+                Vod.System.params = Vod.Params.make ~n ~c ~mu ~duration;
+                fleet = Vod.Box.Fleet.homogeneous ~n ~u ~d;
+                alloc;
+                compensation = None;
+              })
+    in
+    let obs = obs_of obs_out obs_summary in
+    let simulate () =
+      let sim = Vod.System.engine sys in
+      let trace = Vod.Trace.create () in
+      Vod.Trace.run trace sim ~rounds ~demands_for:(arrivals ~seed ~rate workload);
+      (sim, trace)
+    in
+    let sim, trace =
+      match obs with
+      | None -> simulate ()
+      | Some obs -> traced obs ~tag:"simulate" ~title:"simulate" ~path:Fun.id simulate
+    in
+    let metrics = Vod.Trace.summarise trace in
+    Format.printf "%a@." Vod.Metrics.pp metrics;
+    Printf.printf "peak active stripe requests: %d (mean %.1f)\n"
+      metrics.Vod.Metrics.peak_active metrics.Vod.Metrics.mean_active;
+    Printf.printf "swarming share: %.1f%%\n" (100.0 *. metrics.Vod.Metrics.cache_share);
+    let delays = Vod.Engine.startup_delays sim in
+    if Array.length delays > 0 then begin
+      let fdelays = Array.map float_of_int delays in
+      Printf.printf "start-up delay (rounds until all stripes stream): mean %.2f, max %.0f\n"
+        (Vod.Stats.mean fdelays)
+        (Array.fold_left Float.max 0.0 fdelays)
+    end;
+    (match metrics.Vod.Metrics.first_failure with
+    | None -> print_endline "verdict: every request served on time"
+    | Some t -> Printf.printf "verdict: first failed round at t = %d\n" t);
+    (match csv with
+    | None -> ()
+    | Some path ->
+        Vod.Trace.save_csv trace ~path;
+        Printf.printf "per-round trace written to %s\n" path);
+    Option.iter print_summaries obs;
+    `Ok ()
   in
   let csv_arg =
     Arg.(
@@ -397,40 +400,39 @@ let simulate_cmd =
 
 let attack_cmd =
   let run n u d c k m mu duration rounds seed scheme attack =
-    try
-      let sim =
-        Vod.System.engine
-          (Vod.System.homogeneous ~seed ~scheme ?m ~n ~u ~d ~c:(stripes ~u ~mu c) ~k ~mu
-             ~duration ())
-      in
-      let g = Vod.Prng.create ~seed:(seed + 13) () in
-      let gen =
-        match attack with
-        | `Uncovered -> Vod.Attacks.uncovered
-        | `Tight -> Vod.Attacks.tight_server_set g
-        | `Stampede -> Vod.Attacks.stampede ~video:0
-      in
-      let reports = Vod.Engine.run sim ~rounds ~demands_for:gen in
-      let metrics = Vod.Metrics.summarise reports in
-      Format.printf "%a@." Vod.Metrics.pp metrics;
-      if metrics.Vod.Metrics.total_unserved = 0 then
-        print_endline "verdict: the system RESISTS this adversary"
-      else begin
-        Printf.printf "verdict: DEFEATED (first failure at round %s)\n"
-          (match metrics.Vod.Metrics.first_failure with
-          | Some t -> string_of_int t
-          | None -> "?");
-        match Vod.Engine.last_violator sim with
-        | None -> ()
-        | Some v ->
-            Printf.printf
-              "Hall certificate: %d requests over %d server boxes with only %d slots\n"
-              (List.length v.Vod.Bipartite.requests)
-              (List.length v.Vod.Bipartite.servers)
-              v.Vod.Bipartite.server_slots
-      end;
-      `Ok ()
-    with Invalid_argument e -> `Error (false, e)
+    guarded @@ fun () ->
+    let sim =
+      Vod.System.engine
+        (Vod.System.homogeneous ~seed ~scheme ?m ~n ~u ~d ~c:(stripes ~u ~mu c) ~k ~mu
+           ~duration ())
+    in
+    let g = Vod.Prng.create ~seed:(seed + 13) () in
+    let gen =
+      match attack with
+      | `Uncovered -> Vod.Attacks.uncovered
+      | `Tight -> Vod.Attacks.tight_server_set g
+      | `Stampede -> Vod.Attacks.stampede ~video:0
+    in
+    let reports = Vod.Engine.run sim ~rounds ~demands_for:gen in
+    let metrics = Vod.Metrics.summarise reports in
+    Format.printf "%a@." Vod.Metrics.pp metrics;
+    if metrics.Vod.Metrics.total_unserved = 0 then
+      print_endline "verdict: the system RESISTS this adversary"
+    else begin
+      Printf.printf "verdict: DEFEATED (first failure at round %s)\n"
+        (match metrics.Vod.Metrics.first_failure with
+        | Some t -> string_of_int t
+        | None -> "?");
+      match Vod.Engine.last_violator sim with
+      | None -> ()
+      | Some v ->
+          Printf.printf
+            "Hall certificate: %d requests over %d server boxes with only %d slots\n"
+            (List.length v.Vod.Bipartite.requests)
+            (List.length v.Vod.Bipartite.servers)
+            v.Vod.Bipartite.server_slots
+    end;
+    `Ok ()
   in
   let attack_arg =
     Arg.(
@@ -459,132 +461,130 @@ let sweep_cmd =
   let run n d c k seed lo hi steps jobs replications sim_rounds =
     if steps < 2 then `Error (false, "need at least 2 steps")
     else if replications < 1 then `Error (false, "need at least 1 replication")
-    else begin
-      try
-        let c = match c with Some c -> c | None -> 2 in
-        let jobs =
-          match jobs with Some j -> j | None -> Vod.Par.default_jobs ()
+    else
+      guarded @@ fun () ->
+      let c = match c with Some c -> c | None -> 2 in
+      let jobs =
+        match jobs with Some j -> j | None -> Vod.Par.default_jobs ()
+      in
+      let reps = replications in
+      let u_of i =
+        lo +. ((hi -. lo) *. float_of_int i /. float_of_int (steps - 1))
+      in
+      (* One task per (point, replication).  Tasks are independent by
+         construction: each derives its own PRNG streams from
+         (point, rep) — so results are identical whatever the job
+         count or backend — builds its own system, and records into a
+         private registry that is absorbed after the join. *)
+      let task t =
+        let i = t / reps and r = t mod reps in
+        let u = u_of i in
+        let reg = Vod.Obs.Registry.create () in
+        Vod.Obs.Registry.incr (Vod.Obs.Registry.counter reg "sweep.replications");
+        let seed' = seed + (1000 * i) + r in
+        let g = Vod.Prng.create ~seed:seed' () in
+        let fleet = Vod.Box.Fleet.homogeneous ~n ~u ~d in
+        let m = n in
+        let catalog = Vod.Catalog.create ~m ~c in
+        match Vod.Schemes.random_permutation g ~fleet ~catalog ~k with
+        | exception Invalid_argument _ -> (`Unallocatable, reg)
+        | alloc ->
+            let battery =
+              Vod.Probe.survives_battery g ~fleet ~alloc ~c ~trials:10
+            in
+            if not battery then
+              Vod.Obs.Registry.incr
+                (Vod.Obs.Registry.counter reg "sweep.battery_failures");
+            let params = Vod.Params.make ~n ~c ~mu:1.2 ~duration:30 in
+            let sim =
+              Vod.Engine.create ~params ~fleet ~alloc ~policy:Vod.Engine.Continue ()
+            in
+            let wg = Vod.Prng.create ~seed:(seed' + 1) () in
+            let workload =
+              Vod.Generators.uniform_arrivals wg ~rate:(float_of_int n /. 8.0)
+            in
+            let reports =
+              Vod.Engine.run sim ~rounds:sim_rounds ~demands_for:workload
+            in
+            let metrics = Vod.Metrics.summarise reports in
+            Vod.Obs.Registry.add
+              (Vod.Obs.Registry.counter reg "sweep.served")
+              metrics.Vod.Metrics.total_served;
+            Vod.Obs.Registry.add
+              (Vod.Obs.Registry.counter reg "sweep.unserved")
+              metrics.Vod.Metrics.total_unserved;
+            Vod.Obs.Registry.set
+              (Vod.Obs.Registry.gauge reg "sweep.peak_active")
+              metrics.Vod.Metrics.peak_active;
+            (`Ran (battery, metrics.Vod.Metrics.total_unserved), reg)
+      in
+      let results = Vod.Par.map ~jobs ~f:task (steps * reps) in
+      let tbl =
+        Vod.Table.create
+          ~columns:
+            [
+              ("u", Vod.Table.Right);
+              ("m", Vod.Table.Right);
+              ("battery", Vod.Table.Right);
+              ("unserved/rep", Vod.Table.Right);
+              ("verdict", Vod.Table.Left);
+            ]
+      in
+      for i = 0 to steps - 1 do
+        let point = Array.sub results (i * reps) reps in
+        let fits =
+          Array.for_all (fun (o, _) -> o <> `Unallocatable) point
         in
-        let reps = replications in
-        let u_of i =
-          lo +. ((hi -. lo) *. float_of_int i /. float_of_int (steps - 1))
-        in
-        (* One task per (point, replication).  Tasks are independent by
-           construction: each derives its own PRNG streams from
-           (point, rep) — so results are identical whatever the job
-           count or backend — builds its own system, and records into a
-           private registry that is absorbed after the join. *)
-        let task t =
-          let i = t / reps and r = t mod reps in
-          let u = u_of i in
-          let reg = Vod.Obs.Registry.create () in
-          Vod.Obs.Registry.incr (Vod.Obs.Registry.counter reg "sweep.replications");
-          let seed' = seed + (1000 * i) + r in
-          let g = Vod.Prng.create ~seed:seed' () in
-          let fleet = Vod.Box.Fleet.homogeneous ~n ~u ~d in
-          let m = n in
-          let catalog = Vod.Catalog.create ~m ~c in
-          match Vod.Schemes.random_permutation g ~fleet ~catalog ~k with
-          | exception Invalid_argument _ -> (`Unallocatable, reg)
-          | alloc ->
-              let battery =
-                Vod.Probe.survives_battery g ~fleet ~alloc ~c ~trials:10
-              in
-              if not battery then
-                Vod.Obs.Registry.incr
-                  (Vod.Obs.Registry.counter reg "sweep.battery_failures");
-              let params = Vod.Params.make ~n ~c ~mu:1.2 ~duration:30 in
-              let sim =
-                Vod.Engine.create ~params ~fleet ~alloc ~policy:Vod.Engine.Continue ()
-              in
-              let wg = Vod.Prng.create ~seed:(seed' + 1) () in
-              let workload =
-                Vod.Generators.uniform_arrivals wg ~rate:(float_of_int n /. 8.0)
-              in
-              let reports =
-                Vod.Engine.run sim ~rounds:sim_rounds ~demands_for:workload
-              in
-              let metrics = Vod.Metrics.summarise reports in
-              Vod.Obs.Registry.add
-                (Vod.Obs.Registry.counter reg "sweep.served")
-                metrics.Vod.Metrics.total_served;
-              Vod.Obs.Registry.add
-                (Vod.Obs.Registry.counter reg "sweep.unserved")
-                metrics.Vod.Metrics.total_unserved;
-              Vod.Obs.Registry.set
-                (Vod.Obs.Registry.gauge reg "sweep.peak_active")
-                metrics.Vod.Metrics.peak_active;
-              (`Ran (battery, metrics.Vod.Metrics.total_unserved), reg)
-        in
-        let results = Vod.Par.map ~jobs ~f:task (steps * reps) in
-        let tbl =
-          Vod.Table.create
-            ~columns:
-              [
-                ("u", Vod.Table.Right);
-                ("m", Vod.Table.Right);
-                ("battery", Vod.Table.Right);
-                ("unserved/rep", Vod.Table.Right);
-                ("verdict", Vod.Table.Left);
-              ]
-        in
-        for i = 0 to steps - 1 do
-          let point = Array.sub results (i * reps) reps in
-          let fits =
-            Array.for_all (fun (o, _) -> o <> `Unallocatable) point
-          in
-          if not fits then
-            Vod.Table.add_row tbl
-              [
-                Vod.Table.fmt_float ~decimals:2 (u_of i);
-                string_of_int n;
-                "-";
-                "-";
-                "(does not fit)";
-              ]
-          else begin
-            let battery_ok = ref 0 and unserved = ref 0 in
-            Array.iter
-              (fun (o, _) ->
-                match o with
-                | `Ran (ok, uns) ->
-                    if ok then incr battery_ok;
-                    unserved := !unserved + uns
-                | `Unallocatable -> ())
-              point;
-            Vod.Table.add_row tbl
-              [
-                Vod.Table.fmt_float ~decimals:2 (u_of i);
-                string_of_int n;
-                Printf.sprintf "%d/%d" !battery_ok reps;
-                Vod.Table.fmt_float ~decimals:1
-                  (float_of_int !unserved /. float_of_int reps);
-                (if !battery_ok = reps && !unserved = 0 then "ok" else "NO");
-              ]
-          end
-        done;
-        Vod.Table.print
-          ~title:
-            (Printf.sprintf
-               "Threshold sweep: m = n = %d, c = %d, k = %d (%d reps, %d jobs, %s)"
-               n c k reps jobs Vod.Par.backend)
-          tbl;
-        (* Merge the per-task registries into one aggregate view. *)
-        let merged = Vod.Obs.Registry.create () in
-        Array.iter (fun (_, reg) -> Vod.Obs.Registry.absorb ~into:merged reg) results;
-        let v name =
-          Vod.Obs.Registry.counter_value (Vod.Obs.Registry.counter merged name)
-        in
-        Printf.printf
-          "obs: %d replications, %d served, %d unserved, %d battery failures, peak \
-           active %d\n"
-          (v "sweep.replications") (v "sweep.served") (v "sweep.unserved")
-          (v "sweep.battery_failures")
-          (Vod.Obs.Registry.gauge_value
-             (Vod.Obs.Registry.gauge merged "sweep.peak_active"));
-        `Ok ()
-      with Invalid_argument e | Failure e -> `Error (false, e)
-    end
+        if not fits then
+          Vod.Table.add_row tbl
+            [
+              Vod.Table.fmt_float ~decimals:2 (u_of i);
+              string_of_int n;
+              "-";
+              "-";
+              "(does not fit)";
+            ]
+        else begin
+          let battery_ok = ref 0 and unserved = ref 0 in
+          Array.iter
+            (fun (o, _) ->
+              match o with
+              | `Ran (ok, uns) ->
+                  if ok then incr battery_ok;
+                  unserved := !unserved + uns
+              | `Unallocatable -> ())
+            point;
+          Vod.Table.add_row tbl
+            [
+              Vod.Table.fmt_float ~decimals:2 (u_of i);
+              string_of_int n;
+              Printf.sprintf "%d/%d" !battery_ok reps;
+              Vod.Table.fmt_float ~decimals:1
+                (float_of_int !unserved /. float_of_int reps);
+              (if !battery_ok = reps && !unserved = 0 then "ok" else "NO");
+            ]
+        end
+      done;
+      Vod.Table.print
+        ~title:
+          (Printf.sprintf
+             "Threshold sweep: m = n = %d, c = %d, k = %d (%d reps, %d jobs, %s)"
+             n c k reps jobs Vod.Par.backend)
+        tbl;
+      (* Merge the per-task registries into one aggregate view. *)
+      let merged = Vod.Obs.Registry.create () in
+      Array.iter (fun (_, reg) -> Vod.Obs.Registry.absorb ~into:merged reg) results;
+      let v name =
+        Vod.Obs.Registry.counter_value (Vod.Obs.Registry.counter merged name)
+      in
+      Printf.printf
+        "obs: %d replications, %d served, %d unserved, %d battery failures, peak \
+         active %d\n"
+        (v "sweep.replications") (v "sweep.served") (v "sweep.unserved")
+        (v "sweep.battery_failures")
+        (Vod.Obs.Registry.gauge_value
+           (Vod.Obs.Registry.gauge merged "sweep.peak_active"));
+      `Ok ()
   in
   let lo_arg = Arg.(value & opt float 0.5 & info [ "from" ] ~docv:"LO" ~doc:"Lowest u.") in
   let hi_arg = Arg.(value & opt float 3.0 & info [ "to" ] ~docv:"HI" ~doc:"Highest u.") in
@@ -943,6 +943,7 @@ let serve_cmd =
       slo_out obs_out obs_summary =
     if replications < 1 then `Error (false, "need at least 1 replication")
     else
+      guarded @@ fun () ->
       let obs = obs_of obs_out obs_summary in
       let ( let* ) = Result.bind in
       let result =
@@ -953,10 +954,7 @@ let serve_cmd =
         in
         let* arrivals = Serve.arrivals_of_name arrivals in
         let* shed_policy = Serve.shed_policy_of_name policy in
-        let* config =
-          try Ok (Serve.config ?queue_cap ?retry_budget ~shed_policy ())
-          with Invalid_argument e -> Error e
-        in
+        let config = Serve.config ?queue_cap ?retry_budget ~shed_policy () in
         let scenario = with_seed seed scenario in
         replicate obs ~jobs ~replications scenario ~run:(fun ~seed ->
             Serve.run ?rounds ~seed ~config ~arrivals scenario)
@@ -1330,47 +1328,44 @@ let top_cmd =
                        ~slos:!last_slos
                        ~footer:(!last_footer @ [ verdict ]));
                   `Ok ()))
-      | None -> (
+      | None ->
           (* simulate mode: drive the engine like `simulate`, with the
              default rejection/startup SLO panel *)
-          try
-            let sim =
-              Vod.System.engine
-                (Vod.System.homogeneous ~seed ~scheme ?m ~n ~u ~d ~c:(stripes ~u ~mu c)
-                   ~k ~mu ~duration ())
-            in
-            let tele = Vod.Telemetry.create ~slos:(Vod.Telemetry.default_slos ()) () in
-            let title = Printf.sprintf "vodctl top — simulate n=%d" n in
-            let series_list = Vod.Telemetry.series_names in
-            Vod.Engine.set_round_sink sim
-              (Some
-                 (fun report ->
-                   Vod.Telemetry.observe tele sim report;
-                   let round = report.Vod.Engine.time in
-                   if round mod interval = 0 then
-                     draw ~final:false
-                       (render ~title ~round ~total:rounds
-                          ~ts:(Vod.Telemetry.timeseries tele) ~series_list
-                          ~slos:(Vod.Telemetry.slos tele) ~footer:[])));
-            let reports =
-              Vod.Engine.run sim ~rounds ~demands_for:(arrivals ~seed ~rate workload)
-            in
-            let total_unserved =
-              List.fold_left (fun acc r -> acc + r.Vod.Engine.unserved) 0 reports
-            in
-            draw ~final:true
-              (render ~title ~round:rounds ~total:rounds
-                 ~ts:(Vod.Telemetry.timeseries tele) ~series_list
-                 ~slos:(Vod.Telemetry.slos tele)
-                 ~footer:
-                   [
-                     (if total_unserved = 0 then "verdict: every request served on time"
-                      else Printf.sprintf "verdict: %d requests went unserved" total_unserved);
-                   ]);
-            `Ok ()
-          with
-          | Invalid_argument e -> `Error (false, e)
-          | Failure e -> `Error (false, e))
+          guarded @@ fun () ->
+          let sim =
+            Vod.System.engine
+              (Vod.System.homogeneous ~seed ~scheme ?m ~n ~u ~d ~c:(stripes ~u ~mu c)
+                 ~k ~mu ~duration ())
+          in
+          let tele = Vod.Telemetry.create ~slos:(Vod.Telemetry.default_slos ()) () in
+          let title = Printf.sprintf "vodctl top — simulate n=%d" n in
+          let series_list = Vod.Telemetry.series_names in
+          Vod.Engine.set_round_sink sim
+            (Some
+               (fun report ->
+                 Vod.Telemetry.observe tele sim report;
+                 let round = report.Vod.Engine.time in
+                 if round mod interval = 0 then
+                   draw ~final:false
+                     (render ~title ~round ~total:rounds
+                        ~ts:(Vod.Telemetry.timeseries tele) ~series_list
+                        ~slos:(Vod.Telemetry.slos tele) ~footer:[])));
+          let reports =
+            Vod.Engine.run sim ~rounds ~demands_for:(arrivals ~seed ~rate workload)
+          in
+          let total_unserved =
+            List.fold_left (fun acc r -> acc + r.Vod.Engine.unserved) 0 reports
+          in
+          draw ~final:true
+            (render ~title ~round:rounds ~total:rounds
+               ~ts:(Vod.Telemetry.timeseries tele) ~series_list
+               ~slos:(Vod.Telemetry.slos tele)
+               ~footer:
+                 [
+                   (if total_unserved = 0 then "verdict: every request served on time"
+                    else Printf.sprintf "verdict: %d requests went unserved" total_unserved);
+                 ]);
+          `Ok ()
     end
   in
   let scenario_arg =
@@ -1406,45 +1401,44 @@ let top_cmd =
 
 let proto_cmd =
   let run n u d c k mu duration rounds seed rate =
-    try
-      let { Vod.System.params; fleet; alloc; _ } =
-        Vod.System.homogeneous ~seed ~n ~u ~d ~c:(stripes ~u ~mu c) ~k ~mu ~duration ()
-      in
-      let p = Vod.Protocol.create { Vod.Protocol.params; fleet; alloc } in
-      let g = Vod.Prng.create ~seed:(seed + 3) () in
-      let m = Vod.Catalog.videos (Vod.Allocation.catalog alloc) in
-      let issued = ref 0 in
-      for round = 1 to rounds do
-        if round <= rounds / 2 then begin
-          let arrivals = Vod.Sample.poisson g rate in
-          for _ = 1 to arrivals do
-            let b = Vod.Prng.int g n in
-            if Vod.Protocol.is_idle p b then begin
-              Vod.Protocol.demand p ~box:b ~video:(Vod.Prng.int g m);
-              incr issued
-            end
-          done
-        end;
-        Vod.Protocol.step p
-      done;
-      Printf.printf "demands issued: %d, completed: %d, in flight/stuck: %d\n" !issued
-        (Vod.Protocol.completed_demands p)
-        (Vod.Protocol.stalled_demands p);
-      let delays = Vod.Protocol.startup_delays p in
-      if Array.length delays > 0 then begin
-        let f = Array.map float_of_int delays in
-        Printf.printf "start-up: mean %.1f rounds, p95 %.0f\n" (Vod.Stats.mean f)
-          (Vod.Stats.percentile f 95.0)
+    guarded @@ fun () ->
+    let { Vod.System.params; fleet; alloc; _ } =
+      Vod.System.homogeneous ~seed ~n ~u ~d ~c:(stripes ~u ~mu c) ~k ~mu ~duration ()
+    in
+    let p = Vod.Protocol.create { Vod.Protocol.params; fleet; alloc } in
+    let g = Vod.Prng.create ~seed:(seed + 3) () in
+    let m = Vod.Catalog.videos (Vod.Allocation.catalog alloc) in
+    let issued = ref 0 in
+    for round = 1 to rounds do
+      if round <= rounds / 2 then begin
+        let arrivals = Vod.Sample.poisson g rate in
+        for _ = 1 to arrivals do
+          let b = Vod.Prng.int g n in
+          if Vod.Protocol.is_idle p b then begin
+            Vod.Protocol.demand p ~box:b ~video:(Vod.Prng.int g m);
+            incr issued
+          end
+        done
       end;
-      let s = Vod.Protocol.message_stats p in
-      Printf.printf
-        "messages: counter %d, lookup %d, negotiation %d, registration %d, chunks %d\n"
-        s.Vod.Protocol.counter s.Vod.Protocol.lookup s.Vod.Protocol.negotiation
-        s.Vod.Protocol.registrations s.Vod.Protocol.chunks;
-      Printf.printf "control messages per demand: %.1f\n"
-        (Vod.Protocol.control_messages_per_demand p);
-      `Ok ()
-    with Invalid_argument e -> `Error (false, e)
+      Vod.Protocol.step p
+    done;
+    Printf.printf "demands issued: %d, completed: %d, in flight/stuck: %d\n" !issued
+      (Vod.Protocol.completed_demands p)
+      (Vod.Protocol.stalled_demands p);
+    let delays = Vod.Protocol.startup_delays p in
+    if Array.length delays > 0 then begin
+      let f = Array.map float_of_int delays in
+      Printf.printf "start-up: mean %.1f rounds, p95 %.0f\n" (Vod.Stats.mean f)
+        (Vod.Stats.percentile f 95.0)
+    end;
+    let s = Vod.Protocol.message_stats p in
+    Printf.printf
+      "messages: counter %d, lookup %d, negotiation %d, registration %d, chunks %d\n"
+      s.Vod.Protocol.counter s.Vod.Protocol.lookup s.Vod.Protocol.negotiation
+      s.Vod.Protocol.registrations s.Vod.Protocol.chunks;
+    Printf.printf "control messages per demand: %.1f\n"
+      (Vod.Protocol.control_messages_per_demand p);
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "proto"

@@ -33,9 +33,8 @@ let of_bipartite b =
     n_left = B.n_left b;
     n_right = B.n_right b;
     right_cap = B.right_cap b;
-    (* B.adjacency is already sorted and deduplicated, but it hands back
-       its memoised arrays: copy so the snapshot owns its data *)
-    adj = Array.map Array.copy (Array.sub (B.adjacency b) 0 (B.n_left b));
+    (* fresh rows, already sorted and deduplicated *)
+    adj = B.adjacency b;
   }
 
 let to_bipartite t =

@@ -19,6 +19,7 @@ type t = {
   free_right : bitslab;
   frontier : bitslab;
   visited_right : bitslab;
+  mutable reached : int;
 }
 
 let slab () = { buf = [||] }
@@ -39,6 +40,7 @@ let create () =
     free_right = bitslab ();
     frontier = bitslab ();
     visited_right = bitslab ();
+    reached = 0;
   }
 
 let ints slab n =

@@ -39,6 +39,7 @@ type t = {
   free_right : bitslab;  (** rights with a free seat *)
   frontier : bitslab;  (** rights reached by the layer being expanded *)
   visited_right : bitslab;  (** rights absorbed by earlier layers *)
+  mutable reached : int;  (** lefts of the last BFS phase, at the head of [queue] *)
 }
 
 val create : unit -> t

@@ -1,16 +1,13 @@
 open Vod_util
 module F = Flow_network
 
-(* The instance is CSR-backed: [Csr.t] holds the edges and the
-   per-right capacities, and doubles as the reusable builder: [reset] +
+(* The instance is its [Csr.t]: it holds the edges and the per-right
+   capacities, and doubles as the reusable builder: [reset] +
    [add_edge] fill it through the pending list, and [rebuild] (the
-   engine's per-round path) writes its rows directly.
-   [dedup] memoises the sorted [int array array] view still consumed by
-   the legacy solver paths, certificates and min-cost/greedy solvers. *)
-type t = {
-  csr : Csr.t;
-  mutable dedup : int array array option; (* memoised sorted adjacency rows *)
-}
+   engine's per-round path) writes its rows directly.  Every solver
+   reads the finalized CSR rows; only the slot Hopcroft-Karp oracle
+   and snapshots take the [int array array] view, built on demand. *)
+type t = Csr.t
 
 let validate_shape ~who ~n_left ~n_right ~right_cap =
   if n_left < 0 || n_right < 0 then invalid_arg (who ^ ": negative size");
@@ -19,49 +16,39 @@ let validate_shape ~who ~n_left ~n_right ~right_cap =
 
 let create ~n_left ~n_right ~right_cap =
   validate_shape ~who:"Bipartite.create" ~n_left ~n_right ~right_cap;
-  let csr = Csr.create () in
-  Csr.reset csr ~n_left ~n_right;
-  Csr.set_right_caps csr right_cap;
-  { csr; dedup = None }
+  let t = Csr.create () in
+  Csr.reset t ~n_left ~n_right;
+  Csr.set_right_caps t right_cap;
+  t
 
 let reset t ~n_left ~n_right ~right_cap =
   validate_shape ~who:"Bipartite.reset" ~n_left ~n_right ~right_cap;
-  Csr.reset t.csr ~n_left ~n_right;
-  Csr.set_right_caps t.csr right_cap;
-  t.dedup <- None
+  Csr.reset t ~n_left ~n_right;
+  Csr.set_right_caps t right_cap
 
 let rebuild t ~n_left ~right_cap ~fill =
-  let n_right = Csr.n_right t.csr in
+  let n_right = Csr.n_right t in
   validate_shape ~who:"Bipartite.rebuild" ~n_left ~n_right ~right_cap;
-  Csr.set_right_caps t.csr right_cap;
-  Csr.rebuild_rows t.csr ~n_left ~fill;
-  t.dedup <- None
+  Csr.set_right_caps t right_cap;
+  Csr.rebuild_rows t ~n_left ~fill
 
 let add_edge t ~left ~right =
-  if left < 0 || left >= Csr.n_left t.csr then
+  if left < 0 || left >= Csr.n_left t then
     invalid_arg "Bipartite.add_edge: left out of range";
-  if right < 0 || right >= Csr.n_right t.csr then
+  if right < 0 || right >= Csr.n_right t then
     invalid_arg "Bipartite.add_edge: right out of range";
-  Csr.add_edge t.csr ~left ~right;
-  t.dedup <- None
+  Csr.add_edge t ~left ~right
 
-let n_left t = Csr.n_left t.csr
-let n_right t = Csr.n_right t.csr
-let right_cap t = Array.sub (Csr.right_cap_array t.csr) 0 (Csr.n_right t.csr)
+let n_left = Csr.n_left
+let n_right = Csr.n_right
+let right_cap t = Array.sub (Csr.right_cap_array t) 0 (Csr.n_right t)
 
 let csr t =
-  Csr.finalize t.csr;
-  t.csr
+  Csr.finalize t;
+  t
 
-let adjacency t =
-  match t.dedup with
-  | Some a -> a
-  | None ->
-      let a = Csr.to_adjacency t.csr in
-      t.dedup <- Some a;
-      a
-
-let degree t l = Csr.degree t.csr l
+let adjacency = Csr.to_adjacency
+let degree = Csr.degree
 
 type outcome = { matched : int; assignment : int array; right_load : int array }
 
@@ -78,8 +65,27 @@ let solve ?arena t =
   let arena = match arena with Some a -> a | None -> Arena.create () in
   outcome_of_arena t arena (solve_in_arena ~arena t)
 
+(* The matching a flow leaves on the request -> box arcs, where
+   [arc.(e)] is the arc of CSR edge [e] and [flow] reads its flow. *)
+let outcome_of_arcs t ~flow arc =
+  let row_start = Csr.row_start t and col = Csr.col t in
+  let assignment = Array.make (n_left t) (-1) in
+  let right_load = Array.make (n_right t) 0 in
+  let matched = ref 0 in
+  for l = 0 to n_left t - 1 do
+    for e = row_start.(l) to row_start.(l + 1) - 1 do
+      if flow arc.(e) > 0 then begin
+        let r = col.(e) in
+        assignment.(l) <- r;
+        right_load.(r) <- right_load.(r) + 1;
+        incr matched
+      end
+    done
+  done;
+  { matched = !matched; assignment; right_load }
+
 (* ------------------------------------------------------------------ *)
-(* Legacy adj-array solver paths                                       *)
+(* Legacy solver paths                                                 *)
 (*                                                                     *)
 (* The historical implementations — an explicit [Flow_network] for the *)
 (* flow algorithms and slot expansion for Hopcroft-Karp — are kept as  *)
@@ -89,66 +95,44 @@ let solve ?arena t =
 (* ------------------------------------------------------------------ *)
 
 (* Flow-network encoding of Lemma 1: source 0 -> request [1 + l]
-   (cap 1), request -> box [1 + n_left + r] (cap [middle_cap]), box ->
-   sink (cap = upload slots).  Returns the network, its sink and the
-   request -> box arc of each adjacency cell. *)
-let build_network ~middle_cap t =
+   (cap 1), request -> box [1 + n_left + r] (cap 1), box -> sink
+   (cap = upload slots).  Returns the network, its sink and the
+   request -> box arc of each CSR edge. *)
+let build_network t =
   let nl = n_left t and nr = n_right t in
   let right_base = 1 + nl in
   let sink = 1 + nl + nr in
-  let right_cap = Csr.right_cap_array t.csr in
-  let adj = adjacency t in
-  let arc_hint =
-    (* src arcs + middle arcs + sink arcs, two arc cells each *)
-    2 * (nl + Csr.n_edges t.csr + nr)
-  in
-  let net = F.create ~arc_hint (sink + 1) in
+  let row_start = Csr.row_start t and col = Csr.col t in
+  let right_cap = Csr.right_cap_array t in
+  let m = Csr.n_edges t in
+  (* src arcs + middle arcs + sink arcs, two arc cells each *)
+  let net = F.create ~arc_hint:(2 * (nl + m + nr)) (sink + 1) in
   for l = 0 to nl - 1 do
     ignore (F.add_edge net ~src:0 ~dst:(1 + l) ~cap:1)
   done;
-  let middle =
-    Array.mapi
-      (fun l row ->
-        Array.map
-          (fun r -> F.add_edge net ~src:(1 + l) ~dst:(right_base + r) ~cap:middle_cap)
-          row)
-      adj
-  in
+  let middle = Array.make m 0 in
+  for l = 0 to nl - 1 do
+    for e = row_start.(l) to row_start.(l + 1) - 1 do
+      middle.(e) <- F.add_edge net ~src:(1 + l) ~dst:(right_base + col.(e)) ~cap:1
+    done
+  done;
   for r = 0 to nr - 1 do
     ignore (F.add_edge net ~src:(right_base + r) ~dst:sink ~cap:right_cap.(r))
   done;
   (net, sink, middle)
-
-let outcome_of_flow t net middle =
-  let adj = adjacency t in
-  let assignment = Array.make (n_left t) (-1) in
-  let right_load = Array.make (n_right t) 0 in
-  let matched = ref 0 in
-  for l = 0 to n_left t - 1 do
-    Array.iteri
-      (fun i a ->
-        if F.flow net a > 0 then begin
-          let r = adj.(l).(i) in
-          assignment.(l) <- r;
-          right_load.(r) <- right_load.(r) + 1;
-          incr matched
-        end)
-      middle.(l)
-  done;
-  { matched = !matched; assignment; right_load }
 
 type algorithm = Dinic_flow | Push_relabel_flow | Hopcroft_karp_matching
 
 let solve_legacy ~algorithm t =
   match algorithm with
   | Dinic_flow ->
-      let net, sink, middle = build_network ~middle_cap:1 t in
+      let net, sink, middle = build_network t in
       let (_ : int) = Dinic.max_flow net ~src:0 ~sink in
-      outcome_of_flow t net middle
+      outcome_of_arcs t ~flow:(F.flow net) middle
   | Push_relabel_flow ->
-      let net, sink, middle = build_network ~middle_cap:1 t in
+      let net, sink, middle = build_network t in
       let (_ : int) = Push_relabel.max_flow net ~src:0 ~sink in
-      outcome_of_flow t net middle
+      outcome_of_arcs t ~flow:(F.flow net) middle
   | Hopcroft_karp_matching ->
       let r =
         Hopcroft_karp.solve_slots ~n_left:(n_left t) ~n_right:(n_right t)
@@ -159,53 +143,41 @@ let solve_legacy ~algorithm t =
       { matched = r.Hopcroft_karp.size; assignment = r.assignment; right_load = r.right_load }
 
 let solve_min_cost t ~edge_cost =
+  let nl = n_left t and nr = n_right t in
   let src = 0 in
   let left_base = 1 in
-  let right_base = 1 + n_left t in
-  let sink = 1 + n_left t + n_right t in
-  let right_cap = Csr.right_cap_array t.csr in
+  let right_base = 1 + nl in
+  let sink = 1 + nl + nr in
+  let row_start = Csr.row_start t and col = Csr.col t in
+  let right_cap = Csr.right_cap_array t in
   let net = Min_cost_flow.create (sink + 1) in
-  let adj = adjacency t in
-  for l = 0 to n_left t - 1 do
+  for l = 0 to nl - 1 do
     ignore (Min_cost_flow.add_edge net ~src ~dst:(left_base + l) ~cap:1 ~cost:0)
   done;
-  let middle = Array.make (max (n_left t) 1) [||] in
-  for l = 0 to n_left t - 1 do
-    middle.(l) <-
-      Array.map
-        (fun r ->
-          Min_cost_flow.add_edge net ~src:(left_base + l) ~dst:(right_base + r) ~cap:1
-            ~cost:(edge_cost ~left:l ~right:r))
-        adj.(l)
+  let middle = Array.make (Csr.n_edges t) 0 in
+  for l = 0 to nl - 1 do
+    for e = row_start.(l) to row_start.(l + 1) - 1 do
+      let r = col.(e) in
+      middle.(e) <-
+        Min_cost_flow.add_edge net ~src:(left_base + l) ~dst:(right_base + r) ~cap:1
+          ~cost:(edge_cost ~left:l ~right:r)
+    done
   done;
-  for r = 0 to n_right t - 1 do
+  for r = 0 to nr - 1 do
     ignore
       (Min_cost_flow.add_edge net ~src:(right_base + r) ~dst:sink ~cap:right_cap.(r)
          ~cost:0)
   done;
   let _value, _cost = Min_cost_flow.solve net ~src ~sink in
-  let assignment = Array.make (n_left t) (-1) in
-  let right_load = Array.make (n_right t) 0 in
-  let matched = ref 0 in
-  for l = 0 to n_left t - 1 do
-    Array.iteri
-      (fun i a ->
-        if Min_cost_flow.flow net a > 0 then begin
-          let r = adj.(l).(i) in
-          assignment.(l) <- r;
-          right_load.(r) <- right_load.(r) + 1;
-          incr matched
-        end)
-      middle.(l)
-  done;
-  { matched = !matched; assignment; right_load }
+  outcome_of_arcs t ~flow:(Min_cost_flow.flow net) middle
 
 let solve_greedy ?(until_stable = false) ?warm_start ~rounds g t =
-  let adj = adjacency t in
-  let right_cap = Csr.right_cap_array t.csr in
+  let row_start = Csr.row_start t and col = Csr.col t in
+  let right_cap = Csr.right_cap_array t in
   let assignment = Array.make (n_left t) (-1) in
   let right_load = Array.make (n_right t) 0 in
   let matched = ref 0 in
+  let open_seat e = right_load.(col.(e)) < right_cap.(col.(e)) in
   (* persistent connections: re-seat requests on their previous server
      when it is still adjacent and has capacity *)
   (match warm_start with
@@ -218,7 +190,7 @@ let solve_greedy ?(until_stable = false) ?warm_start ~rounds g t =
           if
             r >= 0 && r < n_right t
             && right_load.(r) < right_cap.(r)
-            && Array.mem r adj.(l)
+            && Csr.mem t ~left:l ~right:r
           then begin
             assignment.(l) <- r;
             right_load.(r) <- right_load.(r) + 1;
@@ -237,15 +209,19 @@ let solve_greedy ?(until_stable = false) ?warm_start ~rounds g t =
       let proposals = Array.init (max (n_right t) 1) (fun _ -> Vec.create ()) in
       for l = 0 to n_left t - 1 do
         if assignment.(l) = -1 then begin
-          let open_candidates =
-            Array.to_list adj.(l)
-            |> List.filter (fun r -> right_load.(r) < right_cap.(r))
-          in
-          match open_candidates with
-          | [] -> ()
-          | candidates ->
-              let arr = Array.of_list candidates in
-              Vec.push proposals.(arr.(Vod_util.Prng.int g (Array.length arr))) l
+          let n_open = ref 0 in
+          for e = row_start.(l) to row_start.(l + 1) - 1 do
+            if open_seat e then incr n_open
+          done;
+          if !n_open > 0 then begin
+            (* the k-th open candidate of the row *)
+            let k = ref (Vod_util.Prng.int g !n_open) and e = ref row_start.(l) in
+            while not (open_seat !e && !k = 0) do
+              if open_seat !e then decr k;
+              incr e
+            done;
+            Vec.push proposals.(col.(!e)) l
+          end
         end
       done;
       (* 2. acceptance: each box takes a random subset up to capacity *)
@@ -270,28 +246,26 @@ let is_feasible t = (solve t).matched = n_left t
 
 type violator = { requests : int list; servers : int list; server_slots : int }
 
-(* Request -> box arcs are uncuttable, so the source side S of the
-   minimum cut is a request set X together with all of B(X), and the
-   cut's capacity is |requests outside X| + slots(B(X)).  Any maximum
-   flow leaves the same S reachable in its residual network (the
-   minimal minimum cut), so the certificate does not depend on which
-   augmenting paths the solver took. *)
-let hall_violator t =
-  let nl = n_left t in
-  let net, sink, _middle = build_network ~middle_cap:F.infinite_capacity t in
-  if Dinic.max_flow net ~src:0 ~sink = nl then None
+(* A solve that leaves a request free ends on a BFS phase that finds
+   no augmenting path; the arena keeps that phase's reach: the lefts it
+   levelled and the rights it visited, i.e. every vertex an alternating
+   path reaches from a free request.  Every right it visited is
+   saturated, and it holds every neighbour of those lefts, so the
+   lefts are a set X with slots(B(X)) = |X| - #free requests < |X|.
+   That closure is the minimal minimum cut's source side of the flow
+   network, the same whichever maximum matching the solver found. *)
+let hall_violator ?arena t =
+  let arena = match arena with Some a -> a | None -> Arena.create () in
+  if solve_in_arena ~arena t = n_left t then None
   else begin
-    let right_cap = Csr.right_cap_array t.csr in
-    let reachable = F.residual_reachable net ~src:0 in
-    let requests = ref [] and servers = ref [] and slots = ref 0 in
-    for l = nl - 1 downto 0 do
-      if Bitset.mem reachable (1 + l) then requests := l :: !requests
-    done;
-    for r = n_right t - 1 downto 0 do
-      if Bitset.mem reachable (1 + nl + r) then begin
-        servers := r :: !servers;
-        slots := !slots + right_cap.(r)
-      end
-    done;
-    Some { requests = !requests; servers = !servers; server_slots = !slots }
+    let requests = Arena.(Array.sub arena.queue.buf 0 arena.reached) in
+    Array.sort Int.compare requests;
+    let servers = Bitset.to_list Arena.(arena.visited_right.bits) in
+    let right_cap = Csr.right_cap_array t in
+    Some
+      {
+        requests = Array.to_list requests;
+        servers;
+        server_slots = List.fold_left (fun acc r -> acc + right_cap.(r)) 0 servers;
+      }
   end

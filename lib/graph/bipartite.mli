@@ -6,8 +6,8 @@
 
     Lemma 1 (min-cut max-flow / generalised Hall): a full matching exists
     iff every request subset [X] satisfies [slots(B(X)) >= |X|].  When no
-    full matching exists, {!hall_violator} extracts a violating set from
-    the minimum cut as an explicit infeasibility certificate. *)
+    full matching exists, {!hall_violator} reads a violating set off the
+    matching solve itself as an explicit infeasibility certificate. *)
 
 type t
 
@@ -45,12 +45,13 @@ val right_cap : t -> int array
 val csr : t -> Csr.t
 (** The instance's flat CSR representation, finalized (borrowed: owned
     by the instance, invalidated by {!reset}; mutating it directly is
-    not allowed).  This is what {!Dinic.solve_csr} traverses; exposed
-    so harnesses can call it without an adjacency materialisation. *)
+    not allowed).  This is what every solver here traverses; exposed
+    so harnesses can call {!Dinic.solve_csr} directly. *)
 
 val adjacency : t -> int array array
-(** Left-to-right adjacency, sorted per row with duplicates removed
-    (memoised; allocated on first use — the legacy/certificate view). *)
+(** Left-to-right adjacency, sorted per row with duplicates removed —
+    a fresh copy of the CSR rows ({!Csr.to_adjacency}) on every call,
+    for the slot Hopcroft–Karp oracle and instance snapshots. *)
 
 val degree : t -> int -> int
 (** Number of distinct boxes able to serve a request. *)
@@ -90,7 +91,8 @@ val solve_min_cost : t -> edge_cost:(left:int -> right:int -> int) -> outcome
     paths).  The matching size always equals {!solve}'s; among all
     maximum matchings the one minimising the sum of [edge_cost] over
     used request-to-box connections is returned.  Used by the engine's
-    cache-preferring scheduler. *)
+    cost-aware schedulers.  [edge_cost] is called once per edge, row by
+    row in ascending box order. *)
 
 val solve_greedy :
   ?until_stable:bool ->
@@ -120,10 +122,14 @@ type violator = {
   server_slots : int;  (** Total upload slots of B(X), < |X|. *)
 }
 
-val hall_violator : t -> violator option
+val hall_violator : ?arena:Arena.t -> t -> violator option
 (** [None] when the instance is feasible; otherwise a certificate set
-    [X] with [slots(B(X)) < |X|], extracted from the min cut of one
-    maximum flow over uncuttable request-to-box arcs.  [X] is the
-    minimal minimum cut's request side: the requests reachable by
-    alternating paths from the requests any maximum matching leaves
-    unserved, whichever maximum matching that is. *)
+    [X] with [slots(B(X)) < |X|].  One {!solve_in_arena} (through
+    [arena] when given, like {!val:solve}), then a read of what the
+    arena keeps after a deficient solve (see {!Dinic.solve_csr}): the
+    lefts and rights the solve's last BFS phase reached.  [X] is the
+    requests reachable by alternating paths from the requests the
+    maximum matching leaves unserved, and [B(X)] the boxes those paths
+    reach — the minimal minimum cut's source side, the same whichever
+    maximum matching produced it.  Both lists are ascending.  The
+    arena's previous result is overwritten. *)

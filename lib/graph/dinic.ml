@@ -252,6 +252,7 @@ let solve_csr ~arena csr =
         end
       end
     done;
+    arena.Arena.reached <- !tail;
     !found
   in
   let rec dfs_left l =

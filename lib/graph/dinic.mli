@@ -19,4 +19,13 @@ val solve_csr : arena:Arena.t -> Csr.t -> int
     steady-state calls allocate nothing.  A greedy first-fit pass seeds
     the matching; the reverse-residual transpose and the BFS levels are
     built only when it leaves a request free, so a solve that greedy
-    saturates costs O(n_left + n_right + scanned edges). *)
+    saturates costs O(n_left + n_right + scanned edges).
+
+    After a deficient solve (one that leaves a left free) the arena also
+    keeps the reach of the last BFS phase, the one that found no
+    augmenting path: [Arena.queue] entries [0 .. reached - 1] are the
+    lefts it levelled, in visit order, and [Arena.visited_right] holds
+    the rights it visited.  Together they are the alternating closure
+    of the free lefts: a Hall violator, which
+    {!Bipartite.hall_violator} reads off.  After a solve that seats
+    every left they mean nothing. *)

@@ -12,8 +12,6 @@ type t = {
   original_cap : int Vec.t;
 }
 
-let infinite_capacity = max_int / 4
-
 let create ?(arc_hint = 0) n =
   if n < 0 then invalid_arg "Flow_network.create: negative node count";
   if arc_hint < 0 then invalid_arg "Flow_network.create: negative arc hint";
@@ -89,28 +87,6 @@ let fold_out_flow t v =
   (* incoming forward arcs show up as flow on our reverse arcs *)
   iter_arcs_from t v (fun a -> if a land 1 = 1 then acc := !acc + flow t a);
   !acc
-
-let residual_reachable t ~src =
-  let seen = Bitset.create t.n in
-  (* flat array queue: each vertex enters at most once, so [t.n] cells
-     bound the frontier — no boxed Queue cells on this hot audit path *)
-  let queue = Array.make (max t.n 1) 0 in
-  let head = ref 0 and tail = ref 0 in
-  Bitset.add seen src;
-  queue.(!tail) <- src;
-  incr tail;
-  while !head < !tail do
-    let v = queue.(!head) in
-    incr head;
-    iter_arcs_from t v (fun a ->
-        let w = arc_dst t a in
-        if residual t a > 0 && not (Bitset.unsafe_mem seen w) then begin
-          Bitset.unsafe_add seen w;
-          queue.(!tail) <- w;
-          incr tail
-        end)
-  done;
-  seen
 
 let check_conservation t ~src ~sink =
   let ok = ref true in

@@ -11,9 +11,6 @@ type t
 type arc = int
 (** Arc identifier, as returned by {!add_edge}. *)
 
-val infinite_capacity : int
-(** A capacity treated as unbounded ([max_int/4], safe against summing). *)
-
 val create : ?arc_hint:int -> int -> t
 (** [create n] is an empty network on nodes [0..n-1].  [arc_hint]
     pre-sizes the arc store (in arc cells, i.e. twice the edge count)
@@ -59,10 +56,6 @@ val iter_arcs_from : t -> int -> (arc -> unit) -> unit
 
 val fold_out_flow : t -> int -> int
 (** Net flow leaving a node (outgoing minus incoming on forward arcs). *)
-
-val residual_reachable : t -> src:int -> Vod_util.Bitset.t
-(** BFS over arcs with positive residual capacity; the source side of a
-    minimum cut once a maximum flow has been computed. *)
 
 val check_conservation : t -> src:int -> sink:int -> bool
 (** Flow conservation at every node except [src] and [sink], and

@@ -7,7 +7,6 @@ module Generators = Vod_workload.Generators
 module Export = Vod_obs.Export
 module Registry = Vod_obs.Registry
 module Slo = Vod_obs.Slo
-module Timeseries = Vod_obs.Timeseries
 
 let obs_arrivals = Registry.counter Registry.default "serve.arrivals"
 let obs_admitted = Registry.counter Registry.default "serve.admitted"
@@ -102,7 +101,6 @@ type arrivals =
   | Scenario_rate
   | Poisson of float
   | Zipf of { rate : float; s : float }
-  | Trace of (int * int * int) list
 
 let arrivals_of_name name =
   match String.split_on_char ':' name with
@@ -125,7 +123,6 @@ let arrivals_label = function
   | Scenario_rate -> "scenario"
   | Poisson r -> Printf.sprintf "poisson:%.4f" r
   | Zipf { rate; s } -> Printf.sprintf "zipf:%.4f:%.4f" rate s
-  | Trace _ -> "trace"
 
 type totals = {
   arrivals : int;
@@ -147,6 +144,10 @@ type totals = {
   max_queue : int;
   degraded_rounds : int;
 }
+
+(* The graceful-degradation contract: [verdict_ok] and the verdict
+   line's "ok". *)
+let totals_ok t = t.total_unserved = 0 && t.retries <= t.retry_budget * t.retry_sessions
 
 type outcome = {
   scenario : Scenario.t;
@@ -235,7 +236,6 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             if rate > 0.0 then
               Generators.zipf_arrivals (Prng.create ~seed:(seed + 7) ()) ~rate ~s:zs
             else Generators.nothing
-        | Trace script -> Generators.replay script
       in
       (* capacity model: online upload slots, a reserve for repair
          traffic plus the configured safety margin, and a projected cost
@@ -359,11 +359,6 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
       and r_interrupted = ref 0
       and r_expired = ref 0
       and r_completed = ref 0 in
-      let series = Timeseries.create () in
-      let ts_queue = Timeseries.series series "serve.queue"
-      and ts_live = Timeseries.series series "serve.live"
-      and ts_tokens = Timeseries.series series "serve.tokens"
-      and ts_headroom = Timeseries.series series "serve.headroom" in
       let buf = Buffer.create (rounds * 128) in
       let line fmt = Printf.ksprintf (fun str -> Buffer.add_string buf (str ^ "\n")) fmt in
       line
@@ -779,10 +774,6 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         Driver.observe slos report;
         let live = live_count () in
         let streaming = count Session.Streaming and retrying = count Session.Retrying in
-        Timeseries.push ts_queue (queue_length ());
-        Timeseries.push ts_live live;
-        Timeseries.push ts_tokens !tokens;
-        Timeseries.push ts_headroom (max 0 !headroom);
         line
           {|{"type":"round","t":%d,"state":"%s","arrivals":%d,"admitted":%d,"retried":%d,"queue":%d,"tokens":%d,"headroom":%d,"shortfall":%d,"live":%d,"streaming":%d,"retrying":%d,"interrupted":%d,"expired":%d,"shed":%d,"rejected":%d,"completed":%d,"served":%d,"unserved":%d,"offline":%d}|}
           time
@@ -819,16 +810,13 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
           degraded_rounds = !t_degraded;
         }
       in
-      let ok =
-        totals.total_unserved = 0 && totals.retries <= totals.retry_budget * totals.retry_sessions
-      in
       line
         {|{"type":"verdict","arrivals":%d,"flash":%d,"admitted":%d,"completed":%d,"shed":%d,"rejected":%d,"retries":%d,"retry_sessions":%d,"retry_budget":%d,"interrupted":%d,"expired":%d,"overflow_shed":%d,"overload_shed":%d,"helpers_drafted":%d,"stalled_rounds":%d,"total_unserved":%d,"max_queue":%d,"degraded_rounds":%d,"live_at_end":%d,"ok":%b}|}
         totals.arrivals totals.flash_arrivals totals.admitted totals.completed totals.shed
         totals.rejected totals.retries totals.retry_sessions totals.retry_budget
         totals.interrupted totals.expired totals.overflow_shed totals.overload_shed
         totals.helpers_drafted totals.stalled_rounds totals.total_unserved totals.max_queue
-        totals.degraded_rounds live_at_end ok;
+        totals.degraded_rounds live_at_end (totals_ok totals);
       let slo, slo_jsonl = Driver.finish slos in
       Ok
         {
@@ -847,8 +835,6 @@ let run_many ?rounds ?jobs ?config ?arrivals ~replications s =
     ~run:(fun ~rep:_ ~seed -> run ?rounds ~seed ?config ?arrivals s)
     s
 
-let verdict_ok o =
-  o.totals.total_unserved = 0
-  && o.totals.retries <= o.totals.retry_budget * o.totals.retry_sessions
+let verdict_ok o = totals_ok o.totals
 
 let slo_breached o = List.exists (fun su -> su.Slo.su_final = Slo.Breach) o.slo

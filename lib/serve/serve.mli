@@ -99,11 +99,10 @@ type arrivals =
   | Scenario_rate  (** Poisson at the scenario's [rate] (uniform videos). *)
   | Poisson of float  (** Poisson at the given rate (uniform videos). *)
   | Zipf of { rate : float; s : float }  (** Poisson arrivals, Zipf titles. *)
-  | Trace of (int * int * int) list  (** Replay [(round, box, video)]. *)
 
 val arrivals_of_name : string -> (arrivals, string) result
 (** ["scenario"], ["poisson:R"], ["zipf:R:S"] — the [--arrivals]
-    syntax ([Trace] comes from a file, not a name). *)
+    syntax. *)
 
 type totals = {
   arrivals : int;  (** Distinct sessions created (flash included). *)

@@ -938,8 +938,10 @@ let step t =
       end
       else if busy_until.(b) > time || pending_box.(b) then incr busy
     done;
+    (* re-solves in the arena: [assignment] and [right_load] are not
+       read below this point *)
     if matched < n_left then
-      t.last_violator <- Vod_graph.Bipartite.hall_violator instance;
+      t.last_violator <- Vod_graph.Bipartite.hall_violator ~arena:t.arena instance;
     {
       time;
       new_demands;

@@ -533,21 +533,25 @@ let test_json_reader_union () =
       ()
   | _ -> Alcotest.fail "unexpected parse"
 
-(* bench/compare.exe on [base] and a [current] holding [text]:
-   (exit status, stderr). *)
-let compare_exe ~base text =
-  let cur = Filename.temp_file "bench" ".json" in
+(* bench/compare.exe on the paths [base] and [cur]: (exit status, stderr). *)
+let compare_paths ~base cur =
   let err = Filename.temp_file "bench" ".err" in
-  Out_channel.with_open_bin cur (fun oc -> Out_channel.output_string oc text);
   let code =
     Sys.command
       (Printf.sprintf "../bench/compare.exe %s %s >/dev/null 2>%s" (Filename.quote base)
          (Filename.quote cur) (Filename.quote err))
   in
   let stderr = In_channel.with_open_bin err In_channel.input_all in
-  Sys.remove cur;
   Sys.remove err;
   (code, stderr)
+
+(* bench/compare.exe on [base] and a [current] holding [text]. *)
+let compare_exe ~base text =
+  let cur = Filename.temp_file "bench" ".json" in
+  Out_channel.with_open_bin cur (fun oc -> Out_channel.output_string oc text);
+  let result = compare_paths ~base cur in
+  Sys.remove cur;
+  result
 
 let test_compare_rejects_malformed () =
   let doc =
@@ -580,6 +584,14 @@ let test_compare_rejects_malformed () =
         (String.starts_with ~prefix:"compare: " stderr
         && List.length (String.split_on_char '\n' (String.trim stderr)) = 1))
     bad;
+  (* an unreadable path (a directory) is named in the message *)
+  let dir = Filename.get_temp_dir_name () in
+  let code, stderr = compare_paths ~base dir in
+  Alcotest.(check int) "directory: exit 2" 2 code;
+  Alcotest.(check bool)
+    "directory: one compare: message naming it" true
+    (String.starts_with ~prefix:("compare: " ^ dir ^ ": ") stderr
+    && List.length (String.split_on_char '\n' (String.trim stderr)) = 1);
   Sys.remove base
 
 (* ------------------------------------------------------------------ *)

@@ -69,6 +69,29 @@ let test_save_writes_both_files () =
       checkb "alloc loads" true (Result.is_ok (Vod.Codec.load ~path:alloc_path));
       checkb "fleet loads" true (Result.is_ok (Vod.Codec.load_fleet ~path:fleet_path)))
 
+(* A build the library cannot make ([Schemes.random_independent] finds
+   no box for a replica at the defaults) is a one-line cmdliner error
+   (exit 124) from the commands that build a system, not an uncaught
+   exception (exit 125). *)
+let test_cli_build_failure_is_clean () =
+  List.iter
+    (fun cmd ->
+      let err = Filename.temp_file "vodctl" ".err" in
+      let code =
+        Sys.command
+          (Printf.sprintf "../bin/vodctl.exe %s --scheme independent >/dev/null 2>%s" cmd
+             (Filename.quote err))
+      in
+      let stderr = In_channel.with_open_bin err In_channel.input_all in
+      Sys.remove err;
+      checki (cmd ^ ": exit 124") 124 code;
+      checkb
+        (cmd ^ ": one vodctl: line naming the failure")
+        true
+        (String.starts_with ~prefix:"vodctl: Schemes.random_independent" stderr
+        && List.length (String.split_on_char '\n' (String.trim stderr)) = 1))
+    [ "allocate"; "attack" ]
+
 let suites =
   [
     ( "core.system",
@@ -80,5 +103,7 @@ let suites =
         Alcotest.test_case "heterogeneous compensation" `Quick test_heterogeneous_builds_compensation;
         Alcotest.test_case "uncompensable rejected" `Quick test_heterogeneous_uncompensable_fails;
         Alcotest.test_case "save writes both files" `Quick test_save_writes_both_files;
+        Alcotest.test_case "cli build failure is a clean error" `Quick
+          test_cli_build_failure_is_clean;
       ] );
   ]
