@@ -511,6 +511,32 @@ let test_telemetry_attach () =
   checki "telemetry never perturbs the run" total_served
     (Ts.window_sum (Telemetry.series tele2 "served") ~window:100)
 
+(* Byte-pins of [vodctl top]'s non-tty output (the final frame only):
+   simulate mode with its default SLO panel, and chaos mode on a
+   helper-churn scenario with its KPI SLOs and repair footer.
+   Regenerate with
+     dune exec bin/vodctl.exe -- top -n 512 --rounds 60 > test/top_simulate_golden.txt
+     dune exec bin/vodctl.exe -- top examples/battery/helpers_churn.scn \
+       > test/top_helpers_churn_golden.txt *)
+let test_top_frames () =
+  List.iter
+    (fun (args, golden) ->
+      let out = Filename.temp_file "vodctl_top" ".txt" in
+      let code =
+        Sys.command
+          (Printf.sprintf "../bin/vodctl.exe top %s >%s" args (Filename.quote out))
+      in
+      let frame = In_channel.with_open_bin out In_channel.input_all in
+      Sys.remove out;
+      checki (args ^ ": exit 0") 0 code;
+      checks (args ^ ": frame matches " ^ golden)
+        (In_channel.with_open_bin golden In_channel.input_all)
+        frame)
+    [
+      ("-n 512 --rounds 60", "top_simulate_golden.txt");
+      ("../examples/battery/helpers_churn.scn", "top_helpers_churn_golden.txt");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* The shared JSON reader and the bench gate built on it               *)
 (* ------------------------------------------------------------------ *)
@@ -779,6 +805,7 @@ let suites =
         Alcotest.test_case "flame self clamped" `Quick test_flame_self_clamped;
         Alcotest.test_case "sparkline" `Quick test_sparkline;
         Alcotest.test_case "telemetry attach" `Quick test_telemetry_attach;
+        Alcotest.test_case "vodctl top frames" `Quick test_top_frames;
       ] );
     ( "obs.span",
       [
