@@ -73,11 +73,12 @@ bench-compare: bench-json
 	dune exec bench/compare.exe -- bench/BENCH_matching.baseline.json BENCH_matching.json --threshold $(COMPARE_THRESHOLD)
 
 # Telemetry-overhead gate: one seeded n=16384 engine point run with
-# the round sink off and then on (Timeseries rings + the default SLO
-# pair), emitted as two single-record bench files and diffed with
-# compare.exe.  The ns threshold bounds the telemetry overhead; the
-# exact matched_per_round gate fails if telemetry perturbed the run at
-# all (the round sink is observation-only by contract).
+# the round observer off and then on (the default rejection/startup SLO
+# pair through the feed chaos and serve run), emitted as two
+# single-record bench files and diffed with compare.exe.  The ns
+# threshold bounds the telemetry overhead; the exact matched_per_round
+# gate fails if telemetry perturbed the run at all (the observer is
+# observation-only by contract).
 obs-gate: build
 	dune exec bench/main.exe -- --obs-gate OBS
 	dune exec bench/compare.exe -- OBS_off.json OBS_on.json --threshold $(COMPARE_THRESHOLD)

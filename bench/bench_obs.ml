@@ -1,12 +1,13 @@
 (* Telemetry-overhead gate: the same engine-driven point run twice —
-   round sink off, then on (Timeseries rings + the default SLO pair) —
-   emitted as two single-record BENCH files under the SAME record name
-   so `bench/compare.exe BASE_off.json BASE_on.json` turns the existing
+   round observer off, then on (the default rejection/startup SLO pair
+   through the feed chaos and serve run) — emitted as two
+   single-record BENCH files under the SAME record name so
+   `bench/compare.exe BASE_off.json BASE_on.json` turns the existing
    regression gate into an overhead bound:
 
      - ns_per_round over the threshold  -> telemetry is too expensive;
      - matched_per_round drift          -> telemetry perturbed the run,
-       which the observation-only round-sink contract forbids (both
+       which the observation-only observer contract forbids (both
        variants share one seed, so served counts must be identical).
 
    The point matches the matching bench's largest size (n = 16384) so
@@ -22,36 +23,38 @@ let rounds = 40
 let reps = 3 (* best-of, same discipline as the matching bench *)
 
 (* One run; both variants share the workload seed so they process the
-   identical demand sequence.  Returns (ns total, served total). *)
+   identical demand sequence through the same loop, the one chaos and
+   serve run: demands, [Engine.step], then (on) the round observer.
+   Returns (ns total, served total, bytes allocated). *)
 let run_once ~telemetry =
   let sim =
     System.engine
       (System.homogeneous ~seed:5 ~m:256 ~n ~u:2.0 ~d:4.0 ~c:2 ~k:4 ~mu:1.5
          ~duration:15 ())
   in
-  let tele =
-    if telemetry then begin
-      let t = Telemetry.create ~slos:(Telemetry.default_slos ()) () in
-      Telemetry.attach t sim;
-      Some t
-    end
-    else None
+  let slos =
+    Telemetry.create sim
+      [
+        ("rejection", 0.05, Telemetry.Counts Telemetry.rejection);
+        ("startup", 0.05, Telemetry.Startup_over 3.0);
+      ]
   in
   let wg = Prng.create ~seed:9 () in
   let gen = Generators.zipf_arrivals wg ~rate:400.0 ~s:0.9 in
+  let served = ref 0 in
   let b0 = Gc.allocated_bytes () in
   let t0 = Obs.Clock.now_ns () in
-  let reports = Engine.run sim ~rounds ~demands_for:gen in
+  for time = 1 to rounds do
+    List.iter
+      (fun (box, video) -> ignore (Engine.try_demand sim ~box ~video : Engine.admit))
+      (gen sim time);
+    let report = Engine.step sim in
+    if telemetry then Telemetry.observe slos report;
+    served := !served + report.Engine.served
+  done;
   let ns = float_of_int (Obs.Clock.now_ns () - t0) in
   let bytes = Gc.allocated_bytes () -. b0 in
-  let served = List.fold_left (fun acc r -> acc + r.Engine.served) 0 reports in
-  (match tele with
-  | Some t when Telemetry.rounds t <> rounds ->
-      Printf.eprintf "obs-gate: sink saw %d rounds, expected %d\n" (Telemetry.rounds t)
-        rounds;
-      exit 2
-  | _ -> ());
-  (ns, served, bytes)
+  (ns, !served, bytes)
 
 let record ~telemetry =
   let best = ref infinity and served = ref (-1) and bytes = ref 0.0 in
@@ -83,8 +86,8 @@ let run_gate ~base =
   let off, served_off = record ~telemetry:false in
   let on, served_on = record ~telemetry:true in
   if served_off <> served_on then begin
-    (* the sink is observation-only; a diverging run is a correctness
-       bug, not an overhead question *)
+    (* the observer is observation-only; a diverging run is a
+       correctness bug, not an overhead question *)
     Printf.eprintf "obs-gate: telemetry perturbed the run (served %d vs %d)\n" served_off
       served_on;
     exit 2

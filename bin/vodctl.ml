@@ -1218,11 +1218,21 @@ let obs_report_cmd =
 (* ------------------------------------------------------------------ *)
 
 let top_cmd =
-  let module Ts = Vod.Obs.Timeseries in
   let module Slo = Vod.Obs.Slo in
   let spark_width = 48 in
   let stat_window = 100 in
-  let render ~title ~round ~total ~ts ~series_list ~slos ~footer =
+  (* each series keeps its last [stat_window] samples in a plain ring;
+     a draw recomputes last, mean, p95 and max over them exactly *)
+  let ring () = (Array.make stat_window 0, ref 0) in
+  let push (samples, pushed) v =
+    samples.(!pushed mod stat_window) <- v;
+    incr pushed
+  in
+  let recent (samples, pushed) k =
+    let k = min k (min !pushed stat_window) in
+    Array.init k (fun i -> samples.((!pushed - k + i) mod stat_window))
+  in
+  let render ~title ~round ~total ~rows ~slos ~footer =
     let b = Buffer.create 2048 in
     let rule = String.make 78 '-' ^ "\n" in
     Buffer.add_string b (Printf.sprintf "%s  round %d/%d\n" title round total);
@@ -1231,15 +1241,21 @@ let top_cmd =
       (Printf.sprintf "%-14s %7s  %10s  %8s  %7s  last %d rounds\n" "series" "last"
          "w100 mean" "w100 p95" "max" spark_width);
     List.iter
-      (fun name ->
-        let s = Ts.series ts name in
+      (fun (name, r) ->
+        let w = recent r stat_window in
+        let len = Array.length w in
+        let last, mean, p95 =
+          if len = 0 then (0, 0.0, 0.0)
+          else
+            ( w.(len - 1),
+              float_of_int (Array.fold_left ( + ) 0 w) /. float_of_int len,
+              Vod.Stats.percentile_nearest_rank (Array.map float_of_int w) 95.0 )
+        in
         Buffer.add_string b
-          (Printf.sprintf "%-14s %7d  %10.1f  %8.0f  %7d  %s\n" name (Ts.last s)
-             (Ts.window_mean s ~window:stat_window)
-             (Ts.window_percentile s ~window:stat_window 95.0)
-             (Ts.window_max s ~window:stat_window)
-             (Vod.Obs.Dash.sparkline (Ts.recent s spark_width))))
-      series_list;
+          (Printf.sprintf "%-14s %7d  %10.1f  %8.0f  %7d  %s\n" name last mean p95
+             (Array.fold_left max 0 w)
+             (Vod.Obs.Dash.sparkline (recent r spark_width))))
+      rows;
     if slos <> [] then begin
       Buffer.add_string b rule;
       List.iter
@@ -1279,9 +1295,11 @@ let top_cmd =
           match Vod.Fault.Scenario.load ~path with
           | Error e -> `Error (false, e)
           | Ok s -> (
-              let names = Vod.Telemetry.series_names @ [ "under"; "in_flight" ] in
-              let ts = Ts.create () in
-              List.iter (fun nm -> ignore (Ts.series ts nm)) names;
+              let rows =
+                List.map
+                  (fun nm -> (nm, ring ()))
+                  (Vod.Telemetry.series_names @ [ "under"; "in_flight" ])
+              in
               let total = s.Vod.Fault.Scenario.rounds in
               let title =
                 Printf.sprintf "vodctl top — chaos %s" s.Vod.Fault.Scenario.name
@@ -1289,13 +1307,13 @@ let top_cmd =
               let last_slos = ref [] and last_footer = ref [] in
               let on_round (tick : Vod.Fault.Chaos.tick) =
                 List.iter
-                  (fun nm ->
-                    Ts.push (Ts.series ts nm)
+                  (fun (nm, r) ->
+                    push r
                       (match nm with
                       | "under" -> tick.Vod.Fault.Chaos.t_under
                       | "in_flight" -> tick.Vod.Fault.Chaos.t_in_flight
                       | nm -> Vod.Telemetry.sample tick.Vod.Fault.Chaos.t_report nm))
-                  names;
+                  rows;
                 last_slos := tick.Vod.Fault.Chaos.t_slos;
                 last_footer :=
                   [
@@ -1308,7 +1326,7 @@ let top_cmd =
                 let round = tick.Vod.Fault.Chaos.t_report.Vod.Engine.time in
                 if round mod interval = 0 then
                   draw ~final:false
-                    (render ~title ~round ~total ~ts ~series_list:names ~slos:!last_slos
+                    (render ~title ~round ~total ~rows ~slos:!last_slos
                        ~footer:!last_footer)
               in
               match Vod.Fault.Chaos.run ~on_round s with
@@ -1324,46 +1342,51 @@ let top_cmd =
                       o.Vod.Fault.Chaos.total_unserved
                   in
                   draw ~final:true
-                    (render ~title ~round:total ~total ~ts ~series_list:names
-                       ~slos:!last_slos
+                    (render ~title ~round:total ~total ~rows ~slos:!last_slos
                        ~footer:(!last_footer @ [ verdict ]));
                   `Ok ()))
       | None ->
-          (* simulate mode: drive the engine like `simulate`, with the
-             default rejection/startup SLO panel *)
+          (* simulate mode: drive the engine like `simulate`, one round
+             at a time, with the default rejection/startup SLO panel *)
           guarded @@ fun () ->
           let sim =
             Vod.System.engine
               (Vod.System.homogeneous ~seed ~scheme ?m ~n ~u ~d ~c:(stripes ~u ~mu c)
                  ~k ~mu ~duration ())
           in
-          let tele = Vod.Telemetry.create ~slos:(Vod.Telemetry.default_slos ()) () in
+          let slos =
+            Vod.Telemetry.create sim
+              [
+                ("rejection", 0.05, Vod.Telemetry.Counts Vod.Telemetry.rejection);
+                ("startup", 0.05, Vod.Telemetry.Startup_over 3.0);
+              ]
+          in
+          let rows = List.map (fun nm -> (nm, ring ())) Vod.Telemetry.series_names in
           let title = Printf.sprintf "vodctl top — simulate n=%d" n in
-          let series_list = Vod.Telemetry.series_names in
-          Vod.Engine.set_round_sink sim
-            (Some
-               (fun report ->
-                 Vod.Telemetry.observe tele sim report;
-                 let round = report.Vod.Engine.time in
-                 if round mod interval = 0 then
-                   draw ~final:false
-                     (render ~title ~round ~total:rounds
-                        ~ts:(Vod.Telemetry.timeseries tele) ~series_list
-                        ~slos:(Vod.Telemetry.slos tele) ~footer:[])));
-          let reports =
-            Vod.Engine.run sim ~rounds ~demands_for:(arrivals ~seed ~rate workload)
+          let demands_for = arrivals ~seed ~rate workload in
+          let total_unserved = ref 0 in
+          let observe (report : Vod.Engine.round_report) =
+            Vod.Telemetry.observe slos report;
+            List.iter (fun (nm, r) -> push r (Vod.Telemetry.sample report nm)) rows;
+            total_unserved := !total_unserved + report.Vod.Engine.unserved;
+            let round = report.Vod.Engine.time in
+            if round mod interval = 0 then
+              draw ~final:false
+                (render ~title ~round ~total:rounds ~rows
+                   ~slos:(Vod.Telemetry.evaluators slos) ~footer:[])
           in
-          let total_unserved =
-            List.fold_left (fun acc r -> acc + r.Vod.Engine.unserved) 0 reports
-          in
+          for _ = 1 to rounds do
+            List.iter observe (Vod.Engine.run sim ~rounds:1 ~demands_for)
+          done;
           draw ~final:true
-            (render ~title ~round:rounds ~total:rounds
-               ~ts:(Vod.Telemetry.timeseries tele) ~series_list
-               ~slos:(Vod.Telemetry.slos tele)
+            (render ~title ~round:rounds ~total:rounds ~rows
+               ~slos:(Vod.Telemetry.evaluators slos)
                ~footer:
                  [
-                   (if total_unserved = 0 then "verdict: every request served on time"
-                    else Printf.sprintf "verdict: %d requests went unserved" total_unserved);
+                   (if !total_unserved = 0 then "verdict: every request served on time"
+                    else
+                      Printf.sprintf "verdict: %d requests went unserved"
+                        !total_unserved);
                  ]);
           `Ok ()
     end

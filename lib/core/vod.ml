@@ -80,14 +80,13 @@ module Battery = Vod_battery
 module Obs = Vod_obs
 (** The observability subsystem: metrics registry ([Obs.Registry]),
     span tracing ([Obs.Span]), JSONL export ([Obs.Export]), trace
-    loading/validation/summaries ([Obs.Report]), streaming per-round
-    time series ([Obs.Timeseries]), multi-window SLO burn rates
-    ([Obs.Slo]), collapsed-stack flamegraph folding ([Obs.Flame]) and
-    terminal dashboard primitives ([Obs.Dash]).  Solvers and the
+    loading/validation/summaries ([Obs.Report]), multi-window SLO burn
+    rates ([Obs.Slo]), collapsed-stack flamegraph folding ([Obs.Flame])
+    and terminal dashboard primitives ([Obs.Dash]).  Solvers and the
     engine record into [Obs.Registry.default]; span recording is off
-    until a recorder is installed with [Obs.Span.install]; the
-    streaming side is fed per round through [Telemetry] /
-    [Engine.set_round_sink]. *)
+    until a recorder is installed with [Obs.Span.install].  SLOs are
+    fed by the one per-round observer, [Telemetry], which every loop
+    that evaluates them calls after [Engine.step]. *)
 
 module Theorem1 = Vod_analysis.Theorem1
 module Theorem2 = Vod_analysis.Theorem2

@@ -1,5 +1,6 @@
 open Vod_util
 module Engine = Vod_sim.Engine
+module Telemetry = Vod_sim.Telemetry
 module Export = Vod_obs.Export
 module Registry = Vod_obs.Registry
 module Slo = Vod_obs.Slo
@@ -88,19 +89,20 @@ let validate = Driver.validate
    on the whole run, not per-round rates, so they stay KPI-only.  A
    budget of 0 (or an out-of-range one) has no meaningful burn rate —
    any bad event is an instant breach — and is likewise left to the
-   end-of-run KPI check ([Driver.slos] drops it). *)
-
-let rejection (r : Engine.round_report) = (r.unserved, r.served + r.unserved)
-let sourcing (r : Engine.round_report) = (r.served - r.served_from_cache, r.served)
+   end-of-run KPI check ([Telemetry.create] drops it). *)
 
 let slo_specs (s : Scenario.t) =
   let kpi = s.Scenario.kpi in
   List.filter_map Fun.id
     [
-      Option.map (fun r -> ("rejection", r, Driver.Counts rejection)) kpi.max_rejection;
-      Option.map (fun l -> ("startup", 0.05, Driver.Startup_over l)) kpi.max_startup_p95;
       Option.map
-        (fun sh -> ("sourcing", sh, Driver.Counts sourcing))
+        (fun r -> ("rejection", r, Telemetry.Counts Telemetry.rejection))
+        kpi.max_rejection;
+      Option.map
+        (fun l -> ("startup", 0.05, Telemetry.Startup_over l))
+        kpi.max_startup_p95;
+      Option.map
+        (fun sh -> ("sourcing", sh, Telemetry.Counts Telemetry.sourcing))
         kpi.max_sourcing_share;
     ]
 
@@ -132,7 +134,11 @@ let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
         {|{"type":"meta","version":"vod-chaos/1","scenario":"%s","config":"%s","seed":%d,"rounds":%d,"n":%d,"m":%d,"c":%d,"k":%d,"target_k":%d,"budget":%d,"transfer_rounds":%d}|}
         (Export.escape s.name) (Export.escape config.label) seed rounds d.Driver.n
         d.Driver.m s.c s.k s.target_k s.budget s.transfer_rounds;
-      let slos = Driver.slos d ~config:config.label (slo_specs s) in
+      let slos =
+        Telemetry.create
+          ~meta:(Driver.slo_meta d ~config:config.label)
+          engine (slo_specs s)
+      in
       let reports = ref [] in
       let full_replication_round = ref (-1) in
       let min_online = ref d.Driver.n in
@@ -161,7 +167,7 @@ let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
           under unrepairable
           (Engine.repair_in_flight engine)
           d.Driver.installs;
-        Driver.observe slos report;
+        Telemetry.observe slos report;
         match on_round with
         | None -> ()
         | Some f ->
@@ -172,7 +178,7 @@ let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
                 t_unrepairable = unrepairable;
                 t_in_flight = Engine.repair_in_flight engine;
                 t_installs = d.Driver.installs;
-                t_slos = Driver.evaluators slos;
+                t_slos = Telemetry.evaluators slos;
               }
       done;
       let mend = d.Driver.mend in
@@ -192,7 +198,7 @@ let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
         recovered !full_replication_round ttf stats.Mend.started stats.Mend.completed
         stats.Mend.aborted stats.Mend.retries stats.Mend.installed unrepairable !total_unserved
         !total_faulted !min_online rounds;
-      let slo, slo_jsonl = Driver.finish slos in
+      let slo, slo_jsonl = Telemetry.finish slos in
       Ok
         {
           scenario = s;

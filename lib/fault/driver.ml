@@ -184,87 +184,14 @@ let step ?(backlog = false) d =
       end);
   report
 
-(* The vod-slo/1 stream shares the runners' determinism contract: it
-   is built from engine reports and runner counters only, with
-   round-indexed windows and fixed-point floats, so it is
-   byte-identical at any --jobs. *)
-
-type slo_metric = Counts of (Engine.round_report -> int * int) | Startup_over of float
-
-type slos = {
-  slo_engine : Engine.t;
-  evs : (Slo.t * slo_metric) array;
-  states : Slo.state array;  (** Each SLO's state after the last round. *)
-  buf : Buffer.t;
-  mutable startups_seen : int;
-  mutable first : bool;
-}
-
-let slo_line b str =
-  Buffer.add_string b str;
-  Buffer.add_char b '\n'
-
-let slos d ~config specs =
-  let evs =
-    List.filter_map
-      (fun (name, target, metric) ->
-        if target > 0.0 && target <= 1.0 then
-          Some (Slo.create (Slo.spec ~name ~target ()), metric)
-        else None)
-      specs
-    |> Array.of_list
-  in
-  let buf = Buffer.create 512 in
-  let specs = Array.map (fun (ev, _) -> Slo.spec_json (Slo.spec_of ev)) evs in
-  slo_line buf
-    (Printf.sprintf
-       {|{"type":"meta","version":"vod-slo/1","scenario":"%s","config":"%s","seed":%d,"rounds":%d,"slos":[%s]}|}
-       (Vod_obs.Export.escape d.scenario.Scenario.name)
-       (Vod_obs.Export.escape config) d.seed d.rounds
-       (String.concat "," (Array.to_list specs)));
-  {
-    slo_engine = d.engine;
-    evs;
-    states = Array.map (fun (ev, _) -> Slo.state ev) evs;
-    buf;
-    startups_seen = 0;
-    first = true;
-  }
-
-let observe t (report : Engine.round_report) =
-  let engine = t.slo_engine in
-  let startup_count = Engine.startup_count engine in
-  Array.iter
-    (fun (ev, metric) ->
-      let bad, total =
-        match metric with
-        | Counts f -> f report
-        | Startup_over limit ->
-            let bad = ref 0 in
-            for i = t.startups_seen to startup_count - 1 do
-              if float_of_int (Engine.startup_delay engine i) > limit then incr bad
-            done;
-            (!bad, startup_count - t.startups_seen)
-      in
-      Slo.observe ev ~bad ~total)
-    t.evs;
-  t.startups_seen <- startup_count;
-  (* verdict lines on state transitions (and the first round) *)
-  Array.iteri
-    (fun i (ev, _) ->
-      let state = Slo.state ev in
-      if t.first || state <> t.states.(i) then
-        slo_line t.buf (Slo.verdict_json ev ~round:report.Engine.time);
-      t.states.(i) <- state)
-    t.evs;
-  t.first <- false
-
-let evaluators t = Array.to_list (Array.map fst t.evs)
-
-let finish t =
-  let summaries = List.map Slo.summary (evaluators t) in
-  List.iter (fun su -> slo_line t.buf (Slo.summary_line su)) summaries;
-  (summaries, Buffer.contents t.buf)
+(* The vod-slo/1 meta line; the rest of the stream is the one
+   per-round observer's ([Vod_sim.Telemetry]). *)
+let slo_meta d ~config specs =
+  Printf.sprintf
+    {|{"type":"meta","version":"vod-slo/1","scenario":"%s","config":"%s","seed":%d,"rounds":%d,"slos":[%s]}|}
+    (Vod_obs.Export.escape d.scenario.Scenario.name)
+    (Vod_obs.Export.escape config) d.seed d.rounds
+    (String.concat "," (List.map Slo.spec_json specs))
 
 let replicate ?jobs ~replications ~run (s : Scenario.t) =
   if replications < 1 then Error "replications must be >= 1"

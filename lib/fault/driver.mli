@@ -1,13 +1,14 @@
 (** The round driver {!Chaos} and the service layer ({!Vod_serve})
-    share: one system build, one fault step, one repair step, one
-    [vod-slo/1] writer and one replication fan-out.
+    share: one system build, one fault step, one repair step, the
+    [vod-slo/1] meta line and one replication fan-out.
 
     These are plain functions, not a hook framework.  Each runner keeps
     its own short round loop and its own round and verdict lines, and
     calls, per round: {!faults}, then whatever it adds (background
-    demand, or admission), then {!step}, then {!observe}.  Chaos is the
-    admit-everything runner; serve puts admission, backpressure and
-    recovery between {!faults} and {!step}. *)
+    demand, or admission), then {!step}, then the round observer
+    ({!Vod_sim.Telemetry.observe}).  Chaos is the admit-everything
+    runner; serve puts admission, backpressure and recovery between
+    {!faults} and {!step}. *)
 
 type t = private {
   scenario : Scenario.t;
@@ -71,34 +72,9 @@ val step : ?backlog:bool -> t -> Vod_sim.Engine.round_report
     [backlog] (default false) also [repairable] and [unrepairable]
     inside the second span. *)
 
-(** {2 The [vod-slo/1] stream} *)
-
-type slo_metric =
-  | Counts of (Vod_sim.Engine.round_report -> int * int)
-      (** [(bad, total)] for the round just run. *)
-  | Startup_over of float
-      (** Bad = the round's new startups slower than this many rounds,
-          total = the round's new startups. *)
-
-type slos
-
-val slos : t -> config:string -> (string * float * slo_metric) list -> slos
-(** Burn-rate SLOs on the default 100/1000-round windows, one per
-    [(name, target, metric)] whose target lies in (0, 1], in the given
-    order, and the stream's meta line.  A target of 0 (or an
-    out-of-range one) has no meaningful burn rate — any bad event is
-    an instant breach — and is left to the end-of-run KPI check. *)
-
-val observe : slos -> Vod_sim.Engine.round_report -> unit
-(** Feed the round to every SLO; write a verdict line for each SLO on
-    the first round and on every round its state changes. *)
-
-val evaluators : slos -> Vod_obs.Slo.t list
-(** The live evaluators, spec order. *)
-
-val finish : slos -> Vod_obs.Slo.summary list * string
-(** The burn summaries, and the whole stream with one [slo-summary]
-    line per SLO appended. *)
+val slo_meta : t -> config:string -> Vod_obs.Slo.spec list -> string
+(** The [vod-slo/1] meta line (scenario, config, seed, rounds and the
+    SLO specs): {!Vod_sim.Telemetry.create}'s [meta]. *)
 
 val replicate :
   ?jobs:int ->

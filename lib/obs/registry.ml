@@ -96,8 +96,7 @@ let merge ~into h =
 (* Nearest-rank percentile over the buckets: the bucket holding the
    target rank is found exactly; within it the value is estimated as the
    bucket midpoint, so the result is accurate to the log-scale
-   resolution (a factor of at most 1.5).  Shared with Timeseries, whose
-   sliding windows maintain the same bucket shape. *)
+   resolution (a factor of at most 1.5). *)
 let percentile_of_counts counts ~total p =
   if p < 0.0 || p > 100.0 then invalid_arg "Registry.percentile_of_counts: p outside [0,100]";
   if total = 0 then 0.0

@@ -66,9 +66,7 @@ val bucket_of : int -> int
 val percentile_of_counts : int array -> total:int -> float -> float
 (** The percentile estimator behind {!hist_percentile}, over a raw
     bucket-count array with [total] observations: nearest rank, bucket
-    midpoint.  {!Timeseries} reuses it for its sliding-window
-    histograms so windowed and whole-run percentiles agree by
-    construction.
+    midpoint.
     @raise Invalid_argument on [p] outside [0,100]. *)
 
 val absorb : into:t -> t -> unit

@@ -1,6 +1,7 @@
 open Vod_util
 open Vod_model
 module Engine = Vod_sim.Engine
+module Telemetry = Vod_sim.Telemetry
 module Scenario = Vod_fault.Scenario
 module Driver = Vod_fault.Driver
 module Generators = Vod_workload.Generators
@@ -175,12 +176,15 @@ let validate = Driver.validate
 
 let slo_specs (s : Scenario.t) ~admission =
   let kpi = s.Scenario.kpi in
-  let stall (r : Engine.round_report) = (r.unserved, r.served + r.unserved) in
   List.filter_map Fun.id
     [
-      Some ("stall", 0.01, Driver.Counts stall);
-      Option.map (fun r -> ("admission", r, Driver.Counts admission)) kpi.max_rejection;
-      Option.map (fun l -> ("startup", 0.05, Driver.Startup_over l)) kpi.max_startup_p95;
+      Some ("stall", 0.01, Telemetry.Counts Telemetry.rejection);
+      Option.map
+        (fun r -> ("admission", r, Telemetry.Counts admission))
+        kpi.max_rejection;
+      Option.map
+        (fun l -> ("startup", 0.05, Telemetry.Startup_over l))
+        kpi.max_startup_p95;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -371,7 +375,10 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         slots0 (reserve slots0) capacity_sessions
         (match nu with Some v -> Printf.sprintf "%.4f" v | None -> "null");
       let admission _ = (!r_shed + !r_rejected, !r_admitted + !r_shed + !r_rejected) in
-      let slos = Driver.slos d ~config:"serve" (slo_specs s ~admission) in
+      let slos =
+        Telemetry.create ~meta:(Driver.slo_meta d ~config:"serve") engine
+          (slo_specs s ~admission)
+      in
       (* ------------------------------------------------------------ *)
       (* session plumbing                                              *)
       (* ------------------------------------------------------------ *)
@@ -771,7 +778,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         end;
         t_unserved := !t_unserved + report.Engine.unserved;
         if queue_length () > !t_max_queue then t_max_queue := queue_length ();
-        Driver.observe slos report;
+        Telemetry.observe slos report;
         let live = live_count () in
         let streaming = count Session.Streaming and retrying = count Session.Retrying in
         line
@@ -817,7 +824,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         totals.interrupted totals.expired totals.overflow_shed totals.overload_shed
         totals.helpers_drafted totals.stalled_rounds totals.total_unserved totals.max_queue
         totals.degraded_rounds live_at_end (totals_ok totals);
-      let slo, slo_jsonl = Driver.finish slos in
+      let slo, slo_jsonl = Telemetry.finish slos in
       Ok
         {
           scenario = s;

@@ -226,9 +226,6 @@ type t = {
   demand_round : int array; (* per box: round of its current demand's first request *)
   awaiting_first : int array; (* per box: stripes of the current demand not yet streaming *)
   startups : int Vec.t; (* realised start-up delays, in rounds *)
-  mutable round_sink : (round_report -> unit) option;
-      (* per-round telemetry flush hook; observation only, sees every
-         report (including a Fail_fast defeat's) before [step] returns *)
 }
 
 (* Matching upload slots of box [b]: its nominal upload, scaled by the
@@ -303,7 +300,6 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
     demand_round = Array.make n 0;
     awaiting_first = Array.make n 0;
     startups = Vec.create ();
-    round_sink = None;
   }
 
 let params t = t.params
@@ -686,7 +682,6 @@ let last_instance t = t.last_instance
 let startup_delays t = Vec.to_array t.startups
 let startup_count t = Vec.length t.startups
 let startup_delay t i = Vec.get t.startups i
-let set_round_sink t sink = t.round_sink <- sink
 
 (* The user stops watching: drop the box's in-flight and scheduled
    requests and free it immediately.  Its playback cache entries remain
@@ -958,7 +953,6 @@ let step t =
       repair_served = !repair_served;
     }
   in
-  (match t.round_sink with None -> () | Some sink -> sink report);
   if report.unserved > 0 && t.policy = Fail_fast then raise (Defeated report);
   report
 

@@ -293,14 +293,6 @@ val startup_delay : t -> int -> int
 (** [startup_delay t i] is the [i]-th realised delay, [0 <= i <
     startup_count t], without the O(n) copy of {!startup_delays}. *)
 
-val set_round_sink : t -> (round_report -> unit) option -> unit
-(** Install (or clear) the per-round telemetry flush hook.  The sink
-    runs at the end of every {!step}, after the report is assembled and
-    before a [Fail_fast] defeat raises — so it sees every round,
-    including the losing one.  The sink must only observe: it runs
-    inside the round and anything it mutates in the engine would break
-    the determinism contract. *)
-
 val demand : t -> box:int -> video:int -> unit
 (** Register that the user of [box] demands [video] in the interval
     before the next {!step}.  A poor box with a relay in the supplied

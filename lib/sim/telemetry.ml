@@ -1,24 +1,7 @@
-(* Streaming telemetry over the engine round loop (see telemetry.mli).
+(* The per-round observer (see telemetry.mli).  It only reads the
+   report and the engine's startup vector, never mutates the engine. *)
 
-   The sink closure only reads the report and the engine's startup
-   vector; it never mutates the engine, so installing it cannot change
-   a run's outcome — the property the obs-overhead bench gate checks
-   (matched counts must be identical with the sink on and off). *)
-
-module Obs = Vod_obs
-
-type slo_binding = {
-  b_spec : Obs.Slo.spec;
-  b_eval : Obs.Slo.t;
-  b_metric : Engine.t -> Engine.round_report -> int * int;
-}
-
-type t = {
-  series : Obs.Timeseries.t;
-  slos : slo_binding list;
-  mutable rounds : int;
-  mutable startups_seen : int; (* cursor into Engine.startup_delays *)
-}
+module Slo = Vod_obs.Slo
 
 (* Canonical per-round series, in display order. *)
 let series_names =
@@ -50,54 +33,84 @@ let sample (r : Engine.round_report) = function
   | "repair_served" -> r.Engine.repair_served
   | name -> invalid_arg ("Telemetry.sample: unknown series " ^ name)
 
-let rejection _engine (r : Engine.round_report) =
-  (r.Engine.unserved, r.Engine.served + r.Engine.unserved)
+let rejection (r : Engine.round_report) = (r.unserved, r.served + r.unserved)
+let sourcing (r : Engine.round_report) = (r.served - r.served_from_cache, r.served)
 
-let sourcing _engine (r : Engine.round_report) =
-  (r.Engine.served - r.Engine.served_from_cache, r.Engine.served)
+type metric = Counts of (Engine.round_report -> int * int) | Startup_over of float
 
-let startup_tail ~limit =
-  let seen = ref 0 in
-  fun engine (_ : Engine.round_report) ->
-    let count = Engine.startup_count engine in
-    let bad = ref 0 in
-    for i = !seen to count - 1 do
-      if Engine.startup_delay engine i > limit then incr bad
-    done;
-    let total = count - !seen in
-    seen := count;
-    (!bad, total)
+type t = {
+  engine : Engine.t;
+  evs : (Slo.t * metric) array;
+  states : Slo.state array;  (** Each SLO's state after the last round. *)
+  bad : int array;  (** Each SLO's last round, as fed. *)
+  total : int array;
+  buf : Buffer.t;
+  mutable startups_seen : int;  (** Cursor into the engine's startup delays. *)
+  mutable first : bool;
+}
 
-let default_slos () =
-  [
-    (Obs.Slo.spec ~name:"rejection" ~target:0.05 (), rejection);
-    (Obs.Slo.spec ~name:"startup" ~target:0.05 (), startup_tail ~limit:3);
-  ]
+let line b str =
+  Buffer.add_string b str;
+  Buffer.add_char b '\n'
 
-let create ?(capacity = 1024) ?(windows = [ 100; 1000 ]) ?(slos = []) () =
-  let series = Obs.Timeseries.create ~capacity ~windows () in
-  (* create in canonical order so Timeseries.names is stable *)
-  List.iter (fun n -> ignore (Obs.Timeseries.series series n)) series_names;
-  let slos =
-    List.map
-      (fun (spec, metric) -> { b_spec = spec; b_eval = Obs.Slo.create spec; b_metric = metric })
-      slos
+let create ?meta engine specs =
+  let evs =
+    List.filter_map
+      (fun (name, target, metric) ->
+        if target > 0.0 && target <= 1.0 then
+          Some (Slo.create (Slo.spec ~name ~target ()), metric)
+        else None)
+      specs
+    |> Array.of_list
   in
-  { series; slos; rounds = 0; startups_seen = 0 }
+  let buf = Buffer.create 512 in
+  let specs = List.map (fun (ev, _) -> Slo.spec_of ev) (Array.to_list evs) in
+  Option.iter (fun meta -> line buf (meta specs)) meta;
+  {
+    engine;
+    evs;
+    states = Array.map (fun (ev, _) -> Slo.state ev) evs;
+    bad = Array.make (Array.length evs) 0;
+    total = Array.make (Array.length evs) 0;
+    buf;
+    startups_seen = 0;
+    first = true;
+  }
 
-let observe t engine report =
-  List.iter
-    (fun name -> Obs.Timeseries.push (Obs.Timeseries.series t.series name) (sample report name))
-    series_names;
-  List.iter
-    (fun b ->
-      let bad, total = b.b_metric engine report in
-      Obs.Slo.observe b.b_eval ~bad ~total)
-    t.slos;
-  t.rounds <- t.rounds + 1
+let observe t (report : Engine.round_report) =
+  let engine = t.engine in
+  let startup_count = Engine.startup_count engine in
+  Array.iteri
+    (fun i (ev, metric) ->
+      let bad, total =
+        match metric with
+        | Counts f -> f report
+        | Startup_over limit ->
+            let bad = ref 0 in
+            for j = t.startups_seen to startup_count - 1 do
+              if float_of_int (Engine.startup_delay engine j) > limit then incr bad
+            done;
+            (!bad, startup_count - t.startups_seen)
+      in
+      t.bad.(i) <- bad;
+      t.total.(i) <- total;
+      Slo.observe ev ~bad ~total)
+    t.evs;
+  t.startups_seen <- startup_count;
+  (* verdict lines on state transitions (and the first round) *)
+  Array.iteri
+    (fun i (ev, _) ->
+      let state = Slo.state ev in
+      if t.first || state <> t.states.(i) then
+        line t.buf (Slo.verdict_json ev ~round:report.Engine.time);
+      t.states.(i) <- state)
+    t.evs;
+  t.first <- false
 
-let attach t engine = Engine.set_round_sink engine (Some (fun report -> observe t engine report))
-let timeseries t = t.series
-let series t name = Obs.Timeseries.series t.series name
-let slos t = List.map (fun b -> b.b_eval) t.slos
-let rounds t = t.rounds
+let evaluators t = Array.to_list (Array.map fst t.evs)
+let last_round t = List.init (Array.length t.evs) (fun i -> (t.bad.(i), t.total.(i)))
+
+let finish t =
+  let summaries = List.map Slo.summary (evaluators t) in
+  List.iter (fun su -> line t.buf (Slo.summary_line su)) summaries;
+  (summaries, Buffer.contents t.buf)

@@ -330,44 +330,6 @@ let test_summarise_outside_rounds () =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* Timeseries sliding windows                                          *)
-(* ------------------------------------------------------------------ *)
-
-module Ts = Vod_obs.Timeseries
-
-let test_timeseries_windows () =
-  let ts = Ts.create ~capacity:8 ~windows:[ 4; 6 ] () in
-  let s = Ts.series ts "x" in
-  checki "empty length" 0 (Ts.length s);
-  checki "empty last" 0 (Ts.last s);
-  checkf "empty mean" 0.0 (Ts.window_mean s ~window:4);
-  checki "empty max" 0 (Ts.window_max s ~window:4);
-  List.iter (Ts.push s) [ 3; 1; 4; 1; 5; 9; 2; 6 ];
-  checki "length" 8 (Ts.length s);
-  checki "last" 6 (Ts.last s);
-  (* window 4 now holds [5;9;2;6], window 6 holds [4;1;5;9;2;6] *)
-  checki "count w4" 4 (Ts.window_count s ~window:4);
-  checki "sum w4" 22 (Ts.window_sum s ~window:4);
-  checkf "mean w4" 5.5 (Ts.window_mean s ~window:4);
-  checki "max w4" 9 (Ts.window_max s ~window:4);
-  checki "sum w6" 27 (Ts.window_sum s ~window:6);
-  checki "max w6" 9 (Ts.window_max s ~window:6);
-  (* buckets of [5;9;2;6] are [2;3;1;2]: rank 2 of 4 lands in bucket 2 *)
-  checkf "p50 w4" 6.0 (Ts.window_percentile s ~window:4 50.0);
-  checkf "p100 w4" 12.0 (Ts.window_percentile s ~window:4 100.0);
-  checkb "recent oldest-first" true (Ts.recent s 3 = [| 9; 2; 6 |]);
-  (* the deque must evict the old max as it slides out *)
-  List.iter (Ts.push s) [ 1; 1 ];
-  checki "max after eviction" 6 (Ts.window_max s ~window:4);
-  checki "sum after eviction" 10 (Ts.window_sum s ~window:4);
-  checkb "names creation order" true (Ts.names ts = [ "x" ]);
-  checkb "windows ascending" true (Ts.windows s = [ 4; 6 ]);
-  checkb "find-or-create" true (Ts.series ts "x" == s);
-  Alcotest.check_raises "unknown window"
-    (Invalid_argument "Timeseries: series \"x\" has no window 7") (fun () ->
-      ignore (Ts.window_sum s ~window:7))
-
-(* ------------------------------------------------------------------ *)
 (* SLO burn rates                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -471,45 +433,52 @@ let test_sparkline () =
     (Dash.sparkline [| 0; 1; 2; 3; 4; 5; 6; 7 |])
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry bridge (engine round sink)                                *)
+(* The per-round observer                                              *)
 (* ------------------------------------------------------------------ *)
 
 module Telemetry = Vod_sim.Telemetry
 
-let test_telemetry_attach () =
-  let fleet = Vod_model.Box.Fleet.homogeneous ~n:32 ~u:2.0 ~d:4.0 in
-  let catalog = Vod_model.Catalog.create ~m:16 ~c:2 in
-  let g = Prng.create ~seed:3 () in
-  let alloc = Vod_alloc.Schemes.random_permutation g ~fleet ~catalog ~k:4 in
-  let params = Vod_model.Params.make ~n:32 ~c:2 ~mu:1.5 ~duration:10 in
-  let run () =
-    let sim =
-      Vod_sim.Engine.create ~params ~fleet ~alloc ~policy:Vod_sim.Engine.Continue ()
-    in
-    let tele = Telemetry.create ~slos:(Telemetry.default_slos ()) () in
-    Telemetry.attach tele sim;
-    let wg = Prng.create ~seed:11 () in
-    let gen = Vod_workload.Generators.zipf_arrivals wg ~rate:2.0 ~s:0.9 in
-    let reports = Vod_sim.Engine.run sim ~rounds:50 ~demands_for:gen in
-    (tele, reports)
+(* A small engine run, one round at a time; [observe] sees each report
+   right after [Engine.step], as every SLO loop feeds the observer. *)
+let observed_run ~seed ~n ~u ~rate ~rounds ~specs ~observe =
+  let fleet = Vod_model.Box.Fleet.homogeneous ~n ~u ~d:4.0 in
+  let catalog = Vod_model.Catalog.create ~m:(n / 2) ~c:2 in
+  let alloc =
+    Vod_alloc.Schemes.random_permutation (Prng.create ~seed ()) ~fleet ~catalog ~k:4
   in
-  let tele, reports = run () in
-  checki "sink saw every round" 50 (Telemetry.rounds tele);
-  let series_served = Telemetry.series tele "served" in
-  checki "served series length" 50 (Ts.length series_served);
-  let total_served = List.fold_left (fun a r -> a + r.Vod_sim.Engine.served) 0 reports in
-  checki "served series sums to the reports" total_served
-    (Ts.window_sum series_served ~window:100);
-  checkb "all canonical series fed" true
-    (List.for_all
-       (fun n -> Ts.length (Telemetry.series tele n) = 50)
-       Telemetry.series_names);
-  checki "slo evaluators run" 2 (List.length (Telemetry.slos tele));
-  (* the sink is observation-only: a second telemetry run reports the
-     same totals *)
-  let tele2, _ = run () in
-  checki "telemetry never perturbs the run" total_served
-    (Ts.window_sum (Telemetry.series tele2 "served") ~window:100)
+  let params = Vod_model.Params.make ~n ~c:2 ~mu:1.5 ~duration:10 in
+  let sim =
+    Vod_sim.Engine.create ~params ~fleet ~alloc ~policy:Vod_sim.Engine.Continue ()
+  in
+  let slos = Telemetry.create sim specs in
+  let gen =
+    Vod_workload.Generators.zipf_arrivals (Prng.create ~seed:(seed + 1) ()) ~rate ~s:0.9
+  in
+  let reports =
+    List.init rounds (fun _ ->
+        let report = List.hd (Vod_sim.Engine.run sim ~rounds:1 ~demands_for:gen) in
+        observe slos report;
+        report)
+  in
+  (sim, slos, reports)
+
+let default_pair =
+  [
+    ("rejection", 0.05, Telemetry.Counts Telemetry.rejection);
+    ("startup", 0.05, Telemetry.Startup_over 3.0);
+  ]
+
+let test_telemetry_attach () =
+  let run observe =
+    observed_run ~seed:3 ~n:32 ~u:2.0 ~rate:2.0 ~rounds:50 ~specs:default_pair ~observe
+  in
+  let _, slos, observed = run Telemetry.observe in
+  let _, _, unobserved = run (fun _ _ -> ()) in
+  checkb "observing never perturbs the run" true (observed = unobserved);
+  checki "slo evaluators run" 2 (List.length (Telemetry.evaluators slos));
+  List.iter
+    (fun ev -> checki "every round observed" 50 (Slo.rounds ev))
+    (Telemetry.evaluators slos)
 
 (* Byte-pins of [vodctl top]'s non-tty output (the final frame only):
    simulate mode with its default SLO panel, and chaos mode on a
@@ -652,34 +621,31 @@ let qcheck_cases =
         List.for_all
           (fun p -> Registry.hist_percentile a p = Registry.hist_percentile c p)
           [ 0.0; 50.0; 95.0; 99.0; 100.0 ]);
-    Test.make ~name:"timeseries window aggregates match a naive reference" ~count:200
-      (pair (list (int_bound 100_000)) (oneofl [ 1; 2; 5; 16 ]))
-      (fun (samples, w) ->
-        let ts = Ts.create ~capacity:64 ~windows:[ w ] () in
-        let s = Ts.series ts "x" in
-        List.iter (Ts.push s) samples;
-        let arr = Array.of_list samples in
-        let len = Array.length arr in
-        let keep = min len w in
-        let tail = Array.sub arr (len - keep) keep in
-        let sum = Array.fold_left ( + ) 0 tail in
-        let max_ = Array.fold_left max 0 tail in
-        let counts = Array.make Registry.hist_buckets 0 in
-        Array.iter
-          (fun v ->
-            let b = Registry.bucket_of (max 0 v) in
-            counts.(b) <- counts.(b) + 1)
-          tail;
-        Ts.window_count s ~window:w = keep
-        && Ts.window_sum s ~window:w = sum
-        && Ts.window_max s ~window:w = max_
-        && Ts.window_mean s ~window:w
-           = (if keep = 0 then 0.0 else float_of_int sum /. float_of_int keep)
-        && List.for_all
-             (fun p ->
-               Ts.window_percentile s ~window:w p
-               = Registry.percentile_of_counts counts ~total:keep p)
-             [ 0.0; 50.0; 95.0; 99.0; 100.0 ]);
+    (* The observer's one startup cursor reads each realised delay
+       exactly once: its per-round pairs sum to a recount of the whole
+       startup vector, stalls (u < 1) included. *)
+    Test.make ~name:"startup cursor sums to a recount of the startup delays" ~count:60
+      (quad (int_bound 10_000) (oneofl [ 0.75; 1.25; 2.0 ]) (int_range 1 40)
+         (oneofl [ 0.0; 1.0; 2.0; 3.5 ]))
+      (fun (seed, u, rounds, limit) ->
+        let bad = ref 0 and total = ref 0 in
+        let sim, _, _ =
+          observed_run ~seed ~n:24 ~u ~rate:3.0 ~rounds
+            ~specs:[ ("startup", 1.0, Telemetry.Startup_over limit) ]
+            ~observe:(fun slos report ->
+              Telemetry.observe slos report;
+              List.iter
+                (fun (b, t) ->
+                  bad := !bad + b;
+                  total := !total + t)
+                (Telemetry.last_round slos))
+        in
+        let delays = Vod_sim.Engine.startup_delays sim in
+        !total = Array.length delays
+        && !bad
+           = Array.fold_left
+               (fun acc d -> if float_of_int d > limit then acc + 1 else acc)
+               0 delays);
     (* The escape every JSONL stream shares: quotes, backslashes,
        control bytes and high bytes must all survive the parser. *)
     Test.make ~name:"span name and attribute bytes survive export and parse" ~count:500
@@ -798,7 +764,6 @@ let suites =
       ] );
     ( "obs.streaming",
       [
-        Alcotest.test_case "timeseries windows" `Quick test_timeseries_windows;
         Alcotest.test_case "slo state machine" `Quick test_slo_states;
         Alcotest.test_case "slo clamps and guards" `Quick test_slo_clamps_and_empty;
         Alcotest.test_case "flame fold" `Quick test_flame_fold;
