@@ -180,16 +180,18 @@ let print_summaries obs =
 
 let bounds_cmd =
   let run n u d mu u_star =
+    guarded @@ fun () ->
     if u <= 1.0 then begin
+      let m = Vod.Theorem1.max_catalog_below_threshold ~d_max:d ~c:4 in
       Printf.printf "u = %g <= 1: below the threshold.\n" u;
       Printf.printf
         "The catalog is bounded by m <= d*c for any stripe count c (negative result);\n";
-      Printf.printf "e.g. c=4 gives m <= %d.\n"
-        (Vod.Theorem1.max_catalog_below_threshold ~d_max:d ~c:4);
+      Printf.printf "e.g. c=4 gives m <= %d.\n" m;
       `Ok ()
     end
     else begin
       let t1 = Vod.Theorem1.derive ~u ~mu ~d () in
+      let t2 = Option.map (fun u_star -> Vod.Theorem2.derive ~u_star ~mu ~d ()) u_star in
       Printf.printf "Theorem 1 (homogeneous, u = %g > 1, mu = %g, d = %g):\n" u mu d;
       Printf.printf "  stripes            c  = %d\n" t1.Vod.Theorem1.c;
       Printf.printf "  expansion margin   nu = %.5f\n" t1.Vod.Theorem1.nu;
@@ -207,11 +209,10 @@ let bounds_cmd =
           Printf.printf
             "  numeric union bound: k = %d certifies P(obstruction) < 1%% at m = %d\n" k m
       | None -> Printf.printf "  numeric union bound: no k <= 10000 certifies m = %d\n" m);
-      (match u_star with
+      (match t2 with
       | None -> ()
-      | Some u_star ->
-          let t2 = Vod.Theorem2.derive ~u_star ~mu ~d () in
-          Printf.printf "\nTheorem 2 (heterogeneous, u* = %g):\n" u_star;
+      | Some t2 ->
+          Printf.printf "\nTheorem 2 (heterogeneous, u* = %g):\n" t2.Vod.Theorem2.u_star;
           Printf.printf "  stripes            c  = %d\n" t2.Vod.Theorem2.c;
           Printf.printf "  expansion margin   nu = %.6f\n" t2.Vod.Theorem2.nu;
           Printf.printf "  replication bound  k  = %d\n" t2.Vod.Theorem2.k;
@@ -631,7 +632,9 @@ let sweep_cmd =
 
 let plan_cmd =
   let run n u d mu =
-    if u <= 1.0 then
+    guarded @@ fun () ->
+    if n < 1 then `Error (false, "-n must be >= 1")
+    else if u <= 1.0 then
       `Error
         ( false,
           Printf.sprintf

@@ -10,6 +10,8 @@ type t = {
 }
 
 let check_u_mu ~u ~mu =
+  if not (Float.is_finite u && Float.is_finite mu) then
+    invalid_arg "Theorem1: u and mu must be finite";
   if u <= 1.0 then invalid_arg "Theorem1: requires u > 1";
   if mu < 1.0 then invalid_arg "Theorem1: requires mu >= 1"
 
@@ -31,6 +33,7 @@ let nu ~u ~mu ~c =
 
 let derive ?c ~u ~mu ~d () =
   check_u_mu ~u ~mu;
+  if not (Float.is_finite d) then invalid_arg "Theorem1.derive: d must be finite";
   let c = match c with Some c -> c | None -> paper_c ~u ~mu in
   if float_of_int c <= stripe_threshold ~u ~mu then
     invalid_arg "Theorem1.derive: c must exceed (2 mu^2 - 1)/(u - 1)";
@@ -57,6 +60,8 @@ let lemma2_lower_bound ~c ~mu ~i ~i1 =
 
 let max_catalog_below_threshold ~d_max ~c =
   if d_max < 0.0 then invalid_arg "Theorem1.max_catalog_below_threshold: negative d_max";
+  if not (Float.is_finite d_max) then
+    invalid_arg "Theorem1.max_catalog_below_threshold: d_max must be finite";
   if c < 1 then invalid_arg "Theorem1.max_catalog_below_threshold: c must be >= 1";
   int_of_float (floor ((d_max *. float_of_int c) +. 1e-9))
 

@@ -37,8 +37,9 @@ val nu : u:float -> mu:float -> c:int -> float
 
 val derive : ?c:int -> u:float -> mu:float -> d:float -> unit -> t
 (** Full parameter derivation; [c] defaults to {!paper_c}.
-    @raise Invalid_argument when [u <= 1], or when the supplied [c]
-    violates the stripe condition. *)
+    @raise Invalid_argument when [u], [mu] or [d] is not finite, when
+    [u <= 1] or [mu < 1], or when the supplied [c] violates the stripe
+    condition. *)
 
 val catalog_size : t -> n:int -> int
 (** [floor (d*n/k)]: the catalog size the allocation achieves. *)
@@ -60,6 +61,8 @@ val lemma2_lower_bound : c:int -> mu:float -> i:int -> i1:int -> float
 
 val max_catalog_below_threshold : d_max:float -> c:int -> int
 (** The negative result (Section 1.3): with [u < 1] the catalog can
-    never exceed [d_max / l = d_max * c] videos. *)
+    never exceed [d_max / l = d_max * c] videos.
+    @raise Invalid_argument unless [d_max] is finite and [>= 0] and
+    [c >= 1]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -12,6 +12,8 @@ type t = {
 }
 
 let check ~u_star ~mu =
+  if not (Float.is_finite u_star && Float.is_finite mu) then
+    invalid_arg "Theorem2: u_star and mu must be finite";
   if u_star <= 1.0 then invalid_arg "Theorem2: requires u_star > 1";
   if mu < 1.0 then invalid_arg "Theorem2: requires mu >= 1"
 
@@ -23,6 +25,7 @@ let recommended_c ~u_star ~mu =
 
 let derive ?c ~u_star ~mu ~d () =
   check ~u_star ~mu;
+  if not (Float.is_finite d) then invalid_arg "Theorem2.derive: d must be finite";
   let c = match c with Some c -> c | None -> recommended_c ~u_star ~mu in
   if float_of_int c <= 4.0 *. mu4 mu /. (u_star -. 1.0) then
     invalid_arg "Theorem2.derive: c must exceed 4 mu^4 / (u_star - 1)";

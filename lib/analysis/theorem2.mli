@@ -26,7 +26,8 @@ val recommended_c : u_star:float -> mu:float -> int
     @raise Invalid_argument when [u_star <= 1] or [mu < 1]. *)
 
 val derive : ?c:int -> u_star:float -> mu:float -> d:float -> unit -> t
-(** @raise Invalid_argument when [u_star <= 1] or [c] violates
+(** @raise Invalid_argument when [u_star], [mu] or [d] is not finite,
+    when [u_star <= 1] or [mu < 1], or when [c] violates
     [c > 4 mu^4 / (u_star - 1)]. *)
 
 val catalog_size : t -> n:int -> int

@@ -4,6 +4,8 @@ type t = { id : int; upload : float; storage : float }
 
 let make ~id ~upload ~storage =
   if id < 0 then invalid_arg "Box.make: negative id";
+  if not (Float.is_finite upload && Float.is_finite storage) then
+    invalid_arg "Box.make: non-finite capacity";
   if upload < 0.0 then invalid_arg "Box.make: negative upload";
   if storage < 0.0 then invalid_arg "Box.make: negative storage";
   { id; upload; storage }

@@ -10,7 +10,8 @@ type t = {
 }
 
 val make : id:int -> upload:float -> storage:float -> t
-(** @raise Invalid_argument on negative capacities or id. *)
+(** @raise Invalid_argument on negative or non-finite capacities, or a
+    negative id. *)
 
 val storage_slots : c:int -> t -> int
 (** Number of stripe replicas the box can store: [floor (d_b * c)]. *)

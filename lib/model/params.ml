@@ -3,6 +3,7 @@ type t = { n : int; c : int; mu : float; duration : int }
 let make ~n ~c ~mu ~duration =
   if n < 1 then invalid_arg "Params.make: n must be >= 1";
   if c < 1 then invalid_arg "Params.make: c must be >= 1";
+  if not (Float.is_finite mu) then invalid_arg "Params.make: mu must be finite";
   if mu < 1.0 then invalid_arg "Params.make: mu must be >= 1.0";
   if duration < 1 then invalid_arg "Params.make: duration must be >= 1";
   { n; c; mu; duration }

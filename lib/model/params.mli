@@ -17,8 +17,8 @@ type t = private {
 }
 
 val make : n:int -> c:int -> mu:float -> duration:int -> t
-(** @raise Invalid_argument unless [n >= 1], [c >= 1], [mu >= 1.0] and
-    [duration >= 1]. *)
+(** @raise Invalid_argument unless [n >= 1], [c >= 1], [mu] is finite
+    and [>= 1.0], and [duration >= 1]. *)
 
 val stripe_rate : t -> float
 (** [1/c], the rate of one stripe (= minimal chunk size l). *)

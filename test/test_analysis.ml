@@ -21,7 +21,11 @@ let test_recommended_c () =
 
 let test_recommended_c_invalid () =
   Alcotest.check_raises "u<=1" (Invalid_argument "Theorem1: requires u > 1") (fun () ->
-      ignore (Theorem1.recommended_c ~u:1.0 ~mu:1.0))
+      ignore (Theorem1.recommended_c ~u:1.0 ~mu:1.0));
+  Alcotest.check_raises "u nan" (Invalid_argument "Theorem1: u and mu must be finite")
+    (fun () -> ignore (Theorem1.derive ~u:Float.nan ~mu:1.2 ~d:4.0 ()));
+  Alcotest.check_raises "d nan" (Invalid_argument "Theorem1.derive: d must be finite")
+    (fun () -> ignore (Theorem1.derive ~u:2.0 ~mu:1.2 ~d:Float.nan ()))
 
 let test_paper_c_at_least_recommended () =
   List.iter
@@ -98,7 +102,12 @@ let test_t2_derive () =
 
 let test_t2_invalid () =
   Alcotest.check_raises "u_star <= 1" (Invalid_argument "Theorem2: requires u_star > 1")
-    (fun () -> ignore (Theorem2.recommended_c ~u_star:1.0 ~mu:1.0))
+    (fun () -> ignore (Theorem2.recommended_c ~u_star:1.0 ~mu:1.0));
+  Alcotest.check_raises "mu infinite"
+    (Invalid_argument "Theorem2: u_star and mu must be finite") (fun () ->
+      ignore (Theorem2.derive ~u_star:1.5 ~mu:Float.infinity ~d:4.0 ()));
+  Alcotest.check_raises "d nan" (Invalid_argument "Theorem2.derive: d must be finite")
+    (fun () -> ignore (Theorem2.derive ~u_star:1.5 ~mu:1.2 ~d:Float.nan ()))
 
 let test_compensate_two_class () =
   (* 2 rich boxes u=4, 4 poor boxes u=0.5, u*=1.25:

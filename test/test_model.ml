@@ -20,7 +20,9 @@ let test_params_invalid () =
   Alcotest.check_raises "n" (Invalid_argument "Params.make: n must be >= 1") (fun () ->
       ignore (Params.make ~n:0 ~c:1 ~mu:1.0 ~duration:1));
   Alcotest.check_raises "mu" (Invalid_argument "Params.make: mu must be >= 1.0") (fun () ->
-      ignore (Params.make ~n:1 ~c:1 ~mu:0.5 ~duration:1))
+      ignore (Params.make ~n:1 ~c:1 ~mu:0.5 ~duration:1));
+  Alcotest.check_raises "mu nan" (Invalid_argument "Params.make: mu must be finite")
+    (fun () -> ignore (Params.make ~n:1 ~c:1 ~mu:Float.nan ~duration:1))
 
 let test_upload_slots () =
   let p = Params.make ~n:10 ~c:4 ~mu:1.0 ~duration:10 in
@@ -43,7 +45,12 @@ let test_effective_upload () =
 
 let test_box_make_invalid () =
   Alcotest.check_raises "neg upload" (Invalid_argument "Box.make: negative upload")
-    (fun () -> ignore (Box.make ~id:0 ~upload:(-1.0) ~storage:1.0))
+    (fun () -> ignore (Box.make ~id:0 ~upload:(-1.0) ~storage:1.0));
+  List.iter
+    (fun (upload, storage) ->
+      Alcotest.check_raises "non-finite" (Invalid_argument "Box.make: non-finite capacity")
+        (fun () -> ignore (Box.make ~id:0 ~upload ~storage)))
+    [ (Float.nan, 1.0); (Float.infinity, 1.0); (1.0, Float.nan) ]
 
 let test_storage_slots () =
   let b = Box.make ~id:0 ~upload:1.0 ~storage:2.5 in

@@ -70,27 +70,41 @@ let test_save_writes_both_files () =
       checkb "fleet loads" true (Result.is_ok (Vod.Codec.load_fleet ~path:fleet_path)))
 
 (* A build the library cannot make ([Schemes.random_independent] finds
-   no box for a replica at the defaults) is a one-line cmdliner error
-   (exit 124) from the commands that build a system, not an uncaught
-   exception (exit 125). *)
+   no box for a replica at the defaults) or a parameter it rejects
+   (mu < 1, no boxes, a non-finite number) is a one-line cmdliner error
+   (exit 124) with nothing on stdout, not an uncaught exception (exit
+   125) or a report over nonsense values. *)
 let test_cli_build_failure_is_clean () =
   List.iter
-    (fun cmd ->
+    (fun (args, prefix) ->
+      let out = Filename.temp_file "vodctl" ".out" in
       let err = Filename.temp_file "vodctl" ".err" in
       let code =
         Sys.command
-          (Printf.sprintf "../bin/vodctl.exe %s --scheme independent >/dev/null 2>%s" cmd
+          (Printf.sprintf "../bin/vodctl.exe %s >%s 2>%s" args (Filename.quote out)
              (Filename.quote err))
       in
+      let stdout = In_channel.with_open_bin out In_channel.input_all in
       let stderr = In_channel.with_open_bin err In_channel.input_all in
+      Sys.remove out;
       Sys.remove err;
-      checki (cmd ^ ": exit 124") 124 code;
+      checki (args ^ ": exit 124") 124 code;
+      Alcotest.(check string) (args ^ ": nothing on stdout") "" stdout;
       checkb
-        (cmd ^ ": one vodctl: line naming the failure")
+        (args ^ ": one vodctl: line naming the failure")
         true
-        (String.starts_with ~prefix:"vodctl: Schemes.random_independent" stderr
+        (String.starts_with ~prefix:("vodctl: " ^ prefix) stderr
         && List.length (String.split_on_char '\n' (String.trim stderr)) = 1))
-    [ "allocate"; "attack" ]
+    [
+      ("allocate --scheme independent", "Schemes.random_independent");
+      ("attack --scheme independent", "Schemes.random_independent");
+      ("bounds --mu 0", "Theorem1: requires mu >= 1");
+      ("plan --mu 0", "Theorem1: requires mu >= 1");
+      ("plan -n 0", "-n must be >= 1");
+      ("simulate -u nan", "Box.make: non-finite capacity");
+      ("bounds -u nan", "Theorem1: u and mu must be finite");
+      ("bounds --threshold nan", "Theorem2: u_star and mu must be finite");
+    ]
 
 let suites =
   [
