@@ -14,12 +14,6 @@
 val log_binomial : int -> int -> float
 (** [log (n choose k)]; [neg_infinity] when out of range. *)
 
-val log_p_sigma : u_eff:float -> n:int -> c:int -> k:int -> i:int -> i1:int -> float
-(** Log of the Lemma 4 bound [(u' n c e / i)^i * (i / (u' n c))^(k i1)]
-    for a multiset of [i] stripes with [i1] distinct.  Returns
-    [neg_infinity] when [i1 <= nu*i] would make the probability zero —
-    the caller handles that cutoff. *)
-
 val log_union_bound :
   u_eff:float -> nu:float -> n:int -> c:int -> k:int -> m:int -> float
 (** Log of the full double sum: the probability that the random

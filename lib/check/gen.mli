@@ -29,18 +29,6 @@ type scenario = {
   script : (int * int * int) list;  (** [(time, box, video)] demands. *)
 }
 
-val record_script :
-  params:Vod_model.Params.t ->
-  fleet:Vod_model.Box.t array ->
-  alloc:Vod_model.Allocation.t ->
-  rounds:int ->
-  (Vod_sim.Engine.t -> int -> (int * int) list) ->
-  (int * int * int) list
-(** Runs a pilot engine under the (possibly state-dependent) generator
-    and records the demands it actually accepted, turning adversarial
-    and workload generators into a fixed script.  Acceptance mirrors
-    {!Vod_sim.Engine.run}: demands on busy boxes are dropped. *)
-
 val scenario : Vod_util.Prng.t -> ?rounds:int -> unit -> scenario
 (** Draws system parameters with [u] straddling the threshold
     ([0.7 <= u <= 3.0]), an allocation via one of the four schemes

@@ -11,9 +11,6 @@
 
 type t
 
-val id_bits : int
-(** Size of the identifier space (30 bits). *)
-
 val create : nodes:int list -> t
 (** Ring over the given box ids.  @raise Invalid_argument on an empty
     or duplicated node list. *)

@@ -54,9 +54,6 @@ val reset_flow : t -> unit
 val iter_arcs_from : t -> int -> (arc -> unit) -> unit
 (** Iterate over all arcs (forward and reverse) leaving a node. *)
 
-val fold_out_flow : t -> int -> int
-(** Net flow leaving a node (outgoing minus incoming on forward arcs). *)
-
 val check_conservation : t -> src:int -> sink:int -> bool
 (** Flow conservation at every node except [src] and [sink], and
     per-arc capacity constraints.  Used by tests and cross-validation. *)

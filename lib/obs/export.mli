@@ -12,12 +12,6 @@ val escape : string -> string
     control bytes [\u00XX], and every other byte is copied.  The one
     escape every JSONL stream of the repository uses. *)
 
-val meta_line : events:int -> dropped:int -> string
-val span_line : Span.event -> string
-val counter_line : string -> int -> string
-val gauge_line : string -> int -> string
-val hist_line : string -> Registry.hist_snapshot -> string
-
 val to_jsonl : ?registry:Registry.t -> Span.recorder -> string
 (** The full trace as JSONL; [registry]'s snapshot is appended when
     given. *)

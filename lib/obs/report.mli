@@ -61,9 +61,6 @@ type summary = {
   spans_dropped : int;
 }
 
-val round_span_name : string
-(** ["round"] — the engine's per-round root span. *)
-
 val summarise : trace -> summary
 
 val print_summary : ?counters_of_interest:string list -> trace -> unit

@@ -40,7 +40,9 @@ type msg =
   | Grant of { session : int; deadline : int }
       (** Controller -> client: admitted; first chunk due by [deadline]. *)
   | Deny of { session : int; reason : deny_reason }
-      (** Controller -> client; terminal iff {!deny_terminal}. *)
+      (** Controller -> client; terminal for [Budget_exhausted] and
+          [Invalid], retryable (followed by a [Retry_after] while budget
+          remains) for the other reasons. *)
   | Retry_after of { session : int; at : int; attempt : int }
       (** Controller -> client: backed off until round [at]. *)
   | First_chunk of { session : int; round : int }
@@ -49,11 +51,6 @@ type msg =
       (** Controller -> client: dropped by overload policy. *)
   | Complete of { session : int; round : int }
       (** Engine -> session accounting: playback finished. *)
-
-val deny_terminal : deny_reason -> bool
-(** [Budget_exhausted] and [Invalid] end the session; the other reasons
-    are retryable (the controller follows the [Deny] with a
-    [Retry_after] while budget remains). *)
 
 val transition : state -> msg -> state option
 (** The state after delivering [msg], or [None] when the hop is

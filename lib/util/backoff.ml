@@ -73,11 +73,6 @@ let ready t ~key ~time =
   | None -> true
   | Some e -> (not (exhausted t ~key)) && e.next_try <= time
 
-let next_try t ~key =
-  match Hashtbl.find_opt t.entries key with
-  | Some e when e.attempts > 0 -> Some e.next_try
-  | _ -> None
-
 let reset t ~key = Hashtbl.remove t.entries key
 let clear t = Hashtbl.reset t.entries
 let tracked t = Hashtbl.length t.entries

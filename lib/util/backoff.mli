@@ -46,9 +46,6 @@ val ready : t -> key:int -> time:int -> bool
 (** [true] when [key] may run at round [time]: no failure on record, or
     its scheduled retry round has arrived and the budget is not spent. *)
 
-val next_try : t -> key:int -> int option
-(** The scheduled retry round, if a failure is on record. *)
-
 val reset : t -> key:int -> unit
 (** Forget [key] entirely (success, or the stripe healed without us). *)
 
