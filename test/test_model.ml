@@ -48,8 +48,9 @@ let test_box_make_invalid () =
     (fun () -> ignore (Box.make ~id:0 ~upload:(-1.0) ~storage:1.0));
   List.iter
     (fun (upload, storage) ->
-      Alcotest.check_raises "non-finite" (Invalid_argument "Box.make: non-finite capacity")
-        (fun () -> ignore (Box.make ~id:0 ~upload ~storage)))
+      Alcotest.check_raises "non-finite"
+        (Invalid_argument "Box.make: non-finite capacity") (fun () ->
+          ignore (Box.make ~id:0 ~upload ~storage)))
     [ (Float.nan, 1.0); (Float.infinity, 1.0); (1.0, Float.nan) ]
 
 let test_storage_slots () =
