@@ -57,15 +57,12 @@ let make_layer_instance () =
   let g = Prng.create ~seed:0xb17 () in
   let n_left = layer_n_left in
   let n_right = n_left / 4 in
-  let b =
-    Bipartite.create ~n_left ~n_right ~right_cap:(Array.make n_right 2)
-  in
-  for l = 0 to n_left - 1 do
+  let fill _ emit =
     for _ = 1 to layer_degree do
-      Bipartite.add_edge b ~left:l ~right:(Prng.int g n_right)
+      emit (Prng.int g n_right)
     done
-  done;
-  Bipartite.csr b
+  in
+  Bipartite.csr (Bipartite.create ~n_left ~n_right ~right_cap:(Array.make n_right 2) ~fill)
 
 let time_layer_bitset csr =
   let n_left = Csr.n_left csr and n_right = Csr.n_right csr in
@@ -155,17 +152,20 @@ let make_layout_instance ~interleaved =
       right_cap.(right_id ~swarm ~j) <- cap_of_slot.((swarm * layout_block_rights) + j)
     done
   done;
-  let b = Bipartite.create ~n_left ~n_right ~right_cap in
+  (* the interleaved layout fills its rows out of order, so the rows
+     are drawn into an array first *)
+  let rows = Array.make n_left [||] in
   for slot = 0 to n_left - 1 do
     let swarm = slot / layout_block_lefts in
     let l =
       if interleaved then (slot mod layout_block_lefts * blocks) + swarm else slot
     in
-    for _ = 1 to layout_degree do
-      Bipartite.add_edge b ~left:l ~right:(right_id ~swarm ~j:(Prng.int g layout_block_rights))
-    done
+    rows.(l) <-
+      Array.init layout_degree (fun _ ->
+          right_id ~swarm ~j:(Prng.int g layout_block_rights))
   done;
-  Bipartite.csr b
+  let fill l emit = Array.iter emit rows.(l) in
+  Bipartite.csr (Bipartite.create ~n_left ~n_right ~right_cap ~fill)
 
 let time_csr csr =
   let arena = Arena.create () in
@@ -194,17 +194,14 @@ let make_hall_instance () =
   let g = Prng.create ~seed:0x4a11 () in
   let n_right = hall_n_left / 4 in
   let right_cap = Array.init n_right (fun r -> if r < 64 then 2 else 2 + Prng.int g 7) in
-  let b = Bipartite.create ~n_left:hall_n_left ~n_right ~right_cap in
-  for l = 0 to hall_n_left - 1 do
-    for _ = 1 to 8 do
-      Bipartite.add_edge b ~left:l ~right:(Prng.int g (if l mod 8 = 0 then 64 else n_right))
-    done
-  done;
-  b
+  Bipartite.create ~n_left:hall_n_left ~n_right ~right_cap ~fill:(fun l emit ->
+      for _ = 1 to 8 do
+        emit (Prng.int g (if l mod 8 = 0 then 64 else n_right))
+      done)
 
 let time_hall b =
   let arena = Arena.create () in
-  (* one untimed round finalizes the instance and grows the arena *)
+  (* one untimed round grows the arena *)
   ignore (Bipartite.hall_violator ~arena b);
   let size = ref 0 in
   let b0 = Gc.allocated_bytes () in

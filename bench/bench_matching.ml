@@ -55,13 +55,8 @@ let make_sequence ~seed ~n_left ~rounds ~churn =
       let r = Prng.int g n_right in
       right_cap.(r) <- max 1 (right_cap.(r) + (if Prng.bool g then 1 else -1))
     done;
-    let inst = Bipartite.create ~n_left ~n_right ~right_cap in
-    Array.iteri
-      (fun l row -> Array.iter (fun r -> Bipartite.add_edge inst ~left:l ~right:r) row)
-      adj;
-    (* force CSR finalize now so no timed solver pays for it *)
-    ignore (Bipartite.csr inst);
-    instances := inst :: !instances
+    let fill l emit = Array.iter emit adj.(l) in
+    instances := Bipartite.create ~n_left ~n_right ~right_cap ~fill :: !instances
   done;
   List.rev !instances
 
@@ -220,9 +215,8 @@ let run_swarm_pass ~seed ~n_left ~rounds ~arena =
       emit rows.((l * swarm_degree) + i)
     done
   in
-  let inst = Bipartite.create ~n_left ~n_right ~right_cap in
+  let inst = Bipartite.create ~n_left ~n_right ~right_cap ~fill in
   let solve () = Dinic.solve_csr ~arena (Bipartite.csr inst) in
-  Bipartite.rebuild inst ~n_left ~right_cap ~fill;
   ignore (solve ());
   let matched = ref 0 in
   let b0 = Gc.allocated_bytes () in

@@ -493,20 +493,19 @@ let e9_solvers () =
   List.iter
     (fun (n_left, n_right) ->
       let right_cap = Array.init n_right (fun _ -> 1 + Prng.int g 4) in
-      let inst = Bipartite.create ~n_left ~n_right ~right_cap in
-      for l = 0 to n_left - 1 do
-        let deg = 1 + Prng.int g 4 in
-        for _ = 1 to deg do
-          Bipartite.add_edge inst ~left:l ~right:(Prng.int g n_right)
-        done
-      done;
+      let inst =
+        Bipartite.create ~n_left ~n_right ~right_cap ~fill:(fun _ emit ->
+            let deg = 1 + Prng.int g 4 in
+            for _ = 1 to deg do
+              emit (Prng.int g n_right)
+            done)
+      in
       (* the engine's CSR Dinic core against the independent legacy
          push-relabel (explicit flow network) and slot-expansion
          Hopcroft-Karp *)
       let d = (Bipartite.solve inst).Bipartite.matched in
-      let legacy algorithm = (Bipartite.solve_legacy ~algorithm inst).Bipartite.matched in
-      let p = legacy Bipartite.Push_relabel_flow in
-      let h = legacy Bipartite.Hopcroft_karp_matching in
+      let p = (Check.Legacy.push_relabel inst).Bipartite.matched in
+      let h = (Check.Legacy.hopcroft_karp inst).Bipartite.matched in
       Table.add_row tbl
         [
           string_of_int n_left;

@@ -31,14 +31,11 @@ open Vod
 let make_matching_instance ~seed ~n_left ~n_right =
   let g = Prng.create ~seed () in
   let right_cap = Array.init n_right (fun _ -> 1 + Prng.int g 4) in
-  let inst = Bipartite.create ~n_left ~n_right ~right_cap in
-  for l = 0 to n_left - 1 do
-    let deg = 1 + Prng.int g 4 in
-    for _ = 1 to deg do
-      Bipartite.add_edge inst ~left:l ~right:(Prng.int g n_right)
-    done
-  done;
-  inst
+  Bipartite.create ~n_left ~n_right ~right_cap ~fill:(fun _ emit ->
+      let deg = 1 + Prng.int g 4 in
+      for _ = 1 to deg do
+        emit (Prng.int g n_right)
+      done)
 
 let micro_benchmarks () =
   let open Bechamel in
@@ -88,10 +85,8 @@ let micro_benchmarks () =
     Test.make_grouped ~name:"vod"
       [
         solver_test "matching: dinic 512x128" (fun inst -> Bipartite.solve inst);
-        solver_test "matching: push-relabel legacy 512x128"
-          (Bipartite.solve_legacy ~algorithm:Bipartite.Push_relabel_flow);
-        solver_test "matching: hopcroft-karp slots 512x128"
-          (Bipartite.solve_legacy ~algorithm:Bipartite.Hopcroft_karp_matching);
+        solver_test "matching: push-relabel legacy 512x128" Check.Legacy.push_relabel;
+        solver_test "matching: hopcroft-karp slots 512x128" Check.Legacy.hopcroft_karp;
         alloc_test;
         step_test;
         ring_test;

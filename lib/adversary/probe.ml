@@ -17,20 +17,18 @@ let check ~fleet ~alloc ~c ~demands =
     demands;
   let requests =
     List.concat_map (fun (_, v) -> Array.to_list (Catalog.stripes_of_video cat v)) demands
+    |> Array.of_list
   in
-  let n_left = List.length requests in
+  let n_left = Array.length requests in
   let right_cap =
     Array.map
       (fun b -> int_of_float (floor ((b.Box.upload *. float_of_int c) +. 1e-9)))
       fleet
   in
-  let inst = Vod_graph.Bipartite.create ~n_left ~n_right:n ~right_cap in
-  List.iteri
-    (fun l s ->
-      Array.iter
-        (fun b -> Vod_graph.Bipartite.add_edge inst ~left:l ~right:b)
-        (Allocation.boxes_of_stripe alloc s))
-    requests;
+  let inst =
+    Vod_graph.Bipartite.create ~n_left ~n_right:n ~right_cap ~fill:(fun l emit ->
+        Array.iter emit (Allocation.boxes_of_stripe alloc requests.(l)))
+  in
   match Vod_graph.Bipartite.hall_violator inst with
   | None -> Feasible
   | Some v -> Infeasible v

@@ -2,7 +2,7 @@
 
     Arcs are stored in interleaved forward/backward pairs: arc [2i] is the
     forward arc of the [i]-th added edge and arc [2i+1] its residual
-    reverse.  All max-flow algorithms in this library ({!Dinic},
+    reverse.  The network max-flow oracles ({!Dinic_flow},
     {!Push_relabel}) operate destructively on this structure; call
     {!reset_flow} to reuse a network. *)
 

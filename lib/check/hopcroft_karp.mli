@@ -6,8 +6,9 @@
     path, used for cross-validation and benchmarking (experiment E9).
 
     Right vertices are expanded into unit slots, reducing the
-    capacitated problem to textbook Hopcroft–Karp.  The vod_check
-    oracle panel diffs it against the engine's {!Dinic.solve_csr}. *)
+    capacitated problem to textbook Hopcroft–Karp.  The oracle panel
+    ({!Oracle}) diffs it against the engine's
+    {!Vod_graph.Dinic.solve_csr}. *)
 
 type result = {
   size : int;  (** Number of matched left vertices. *)

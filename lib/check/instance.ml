@@ -1,4 +1,5 @@
 module B = Vod_graph.Bipartite
+module Csr = Vod_graph.Csr
 
 type t = {
   n_left : int;
@@ -29,20 +30,21 @@ let make ~n_left ~n_right ~right_cap ~adj =
   { n_left; n_right; right_cap = Array.copy right_cap; adj = Array.map normalise_row adj }
 
 let of_bipartite b =
+  let csr = B.csr b in
+  let row_start = Csr.row_start csr and col = Csr.col csr in
   {
     n_left = B.n_left b;
     n_right = B.n_right b;
     right_cap = B.right_cap b;
-    (* fresh rows, already sorted and deduplicated *)
-    adj = B.adjacency b;
+    (* fresh copies of the CSR rows, already sorted and deduplicated *)
+    adj =
+      Array.init (B.n_left b) (fun l ->
+          Array.sub col row_start.(l) (row_start.(l + 1) - row_start.(l)));
   }
 
 let to_bipartite t =
-  let b = B.create ~n_left:t.n_left ~n_right:t.n_right ~right_cap:t.right_cap in
-  Array.iteri
-    (fun l row -> Array.iter (fun r -> B.add_edge b ~left:l ~right:r) row)
-    t.adj;
-  b
+  B.create ~n_left:t.n_left ~n_right:t.n_right ~right_cap:t.right_cap ~fill:(fun l emit ->
+      Array.iter emit t.adj.(l))
 
 let edge_count t = Array.fold_left (fun acc row -> acc + Array.length row) 0 t.adj
 let total_slots t = Array.fold_left ( + ) 0 t.right_cap
@@ -93,6 +95,13 @@ let of_string s =
       let ( let* ) = Result.bind in
       let* n_left, rest = parse_kv "left" rest in
       let* n_right, rest = parse_kv "right" rest in
+      let* () =
+        if n_left < 0 || n_right < 0 then
+          err "negative size: left %d, right %d" n_left n_right
+        else if n_left > Sys.max_array_length then
+          err "left %d exceeds the largest array (%d)" n_left Sys.max_array_length
+        else Ok ()
+      in
       let* caps, rest =
         match rest with
         | line :: rest when String.length line >= 3 && String.sub line 0 3 = "cap" -> (
@@ -114,8 +123,8 @@ let of_string s =
       let* edges, rest = read_edges [] n_edges rest in
       match rest with
       | "end" :: _ -> (
-          let adj = Array.make n_left [] in
           match
+            let adj = Array.make n_left [] in
             List.iter
               (fun (l, r) ->
                 if l < 0 || l >= n_left then failwith "edge left endpoint out of range";
@@ -125,7 +134,8 @@ let of_string s =
               ~adj:(Array.map Array.of_list adj)
           with
           | t -> Ok t
-          | exception (Invalid_argument m | Failure m) -> Error m)
+          | exception (Invalid_argument m | Failure m) -> Error m
+          | exception Out_of_memory -> err "left %d: cannot allocate its rows" n_left)
       | line :: _ -> err "expected 'end', got: %s" line
       | [] -> err "missing 'end' line")
   | m :: _ -> err "bad magic line: %s" m
@@ -138,12 +148,18 @@ let save t ~path =
     (fun () -> output_string oc (to_string t))
 
 let load ~path =
-  match open_in path with
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> of_string (really_input_string ic (in_channel_length ic)))
-  | exception Sys_error m -> Error m
+  if Sys.file_exists path && Sys.is_directory path then Error (path ^ ": is a directory")
+  else
+    match open_in path with
+    | exception Sys_error m -> Error m
+    | ic -> (
+        match
+          Fun.protect
+            ~finally:(fun () -> close_in ic)
+            (fun () -> really_input_string ic (in_channel_length ic))
+        with
+        | s -> of_string s
+        | exception Sys_error m -> Error (path ^ ": " ^ m))
 
 let pp fmt t =
   Format.fprintf fmt "bipartite(%d requests, %d boxes, %d edges, %d slots)" t.n_left

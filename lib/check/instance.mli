@@ -34,10 +34,14 @@ val to_string : t -> string
 (** Text serialisation (the repro-file format, [vod-check bipartite 1]). *)
 
 val of_string : string -> (t, string) result
-(** Inverse of {!to_string}; [Error] describes the first malformed line. *)
+(** Inverse of {!to_string}; [Error] describes the first malformed line,
+    a negative size, or a request count no array can hold. *)
 
 val save : t -> path:string -> unit
+
 val load : path:string -> (t, string) result
+(** {!of_string} of the file's contents; [Error] names [path] when it is
+    a directory or cannot be opened or read. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary (sizes, edges, slots), not the full serialisation. *)

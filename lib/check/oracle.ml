@@ -14,9 +14,9 @@ let solvers =
     (* The pre-CSR implementations (explicit Flow_network / slot
        expansion) stay on the panel as independent oracles for the
        engine's flat Dinic core. *)
-    ("dinic_legacy", B.solve_legacy ~algorithm:B.Dinic_flow);
-    ("push_relabel_legacy", B.solve_legacy ~algorithm:B.Push_relabel_flow);
-    ("hopcroft_karp_slots", B.solve_legacy ~algorithm:B.Hopcroft_karp_matching);
+    ("dinic_legacy", Legacy.dinic);
+    ("push_relabel_legacy", Legacy.push_relabel);
+    ("hopcroft_karp_slots", Legacy.hopcroft_karp);
     ("min_cost_flow", B.solve_min_cost ~edge_cost:probe_cost);
   ]
 

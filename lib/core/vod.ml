@@ -9,10 +9,7 @@ module Table = Vod_util.Table
 
 module Csr = Vod_graph.Csr
 module Arena = Vod_graph.Arena
-module Flow_network = Vod_graph.Flow_network
 module Dinic = Vod_graph.Dinic
-module Push_relabel = Vod_graph.Push_relabel
-module Hopcroft_karp = Vod_graph.Hopcroft_karp
 module Bipartite = Vod_graph.Bipartite
 module Min_cost_flow = Vod_graph.Min_cost_flow
 

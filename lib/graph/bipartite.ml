@@ -1,12 +1,10 @@
 open Vod_util
-module F = Flow_network
 
 (* The instance is its [Csr.t]: it holds the edges and the per-right
-   capacities, and doubles as the reusable builder: [reset] +
-   [add_edge] fill it through the pending list, and [rebuild] (the
-   engine's per-round path) writes its rows directly.  Every solver
-   reads the finalized CSR rows; only the slot Hopcroft-Karp oracle
-   and snapshots take the [int array array] view, built on demand. *)
+   capacities, and doubles as the reusable builder.  [create] and
+   [rebuild] (the engine's per-round path) both write its rows through
+   [Csr.rebuild_rows], the one fill path, and every solver reads those
+   rows. *)
 type t = Csr.t
 
 let validate_shape ~who ~n_left ~n_right ~right_cap =
@@ -14,40 +12,23 @@ let validate_shape ~who ~n_left ~n_right ~right_cap =
   if Array.length right_cap <> n_right then
     invalid_arg (who ^ ": right_cap length mismatch")
 
-let create ~n_left ~n_right ~right_cap =
-  validate_shape ~who:"Bipartite.create" ~n_left ~n_right ~right_cap;
-  let t = Csr.create () in
-  Csr.reset t ~n_left ~n_right;
-  Csr.set_right_caps t right_cap;
-  t
-
-let reset t ~n_left ~n_right ~right_cap =
-  validate_shape ~who:"Bipartite.reset" ~n_left ~n_right ~right_cap;
-  Csr.reset t ~n_left ~n_right;
-  Csr.set_right_caps t right_cap
-
 let rebuild t ~n_left ~right_cap ~fill =
   let n_right = Csr.n_right t in
   validate_shape ~who:"Bipartite.rebuild" ~n_left ~n_right ~right_cap;
   Csr.set_right_caps t right_cap;
   Csr.rebuild_rows t ~n_left ~fill
 
-let add_edge t ~left ~right =
-  if left < 0 || left >= Csr.n_left t then
-    invalid_arg "Bipartite.add_edge: left out of range";
-  if right < 0 || right >= Csr.n_right t then
-    invalid_arg "Bipartite.add_edge: right out of range";
-  Csr.add_edge t ~left ~right
+let create ~n_left ~n_right ~right_cap ~fill =
+  validate_shape ~who:"Bipartite.create" ~n_left ~n_right ~right_cap;
+  let t = Csr.create ~n_right in
+  rebuild t ~n_left ~right_cap ~fill;
+  t
 
 let n_left = Csr.n_left
 let n_right = Csr.n_right
 let right_cap t = Array.sub (Csr.right_cap_array t) 0 (Csr.n_right t)
 
-let csr t =
-  Csr.finalize t;
-  t
-
-let adjacency = Csr.to_adjacency
+let csr t = t
 let degree = Csr.degree
 
 type outcome = { matched : int; assignment : int array; right_load : int array }
@@ -83,64 +64,6 @@ let outcome_of_arcs t ~flow arc =
     done
   done;
   { matched = !matched; assignment; right_load }
-
-(* ------------------------------------------------------------------ *)
-(* Legacy solver paths                                                 *)
-(*                                                                     *)
-(* The historical implementations — an explicit [Flow_network] for the *)
-(* flow algorithms and slot expansion for Hopcroft-Karp — are kept as  *)
-(* independent algorithms so the vod_check oracle panel and the fuzz   *)
-(* harness can diff the engine's CSR Dinic core against them on every  *)
-(* instance.                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Flow-network encoding of Lemma 1: source 0 -> request [1 + l]
-   (cap 1), request -> box [1 + n_left + r] (cap 1), box -> sink
-   (cap = upload slots).  Returns the network, its sink and the
-   request -> box arc of each CSR edge. *)
-let build_network t =
-  let nl = n_left t and nr = n_right t in
-  let right_base = 1 + nl in
-  let sink = 1 + nl + nr in
-  let row_start = Csr.row_start t and col = Csr.col t in
-  let right_cap = Csr.right_cap_array t in
-  let m = Csr.n_edges t in
-  (* src arcs + middle arcs + sink arcs, two arc cells each *)
-  let net = F.create ~arc_hint:(2 * (nl + m + nr)) (sink + 1) in
-  for l = 0 to nl - 1 do
-    ignore (F.add_edge net ~src:0 ~dst:(1 + l) ~cap:1)
-  done;
-  let middle = Array.make m 0 in
-  for l = 0 to nl - 1 do
-    for e = row_start.(l) to row_start.(l + 1) - 1 do
-      middle.(e) <- F.add_edge net ~src:(1 + l) ~dst:(right_base + col.(e)) ~cap:1
-    done
-  done;
-  for r = 0 to nr - 1 do
-    ignore (F.add_edge net ~src:(right_base + r) ~dst:sink ~cap:right_cap.(r))
-  done;
-  (net, sink, middle)
-
-type algorithm = Dinic_flow | Push_relabel_flow | Hopcroft_karp_matching
-
-let solve_legacy ~algorithm t =
-  match algorithm with
-  | Dinic_flow ->
-      let net, sink, middle = build_network t in
-      let (_ : int) = Dinic.max_flow net ~src:0 ~sink in
-      outcome_of_arcs t ~flow:(F.flow net) middle
-  | Push_relabel_flow ->
-      let net, sink, middle = build_network t in
-      let (_ : int) = Push_relabel.max_flow net ~src:0 ~sink in
-      outcome_of_arcs t ~flow:(F.flow net) middle
-  | Hopcroft_karp_matching ->
-      let r =
-        Hopcroft_karp.solve_slots ~n_left:(n_left t) ~n_right:(n_right t)
-          ~adj:(adjacency t)
-          ~right_cap:(right_cap t)
-          ()
-      in
-      { matched = r.Hopcroft_karp.size; assignment = r.assignment; right_load = r.right_load }
 
 let solve_min_cost t ~edge_cost =
   let nl = n_left t and nr = n_right t in

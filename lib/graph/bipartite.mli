@@ -11,47 +11,39 @@
 
 type t
 
-val create : n_left:int -> n_right:int -> right_cap:int array -> t
-(** @raise Invalid_argument on negative sizes or capacities, or when
-    [right_cap] has length other than [n_right]. *)
-
-val reset : t -> n_left:int -> n_right:int -> right_cap:int array -> unit
-(** Rewind to an empty instance of the given (possibly different) shape,
-    reusing every backing buffer; once buffers reach their high-water
-    mark a reset + refill through {!add_edge} allocates nothing.  The
-    capacities are checked and copied in one pass.  Same validation as
-    {!create}. *)
+val create :
+  n_left:int ->
+  n_right:int ->
+  right_cap:int array ->
+  fill:(int -> (int -> unit) -> unit) ->
+  t
+(** A fresh instance whose row [l] is written by [fill l emit]: [emit r]
+    declares that box [r] can serve request [l], in any order, and
+    duplicate edges do not change the instance.  [fill] is called
+    exactly once per row, in ascending [l] (see {!Csr.rebuild_rows}).
+    The capacities are checked and copied.
+    @raise Invalid_argument on negative sizes or capacities, when
+    [right_cap] has length other than [n_right], or if [fill] emits an
+    out-of-range box. *)
 
 val rebuild :
   t -> n_left:int -> right_cap:int array -> fill:(int -> (int -> unit) -> unit) -> unit
-(** Rebuild the instance for the next round in one row-major pass —
-    the engine's only per-round build.  Row [l] is written by
-    [fill l emit] straight into the CSR column array.  The number of
-    rights is unchanged and their capacities are copied from
-    [right_cap] in one checked pass.  See {!Csr.rebuild_rows} for cost
-    and the frozen-instance caveat ({!add_edge} raises until the next
-    {!reset}).
-    @raise Invalid_argument as {!reset}, or as {!Csr.rebuild_rows}. *)
-
-val add_edge : t -> left:int -> right:int -> unit
-(** Declares that box [right] can serve request [left].  Duplicate edges
-    are tolerated (they do not change the instance).
-    @raise Invalid_argument on out-of-range endpoints. *)
+(** Refill the instance in place for the next round, reusing every
+    backing buffer — the engine's per-round build.  Rows are written as
+    by {!create}; the number of rights is unchanged and their
+    capacities are copied from [right_cap] in one checked pass.  See
+    {!Csr.rebuild_rows} for cost.
+    @raise Invalid_argument as {!create}. *)
 
 val n_left : t -> int
 val n_right : t -> int
 val right_cap : t -> int array
 
 val csr : t -> Csr.t
-(** The instance's flat CSR representation, finalized (borrowed: owned
-    by the instance, invalidated by {!reset}; mutating it directly is
-    not allowed).  This is what every solver here traverses; exposed
+(** The instance's flat CSR representation (borrowed: owned by the
+    instance, invalidated by {!rebuild}; mutating it directly is not
+    allowed).  This is what every solver here traverses; exposed
     so harnesses can call {!Dinic.solve_csr} directly. *)
-
-val adjacency : t -> int array array
-(** Left-to-right adjacency, sorted per row with duplicates removed —
-    a fresh copy of the CSR rows ({!Csr.to_adjacency}) on every call,
-    for the slot Hopcroft–Karp oracle and instance snapshots. *)
 
 val degree : t -> int -> int
 (** Number of distinct boxes able to serve a request. *)
@@ -78,13 +70,11 @@ val solve_in_arena : arena:Arena.t -> t -> int
     solve.  The engine's per-round path; {!val:solve} is this plus a
     copy into fresh arrays. *)
 
-type algorithm = Dinic_flow | Push_relabel_flow | Hopcroft_karp_matching
-
-val solve_legacy : algorithm:algorithm -> t -> outcome
-(** The historical solver paths — an explicit {!Flow_network} for
-    {!Dinic_flow} / {!Push_relabel_flow} and slot expansion for
-    {!Hopcroft_karp_matching} — kept as independent implementations for
-    the vod_check oracle panel to diff against {!solve}. *)
+val outcome_of_arcs : t -> flow:(int -> int) -> int array -> outcome
+(** [outcome_of_arcs t ~flow arc] reads a matching back from a flow
+    network built over [t]: [arc.(e)] is the request -> box arc of CSR
+    edge [e] (in {!Csr.col} order) and [flow a] the flow on arc [a].
+    {!solve_min_cost} and the network oracles in [Vod_check] use it. *)
 
 val solve_min_cost : t -> edge_cost:(left:int -> right:int -> int) -> outcome
 (** Maximum matching of minimum total edge cost (successive shortest

@@ -7,31 +7,22 @@
     replace the [int array array] adjacency rows the solvers used to
     traverse, eliminating a pointer chase and a per-row allocation.
 
-    The value doubles as its own builder, in two forms.  [reset]
-    rewinds it to an empty instance of a (possibly different) shape
-    while keeping every backing buffer, [add_edge] appends pending edges
-    in arbitrary order, and [finalize] compacts them into row-major CSR
-    form — deduplicating repeated (left, right) pairs — via a counting
-    sort that allocates nothing once the buffers have grown to the
-    high-water mark.  [rebuild_rows] skips the pending list: it writes
-    each row straight into the row view and sorts it in place.  The
-    engine rebuilds its round instance through [rebuild_rows] only;
-    [finalize] serves the [add_edge] callers (tests, oracles, probes).
+    The value doubles as its own builder, with one fill path:
+    [rebuild_rows] writes each row straight into the column array and
+    sorts and deduplicates it in place, reusing every backing buffer.
+    The number of rights is fixed at [create]; the number of lefts and
+    the capacities may change from one rebuild to the next.
 
-    Buffers returned by [row_start], [col] and [right_cap_array] are
-    borrowed: they remain owned by the instance, are invalidated by the
-    next [reset]/[finalize], and may be longer than the logical size —
-    only the prefixes documented below are meaningful. *)
+    Buffers returned by [row_start] and [col] are borrowed: they remain
+    owned by the instance, are invalidated by the next [rebuild_rows],
+    and may be longer than the logical size — only the prefixes
+    documented below are meaningful. *)
 
 type t
 
-val create : unit -> t
-(** An empty 0x0 instance (finalized). *)
-
-val reset : t -> n_left:int -> n_right:int -> unit
-(** Rewind to an empty [n_left] x [n_right] instance with all right
-    capacities 0, retaining backing buffers.
-    @raise Invalid_argument on negative dimensions. *)
+val create : n_right:int -> t
+(** An empty [0] x [n_right] instance with every right capacity 0.
+    @raise Invalid_argument on a negative [n_right]. *)
 
 val set_right_caps : t -> int array -> unit
 (** [set_right_caps t caps] sets every right's capacity from
@@ -39,34 +30,20 @@ val set_right_caps : t -> int array -> unit
     @raise Invalid_argument if [caps] is shorter than [n_right] or holds
     a negative capacity; the rights before it are already set. *)
 
-val add_edge : t -> left:int -> right:int -> unit
-(** Append a pending edge; duplicates are collapsed by [finalize].
-    @raise Invalid_argument on out-of-range endpoints. *)
-
-val finalize : t -> unit
-(** Compact pending edges into CSR form: a two-pass stable counting
-    sort (by column, then by row) yielding sorted rows, followed by an
-    adjacent-duplicate compaction.  O(edges + n_left + n_right), and
-    allocation-free once the buffers have grown.  Idempotent; implied
-    by the accessors below, so calling it explicitly is only useful for
-    timing. *)
-
 val rebuild_rows : t -> n_left:int -> fill:(int -> (int -> unit) -> unit) -> unit
-(** One row-major pass that builds the finalized row view for the next
-    round: the neighbours of row [l] are written by [fill l emit]
-    straight into the column array (in any order, duplicates allowed —
-    the row is then sorted and deduplicated in place, so it lands in the
-    same normal form as [finalize]).  O(edges + n_left), with no
-    counting sort and no O(n_right) pass.  Short rows are
+(** One row-major pass that replaces the instance's rows with
+    [n_left] new ones.  [fill] is called exactly once per row, in
+    ascending [l], so a caller that draws from a PRNG inside [fill]
+    keeps its draw order; [fill l emit] writes the neighbours of row
+    [l] straight into the column array (in any order, duplicates
+    allowed — the row is then sorted and deduplicated in place).
+    O(edges + n_left), with no O(n_right) pass.  Short rows are
     insertion-sorted; long ones (a popular stripe's cache window) are
     radix-sorted, O(d) for a row of d entries.  One [emit] closure
     serves the whole rebuild, and the sort scratch lives in the
     instance, so once the buffers have grown the pass allocates
     nothing.  The number of rights and the capacity array are
     untouched; set capacities separately ({!set_right_caps}).
-    Afterwards the instance is {e frozen}: the pending-edge list no
-    longer mirrors the row view, so [add_edge] raises until the next
-    [reset].
     @raise Invalid_argument on a negative [n_left] or if [fill] emits an
     out-of-range right. *)
 
@@ -74,34 +51,23 @@ val n_left : t -> int
 val n_right : t -> int
 
 val n_edges : t -> int
-(** Number of distinct edges (finalizes first). *)
+(** Number of distinct edges. *)
 
 val row_start : t -> int array
-(** Borrowed; entries [0 .. n_left] are meaningful (finalizes first). *)
+(** Borrowed; entries [0 .. n_left] are meaningful. *)
 
 val col : t -> int array
-(** Borrowed; entries [0 .. n_edges - 1] are meaningful (finalizes
-    first).  Within a row, columns are in ascending order — the same
-    normal form as the sorted adjacency view, so the CSR and legacy
-    solvers break ties between maximum matchings identically. *)
+(** Borrowed; entries [0 .. n_edges - 1] are meaningful.  Within a row,
+    columns are in ascending order, so every solver that reads the rows
+    breaks ties between maximum matchings the same way. *)
 
 val right_cap_array : t -> int array
 (** Borrowed; entries [0 .. n_right - 1] are meaningful. *)
 
 val right_cap : t -> int -> int
+
 val degree : t -> int -> int
-(** Distinct-neighbour degree of a left vertex (finalizes first). *)
+(** Distinct-neighbour degree of a left vertex. *)
 
 val mem : t -> left:int -> right:int -> bool
-(** Linear scan of [left]'s row (finalizes first). *)
-
-val of_adjacency : ?right_cap:int array -> n_right:int -> int array array -> t
-(** Fresh instance from adjacency rows (duplicates allowed); rights all
-    have capacity 1 unless [right_cap] is given. *)
-
-val load_adjacency : t -> ?right_cap:int array -> n_right:int -> int array array -> unit
-(** [of_adjacency] into an existing instance, reusing its buffers. *)
-
-val to_adjacency : t -> int array array
-(** Fresh sorted, deduplicated adjacency rows (allocates; for tests,
-    certificates and the legacy solver paths). *)
+(** Linear scan of [left]'s row. *)

@@ -1,18 +1,14 @@
-(** Dinic's maximum-flow algorithm: BFS level graph + blocking flows with
-    the current-arc optimisation.  On the unit-capacity bipartite networks
-    produced by connection matching this runs in O(E sqrt(V)), matching
-    Hopcroft–Karp. *)
-
-val max_flow : ?limit:int -> Flow_network.t -> src:int -> sink:int -> int
-(** Computes a maximum flow destructively on the network and returns its
-    value.  [limit] caps the amount of flow pushed (default unbounded) —
-    useful for early-exit feasibility checks.
-    @raise Invalid_argument if [src = sink] or either is out of range. *)
+(** Dinic's maximum-flow algorithm specialised to connection matching:
+    BFS level graph + blocking flows with the current-arc optimisation
+    over the implicit bipartite network of a {!Csr.t}.  On these
+    unit-capacity networks it runs in O(E sqrt(V)), matching
+    Hopcroft–Karp.  It is the engine's only matcher; the network
+    solvers it is checked against live in [Vod_check]. *)
 
 val solve_csr : arena:Arena.t -> Csr.t -> int
 (** Dinic specialised to the implicit bipartite matching network
     (src -> lefts cap 1 -> rights via the CSR edges cap 1 -> sink with
-    cap [right_cap]); no [Flow_network] is materialised.  Returns the
+    cap [right_cap]); no flow network is materialised.  Returns the
     flow value (= matching size); the assignment and per-right loads are
     left in [Arena.assignment] / [Arena.right_load] (borrowed, valid
     until the arena's next solve).  All scratch lives in the arena, so

@@ -294,7 +294,9 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
     sched_rng = Vod_util.Prng.create ~seed:0x7ea ();
     last_violator = None;
     last_instance = None;
-    inst = Vod_graph.Bipartite.create ~n_left:0 ~n_right:n ~right_cap:(Array.make n 0);
+    inst =
+      Vod_graph.Bipartite.create ~n_left:0 ~n_right:n ~right_cap:(Array.make n 0)
+        ~fill:(fun _ _ -> ());
     arena = Vod_graph.Arena.create ();
     online_cap = Array.copy capacity;
     demand_round = Array.make n 0;

@@ -87,14 +87,17 @@ let step g t =
     let right_cap =
       Array.init t.cfg.n (fun b -> if t.joined_at.(b) >= 0 then t.cfg.slots else 0)
     in
-    let inst = Vod_graph.Bipartite.create ~n_left ~n_right:t.cfg.n ~right_cap in
-    Vec.iteri
-      (fun l (downloader, p) ->
-        for server = 0 to t.cfg.n - 1 do
-          if server <> downloader && t.joined_at.(server) >= 0 && Bitset.mem t.has.(server) p
-          then Vod_graph.Bipartite.add_edge inst ~left:l ~right:server
-        done)
-      wants;
+    let inst =
+      Vod_graph.Bipartite.create ~n_left ~n_right:t.cfg.n ~right_cap ~fill:(fun l emit ->
+          let downloader, p = Vec.get wants l in
+          for server = 0 to t.cfg.n - 1 do
+            if
+              server <> downloader
+              && t.joined_at.(server) >= 0
+              && Bitset.mem t.has.(server) p
+            then emit server
+          done)
+    in
     let outcome = Vod_graph.Bipartite.solve inst in
     let transferred = ref 0 in
     Vec.iteri

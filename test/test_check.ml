@@ -148,6 +148,57 @@ let test_repro_roundtrip_file () =
   checkb "missing file is an error" true (Result.is_error (Instance.load ~path:"/nonexistent/x.repro"));
   checkb "garbage is an error" true (Result.is_error (Instance.of_string "not a repro"))
 
+(* A malformed repro is a one-line cmdliner error (exit 124) naming the
+   file, not an uncaught exception (exit 125): a negative request
+   count, one no array can hold, and a directory given as the file. *)
+let test_replay_malformed_is_clean () =
+  let repro left =
+    Printf.sprintf "vod-check bipartite 1\nleft %s\nright 1\ncap 1\nedges 0\nend\n" left
+  in
+  let negative = Filename.temp_file "vod-check" ".repro" in
+  let huge = Filename.temp_file "vod-check" ".repro" in
+  Out_channel.with_open_bin negative (fun oc -> output_string oc (repro "-3"));
+  Out_channel.with_open_bin huge (fun oc ->
+      output_string oc (repro (string_of_int max_int)));
+  let replay path =
+    let err = Filename.temp_file "vodctl" ".err" in
+    let code =
+      Sys.command
+        (Printf.sprintf "../bin/vodctl.exe check --replay %s >/dev/null 2>%s"
+           (Filename.quote path) (Filename.quote err))
+    in
+    let stderr = In_channel.with_open_bin err In_channel.input_all in
+    Sys.remove err;
+    checki (path ^ ": exit 124") 124 code;
+    checkb
+      (path ^ ": one vodctl: line naming the file")
+      true
+      (String.starts_with
+         ~prefix:("vodctl: repro " ^ path ^ ": cannot load repro: ")
+         stderr
+      && List.length (String.split_on_char '\n' (String.trim stderr)) = 1)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove negative;
+      Sys.remove huge)
+    (fun () -> List.iter replay [ negative; huge; Filename.get_temp_dir_name () ]);
+  let error = Alcotest.(check (result reject string)) in
+  error "negative left is named" (Error "negative size: left -3, right 1")
+    (Instance.of_string (repro "-3"));
+  error "unallocatable left is named"
+    (Error
+       (Printf.sprintf "left %d exceeds the largest array (%d)" max_int
+          Sys.max_array_length))
+    (Instance.of_string (repro (string_of_int max_int)));
+  (* the largest array OCaml allows, 144 PB of rows: past any address
+     space, so the allocation is refused without touching memory *)
+  error "rows no heap can hold are named"
+    (Error (Printf.sprintf "left %d: cannot allocate its rows" Sys.max_array_length))
+    (Instance.of_string (repro (string_of_int Sys.max_array_length)));
+  let dir = Filename.get_temp_dir_name () in
+  error "directory is named" (Error (dir ^ ": is a directory")) (Instance.load ~path:dir)
+
 (* Theorem 1 inequalities over a grid of u in (1, 8], mu in [1, 4]
    (satellite): c > (2 mu^2 - 1)/(u - 1), nu > 0, and
    k >= 5 nu^-1 log d' / log u'. *)
@@ -203,8 +254,8 @@ let qcheck_cases =
           (fun o -> Certificate.check_matching inst o = Ok ())
           [
             B.solve bip;
-            B.solve_legacy ~algorithm:B.Push_relabel_flow bip;
-            B.solve_legacy ~algorithm:B.Hopcroft_karp_matching bip;
+            Legacy.push_relabel bip;
+            Legacy.hopcroft_karp bip;
             B.solve_min_cost bip ~edge_cost:(fun ~left ~right -> (left + right) mod 3);
           ]);
     (* 4 *)
@@ -376,6 +427,8 @@ let suites =
         Alcotest.test_case "shrinker reaches the minimal core" `Quick
           test_shrinker_minimises_contested;
         Alcotest.test_case "repro file roundtrip" `Quick test_repro_roundtrip_file;
+        Alcotest.test_case "malformed replay is a clean error" `Quick
+          test_replay_malformed_is_clean;
         Alcotest.test_case "pinned-seed regression anchors" `Quick
           test_pinned_seed_regressions;
       ] );

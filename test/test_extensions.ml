@@ -80,12 +80,12 @@ let test_min_cost_matching_size_matches_solve () =
   for _ = 1 to 40 do
     let n_left = 1 + Prng.int g 8 and n_right = 1 + Prng.int g 6 in
     let right_cap = Array.init n_right (fun _ -> Prng.int g 3) in
-    let inst = Bipartite.create ~n_left ~n_right ~right_cap in
-    for l = 0 to n_left - 1 do
-      for r = 0 to n_right - 1 do
-        if Prng.float g 1.0 < 0.5 then Bipartite.add_edge inst ~left:l ~right:r
-      done
-    done;
+    let inst =
+      Bipartite.create ~n_left ~n_right ~right_cap ~fill:(fun _ emit ->
+          for r = 0 to n_right - 1 do
+            if Prng.float g 1.0 < 0.5 then emit r
+          done)
+    in
     let plain = (Bipartite.solve inst).Bipartite.matched in
     let costed =
       (Bipartite.solve_min_cost inst ~edge_cost:(fun ~left ~right -> left + right))
@@ -96,9 +96,11 @@ let test_min_cost_matching_size_matches_solve () =
 
 let test_min_cost_matching_picks_cheap_edges () =
   (* one request, two boxes; the zero-cost box must win *)
-  let inst = Bipartite.create ~n_left:1 ~n_right:2 ~right_cap:[| 1; 1 |] in
-  Bipartite.add_edge inst ~left:0 ~right:0;
-  Bipartite.add_edge inst ~left:0 ~right:1;
+  let inst =
+    Bipartite.create ~n_left:1 ~n_right:2 ~right_cap:[| 1; 1 |] ~fill:(fun _ emit ->
+        emit 0;
+        emit 1)
+  in
   let o =
     Bipartite.solve_min_cost inst ~edge_cost:(fun ~left:_ ~right -> if right = 0 then 5 else 0)
   in
@@ -110,16 +112,13 @@ let test_min_cost_matching_picks_cheap_edges () =
 
 let random_instance g ~n_left ~n_right =
   let right_cap = Array.init n_right (fun _ -> Prng.int g 3) in
-  let inst = Bipartite.create ~n_left ~n_right ~right_cap in
-  for l = 0 to n_left - 1 do
-    for r = 0 to n_right - 1 do
-      if Prng.float g 1.0 < 0.4 then Bipartite.add_edge inst ~left:l ~right:r
-    done
-  done;
-  inst
+  Bipartite.create ~n_left ~n_right ~right_cap ~fill:(fun _ emit ->
+      for r = 0 to n_right - 1 do
+        if Prng.float g 1.0 < 0.4 then emit r
+      done)
 
 let greedy_outcome_valid inst (o : Bipartite.outcome) =
-  let adj = Bipartite.adjacency inst in
+  let adj = (Vod_check.Instance.of_bipartite inst).adj in
   let cap = Bipartite.right_cap inst in
   let load = Array.make (Bipartite.n_right inst) 0 in
   let ok = ref true in
@@ -158,10 +157,11 @@ let test_greedy_stable_is_half_optimal () =
   done
 
 let test_greedy_warm_start_respected () =
-  let inst = Bipartite.create ~n_left:2 ~n_right:2 ~right_cap:[| 1; 1 |] in
-  Bipartite.add_edge inst ~left:0 ~right:0;
-  Bipartite.add_edge inst ~left:0 ~right:1;
-  Bipartite.add_edge inst ~left:1 ~right:1;
+  let inst =
+    Bipartite.create ~n_left:2 ~n_right:2 ~right_cap:[| 1; 1 |] ~fill:(fun l emit ->
+        if l = 0 then emit 0;
+        emit 1)
+  in
   let g = Prng.create ~seed:41 () in
   (* request 0 was on box 1 last round; with the seat honoured first,
      request 1 can end up unmatched only if box 1 taken — it has no
@@ -173,7 +173,9 @@ let test_greedy_warm_start_respected () =
   checkb "bad seat ignored, matching still valid" true (greedy_outcome_valid inst o2)
 
 let test_greedy_warm_start_length () =
-  let inst = Bipartite.create ~n_left:2 ~n_right:1 ~right_cap:[| 1 |] in
+  let inst =
+    Bipartite.create ~n_left:2 ~n_right:1 ~right_cap:[| 1 |] ~fill:(fun _ _ -> ())
+  in
   let g = Prng.create () in
   Alcotest.check_raises "length"
     (Invalid_argument "Bipartite.solve_greedy: warm_start length mismatch") (fun () ->

@@ -320,7 +320,7 @@ let test_batched_crash_drop () =
     let g = Prng.create ~seed:4 () in
     let view () =
       Option.map
-        (fun b -> Vod_graph.Csr.to_adjacency (Vod_graph.Bipartite.csr b))
+        (fun b -> (Vod_check.Instance.of_bipartite b).adj)
         (Engine.last_instance e)
     in
     List.init 30 (fun i ->
@@ -810,6 +810,42 @@ let test_chaos_pin (name, path, config) () =
   checks "vod-chaos/1 matches the golden pin" (golden "_golden.jsonl") o.Chaos.jsonl;
   checks "vod-slo/1 matches the golden pin" (golden "_slo_golden.jsonl") o.Chaos.slo_jsonl
 
+(* Byte-pin of a startup SLO that burns: flash_during_outage with its
+   startup budget cut from 3 rounds to 1, so the flash crowd's slow
+   starts burn the startup SLO (max fast burn 0.9677) without
+   saturating it (target 0.05 saturates at 20).  Every other pin reads
+   a startup burn of 0, where a cursor that counts a startup twice
+   leaves the stream unchanged.  The scenario is built here, not under
+   examples/battery/, so the battery scorecard does not move.
+   Regenerate with
+     sed 's/kpi max-startup-p95 3/kpi max-startup-p95 1/' \
+       examples/battery/flash_during_outage.scn > flash_startup1.scn
+     dune exec bin/vodctl.exe -- chaos flash_startup1.scn \
+       --out /dev/null --slo-out test/chaos_flash_startup1_slo_golden.jsonl *)
+let test_chaos_startup_burn_pin () =
+  let text =
+    In_channel.with_open_bin "../examples/battery/flash_during_outage.scn"
+      In_channel.input_all
+  in
+  let text =
+    String.split_on_char '\n' text
+    |> List.map (function
+         | "kpi max-startup-p95 3" -> "kpi max-startup-p95 1"
+         | line -> line)
+    |> String.concat "\n"
+  in
+  let s = Result.get_ok (Scenario.parse ~name:"flash_startup1.scn" text) in
+  let o = Result.get_ok (Chaos.run s) in
+  checks "vod-slo/1 matches the golden pin"
+    (In_channel.with_open_bin "chaos_flash_startup1_slo_golden.jsonl" In_channel.input_all)
+    o.Chaos.slo_jsonl;
+  match List.find_opt (fun su -> su.Vod_obs.Slo.su_name = "startup") o.Chaos.slo with
+  | None -> Alcotest.fail "no startup SLO"
+  | Some su ->
+      let burn = su.Vod_obs.Slo.su_max_fast_burn in
+      checkb (Printf.sprintf "startup burn %.4f neither 0 nor saturated" burn) true
+        (burn > 0.0 && burn < 20.0)
+
 (* ------------------------------------------------------------------ *)
 (* Chaos-mode repair oracle                                            *)
 (* ------------------------------------------------------------------ *)
@@ -922,6 +958,7 @@ let suites =
           test_chaos_slo_compilation;
         Alcotest.test_case "rejects bad scenarios" `Quick test_chaos_rejects_bad_scenarios;
         Alcotest.test_case "repair oracle agreement" `Quick test_chaos_repair_agreement;
+        Alcotest.test_case "startup burn pin" `Quick test_chaos_startup_burn_pin;
       ]
       @ List.map
           (fun ((name, _, _) as pin) ->

@@ -1,8 +1,15 @@
-(* Tests for the vod_graph substrate: flow networks, max-flow solvers,
-   bipartite matching, Hall certificates and expansion measurement. *)
+(* Tests for the vod_graph substrate (the CSR builder, bipartite
+   matching, Hall certificates) and for the independent solvers the
+   oracle panel checks it against (flow networks, network max flows,
+   slot Hopcroft-Karp), which live in vod_check. *)
 
 open Vod_util
 open Vod_graph
+module Flow_network = Vod_check.Flow_network
+module Dinic_flow = Vod_check.Dinic_flow
+module Push_relabel = Vod_check.Push_relabel
+module Hopcroft_karp = Vod_check.Hopcroft_karp
+module Legacy = Vod_check.Legacy
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -61,7 +68,7 @@ let clrs_network () =
 
 let test_dinic_clrs () =
   let net = clrs_network () in
-  checki "max flow" 23 (Dinic.max_flow net ~src:0 ~sink:5);
+  checki "max flow" 23 (Dinic_flow.max_flow net ~src:0 ~sink:5);
   checkb "conservation" true (Flow_network.check_conservation net ~src:0 ~sink:5)
 
 let test_push_relabel_clrs () =
@@ -73,17 +80,17 @@ let test_dinic_disconnected () =
   let net = Flow_network.create 4 in
   ignore (Flow_network.add_edge net ~src:0 ~dst:1 ~cap:10);
   ignore (Flow_network.add_edge net ~src:2 ~dst:3 ~cap:10);
-  checki "no path" 0 (Dinic.max_flow net ~src:0 ~sink:3)
+  checki "no path" 0 (Dinic_flow.max_flow net ~src:0 ~sink:3)
 
 let test_dinic_parallel_edges () =
   let net = Flow_network.create 2 in
   ignore (Flow_network.add_edge net ~src:0 ~dst:1 ~cap:3);
   ignore (Flow_network.add_edge net ~src:0 ~dst:1 ~cap:4);
-  checki "parallel edges sum" 7 (Dinic.max_flow net ~src:0 ~sink:1)
+  checki "parallel edges sum" 7 (Dinic_flow.max_flow net ~src:0 ~sink:1)
 
 let test_dinic_limit () =
   let net = clrs_network () in
-  let f = Dinic.max_flow ~limit:5 net ~src:0 ~sink:5 in
+  let f = Dinic_flow.max_flow ~limit:5 net ~src:0 ~sink:5 in
   checkb "limit respected" true (f <= 5);
   checkb "limit progress" true (f > 0)
 
@@ -92,12 +99,12 @@ let test_dinic_bottleneck_chain () =
   List.iteri
     (fun i cap -> ignore (Flow_network.add_edge net ~src:i ~dst:(i + 1) ~cap))
     [ 9; 3; 7; 5 ];
-  checki "chain bottleneck" 3 (Dinic.max_flow net ~src:0 ~sink:4)
+  checki "chain bottleneck" 3 (Dinic_flow.max_flow net ~src:0 ~sink:4)
 
 let test_dinic_invalid () =
   let net = Flow_network.create 3 in
-  Alcotest.check_raises "src=sink" (Invalid_argument "Dinic.max_flow: src = sink")
-    (fun () -> ignore (Dinic.max_flow net ~src:1 ~sink:1))
+  Alcotest.check_raises "src=sink" (Invalid_argument "Dinic_flow.max_flow: src = sink")
+    (fun () -> ignore (Dinic_flow.max_flow net ~src:1 ~sink:1))
 
 (* Random networks: Dinic and push-relabel must agree. *)
 let random_network g n_nodes n_edges max_cap =
@@ -115,7 +122,7 @@ let test_solvers_agree_random () =
     let build_seed = Prng.bits g in
     let build () = random_network (Prng.create ~seed:build_seed ()) n (3 * n) 10 in
     let n1 = build () and n2 = build () in
-    let f1 = Dinic.max_flow n1 ~src:0 ~sink:(n - 1) in
+    let f1 = Dinic_flow.max_flow n1 ~src:0 ~sink:(n - 1) in
     let f2 = Push_relabel.max_flow n2 ~src:0 ~sink:(n - 1) in
     checki "solver agreement" f1 f2;
     checkb "dinic conservation" true (Flow_network.check_conservation n1 ~src:0 ~sink:(n - 1));
@@ -179,25 +186,27 @@ let test_hk_invalid () =
 (* Bipartite                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* [fill] for [Bipartite.create] / [rebuild] that emits [rows.(l)]. *)
+let emit_rows rows l emit = Array.iter emit rows.(l)
+
+(* An instance with the given raw rows (any order, duplicates allowed). *)
+let of_rows ~right_cap rows =
+  Bipartite.create ~n_left:(Array.length rows) ~n_right:(Array.length right_cap)
+    ~right_cap ~fill:(emit_rows rows)
+
+(* The rows of a CSR instance, as fresh arrays. *)
+let rows_of csr =
+  let row_start = Csr.row_start csr in
+  Array.init (Csr.n_left csr) (fun l ->
+      Array.sub (Csr.col csr) row_start.(l) (row_start.(l + 1) - row_start.(l)))
+
 let simple_instance () =
-  let b = Bipartite.create ~n_left:4 ~n_right:3 ~right_cap:[| 2; 1; 1 |] in
-  Bipartite.add_edge b ~left:0 ~right:0;
-  Bipartite.add_edge b ~left:1 ~right:0;
-  Bipartite.add_edge b ~left:2 ~right:1;
-  Bipartite.add_edge b ~left:3 ~right:2;
-  b
+  of_rows ~right_cap:[| 2; 1; 1 |] [| [| 0 |]; [| 0 |]; [| 1 |]; [| 2 |] |]
 
 (* The engine's matcher and the two independent legacy matchers the
    oracle panel diffs it against. *)
-let matchers =
-  [
-    (fun b -> Bipartite.solve b);
-    Bipartite.solve_legacy ~algorithm:Bipartite.Push_relabel_flow;
-    Bipartite.solve_legacy ~algorithm:Bipartite.Hopcroft_karp_matching;
-  ]
-
-let legacy_algorithms =
-  Bipartite.[ Dinic_flow; Push_relabel_flow; Hopcroft_karp_matching ]
+let matchers = [ (fun b -> Bipartite.solve b); Legacy.push_relabel; Legacy.hopcroft_karp ]
+let legacy_solvers = Legacy.[ dinic; push_relabel; hopcroft_karp ]
 
 let test_bipartite_feasible_all_algorithms () =
   List.iter
@@ -211,19 +220,14 @@ let test_bipartite_feasible_all_algorithms () =
     matchers
 
 let test_bipartite_duplicate_edges_ignored () =
-  let b = Bipartite.create ~n_left:1 ~n_right:1 ~right_cap:[| 5 |] in
-  Bipartite.add_edge b ~left:0 ~right:0;
-  Bipartite.add_edge b ~left:0 ~right:0;
+  let b = of_rows ~right_cap:[| 5 |] [| [| 0; 0 |] |] in
   checki "degree deduplicated" 1 (Bipartite.degree b 0);
   let o = Bipartite.solve b in
   checki "matched once" 1 o.matched;
   checki "load 1" 1 o.right_load.(0)
 
 let test_bipartite_infeasible () =
-  let b = Bipartite.create ~n_left:3 ~n_right:1 ~right_cap:[| 2 |] in
-  for l = 0 to 2 do
-    Bipartite.add_edge b ~left:l ~right:0
-  done;
+  let b = of_rows ~right_cap:[| 2 |] [| [| 0 |]; [| 0 |]; [| 0 |] |] in
   checkb "infeasible" false (Bipartite.is_feasible b);
   match Bipartite.hall_violator b with
   | None -> Alcotest.fail "expected a violator"
@@ -238,11 +242,7 @@ let test_bipartite_feasible_no_violator () =
 
 let test_bipartite_violator_is_localised () =
   (* requests 0,1 fight over box 0 (1 slot); requests 2,3 are fine *)
-  let b = Bipartite.create ~n_left:4 ~n_right:3 ~right_cap:[| 1; 1; 1 |] in
-  Bipartite.add_edge b ~left:0 ~right:0;
-  Bipartite.add_edge b ~left:1 ~right:0;
-  Bipartite.add_edge b ~left:2 ~right:1;
-  Bipartite.add_edge b ~left:3 ~right:2;
+  let b = of_rows ~right_cap:[| 1; 1; 1 |] [| [| 0 |]; [| 0 |]; [| 1 |]; [| 2 |] |] in
   match Bipartite.hall_violator b with
   | None -> Alcotest.fail "expected violator"
   | Some v ->
@@ -253,14 +253,14 @@ let test_bipartite_violator_is_localised () =
       checkb "certificate valid" true (v.server_slots < List.length v.requests)
 
 let test_bipartite_zero_capacity_boxes () =
-  let b = Bipartite.create ~n_left:1 ~n_right:2 ~right_cap:[| 0; 1 |] in
-  Bipartite.add_edge b ~left:0 ~right:0;
+  let right_cap = [| 0; 1 |] in
+  let b = of_rows ~right_cap [| [| 0 |] |] in
   checkb "zero-cap box cannot serve" false (Bipartite.is_feasible b);
-  Bipartite.add_edge b ~left:0 ~right:1;
+  Bipartite.rebuild b ~n_left:1 ~right_cap ~fill:(emit_rows [| [| 0; 1 |] |]);
   checkb "now feasible" true (Bipartite.is_feasible b)
 
 let test_bipartite_empty () =
-  let b = Bipartite.create ~n_left:0 ~n_right:0 ~right_cap:[||] in
+  let b = of_rows ~right_cap:[||] [||] in
   checkb "empty feasible" true (Bipartite.is_feasible b);
   checkb "no violator" true (Bipartite.hall_violator b = None)
 
@@ -304,8 +304,7 @@ let test_matching_vs_bruteforce () =
     let n_left = 1 + Prng.int g 6 and n_right = 1 + Prng.int g 5 in
     let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:2 ~edge_prob:0.5 in
     let truth = brute_force_max_matching ~n_left ~adj ~right_cap in
-    let b = Bipartite.create ~n_left ~n_right ~right_cap in
-    Array.iteri (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs) adj;
+    let b = of_rows ~right_cap adj in
     List.iter
       (fun solve -> checki "matches brute force" truth (solve b).Bipartite.matched)
       matchers
@@ -357,15 +356,12 @@ let alternating_closure ~adj ~n_right (o : Bipartite.outcome) =
 let test_hall_certificate_canonical () =
   let g = Prng.create ~seed:0xca11 () in
   let closure_solvers =
-    ("csr", fun b -> Bipartite.solve b)
-    :: List.map
-         (fun (name, algorithm) -> (name, Bipartite.solve_legacy ~algorithm))
-         Bipartite.
-           [
-             ("dinic_legacy", Dinic_flow);
-             ("push_relabel_legacy", Push_relabel_flow);
-             ("hopcroft_karp_slots", Hopcroft_karp_matching);
-           ]
+    [
+      ("csr", fun b -> Bipartite.solve b);
+      ("dinic_legacy", Legacy.dinic);
+      ("push_relabel_legacy", Legacy.push_relabel);
+      ("hopcroft_karp_slots", Legacy.hopcroft_karp);
+    ]
   in
   (* one arena for every instance: each certificate is read after
      solves of other shapes, feasible and infeasible in turn *)
@@ -374,10 +370,7 @@ let test_hall_certificate_canonical () =
   for _ = 1 to 300 do
     let n_left = 1 + Prng.int g 12 and n_right = 1 + Prng.int g 8 in
     let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:2 ~edge_prob:0.3 in
-    let b = Bipartite.create ~n_left ~n_right ~right_cap in
-    Array.iteri
-      (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
-      adj;
+    let b = of_rows ~right_cap adj in
     let fresh = Bipartite.hall_violator b in
     checkb "dirty arena = fresh arena" true (Bipartite.hall_violator ~arena:dirty b = fresh);
     match fresh with
@@ -406,43 +399,35 @@ let test_hall_certificate_canonical () =
 
 (* The reference normal form: per-row sorted, deduplicated. *)
 let normalise adj =
-  Array.map
-    (fun row ->
-      let sorted = Array.copy row in
-      Array.sort compare sorted;
-      Array.of_list (List.sort_uniq compare (Array.to_list sorted)))
-    adj
+  Array.map (fun row -> Array.of_list (List.sort_uniq compare (Array.to_list row))) adj
+
+let check_rows = Alcotest.(check (array (array int)))
 
 let test_csr_roundtrip_basic () =
-  (* duplicates, an empty row, unsorted insertion order *)
+  (* duplicates, an empty row, unsorted emission order *)
   let adj = [| [| 2; 0; 2; 1 |]; [||]; [| 1; 1 |] |] in
-  let csr = Csr.of_adjacency ~n_right:3 adj in
+  let csr = Bipartite.csr (of_rows ~right_cap:[| 1; 1; 1 |] adj) in
   checki "n_left" 3 (Csr.n_left csr);
   checki "n_right" 3 (Csr.n_right csr);
   checki "distinct edges" 4 (Csr.n_edges csr);
-  Alcotest.check (Alcotest.array (Alcotest.array Alcotest.int)) "round-trip" (normalise adj)
-    (Csr.to_adjacency csr);
+  check_rows "round-trip" (normalise adj) (rows_of csr);
   checki "degree dedups" 3 (Csr.degree csr 0);
   checki "degree empty" 0 (Csr.degree csr 1);
   checkb "mem" true (Csr.mem csr ~left:0 ~right:1);
   checkb "not mem" false (Csr.mem csr ~left:1 ~right:0)
 
 let test_csr_builder_reuse () =
-  let csr = Csr.create () in
-  (* two fills of different shapes through the same buffers *)
-  Csr.load_adjacency csr ~n_right:4 [| [| 3; 3; 0 |]; [| 2 |] |];
-  Alcotest.check (Alcotest.array (Alcotest.array Alcotest.int)) "first fill"
-    [| [| 0; 3 |]; [| 2 |] |]
-    (Csr.to_adjacency csr);
-  Csr.load_adjacency csr ~right_cap:[| 5; 6 |] ~n_right:2 [| [| 1 |]; [| 0; 1 |]; [||] |];
-  Alcotest.check (Alcotest.array (Alcotest.array Alcotest.int)) "second fill"
-    [| [| 1 |]; [| 0; 1 |]; [||] |]
-    (Csr.to_adjacency csr);
+  let csr = Csr.create ~n_right:4 in
+  (* three fills of different shapes through the same buffers *)
+  Csr.rebuild_rows csr ~n_left:2 ~fill:(emit_rows [| [| 3; 3; 0 |]; [| 2 |] |]);
+  check_rows "first fill" [| [| 0; 3 |]; [| 2 |] |] (rows_of csr);
+  Csr.set_right_caps csr [| 5; 6; 7; 8 |];
+  Csr.rebuild_rows csr ~n_left:3 ~fill:(emit_rows [| [| 1 |]; [| 0; 1 |]; [||] |]);
+  check_rows "second fill" [| [| 1 |]; [| 0; 1 |]; [||] |] (rows_of csr);
   checki "caps follow the refill" 6 (Csr.right_cap csr 1);
-  (* incremental add_edge after a finalize reuses the pending list *)
-  Csr.add_edge csr ~left:2 ~right:0;
-  checki "edge count grows" 4 (Csr.n_edges csr);
-  checkb "new edge visible" true (Csr.mem csr ~left:2 ~right:0)
+  Csr.rebuild_rows csr ~n_left:1 ~fill:(emit_rows [| [| 3; 1; 3 |] |]);
+  check_rows "shrunk fill" [| [| 1; 3 |] |] (rows_of csr);
+  checki "edge count follows the refill" 2 (Csr.n_edges csr)
 
 let outcome_triple (o : Bipartite.outcome) =
   (o.Bipartite.matched, Array.to_list o.Bipartite.assignment, Array.to_list o.Bipartite.right_load)
@@ -453,20 +438,16 @@ let test_arena_reuse_deterministic () =
   for _ = 1 to 60 do
     let n_left = 1 + Prng.int g 12 and n_right = 1 + Prng.int g 8 in
     let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:3 ~edge_prob:0.5 in
-    let b = Bipartite.create ~n_left ~n_right ~right_cap in
-    Array.iteri
-      (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
-      adj;
+    let b = of_rows ~right_cap adj in
     (* same instance twice through the same dirty arena: the solver
        must initialise everything it reads, so outcomes are identical *)
     let o1 = Bipartite.solve ~arena b in
     let o2 = Bipartite.solve ~arena b in
     checkb "dirty-arena determinism" true (outcome_triple o1 = outcome_triple o2);
     List.iter
-      (fun algorithm ->
-        checki "agrees with legacy" (Bipartite.solve_legacy ~algorithm b).Bipartite.matched
-          o1.Bipartite.matched)
-      legacy_algorithms
+      (fun solve ->
+        checki "agrees with legacy" (solve b).Bipartite.matched o1.Bipartite.matched)
+      legacy_solvers
   done
 
 (* Dinic builds its reverse-residual transpose and clears its levels
@@ -480,26 +461,16 @@ let test_arena_reuse_deterministic () =
 let test_dinic_lazy_transpose () =
   let arena = Arena.create () in
   let g = Prng.create ~seed:0x1a2 () in
-  let instance ~right_cap adj =
-    let b =
-      Bipartite.create ~n_left:(Array.length adj) ~n_right:(Array.length right_cap)
-        ~right_cap
-    in
-    Array.iteri
-      (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
-      adj;
-    b
-  in
   (* dirty every slab with unrelated solves *)
   for _ = 1 to 3 do
     let adj, right_cap =
       random_bipartite g ~n_left:9 ~n_right:6 ~max_cap:2 ~edge_prob:0.5
     in
-    ignore (Bipartite.solve ~arena (instance ~right_cap adj) : Bipartite.outcome)
+    ignore (Bipartite.solve ~arena (of_rows ~right_cap adj) : Bipartite.outcome)
   done;
   let step name ~right_cap adj =
-    let b = instance ~right_cap adj in
-    let legacy = Bipartite.solve_legacy ~algorithm:Bipartite.Dinic_flow b in
+    let b = of_rows ~right_cap adj in
+    let legacy = Legacy.dinic b in
     let size = Dinic.solve_csr ~arena (Bipartite.csr b) in
     checki name legacy.Bipartite.matched size;
     checki (name ^ ": all served") (Array.length adj) size
@@ -510,23 +481,21 @@ let test_dinic_lazy_transpose () =
   (* greedy seats 0 on 1; 1 is free and reroutes 0 to 2 *)
   step "new shape needs a phase" ~right_cap:[| 1; 1; 1 |] [| [| 1; 2 |]; [| 1 |] |]
 
-let test_bipartite_reset_reuse () =
-  let b = Bipartite.create ~n_left:2 ~n_right:2 ~right_cap:[| 1; 1 |] in
-  Bipartite.add_edge b ~left:0 ~right:0;
-  Bipartite.add_edge b ~left:1 ~right:0;
+let test_bipartite_rebuild_reuse () =
+  let b = of_rows ~right_cap:[| 1; 1 |] [| [| 0 |]; [| 0 |] |] in
   checki "first shape matched" 1 (Bipartite.solve b).Bipartite.matched;
-  (* rewind to a different shape, reusing every buffer *)
-  Bipartite.reset b ~n_left:3 ~n_right:2 ~right_cap:[| 2; 1 |];
-  checki "edges dropped by reset" 0 (Bipartite.degree b 0);
-  Bipartite.add_edge b ~left:0 ~right:0;
-  Bipartite.add_edge b ~left:1 ~right:0;
-  Bipartite.add_edge b ~left:2 ~right:1;
+  (* refill to a different shape, reusing every buffer *)
+  Bipartite.rebuild b ~n_left:3 ~right_cap:[| 2; 1 |]
+    ~fill:(emit_rows [| [| 0 |]; [| 0 |]; [| 1 |] |]);
   let o = Bipartite.solve b in
   checki "second shape matched" 3 o.Bipartite.matched;
   checki "right load follows the new caps" 2 o.Bipartite.right_load.(0);
-  Alcotest.check_raises "reset validates caps"
-    (Invalid_argument "Bipartite.reset: right_cap length mismatch") (fun () ->
-      Bipartite.reset b ~n_left:1 ~n_right:3 ~right_cap:[| 1 |])
+  Alcotest.check_raises "rebuild validates caps"
+    (Invalid_argument "Bipartite.rebuild: right_cap length mismatch") (fun () ->
+      Bipartite.rebuild b ~n_left:1 ~right_cap:[| 1 |] ~fill:(fun _ _ -> ()));
+  Alcotest.check_raises "rebuild validates rights"
+    (Invalid_argument "Csr.rebuild_rows: emitted right out of range") (fun () ->
+      Bipartite.rebuild b ~n_left:1 ~right_cap:[| 1; 1 |] ~fill:(fun _ emit -> emit 2))
 
 let test_network_clear_reuse () =
   (* arc_hint pre-sizes; clear drops arcs but keeps nodes and capacity *)
@@ -539,7 +508,7 @@ let test_network_clear_reuse () =
   checki "nodes kept" 4 (Flow_network.node_count net);
   let b = Flow_network.add_edge net ~src:0 ~dst:3 ~cap:7 in
   checki "rebuild starts clean" 0 (Flow_network.flow net b);
-  checki "rebuild max flow" 7 (Dinic.max_flow net ~src:0 ~sink:3);
+  checki "rebuild max flow" 7 (Dinic_flow.max_flow net ~src:0 ~sink:3);
   Alcotest.check_raises "negative hint"
     (Invalid_argument "Flow_network.create: negative arc hint") (fun () ->
       ignore (Flow_network.create ~arc_hint:(-1) 2))
@@ -548,10 +517,8 @@ let test_network_clear_reuse () =
 (* Row-major rebuilds                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_rebuild_freezes () =
-  let b = Bipartite.create ~n_left:2 ~n_right:2 ~right_cap:[| 1; 1 |] in
-  Bipartite.add_edge b ~left:0 ~right:0;
-  Bipartite.add_edge b ~left:1 ~right:1;
+let test_rebuild_sorts_rows () =
+  let b = of_rows ~right_cap:[| 1; 1 |] [| [| 0 |]; [| 1 |] |] in
   (* row 1 arrives unsorted, with a duplicate the rebuild must drop *)
   Bipartite.rebuild b ~n_left:2 ~right_cap:[| 1; 1 |] ~fill:(fun l emit ->
       if l = 0 then emit 0
@@ -560,16 +527,24 @@ let test_rebuild_freezes () =
         emit 0;
         emit 1
       end);
-  checkb "rebuilt view" true
-    (Csr.to_adjacency (Bipartite.csr b) = [| [| 0 |]; [| 0; 1 |] |]);
-  checki "rebuilt solve" 2 (Bipartite.solve b).Bipartite.matched;
-  Alcotest.check_raises "frozen after rebuild"
-    (Invalid_argument "Csr.add_edge: instance is frozen after rebuild_rows (reset it first)")
-    (fun () -> Bipartite.add_edge b ~left:0 ~right:1);
-  (* reset thaws the instance for ordinary incremental building *)
-  Bipartite.reset b ~n_left:1 ~n_right:2 ~right_cap:[| 1; 1 |];
-  Bipartite.add_edge b ~left:0 ~right:1;
-  checki "reset thaws" 1 (Bipartite.solve b).Bipartite.matched
+  check_rows "rebuilt view" [| [| 0 |]; [| 0; 1 |] |] (rows_of (Bipartite.csr b));
+  checki "rebuilt solve" 2 (Bipartite.solve b).Bipartite.matched
+
+(* [fill] is called once per row, in ascending order, on a fresh build
+   and on rebuilds that grow and shrink the instance: a caller drawing
+   from a PRNG inside [fill] keeps its draw order. *)
+let test_rebuild_fill_order () =
+  let csr = Csr.create ~n_right:3 in
+  List.iter
+    (fun n_left ->
+      let calls = ref [] in
+      Csr.rebuild_rows csr ~n_left ~fill:(fun l emit ->
+          calls := l :: !calls;
+          emit (l mod 3));
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d rows: one call each, ascending" n_left)
+        (List.init n_left Fun.id) (List.rev !calls))
+    [ 0; 5; 2; 9 ]
 
 (* A raw row of a degree-bounded request: each right with probability
    0.4, some twice, shuffled. *)
@@ -591,27 +566,22 @@ let long_or_short_row g n_right =
   if Prng.bool g then short_row g (min n_right 8)
   else Array.init (25 + Prng.int g 40) (fun _ -> Prng.int g n_right)
 
-(* [Csr.rebuild_rows] against [reset] + [add_edge] + [finalize] builds
-   of the same raw rows — unsorted, duplicates allowed, as the engine
-   emits them — over successive rebuilds of one instance that shrink it
-   and then grow it past every buffer.  Long rows take the radix sort;
-   the generator's [n_right] ranges give it one, two and three 8-bit
+(* [Csr.rebuild_rows] against the [List.sort_uniq] normal form of the
+   same raw rows — unsorted, duplicates allowed, as the engine emits
+   them — over successive rebuilds of one instance that shrink it and
+   then grow it past every buffer.  Long rows take the radix sort; the
+   generator's [n_right] ranges give it one, two and three 8-bit
    passes. *)
-let rebuild_equals_finalize (seed, n_left, n_right) =
+let rebuild_equals_reference (seed, n_left, n_right) =
   let g = Prng.create ~seed () in
-  let rebuilt = Csr.create () and built = Csr.create () in
-  Csr.reset rebuilt ~n_left:0 ~n_right;
+  let rebuilt = Csr.create ~n_right in
   List.for_all
     (fun n_left ->
       let rows = Array.init n_left (fun _ -> long_or_short_row g n_right) in
-      Csr.rebuild_rows rebuilt ~n_left ~fill:(fun l emit -> Array.iter emit rows.(l));
-      Csr.reset built ~n_left ~n_right;
-      Array.iteri
-        (fun l row -> Array.iter (fun r -> Csr.add_edge built ~left:l ~right:r) row)
-        rows;
-      Csr.finalize built;
-      Csr.n_edges rebuilt = Csr.n_edges built
-      && Csr.to_adjacency rebuilt = Csr.to_adjacency built)
+      Csr.rebuild_rows rebuilt ~n_left ~fill:(emit_rows rows);
+      let reference = normalise rows in
+      Csr.n_edges rebuilt = Array.fold_left (fun a r -> a + Array.length r) 0 reference
+      && rows_of rebuilt = reference)
     [ n_left; (n_left + 1) / 2; (4 * n_left) + 9 ]
 
 (* ------------------------------------------------------------------ *)
@@ -633,10 +603,7 @@ let qcheck_cases =
       (fun (seed, n_left, n_right) ->
         let g = Prng.create ~seed () in
         let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:3 ~edge_prob:0.5 in
-        let b = Bipartite.create ~n_left ~n_right ~right_cap in
-        Array.iteri
-          (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
-          adj;
+        let b = of_rows ~right_cap adj in
         match List.map (fun solve -> (solve b).Bipartite.matched) matchers with
         | [ d; p; h ] -> d = p && p = h
         | _ -> false);
@@ -644,10 +611,7 @@ let qcheck_cases =
       (fun (seed, n_left, n_right) ->
         let g = Prng.create ~seed () in
         let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:3 ~edge_prob:0.5 in
-        let b = Bipartite.create ~n_left ~n_right ~right_cap in
-        Array.iteri
-          (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
-          adj;
+        let b = of_rows ~right_cap adj in
         let o = Bipartite.solve b in
         let load = Array.make n_right 0 in
         let ok = ref true in
@@ -664,10 +628,7 @@ let qcheck_cases =
       (fun (seed, n_left, n_right) ->
         let g = Prng.create ~seed () in
         let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:2 ~edge_prob:0.4 in
-        let b = Bipartite.create ~n_left ~n_right ~right_cap in
-        Array.iteri
-          (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
-          adj;
+        let b = of_rows ~right_cap adj in
         match Bipartite.hall_violator b with
         | None -> Bipartite.is_feasible b
         | Some v ->
@@ -700,8 +661,8 @@ let qcheck_cases =
               else row)
             adj
         in
-        let csr = Csr.of_adjacency ~right_cap ~n_right adj in
-        Csr.to_adjacency csr = normalise adj
+        let csr = Bipartite.csr (of_rows ~right_cap adj) in
+        rows_of csr = normalise adj
         && Csr.n_edges csr = Array.fold_left (fun a r -> a + Array.length r) 0 (normalise adj));
     Test.make ~name:"dirty-arena solves are deterministic and optimal" ~count:100 arb
       (fun (seed, n_left, n_right) ->
@@ -709,24 +670,20 @@ let qcheck_cases =
         let adj, right_cap =
           random_bipartite g ~n_left ~n_right ~max_cap:3 ~edge_prob:0.5
         in
-        let b = Bipartite.create ~n_left ~n_right ~right_cap in
-        Array.iteri
-          (fun l rs -> Array.iter (fun r -> Bipartite.add_edge b ~left:l ~right:r) rs)
-          adj;
+        let b = of_rows ~right_cap adj in
         let arena = Arena.create () in
         (* dirty the arena on a different shape first *)
-        let noise = Bipartite.create ~n_left:5 ~n_right:2 ~right_cap:[| 1; 2 |] in
-        Bipartite.add_edge noise ~left:0 ~right:1;
+        let noise =
+          of_rows ~right_cap:[| 1; 2 |] [| [| 1 |]; [||]; [||]; [||]; [||] |]
+        in
         ignore (Bipartite.solve ~arena noise);
         let o1 = Bipartite.solve ~arena b in
         let o2 = Bipartite.solve ~arena b in
         outcome_triple o1 = outcome_triple o2
         && List.for_all
-             (fun algorithm ->
-               o1.Bipartite.matched
-               = (Bipartite.solve_legacy ~algorithm b).Bipartite.matched)
-             legacy_algorithms);
-    Test.make ~name:"rebuild_rows equals an add_edge + finalize build" ~count:100
+             (fun solve -> o1.Bipartite.matched = (solve b).Bipartite.matched)
+             legacy_solvers);
+    Test.make ~name:"rebuild_rows equals the sort_uniq reference" ~count:100
       (make
          Gen.(
            let* seed = int_range 0 1_000_000 in
@@ -736,7 +693,7 @@ let qcheck_cases =
              oneof [ int_range 1 255; int_range 256 65_536; int_range 65_537 70_000 ]
            in
            return (seed, n_left, n_right)))
-      rebuild_equals_finalize;
+      rebuild_equals_reference;
     Test.make ~name:"max flow is invariant under solver choice" ~count:100
       (make
          Gen.(
@@ -746,7 +703,8 @@ let qcheck_cases =
       (fun (seed, n) ->
         let build s = random_network (Prng.create ~seed:s ()) n (3 * n) 8 in
         let a = build seed and b = build seed in
-        Dinic.max_flow a ~src:0 ~sink:(n - 1) = Push_relabel.max_flow b ~src:0 ~sink:(n - 1));
+        Dinic_flow.max_flow a ~src:0 ~sink:(n - 1)
+        = Push_relabel.max_flow b ~src:0 ~sink:(n - 1));
   ]
 
 let suites =
@@ -796,9 +754,11 @@ let suites =
         Alcotest.test_case "builder reuse" `Quick test_csr_builder_reuse;
         Alcotest.test_case "arena reuse deterministic" `Quick test_arena_reuse_deterministic;
         Alcotest.test_case "dinic lazy transpose" `Quick test_dinic_lazy_transpose;
-        Alcotest.test_case "bipartite reset reuse" `Quick test_bipartite_reset_reuse;
+        Alcotest.test_case "bipartite rebuild reuse" `Quick test_bipartite_rebuild_reuse;
         Alcotest.test_case "network clear + arc_hint" `Quick test_network_clear_reuse;
-        Alcotest.test_case "rebuild freezes" `Quick test_rebuild_freezes;
+        Alcotest.test_case "rebuild sorts rows" `Quick test_rebuild_sorts_rows;
+        Alcotest.test_case "fill runs once per row, in order" `Quick
+          test_rebuild_fill_order;
       ] );
     ("graph.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
   ]
