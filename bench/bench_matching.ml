@@ -106,15 +106,17 @@ let run () =
           ignore (time_scratch [ List.hd seq ] ~arena);
           ignore (time_csr [ List.hd seq ] ~arena);
           (* best-of-5: scheduler hiccups only ever add time, so the
-             minimum is the stable estimate the regression gate needs;
-             allocation is deterministic, so any run's delta serves *)
+             minimum is the stable estimate the regression gate needs.
+             The allocation delta varies too (runs of identical code
+             have read 27656 and 8548 B/round), so it keeps its minimum
+             as well *)
           let best_of f =
-            let best = ref infinity and matched = ref 0 and bytes = ref 0.0 in
+            let best = ref infinity and matched = ref 0 and bytes = ref infinity in
             for _ = 1 to 5 do
               let ns, m, b = f () in
               if ns < !best then best := ns;
               matched := m;
-              bytes := b
+              if b < !bytes then bytes := b
             done;
             (!best, !matched, !bytes)
           in

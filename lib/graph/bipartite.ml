@@ -42,6 +42,10 @@ let outcome_of_arena t arena size =
 
 let solve_in_arena ~arena t = Dinic.solve_csr ~arena (csr t)
 
+let reserve ~arena t ~n_left ~n_edges =
+  Csr.reserve t ~n_left ~n_edges;
+  Dinic.reserve ~arena ~n_left ~n_right:(Csr.n_right t) ~n_edges
+
 let solve ?arena t =
   let arena = match arena with Some a -> a | None -> Arena.create () in
   outcome_of_arena t arena (solve_in_arena ~arena t)
@@ -177,18 +181,17 @@ type violator = { requests : int list; servers : int list; server_slots : int }
    lefts are a set X with slots(B(X)) = |X| - #free requests < |X|.
    That closure is the minimal minimum cut's source side of the flow
    network, the same whichever maximum matching the solver found. *)
+let violator_in_arena ~arena t =
+  let requests = Arena.(Array.sub arena.queue.buf 0 arena.reached) in
+  Array.sort Int.compare requests;
+  let servers = Bitset.to_list Arena.(arena.visited_right.bits) in
+  let right_cap = Csr.right_cap_array t in
+  {
+    requests = Array.to_list requests;
+    servers;
+    server_slots = List.fold_left (fun acc r -> acc + right_cap.(r)) 0 servers;
+  }
+
 let hall_violator ?arena t =
   let arena = match arena with Some a -> a | None -> Arena.create () in
-  if solve_in_arena ~arena t = n_left t then None
-  else begin
-    let requests = Arena.(Array.sub arena.queue.buf 0 arena.reached) in
-    Array.sort Int.compare requests;
-    let servers = Bitset.to_list Arena.(arena.visited_right.bits) in
-    let right_cap = Csr.right_cap_array t in
-    Some
-      {
-        requests = Array.to_list requests;
-        servers;
-        server_slots = List.fold_left (fun acc r -> acc + right_cap.(r)) 0 servers;
-      }
-  end
+  if solve_in_arena ~arena t = n_left t then None else Some (violator_in_arena ~arena t)

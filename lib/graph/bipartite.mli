@@ -29,7 +29,8 @@ val create :
 val rebuild :
   t -> n_left:int -> right_cap:int array -> fill:(int -> (int -> unit) -> unit) -> unit
 (** Refill the instance in place for the next round, reusing every
-    backing buffer — the engine's per-round build.  Rows are written as
+    backing buffer — the engine's build, on the rounds its greedy walk
+    cannot close.  Rows are written as
     by {!create}; the number of rights is unchanged and their
     capacities are copied from [right_cap] in one checked pass.  See
     {!Csr.rebuild_rows} for cost.
@@ -67,8 +68,17 @@ val solve_in_arena : arena:Arena.t -> t -> int
     leaves the result in the arena — [Arena.assignment arena] (entries
     [0 .. n_left - 1]) and [Arena.right_load arena] (entries
     [0 .. n_right - 1]), borrowed and valid until the arena's next
-    solve.  The engine's per-round path; {!val:solve} is this plus a
-    copy into fresh arrays. *)
+    solve.  The engine's path on the rounds it builds; {!val:solve} is
+    this plus a copy into fresh arrays. *)
+
+val reserve : arena:Arena.t -> t -> n_left:int -> n_edges:int -> unit
+(** Size the instance's buffers and the arena's slabs, if they are
+    smaller, for a {!rebuild} of up to [n_left] rows writing up to
+    [n_edges] entries (duplicates counted) and its
+    {!val:solve_in_arena}, so that neither allocates.  The current rows
+    are kept.  The engine calls this on the rounds its walk closes, so
+    the buffers follow the run's size whether or not a round builds.
+    @raise Invalid_argument on a negative size. *)
 
 val outcome_of_arcs : t -> flow:(int -> int) -> int array -> outcome
 (** [outcome_of_arcs t ~flow arc] reads a matching back from a flow
@@ -123,3 +133,10 @@ val hall_violator : ?arena:Arena.t -> t -> violator option
     reach — the minimal minimum cut's source side, the same whichever
     maximum matching produced it.  Both lists are ascending.  The
     arena's previous result is overwritten. *)
+
+val violator_in_arena : arena:Arena.t -> t -> violator
+(** {!hall_violator}'s read alone, with no solve: the certificate of
+    the deficient solve [arena] last ran, which must have been
+    {!solve_in_arena} on [t] and must have left a request free (the
+    arena is only read).  For a caller that has just made that solve
+    and would otherwise pay for a second one. *)

@@ -164,6 +164,21 @@ let rebuild_rows t ~n_left ~fill =
   t.n_left <- n_left;
   t.n_edges <- !w
 
+(* Grow the buffers now, keeping the current rows, so that rebuilds
+   up to [n_left] rows and [n_edges] written entries find them sized. *)
+let reserve t ~n_left ~n_edges =
+  if n_left < 0 || n_edges < 0 then invalid_arg "Csr.reserve: negative size";
+  if Array.length t.row_start <= n_left then begin
+    let grown = Array.make (next_cap (n_left + 1)) 0 in
+    blit_ints t.row_start 0 grown 0 (t.n_left + 1);
+    t.row_start <- grown
+  end;
+  if Array.length t.col < n_edges then begin
+    let grown = Array.make (next_cap n_edges) 0 in
+    blit_ints t.col 0 grown 0 t.n_edges;
+    t.col <- grown
+  end
+
 let n_left t = t.n_left
 let n_right t = t.n_right
 let n_edges t = t.n_edges

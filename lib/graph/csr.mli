@@ -47,6 +47,12 @@ val rebuild_rows : t -> n_left:int -> fill:(int -> (int -> unit) -> unit) -> uni
     @raise Invalid_argument on a negative [n_left] or if [fill] emits an
     out-of-range right. *)
 
+val reserve : t -> n_left:int -> n_edges:int -> unit
+(** Grow the buffers, if they are smaller, so that a {!rebuild_rows}
+    of up to [n_left] rows writing up to [n_edges] entries (duplicates
+    counted) allocates nothing.  The current rows are kept.
+    @raise Invalid_argument on a negative size. *)
+
 val n_left : t -> int
 val n_right : t -> int
 

@@ -24,24 +24,35 @@ let obs_path_len = Vod_obs.Registry.histogram Vod_obs.Registry.default "dinic.pa
    unvisited), and the current-arc pointers are re-armed at visit time,
    so per-phase costs track the visited region instead of O(n).  All
    scratch lives in the arena: steady-state calls allocate nothing. *)
+let reserve ~arena ~n_left:nl ~n_right:nr ~n_edges:m =
+  if nl < 0 || nr < 0 || m < 0 then invalid_arg "Dinic.reserve: negative size";
+  ignore (Arena.ints arena.Arena.assignment (max nl 1) : int array);
+  ignore (Arena.ints arena.Arena.matched_edge (max nl 1) : int array);
+  ignore (Arena.ints arena.Arena.right_load (max nr 1) : int array);
+  ignore (Arena.ints arena.Arena.level (max (nl + nr) 1) : int array);
+  ignore (Arena.ints arena.Arena.queue (max (nl + nr) 1) : int array);
+  ignore (Arena.ints arena.Arena.it_left (max nl 1) : int array);
+  ignore (Arena.ints arena.Arena.it_right (max nr 1) : int array);
+  ignore (Arena.ints arena.Arena.t_row_start (nr + 1) : int array);
+  ignore (Arena.ints arena.Arena.t_packed (max m 1) : int array);
+  ignore (Arena.bits arena.Arena.free_left nl : Bitset.t);
+  ignore (Arena.bits arena.Arena.free_right nr : Bitset.t);
+  ignore (Arena.bits arena.Arena.frontier nr : Bitset.t);
+  ignore (Arena.bits arena.Arena.visited_right nr : Bitset.t)
+
 let solve_csr ~arena csr =
   let nl = Csr.n_left csr and nr = Csr.n_right csr in
   let row_start = Csr.row_start csr and col = Csr.col csr in
   let cap = Csr.right_cap_array csr in
   let m = Csr.n_edges csr in
   if nl lor m >= 1 lsl 31 then invalid_arg "Dinic.solve_csr: instance too large to pack";
-  let matched_edge = Arena.ints arena.Arena.matched_edge (max nl 1) in
-  let load = Arena.ints arena.Arena.right_load (max nr 1) in
-  let level = Arena.ints arena.Arena.level (max (nl + nr) 1) in
-  let queue = Arena.ints arena.Arena.queue (max (nl + nr) 1) in
-  let it_left = Arena.ints arena.Arena.it_left (max nl 1) in
-  let it_right = Arena.ints arena.Arena.it_right (max nr 1) in
-  let t_row_start = Arena.ints arena.Arena.t_row_start (nr + 1) in
-  let t_packed = Arena.ints arena.Arena.t_packed (max m 1) in
-  let free_left = Arena.bits arena.Arena.free_left nl in
-  let free_right = Arena.bits arena.Arena.free_right nr in
-  let frontier = Arena.bits arena.Arena.frontier nr in
-  let visited = Arena.bits arena.Arena.visited_right nr in
+  reserve ~arena ~n_left:nl ~n_right:nr ~n_edges:m;
+  let matched_edge = arena.Arena.matched_edge.buf and load = arena.Arena.right_load.buf in
+  let level = arena.Arena.level.buf and queue = arena.Arena.queue.buf in
+  let it_left = arena.Arena.it_left.buf and it_right = arena.Arena.it_right.buf in
+  let t_row_start = arena.Arena.t_row_start.buf and t_packed = arena.Arena.t_packed.buf in
+  let free_left = arena.Arena.free_left.bits and free_right = arena.Arena.free_right.bits in
+  let frontier = arena.Arena.frontier.bits and visited = arena.Arena.visited_right.bits in
   let packed_mask = (1 lsl 31) - 1 in
   Array.fill matched_edge 0 nl (-1);
   Bitset.set_prefix free_left nl;

@@ -2,8 +2,16 @@
     BFS level graph + blocking flows with the current-arc optimisation
     over the implicit bipartite network of a {!Csr.t}.  On these
     unit-capacity networks it runs in O(E sqrt(V)), matching
-    Hopcroft–Karp.  It is the engine's only matcher; the network
-    solvers it is checked against live in [Vod_check]. *)
+    Hopcroft–Karp.  It is the engine's only matcher (the engine runs
+    its greedy first-fit pass itself, off the candidate lists, and
+    calls this only on rounds that pass leaves a request free); the
+    network solvers it is checked against live in [Vod_check]. *)
+
+val reserve : arena:Arena.t -> n_left:int -> n_right:int -> n_edges:int -> unit
+(** Grow the arena's slabs, if they are smaller, to what {!solve_csr}
+    uses on an instance of up to [n_left] lefts, [n_right] rights and
+    [n_edges] edges, so that such a solve allocates nothing.
+    @raise Invalid_argument on a negative size. *)
 
 val solve_csr : arena:Arena.t -> Csr.t -> int
 (** Dinic specialised to the implicit bipartite matching network
@@ -23,5 +31,5 @@ val solve_csr : arena:Arena.t -> Csr.t -> int
     lefts it levelled, in visit order, and [Arena.visited_right] holds
     the rights it visited.  Together they are the alternating closure
     of the free lefts: a Hall violator, which
-    {!Bipartite.hall_violator} reads off.  After a solve that seats
+    {!Bipartite.violator_in_arena} reads off.  After a solve that seats
     every left they mean nothing. *)

@@ -216,8 +216,14 @@ type t = {
   idle_buf : int array; (* the idle draw's output, lent by [borrow_idle] *)
   mutable last_violator : Vod_graph.Bipartite.violator option;
   mutable last_instance : Vod_graph.Bipartite.t option;
+  mutable deferred_epoch : int;
+      (* the [box_epoch] at the close of a round the walk seated whole,
+         whose instance [last_instance] builds on demand; -1 when no
+         build is due *)
+  faulted_rows : ibuf; (* this round's seated rows that a link fault dropped *)
   inst : Vod_graph.Bipartite.t;
-      (* the one matching instance, rebuilt in place every round *)
+      (* the one matching instance, rebuilt in place on the rounds that
+         need it *)
   arena : Vod_graph.Arena.t; (* solver scratch, allocated once per engine *)
   online_cap : int array;
       (* per box: [capacity] if online, else 0 — the matching's right
@@ -294,6 +300,8 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
     sched_rng = Vod_util.Prng.create ~seed:0x7ea ();
     last_violator = None;
     last_instance = None;
+    deferred_epoch = -1;
+    faulted_rows = ibuf ();
     inst =
       Vod_graph.Bipartite.create ~n_left:0 ~n_right:n ~right_cap:(Array.make n 0)
         ~fill:(fun _ _ -> ());
@@ -397,12 +405,17 @@ let filter_queued st b keep =
   removed
 
 (* Remove from [active] and every [scheduled] bucket the slots [keep]
-   rejects; true when one was removed. *)
+   rejects; true when one was removed.  A removal may change the last
+   round's rows, so its deferred instance can no longer be built. *)
 let drop_requests t keep =
-  Array.fold_left
-    (fun removed b -> filter_queued t.store b keep || removed)
-    (filter_queued t.store t.active keep)
-    t.scheduled
+  let removed =
+    Array.fold_left
+      (fun removed b -> filter_queued t.store b keep || removed)
+      (filter_queued t.store t.active keep)
+      t.scheduled
+  in
+  if removed then t.deferred_epoch <- -1;
+  removed
 
 (* Taking a box offline only raises [drop_pending]; the requests it
    owned leave [active] and [scheduled] here, in one pass for every box
@@ -679,7 +692,6 @@ let video_request_stats t =
     by_video []
 
 let last_violator t = t.last_violator
-let last_instance t = t.last_instance
 
 let startup_delays t = Vec.to_array t.startups
 let startup_count t = Vec.length t.startups
@@ -754,11 +766,150 @@ let emit_row t s emit =
     cand := st.Store.next_in_window.(w)
   done
 
+(* The instance of a round the walk seated whole, built on the first
+   call after it: nothing that shapes the rows has moved since (a
+   [box_epoch] change or a dropped request cancels the build).  The
+   rows are those of the step, but the account has since advanced
+   every row a link fault did not drop, and [emit_row] compares
+   window positions: those advances are undone for the build and
+   redone after it. *)
+let last_instance t =
+  if t.deferred_epoch >= 0 then begin
+    if t.deferred_epoch = t.box_epoch then begin
+      let progress = t.store.Store.progress in
+      let rows = t.active.data and n_left = t.active.len in
+      let advance d =
+        for l = 0 to n_left - 1 do
+          progress.(rows.(l)) <- progress.(rows.(l)) + d
+        done;
+        for i = 0 to t.faulted_rows.len - 1 do
+          let s = t.faulted_rows.data.(i) in
+          progress.(s) <- progress.(s) - d
+        done
+      in
+      advance (-1);
+      Vod_graph.Bipartite.rebuild t.inst ~n_left ~right_cap:t.online_cap
+        ~fill:(fun l emit -> emit_row t rows.(l) emit);
+      advance 1;
+      t.last_instance <- Some t.inst
+    end;
+    t.deferred_epoch <- -1
+  end;
+  t.last_instance
+
+(* Greedy first-fit straight off the candidate lists: each row, in
+   order, takes its lowest-id candidate with a free seat.  That is the
+   seat [Dinic.solve_csr]'s greedy pass gives it from the sorted,
+   deduplicated CSR row, since neither duplicates nor emit order change
+   a minimum.  The result lands in the arena's [assignment] and
+   [right_load] slabs, where the solver would leave it.  True when
+   every row is seated; the walk stops at the first row left free.
+   A closed round still sizes the instance and the solver scratch for
+   its rows, as a build would: the buffers then follow the run's size
+   whether or not a round builds, so a fallback round grows nothing
+   and what a run allocates does not hang on which rounds fall back. *)
+let seat_rows t rows n_left =
+  let n = t.params.Params.n and arena = t.arena in
+  let load = Vod_graph.Arena.ints arena.Vod_graph.Arena.right_load (max n 1) in
+  let assignment = Vod_graph.Arena.ints arena.Vod_graph.Arena.assignment (max n_left 1) in
+  Array.fill load 0 n 0;
+  let cap = t.online_cap in
+  (* one visitor per step, shared by every row *)
+  let best = ref max_int and emitted = ref 0 in
+  let visit b =
+    incr emitted;
+    if b < !best && load.(b) < cap.(b) then best := b
+  in
+  let l = ref 0 in
+  while
+    !l < n_left
+    && begin
+         best := max_int;
+         emit_row t rows.(!l) visit;
+         !best < max_int
+       end
+  do
+    let b = !best in
+    assignment.(!l) <- b;
+    load.(b) <- load.(b) + 1;
+    incr l
+  done;
+  let closed = !l = n_left in
+  if closed then Vod_graph.Bipartite.reserve ~arena t.inst ~n_left ~n_edges:!emitted;
+  closed
+
 (* Completed requests leave the active set (their slots stay in their
    windows until expiry). *)
 let retire t =
   let progress = t.store.Store.progress and target = t.store.Store.target in
   ignore (filter_queued t.store t.active (fun s -> progress.(s) < target.(s)) : bool)
+
+(* The rounds the walk cannot close, and every round of a cost-aware
+   or proposal scheduler: build the connection-matching instance and
+   solve it.  A deficient matching leaves its Hall certificate in
+   [last_violator]. *)
+let solve_instance t rows n_left =
+  let st = t.store in
+  let instance =
+    Vod_obs.Span.with_ ~name:"build" @@ fun () ->
+    (* one row-major pass refills the persistent instance in place:
+       every row is written straight into its CSR column array, and
+       once the buffers reach the run's high-water mark the whole build
+       phase stops allocating *)
+    Vod_graph.Bipartite.rebuild t.inst ~n_left ~right_cap:t.online_cap
+      ~fill:(fun l emit -> emit_row t rows.(l) emit);
+    t.last_instance <- Some t.inst;
+    t.inst
+  in
+  Vod_obs.Span.with_ ~name:"matching" @@ fun () ->
+  let of_outcome o = Vod_graph.Bipartite.(o.matched, o.assignment, o.right_load) in
+  let matched, assignment, right_load =
+    match t.scheduler with
+    | Arbitrary ->
+        let size = Vod_graph.Bipartite.solve_in_arena ~arena:t.arena instance in
+        (size, Vod_graph.Arena.assignment t.arena, Vod_graph.Arena.right_load t.arena)
+    | Prefer_cache ->
+        (* serving from a static replica costs 1, from a cache 0: among
+           maximum matchings, minimise the load on the allocation *)
+        let cost ~left ~right =
+          if Allocation.possesses t.alloc ~box:right ~stripe:st.Store.stripe.(rows.(left))
+          then 1
+          else 0
+        in
+        of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
+    | Sticky ->
+        (* keeping last round's connection costs 0, rewiring costs 1:
+           among maximum matchings, minimise connection churn *)
+        let cost ~left ~right = if st.Store.last_server.(rows.(left)) = right then 0 else 1 in
+        of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
+    | Greedy_proposals rounds ->
+        (* no global view: persistent connections carry over, then boxes
+           negotiate locally for a few rounds for the rest *)
+        let warm_start = Array.init n_left (fun l -> st.Store.last_server.(rows.(l))) in
+        of_outcome
+          (Vod_graph.Bipartite.solve_greedy ~warm_start ~rounds t.sched_rng instance)
+    | Prefer_local ->
+        (* among maximum matchings, minimise cross-group connections *)
+        let topo = Option.get t.topology in
+        let cost ~left ~right = Topology.cost topo st.Store.owner.(rows.(left)) right in
+        of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
+    | Balance_load ->
+        (* among maximum matchings, steer connections towards the boxes
+           that have served the least so far *)
+        let cost ~left:_ ~right = t.cumulative_loads.(right) in
+        of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
+  in
+  if matched < n_left then
+    t.last_violator <-
+      (match t.scheduler with
+      | Arbitrary ->
+          (* read off the solve just made *)
+          Some (Vod_graph.Bipartite.violator_in_arena ~arena:t.arena instance)
+      | Prefer_cache | Sticky | Greedy_proposals _ | Prefer_local | Balance_load ->
+          (* re-solves in the arena; these schedulers' results are
+             fresh arrays *)
+          Vod_graph.Bipartite.hall_violator ~arena:t.arena instance);
+  (assignment, right_load)
 
 let step t =
   Vod_obs.Span.with_ ~name:"round" @@ fun () ->
@@ -805,61 +956,24 @@ let step t =
      arrays and the row buffer stay put. *)
   let st = t.store in
   let rows = t.active.data and n_left = t.active.len in
-  (* 4. Build the connection-matching instance (Section 2.2). *)
-  let instance =
-    Vod_obs.Span.with_ ~name:"build" @@ fun () ->
-    (* one row-major pass refills the persistent instance in place:
-       every row is written straight into its CSR column array, and
-       once the buffers reach the run's high-water mark the whole build
-       phase stops allocating *)
-    let instance = t.inst in
-    Vod_graph.Bipartite.rebuild instance ~n_left ~right_cap:t.online_cap
-      ~fill:(fun l emit -> emit_row t rows.(l) emit);
-    t.last_instance <- Some instance;
-    instance
-  in
   let n = t.params.Params.n in
   Vod_obs.Registry.set obs_active n_left;
-  let of_outcome o = Vod_graph.Bipartite.(o.matched, o.assignment, o.right_load) in
-  (* [assignment] and [right_load] may be borrowed from the arena: only
-     entries [0 .. n_left - 1] and [0 .. n - 1] are read, before the
-     next solve. *)
-  let matched, assignment, right_load =
-    Vod_obs.Span.with_ ~name:"matching" @@ fun () ->
+  t.faulted_rows.len <- 0;
+  (* 4. The connection matching (Section 2.2).  Above the threshold the
+     greedy walk seats every row and the round needs no instance:
+     the maximum matching is the one Dinic's greedy pass would find. *)
+  let closed =
     match t.scheduler with
-    | Arbitrary ->
-        let size = Vod_graph.Bipartite.solve_in_arena ~arena:t.arena instance in
-        (size, Vod_graph.Arena.assignment t.arena, Vod_graph.Arena.right_load t.arena)
-    | Prefer_cache ->
-        (* serving from a static replica costs 1, from a cache 0: among
-           maximum matchings, minimise the load on the allocation *)
-        let cost ~left ~right =
-          if Allocation.possesses t.alloc ~box:right ~stripe:st.Store.stripe.(rows.(left))
-          then 1
-          else 0
-        in
-        of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
-    | Sticky ->
-        (* keeping last round's connection costs 0, rewiring costs 1:
-           among maximum matchings, minimise connection churn *)
-        let cost ~left ~right = if st.Store.last_server.(rows.(left)) = right then 0 else 1 in
-        of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
-    | Greedy_proposals rounds ->
-        (* no global view: persistent connections carry over, then boxes
-           negotiate locally for a few rounds for the rest *)
-        let warm_start = Array.init n_left (fun l -> st.Store.last_server.(rows.(l))) in
-        of_outcome
-          (Vod_graph.Bipartite.solve_greedy ~warm_start ~rounds t.sched_rng instance)
-    | Prefer_local ->
-        (* among maximum matchings, minimise cross-group connections *)
-        let topo = Option.get t.topology in
-        let cost ~left ~right = Topology.cost topo st.Store.owner.(rows.(left)) right in
-        of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
-    | Balance_load ->
-        (* among maximum matchings, steer connections towards the boxes
-           that have served the least so far *)
-        let cost ~left:_ ~right = t.cumulative_loads.(right) in
-        of_outcome (Vod_graph.Bipartite.solve_min_cost instance ~edge_cost:cost)
+    | Arbitrary -> Vod_obs.Span.with_ ~name:"matching" (fun () -> seat_rows t rows n_left)
+    | Prefer_cache | Sticky | Greedy_proposals _ | Prefer_local | Balance_load -> false
+  in
+  t.deferred_epoch <- (if closed then t.box_epoch else -1);
+  t.last_instance <- None;
+  (* [assignment] and [right_load] may be borrowed from the arena: only
+     entries [0 .. n_left - 1] and [0 .. n - 1] are read. *)
+  let assignment, right_load =
+    if closed then (Vod_graph.Arena.assignment t.arena, Vod_graph.Arena.right_load t.arena)
+    else solve_instance t rows n_left
   in
   let report =
     Vod_obs.Span.with_ ~name:"account" @@ fun () ->
@@ -887,6 +1001,7 @@ let step t =
         in
         if dropped then begin
           incr faulted;
+          push t.faulted_rows s;
           Vod_obs.Registry.incr obs_link_failures
         end
         else begin
@@ -935,10 +1050,6 @@ let step t =
       end
       else if busy_until.(b) > time || pending_box.(b) then incr busy
     done;
-    (* re-solves in the arena: [assignment] and [right_load] are not
-       read below this point *)
-    if matched < n_left then
-      t.last_violator <- Vod_graph.Bipartite.hall_violator ~arena:t.arena instance;
     {
       time;
       new_demands;

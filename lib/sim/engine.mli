@@ -331,6 +331,18 @@ val awaiting_first : t -> int -> int
 val step : t -> round_report
 (** Advance one round: activate scheduled requests, expire finished
     ones, run the connection matching, progress the served requests.
+
+    Under [Arbitrary] the matching first walks each request's
+    candidates in row order and seats it on the lowest-id box with a
+    free slot, building no instance.  That is exactly the matching the
+    Dinic core's greedy first-fit pass would start from, so when every
+    request is seated it is the round's maximum matching, byte for
+    byte.  Only when some request finds no free slot does the step
+    build the instance and solve it from scratch (and read the Hall
+    certificate off that solve).  A round the walk closes still grows
+    the instance's buffers and the solver's scratch to its size, so the
+    buffers, and what a run allocates, do not depend on which rounds
+    fall back.  The other schedulers build and solve every round.
     @raise Defeated (with the report) under [Fail_fast] when some
     request cannot be served. *)
 
@@ -338,13 +350,26 @@ val last_violator : t -> Vod_graph.Bipartite.violator option
 (** Hall certificate of the most recent failed round, if any. *)
 
 val last_instance : t -> Vod_graph.Bipartite.t option
-(** The bipartite connection-matching instance built by the most recent
+(** The bipartite connection-matching instance of the most recent
     {!step} ([None] before the first round).  Exposed so the
     verification subsystem ([vod_check]) can audit the engine's
     matchings and Hall certificates against the very instance the
-    scheduler solved.  The engine reuses one instance across rounds
-    (resetting it in place), so the returned value is only meaningful
-    until the next {!step}. *)
+    scheduler solved.
+
+    A round the greedy walk seated whole (see {!step}) built no
+    instance: the first call after the step builds it from that
+    round's requests and capacities.  If the rows may have changed
+    before that call — the box epoch moved ({!set_online},
+    {!set_upload_factor}, {!set_helper}, {!set_alloc}) or a request was
+    dropped ({!cancel}, {!abort_repair}) — there is nothing to build
+    and the call returns [None].  A round that built its instance in
+    the step (one the walk could not close, which includes every stall
+    round, or any round of a cost-aware or proposal scheduler) returns
+    it whatever happens after the step.
+
+    The engine reuses one instance across rounds (rebuilding it in
+    place), so the returned value is only meaningful until the next
+    {!step}. *)
 
 val video_request_stats : t -> (int * int * int * int) list
 (** For each video with active requests, [(video, i, i1, servers)]:

@@ -429,6 +429,29 @@ let test_csr_builder_reuse () =
   check_rows "shrunk fill" [| [| 1; 3 |] |] (rows_of csr);
   checki "edge count follows the refill" 2 (Csr.n_edges csr)
 
+(* [reserve] keeps the current rows, and a rebuild and solve within the
+   reserved sizes (duplicates counted) grow no buffer: the engine's
+   fallback round after rounds its walk closed. *)
+let test_bipartite_reserve () =
+  let right_cap = [| 3; 3; 3 |] in
+  let b = of_rows ~right_cap [| [| 2 |] |] in
+  let arena = Arena.create () in
+  ignore (Bipartite.solve_in_arena ~arena b : int);
+  (* past every buffer's first size: 9 rows, 27 entries, 18 distinct *)
+  let rows = Array.init 9 (fun l -> [| l mod 3; (l + 1) mod 3; l mod 3 |]) in
+  Bipartite.reserve ~arena b ~n_left:9 ~n_edges:27;
+  check_rows "rows kept" [| [| 2 |] |] (rows_of (Bipartite.csr b));
+  let csr = Bipartite.csr b in
+  let col = Csr.col csr and row_start = Csr.row_start csr and words = Arena.words arena in
+  Bipartite.rebuild b ~n_left:9 ~right_cap ~fill:(emit_rows rows);
+  checki "solved" 9 (Bipartite.solve_in_arena ~arena b);
+  check_rows "rebuilt" (normalise rows) (rows_of csr);
+  checkb "col not grown" true (Csr.col csr == col);
+  checkb "row_start not grown" true (Csr.row_start csr == row_start);
+  checki "arena not grown" words (Arena.words arena);
+  Alcotest.check_raises "negative size" (Invalid_argument "Csr.reserve: negative size")
+    (fun () -> Bipartite.reserve ~arena b ~n_left:(-1) ~n_edges:0)
+
 let outcome_triple (o : Bipartite.outcome) =
   (o.Bipartite.matched, Array.to_list o.Bipartite.assignment, Array.to_list o.Bipartite.right_load)
 
@@ -755,6 +778,7 @@ let suites =
         Alcotest.test_case "arena reuse deterministic" `Quick test_arena_reuse_deterministic;
         Alcotest.test_case "dinic lazy transpose" `Quick test_dinic_lazy_transpose;
         Alcotest.test_case "bipartite rebuild reuse" `Quick test_bipartite_rebuild_reuse;
+        Alcotest.test_case "reserve sizes a rebuild and solve" `Quick test_bipartite_reserve;
         Alcotest.test_case "network clear + arc_hint" `Quick test_network_clear_reuse;
         Alcotest.test_case "rebuild sorts rows" `Quick test_rebuild_sorts_rows;
         Alcotest.test_case "fill runs once per row, in order" `Quick

@@ -508,6 +508,215 @@ let store_qcheck =
     store_stays_sound
 
 (* ------------------------------------------------------------------ *)
+(* Seat-while-walking equivalence                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A step seats each row on its lowest-id free candidate while walking
+   the candidate lists, and builds and solves the instance only when a
+   row finds no seat.  Whichever way a round went, solving its instance
+   from scratch must reproduce the loads the engine reports and match
+   every request the round served, faulted or repaired. *)
+
+type walk_sys = Below | Above | Relayed
+
+let walk_n = 16
+let walk_m = 6
+
+let walk_engine sys =
+  let n = walk_n and m = walk_m and t = 5 in
+  let params, fleet, alloc, compensation =
+    match sys with
+    | Below | Above ->
+        let u = if sys = Below then 0.75 else 2.0 in
+        let params, fleet, alloc = build_system ~n ~u ~m ~t ~seed:3 () in
+        (params, fleet, alloc, None)
+    | Relayed -> (
+        let fleet = Box.Fleet.two_class ~n ~rich_fraction:0.5 ~u_rich:3.0 ~u_poor:0.5 ~d:4.0 in
+        let params = Params.make ~n ~c:2 ~mu:1.0 ~duration:t in
+        let catalog = Catalog.create ~m ~c:2 in
+        let alloc =
+          Vod_alloc.Schemes.random_permutation (Prng.create ~seed:5 ()) ~fleet ~catalog ~k:2
+        in
+        match Vod_analysis.Theorem2.compensate fleet ~u_star:1.25 with
+        | None -> Alcotest.fail "the two-class walk fleet should be compensable"
+        | Some comp -> (params, fleet, alloc, Some comp))
+  in
+  Engine.create ~params ~fleet ~alloc ?compensation ~policy:Engine.Continue ()
+
+type walk_op =
+  | W_demand of int * int
+  | W_cancel of int
+  | W_online of int * bool
+  | W_group of int * bool (* boxes 4g .. 4g + 3 crash or rejoin together *)
+  | W_repair of int * int * int
+  | W_abort of int (* the k-th injected repair, modulo their count *)
+  | W_helper of int * bool
+  | W_step
+
+let walk_op_name = function
+  | W_demand (b, v) -> Printf.sprintf "demand %d %d" b v
+  | W_cancel b -> Printf.sprintf "cancel %d" b
+  | W_online (b, f) -> Printf.sprintf "online %d %b" b f
+  | W_group (g, f) -> Printf.sprintf "group %d online %b" g f
+  | W_repair (s, d, r) -> Printf.sprintf "repair %d -> %d (%d rounds)" s d r
+  | W_abort k -> Printf.sprintf "abort #%d" k
+  | W_helper (b, f) -> Printf.sprintf "helper %d %b" b f
+  | W_step -> "step"
+
+(* Dinic's greedy pass on a built instance: every row, in order, takes
+   the first right of its sorted row with a free seat.  True when it
+   seats them all. *)
+let greedy_closes inst =
+  let module B = Vod_graph.Bipartite in
+  let csr = B.csr inst in
+  let row_start = Vod_graph.Csr.row_start csr and col = Vod_graph.Csr.col csr in
+  let cap = B.right_cap inst in
+  let load = Array.make (B.n_right inst) 0 in
+  let closes = ref true in
+  for l = 0 to B.n_left inst - 1 do
+    let rec first e =
+      if e = row_start.(l + 1) then -1
+      else if load.(col.(e)) < cap.(col.(e)) then col.(e)
+      else first (e + 1)
+    in
+    let r = first row_start.(l) in
+    if r < 0 then closes := false else load.(r) <- load.(r) + 1
+  done;
+  !closes
+
+let walk_matches_solve (sys, faults, ops) =
+  let e = walk_engine sys in
+  if faults then
+    Engine.set_link_faults e
+      (Some (fun ~time ~owner ~server -> ((time * 31) + (owner * 7) + server) mod 5 = 0));
+  let injected = ref [] in
+  let recorder = Vod_obs.Span.create_recorder () in
+  let check_round (r : Engine.round_report) =
+    let built =
+      List.exists
+        (fun ev -> ev.Vod_obs.Span.name = "build")
+        (Vod_obs.Span.events recorder)
+    in
+    Vod_obs.Span.clear recorder;
+    match Engine.last_instance e with
+    | None -> QCheck.Test.fail_reportf "round %d: no instance" r.Engine.time
+    | Some inst ->
+        let o = Vod_graph.Bipartite.solve inst in
+        if o.Vod_graph.Bipartite.right_load <> Engine.last_loads e then
+          QCheck.Test.fail_reportf "round %d: loads differ from a fresh solve" r.Engine.time;
+        let counted = r.Engine.served + r.Engine.repair_served + r.Engine.faulted in
+        if o.Vod_graph.Bipartite.matched <> counted then
+          QCheck.Test.fail_reportf "round %d: matched %d, served + repaired + faulted %d"
+            r.Engine.time o.Vod_graph.Bipartite.matched counted;
+        if built = greedy_closes inst then
+          QCheck.Test.fail_reportf "round %d: %s" r.Engine.time
+            (if built then "built an instance greedy closes"
+             else "greedy leaves a row free, yet nothing was built")
+  in
+  let apply = function
+    | W_demand (b, v) -> ignore (Engine.try_demand e ~box:b ~video:v : Engine.admit)
+    | W_cancel b -> Engine.cancel e b
+    | W_online (b, flag) -> Engine.set_online e b flag
+    | W_group (g, flag) ->
+        for b = 4 * g to (4 * g) + 3 do
+          Engine.set_online e b flag
+        done
+    | W_repair (stripe, dest, rounds) ->
+        if Engine.is_online e dest then begin
+          Engine.inject_repair e ~stripe ~dest ~rounds;
+          injected := (stripe, dest) :: !injected
+        end
+    | W_abort k -> (
+        match !injected with
+        | [] -> ()
+        | l ->
+            let stripe, dest = List.nth l (k mod List.length l) in
+            ignore (Engine.abort_repair e ~stripe ~dest : bool))
+    | W_helper (b, flag) -> Engine.set_helper e b flag
+    | W_step ->
+        let r =
+          Vod_obs.Span.install recorder;
+          Fun.protect ~finally:Vod_obs.Span.uninstall (fun () -> Engine.step e)
+        in
+        check_round r
+  in
+  List.iter apply ops;
+  true
+
+let walk_qcheck =
+  let n = walk_n and m = walk_m in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun b v -> W_demand (b, v)) (int_bound (n - 1)) (int_bound (m - 1)));
+          (1, map (fun b -> W_cancel b) (int_bound (n - 1)));
+          (1, map2 (fun b f -> W_online (b, f)) (int_bound (n - 1)) bool);
+          (1, map2 (fun g f -> W_group (g, f)) (int_bound ((n / 4) - 1)) bool);
+          ( 1,
+            map3
+              (fun s d r -> W_repair (s, d, r))
+              (int_bound ((2 * m) - 1))
+              (int_bound (n - 1)) (int_range 1 4) );
+          (1, map (fun k -> W_abort k) (int_bound 16));
+          (1, map2 (fun b f -> W_helper (b, f)) (int_bound (n - 1)) bool);
+          (5, return W_step);
+        ])
+  in
+  let sys_name = function Below -> "u=0.75" | Above -> "u=2" | Relayed -> "relayed" in
+  QCheck.Test.make ~count:300 ~name:"walk equals a fresh solve of the round's instance"
+    (QCheck.make
+       ~print:(fun (sys, faults, ops) ->
+         Printf.sprintf "%s%s: %s" (sys_name sys)
+           (if faults then " + link faults" else "")
+           (String.concat "; " (List.map walk_op_name ops)))
+       QCheck.Gen.(
+         triple (oneofl [ Below; Above; Relayed ]) bool (list_size (int_range 1 120) op)))
+    walk_matches_solve
+
+(* A round the walk closed builds its instance on the first
+   [last_instance] call; a change to the rows before that call leaves
+   nothing to build.  A stall round's instance is built by the step. *)
+let test_deferred_instance () =
+  let params, fleet, alloc = build_system ~n:8 () in
+  let e = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
+  let closed_round () =
+    let r = Engine.step e in
+    checki "round closed" 0 r.Engine.unserved
+  in
+  Engine.demand e ~box:0 ~video:0;
+  Engine.demand e ~box:1 ~video:1;
+  closed_round ();
+  checkb "built on demand" true (Option.is_some (Engine.last_instance e));
+  Engine.set_online e 5 false;
+  checkb "still the round's instance once built" true
+    (Option.is_some (Engine.last_instance e));
+  closed_round ();
+  Engine.set_online e 5 true;
+  checkb "none after set_online" true (Engine.last_instance e = None);
+  closed_round ();
+  ignore (Engine.try_demand e ~box:3 ~video:2 : Engine.admit);
+  checkb "a new demand leaves the rows alone" true
+    (Option.is_some (Engine.last_instance e));
+  closed_round ();
+  Engine.cancel e 0;
+  checkb "none after cancel" true (Engine.last_instance e = None);
+  closed_round ();
+  checkb "a no-op cancel leaves the rows alone" true
+    (Engine.cancel e 0;
+     Option.is_some (Engine.last_instance e));
+  (* below the threshold: a stall round builds in the step *)
+  let params, fleet, alloc = build_system ~n:8 ~u:0.5 () in
+  let e = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
+  for b = 0 to 7 do
+    Engine.demand e ~box:b ~video:(b mod 2)
+  done;
+  let r = Engine.step e and r' = Engine.step e in
+  checkb "the system stalls" true (r.Engine.unserved + r'.Engine.unserved > 0);
+  Engine.set_online e 0 false;
+  checkb "a stall round's instance survives" true (Option.is_some (Engine.last_instance e))
+
+(* ------------------------------------------------------------------ *)
 (* Allocation guard                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -608,6 +817,11 @@ let suites =
         QCheck_alcotest.to_alcotest borrowed_draw_qcheck;
       ] );
     ("sim.store", [ QCheck_alcotest.to_alcotest store_qcheck ]);
+    ( "sim.walk",
+      [
+        QCheck_alcotest.to_alcotest walk_qcheck;
+        Alcotest.test_case "deferred instance" `Quick test_deferred_instance;
+      ] );
     ( "sim.alloc",
       [ Alcotest.test_case "engine allocation guard" `Quick test_engine_alloc_guard ] );
   ]
