@@ -210,13 +210,13 @@ let overload_scenario () =
   | Ok s -> s
   | Error m -> Alcotest.fail m
 
+let overload_config policy =
+  Serve.config ~headroom_margin:0.0 ~tokens_per_round:6 ~token_burst:12
+    ~shed_policy:policy ()
+
 let test_overload_sheds_by_policy () =
   let run policy =
-    let cfg =
-      Serve.config ~headroom_margin:0.0 ~tokens_per_round:6 ~token_burst:12
-        ~shed_policy:policy ()
-    in
-    Result.get_ok (Serve.run ~config:cfg (overload_scenario ()))
+    Result.get_ok (Serve.run ~config:(overload_config policy) (overload_scenario ()))
   in
   let newest = run Serve.Newest_first in
   let tn = newest.Serve.totals in
@@ -301,11 +301,29 @@ let test_battery_pin name () =
   | Ok s -> check_pins name (Result.get_ok (Serve.run s))
 
 let test_helper_draft_pin () =
-  let config =
-    Serve.config ~headroom_margin:0.0 ~tokens_per_round:6 ~token_burst:12
-      ~shed_policy:Serve.Helper_first ()
-  in
-  check_pins "overload_helper" (Result.get_ok (Serve.run ~config (overload_scenario ())))
+  check_pins "overload_helper"
+    (Result.get_ok
+       (Serve.run ~config:(overload_config Serve.Helper_first) (overload_scenario ())))
+
+(* Byte-pins of the two other shed orders on the overload scenario:
+   newest-first and lowest-priority.  That scenario has no flash crowd,
+   so every session is background and lowest-priority sheds the same
+   victims as newest-first; the flash pin adds eight flash-crowd
+   viewers at round 1, whose priority-0 sessions are shed first.
+   Regenerate like the helper-first pin, from the runs below, writing
+   serve_overload_NAME_golden.jsonl and
+   serve_overload_NAME_slo_golden.jsonl. *)
+let test_shed_order_pin name policy () =
+  check_pins ("overload_" ^ name)
+    (Result.get_ok (Serve.run ~config:(overload_config policy) (overload_scenario ())))
+
+let test_flash_shed_order_pin () =
+  let text = overload_text ^ "at 1 flash 0 8\n" in
+  match Scenario.parse ~name:"serve_overload_flash" text with
+  | Error m -> Alcotest.fail m
+  | Ok s ->
+      check_pins "overload_flash_lowest"
+        (Result.get_ok (Serve.run ~config:(overload_config Serve.Lowest_priority) s))
 
 (* A round that sweeps (a group crash) and then drafts the helpers in
    step 6: its admission scan must read the sourcing values the sweep
@@ -401,6 +419,35 @@ let test_serve_alloc_guard () =
     Alcotest.failf "%.1f minor words per round per active request (bound 18.6)"
       per_request
 
+(* The serve.* registry counters are a projection of the run's totals:
+   after a reset, one run leaves each counter equal to its field. *)
+let test_registry_projection () =
+  let module Registry = Vod_obs.Registry in
+  let check_run s config =
+    Registry.reset Registry.default;
+    let t = (Result.get_ok (Serve.run ~config s)).Serve.totals in
+    List.iter
+      (fun (name, field) ->
+        checki name field
+          (Registry.counter_value (Registry.counter Registry.default ("serve." ^ name))))
+      [
+        ("arrivals", t.Serve.arrivals);
+        ("admitted", t.Serve.admitted);
+        ("completed", t.Serve.completed);
+        ("shed", t.Serve.shed);
+        ("rejected", t.Serve.rejected);
+        ("retries", t.Serve.retries);
+        ("interrupted", t.Serve.interrupted);
+        ("expired", t.Serve.expired);
+        ("degraded_rounds", t.Serve.degraded_rounds);
+        ("stalled_rounds", t.Serve.stalled_rounds);
+      ]
+  in
+  (match Scenario.load ~path:"../examples/service_storm.scn" with
+  | Error m -> Alcotest.fail m
+  | Ok s -> check_run s Serve.default_config);
+  check_run (overload_scenario ()) (overload_config Serve.Newest_first)
+
 let test_jobs_identity () =
   let s = small_scenario () in
   let cat jobs =
@@ -480,9 +527,17 @@ let suites =
           (test_battery_pin "isp_bottleneck");
         Alcotest.test_case "helper churn pin" `Quick (test_battery_pin "helpers_churn");
         Alcotest.test_case "helper-first draft pin" `Quick test_helper_draft_pin;
+        Alcotest.test_case "newest-first shed pin" `Quick
+          (test_shed_order_pin "newest" Serve.Newest_first);
+        Alcotest.test_case "lowest-priority shed pin" `Quick
+          (test_shed_order_pin "lowest" Serve.Lowest_priority);
+        Alcotest.test_case "lowest-priority flash shed pin" `Quick
+          test_flash_shed_order_pin;
         Alcotest.test_case "draft after a sweep pin" `Quick test_sweep_draft_pin;
         Alcotest.test_case "jobs byte-identity" `Quick test_jobs_identity;
         Alcotest.test_case "allocation guard" `Quick test_serve_alloc_guard;
+        Alcotest.test_case "registry counters equal the totals" `Quick
+          test_registry_projection;
         Alcotest.test_case "names parse" `Quick test_arrivals_and_policy_names;
       ] );
     ("serve.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
