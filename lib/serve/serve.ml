@@ -9,17 +9,17 @@ module Export = Vod_obs.Export
 module Registry = Vod_obs.Registry
 module Slo = Vod_obs.Slo
 
-let obs_arrivals = Registry.counter Registry.default "serve.arrivals"
-let obs_admitted = Registry.counter Registry.default "serve.admitted"
-let obs_completed = Registry.counter Registry.default "serve.completed"
-let obs_shed = Registry.counter Registry.default "serve.shed"
-let obs_rejected = Registry.counter Registry.default "serve.rejected"
-let obs_retries = Registry.counter Registry.default "serve.retries"
-let obs_interrupted = Registry.counter Registry.default "serve.interrupted"
-let obs_expired = Registry.counter Registry.default "serve.expired"
-let obs_degraded_rounds = Registry.counter Registry.default "serve.degraded_rounds"
-let obs_stalled_rounds = Registry.counter Registry.default "serve.stalled_rounds"
 let obs_queue_wait = Registry.histogram Registry.default "serve.queue_wait"
+
+(* Rounds an admitted session may wait for its first chunk before it is
+   cancelled into the retry path, and rounds an arrival may wait in the
+   queue before it expires into it. *)
+let startup_deadline = 8
+let queue_patience = 12
+
+(* The retry backoff's first delay and cap, in rounds. *)
+let backoff_base = 2
+let backoff_cap = 16
 
 type shed_policy = Newest_first | Lowest_priority | Helper_first
 
@@ -39,11 +39,7 @@ type config = {
   tokens_per_round : int option;
   token_burst : int option;
   headroom_margin : float;
-  startup_deadline : int;
-  queue_patience : int;
   retry_budget : int;
-  backoff_base : int;
-  backoff_cap : int;
   shed_policy : shed_policy;
 }
 
@@ -53,16 +49,12 @@ let default_config =
     tokens_per_round = None;
     token_burst = None;
     headroom_margin = 0.1;
-    startup_deadline = 8;
-    queue_patience = 12;
     retry_budget = 3;
-    backoff_base = 2;
-    backoff_cap = 16;
     shed_policy = Newest_first;
   }
 
-let config ?queue_cap ?tokens_per_round ?token_burst ?headroom_margin ?startup_deadline
-    ?queue_patience ?retry_budget ?backoff_base ?backoff_cap ?shed_policy () =
+let config ?queue_cap ?tokens_per_round ?token_burst ?headroom_margin ?retry_budget
+    ?shed_policy () =
   let d = default_config in
   let cfg =
     {
@@ -71,11 +63,7 @@ let config ?queue_cap ?tokens_per_round ?token_burst ?headroom_margin ?startup_d
         (match tokens_per_round with Some t -> Some t | None -> d.tokens_per_round);
       token_burst = (match token_burst with Some t -> Some t | None -> d.token_burst);
       headroom_margin = Option.value headroom_margin ~default:d.headroom_margin;
-      startup_deadline = Option.value startup_deadline ~default:d.startup_deadline;
-      queue_patience = Option.value queue_patience ~default:d.queue_patience;
       retry_budget = Option.value retry_budget ~default:d.retry_budget;
-      backoff_base = Option.value backoff_base ~default:d.backoff_base;
-      backoff_cap = Option.value backoff_cap ~default:d.backoff_cap;
       shed_policy = Option.value shed_policy ~default:d.shed_policy;
     }
   in
@@ -90,12 +78,7 @@ let config ?queue_cap ?tokens_per_round ?token_burst ?headroom_margin ?startup_d
     (not (Float.is_finite cfg.headroom_margin))
     || cfg.headroom_margin < 0.0 || cfg.headroom_margin >= 1.0
   then invalid_arg "Serve.config: headroom_margin outside [0, 1)";
-  if cfg.startup_deadline < 1 then invalid_arg "Serve.config: startup_deadline must be >= 1";
-  if cfg.queue_patience < 1 then invalid_arg "Serve.config: queue_patience must be >= 1";
   if cfg.retry_budget < 1 then invalid_arg "Serve.config: retry_budget must be >= 1";
-  if cfg.backoff_base < 1 then invalid_arg "Serve.config: backoff base must be >= 1";
-  if cfg.backoff_cap < cfg.backoff_base then
-    invalid_arg "Serve.config: backoff cap must be >= base";
   cfg
 
 type arrivals =
@@ -126,25 +109,43 @@ let arrivals_label = function
   | Zipf { rate; s } -> Printf.sprintf "zipf:%.4f:%.4f" rate s
 
 type totals = {
-  arrivals : int;
-  flash_arrivals : int;
-  admitted : int;
-  completed : int;
-  shed : int;
-  rejected : int;
-  retries : int;
-  retry_sessions : int;
+  mutable arrivals : int;
+  mutable flash_arrivals : int;
+  mutable admitted : int;
+  mutable completed : int;
+  mutable shed : int;
+  mutable rejected : int;
+  mutable retries : int;
+  mutable retry_sessions : int;
   retry_budget : int;
-  interrupted : int;
-  expired : int;
-  overflow_shed : int;
-  overload_shed : int;
-  helpers_drafted : int;
-  stalled_rounds : int;
-  total_unserved : int;
-  max_queue : int;
-  degraded_rounds : int;
+  mutable interrupted : int;
+  mutable expired : int;
+  mutable overflow_shed : int;
+  mutable overload_shed : int;
+  mutable helpers_drafted : int;
+  mutable stalled_rounds : int;
+  mutable total_unserved : int;
+  mutable max_queue : int;
+  mutable degraded_rounds : int;
 }
+
+(* The serve.* registry counters, each a projection of a totals field:
+   a run adds its totals to them once, when it ends. *)
+let obs_totals =
+  List.map
+    (fun (name, field) -> (Registry.counter Registry.default ("serve." ^ name), field))
+    [
+      ("arrivals", fun t -> t.arrivals);
+      ("admitted", fun t -> t.admitted);
+      ("completed", fun t -> t.completed);
+      ("shed", fun t -> t.shed);
+      ("rejected", fun t -> t.rejected);
+      ("retries", fun t -> t.retries);
+      ("interrupted", fun t -> t.interrupted);
+      ("expired", fun t -> t.expired);
+      ("degraded_rounds", fun t -> t.degraded_rounds);
+      ("stalled_rounds", fun t -> t.stalled_rounds);
+    ]
 
 (* The graceful-degradation contract: [verdict_ok] and the verdict
    line's "ok". *)
@@ -204,6 +205,14 @@ type sess = {
 
 let is_live s = s.state = Session.Admitted || s.state = Session.Streaming
 
+(* [Lowest_priority]'s shed order: flash crowd before background, then
+   newest admission, then highest id.  Ids are unique, so the order is
+   total. *)
+let lowest_priority_first a b =
+  if a.priority <> b.priority then compare a.priority b.priority
+  else if a.admitted_at <> b.admitted_at then compare b.admitted_at a.admitted_at
+  else compare b.id a.id
+
 let n_states = 7
 
 let state_index = function
@@ -225,7 +234,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
       let rounds = d.Driver.rounds and seed = d.Driver.seed in
       let backoff =
         Backoff.create ~seed:(seed + 29) ~policy:Backoff.Decorrelated_jitter
-          ~budget:cfg.retry_budget ~base:cfg.backoff_base ~cap:cfg.backoff_cap ()
+          ~budget:cfg.retry_budget ~base:backoff_base ~cap:backoff_cap ()
       in
       let generator =
         let rate_gen rate =
@@ -336,33 +345,33 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
       let shortfall = ref 0 in
       let clean_rounds = ref 0 in
       let clean_streak = 8 in
-      (* totals *)
-      let t_arrivals = ref 0
-      and t_flash = ref 0
-      and t_admitted = ref 0
-      and t_completed = ref 0
-      and t_shed = ref 0
-      and t_rejected = ref 0
-      and t_retries = ref 0
-      and t_retry_sessions = ref 0
-      and t_interrupted = ref 0
-      and t_expired = ref 0
-      and t_overflow = ref 0
-      and t_overload = ref 0
-      and t_helpers = ref 0
-      and t_stalled_rounds = ref 0
-      and t_unserved = ref 0
-      and t_max_queue = ref 0
-      and t_degraded = ref 0 in
-      (* per-round counters *)
-      let r_arrivals = ref 0
-      and r_admitted = ref 0
-      and r_retried = ref 0
-      and r_shed = ref 0
-      and r_rejected = ref 0
-      and r_interrupted = ref 0
-      and r_expired = ref 0
-      and r_completed = ref 0 in
+      (* The run's one tally: every session event bumps its field once.
+         A round's counts are the tally less its copy at the round's
+         start. *)
+      let tally =
+        {
+          arrivals = 0;
+          flash_arrivals = 0;
+          admitted = 0;
+          completed = 0;
+          shed = 0;
+          rejected = 0;
+          retries = 0;
+          retry_sessions = 0;
+          retry_budget = cfg.retry_budget;
+          interrupted = 0;
+          expired = 0;
+          overflow_shed = 0;
+          overload_shed = 0;
+          helpers_drafted = 0;
+          stalled_rounds = 0;
+          total_unserved = 0;
+          max_queue = 0;
+          degraded_rounds = 0;
+        }
+      in
+      let snapshot () = { tally with arrivals = tally.arrivals } in
+      let round_start = ref (snapshot ()) in
       let buf = Buffer.create (rounds * 128) in
       let line fmt = Printf.ksprintf (fun str -> Buffer.add_string buf (str ^ "\n")) fmt in
       line
@@ -370,11 +379,15 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         (Export.escape s.name)
         (Export.escape (arrivals_label arrivals))
         seed rounds n_total m c s.k cfg.queue_cap tokens_per_round token_burst
-        cfg.retry_budget cfg.backoff_base cfg.backoff_cap
+        cfg.retry_budget backoff_base backoff_cap
         (shed_policy_name cfg.shed_policy)
         slots0 (reserve slots0) capacity_sessions
         (match nu with Some v -> Printf.sprintf "%.4f" v | None -> "null");
-      let admission _ = (!r_shed + !r_rejected, !r_admitted + !r_shed + !r_rejected) in
+      let admission _ =
+        let r0 = !round_start in
+        let bad = tally.shed - r0.shed + tally.rejected - r0.rejected in
+        (bad, bad + tally.admitted - r0.admitted)
+      in
       let slos =
         Telemetry.create ~meta:(Driver.slo_meta d ~config:"serve") engine
           (slo_specs s ~admission)
@@ -386,14 +399,14 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
          changes) and [new_session] (which starts one in [Arriving]) *)
       let in_state = Array.make n_states 0 in
       let count st = in_state.(state_index st) in
-      let tally st delta =
+      let bump st delta =
         in_state.(state_index st) <- in_state.(state_index st) + delta
       in
       let deliver sess msg =
         match Session.transition sess.state msg with
         | Some st ->
-            tally sess.state (-1);
-            tally st 1;
+            bump sess.state (-1);
+            bump st 1;
             sess.state <- st
         | None ->
             invalid_arg
@@ -407,16 +420,12 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
       let shed_terminal sess =
         deliver sess (Session.Shed_notice { session = sess.id });
         finalize sess;
-        incr r_shed;
-        incr t_shed;
-        Registry.incr obs_shed
+        tally.shed <- tally.shed + 1
       in
       let reject_terminal sess reason =
         deliver sess (Session.Deny { session = sess.id; reason });
         finalize sess;
-        incr r_rejected;
-        incr t_rejected;
-        Registry.incr obs_rejected
+        tally.rejected <- tally.rejected + 1
       in
       (* Park a failed session in the retry loop — or end it when the
          budget is spent ([`Shed] for load/fault losses, [`Rejected] for
@@ -429,7 +438,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             | `Rejected -> reject_terminal sess Session.Budget_exhausted)
         | Backoff.Retry_at at ->
             let attempt = Backoff.attempts backoff ~key:sess.id in
-            if attempt = 1 then incr t_retry_sessions;
+            if attempt = 1 then tally.retry_sessions <- tally.retry_sessions + 1;
             deliver sess (Session.Retry_after { session = sess.id; at; attempt });
             let bucket =
               match Hashtbl.find_opt retry_at at with
@@ -459,7 +468,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             else sess
           in
           shed_terminal victim;
-          incr t_overflow
+          tally.overflow_shed <- tally.overflow_shed + 1
         end
       in
       let new_session ~box ~video ~time ~priority =
@@ -473,15 +482,13 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             arrived = time;
             priority;
             state = Session.Arriving;
-            deadline = time + cfg.queue_patience;
+            deadline = time + queue_patience;
             admitted_at = -1;
           }
         in
-        tally Session.Arriving 1;
+        bump Session.Arriving 1;
         set_owned box true;
-        incr r_arrivals;
-        incr t_arrivals;
-        Registry.incr obs_arrivals;
+        tally.arrivals <- tally.arrivals + 1;
         enqueue sess
       in
       (* a flash crowd arrives as admission events, not as direct
@@ -492,7 +499,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         let idle, take = Driver.crowd ~eligible:unowned d ~viewers in
         for i = 0 to take - 1 do
           new_session ~box:idle.(i) ~video ~time ~priority:0;
-          incr t_flash
+          tally.flash_arrivals <- tally.flash_arrivals + 1
         done
       in
       let allowed_new ~time video =
@@ -563,14 +570,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
            service degraded whenever the background rate alone tops the
            queue threshold) *)
         let backlog = queue_length () in
-        r_arrivals := 0;
-        r_admitted := 0;
-        r_retried := 0;
-        r_shed := 0;
-        r_rejected := 0;
-        r_interrupted := 0;
-        r_expired := 0;
-        r_completed := 0;
+        round_start := snapshot ();
         (* 1. fault-plan events (flash crowds enqueue arrival bursts) *)
         Driver.faults d ~time ~flash;
         (* 2. interrupts: admitted viewers whose box went dark (the
@@ -588,9 +588,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
               then begin
                 if Engine.is_online engine sess.box then Engine.cancel engine sess.box;
                 park_retry sess ~time ~on_exhausted:`Shed;
-                incr r_interrupted;
-                incr t_interrupted;
-                Registry.incr obs_interrupted;
+                tally.interrupted <- tally.interrupted + 1;
                 false
               end
               else true)
@@ -607,10 +605,8 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
                   deliver sess
                     (Session.Join
                        { session = sess.id; box = sess.box; video = sess.video });
-                  sess.deadline <- time + cfg.queue_patience;
-                  incr r_retried;
-                  incr t_retries;
-                  Registry.incr obs_retries;
+                  sess.deadline <- time + queue_patience;
+                  tally.retries <- tally.retries + 1;
                   enqueue sess
                 end)
               bucket;
@@ -627,9 +623,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             if sess.state <> Session.Arriving then false
             else if time > sess.deadline then begin
               park_retry sess ~time ~on_exhausted:`Shed;
-              incr r_expired;
-              incr t_expired;
-              Registry.incr obs_expired;
+              tally.expired <- tally.expired + 1;
               false
             end
             else true);
@@ -639,10 +633,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         let high = cfg.queue_cap * 3 / 4 and low = cfg.queue_cap / 4 in
         if !headroom < c || backlog > high then degraded := true
         else if !headroom >= c && backlog <= low then degraded := false;
-        if !degraded then begin
-          incr t_degraded;
-          Registry.incr obs_degraded_rounds
-        end;
+        if !degraded then tally.degraded_rounds <- tally.degraded_rounds + 1;
         if !headroom < 0 then begin
           (* capacity collapsed under admitted load (outage): relieve or
              shed sessions — never let admitted viewers stall *)
@@ -652,44 +643,32 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
                 for b = start to start + count - 1 do
                   if not (Engine.is_online engine b) then begin
                     Engine.set_online engine b true;
-                    incr t_helpers;
+                    tally.helpers_drafted <- tally.helpers_drafted + 1;
                     let gained = box_slots b in
                     slots := !slots + gained;
                     headroom := !headroom + gained
                   end
                 done)
               d.Driver.helpers;
-          let live = ref (Vec.to_list live_order) in
-          while !headroom < 0 && !live <> [] do
-            let victim, rest =
-              match cfg.shed_policy with
-              | Newest_first | Helper_first -> (
-                  match List.rev !live with
-                  | v :: tl -> (v, List.rev tl)
-                  | [] -> assert false)
-              | Lowest_priority ->
-                  let v =
-                    List.fold_left
-                      (fun best sess ->
-                        match best with
-                        | None -> Some sess
-                        | Some b ->
-                            if
-                              sess.priority < b.priority
-                              || (sess.priority = b.priority
-                                 && (sess.admitted_at > b.admitted_at
-                                    || (sess.admitted_at = b.admitted_at && sess.id > b.id)))
-                            then Some sess
-                            else best)
-                      None !live
-                    |> Option.get
-                  in
-                  (v, List.filter (fun sess -> sess.id <> v.id) !live)
-            in
-            live := rest;
-            Engine.cancel engine victim.box;
-            park_retry victim ~time ~on_exhausted:`Shed;
-            incr t_overload;
+          (* one pass over the victims in shed order: [live_order] from
+             its back (newest admitted first), or sorted by
+             [lowest_priority_first] *)
+          let n_live = Vec.length live_order in
+          let victim =
+            match cfg.shed_policy with
+            | Newest_first | Helper_first -> fun i -> Vec.get live_order (n_live - 1 - i)
+            | Lowest_priority ->
+                let order = Vec.to_array live_order in
+                Array.sort lowest_priority_first order;
+                Array.get order
+          in
+          let i = ref 0 in
+          while !headroom < 0 && !i < n_live do
+            let sess = victim !i in
+            incr i;
+            Engine.cancel engine sess.box;
+            park_retry sess ~time ~on_exhausted:`Shed;
+            tally.overload_shed <- tally.overload_shed + 1;
             headroom := !headroom + c
           done
         end;
@@ -707,9 +686,9 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
               | Engine.Admitted ->
                   deliver sess
                     (Session.Grant
-                       { session = sess.id; deadline = time + cfg.startup_deadline });
+                       { session = sess.id; deadline = time + startup_deadline });
                   sess.admitted_at <- time;
-                  sess.deadline <- time + cfg.startup_deadline;
+                  sess.deadline <- time + startup_deadline;
                   decr tokens;
                   headroom := !headroom - c;
                   if granted_round.(sess.video) <> time then begin
@@ -718,9 +697,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
                   end;
                   granted.(sess.video) <- granted.(sess.video) + 1;
                   Vec.push live_order sess;
-                  incr r_admitted;
-                  incr t_admitted;
-                  Registry.incr obs_admitted;
+                  tally.admitted <- tally.admitted + 1;
                   Registry.observe obs_queue_wait (time - sess.arrived);
                   false
               | Engine.Queued -> true (* box mid-playback: wait *)
@@ -748,24 +725,19 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
                    cancel and recover through the retry loop *)
                 Engine.cancel engine sess.box;
                 park_retry sess ~time ~on_exhausted:`Shed;
-                incr r_expired;
-                incr t_expired;
-                Registry.incr obs_expired
+                tally.expired <- tally.expired + 1
               end
             end;
             if sess.state = Session.Streaming && Engine.is_idle engine sess.box then begin
               deliver sess (Session.Complete { session = sess.id; round = time });
               finalize sess;
-              incr r_completed;
-              incr t_completed;
-              Registry.incr obs_completed
+              tally.completed <- tally.completed + 1
             end;
             is_live sess)
           live_order;
         (* 10. stall accounting, SLOs, telemetry, the round line *)
         if report.Engine.unserved > 0 then begin
-          incr t_stalled_rounds;
-          Registry.incr obs_stalled_rounds;
+          tally.stalled_rounds <- tally.stalled_rounds + 1;
           shortfall := !shortfall + report.Engine.unserved;
           clean_rounds := 0
         end
@@ -776,61 +748,47 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             clean_rounds := 0
           end
         end;
-        t_unserved := !t_unserved + report.Engine.unserved;
-        if queue_length () > !t_max_queue then t_max_queue := queue_length ();
+        tally.total_unserved <- tally.total_unserved + report.Engine.unserved;
+        tally.max_queue <- max tally.max_queue (queue_length ());
         Telemetry.observe slos report;
         let live = live_count () in
         let streaming = count Session.Streaming and retrying = count Session.Retrying in
+        let r0 = !round_start in
         line
           {|{"type":"round","t":%d,"state":"%s","arrivals":%d,"admitted":%d,"retried":%d,"queue":%d,"tokens":%d,"headroom":%d,"shortfall":%d,"live":%d,"streaming":%d,"retrying":%d,"interrupted":%d,"expired":%d,"shed":%d,"rejected":%d,"completed":%d,"served":%d,"unserved":%d,"offline":%d}|}
           time
           (if !degraded then "degraded" else "ok")
-          !r_arrivals !r_admitted !r_retried (queue_length ()) !tokens !headroom
-          !shortfall live streaming retrying !r_interrupted !r_expired !r_shed !r_rejected
-          !r_completed report.Engine.served report.Engine.unserved
-          report.Engine.offline_boxes
+          (tally.arrivals - r0.arrivals)
+          (tally.admitted - r0.admitted)
+          (tally.retries - r0.retries)
+          (queue_length ()) !tokens !headroom !shortfall live streaming retrying
+          (tally.interrupted - r0.interrupted)
+          (tally.expired - r0.expired)
+          (tally.shed - r0.shed)
+          (tally.rejected - r0.rejected)
+          (tally.completed - r0.completed)
+          report.Engine.served report.Engine.unserved report.Engine.offline_boxes
       done;
       (* the sessions not yet terminal *)
       let live_at_end =
         count Session.Arriving + count Session.Admitted + count Session.Streaming
         + count Session.Retrying
       in
-      let totals =
-        {
-          arrivals = !t_arrivals;
-          flash_arrivals = !t_flash;
-          admitted = !t_admitted;
-          completed = !t_completed;
-          shed = !t_shed;
-          rejected = !t_rejected;
-          retries = !t_retries;
-          retry_sessions = !t_retry_sessions;
-          retry_budget = cfg.retry_budget;
-          interrupted = !t_interrupted;
-          expired = !t_expired;
-          overflow_shed = !t_overflow;
-          overload_shed = !t_overload;
-          helpers_drafted = !t_helpers;
-          stalled_rounds = !t_stalled_rounds;
-          total_unserved = !t_unserved;
-          max_queue = !t_max_queue;
-          degraded_rounds = !t_degraded;
-        }
-      in
+      List.iter (fun (counter, field) -> Registry.add counter (field tally)) obs_totals;
       line
         {|{"type":"verdict","arrivals":%d,"flash":%d,"admitted":%d,"completed":%d,"shed":%d,"rejected":%d,"retries":%d,"retry_sessions":%d,"retry_budget":%d,"interrupted":%d,"expired":%d,"overflow_shed":%d,"overload_shed":%d,"helpers_drafted":%d,"stalled_rounds":%d,"total_unserved":%d,"max_queue":%d,"degraded_rounds":%d,"live_at_end":%d,"ok":%b}|}
-        totals.arrivals totals.flash_arrivals totals.admitted totals.completed totals.shed
-        totals.rejected totals.retries totals.retry_sessions totals.retry_budget
-        totals.interrupted totals.expired totals.overflow_shed totals.overload_shed
-        totals.helpers_drafted totals.stalled_rounds totals.total_unserved totals.max_queue
-        totals.degraded_rounds live_at_end (totals_ok totals);
+        tally.arrivals tally.flash_arrivals tally.admitted tally.completed tally.shed
+        tally.rejected tally.retries tally.retry_sessions tally.retry_budget
+        tally.interrupted tally.expired tally.overflow_shed tally.overload_shed
+        tally.helpers_drafted tally.stalled_rounds tally.total_unserved tally.max_queue
+        tally.degraded_rounds live_at_end (totals_ok tally);
       let slo, slo_jsonl = Telemetry.finish slos in
       Ok
         {
           scenario = s;
           seed;
           rounds;
-          totals;
+          totals = tally;
           live_at_end;
           slo;
           jsonl = Buffer.contents buf;

@@ -16,17 +16,21 @@
       gates per-title bursts;
     - {b backpressure}: arrivals wait in a bounded queue; on overflow
       the entry with the {e oldest deadline} is shed terminally;
-      entries that out-wait their patience re-enter through the retry
-      path;
+      entries that out-wait their patience (12 rounds) re-enter through
+      the retry path, as do admitted sessions that see no first chunk
+      within their startup deadline (8 rounds);
     - {b recovery}: retries use a seedable decorrelated-jitter
-      {!Vod_util.Backoff} with a per-session budget; re-admission is
-      idempotent (the session keeps its identity, so stats never
-      double-count a retried viewer);
+      {!Vod_util.Backoff} (first delay 2 rounds, cap 16) with a
+      per-session budget; re-admission is idempotent (the session keeps
+      its identity, so stats never double-count a retried viewer);
     - {b degradation}: when measured headroom collapses (e.g. a group
       outage) the service trips to [Degraded] and sheds {e sessions} by
       policy — newest first, lowest priority first, or helper-first
       (draft standby helper upload before dropping any viewer) —
       instead of letting admitted viewers stall.
+
+    The patience, the startup deadline and the backoff's delays are
+    constants; {!config} holds what a caller sets.
 
     {b Determinism contract} (same as chaos/battery): the [vod-serve/1]
     and [vod-slo/1] streams are pure functions of
@@ -61,39 +65,26 @@ type config = {
   headroom_margin : float;
       (** Fraction of online upload slots held back from admission (on
           top of the repair budget), in [0, 1). *)
-  startup_deadline : int;
-      (** Rounds an admitted session may wait for its first chunk
-          before it is cancelled into the retry path. *)
-  queue_patience : int;
-      (** Rounds an arrival may wait in the queue before expiring into
-          the retry path. *)
   retry_budget : int;  (** Max retries per session before it is dropped. *)
-  backoff_base : int;  (** First retry delay, in rounds. *)
-  backoff_cap : int;
   shed_policy : shed_policy;
 }
 
 val default_config : config
 (** [queue_cap 256], derived tokens, [headroom_margin 0.1],
-    [startup_deadline 8], [queue_patience 12], [retry_budget 3],
-    [backoff 2 16], [Newest_first]. *)
+    [retry_budget 3], [Newest_first]. *)
 
 val config :
   ?queue_cap:int ->
   ?tokens_per_round:int ->
   ?token_burst:int ->
   ?headroom_margin:float ->
-  ?startup_deadline:int ->
-  ?queue_patience:int ->
   ?retry_budget:int ->
-  ?backoff_base:int ->
-  ?backoff_cap:int ->
   ?shed_policy:shed_policy ->
   unit ->
   config
 (** {!default_config} with overrides.
-    @raise Invalid_argument on non-positive sizes, [cap < base] or a
-    margin outside [0, 1). *)
+    @raise Invalid_argument on non-positive sizes or a margin outside
+    [0, 1). *)
 
 type arrivals =
   | Scenario_rate  (** Poisson at the scenario's [rate] (uniform videos). *)
@@ -104,25 +95,32 @@ val arrivals_of_name : string -> (arrivals, string) result
 (** ["scenario"], ["poisson:R"], ["zipf:R:S"] — the [--arrivals]
     syntax. *)
 
-type totals = {
-  arrivals : int;  (** Distinct sessions created (flash included). *)
-  flash_arrivals : int;
-  admitted : int;  (** Grants, re-admissions included. *)
-  completed : int;
-  shed : int;
-  rejected : int;
-  retries : int;  (** Retry joins fired. *)
-  retry_sessions : int;  (** Distinct sessions that ever retried. *)
+(** A run's counts.  The run keeps one tally of these fields and bumps
+    each once per event; the round lines print its per-round
+    differences, and the [serve.*] registry counters ([arrivals],
+    [admitted], [completed], [shed], [rejected], [retries],
+    [interrupted], [expired], [degraded_rounds], [stalled_rounds]) are
+    added from it once, when the run ends.  Private: callers read the
+    fields and cannot write them. *)
+type totals = private {
+  mutable arrivals : int;  (** Distinct sessions created (flash included). *)
+  mutable flash_arrivals : int;
+  mutable admitted : int;  (** Grants, re-admissions included. *)
+  mutable completed : int;
+  mutable shed : int;
+  mutable rejected : int;
+  mutable retries : int;  (** Retry joins fired. *)
+  mutable retry_sessions : int;  (** Distinct sessions that ever retried. *)
   retry_budget : int;  (** The config's per-session budget (for {!verdict_ok}). *)
-  interrupted : int;  (** Sessions knocked back by box loss. *)
-  expired : int;  (** Queue-patience expiries. *)
-  overflow_shed : int;  (** Oldest-deadline-first queue overflow drops. *)
-  overload_shed : int;  (** Degraded-state policy sheds of live sessions. *)
-  helpers_drafted : int;  (** Helper boxes brought online by [Helper_first]. *)
-  stalled_rounds : int;  (** Rounds with unserved viewer requests. *)
-  total_unserved : int;  (** Sum of unserved viewer requests — the stall count. *)
-  max_queue : int;
-  degraded_rounds : int;
+  mutable interrupted : int;  (** Sessions knocked back by box loss. *)
+  mutable expired : int;  (** Queue-patience and startup-deadline expiries. *)
+  mutable overflow_shed : int;  (** Oldest-deadline-first queue overflow drops. *)
+  mutable overload_shed : int;  (** Degraded-state policy sheds of live sessions. *)
+  mutable helpers_drafted : int;  (** Helper boxes brought online by [Helper_first]. *)
+  mutable stalled_rounds : int;  (** Rounds with unserved viewer requests. *)
+  mutable total_unserved : int;  (** Sum of unserved viewer requests — the stall count. *)
+  mutable max_queue : int;
+  mutable degraded_rounds : int;
 }
 
 type outcome = {
