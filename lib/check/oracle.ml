@@ -176,8 +176,9 @@ let alive_count alloc alive s =
     (Vod_model.Allocation.boxes_of_stripe alloc s)
 
 let chaos_repair_agreement ~params ~fleet ~alloc ~crashed ~target_k ?config ?(seed = 42)
-    ?(max_rounds = 500) () =
+    () =
   let module Mend = Vod_fault.Mend in
+  let max_rounds = 500 in
   let n = Array.length fleet in
   let cfg = match config with Some c -> c | None -> Mend.config ~target_k () in
   let engine = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in

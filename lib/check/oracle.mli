@@ -66,14 +66,13 @@ val chaos_repair_agreement :
   target_k:int ->
   ?config:Vod_fault.Mend.config ->
   ?seed:int ->
-  ?max_rounds:int ->
   unit ->
   (chaos_outcome, string) result
 (** The chaos-mode repair differential: crash the given boxes, run the
     engine with the bandwidth-aware controller ({!Vod_fault.Mend}) until
-    it quiesces (at most [max_rounds], default 500), and replay the same
-    loss through the static oracle {!Vod_alloc.Repair.repair} on the
-    original allocation.  The two must agree stripe by stripe on the
+    it quiesces (at most 500 rounds), and replay the same loss through
+    the static oracle {!Vod_alloc.Repair.repair} on the original
+    allocation.  The two must agree stripe by stripe on the
     alive replica count clamped at [target_k] — engine-driven repair,
     for all its budgets, retries and matching contention, must converge
     to exactly the replication level the free-of-charge oracle

@@ -16,19 +16,16 @@ type config = {
   transfer_rounds : int;
   backoff_base : int;
   backoff_cap : int;
-  grace : int;
 }
 
 let config ?(budget = 4) ?(transfer_rounds = 5) ?(backoff_base = 2) ?(backoff_cap = 32)
-    ?grace ~target_k () =
-  let grace = match grace with Some g -> g | None -> 2 * transfer_rounds in
+    ~target_k () =
   if target_k < 1 then invalid_arg "Mend.config: target_k must be >= 1";
   if budget < 1 then invalid_arg "Mend.config: budget must be >= 1";
   if transfer_rounds < 1 then invalid_arg "Mend.config: transfer_rounds must be >= 1";
   if backoff_base < 1 then invalid_arg "Mend.config: backoff base must be >= 1";
   if backoff_cap < backoff_base then invalid_arg "Mend.config: backoff cap must be >= base";
-  if grace < 0 then invalid_arg "Mend.config: grace must be >= 0";
-  { target_k; budget; transfer_rounds; backoff_base; backoff_cap; grace }
+  { target_k; budget; transfer_rounds; backoff_base; backoff_cap }
 
 let of_scenario (s : Scenario.t) =
   config ~budget:s.Scenario.budget ~transfer_rounds:s.Scenario.transfer_rounds
@@ -134,12 +131,13 @@ let tick (t : t) e =
   let n = params.Params.n and c = params.Params.c in
   (* 1. reap transfers lost to destination crashes (the engine already
      dropped the request with the box) or overrunning their deadline
-     (donors saturated for too long: give the slot back and retry
-     elsewhere after backoff). *)
+     (donors saturated for too long: past its [transfer_rounds] plus a
+     grace of twice that, give the slot back and retry elsewhere after
+     backoff). *)
   let keep, lost =
     List.partition
       (fun tr ->
-        Engine.is_online e tr.dest && time <= tr.started + t.cfg.transfer_rounds + t.cfg.grace)
+        Engine.is_online e tr.dest && time <= tr.started + (3 * t.cfg.transfer_rounds))
       t.in_flight
   in
   t.in_flight <- keep;

@@ -28,9 +28,6 @@ type config = {
   backoff_base : int;
       (** First retry delay, in rounds; doubles per failed attempt. *)
   backoff_cap : int;  (** Upper bound on the retry delay. *)
-  grace : int;
-      (** Extra stalled rounds granted beyond [transfer_rounds] before
-          an in-flight transfer is aborted and retried elsewhere. *)
 }
 
 val config :
@@ -38,12 +35,13 @@ val config :
   ?transfer_rounds:int ->
   ?backoff_base:int ->
   ?backoff_cap:int ->
-  ?grace:int ->
   target_k:int ->
   unit ->
   config
-(** Defaults: [budget 4], [transfer_rounds 5], [backoff 2..32],
-    [grace = 2 * transfer_rounds].
+(** Defaults: [budget 4], [transfer_rounds 5], [backoff 2..32].  An
+    in-flight transfer that has not finished [3 * transfer_rounds]
+    rounds after it started (a grace of twice its own length) is
+    aborted and retried elsewhere.
     @raise Invalid_argument on non-positive fields or [cap < base]. *)
 
 val of_scenario : Scenario.t -> config

@@ -98,7 +98,7 @@ let solve_min_cost t ~edge_cost =
   let _value, _cost = Min_cost_flow.solve net ~src ~sink in
   outcome_of_arcs t ~flow:(Min_cost_flow.flow net) middle
 
-let solve_greedy ?(until_stable = false) ?warm_start ~rounds g t =
+let solve_greedy ?warm_start ~rounds g t =
   let row_start = Csr.row_start t and col = Csr.col t in
   let right_cap = Csr.right_cap_array t in
   let assignment = Array.make (n_left t) (-1) in
@@ -124,48 +124,42 @@ let solve_greedy ?(until_stable = false) ?warm_start ~rounds g t =
             incr matched
           end)
         ws);
-  let progress = ref true in
   let round = ref 0 in
-  while (if until_stable then !progress else !round < rounds) && !matched < n_left t do
+  while !round < rounds && !matched < n_left t do
     incr round;
-    if until_stable && !round > rounds * 1000 then progress := false
-    else begin
-      progress := false;
-      (* 1. proposals: every unmatched request picks one candidate with
-         spare capacity, uniformly at random *)
-      let proposals = Array.init (max (n_right t) 1) (fun _ -> Vec.create ()) in
-      for l = 0 to n_left t - 1 do
-        if assignment.(l) = -1 then begin
-          let n_open = ref 0 in
-          for e = row_start.(l) to row_start.(l + 1) - 1 do
-            if open_seat e then incr n_open
+    (* 1. proposals: every unmatched request picks one candidate with
+       spare capacity, uniformly at random *)
+    let proposals = Array.init (max (n_right t) 1) (fun _ -> Vec.create ()) in
+    for l = 0 to n_left t - 1 do
+      if assignment.(l) = -1 then begin
+        let n_open = ref 0 in
+        for e = row_start.(l) to row_start.(l + 1) - 1 do
+          if open_seat e then incr n_open
+        done;
+        if !n_open > 0 then begin
+          (* the k-th open candidate of the row *)
+          let k = ref (Vod_util.Prng.int g !n_open) and e = ref row_start.(l) in
+          while not (open_seat !e && !k = 0) do
+            if open_seat !e then decr k;
+            incr e
           done;
-          if !n_open > 0 then begin
-            (* the k-th open candidate of the row *)
-            let k = ref (Vod_util.Prng.int g !n_open) and e = ref row_start.(l) in
-            while not (open_seat !e && !k = 0) do
-              if open_seat !e then decr k;
-              incr e
-            done;
-            Vec.push proposals.(col.(!e)) l
-          end
+          Vec.push proposals.(col.(!e)) l
         end
-      done;
-      (* 2. acceptance: each box takes a random subset up to capacity *)
-      for r = 0 to n_right t - 1 do
-        let incoming = Vec.to_array proposals.(r) in
-        if Array.length incoming > 0 then begin
-          Vod_util.Sample.shuffle g incoming;
-          let accept = min (Array.length incoming) (right_cap.(r) - right_load.(r)) in
-          for i = 0 to accept - 1 do
-            assignment.(incoming.(i)) <- r;
-            right_load.(r) <- right_load.(r) + 1;
-            incr matched;
-            progress := true
-          done
-        end
-      done
-    end
+      end
+    done;
+    (* 2. acceptance: each box takes a random subset up to capacity *)
+    for r = 0 to n_right t - 1 do
+      let incoming = Vec.to_array proposals.(r) in
+      if Array.length incoming > 0 then begin
+        Vod_util.Sample.shuffle g incoming;
+        let accept = min (Array.length incoming) (right_cap.(r) - right_load.(r)) in
+        for i = 0 to accept - 1 do
+          assignment.(incoming.(i)) <- r;
+          right_load.(r) <- right_load.(r) + 1;
+          incr matched
+        done
+      end
+    done
   done;
   { matched = !matched; assignment; right_load }
 

@@ -95,7 +95,6 @@ val solve_min_cost : t -> edge_cost:(left:int -> right:int -> int) -> outcome
     row in ascending box order. *)
 
 val solve_greedy :
-  ?until_stable:bool ->
   ?warm_start:int array ->
   rounds:int ->
   Vod_util.Prng.t ->
@@ -105,10 +104,11 @@ val solve_greedy :
     unmatched request proposes to a uniformly random adjacent box with
     spare capacity; boxes accept proposals up to capacity (random
     subset when oversubscribed); accepted connections persist.  After
-    [rounds] rounds (or, with [until_stable], once no proposal can be
-    made) the partial matching is returned.  When stable the matching
-    is {e maximal}, hence at least half the optimum; with few rounds it
-    models what boxes can negotiate without any global view.
+    [rounds] rounds the partial matching is returned.  A round in which
+    some request can propose seats at least one, so after as many
+    rounds as there are requests the matching is {e maximal}, hence at
+    least half the optimum; with few rounds it models what boxes can
+    negotiate without any global view.
     [warm_start] pre-seats requests on their previous servers (entries
     are box ids or -1; invalid or over-capacity seats are ignored) —
     persistent connections, as a deployed system would keep. *)

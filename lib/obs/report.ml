@@ -374,7 +374,7 @@ let summarise t =
 
 let us ns = ns /. 1e3
 
-let print_summary ?(counters_of_interest = []) t =
+let print_summary t =
   let s = summarise t in
   Printf.printf "spans: %d recorded, %d dropped%s\n" s.spans_recorded s.spans_dropped
     (if s.rounds > 0 then Printf.sprintf ", %d rounds" s.rounds else "");
@@ -412,18 +412,9 @@ let print_summary ?(counters_of_interest = []) t =
       Printf.printf "phase coverage: top-level phases account for %s of round time\n"
         (Table.fmt_pct s.top_level_coverage)
   end;
-  (match t.counters with
-  | [] -> ()
-  | counters ->
-      let shown =
-        match counters_of_interest with
-        | [] -> counters
-        | names -> List.filter (fun (n, _) -> List.mem n names) counters
-      in
-      if shown <> [] then
-        Printf.printf "counters: %s\n"
-          (String.concat " "
-             (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) shown)));
+  if t.counters <> [] then
+    Printf.printf "counters: %s\n"
+      (String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) t.counters));
   List.iter
     (fun (n, (h : hist)) ->
       if h.count > 0 then

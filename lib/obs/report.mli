@@ -63,10 +63,9 @@ type summary = {
 
 val summarise : trace -> summary
 
-val print_summary : ?counters_of_interest:string list -> trace -> unit
-(** Print the per-phase table (and, when present, counters and
-    histograms) to stdout.  [counters_of_interest] filters the counter
-    line; all counters are shown by default. *)
+val print_summary : trace -> unit
+(** Print the per-phase table (and, when present, every counter and
+    histogram) to stdout. *)
 
 val one_line : Registry.t -> names:string list -> string
 (** ["a=1 b=2"]-style rendering of the named counters — the smoke-test

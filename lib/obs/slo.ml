@@ -13,15 +13,16 @@ type spec = {
   sp_target : float;
   sp_fast : int;
   sp_slow : int;
-  sp_breach_burn : float;
 }
 
-let spec ?(fast = 100) ?(slow = 1000) ?(breach_burn = 1.0) ~name ~target () =
+(* the burn a window must reach to count as burning *)
+let breach_burn = 1.0
+
+let spec ?(fast = 100) ?(slow = 1000) ~name ~target () =
   if target <= 0.0 || target > 1.0 then invalid_arg "Slo.spec: target outside (0,1]";
   if fast < 1 || slow < 1 then invalid_arg "Slo.spec: window size < 1";
   if fast >= slow then invalid_arg "Slo.spec: fast window must be smaller than slow";
-  if breach_burn <= 0.0 then invalid_arg "Slo.spec: breach_burn <= 0";
-  { sp_name = name; sp_target = target; sp_fast = fast; sp_slow = slow; sp_breach_burn = breach_burn }
+  { sp_name = name; sp_target = target; sp_fast = fast; sp_slow = slow }
 
 type window = {
   w_size : int;
@@ -67,17 +68,12 @@ let window_burn t w =
 let burn t which = window_burn t (match which with `Fast -> t.fast | `Slow -> t.slow)
 
 let state t =
-  let th = t.t_spec.sp_breach_burn in
-  let f = window_burn t t.fast and s = window_burn t t.slow in
-  if f >= th && s >= th then Breach else if f >= th || s >= th then Warning else Ok
+  let f = window_burn t t.fast >= breach_burn and s = window_burn t t.slow >= breach_burn in
+  if f && s then Breach else if f || s then Warning else Ok
 
 let burning_window t =
-  let th = t.t_spec.sp_breach_burn in
-  let f = window_burn t t.fast and s = window_burn t t.slow in
-  if f >= th && s >= th then "both"
-  else if f >= th then "fast"
-  else if s >= th then "slow"
-  else "none"
+  let f = window_burn t t.fast >= breach_burn and s = window_burn t t.slow >= breach_burn in
+  if f && s then "both" else if f then "fast" else if s then "slow" else "none"
 
 let push_window w ~round ~bad ~total =
   let i = round mod w.w_size in
@@ -136,7 +132,7 @@ let summary_line su = Printf.sprintf "{\"type\":\"slo-summary\",%s}" (summary_fi
 
 let spec_json sp =
   Printf.sprintf "{\"name\":\"%s\",\"target\":%.4f,\"fast\":%d,\"slow\":%d,\"breach_burn\":%.4f}"
-    sp.sp_name sp.sp_target sp.sp_fast sp.sp_slow sp.sp_breach_burn
+    sp.sp_name sp.sp_target sp.sp_fast sp.sp_slow breach_burn
 
 let verdict_json t ~round =
   Printf.sprintf

@@ -13,7 +13,7 @@
     the Google-SRE multi-window pattern, the state combines a fast
     window (quick detection, noisy) with a slow one (confirmation):
 
-    - {b Breach}: both windows burn at or above [breach_burn];
+    - {b Breach}: both windows burn at or above 1.0;
     - {b Warning}: the fast window burns but the slow one does not
       (early signal), or only the slow window burns (long tail of an
       incident already fading from the fast window);
@@ -32,13 +32,13 @@ type spec = {
   sp_target : float;  (** allowed bad fraction, in (0, 1] *)
   sp_fast : int;  (** fast window, rounds *)
   sp_slow : int;  (** slow window, rounds *)
-  sp_breach_burn : float;  (** burn threshold for Warning/Breach *)
 }
 
-val spec : ?fast:int -> ?slow:int -> ?breach_burn:float -> name:string -> target:float -> unit -> spec
-(** Defaults: [fast = 100], [slow = 1000], [breach_burn = 1.0].
+val spec : ?fast:int -> ?slow:int -> name:string -> target:float -> unit -> spec
+(** Defaults: [fast = 100], [slow = 1000].  A window burns at a burn
+    rate of 1.0 or more (the [breach_burn] of {!spec_json}).
     @raise Invalid_argument if [target] is outside (0, 1], a window
-    size is < 1, [fast >= slow], or [breach_burn <= 0]. *)
+    size is < 1, or [fast >= slow]. *)
 
 type t
 (** A running evaluator for one spec. *)

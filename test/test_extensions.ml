@@ -143,12 +143,16 @@ let test_greedy_valid_and_bounded () =
   done
 
 let test_greedy_stable_is_half_optimal () =
-  (* a maximal matching is at least half a maximum one *)
+  (* a maximal matching is at least half a maximum one; a round in
+     which some request can propose seats at least one, so [n_left]
+     rounds reach a maximal matching *)
   let g = Prng.create ~seed:37 () in
   for _ = 1 to 40 do
-    let inst = random_instance g ~n_left:(1 + Prng.int g 12) ~n_right:(1 + Prng.int g 8) in
+    let n_right = 1 + Prng.int g 8 in
+    let n_left = 1 + Prng.int g 12 in
+    let inst = random_instance g ~n_left ~n_right in
     let optimal = (Bipartite.solve inst).Bipartite.matched in
-    let stable = Bipartite.solve_greedy ~until_stable:true ~rounds:100 g inst in
+    let stable = Bipartite.solve_greedy ~rounds:n_left g inst in
     checkb "valid" true (greedy_outcome_valid inst stable);
     checkb
       (Printf.sprintf "maximal >= opt/2 (%d vs %d)" stable.Bipartite.matched optimal)
