@@ -32,15 +32,8 @@ type record = Bench_matching.record = {
   alloc_per_round : float;
 }
 
-let best_of ~repeats f =
-  let best = ref infinity and work = ref 0 and bytes = ref 0.0 in
-  for _ = 1 to repeats do
-    let ns, w, b = f () in
-    if ns < !best then best := ns;
-    work := w;
-    bytes := b
-  done;
-  (!best, !work, !bytes)
+let best_of = Bench_matching.best_of
+let allocated_bytes = Bench_matching.allocated_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Layer build                                                         *)
@@ -69,7 +62,7 @@ let time_layer_bitset csr =
   let row_start = Csr.row_start csr and col = Csr.col csr in
   let frontier = Bitset.create n_right and visited = Bitset.create n_right in
   let built = ref 0 in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = allocated_bytes () in
   let t0 = Obs.Clock.now_ns () in
   for _ = 1 to layer_rounds do
     Bitset.clear visited;
@@ -91,7 +84,7 @@ let time_layer_bitset csr =
     Bitset.andnot_into ~dst:frontier visited;
     built := !built + Bitset.cardinal frontier
   done;
-  (float_of_int (Obs.Clock.now_ns () - t0), !built, Gc.allocated_bytes () -. b0)
+  (float_of_int (Obs.Clock.now_ns () - t0), !built, allocated_bytes () -. b0)
 
 let time_layer_array csr =
   let n_left = Csr.n_left csr and n_right = Csr.n_right csr in
@@ -99,7 +92,7 @@ let time_layer_array csr =
   let seen = Array.make n_right false in
   let layer = Array.make n_right 0 in
   let built = ref 0 in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = allocated_bytes () in
   let t0 = Obs.Clock.now_ns () in
   for _ = 1 to layer_rounds do
     Array.fill seen 0 n_right false;
@@ -121,7 +114,7 @@ let time_layer_array csr =
     done;
     built := !built + !filled
   done;
-  (float_of_int (Obs.Clock.now_ns () - t0), !built, Gc.allocated_bytes () -. b0)
+  (float_of_int (Obs.Clock.now_ns () - t0), !built, allocated_bytes () -. b0)
 
 (* ------------------------------------------------------------------ *)
 (* Layout: clustered vs interleaved component order                    *)
@@ -172,12 +165,12 @@ let time_csr csr =
   (* one untimed round grows the arena to its high-water mark *)
   ignore (Dinic.solve_csr ~arena csr);
   let matched = ref 0 in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = allocated_bytes () in
   let t0 = Obs.Clock.now_ns () in
   for _ = 1 to layout_rounds do
     matched := !matched + Dinic.solve_csr ~arena csr
   done;
-  (float_of_int (Obs.Clock.now_ns () - t0), !matched, Gc.allocated_bytes () -. b0)
+  (float_of_int (Obs.Clock.now_ns () - t0), !matched, allocated_bytes () -. b0)
 
 (* ------------------------------------------------------------------ *)
 (* Hall certificate                                                    *)
@@ -204,14 +197,14 @@ let time_hall b =
   (* one untimed round grows the arena *)
   ignore (Bipartite.hall_violator ~arena b);
   let size = ref 0 in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = allocated_bytes () in
   let t0 = Obs.Clock.now_ns () in
   for _ = 1 to hall_rounds do
     match Bipartite.hall_violator ~arena b with
     | Some v -> size := !size + List.length v.Bipartite.requests
     | None -> failwith "bench_kernels: the certificate instance is feasible"
   done;
-  (float_of_int (Obs.Clock.now_ns () - t0), !size, Gc.allocated_bytes () -. b0)
+  (float_of_int (Obs.Clock.now_ns () - t0), !size, allocated_bytes () -. b0)
 
 (* ------------------------------------------------------------------ *)
 

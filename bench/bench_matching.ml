@@ -12,7 +12,7 @@
                   the engine runs
 
    Besides ns/round each record carries alloc/round, the
-   [Gc.allocated_bytes] delta per round of the timed region: the
+   {!allocated_bytes} delta per round of the timed region: the
    csr row is the one the zero-allocation acceptance watches (~0
    bytes once the arena has grown).  Emits both a human table and (via
    {!emit_json}) the machine-readable [BENCH_matching.json] record set
@@ -29,6 +29,30 @@ type record = {
   matched_per_round : float;
   alloc_per_round : float; (* bytes *)
 }
+
+(* Bytes allocated so far, on both heaps: minor + major - promoted
+   words.  [Gc.minor_words] includes the live minor heap, whereas
+   [Gc.allocated_bytes] moves by the whole minor heap on the round a
+   minor collection runs, so a delta of it reads how many collections
+   fell inside the timed region, not what that region allocated. *)
+let allocated_bytes () =
+  let s = Gc.quick_stat () in
+  (Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words)
+  *. float_of_int (Sys.word_size / 8)
+
+(* Best of [repeats] runs of [f], which returns (ns, work, bytes):
+   scheduler hiccups only ever add time, so the minimum is the stable
+   estimate the regression gate needs, and the allocation keeps its
+   minimum too.  The work is the last run's (the runs agree). *)
+let best_of ~repeats f =
+  let best = ref infinity and work = ref 0 and bytes = ref infinity in
+  for _ = 1 to repeats do
+    let ns, w, b = f () in
+    if ns < !best then best := ns;
+    work := w;
+    if b < !bytes then bytes := b
+  done;
+  (!best, !work, !bytes)
 
 type scenario = { label : string; churn : float }
 
@@ -65,7 +89,7 @@ let make_sequence ~seed ~n_left ~rounds ~churn =
 
 let time_scratch seq ~arena =
   let matched = ref 0 in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = allocated_bytes () in
   let t0 = Obs.Clock.now_ns () in
   List.iter
     (fun inst ->
@@ -73,19 +97,19 @@ let time_scratch seq ~arena =
       matched := !matched + o.Bipartite.matched)
     seq;
   let ns = float_of_int (Obs.Clock.now_ns () - t0) in
-  (ns, !matched, Gc.allocated_bytes () -. b0)
+  (ns, !matched, allocated_bytes () -. b0)
 
 (* The bare CSR core: no outcome arrays, results stay in the arena.
    This is the ~0 bytes/round row. *)
 let time_csr seq ~arena =
   let matched = ref 0 in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = allocated_bytes () in
   let t0 = Obs.Clock.now_ns () in
   List.iter
     (fun inst -> matched := !matched + Dinic.solve_csr ~arena (Bipartite.csr inst))
     seq;
   let ns = float_of_int (Obs.Clock.now_ns () - t0) in
-  (ns, !matched, Gc.allocated_bytes () -. b0)
+  (ns, !matched, allocated_bytes () -. b0)
 
 let run () =
   let records = ref [] in
@@ -105,25 +129,12 @@ let run () =
              timing *)
           ignore (time_scratch [ List.hd seq ] ~arena);
           ignore (time_csr [ List.hd seq ] ~arena);
-          (* best-of-5: scheduler hiccups only ever add time, so the
-             minimum is the stable estimate the regression gate needs.
-             The allocation delta varies too (runs of identical code
-             have read 27656 and 8548 B/round), so it keeps its minimum
-             as well *)
-          let best_of f =
-            let best = ref infinity and matched = ref 0 and bytes = ref infinity in
-            for _ = 1 to 5 do
-              let ns, m, b = f () in
-              if ns < !best then best := ns;
-              matched := m;
-              if b < !bytes then bytes := b
-            done;
-            (!best, !matched, !bytes)
-          in
           let scratch_ns, scratch_matched, scratch_b =
-            best_of (fun () -> time_scratch seq ~arena)
+            best_of ~repeats:5 (fun () -> time_scratch seq ~arena)
           in
-          let csr_ns, csr_matched, csr_b = best_of (fun () -> time_csr seq ~arena) in
+          let csr_ns, csr_matched, csr_b =
+            best_of ~repeats:5 (fun () -> time_csr seq ~arena)
+          in
           if scratch_matched <> csr_matched then
             failwith
               (Printf.sprintf
@@ -158,22 +169,16 @@ let run_smoke () =
   let n_left = 16384 and rounds = 12 in
   let seq = make_sequence ~seed:(0xbe2c + n_left) ~n_left ~rounds ~churn:0.02 in
   ignore (time_csr [ List.hd seq ] ~arena);
-  let best = ref infinity and matched = ref 0 and bytes = ref 0.0 in
-  for _ = 1 to 5 do
-    let ns, m, b = time_csr seq ~arena in
-    if ns < !best then best := ns;
-    matched := m;
-    bytes := b
-  done;
+  let ns, matched, bytes = best_of ~repeats:5 (fun () -> time_csr seq ~arena) in
   let r = float_of_int rounds in
   [
     {
       name = "matching/csr/low-churn";
       n = n_left;
       rounds;
-      ns_per_round = !best /. r;
-      matched_per_round = float_of_int !matched /. r;
-      alloc_per_round = !bytes /. r;
+      ns_per_round = ns /. r;
+      matched_per_round = float_of_int matched /. r;
+      alloc_per_round = bytes /. r;
     };
   ]
 
@@ -221,7 +226,7 @@ let run_swarm_pass ~seed ~n_left ~rounds ~arena =
   let solve () = Dinic.solve_csr ~arena (Bipartite.csr inst) in
   ignore (solve ());
   let matched = ref 0 in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = allocated_bytes () in
   let t0 = Obs.Clock.now_ns () in
   for _round = 1 to rounds do
     for _ = 1 to max 1 (int_of_float (float_of_int n_left *. swarm_churn)) do
@@ -231,7 +236,7 @@ let run_swarm_pass ~seed ~n_left ~rounds ~arena =
     matched := !matched + solve ()
   done;
   let ns = float_of_int (Obs.Clock.now_ns () - t0) in
-  { ns; matched = !matched; bytes = Gc.allocated_bytes () -. b0 }
+  { ns; matched = !matched; bytes = allocated_bytes () -. b0 }
 
 let scale_sizes = [ 262_144; 1_000_000 ]
 

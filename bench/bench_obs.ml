@@ -42,7 +42,7 @@ let run_once ~telemetry =
   let wg = Prng.create ~seed:9 () in
   let gen = Generators.zipf_arrivals wg ~rate:400.0 ~s:0.9 in
   let served = ref 0 in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = Bench_matching.allocated_bytes () in
   let t0 = Obs.Clock.now_ns () in
   for time = 1 to rounds do
     List.iter
@@ -53,7 +53,7 @@ let run_once ~telemetry =
     served := !served + report.Engine.served
   done;
   let ns = float_of_int (Obs.Clock.now_ns () - t0) in
-  let bytes = Gc.allocated_bytes () -. b0 in
+  let bytes = Bench_matching.allocated_bytes () -. b0 in
   (ns, !served, bytes)
 
 let record ~telemetry =

@@ -50,13 +50,13 @@ let run_size n =
     ignore (round () : Engine.round_report)
   done;
   let served = ref 0 in
-  let b0 = Gc.allocated_bytes () in
+  let b0 = Bench_matching.allocated_bytes () in
   let t0 = Obs.Clock.now_ns () in
   for _ = 1 to timed do
     served := !served + (round ()).Engine.served
   done;
   let ns = float_of_int (Obs.Clock.now_ns () - t0) in
-  let bytes = Gc.allocated_bytes () -. b0 in
+  let bytes = Bench_matching.allocated_bytes () -. b0 in
   let outer = Obs.Span.installed () in
   let recorder = Obs.Span.create_recorder () in
   Obs.Span.install recorder;
