@@ -414,7 +414,8 @@ let print_summary t =
   end;
   if t.counters <> [] then
     Printf.printf "counters: %s\n"
-      (String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) t.counters));
+      (String.concat " "
+         (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) t.counters));
   List.iter
     (fun (n, (h : hist)) ->
       if h.count > 0 then

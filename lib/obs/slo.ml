@@ -67,12 +67,14 @@ let window_burn t w =
 
 let burn t which = window_burn t (match which with `Fast -> t.fast | `Slow -> t.slow)
 
+let burns t w = window_burn t w >= breach_burn
+
 let state t =
-  let f = window_burn t t.fast >= breach_burn and s = window_burn t t.slow >= breach_burn in
+  let f = burns t t.fast and s = burns t t.slow in
   if f && s then Breach else if f || s then Warning else Ok
 
 let burning_window t =
-  let f = window_burn t t.fast >= breach_burn and s = window_burn t t.slow >= breach_burn in
+  let f = burns t t.fast and s = burns t t.slow in
   if f && s then "both" else if f then "fast" else if s then "slow" else "none"
 
 let push_window w ~round ~bad ~total =
