@@ -300,20 +300,15 @@ let test_battery_pin name () =
   | Error m -> Alcotest.fail m
   | Ok s -> check_pins name (Result.get_ok (Serve.run s))
 
-let test_helper_draft_pin () =
-  check_pins "overload_helper"
-    (Result.get_ok
-       (Serve.run ~config:(overload_config Serve.Helper_first) (overload_scenario ())))
-
-(* Byte-pins of the two other shed orders on the overload scenario:
-   newest-first and lowest-priority.  That scenario has no flash crowd,
-   so every session is background and lowest-priority sheds the same
-   victims as newest-first; the flash pin adds eight flash-crowd
-   viewers at round 1, whose priority-0 sessions are shed first.
-   Regenerate like the helper-first pin, from the runs below, writing
+(* The overload scenario is pinned under each shed policy (NAME
+   newest, lowest, helper).  That scenario has no flash crowd, so every
+   session is background and lowest-priority sheds the same victims as
+   newest-first; the flash pin adds eight flash-crowd viewers at round
+   1, whose priority-0 sessions are shed first.  Regenerate like the
+   helper-first pin, from the runs below, writing
    serve_overload_NAME_golden.jsonl and
    serve_overload_NAME_slo_golden.jsonl. *)
-let test_shed_order_pin name policy () =
+let test_overload_pin name policy () =
   check_pins ("overload_" ^ name)
     (Result.get_ok (Serve.run ~config:(overload_config policy) (overload_scenario ())))
 
@@ -526,11 +521,12 @@ let suites =
         Alcotest.test_case "degrade/restore pin" `Quick
           (test_battery_pin "isp_bottleneck");
         Alcotest.test_case "helper churn pin" `Quick (test_battery_pin "helpers_churn");
-        Alcotest.test_case "helper-first draft pin" `Quick test_helper_draft_pin;
+        Alcotest.test_case "helper-first draft pin" `Quick
+          (test_overload_pin "helper" Serve.Helper_first);
         Alcotest.test_case "newest-first shed pin" `Quick
-          (test_shed_order_pin "newest" Serve.Newest_first);
+          (test_overload_pin "newest" Serve.Newest_first);
         Alcotest.test_case "lowest-priority shed pin" `Quick
-          (test_shed_order_pin "lowest" Serve.Lowest_priority);
+          (test_overload_pin "lowest" Serve.Lowest_priority);
         Alcotest.test_case "lowest-priority flash shed pin" `Quick
           test_flash_shed_order_pin;
         Alcotest.test_case "draft after a sweep pin" `Quick test_sweep_draft_pin;
