@@ -8,13 +8,13 @@
      scratch      Bipartite.solve (Dinic CSR core) into a shared arena,
                   outcome arrays copied out
      csr          the bare Dinic CSR core over a shared arena, no
-                  outcome materialisation — the zero-allocation path
-                  the engine runs
+                  outcome materialisation — the path the engine runs
 
    Besides ns/round each record carries alloc/round, the
-   {!allocated_bytes} delta per round of the timed region: the
-   csr row is the one the zero-allocation acceptance watches (~0
-   bytes once the arena has grown).  Emits both a human table and (via
+   {!allocated_bytes} delta per round of the timed region: once the
+   arena has grown, a csr round allocates only the core's DFS closure
+   (144 bytes per solve that runs augmenting phases, none for one that
+   greedy saturates; the records read 147-165 bytes per round).  Emits both a human table and (via
    {!emit_json}) the machine-readable [BENCH_matching.json] record set
    that `bench/compare.exe` diffs against the committed baseline in
    CI. *)

@@ -177,13 +177,14 @@ type violator = { requests : int list; servers : int list; server_slots : int }
    network, the same whichever maximum matching the solver found. *)
 let violator_in_arena ~arena t =
   let requests = Arena.(Array.sub arena.queue.buf 0 arena.reached) in
+  let servers = Arena.(Array.sub arena.right_queue.buf 0 arena.reached_right) in
   Array.sort Int.compare requests;
-  let servers = Bitset.to_list Arena.(arena.visited_right.bits) in
+  Array.sort Int.compare servers;
   let right_cap = Csr.right_cap_array t in
   {
     requests = Array.to_list requests;
-    servers;
-    server_slots = List.fold_left (fun acc r -> acc + right_cap.(r)) 0 servers;
+    servers = Array.to_list servers;
+    server_slots = Array.fold_left (fun acc r -> acc + right_cap.(r)) 0 servers;
   }
 
 let hall_violator ?arena t =

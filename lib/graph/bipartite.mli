@@ -75,7 +75,7 @@ val reserve : arena:Arena.t -> t -> n_left:int -> n_edges:int -> unit
 (** Size the instance's buffers and the arena's slabs, if they are
     smaller, for a {!rebuild} of up to [n_left] rows writing up to
     [n_edges] entries (duplicates counted) and its
-    {!val:solve_in_arena}, so that neither allocates.  The current rows
+    {!val:solve_in_arena}, so that neither grows a buffer.  The current rows
     are kept.  The engine calls this on the rounds its walk closes, so
     the buffers follow the run's size whether or not a round builds.
     @raise Invalid_argument on a negative size. *)
