@@ -482,10 +482,7 @@ let test_bitset_basic () =
   Bitset.add b 199;
   checki "cardinal" 4 (Bitset.cardinal b);
   checkb "mem 63" true (Bitset.mem b 63);
-  checkb "mem 100" false (Bitset.mem b 100);
-  Bitset.remove b 63;
-  checkb "removed" false (Bitset.mem b 63);
-  checki "cardinal after remove" 3 (Bitset.cardinal b)
+  checkb "mem 100" false (Bitset.mem b 100)
 
 let test_bitset_add_idempotent () =
   let b = Bitset.create 10 in
@@ -493,98 +490,10 @@ let test_bitset_add_idempotent () =
   Bitset.add b 5;
   checki "idempotent" 1 (Bitset.cardinal b)
 
-let test_bitset_iter_sorted () =
-  let b = Bitset.create 300 in
-  List.iter (Bitset.add b) [ 250; 3; 70; 180 ];
-  check (Alcotest.list Alcotest.int) "to_list sorted" [ 3; 70; 180; 250 ] (Bitset.to_list b)
-
-let test_bitset_union_inter () =
-  let a = Bitset.create 128 and b = Bitset.create 128 in
-  List.iter (Bitset.add a) [ 1; 2; 3; 100 ];
-  List.iter (Bitset.add b) [ 2; 3; 4 ];
-  checki "inter" 2 (Bitset.inter_cardinal a b);
-  Bitset.union_into ~dst:a b;
-  checki "union" 5 (Bitset.cardinal a)
-
-let test_bitset_copy_independent () =
-  let a = Bitset.create 64 in
-  Bitset.add a 7;
-  let b = Bitset.copy a in
-  Bitset.add b 8;
-  checkb "copy isolated" false (Bitset.mem a 8);
-  checkb "copy kept" true (Bitset.mem b 7)
-
 let test_bitset_bounds () =
   let b = Bitset.create 10 in
   Alcotest.check_raises "oob" (Invalid_argument "Bitset: index out of bounds") (fun () ->
       Bitset.add b 10)
-
-let test_bitset_next_set_bit () =
-  let b = Bitset.create 300 in
-  List.iter (Bitset.add b) [ 3; 62; 63; 200 ];
-  checki "from 0" 3 (Bitset.next_set_bit b 0);
-  checki "from 3" 3 (Bitset.next_set_bit b 3);
-  checki "from 4" 62 (Bitset.next_set_bit b 4);
-  checki "word boundary" 63 (Bitset.next_set_bit b 63);
-  checki "skip empty words" 200 (Bitset.next_set_bit b 64);
-  checki "past last" (-1) (Bitset.next_set_bit b 201);
-  checki "at capacity" (-1) (Bitset.next_set_bit b 300);
-  checki "empty set" (-1) (Bitset.next_set_bit (Bitset.create 300) 0)
-
-let test_bitset_set_prefix () =
-  let b = Bitset.create 200 in
-  Bitset.add b 150;
-  Bitset.set_prefix b 130;
-  checki "cardinal" 130 (Bitset.cardinal b);
-  checkb "last of prefix" true (Bitset.mem b 129);
-  checkb "first beyond" false (Bitset.mem b 130);
-  checkb "old bit cleared" false (Bitset.mem b 150);
-  Bitset.set_prefix b 63;
-  checki "full-word prefix" 63 (Bitset.cardinal b);
-  Bitset.set_prefix b 0;
-  checkb "zero prefix" true (Bitset.is_empty b)
-
-let test_bitset_union_reporting () =
-  let a = Bitset.create 128 and b = Bitset.create 128 in
-  List.iter (Bitset.add a) [ 1; 2; 100 ];
-  List.iter (Bitset.add b) [ 2; 3; 100; 101 ];
-  checki "new bits" 2 (Bitset.union_into_reporting_new ~dst:a b);
-  checki "union cardinal" 5 (Bitset.cardinal a);
-  checki "idempotent" 0 (Bitset.union_into_reporting_new ~dst:a b)
-
-let test_bitset_andnot () =
-  let a = Bitset.create 128 and b = Bitset.create 128 in
-  List.iter (Bitset.add a) [ 1; 2; 3; 100 ];
-  List.iter (Bitset.add b) [ 2; 100; 101 ];
-  Bitset.andnot_into ~dst:a b;
-  check (Alcotest.list Alcotest.int) "difference" [ 1; 3 ] (Bitset.to_list a)
-
-let test_bitset_intersects () =
-  let a = Bitset.create 128 and b = Bitset.create 128 in
-  Bitset.add a 5;
-  Bitset.add b 70;
-  checkb "disjoint" false (Bitset.intersects a b);
-  Bitset.add b 5;
-  checkb "common bit" true (Bitset.intersects a b)
-
-let test_bitset_iter_words () =
-  let bpw = Bitset.bits_per_word in
-  let b = Bitset.create (10 * bpw) in
-  (* bits spanning three words, with word 1 left empty *)
-  let members = [ 0; bpw - 1; (2 * bpw) + 4; (2 * bpw) + 5 ] in
-  List.iter (Bitset.add b) members;
-  let seen = ref [] in
-  Bitset.iter_words (fun w word -> seen := (w, word) :: !seen) b;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "nonzero words only"
-    [ (0, 1 lor (1 lsl (bpw - 1))); (2, (1 lsl 4) lor (1 lsl 5)) ]
-    (List.rev !seen)
-
-let test_bitset_capacity_mismatch () =
-  let a = Bitset.create 64 and b = Bitset.create 128 in
-  Alcotest.check_raises "mismatch" (Invalid_argument "Bitset.union_into: capacity mismatch")
-    (fun () -> Bitset.union_into ~dst:a b)
 
 (* ------------------------------------------------------------------ *)
 (* Heap                                                                *)
@@ -727,75 +636,6 @@ let test_table_formats () =
 (* QCheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Word-sweep laws, checked against a naive bool-array / Set model: the
-   matching kernels in vod_graph lean on these exact semantics. *)
-let bitset_word_laws =
-  let open QCheck in
-  let members = list_of_size Gen.(int_range 0 64) (int_range 0 199) in
-  let bitset_of l =
-    let b = Bitset.create 200 in
-    List.iter (Bitset.add b) l;
-    b
-  in
-  [
-    Test.make ~name:"bitset next_set_bit agrees with linear scan" ~count:200
-      (pair members (int_range 0 200))
-      (fun (l, start) ->
-        let b = bitset_of l in
-        let m = Array.make 200 false in
-        List.iter (fun i -> m.(i) <- true) l;
-        let naive = ref (-1) in
-        (try
-           for i = start to 199 do
-             if m.(i) then begin
-               naive := i;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        Bitset.next_set_bit b start = !naive);
-    Test.make ~name:"bitset iter/iter_words/to_list agree" ~count:200 members (fun l ->
-        let b = bitset_of l in
-        let via_iter = ref [] in
-        Bitset.iter (fun i -> via_iter := i :: !via_iter) b;
-        let via_words = ref [] in
-        Bitset.iter_words
-          (fun w word ->
-            let base = w * Bitset.bits_per_word in
-            for bit = Bitset.bits_per_word - 1 downto 0 do
-              if word land (1 lsl bit) <> 0 then via_words := (base + bit) :: !via_words
-            done)
-          b;
-        let expect = Bitset.to_list b in
-        List.rev !via_iter = expect && List.sort compare !via_words = expect);
-    Test.make ~name:"bitset set_prefix is [0, n)" ~count:200
-      (pair members (int_range 0 200))
-      (fun (l, n) ->
-        let b = bitset_of l in
-        Bitset.set_prefix b n;
-        Bitset.to_list b = List.init n Fun.id);
-    Test.make ~name:"bitset union_into_reporting_new counts b \\ a" ~count:200
-      (pair members members)
-      (fun (la, lb) ->
-        let a = bitset_of la and b = bitset_of lb in
-        let module S = Set.Make (Int) in
-        let sa = S.of_list la and sb = S.of_list lb in
-        let fresh = Bitset.union_into_reporting_new ~dst:a b in
-        fresh = S.cardinal (S.diff sb sa) && Bitset.to_list a = S.elements (S.union sa sb));
-    Test.make ~name:"bitset andnot_into is set difference" ~count:200
-      (pair members members)
-      (fun (la, lb) ->
-        let a = bitset_of la and b = bitset_of lb in
-        Bitset.andnot_into ~dst:a b;
-        let module S = Set.Make (Int) in
-        Bitset.to_list a = S.elements (S.diff (S.of_list la) (S.of_list lb)));
-    Test.make ~name:"bitset intersects iff a common element" ~count:200
-      (pair members members)
-      (fun (la, lb) ->
-        let a = bitset_of la and b = bitset_of lb in
-        Bitset.intersects a b = List.exists (fun i -> List.mem i lb) la);
-  ]
-
 (* [Prng.int] as it was written before it skipped the limit division:
    compute the rejection limit, redraw at or above it, reduce. *)
 let reference_int g bound =
@@ -901,9 +741,6 @@ let qcheck_cases =
         let s = S.of_list l in
         Bitset.cardinal b = S.cardinal s
         && List.for_all (fun i -> Bitset.mem b i = S.mem i s) (List.init 256 Fun.id));
-  ]
-  @ bitset_word_laws
-  @ [
     Test.make ~name:"percentile is within data range" ~count:200
       (pair (list_of_size Gen.(int_range 1 64) (float_range (-100.) 100.)) (float_range 0. 100.))
       (fun (l, p) ->
@@ -977,17 +814,7 @@ let suites =
       [
         Alcotest.test_case "basic ops" `Quick test_bitset_basic;
         Alcotest.test_case "add idempotent" `Quick test_bitset_add_idempotent;
-        Alcotest.test_case "iter sorted" `Quick test_bitset_iter_sorted;
-        Alcotest.test_case "union/inter" `Quick test_bitset_union_inter;
-        Alcotest.test_case "copy independent" `Quick test_bitset_copy_independent;
         Alcotest.test_case "bounds" `Quick test_bitset_bounds;
-        Alcotest.test_case "next_set_bit" `Quick test_bitset_next_set_bit;
-        Alcotest.test_case "set_prefix" `Quick test_bitset_set_prefix;
-        Alcotest.test_case "union reporting new" `Quick test_bitset_union_reporting;
-        Alcotest.test_case "andnot" `Quick test_bitset_andnot;
-        Alcotest.test_case "intersects" `Quick test_bitset_intersects;
-        Alcotest.test_case "iter_words" `Quick test_bitset_iter_words;
-        Alcotest.test_case "capacity mismatch" `Quick test_bitset_capacity_mismatch;
       ] );
     ( "util.heap",
       [
