@@ -41,11 +41,11 @@ battery: build
 serve: build
 	dune exec bin/vodctl.exe -- serve --scn examples/service_storm.scn --jobs 2 --replications 3 --out serve_verdicts.jsonl
 
-# Extra flags pass through: make bench BENCH_ARGS="--no-micro"
+# Extra flags pass through: make bench BENCH_ARGS="--obs"
 bench:
 	dune exec bench/main.exe -- $(BENCH_ARGS)
 
-# Skip the E1-E9 experiment tables; micro- and matching benches still run.
+# Skip the E1-E20 experiment tables; the matching benches still run.
 bench-quick:
 	dune exec bench/main.exe -- --quick $(BENCH_ARGS)
 
@@ -59,7 +59,7 @@ bench-quick:
 # The printed output also carries the catalog-scaling sweep (ns/round/n
 # across six orders of magnitude — Theorem 1's linear admission cost).
 bench-json:
-	dune exec bench/main.exe -- --quick --no-micro --json BENCH_matching.json
+	dune exec bench/main.exe -- --quick --json BENCH_matching.json
 
 # Diff the fresh records against the committed baseline; fails on a
 # ns_per_round regression beyond COMPARE_THRESHOLD percent (default

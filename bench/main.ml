@@ -2,10 +2,7 @@
 
    1. Runs the reproduction experiments E1-E20 (each regenerates one of
       the paper's claims as a printed table; see EXPERIMENTS.md).
-   2. Runs Bechamel micro-benchmarks of the performance-critical
-      substrate: the engine's matcher against the legacy oracle
-      solvers, allocation construction and the simulator round loop.
-   3. Runs the connection-matching benchmark (bench_matching.ml) and,
+   2. Runs the connection-matching benchmark (bench_matching.ml) and,
       with [--json PATH], writes its records as machine-readable JSON
       for the CI regression gate (bench/compare.exe).  The same record
       set carries the kernel micro-records (bench_kernels.ml) and, with
@@ -14,7 +11,6 @@
       perfbench/ (serve-steady, serve-storm), not here.
 
    Run with:            dune exec bench/main.exe
-   Skip micro-benches:  dune exec bench/main.exe -- --no-micro
    Skip experiments:    dune exec bench/main.exe -- --quick
    Kernel smoke only:   dune exec bench/main.exe -- --smoke --json OUT
                         (pinned CSR Dinic gate point + kernel micros, for
@@ -27,90 +23,6 @@
                         BASE_on.json for bench/compare.exe — see bench_obs.ml) *)
 
 open Vod
-
-let make_matching_instance ~seed ~n_left ~n_right =
-  let g = Prng.create ~seed () in
-  let right_cap = Array.init n_right (fun _ -> 1 + Prng.int g 4) in
-  Bipartite.create ~n_left ~n_right ~right_cap ~fill:(fun _ emit ->
-      let deg = 1 + Prng.int g 4 in
-      for _ = 1 to deg do
-        emit (Prng.int g n_right)
-      done)
-
-let micro_benchmarks () =
-  let open Bechamel in
-  let solver_test name solve =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let inst = make_matching_instance ~seed:3 ~n_left:512 ~n_right:128 in
-           ignore (solve inst : Bipartite.outcome)))
-  in
-  let alloc_test =
-    Test.make ~name:"random_permutation n=256 m=256 c=2 k=4"
-      (Staged.stage (fun () ->
-           let g = Prng.create ~seed:5 () in
-           let fleet = Box.Fleet.homogeneous ~n:256 ~u:2.0 ~d:4.0 in
-           let catalog = Catalog.create ~m:256 ~c:2 in
-           ignore (Schemes.random_permutation g ~fleet ~catalog ~k:4)))
-  in
-  let step_test =
-    Test.make ~name:"engine: 20 rounds, n=64, zipf load"
-      (Staged.stage (fun () ->
-           let sim =
-             System.engine
-               (System.homogeneous ~seed:7 ~m:32 ~n:64 ~u:2.0 ~d:4.0 ~c:2 ~k:4 ~mu:1.5
-                  ~duration:15 ())
-           in
-           let wg = Prng.create ~seed:9 () in
-           let gen = Generators.zipf_arrivals wg ~rate:2.0 ~s:0.9 in
-           ignore (Engine.run sim ~rounds:20 ~demands_for:gen)))
-  in
-  let ring_test =
-    Test.make ~name:"dht: 400 lookups on a 1024-node ring"
-      (Staged.stage (fun () ->
-           let d = Directory.create ~nodes:(List.init 1024 Fun.id) in
-           let g = Prng.create ~seed:11 () in
-           for _ = 1 to 400 do
-             ignore (Directory.resolve d ~origin:(Prng.int g 1024) ~stripe:(Prng.int g 100_000))
-           done))
-  in
-  let obstruction_test =
-    Test.make ~name:"union bound n=64 c=2 k=8"
-      (Staged.stage (fun () ->
-           ignore
-             (Obstruction_bound.log_union_bound ~u_eff:2.0 ~nu:(1.0 /. 12.0) ~n:64 ~c:2
-                ~k:8 ~m:16)))
-  in
-  let tests =
-    Test.make_grouped ~name:"vod"
-      [
-        solver_test "matching: dinic 512x128" (fun inst -> Bipartite.solve inst);
-        solver_test "matching: push-relabel legacy 512x128" Check.Legacy.push_relabel;
-        solver_test "matching: hopcroft-karp slots 512x128" Check.Legacy.hopcroft_karp;
-        alloc_test;
-        step_test;
-        ring_test;
-        obstruction_test;
-      ]
-  in
-  let benchmark () =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:(Some 300) () in
-    Benchmark.all cfg instances tests
-  in
-  let analyze results =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  print_newline ();
-  print_endline "=== Bechamel micro-benchmarks (monotonic clock, ns/run) ===";
-  let results = analyze (benchmark ()) in
-  Hashtbl.iter
-    (fun name ols ->
-      match Bechamel.Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "%-42s %12.0f ns/run\n" name est
-      | _ -> Printf.printf "%-42s (no estimate)\n" name)
-    results
 
 let flag_arg name =
   let path = ref None in
@@ -130,13 +42,12 @@ let json_path () = flag_arg "--json"
 let () =
   (* --obs-gate BASE: run only the telemetry-overhead pair (see
      bench_obs.ml) — the CI obs-overhead step, which has no use for the
-     experiment tables or micro-benches. *)
+     experiment tables. *)
   (match flag_arg "--obs-gate" with
   | Some base ->
       Bench_obs.run_gate ~base;
       exit 0
   | None -> ());
-  let no_micro = Array.exists (fun a -> a = "--no-micro") Sys.argv in
   let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
   let obs = Array.exists (fun a -> a = "--obs") Sys.argv in
   let json = json_path () in
@@ -156,8 +67,7 @@ let () =
     \  \"An Upload Bandwidth Threshold for Peer-to-Peer Video-on-Demand\n\
     \  Scalability\", IPDPS 2009.";
   if not quick then Experiments.run_all ()
-  else print_endline "(--quick: skipping the E1-E9 experiment tables)";
-  if not no_micro then micro_benchmarks ();
+  else print_endline "(--quick: skipping the E1-E20 experiment tables)";
   print_newline ();
   (* Span recording around the matching bench distorts the ns/round
      numbers it reports, so --obs is for attribution runs, not for
