@@ -669,6 +669,48 @@ let qcheck_cases =
             && neighbours_covered
             && slots = v.Bipartite.server_slots
             && slots < List.length v.Bipartite.requests);
+    (* The certificate against a model: a plain BFS over the alternating
+       paths of [Bipartite.solve]'s matching, from its free requests.
+       The closure is the same for every maximum matching, so the
+       solvers need not agree on the matching itself. *)
+    Test.make ~name:"hall violator is the alternating closure of the free requests"
+      ~count:150 arb (fun (seed, n_left, n_right) ->
+        let g = Prng.create ~seed () in
+        let adj, right_cap = random_bipartite g ~n_left ~n_right ~max_cap:2 ~edge_prob:0.4 in
+        let b = of_rows ~right_cap adj in
+        let assignment = (Bipartite.solve b).Bipartite.assignment in
+        let seen_left = Array.map (fun r -> r < 0) assignment in
+        let seen_right = Array.make n_right false in
+        let queue = Queue.create () in
+        Array.iteri (fun l free -> if free then Queue.add l queue) seen_left;
+        while not (Queue.is_empty queue) do
+          Array.iter
+            (fun r ->
+              if not seen_right.(r) then begin
+                seen_right.(r) <- true;
+                Array.iteri
+                  (fun l' r' ->
+                    if r' = r && not seen_left.(l') then begin
+                      seen_left.(l') <- true;
+                      Queue.add l' queue
+                    end)
+                  assignment
+              end)
+            adj.(Queue.pop queue)
+        done;
+        let members seen =
+          List.filter (fun i -> seen.(i)) (List.init (Array.length seen) Fun.id)
+        in
+        match Bipartite.hall_violator b with
+        | None -> members seen_left = []
+        | Some v ->
+            let neighbours =
+              List.sort_uniq Int.compare
+                (List.concat_map (fun l -> Array.to_list adj.(l)) v.Bipartite.requests)
+            in
+            v.Bipartite.requests = members seen_left
+            && v.Bipartite.servers = members seen_right
+            && v.Bipartite.servers = neighbours);
     Test.make ~name:"CSR builder round-trips arbitrary adjacencies" ~count:200 arb
       (fun (seed, n_left, n_right) ->
         let g = Prng.create ~seed () in
