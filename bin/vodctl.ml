@@ -309,6 +309,7 @@ let solver_counters =
   [
     "hk.augmenting_paths";
     "dinic.augmenting_paths";
+    "dinic_flow.augmenting_paths";
     "pr.pushes";
     "pr.relabels";
   ]
@@ -340,16 +341,14 @@ let simulate_cmd =
     let obs = obs_of obs_out obs_summary in
     let simulate () =
       let sim = Vod.System.engine sys in
-      let trace = Vod.Trace.create () in
-      Vod.Trace.run trace sim ~rounds ~demands_for:(arrivals ~seed ~rate workload);
-      (sim, trace)
+      (sim, Vod.Engine.run sim ~rounds ~demands_for:(arrivals ~seed ~rate workload))
     in
-    let sim, trace =
+    let sim, reports =
       match obs with
       | None -> simulate ()
       | Some obs -> traced obs ~tag:"simulate" ~title:"simulate" ~path:Fun.id simulate
     in
-    let metrics = Vod.Trace.summarise trace in
+    let metrics = Vod.Metrics.summarise reports in
     Format.printf "%a@." Vod.Metrics.pp metrics;
     Printf.printf "peak active stripe requests: %d (mean %.1f)\n"
       metrics.Vod.Metrics.peak_active metrics.Vod.Metrics.mean_active;
@@ -367,7 +366,8 @@ let simulate_cmd =
     (match csv with
     | None -> ()
     | Some path ->
-        Vod.Trace.save_csv trace ~path;
+        Out_channel.with_open_text path (fun oc ->
+            Out_channel.output_string oc (Vod.Metrics.to_csv reports));
         Printf.printf "per-round trace written to %s\n" path);
     Option.iter print_summaries obs;
     `Ok ()

@@ -64,7 +64,3 @@ let max_catalog_below_threshold ~d_max ~c =
     invalid_arg "Theorem1.max_catalog_below_threshold: d_max must be finite";
   if c < 1 then invalid_arg "Theorem1.max_catalog_below_threshold: c must be >= 1";
   int_of_float (floor ((d_max *. float_of_int c) +. 1e-9))
-
-let pp ppf t =
-  Format.fprintf ppf "{u=%g; mu=%g; d=%g; c=%d; nu=%.4g; u'=%.4g; d'=%.4g; k=%d}"
-    t.u t.mu t.d t.c t.nu t.u_eff t.d_prime t.k

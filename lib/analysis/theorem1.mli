@@ -64,5 +64,3 @@ val max_catalog_below_threshold : d_max:float -> c:int -> int
     never exceed [d_max / l = d_max * c] videos.
     @raise Invalid_argument unless [d_max] is finite and [>= 0] and
     [c >= 1]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -105,7 +105,7 @@ let run ?jobs ?wrap_cell ~configs scenarios =
   else if scenarios = [] then Error "battery needs at least one scenario"
   else
     let invalid s =
-      match Chaos.validate s with
+      match Vod_fault.Driver.validate s with
       | Ok () -> None
       | Error msg -> Some (Printf.sprintf "%s: %s" s.Scenario.name msg)
     in

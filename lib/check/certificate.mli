@@ -28,14 +28,11 @@ val check_violator :
     server list; and demand strictly exceeds cut capacity,
     [server_slots < |X|]. *)
 
-val deficiency : Vod_graph.Bipartite.violator -> int
-(** [|X| - server_slots]: how many requests of X must stall. *)
-
 val check_optimal_pair :
   Instance.t ->
   Vod_graph.Bipartite.outcome ->
   Vod_graph.Bipartite.violator ->
   (unit, string) result
 (** Both certificates individually valid {e and} tight against each
-    other: [matched = n_left - deficiency], which proves the matching
+    other: [matched = n_left - (|X| - server_slots)], which proves the matching
     maximum and the violator of maximum deficiency simultaneously. *)

@@ -160,7 +160,3 @@ let load ~path =
         with
         | s -> of_string s
         | exception Sys_error m -> Error (path ^ ": " ^ m))
-
-let pp fmt t =
-  Format.fprintf fmt "bipartite(%d requests, %d boxes, %d edges, %d slots)" t.n_left
-    t.n_right (edge_count t) (total_slots t)

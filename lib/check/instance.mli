@@ -42,6 +42,3 @@ val save : t -> path:string -> unit
 val load : path:string -> (t, string) result
 (** {!of_string} of the file's contents; [Error] names [path] when it is
     a directory or cannot be opened or read. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary (sizes, edges, slots), not the full serialisation. *)

@@ -26,7 +26,6 @@ module Repair = Vod_alloc.Repair
 
 module Engine = Vod_sim.Engine
 module Metrics = Vod_sim.Metrics
-module Trace = Vod_sim.Trace
 module Telemetry = Vod_sim.Telemetry
 
 module Generators = Vod_workload.Generators

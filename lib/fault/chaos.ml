@@ -67,8 +67,6 @@ type tick = {
   t_slos : Slo.t list;
 }
 
-let validate = Driver.validate
-
 (* ------------------------------------------------------------------ *)
 (* KPI budgets as SLOs                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -217,10 +215,5 @@ let run ?rounds ?seed ?(config = default_config) ?on_round (s : Scenario.t) =
           slo;
           slo_jsonl;
         }
-
-let run_many ?rounds ?jobs ?config ~replications s =
-  Driver.replicate ?jobs ~replications
-    ~run:(fun ~rep:_ ~seed -> run ?rounds ~seed ?config s)
-    s
 
 let verdict_ok o = o.recovered

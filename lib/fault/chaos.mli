@@ -72,10 +72,6 @@ type tick = {
 (** What a [?on_round] observer sees after each round — the
     [vodctl top] dashboard feed. *)
 
-val validate : Scenario.t -> (unit, string) result
-(** {!Driver.validate}: plan compilation, catalog fit against the base
-    fleet, flash-crowd videos inside the catalog. *)
-
 val run :
   ?rounds:int ->
   ?seed:int ->
@@ -103,18 +99,7 @@ val run :
     determinism contract assumes the run is a closed system.  The system
     is {!Driver.create}'s, under [config]'s scheduler and scheme; a
     flash crowd demands its video directly from the idle boxes it
-    lands on.  [Error] on an invalid scenario, as {!validate}. *)
-
-val run_many :
-  ?rounds:int ->
-  ?jobs:int ->
-  ?config:engine_config ->
-  replications:int ->
-  Scenario.t ->
-  (outcome list, string) result
-(** [replications] independent runs through {!Driver.replicate}
-    (replication [i] at seed [scenario.seed + 1000 * i], outcomes in
-    replication order at any [jobs]). *)
+    lands on.  [Error] on an invalid scenario, as {!Driver.validate}. *)
 
 val verdict_ok : outcome -> bool
 (** The run's pass criterion: full target replication was restored

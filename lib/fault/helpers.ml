@@ -3,8 +3,6 @@ open Vod_analysis
 
 type fleet_spec = { count : int; u : float; d : float }
 
-let total specs = List.fold_left (fun acc f -> acc + f.count) 0 specs
-
 let ranges ~base_n specs =
   let start = ref base_n in
   specs

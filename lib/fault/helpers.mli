@@ -18,9 +18,6 @@ type fleet_spec = {
   d : float;  (** Storage per helper, in videos. *)
 }
 
-val total : fleet_spec list -> int
-(** Total helper boxes over all fleets. *)
-
 val ranges : base_n:int -> fleet_spec list -> (int * int) array
 (** [(first_box, count)] per fleet: fleet [i] occupies the contiguous
     box range after the base fleet and all earlier fleets — the

@@ -12,7 +12,6 @@ let make ~id ~upload ~storage =
 
 let storage_slots ~c t = int_of_float (floor ((t.storage *. float_of_int c) +. 1e-9))
 
-let pp ppf t = Format.fprintf ppf "box%d(u=%g,d=%g)" t.id t.upload t.storage
 
 module Fleet = struct
   type box = t

@@ -16,8 +16,6 @@ val make : id:int -> upload:float -> storage:float -> t
 val storage_slots : c:int -> t -> int
 (** Number of stripe replicas the box can store: [floor (d_b * c)]. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** Population-level constructors and statistics. *)
 module Fleet : sig
   type box = t

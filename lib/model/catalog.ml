@@ -29,4 +29,3 @@ let stripes_of_video t v =
   if v < 0 || v >= t.m then invalid_arg "Catalog.stripes_of_video: video out of range";
   Array.init t.c (fun j -> (v * t.c) + j)
 
-let pp ppf t = Format.fprintf ppf "catalog(m=%d, c=%d)" t.m t.c

@@ -22,5 +22,3 @@ val index_of_stripe : t -> int -> int
 
 val stripes_of_video : t -> int -> int array
 (** All [c] global stripe ids of a video. *)
-
-val pp : Format.formatter -> t -> unit

@@ -17,6 +17,3 @@ let upload_slots t u =
   int_of_float (floor ((u *. float_of_int t.c) +. 1e-9))
 
 let effective_upload t u = float_of_int (upload_slots t u) /. float_of_int t.c
-
-let pp ppf t =
-  Format.fprintf ppf "{n=%d; c=%d; mu=%g; T=%d}" t.n t.c t.mu t.duration

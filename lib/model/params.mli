@@ -31,5 +31,3 @@ val upload_slots : t -> float -> int
 val effective_upload : t -> float -> float
 (** [u' = floor(u*c)/c], the upload actually usable when serving whole
     stripes. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,15 +1,8 @@
 type t = { group_of_box : int array; groups : int }
 
-let check ~n ~groups =
-  if groups < 1 || groups > n then invalid_arg "Topology: groups must be in [1, n]"
-
 let uniform_groups ~n ~groups =
-  check ~n ~groups;
+  if groups < 1 || groups > n then invalid_arg "Topology: groups must be in [1, n]";
   { group_of_box = Array.init n (fun b -> b mod groups); groups }
-
-let random_groups g ~n ~groups =
-  check ~n ~groups;
-  { group_of_box = Array.init n (fun _ -> Vod_util.Prng.int g groups); groups }
 
 let n t = Array.length t.group_of_box
 let groups t = t.groups

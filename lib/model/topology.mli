@@ -11,9 +11,6 @@ val uniform_groups : n:int -> groups:int -> t
 (** Boxes assigned round-robin: box [b] joins group [b mod groups].
     @raise Invalid_argument unless [1 <= groups <= n]. *)
 
-val random_groups : Vod_util.Prng.t -> n:int -> groups:int -> t
-(** Uniform random group per box. *)
-
 val n : t -> int
 val groups : t -> int
 val group_of : t -> int -> int

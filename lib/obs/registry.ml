@@ -6,8 +6,8 @@
    registry itself is never cleared — [reset] zeroes values in place so
    module-level handles held by instrumented code stay live. *)
 
-type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : int }
+type counter = { mutable c_value : int }
+type gauge = { mutable g_value : int }
 
 (* Log-scale histogram: bucket [i] counts values [v] with
    [2^i <= v < 2^(i+1)]; bucket 0 also absorbs [v <= 1].  63 buckets
@@ -16,7 +16,6 @@ type gauge = { g_name : string; mutable g_value : int }
 let hist_buckets = 63
 
 type histogram = {
-  h_name : string;
   h_counts : int array;
   mutable h_count : int;
   mutable h_sum : int;
@@ -37,20 +36,19 @@ let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c
   | None ->
-      let c = { c_name = name; c_value = 0 } in
+      let c = { c_value = 0 } in
       Hashtbl.add t.counters name c;
       c
 
 let incr c = c.c_value <- c.c_value + 1
 let add c n = c.c_value <- c.c_value + n
 let counter_value c = c.c_value
-let counter_name c = c.c_name
 
 let gauge t name =
   match Hashtbl.find_opt t.gauges name with
   | Some g -> g
   | None ->
-      let g = { g_name = name; g_value = 0 } in
+      let g = { g_value = 0 } in
       Hashtbl.add t.gauges name g;
       g
 
@@ -61,7 +59,7 @@ let histogram t name =
   match Hashtbl.find_opt t.histograms name with
   | Some h -> h
   | None ->
-      let h = { h_name = name; h_counts = Array.make hist_buckets 0; h_count = 0; h_sum = 0 } in
+      let h = { h_counts = Array.make hist_buckets 0; h_count = 0; h_sum = 0 } in
       Hashtbl.add t.histograms name h;
       h
 
@@ -82,43 +80,11 @@ let observe h v =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v
 
-let hist_count h = h.h_count
-let hist_sum h = h.h_sum
-let hist_counts h = Array.copy h.h_counts
-
+(* Every histogram has [hist_buckets] buckets. *)
 let merge ~into h =
-  if Array.length into.h_counts <> Array.length h.h_counts then
-    invalid_arg "Registry.merge: bucket count mismatch";
   Array.iteri (fun i c -> into.h_counts.(i) <- into.h_counts.(i) + c) h.h_counts;
   into.h_count <- into.h_count + h.h_count;
   into.h_sum <- into.h_sum + h.h_sum
-
-(* Nearest-rank percentile over the buckets: the bucket holding the
-   target rank is found exactly; within it the value is estimated as the
-   bucket midpoint, so the result is accurate to the log-scale
-   resolution (a factor of at most 1.5). *)
-let percentile_of_counts counts ~total p =
-  if p < 0.0 || p > 100.0 then invalid_arg "Registry.percentile_of_counts: p outside [0,100]";
-  if total = 0 then 0.0
-  else begin
-    let rank = max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int total))) in
-    let acc = ref 0 and found = ref 0 in
-    (try
-       for i = 0 to Array.length counts - 1 do
-         acc := !acc + counts.(i);
-         if !acc >= rank then begin
-           found := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    let i = !found in
-    if i = 0 then 1.0 else 1.5 *. (2.0 ** float_of_int i)
-  end
-
-let hist_percentile h p =
-  if p < 0.0 || p > 100.0 then invalid_arg "Registry.hist_percentile: p outside [0,100]";
-  percentile_of_counts h.h_counts ~total:h.h_count p
 
 (* Merge one registry into another, creating missing handles by name.
    Counters and histograms are additive; gauges are level samples with
@@ -172,16 +138,3 @@ let snapshot t =
           done;
           { count = h.h_count; sum = h.h_sum; buckets = !buckets });
   }
-
-let pp ppf t =
-  let s = snapshot t in
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun (n, v) -> Format.fprintf ppf "counter %s = %d@," n v) s.s_counters;
-  List.iter (fun (n, v) -> Format.fprintf ppf "gauge   %s = %d@," n v) s.s_gauges;
-  List.iter
-    (fun (n, h) ->
-      Format.fprintf ppf "hist    %s: count=%d sum=%d buckets=[%s]@," n h.count h.sum
-        (String.concat "; "
-           (List.map (fun (e, c) -> Printf.sprintf "2^%d:%d" e c) h.buckets)))
-    s.s_histograms;
-  Format.fprintf ppf "@]"

@@ -25,7 +25,6 @@ val counter : t -> string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
-val counter_name : counter -> string
 
 val gauge : t -> string -> gauge
 val set : gauge -> int -> unit
@@ -39,39 +38,10 @@ val histogram : t -> string -> histogram
 val observe : histogram -> int -> unit
 (** Record a non-negative value (negatives are clamped to 0).  O(log v). *)
 
-val hist_count : histogram -> int
-val hist_sum : histogram -> int
-
-val hist_counts : histogram -> int array
-(** Per-bucket counts (a copy); index = exponent. *)
-
-val merge : into:histogram -> histogram -> unit
-(** Add the second histogram's buckets, count and sum into the first.
-    Total count and sum are preserved exactly (see the qcheck law in
-    [test_obs.ml]). *)
-
-val hist_percentile : histogram -> float -> float
-(** Nearest-rank percentile estimated from the log-scale buckets; exact
-    bucket, midpoint within it (accurate to a factor of 1.5).  0 for an
-    empty histogram.
-    @raise Invalid_argument on [p] outside [0,100]. *)
-
-val hist_buckets : int
-(** Number of log-scale buckets (63: one per power of two of a
-    non-negative OCaml int). *)
-
-val bucket_of : int -> int
-(** The bucket index a value falls into (exposed for tests). *)
-
-val percentile_of_counts : int array -> total:int -> float -> float
-(** The percentile estimator behind {!hist_percentile}, over a raw
-    bucket-count array with [total] observations: nearest rank, bucket
-    midpoint.
-    @raise Invalid_argument on [p] outside [0,100]. *)
-
 val absorb : into:t -> t -> unit
 (** Merge a whole registry into another, find-or-creating handles by
-    name: counters and histograms accumulate (as {!add} / {!merge}),
+    name: counters and histograms accumulate (histograms bucket by
+    bucket, count and sum preserved exactly),
     gauges keep the maximum of the two levels.  The parallel sweep
     runner gives each task a private registry and absorbs them into one
     after the join, so recording never needs synchronisation. *)
@@ -93,5 +63,3 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 (** Name-sorted (hence deterministic) view of the current values. *)
-
-val pp : Format.formatter -> t -> unit

@@ -114,7 +114,6 @@ let create cfg =
 
 let now t = t.now
 let is_idle t b = t.online.(b) && t.nodes.(b).session = None
-let is_online t b = t.online.(b)
 
 (* A box crashes or leaves: its viewer disappears, its upstream streams
    stop silently (clients recover through timeouts), its playback cache
@@ -472,14 +471,6 @@ let step t =
   launch_postponed t;
   apply_timeouts t;
   push_chunks t
-
-let run t ~rounds ~demands_for =
-  for _ = 1 to rounds do
-    List.iter
-      (fun (b, v) -> if is_idle t b then demand t ~box:b ~video:v)
-      (demands_for t (t.now + 1));
-    step t
-  done
 
 let completed_demands t = t.completed
 let startup_delays t = Vec.to_array t.startups

@@ -35,7 +35,6 @@ val create : config -> t
 
 val now : t -> int
 val is_idle : t -> int -> bool
-val is_online : t -> int -> bool
 
 val set_online : t -> int -> bool -> unit
 (** Churn: a departing box loses its session, upstream streams and
@@ -51,9 +50,6 @@ val demand : t -> box:int -> video:int -> unit
 val step : t -> unit
 (** Advance one round: deliver due messages, run the node state
     machines, push one chunk per active stream. *)
-
-val run : t -> rounds:int -> demands_for:(t -> int -> (int * int) list) -> unit
-(** Drive [rounds] steps, feeding demands (busy boxes skipped). *)
 
 (** Outcome statistics. *)
 

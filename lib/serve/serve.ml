@@ -162,8 +162,6 @@ type outcome = {
   slo_jsonl : string;
 }
 
-let validate = Driver.validate
-
 (* ------------------------------------------------------------------ *)
 (* KPI budgets as SLOs                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -418,12 +416,12 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         Backoff.reset backoff ~key:sess.id
       in
       let shed_terminal sess =
-        deliver sess (Session.Shed_notice { session = sess.id });
+        deliver sess Session.Shed_notice;
         finalize sess;
         tally.shed <- tally.shed + 1
       in
-      let reject_terminal sess reason =
-        deliver sess (Session.Deny { session = sess.id; reason });
+      let reject_terminal sess =
+        deliver sess Session.Deny;
         finalize sess;
         tally.rejected <- tally.rejected + 1
       in
@@ -435,11 +433,11 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         | Backoff.Exhausted -> (
             match on_exhausted with
             | `Shed -> shed_terminal sess
-            | `Rejected -> reject_terminal sess Session.Budget_exhausted)
+            | `Rejected -> reject_terminal sess)
         | Backoff.Retry_at at ->
             let attempt = Backoff.attempts backoff ~key:sess.id in
             if attempt = 1 then tally.retry_sessions <- tally.retry_sessions + 1;
-            deliver sess (Session.Retry_after { session = sess.id; at; attempt });
+            deliver sess Session.Retry_after;
             let bucket =
               match Hashtbl.find_opt retry_at at with
               | Some v -> v
@@ -602,9 +600,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             Vec.iter
               (fun sess ->
                 if sess.state = Session.Retrying then begin
-                  deliver sess
-                    (Session.Join
-                       { session = sess.id; box = sess.box; video = sess.video });
+                  deliver sess Session.Join;
                   sess.deadline <- time + queue_patience;
                   tally.retries <- tally.retries + 1;
                   enqueue sess
@@ -684,9 +680,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
             else
               match Engine.try_demand engine ~box:sess.box ~video:sess.video with
               | Engine.Admitted ->
-                  deliver sess
-                    (Session.Grant
-                       { session = sess.id; deadline = time + startup_deadline });
+                  deliver sess Session.Grant;
                   sess.admitted_at <- time;
                   sess.deadline <- time + startup_deadline;
                   decr tokens;
@@ -705,7 +699,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
                   park_retry sess ~time ~on_exhausted:`Rejected;
                   false
               | Engine.Rejected (Engine.Helper | Engine.Out_of_range) ->
-                  reject_terminal sess Session.Invalid;
+                  reject_terminal sess;
                   false);
         (* 8. the simulator round, with repair under it *)
         let report = Driver.step d in
@@ -719,7 +713,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
           (fun sess ->
             if sess.state = Session.Admitted then begin
               if Engine.awaiting_first engine sess.box = 0 then
-                deliver sess (Session.First_chunk { session = sess.id; round = time })
+                deliver sess Session.First_chunk
               else if time > sess.deadline then begin
                 (* the engine never produced a first chunk in time:
                    cancel and recover through the retry loop *)
@@ -729,7 +723,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
               end
             end;
             if sess.state = Session.Streaming && Engine.is_idle engine sess.box then begin
-              deliver sess (Session.Complete { session = sess.id; round = time });
+              deliver sess Session.Complete;
               finalize sess;
               tally.completed <- tally.completed + 1
             end;
@@ -794,11 +788,6 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
           jsonl = Buffer.contents buf;
           slo_jsonl;
         }
-
-let run_many ?rounds ?jobs ?config ?arrivals ~replications s =
-  Driver.replicate ?jobs ~replications
-    ~run:(fun ~rep:_ ~seed -> run ?rounds ~seed ?config ?arrivals s)
-    s
 
 let verdict_ok o = totals_ok o.totals
 

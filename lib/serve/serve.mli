@@ -134,10 +134,6 @@ type outcome = {
   slo_jsonl : string;  (** The [vod-slo/1] stream. *)
 }
 
-val validate : Scenario.t -> (unit, string) result
-(** {!Vod_fault.Driver.validate}: the service shares the scenario
-    format and system build. *)
-
 val run :
   ?rounds:int ->
   ?seed:int ->
@@ -149,17 +145,6 @@ val run :
     service (crashes, group outages, degrades, flash crowds as arrival
     bursts through admission); {!Vod_fault.Mend} self-heals
     replication underneath.  [Error] on an invalid scenario. *)
-
-val run_many :
-  ?rounds:int ->
-  ?jobs:int ->
-  ?config:config ->
-  ?arrivals:arrivals ->
-  replications:int ->
-  Scenario.t ->
-  (outcome list, string) result
-(** Independent replications (replication [i] at [seed + 1000 * i])
-    over {!Vod_par.Par.map}; outcomes in replication order. *)
 
 val verdict_ok : outcome -> bool
 (** The graceful-degradation contract: zero stalls among admitted

@@ -1133,7 +1133,7 @@ let audit_requests t =
     fail "%d reachable slots against %d live" !reachable (Store.live st);
   match List.rev !problems with [] -> Ok () | p :: _ -> Error p
 
-(* Single source of truth for the report's scalar fields: Trace.to_csv
+(* Single source of truth for the report's scalar fields: Metrics.to_csv
    and pp_report derive their column order from this list, so adding a
    field here is the whole change. *)
 let report_fields : (string * (round_report -> int)) list =

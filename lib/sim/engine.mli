@@ -107,7 +107,7 @@ exception Defeated of round_report
 
 val report_fields : (string * (round_report -> int)) list
 (** The report's scalar fields, in canonical order, each with an
-    accessor — the single source of truth from which {!Trace.to_csv}
+    accessor — the single source of truth from which {!Metrics.to_csv}
     derives its header and rows and {!pp_report} its output.  Adding a
     field to {!round_report} only requires extending this list. *)
 

@@ -52,6 +52,21 @@ let summarise reports =
     peak_busy = !peak_busy;
   }
 
+(* Header and rows both derive from [Engine.report_fields], so the CSV
+   schema cannot drift from the report type. *)
+let to_csv reports =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf (String.concat "," (List.map fst Engine.report_fields));
+  Buffer.add_char buf '\n';
+  List.iter
+    (fun r ->
+      Buffer.add_string buf
+        (String.concat ","
+           (List.map (fun (_, get) -> string_of_int (get r)) Engine.report_fields));
+      Buffer.add_char buf '\n')
+    reports;
+  Buffer.contents buf
+
 let all_served t = t.total_unserved = 0
 
 let pp ppf t =

@@ -17,5 +17,10 @@ type t = {
 
 val summarise : Engine.round_report list -> t
 
+val to_csv : Engine.round_report list -> string
+(** Header line then one line per report; columns follow
+    {!Engine.report_fields} (currently
+    [time,new_demands,active_requests,served,unserved,served_from_cache,rewired,cross_group,busy_boxes,offline_boxes,faulted,repair_active,repair_served]). *)
+
 val all_served : t -> bool
 val pp : Format.formatter -> t -> unit

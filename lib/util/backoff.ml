@@ -74,5 +74,3 @@ let ready t ~key ~time =
   | Some e -> (not (exhausted t ~key)) && e.next_try <= time
 
 let reset t ~key = Hashtbl.remove t.entries key
-let clear t = Hashtbl.reset t.entries
-let tracked t = Hashtbl.length t.entries

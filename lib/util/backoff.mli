@@ -48,9 +48,3 @@ val ready : t -> key:int -> time:int -> bool
 
 val reset : t -> key:int -> unit
 (** Forget [key] entirely (success, or the stripe healed without us). *)
-
-val clear : t -> unit
-(** Forget every key; the PRNG stream is {e not} rewound. *)
-
-val tracked : t -> int
-(** Number of keys with a failure on record. *)

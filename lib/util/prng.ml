@@ -89,10 +89,6 @@ let int g bound =
     end
   end
 
-let int_in_range g ~lo ~hi =
-  if hi < lo then invalid_arg "Prng.int_in_range: hi < lo";
-  lo + int g (hi - lo + 1)
-
 let float g x =
   (* 53 uniform bits mapped to [0,1). *)
   let u = Int64.to_float (Int64.shift_right_logical (int64 g) 11) in

@@ -29,10 +29,6 @@ val int : t -> int -> int
 (** [int g bound] is uniform on [0, bound).  Uses rejection sampling, so
     there is no modulo bias.  @raise Invalid_argument if [bound <= 0]. *)
 
-val int_in_range : t -> lo:int -> hi:int -> int
-(** Uniform on the inclusive range [lo, hi].
-    @raise Invalid_argument if [hi < lo]. *)
-
 val float : t -> float -> float
 (** [float g x] is uniform on [0, x). *)
 

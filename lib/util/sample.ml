@@ -9,11 +9,6 @@ let shuffle_prefix g (a : int array) ~len =
 
 let shuffle g a = shuffle_prefix g a ~len:(Array.length a)
 
-let permutation g n =
-  let a = Array.init n (fun i -> i) in
-  shuffle g a;
-  a
-
 let choose_distinct g ~n ~k =
   if k < 0 || k > n then invalid_arg "Sample.choose_distinct";
   let a = Array.init n (fun i -> i) in
@@ -29,17 +24,6 @@ let total_weight w =
   let s = Array.fold_left ( +. ) 0.0 w in
   if Array.length w = 0 || s <= 0.0 then invalid_arg "Sample: bad weights";
   s
-
-let weighted_index g w =
-  let s = total_weight w in
-  let target = Prng.float g s in
-  let rec scan i acc =
-    if i = Array.length w - 1 then i
-    else
-      let acc = acc +. w.(i) in
-      if target < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0
 
 module Categorical = struct
   (* Vose's alias method: each cell holds a probability and an alias. *)
@@ -122,7 +106,3 @@ let poisson g lambda =
   if lambda = 0.0 then 0
   else if lambda < 10.0 then poisson_small g lambda
   else poisson_large g lambda
-
-let exponential g rate =
-  if rate <= 0.0 then invalid_arg "Sample.exponential: rate must be positive";
-  -.log1p (-.Prng.float g 1.0) /. rate

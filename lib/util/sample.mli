@@ -9,18 +9,10 @@ val shuffle_prefix : Prng.t -> int array -> len:int -> unit
     result as {!shuffle} on [Array.sub a 0 len], without the copy.
     @raise Invalid_argument unless [0 <= len <= Array.length a]. *)
 
-val permutation : Prng.t -> int -> int array
-(** [permutation g n] is a uniform random permutation of [0..n-1]. *)
-
 val choose_distinct : Prng.t -> n:int -> k:int -> int array
 (** [choose_distinct g ~n ~k] draws [k] pairwise-distinct values from
     [0..n-1], uniformly.  Uses a partial Fisher–Yates, O(n) space.
     @raise Invalid_argument if [k > n] or [k < 0]. *)
-
-val weighted_index : Prng.t -> float array -> int
-(** Draw an index with probability proportional to its (non-negative)
-    weight.  Linear scan; use {!Categorical} for repeated draws.
-    @raise Invalid_argument on an all-zero or empty weight vector. *)
 
 (** Alias-method sampler for repeated categorical draws in O(1). *)
 module Categorical : sig
@@ -47,6 +39,3 @@ end
 val poisson : Prng.t -> float -> int
 (** [poisson g lambda] draws from Poisson(lambda); inversion for small
     lambda, normal-tail safe rejection (PTRS) for large. *)
-
-val exponential : Prng.t -> float -> float
-(** [exponential g rate] draws from Exp(rate). *)

@@ -23,19 +23,11 @@ module Running = struct
   let stddev t = sqrt (variance t)
   let min t = t.min
   let max t = t.max
-
-  let ci95_halfwidth t =
-    if t.n < 2 then 0.0 else 1.96 *. stddev t /. sqrt (float_of_int t.n)
 end
 
 let mean xs =
   if Array.length xs = 0 then invalid_arg "Stats.mean: empty";
   Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
-
-let stddev xs =
-  let r = Running.create () in
-  Array.iter (Running.add r) xs;
-  Running.stddev r
 
 let percentile xs p =
   let n = Array.length xs in
@@ -60,30 +52,6 @@ let percentile_nearest_rank xs p =
   let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
   sorted.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
 
-let median xs = percentile xs 50.0
-
-module Histogram = struct
-  type t = { lo : float; hi : float; counts : int array; mutable total : int }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 || hi <= lo then invalid_arg "Histogram.create";
-    { lo; hi; counts = Array.make bins 0; total = 0 }
-
-  let add t x =
-    let bins = Array.length t.counts in
-    let raw = (x -. t.lo) /. (t.hi -. t.lo) *. float_of_int bins in
-    let i = Stdlib.min (bins - 1) (Stdlib.max 0 (int_of_float raw)) in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.total <- t.total + 1
-
-  let counts t = Array.copy t.counts
-  let total t = t.total
-
-  let bin_mid t i =
-    let bins = float_of_int (Array.length t.counts) in
-    t.lo +. ((float_of_int i +. 0.5) /. bins *. (t.hi -. t.lo))
-end
-
 let linear_fit pts =
   let n = Array.length pts in
   if n < 2 then invalid_arg "Stats.linear_fit: need at least two points";
@@ -97,20 +65,6 @@ let linear_fit pts =
   let slope = ((fn *. sxy) -. (sx *. sy)) /. denom in
   let intercept = (sy -. (slope *. sx)) /. fn in
   (slope, intercept)
-
-let pearson pts =
-  let n = Array.length pts in
-  if n < 2 then invalid_arg "Stats.pearson: need at least two points";
-  let xs = Array.map fst pts and ys = Array.map snd pts in
-  let mx = mean xs and my = mean ys in
-  let cov = ref 0.0 and vx = ref 0.0 and vy = ref 0.0 in
-  Array.iter
-    (fun (x, y) ->
-      cov := !cov +. ((x -. mx) *. (y -. my));
-      vx := !vx +. ((x -. mx) *. (x -. mx));
-      vy := !vy +. ((y -. my) *. (y -. my)))
-    pts;
-  if !vx = 0.0 || !vy = 0.0 then 0.0 else !cov /. sqrt (!vx *. !vy)
 
 let jain_fairness xs =
   Array.iter (fun x -> if x < 0.0 then invalid_arg "Stats.jain_fairness: negative entry") xs;

@@ -16,14 +16,9 @@ module Running : sig
   val stddev : t -> float
   val min : t -> float
   val max : t -> float
-
-  val ci95_halfwidth : t -> float
-  (** Half-width of the normal-approximation 95% confidence interval of
-      the mean: [1.96 * stddev / sqrt count]. *)
 end
 
 val mean : float array -> float
-val stddev : float array -> float
 
 val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [0,100]; linear interpolation between
@@ -38,27 +33,9 @@ val percentile_nearest_rank : float array -> float -> float
     built from span durations.  The input is copied and sorted.
     @raise Invalid_argument on empty input or [p] outside [0,100]. *)
 
-val median : float array -> float
-
-(** Fixed-width histogram over a closed range. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-  val add : t -> float -> unit
-  (** Values outside [lo,hi] are clamped into the edge bins. *)
-
-  val counts : t -> int array
-  val total : t -> int
-  val bin_mid : t -> int -> float
-end
-
 val linear_fit : (float * float) array -> float * float
 (** Ordinary least squares: returns [(slope, intercept)].
     @raise Invalid_argument with fewer than two points. *)
-
-val pearson : (float * float) array -> float
-(** Correlation coefficient of paired observations. *)
 
 val jain_fairness : float array -> float
 (** Jain's fairness index [(sum x)^2 / (n * sum x^2)]: 1 when all values

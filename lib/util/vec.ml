@@ -3,7 +3,6 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 let create () = { data = [||]; len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let check_bound t i name =
   if i < 0 || i >= t.len then invalid_arg (name ^ ": index out of bounds")
@@ -28,11 +27,6 @@ let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let pop t =
-  if t.len = 0 then invalid_arg "Vec.pop: empty";
-  t.len <- t.len - 1;
-  t.data.(t.len)
-
 let clear t = t.len <- 0
 
 let ensure_capacity t n x =
@@ -50,8 +44,6 @@ let ensure_capacity t n x =
     t.data <- data'
   end
 let to_array t = Array.sub t.data 0 t.len
-
-let of_array a = { data = Array.copy a; len = Array.length a }
 
 let iter f t =
   for i = 0 to t.len - 1 do

@@ -1,17 +1,13 @@
 (** Growable array (amortised O(1) push), used throughout the simulator
-    for request queues, adjacency construction and traces. *)
+    for request queues, session lists and flow-network arcs. *)
 
 type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit
-
-val pop : 'a t -> 'a
-(** Remove and return the last element.  @raise Invalid_argument if empty. *)
 
 val clear : 'a t -> unit
 (** Logical clear; capacity is retained. *)
@@ -24,7 +20,6 @@ val ensure_capacity : 'a t -> int -> 'a -> unit
     @raise Invalid_argument if [n < 0]. *)
 
 val to_array : 'a t -> 'a array
-val of_array : 'a array -> 'a t
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

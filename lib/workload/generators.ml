@@ -101,17 +101,3 @@ let replay script =
   List.filter_map (fun (t, b, v) -> if t = time then Some (b, v) else None) script
 
 let nothing _sim _time = []
-
-let mix gens sim time = List.concat_map (fun gen -> gen sim time) gens
-
-let window ~from ~until gen sim time =
-  if time >= from && time < until then gen sim time else []
-
-let ramp ~over gen sim time =
-  if over < 1 then invalid_arg "Generators.ramp: over must be >= 1";
-  let demands = gen sim time in
-  if time >= over then demands
-  else begin
-    let keep = List.length demands * time / over in
-    List.filteri (fun i _ -> i < keep) demands
-  end

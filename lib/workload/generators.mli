@@ -41,16 +41,3 @@ val replay : (int * int * int) list -> t
 
 val nothing : t
 (** No demands — lets in-flight requests drain. *)
-
-(** {2 Combinators} *)
-
-val mix : t list -> t
-(** Concatenate the demands of several generators (first writer wins on
-    a box through the engine's idle check). *)
-
-val window : from:int -> until:int -> t -> t
-(** Restrict a generator to rounds [from <= time < until]. *)
-
-val ramp : over:int -> t -> t
-(** Scale a generator in linearly: at round [r <= over] only a
-    [r/over] fraction of its demands (prefix) is issued. *)

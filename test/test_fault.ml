@@ -9,6 +9,7 @@ module Plan = Vod_fault.Plan
 module Scenario = Vod_fault.Scenario
 module Mend = Vod_fault.Mend
 module Chaos = Vod_fault.Chaos
+module Driver = Vod_fault.Driver
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -689,21 +690,26 @@ let test_chaos_deterministic_jsonl () =
   let o1 = Result.get_ok (Chaos.run s) in
   let o2 = Result.get_ok (Chaos.run s) in
   checks "same run, same bytes" o1.Chaos.jsonl o2.Chaos.jsonl;
+  (* the replications vodctl chaos runs: the driver's fan-out of Chaos.run *)
+  let run_many ~jobs ~replications =
+    Result.get_ok
+      (Driver.replicate ~jobs ~replications ~run:(fun ~rep:_ ~seed -> Chaos.run ~seed s) s)
+  in
   let many jobs =
-    Result.get_ok (Chaos.run_many ~jobs ~replications:3 s)
+    run_many ~jobs ~replications:3
     |> List.map (fun o -> o.Chaos.jsonl)
     |> String.concat ""
   in
   checks "same run, same slo bytes" o1.Chaos.slo_jsonl o2.Chaos.slo_jsonl;
   checks "jobs=1 and jobs=2 byte-identical" (many 1) (many 2);
   let many_slo jobs =
-    Result.get_ok (Chaos.run_many ~jobs ~replications:3 s)
+    run_many ~jobs ~replications:3
     |> List.map (fun o -> o.Chaos.slo_jsonl)
     |> String.concat ""
   in
   checks "slo stream jobs-invariant" (many_slo 1) (many_slo 2);
   (* replications genuinely differ (independent seeds) *)
-  match Result.get_ok (Chaos.run_many ~jobs:2 ~replications:2 s) with
+  match run_many ~jobs:2 ~replications:2 with
   | [ a; b ] ->
       checkb "replications independent" true (a.Chaos.jsonl <> b.Chaos.jsonl);
       checki "rep seeds spaced" (s.Scenario.seed + 1000) b.Chaos.seed

@@ -3,7 +3,7 @@
 open Vod_util
 open Vod_model
 module Engine = Vod_sim.Engine
-module Trace = Vod_sim.Trace
+module Metrics = Vod_sim.Metrics
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -63,7 +63,7 @@ let test_startup_delay_many_demands () =
   Array.iter (fun d -> checki "unstalled startup is exactly 1" 1 d) delays
 
 (* ------------------------------------------------------------------ *)
-(* Trace                                                               *)
+(* Per-round trace: Engine.run's reports through Metrics              *)
 (* ------------------------------------------------------------------ *)
 
 let test_trace_records_and_summarises () =
@@ -71,19 +71,18 @@ let test_trace_records_and_summarises () =
   let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
   let g = Prng.create ~seed:11 () in
   let gen = Vod_workload.Generators.uniform_arrivals g ~rate:1.0 in
-  let trace = Trace.create () in
-  Trace.run trace sim ~rounds:25 ~demands_for:gen;
-  checki "rows" 25 (Trace.length trace);
-  let m = Trace.summarise trace in
-  checki "summary rounds" 25 m.Vod_sim.Metrics.rounds;
-  checkb "no failures" true (Trace.failure_rounds trace = [])
+  let reports = Engine.run sim ~rounds:25 ~demands_for:gen in
+  checki "rows" 25 (List.length reports);
+  let m = Metrics.summarise reports in
+  checki "summary rounds" 25 m.Metrics.rounds;
+  checkb "no failures" true (m.Metrics.failed_rounds = 0 && m.Metrics.first_failure = None)
 
 let test_trace_csv_format () =
   let params, fleet, alloc = build () in
   let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
-  let trace = Trace.create () in
-  Trace.run trace sim ~rounds:3 ~demands_for:Vod_workload.Generators.nothing;
-  let csv = Trace.to_csv trace in
+  let csv =
+    Metrics.to_csv (Engine.run sim ~rounds:3 ~demands_for:Vod_workload.Generators.nothing)
+  in
   let lines = String.split_on_char '\n' csv |> List.filter (fun l -> l <> "") in
   checki "header + 3 rows" 4 (List.length lines);
   checkb "header" true
@@ -104,9 +103,10 @@ let test_trace_failure_rounds () =
   let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
   Engine.demand sim ~box:1 ~video:0;
   Engine.demand sim ~box:2 ~video:1;
-  let trace = Trace.create () in
-  Trace.run trace sim ~rounds:4 ~demands_for:Vod_workload.Generators.nothing;
-  checkb "failures detected" true (Trace.failure_rounds trace <> [])
+  let m =
+    Metrics.summarise (Engine.run sim ~rounds:4 ~demands_for:Vod_workload.Generators.nothing)
+  in
+  checkb "failures detected" true (m.Metrics.failed_rounds > 0 && m.Metrics.first_failure <> None)
 
 let suites =
   [

@@ -352,14 +352,6 @@ let test_topology_members_partition () =
   let all = List.concat_map (fun g -> Topology.group_members t g) [ 0; 1; 2; 3 ] in
   checki "partition covers all boxes" 12 (List.length (List.sort_uniq compare all))
 
-let test_topology_random_valid () =
-  let g = Vod_util.Prng.create ~seed:3 () in
-  let t = Topology.random_groups g ~n:50 ~groups:5 in
-  for b = 0 to 49 do
-    let gid = Topology.group_of t b in
-    checkb "group in range" true (gid >= 0 && gid < 5)
-  done
-
 let test_topology_invalid () =
   Alcotest.check_raises "groups > n" (Invalid_argument "Topology: groups must be in [1, n]")
     (fun () -> ignore (Topology.uniform_groups ~n:3 ~groups:4));
@@ -372,7 +364,6 @@ let topology_suite =
     [
       Alcotest.test_case "uniform groups" `Quick test_topology_uniform;
       Alcotest.test_case "members partition" `Quick test_topology_members_partition;
-      Alcotest.test_case "random groups valid" `Quick test_topology_random_valid;
       Alcotest.test_case "invalid args" `Quick test_topology_invalid;
     ] )
 

@@ -16,13 +16,15 @@ let checks = Alcotest.check Alcotest.string
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* A histogram as [Export] sees it: its entry in the registry snapshot. *)
+let hist_of reg name = List.assoc name (Registry.snapshot reg).Registry.s_histograms
+
 let test_counter_basics () =
   let reg = Registry.create () in
   let c = Registry.counter reg "a" in
   Registry.incr c;
   Registry.add c 4;
   checki "value" 5 (Registry.counter_value c);
-  checks "name" "a" (Registry.counter_name c);
   (* find-or-create: the same name yields the same cell *)
   Registry.incr (Registry.counter reg "a");
   checki "shared handle" 6 (Registry.counter_value c);
@@ -40,65 +42,39 @@ let test_reset_keeps_handles () =
   Registry.observe h 9;
   Registry.reset reg;
   checki "counter zeroed" 0 (Registry.counter_value c);
-  checki "hist zeroed" 0 (Registry.hist_count h);
+  checki "hist zeroed" 0 (hist_of reg "h").Registry.count;
   (* the old handle still records into the registry *)
   Registry.incr c;
   checki "handle live after reset" 1 (Registry.counter_value (Registry.counter reg "c"))
 
 let test_bucket_of () =
-  checki "0" 0 (Registry.bucket_of 0);
-  checki "1" 0 (Registry.bucket_of 1);
-  checki "2" 1 (Registry.bucket_of 2);
-  checki "3" 1 (Registry.bucket_of 3);
-  checki "4" 2 (Registry.bucket_of 4);
-  checki "1023" 9 (Registry.bucket_of 1023);
-  checki "1024" 10 (Registry.bucket_of 1024);
+  let bucket v =
+    let reg = Registry.create () in
+    Registry.observe (Registry.histogram reg "h") v;
+    match (hist_of reg "h").Registry.buckets with
+    | [ (e, 1) ] -> e
+    | _ -> Alcotest.fail "one observation fills one bucket"
+  in
+  checki "0" 0 (bucket 0);
+  checki "1" 0 (bucket 1);
+  checki "2" 1 (bucket 2);
+  checki "3" 1 (bucket 3);
+  checki "4" 2 (bucket 4);
+  checki "1023" 9 (bucket 1023);
+  checki "1024" 10 (bucket 1024);
   (* max_int = 2^62 - 1 on 64-bit: top bit is 2^61 *)
-  checki "max_int" 61 (Registry.bucket_of max_int)
+  checki "max_int" 61 (bucket max_int)
 
 let test_histogram_observe () =
   let reg = Registry.create () in
   let h = Registry.histogram reg "h" in
   List.iter (Registry.observe h) [ 1; 2; 5; -3 ];
-  checki "count" 4 (Registry.hist_count h);
-  checki "sum (negatives clamp to 0)" 8 (Registry.hist_sum h);
-  let counts = Registry.hist_counts h in
-  checki "bucket 0" 2 counts.(0);
-  checki "bucket 1" 1 counts.(1);
-  checki "bucket 2" 1 counts.(2)
-
-let test_hist_percentile () =
-  let reg = Registry.create () in
-  let h = Registry.histogram reg "h" in
-  checkf "empty" 0.0 (Registry.hist_percentile h 50.0);
-  for _ = 1 to 9 do
-    Registry.observe h 1
-  done;
-  Registry.observe h 1000;
-  (* ranks 1..9 land in bucket 0 (reported as 1.0), rank 10 in 2^9 *)
-  checkf "p50" 1.0 (Registry.hist_percentile h 50.0);
-  checkf "p90" 1.0 (Registry.hist_percentile h 90.0);
-  checkf "p100" (1.5 *. 512.0) (Registry.hist_percentile h 100.0);
-  Alcotest.check_raises "bad p"
-    (Invalid_argument "Registry.hist_percentile: p outside [0,100]") (fun () ->
-      ignore (Registry.hist_percentile h 101.0))
-
-let test_percentile_of_counts () =
-  let counts = Array.make Registry.hist_buckets 0 in
-  checkf "empty histogram" 0.0 (Registry.percentile_of_counts counts ~total:0 50.0);
-  (* single populated bucket: every percentile lands on its midpoint *)
-  counts.(3) <- 5;
-  let mid3 = 1.5 *. 8.0 in
-  checkf "p0 single bucket" mid3 (Registry.percentile_of_counts counts ~total:5 0.0);
-  checkf "p50 single bucket" mid3 (Registry.percentile_of_counts counts ~total:5 50.0);
-  checkf "p100 single bucket" mid3 (Registry.percentile_of_counts counts ~total:5 100.0);
-  (* bucket 0 is reported as 1.0, not 1.5 *)
-  let c0 = Array.make Registry.hist_buckets 0 in
-  c0.(0) <- 2;
-  checkf "bucket 0 midpoint" 1.0 (Registry.percentile_of_counts c0 ~total:2 99.0);
-  Alcotest.check_raises "p < 0"
-    (Invalid_argument "Registry.percentile_of_counts: p outside [0,100]") (fun () ->
-      ignore (Registry.percentile_of_counts counts ~total:5 (-1.0)))
+  let s = hist_of reg "h" in
+  checki "count" 4 s.Registry.count;
+  checki "sum (negatives clamp to 0)" 8 s.Registry.sum;
+  Alcotest.check
+    Alcotest.(list (pair int int))
+    "sparse buckets" [ (0, 2); (1, 1); (2, 1) ] s.Registry.buckets
 
 let test_snapshot_sorted () =
   let reg = Registry.create () in
@@ -596,31 +572,19 @@ let test_compare_rejects_malformed () =
 let qcheck_cases =
   let open QCheck in
   [
+    (* absorbing one registry's histogram into another's gives the
+       histogram of both observation lists: count, sum and every bucket *)
     Test.make ~name:"histogram merge preserves count and sum" ~count:200
       (pair (list (int_bound 100_000)) (list (int_bound 100_000)))
       (fun (xs, ys) ->
-        let reg = Registry.create () in
-        let a = Registry.histogram reg "a" and b = Registry.histogram reg "b" in
-        List.iter (Registry.observe a) xs;
-        List.iter (Registry.observe b) ys;
-        let count_a = Registry.hist_count a and sum_a = Registry.hist_sum a in
-        Registry.merge ~into:a b;
-        Registry.hist_count a = count_a + Registry.hist_count b
-        && Registry.hist_sum a = sum_a + Registry.hist_sum b
-        && Array.for_all (fun c -> c >= 0) (Registry.hist_counts a));
-    Test.make ~name:"percentile of merged = merge then percentile" ~count:200
-      (pair (list (int_bound 100_000)) (list (int_bound 100_000)))
-      (fun (xs, ys) ->
-        let reg = Registry.create () in
-        let a = Registry.histogram reg "a" and b = Registry.histogram reg "b" in
-        let c = Registry.histogram reg "c" in
-        List.iter (Registry.observe a) xs;
-        List.iter (Registry.observe b) ys;
-        List.iter (Registry.observe c) (xs @ ys);
-        Registry.merge ~into:a b;
-        List.for_all
-          (fun p -> Registry.hist_percentile a p = Registry.hist_percentile c p)
-          [ 0.0; 50.0; 95.0; 99.0; 100.0 ]);
+        let fill vs =
+          let reg = Registry.create () in
+          List.iter (Registry.observe (Registry.histogram reg "h")) vs;
+          reg
+        in
+        let a = fill xs in
+        Registry.absorb ~into:a (fill ys);
+        hist_of a "h" = hist_of (fill (xs @ ys)) "h");
     (* The observer's one startup cursor reads each realised delay
        exactly once: its per-round pairs sum to a recount of the whole
        startup vector, stalls (u < 1) included. *)
@@ -698,8 +662,8 @@ let test_absorb () =
   checki "missing counters created" 9
     (Registry.counter_value (Registry.counter a "only_b"));
   checki "gauges keep the max" 5 (Registry.gauge_value (Registry.gauge a "g"));
-  checki "histograms merge count" 2 (Registry.hist_count (Registry.histogram a "h"));
-  checki "histograms merge sum" 110 (Registry.hist_sum (Registry.histogram a "h"));
+  checki "histograms merge count" 2 (hist_of a "h").Registry.count;
+  checki "histograms merge sum" 110 (hist_of a "h").Registry.sum;
   (* the source registry is left untouched *)
   checki "source counter intact" 4 (Registry.counter_value (Registry.counter b "c"))
 
@@ -758,8 +722,6 @@ let suites =
         Alcotest.test_case "absorb merges registries" `Quick test_absorb;
         Alcotest.test_case "bucket_of" `Quick test_bucket_of;
         Alcotest.test_case "histogram observe" `Quick test_histogram_observe;
-        Alcotest.test_case "hist percentile" `Quick test_hist_percentile;
-        Alcotest.test_case "percentile of counts" `Quick test_percentile_of_counts;
         Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
       ] );
     ( "obs.streaming",

@@ -1,5 +1,5 @@
 (* Tests for the operational features: replication repair, viewer
-   cancellation, workload combinators, fleet serialisation and the
+   cancellation, fleet serialisation and the
    heterogeneous certified replication. *)
 
 open Vod_util
@@ -174,57 +174,6 @@ let test_cancelled_viewer_still_serves_swarm () =
   checki "follower fully served" 0 m.Vod_sim.Metrics.total_unserved
 
 (* ------------------------------------------------------------------ *)
-(* Workload combinators                                                *)
-(* ------------------------------------------------------------------ *)
-
-let mk_sim () =
-  let fleet, alloc = build_alloc ~n:16 ~m:16 () in
-  let params = Params.make ~n:16 ~c:2 ~mu:2.0 ~duration:8 in
-  Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue ()
-
-let test_window_combinator () =
-  let sim = mk_sim () in
-  let g = Prng.create ~seed:17 () in
-  let gen =
-    Vod_workload.Generators.window ~from:5 ~until:10
-      (Vod_workload.Generators.constant_per_round g ~per_round:1)
-  in
-  let reports = Engine.run sim ~rounds:15 ~demands_for:gen in
-  List.iter
-    (fun r ->
-      if r.Engine.time < 5 || r.Engine.time >= 10 then
-        checki (Printf.sprintf "round %d silent" r.Engine.time) 0 r.Engine.new_demands
-      else checki (Printf.sprintf "round %d active" r.Engine.time) 1 r.Engine.new_demands)
-    reports
-
-let test_mix_combinator () =
-  let sim = mk_sim () in
-  let g1 = Prng.create ~seed:19 () and g2 = Prng.create ~seed:23 () in
-  let gen =
-    Vod_workload.Generators.mix
-      [
-        Vod_workload.Generators.constant_per_round g1 ~per_round:1;
-        Vod_workload.Generators.constant_per_round g2 ~per_round:1;
-      ]
-  in
-  let r = List.hd (Engine.run sim ~rounds:1 ~demands_for:gen) in
-  (* two generators, one demand each (collisions possible but unlikely
-     on 16 idle boxes with these seeds) *)
-  checkb "both contributed" true (r.Engine.new_demands >= 1 && r.Engine.new_demands <= 2)
-
-let test_ramp_combinator () =
-  let sim = mk_sim () in
-  let g = Prng.create ~seed:29 () in
-  let gen =
-    Vod_workload.Generators.ramp ~over:10
-      (Vod_workload.Generators.constant_per_round g ~per_round:4)
-  in
-  let reports = Engine.run sim ~rounds:3 ~demands_for:gen in
-  (* at round 1 only 4*1/10 = 0 demands; by round 3, 4*3/10 = 1 *)
-  checki "round 1 suppressed" 0 (List.nth reports 0).Engine.new_demands;
-  checkb "round 3 partial" true ((List.nth reports 2).Engine.new_demands <= 1)
-
-(* ------------------------------------------------------------------ *)
 (* Fleet codec                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -288,12 +237,6 @@ let suites =
       [
         Alcotest.test_case "cancel frees box" `Quick test_cancel_frees_box;
         Alcotest.test_case "cancelled viewer still serves" `Quick test_cancelled_viewer_still_serves_swarm;
-      ] );
-    ( "workload.combinators",
-      [
-        Alcotest.test_case "window" `Quick test_window_combinator;
-        Alcotest.test_case "mix" `Quick test_mix_combinator;
-        Alcotest.test_case "ramp" `Quick test_ramp_combinator;
       ] );
     ( "model.fleet_codec",
       [

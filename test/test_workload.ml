@@ -1,7 +1,7 @@
 (* Direct coverage for lib/workload/generators.ml: validity of emitted
    demands (idle boxes, in-range videos), rate bounds, mu-growth
    compliance of the flash crowd, determinism under equal seeds, and the
-   combinators (replay, window, ramp, mix, nothing). *)
+   scripted generators (replay, nothing). *)
 
 open Vod_util
 
@@ -136,29 +136,14 @@ let test_diurnal_trough_is_silent () =
     (Invalid_argument "Generators.diurnal: period must be >= 1") (fun () ->
       ignore (Vod.Generators.diurnal g ~peak_rate:1.0 ~period:0 ~s:0.9 : Vod.Generators.t))
 
-let test_replay_and_combinators () =
+let test_replay_and_nothing () =
   let sim, _ = make_sim () in
   let script = [ (1, 0, 2); (1, 1, 3); (3, 2, 0) ] in
   let gen = Vod.Generators.replay script in
   checkb "replay round 1" true (gen sim 1 = [ (0, 2); (1, 3) ]);
   checkb "replay round 2 empty" true (gen sim 2 = []);
   checkb "replay round 3" true (gen sim 3 = [ (2, 0) ]);
-  (* window *)
-  let windowed = Vod.Generators.window ~from:3 ~until:4 gen in
-  checkb "window excludes before" true (windowed sim 1 = []);
-  checkb "window includes inside" true (windowed sim 3 = [ (2, 0) ]);
-  (* mix concatenates *)
-  let mixed = Vod.Generators.mix [ gen; gen ] in
-  checki "mix doubles" 4 (List.length (mixed sim 1));
-  (* nothing *)
-  checkb "nothing is empty" true (Vod.Generators.nothing sim 1 = []);
-  (* ramp: at time >= over, everything passes; early rounds a prefix *)
-  let ramped = Vod.Generators.ramp ~over:2 gen in
-  checki "ramp at t=1 keeps half" 1 (List.length (ramped sim 1));
-  checkb "ramp past over is identity" true (ramped sim 3 = [ (2, 0) ]);
-  Alcotest.check_raises "ramp rejects over < 1"
-    (Invalid_argument "Generators.ramp: over must be >= 1") (fun () ->
-      ignore (Vod.Generators.ramp ~over:0 gen sim 1))
+  checkb "nothing is empty" true (Vod.Generators.nothing sim 1 = [])
 
 let test_zipf_prefers_popular_videos () =
   (* Zipf(1.2) over the catalog: video 0 must be demanded more often
@@ -185,7 +170,7 @@ let suites =
         Alcotest.test_case "poisson rate calibration" `Quick test_poisson_rate_is_calibrated;
         Alcotest.test_case "flash crowd respects mu" `Quick test_flash_crowd_respects_mu;
         Alcotest.test_case "diurnal trough is silent" `Quick test_diurnal_trough_is_silent;
-        Alcotest.test_case "replay, window, ramp, mix" `Quick test_replay_and_combinators;
+        Alcotest.test_case "replay and nothing" `Quick test_replay_and_nothing;
         Alcotest.test_case "zipf popularity skew" `Quick test_zipf_prefers_popular_videos;
       ] );
   ]
