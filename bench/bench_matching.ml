@@ -3,12 +3,8 @@
    Synthesises round sequences that mimic the engine's per-round
    instance delta — a small fraction of requests departs and is
    replaced by fresh arrivals each round, capacities drift slightly —
-   and times two paths over the identical instance sequence:
-
-     scratch      Bipartite.solve (Dinic CSR core) into a shared arena,
-                  outcome arrays copied out
-     csr          the bare Dinic CSR core over a shared arena, no
-                  outcome materialisation — the path the engine runs
+   and times the bare Dinic CSR core over a shared arena on it, with no
+   outcome materialisation: the path the engine runs.
 
    Besides ns/round each record carries alloc/round, the
    {!allocated_bytes} delta per round of the timed region: once the
@@ -84,23 +80,9 @@ let make_sequence ~seed ~n_left ~rounds ~churn =
   done;
   List.rev !instances
 
-(* Every timed path reuses one arena per call, like the engine does;
-   each timer returns (elapsed ns, total matched, allocated bytes). *)
-
-let time_scratch seq ~arena =
-  let matched = ref 0 in
-  let b0 = allocated_bytes () in
-  let t0 = Obs.Clock.now_ns () in
-  List.iter
-    (fun inst ->
-      let o = Bipartite.solve ~arena inst in
-      matched := !matched + o.Bipartite.matched)
-    seq;
-  let ns = float_of_int (Obs.Clock.now_ns () - t0) in
-  (ns, !matched, allocated_bytes () -. b0)
-
-(* The bare CSR core: no outcome arrays, results stay in the arena.
-   This is the ~0 bytes/round row. *)
+(* The bare CSR core over one reused arena, like the engine: no outcome
+   arrays, results stay in the arena.  Returns (elapsed ns, total
+   matched, allocated bytes). *)
 let time_csr seq ~arena =
   let matched = ref 0 in
   let b0 = allocated_bytes () in
@@ -111,12 +93,27 @@ let time_csr seq ~arena =
   let ns = float_of_int (Obs.Clock.now_ns () - t0) in
   (ns, !matched, allocated_bytes () -. b0)
 
+(* One record: the core over a churn sequence, best of five after a
+   warm-up round (allocator, code, arena growth). *)
+let csr_record ~arena ~label ~churn ~n_left ~rounds =
+  let seq = make_sequence ~seed:(0xbe2c + n_left) ~n_left ~rounds ~churn in
+  ignore (time_csr [ List.hd seq ] ~arena);
+  let ns, matched, bytes = best_of ~repeats:5 (fun () -> time_csr seq ~arena) in
+  let r = float_of_int rounds in
+  {
+    name = "matching/csr/" ^ label;
+    n = n_left;
+    rounds;
+    ns_per_round = ns /. r;
+    matched_per_round = float_of_int matched /. r;
+    alloc_per_round = bytes /. r;
+  }
+
 let run () =
-  let records = ref [] in
   let arena = Arena.create () in
-  List.iter
+  List.concat_map
     (fun { label; churn } ->
-      List.iter
+      List.map
         (fun n_left ->
           (* Small sizes need more rounds: the timed region must stay
              well above scheduler-jitter scale or the compare gate sees
@@ -124,62 +121,18 @@ let run () =
           let rounds =
             if n_left >= 16384 then 12 else if n_left >= 4096 then 32 else 96
           in
-          let seq = make_sequence ~seed:(0xbe2c + n_left) ~n_left ~rounds ~churn in
-          (* warm all paths once (allocator, code, arena growth) before
-             timing *)
-          ignore (time_scratch [ List.hd seq ] ~arena);
-          ignore (time_csr [ List.hd seq ] ~arena);
-          let scratch_ns, scratch_matched, scratch_b =
-            best_of ~repeats:5 (fun () -> time_scratch seq ~arena)
-          in
-          let csr_ns, csr_matched, csr_b =
-            best_of ~repeats:5 (fun () -> time_csr seq ~arena)
-          in
-          if scratch_matched <> csr_matched then
-            failwith
-              (Printf.sprintf
-                 "bench_matching: paths disagree at n=%d %s (scratch %d, csr %d)" n_left
-                 label scratch_matched csr_matched);
-          let r = float_of_int rounds in
-          let mk name ns matched bytes =
-            {
-              name;
-              n = n_left;
-              rounds;
-              ns_per_round = ns /. r;
-              matched_per_round = float_of_int matched /. r;
-              alloc_per_round = bytes /. r;
-            }
-          in
-          records :=
-            mk (Printf.sprintf "matching/csr/%s" label) csr_ns csr_matched csr_b
-            :: mk (Printf.sprintf "matching/scratch/%s" label) scratch_ns
-                 scratch_matched scratch_b
-            :: !records)
+          csr_record ~arena ~label ~churn ~n_left ~rounds)
         sizes)
-    scenarios;
-  List.rev !records
+    scenarios
 
 (* The single pinned point of the CI kernel smoke: the bare CSR Dinic
    core at n=16384 low churn, checked against an absolute
    ns/round ceiling (compare.exe --ceiling) so a kernel regression
    fails fast without waiting for the full bench leg. *)
 let run_smoke () =
-  let arena = Arena.create () in
-  let n_left = 16384 and rounds = 12 in
-  let seq = make_sequence ~seed:(0xbe2c + n_left) ~n_left ~rounds ~churn:0.02 in
-  ignore (time_csr [ List.hd seq ] ~arena);
-  let ns, matched, bytes = best_of ~repeats:5 (fun () -> time_csr seq ~arena) in
-  let r = float_of_int rounds in
   [
-    {
-      name = "matching/csr/low-churn";
-      n = n_left;
-      rounds;
-      ns_per_round = ns /. r;
-      matched_per_round = float_of_int matched /. r;
-      alloc_per_round = bytes /. r;
-    };
+    csr_record ~arena:(Arena.create ()) ~label:"low-churn" ~churn:0.02 ~n_left:16384
+      ~rounds:12;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -330,14 +283,7 @@ let print_table records =
           Printf.sprintf "%.0f" r.alloc_per_round;
         ])
     records;
-  Table.print ~title:"Connection matching: Dinic outcome vs bare Dinic CSR core" tbl;
-  (* headline: the price of the outcome copies over the bare core *)
-  let find name n = List.find_opt (fun r -> r.name = name && r.n = n) records in
-  match (find "matching/scratch/low-churn" 4096, find "matching/csr/low-churn" 4096) with
-  | Some s, Some c when c.ns_per_round > 0.0 ->
-      Printf.printf "low-churn n=4096 (scratch / csr): %.1fx\n"
-        (s.ns_per_round /. c.ns_per_round)
-  | _ -> ()
+  Table.print ~title:"Connection matching: bare Dinic CSR core" tbl
 
 let emit_json records ~path =
   let buf = Buffer.create 1024 in
