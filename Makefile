@@ -49,8 +49,9 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --quick $(BENCH_ARGS)
 
-# Machine-readable perf trajectory: scratch Dinic / bare CSR Dinic
-# records (ns, matched and allocated bytes per round) at n in {256,
+# Machine-readable perf trajectory: the bare CSR Dinic core's
+# matching/csr/* records (ns, matched and allocated bytes per round,
+# one per instance sequence, low and high churn) at n in {256,
 # 1024, 4096, 16384}, the whole-instance swarm points at n in {262144,
 # 1000000} (full rebuild + solve per round), the kernel micro-records
 # and the simulate-round points at the same two sizes (bench_sim.ml),

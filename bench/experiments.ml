@@ -517,8 +517,8 @@ let e9_solvers () =
         ])
     [ (128, 64); (512, 256); (2048, 512) ];
   Table.print tbl;
-  print_endline "-> the three independent implementations certify each other (the";
-  print_endline "   dinic core's throughput: matching/csr/* and kernels/* of make bench-json)."
+  print_endline "-> the three independent implementations certify each other (the dinic";
+  print_endline "   core is timed by matching/csr/* and kernels/* of make bench-json)."
 
 (* ------------------------------------------------------------------ *)
 (* E10: scheduler ablation — arbitrary vs cache-preferring matchings   *)

@@ -1,14 +1,19 @@
 (* Dinic's algorithm over an explicit [Flow_network]: the network
    solver the CSR core in [Vod_graph.Dinic] replaced, kept as an
    independent oracle.  It records into counters of its own,
-   [dinic_flow.*], so the engine core's [dinic.*] count that core alone. *)
+   [dinic_flow.*], so the engine core's [dinic.*] count that core
+   alone. *)
 
 module F = Flow_network
 
 (* Observability hooks (registered once; O(1) per event recorded). *)
 let obs_phases = Vod_obs.Registry.counter Vod_obs.Registry.default "dinic_flow.bfs_phases"
-let obs_paths = Vod_obs.Registry.counter Vod_obs.Registry.default "dinic_flow.augmenting_paths"
-let obs_path_len = Vod_obs.Registry.histogram Vod_obs.Registry.default "dinic_flow.path_length"
+
+let obs_paths =
+  Vod_obs.Registry.counter Vod_obs.Registry.default "dinic_flow.augmenting_paths"
+
+let obs_path_len =
+  Vod_obs.Registry.histogram Vod_obs.Registry.default "dinic_flow.path_length"
 
 (* Assigns BFS levels over the residual graph; returns true when the sink
    is reachable. *)

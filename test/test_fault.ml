@@ -691,25 +691,27 @@ let test_chaos_deterministic_jsonl () =
   let o2 = Result.get_ok (Chaos.run s) in
   checks "same run, same bytes" o1.Chaos.jsonl o2.Chaos.jsonl;
   (* the replications vodctl chaos runs: the driver's fan-out of Chaos.run *)
-  let run_many ~jobs ~replications =
+  let replicate ~jobs ~replications =
     Result.get_ok
-      (Driver.replicate ~jobs ~replications ~run:(fun ~rep:_ ~seed -> Chaos.run ~seed s) s)
+      (Driver.replicate ~jobs ~replications
+         ~run:(fun ~rep:_ ~seed -> Chaos.run ~seed s)
+         s)
   in
   let many jobs =
-    run_many ~jobs ~replications:3
+    replicate ~jobs ~replications:3
     |> List.map (fun o -> o.Chaos.jsonl)
     |> String.concat ""
   in
   checks "same run, same slo bytes" o1.Chaos.slo_jsonl o2.Chaos.slo_jsonl;
   checks "jobs=1 and jobs=2 byte-identical" (many 1) (many 2);
   let many_slo jobs =
-    run_many ~jobs ~replications:3
+    replicate ~jobs ~replications:3
     |> List.map (fun o -> o.Chaos.slo_jsonl)
     |> String.concat ""
   in
   checks "slo stream jobs-invariant" (many_slo 1) (many_slo 2);
   (* replications genuinely differ (independent seeds) *)
-  match run_many ~jobs:2 ~replications:2 with
+  match replicate ~jobs:2 ~replications:2 with
   | [ a; b ] ->
       checkb "replications independent" true (a.Chaos.jsonl <> b.Chaos.jsonl);
       checki "rep seeds spaced" (s.Scenario.seed + 1000) b.Chaos.seed

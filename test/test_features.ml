@@ -75,7 +75,8 @@ let test_trace_records_and_summarises () =
   checki "rows" 25 (List.length reports);
   let m = Metrics.summarise reports in
   checki "summary rounds" 25 m.Metrics.rounds;
-  checkb "no failures" true (m.Metrics.failed_rounds = 0 && m.Metrics.first_failure = None)
+  checkb "no failures" true
+    (m.Metrics.failed_rounds = 0 && m.Metrics.first_failure = None)
 
 let test_trace_csv_format () =
   let params, fleet, alloc = build () in
@@ -104,9 +105,11 @@ let test_trace_failure_rounds () =
   Engine.demand sim ~box:1 ~video:0;
   Engine.demand sim ~box:2 ~video:1;
   let m =
-    Metrics.summarise (Engine.run sim ~rounds:4 ~demands_for:Vod_workload.Generators.nothing)
+    Metrics.summarise
+      (Engine.run sim ~rounds:4 ~demands_for:Vod_workload.Generators.nothing)
   in
-  checkb "failures detected" true (m.Metrics.failed_rounds > 0 && m.Metrics.first_failure <> None)
+  checkb "failures detected" true
+    (m.Metrics.failed_rounds > 0 && m.Metrics.first_failure <> None)
 
 let suites =
   [

@@ -96,7 +96,8 @@ let test_session_lifecycle () =
   let r2 = Option.get (step r1 Session.Join) in
   checkb "join re-enters" true (r2 = Session.Arriving);
   (* terminal deny from the retry loop *)
-  checkb "deny from the retry loop rejects" true (step r1 Session.Deny = Some Session.Rejected)
+  checkb "deny from the retry loop rejects" true
+    (step r1 Session.Deny = Some Session.Rejected)
 
 (* Every (state, message) pair: [transition] answers [Some] exactly on
    the hops of session.mli's lifecycle diagram, with their targets, and
