@@ -54,9 +54,10 @@ bench-quick:
 # one per instance sequence, low and high churn) at n in {256,
 # 1024, 4096, 16384}, the whole-instance swarm points at n in {262144,
 # 1000000} (full rebuild + solve per round), the kernel micro-records
-# and the simulate-round points at the same two sizes (bench_sim.ml),
-# written to BENCH_matching.json at the repo root.  The serve loop is
-# timed by perfbench's serve-steady/serve-storm workloads, not here.
+# and the simulate-round and set-up points at the same two sizes
+# (bench_sim.ml), written to BENCH_matching.json at the repo root.
+# The serve loop is timed by perfbench's serve-steady/serve-storm
+# workloads, not here.
 # The printed output also carries the catalog-scaling sweep (ns/round/n
 # across six orders of magnitude — Theorem 1's linear admission cost).
 bench-json:

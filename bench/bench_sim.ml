@@ -1,7 +1,7 @@
 (* Simulate rounds at the sizes the north star names: n = 262144 and
    n = 1e6, the bare engine under uniform Poisson arrivals.
 
-   One record per size for the CI regression gate (bench/compare.exe):
+   Two records per size for the CI regression gate (bench/compare.exe):
 
      sim/round   ns per round: the generator's idle-box draw, the
                  demand registrations and [Engine.step], timed with
@@ -9,6 +9,11 @@
                  ones.  Placement, [Engine.create] and the warm-up are
                  outside the timed region.
                  matched_per_round = viewer requests served per round.
+     sim/setup   ns per build: [System.homogeneous] (the random
+                 permutation placement) plus [System.engine], best of
+                 [builds] after the rounds, each from a fully collected
+                 heap.  rounds = builds; matched_per_round = replicas
+                 placed, so a placement that moves shows as drift.
 
    The system is simulate-64k's (perfbench/README.md) scaled up: u 2.0,
    d 4.0, c 2, k 4, m = n / 8, mu 1.5, T 15, and the arrival rate scaled
@@ -29,13 +34,15 @@ type split = { n : int; round_ms : float; layers : (string * float) list; rows :
 
 let layer_names = [ "workload.gen"; "demand-admit"; "build"; "matching"; "account" ]
 
+let builds = 3
+
+let system n =
+  System.homogeneous ~seed:(0x5e + n) ~m:(n / 8) ~n ~u:2.0 ~d:4.0 ~c:2 ~k:4 ~mu:1.5
+    ~duration:15 ()
+
 let run_size n =
   let timed = if n >= 1_000_000 then 4 else 8 in
-  let sys =
-    System.homogeneous ~seed:(0x5e + n) ~m:(n / 8) ~n ~u:2.0 ~d:4.0 ~c:2 ~k:4 ~mu:1.5
-      ~duration:15 ()
-  in
-  let engine = System.engine sys in
+  let engine = System.engine (system n) in
   let rate = 500.0 *. float_of_int n /. 65536.0 in
   let arrivals = Generators.uniform_arrivals (Prng.create ~seed:(n + 7) ()) ~rate in
   let round () =
@@ -96,6 +103,32 @@ let run_size n =
   in
   (record, split)
 
+let setup_record n =
+  let ns, replicas, bytes =
+    Bench_matching.best_of ~repeats:builds (fun () ->
+        Gc.full_major ();
+        let b0 = Bench_matching.allocated_bytes () in
+        let t0 = Obs.Clock.now_ns () in
+        let sys = system n in
+        ignore (System.engine sys : Engine.t);
+        let ns = float_of_int (Obs.Clock.now_ns () - t0) in
+        let bytes = Bench_matching.allocated_bytes () -. b0 in
+        let alloc = sys.System.alloc in
+        let replicas = ref 0 in
+        for s = 0 to Catalog.total_stripes (Allocation.catalog alloc) - 1 do
+          replicas := !replicas + Allocation.replica_count alloc s
+        done;
+        (ns, !replicas, bytes))
+  in
+  {
+    Bench_matching.name = "sim/setup";
+    n;
+    rounds = builds;
+    ns_per_round = ns;
+    matched_per_round = float_of_int replicas;
+    alloc_per_round = bytes;
+  }
+
 let print_splits splits =
   let tbl =
     Table.create
@@ -116,4 +149,4 @@ let print_splits splits =
 let run () =
   let results = List.map run_size sizes in
   print_splits (List.map snd results);
-  List.map fst results
+  List.map fst results @ List.map setup_record sizes

@@ -9,37 +9,18 @@ let max_catalog ~fleet ~c ~k =
   if k < 1 then invalid_arg "Schemes.max_catalog: k must be >= 1";
   total_slots ~fleet ~c / (k * c)
 
-(* Dedup helper: collect replica target lists per stripe, dropping a box
-   that already holds the stripe. *)
-let build ~catalog ~n_boxes per_stripe_targets =
-  let boxes_of_stripe =
-    Array.map
-      (fun targets ->
-        let seen = Hashtbl.create 8 in
-        let keep = Vec.create () in
-        List.iter
-          (fun b ->
-            if not (Hashtbl.mem seen b) then begin
-              Hashtbl.add seen b ();
-              Vec.push keep b
-            end)
-          targets;
-        Vec.to_array keep)
-      per_stripe_targets
-  in
-  Allocation.of_replica_lists ~catalog ~n_boxes boxes_of_stripe
-
 let slot_owners ~fleet ~c =
   (* Expand the fleet into a flat array of slots, one entry per storage
      slot, owned by its box id. *)
-  let owners = Vec.create () in
+  let owners = Array.make (total_slots ~fleet ~c) 0 in
+  let next = ref 0 in
   Array.iter
     (fun b ->
-      for _ = 1 to Box.storage_slots ~c b do
-        Vec.push owners b.Box.id
-      done)
+      let slots = Box.storage_slots ~c b in
+      Array.fill owners !next slots b.Box.id;
+      next := !next + slots)
     fleet;
-  Vec.to_array owners
+  owners
 
 let random_permutation g ~fleet ~catalog ~k =
   let c = Catalog.stripes_per_video catalog in
@@ -49,12 +30,24 @@ let random_permutation g ~fleet ~catalog ~k =
   if k * total > Array.length owners then
     invalid_arg "Schemes.random_permutation: replicas exceed storage slots";
   Sample.shuffle g owners;
-  let per_stripe = Array.make total [] in
-  for i = 0 to (k * total) - 1 do
-    let stripe = i / k in
-    per_stripe.(stripe) <- owners.(i) :: per_stripe.(stripe)
-  done;
-  build ~catalog ~n_boxes:(Array.length fleet) per_stripe
+  (* stripe [s] takes slots [s*k .. s*k + k - 1], read from the last:
+     a box the stripe already holds is dropped, the later slot winning
+     ([last_stripe.(b)]: the last stripe [b] was kept for) *)
+  let last_stripe = Array.make (Array.length fleet) (-1) in
+  let boxes_of_stripe =
+    Array.init total (fun s ->
+        let row = Array.make k 0 and len = ref 0 in
+        for i = (s * k) + k - 1 downto s * k do
+          let b = owners.(i) in
+          if last_stripe.(b) <> s then begin
+            last_stripe.(b) <- s;
+            row.(!len) <- b;
+            incr len
+          end
+        done;
+        if !len = k then row else Array.sub row 0 !len)
+  in
+  Allocation.of_replica_lists ~catalog ~n_boxes:(Array.length fleet) boxes_of_stripe
 
 let random_independent g ~fleet ~catalog ~k =
   let c = Catalog.stripes_per_video catalog in
@@ -93,7 +86,7 @@ let random_independent g ~fleet ~catalog ~k =
       done
     done
   done;
-  build ~catalog ~n_boxes:n per_stripe
+  Allocation.of_replica_lists ~catalog ~n_boxes:n (Array.map Array.of_list per_stripe)
 
 let round_robin ~fleet ~catalog ~k =
   let c = Catalog.stripes_per_video catalog in
@@ -120,7 +113,7 @@ let round_robin ~fleet ~catalog ~k =
       place 0
     done
   done;
-  build ~catalog ~n_boxes:n per_stripe
+  Allocation.of_replica_lists ~catalog ~n_boxes:n (Array.map Array.of_list per_stripe)
 
 let full_replication ~fleet ~catalog =
   let c = Catalog.stripes_per_video catalog in
@@ -147,7 +140,7 @@ let full_replication ~fleet ~catalog =
         per_stripe.(s) <- b :: per_stripe.(s)
       done
     done;
-    build ~catalog ~n_boxes:n per_stripe
+    Allocation.of_replica_lists ~catalog ~n_boxes:n (Array.map Array.of_list per_stripe)
   end
 
 type scheme = Permutation | Independent | Round_robin | Full_replication

@@ -16,8 +16,6 @@ let transition state msg =
   | Streaming, Retry_after -> Some Retrying
   | Streaming, Shed_notice -> Some Shed
   | Retrying, Join -> Some Arriving
-  | Retrying, Deny -> Some Rejected
-  | Retrying, Shed_notice -> Some Shed
   | _ -> None
 
 let state_name = function

@@ -18,8 +18,8 @@
     Arriving --Grant--> Admitted --First_chunk--> Streaming --Complete--> Completed
      | | |                 |                         |
      | | \--Retry_after----+-------------------------+--> Retrying --Join--> Arriving
-     | \----Deny----------------------------------------> Rejected   (also from Retrying)
-     \------Shed_notice----+-------------------------+--> Shed       (also from Retrying)
+     | \----Deny----------------------------------------> Rejected
+     \------Shed_notice----+-------------------------+--> Shed
     v}
 
     Every other (state, message) pair is illegal: in particular the

@@ -69,25 +69,56 @@ let jump_to_stream g i =
 
 let bits g = Int64.to_int (Int64.shift_right_logical (int64 g) 2)
 
+let max_int62 = (1 lsl 62) - 1
+
+(* Rejection sampling on the top of the 62-bit range: draws at or above
+   [limit] are redrawn.  [limit > max_int62 - bound], so a draw at or
+   below that is accepted without computing [limit]. *)
+let[@inline] index_of_bits bound v =
+  if bound land (bound - 1) = 0 then v land (bound - 1)
+  else if v <= max_int62 - bound || v < max_int62 - (max_int62 mod bound) then v mod bound
+  else -1
+
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  if bound land (bound - 1) = 0 then bits g land (bound - 1)
-  else begin
-    (* Rejection sampling on the top of the 62-bit range: draws at or
-       above [limit] are redrawn.  [limit > max_int62 - bound], so a draw
-       at or below that is accepted without computing [limit]. *)
-    let max_int62 = (1 lsl 62) - 1 in
-    let v = bits g in
-    if v <= max_int62 - bound then v mod bound
-    else begin
-      let limit = max_int62 - (max_int62 mod bound) in
-      let v = ref v in
-      while !v >= limit do
-        v := bits g
-      done;
-      !v mod bound
-    end
-  end
+  let j = ref (index_of_bits bound (bits g)) in
+  while !j < 0 do
+    j := index_of_bits bound (bits g)
+  done;
+  !j
+
+(* [int64]'s step on a local copy of the state: the refs never escape,
+   so they live unboxed in registers and the loop allocates nothing,
+   where [int] would load and store the state through [g] per draw.
+   [i < len <= Array.length a] and [j <= i], so the accesses are in
+   bounds. *)
+let shuffle_prefix g (a : int array) len =
+  if len < 0 || len > Array.length a then invalid_arg "Prng.shuffle_prefix: len";
+  let x0 = ref (Bytes.get_int64_le g s0)
+  and x1 = ref (Bytes.get_int64_le g s1)
+  and x2 = ref (Bytes.get_int64_le g s2)
+  and x3 = ref (Bytes.get_int64_le g s3) in
+  for i = len - 1 downto 1 do
+    let j = ref (-1) in
+    while !j < 0 do
+      let result = Int64.mul (rotl (Int64.mul !x1 5L) 7) 9L in
+      let t = Int64.shift_left !x1 17 in
+      x2 := Int64.logxor !x2 !x0;
+      x3 := Int64.logxor !x3 !x1;
+      x1 := Int64.logxor !x1 !x2;
+      x0 := Int64.logxor !x0 !x3;
+      x2 := Int64.logxor !x2 t;
+      x3 := rotl !x3 45;
+      j := index_of_bits (i + 1) (Int64.to_int (Int64.shift_right_logical result 2))
+    done;
+    let tmp = Array.unsafe_get a i in
+    Array.unsafe_set a i (Array.unsafe_get a !j);
+    Array.unsafe_set a !j tmp
+  done;
+  Bytes.set_int64_le g s0 !x0;
+  Bytes.set_int64_le g s1 !x1;
+  Bytes.set_int64_le g s2 !x2;
+  Bytes.set_int64_le g s3 !x3
 
 let float g x =
   (* 53 uniform bits mapped to [0,1). *)

@@ -1,11 +1,4 @@
-let shuffle_prefix g (a : int array) ~len =
-  if len < 0 || len > Array.length a then invalid_arg "Sample.shuffle_prefix: len";
-  for i = len - 1 downto 1 do
-    let j = Prng.int g (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
+let shuffle_prefix g (a : int array) ~len = Prng.shuffle_prefix g a len
 
 let shuffle g a = shuffle_prefix g a ~len:(Array.length a)
 

@@ -1,12 +1,14 @@
 (** Random sampling primitives built on {!Prng}. *)
 
 val shuffle : Prng.t -> int array -> unit
-(** In-place Fisher–Yates shuffle. *)
+(** In-place Fisher–Yates shuffle: {!Prng.shuffle_prefix} on the whole
+    array. *)
 
 val shuffle_prefix : Prng.t -> int array -> len:int -> unit
 (** [shuffle_prefix g a ~len] shuffles [a.(0) .. a.(len - 1)] in place
     and leaves the rest of [a] alone: the same draws and the same
-    result as {!shuffle} on [Array.sub a 0 len], without the copy.
+    result as {!shuffle} on [Array.sub a 0 len], without the copy
+    ({!Prng.shuffle_prefix}).
     @raise Invalid_argument unless [0 <= len <= Array.length a]. *)
 
 val choose_distinct : Prng.t -> n:int -> k:int -> int array

@@ -159,6 +159,206 @@ let test_empty_catalog_schemes () =
   checki "no stripes full" 0 (Catalog.total_stripes (Allocation.catalog b))
 
 (* ------------------------------------------------------------------ *)
+(* Placement law: the schemes against the list builder they replaced    *)
+(* ------------------------------------------------------------------ *)
+
+(* The list builder the schemes used before the stamp dedup: per-stripe
+   target lists, deduplicated through a [Hashtbl] in list order.
+   [dedup_hits] counts the targets it dropped. *)
+module Reference = struct
+  let dedup_hits = ref 0
+
+  let build ~catalog ~n_boxes per_stripe_targets =
+    let boxes_of_stripe =
+      Array.map
+        (fun targets ->
+          let seen = Hashtbl.create 8 in
+          let keep = Vec.create () in
+          List.iter
+            (fun b ->
+              if Hashtbl.mem seen b then incr dedup_hits
+              else begin
+                Hashtbl.add seen b ();
+                Vec.push keep b
+              end)
+            targets;
+          Vec.to_array keep)
+        per_stripe_targets
+    in
+    Allocation.of_replica_lists ~catalog ~n_boxes boxes_of_stripe
+
+  let random_permutation g ~fleet ~catalog ~k =
+    let c = Catalog.stripes_per_video catalog in
+    let total = Catalog.total_stripes catalog in
+    let owners = Vec.create () in
+    Array.iter
+      (fun b ->
+        for _ = 1 to Box.storage_slots ~c b do
+          Vec.push owners b.Box.id
+        done)
+      fleet;
+    let owners = Vec.to_array owners in
+    if k * total > Array.length owners then
+      invalid_arg "Schemes.random_permutation: replicas exceed storage slots";
+    for i = Array.length owners - 1 downto 1 do
+      let j = Prng.int g (i + 1) in
+      let tmp = owners.(i) in
+      owners.(i) <- owners.(j);
+      owners.(j) <- tmp
+    done;
+    let per_stripe = Array.make total [] in
+    for i = 0 to (k * total) - 1 do
+      let stripe = i / k in
+      per_stripe.(stripe) <- owners.(i) :: per_stripe.(stripe)
+    done;
+    build ~catalog ~n_boxes:(Array.length fleet) per_stripe
+
+  let random_independent g ~fleet ~catalog ~k =
+    let c = Catalog.stripes_per_video catalog in
+    let total = Catalog.total_stripes catalog in
+    let n = Array.length fleet in
+    let capacity = Array.map (fun b -> Box.storage_slots ~c b) fleet in
+    let load = Array.make n 0 in
+    let cat = Sample.Categorical.create (Array.map (fun b -> b.Box.storage) fleet) in
+    let per_stripe = Array.make total [] in
+    for s = 0 to total - 1 do
+      for _ = 1 to k do
+        let placed = ref false and attempts = ref 0 in
+        while not !placed do
+          incr attempts;
+          let b =
+            if !attempts <= 64 then Sample.Categorical.draw g cat
+            else begin
+              let free = ref (-1) in
+              for i = 0 to n - 1 do
+                if
+                  !free = -1 && load.(i) < capacity.(i) && not (List.mem i per_stripe.(s))
+                then free := i
+              done;
+              if !free = -1 then
+                failwith "Schemes.random_independent: no box can take replica";
+              !free
+            end
+          in
+          if load.(b) < capacity.(b) && not (List.mem b per_stripe.(s)) then begin
+            load.(b) <- load.(b) + 1;
+            per_stripe.(s) <- b :: per_stripe.(s);
+            placed := true
+          end
+        done
+      done
+    done;
+    build ~catalog ~n_boxes:n per_stripe
+
+  let round_robin ~fleet ~catalog ~k =
+    let c = Catalog.stripes_per_video catalog in
+    let total = Catalog.total_stripes catalog in
+    let n = Array.length fleet in
+    let capacity = Array.map (fun b -> Box.storage_slots ~c b) fleet in
+    let load = Array.make n 0 in
+    let per_stripe = Array.make total [] in
+    for s = 0 to total - 1 do
+      for i = 0 to k - 1 do
+        let start = ((s * k) + i) mod n in
+        let rec place offset =
+          if offset = n then
+            invalid_arg "Schemes.round_robin: replicas exceed storage slots"
+          else
+            let b = (start + offset) mod n in
+            if load.(b) < capacity.(b) && not (List.mem b per_stripe.(s)) then begin
+              load.(b) <- load.(b) + 1;
+              per_stripe.(s) <- b :: per_stripe.(s)
+            end
+            else place (offset + 1)
+        in
+        place 0
+      done
+    done;
+    build ~catalog ~n_boxes:n per_stripe
+
+  let full_replication ~fleet ~catalog =
+    let c = Catalog.stripes_per_video catalog in
+    let m = Catalog.videos catalog in
+    let n = Array.length fleet in
+    Array.iter
+      (fun box ->
+        if Box.storage_slots ~c box < m then
+          invalid_arg "Schemes.full_replication: box storage below catalog size")
+      fleet;
+    let per_stripe = Array.make (Catalog.total_stripes catalog) [] in
+    for b = 0 to n - 1 do
+      for v = 0 to m - 1 do
+        let s = (v * c) + ((b + v) mod c) in
+        per_stripe.(s) <- b :: per_stripe.(s)
+      done
+    done;
+    build ~catalog ~n_boxes:n per_stripe
+
+  let allocate g ~scheme ~fleet ~catalog ~k =
+    match scheme with
+    | Schemes.Permutation -> random_permutation g ~fleet ~catalog ~k
+    | Independent -> random_independent g ~fleet ~catalog ~k
+    | Round_robin -> round_robin ~fleet ~catalog ~k
+    | Full_replication -> full_replication ~fleet ~catalog
+end
+
+(* A small fleet of 2..64 boxes, homogeneous, two-class or proportional
+   (storage ratio x upload, so slot counts differ), with 2-24 slots a
+   box: with few boxes, two slots of one box often land in one stripe's
+   k slots. *)
+let placement_gen =
+  QCheck.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* n = int_range 2 64 in
+    let* c = int_range 1 4 in
+    let* k = int_range 1 3 in
+    let* d = int_range 2 6 in
+    let* kind = int_range 0 2 in
+    let* uploads = array_size (return n) (float_range 0.5 3.0) in
+    let* share = float_range 0.05 1.0 in
+    return (seed, n, c, k, d, kind, uploads, share))
+
+let print_placement (seed, n, c, k, d, kind, _, share) =
+  Printf.sprintf "seed %d n %d c %d k %d d %d fleet %s catalog share %.2f" seed n c k d
+    (match kind with 0 -> "homogeneous" | 1 -> "two-class" | _ -> "proportional")
+    share
+
+(* [Schemes.allocate] and [Reference.allocate] agree under every scheme:
+   the same rows in the same order, or the same exception. *)
+let placement_agrees (seed, n, c, k, d, kind, uploads, share) =
+  let d = float_of_int d in
+  let fleet =
+    match kind with
+    | 0 -> Box.Fleet.homogeneous ~n ~u:1.5 ~d
+    | 1 -> Box.Fleet.two_class ~n ~rich_fraction:0.25 ~u_rich:3.0 ~u_poor:0.5 ~d
+    | _ -> Box.Fleet.proportional ~n ~uploads ~ratio:(d /. 2.0)
+  in
+  let m_max = Schemes.max_catalog ~fleet ~c ~k in
+  let m = max 1 (int_of_float (share *. float_of_int m_max)) in
+  let catalog = Catalog.create ~m ~c in
+  let rows a =
+    ( Array.init (Catalog.total_stripes catalog) (Allocation.boxes_of_stripe a),
+      Array.init n (Allocation.stripes_of_box a) )
+  in
+  let outcome place = match place (Prng.create ~seed ()) with
+    | a -> Ok (rows a)
+    | exception (Invalid_argument m | Failure m) -> Error m
+  in
+  List.for_all
+    (fun (_, scheme) ->
+      outcome (fun g -> Schemes.allocate g ~scheme ~fleet ~catalog ~k)
+      = outcome (fun g -> Reference.allocate g ~scheme ~fleet ~catalog ~k))
+    Schemes.names
+
+(* The law's draws reach the dedup branch: a fixed sample of them drops
+   at least one duplicate target, so the agreement covers it. *)
+let test_placement_law_reaches_dedup () =
+  Reference.dedup_hits := 0;
+  let draws = QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:60 placement_gen in
+  checkb "every draw agrees" true (List.for_all placement_agrees draws);
+  checkb "the dedup branch ran" true (!Reference.dedup_hits > 0)
+
+(* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -175,6 +375,9 @@ let qcheck_cases =
         return (seed, n, c, k, d))
   in
   [
+    Test.make ~name:"placement law: schemes equal the list builder" ~count:200
+      (make ~print:print_placement placement_gen)
+      placement_agrees;
     Test.make ~name:"permutation allocation always validates" ~count:100 arb
       (fun (seed, n, c, k, d) ->
         let g = Prng.create ~seed () in
@@ -231,6 +434,8 @@ let suites =
         Alcotest.test_case "full replication coverage" `Quick test_full_replication_covers_everything;
         Alcotest.test_case "full replication storage check" `Quick test_full_replication_too_small_storage;
         Alcotest.test_case "empty catalog" `Quick test_empty_catalog_schemes;
+        Alcotest.test_case "placement law reaches dedup" `Quick
+          test_placement_law_reaches_dedup;
       ] );
     ( "alloc.balance",
       [

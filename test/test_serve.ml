@@ -95,13 +95,16 @@ let test_session_lifecycle () =
   checkb "retry parks" true (r1 = Session.Retrying);
   let r2 = Option.get (step r1 Session.Join) in
   checkb "join re-enters" true (r2 = Session.Arriving);
-  (* terminal deny from the retry loop *)
-  checkb "deny from the retry loop rejects" true
-    (step r1 Session.Deny = Some Session.Rejected)
+  (* a spent budget ends the session before it parks, so a retrying
+     session takes no terminal message: a refused rejoin is denied from
+     [Arriving] *)
+  checkb "deny after a rejoin rejects" true
+    (step r2 Session.Deny = Some Session.Rejected);
+  checkb "no deny in the retry loop" true (step r1 Session.Deny = None)
 
 (* Every (state, message) pair: [transition] answers [Some] exactly on
    the hops of session.mli's lifecycle diagram, with their targets, and
-   [None] on the other 36 pairs. *)
+   [None] on the other 38 pairs. *)
 let test_session_illegal_hops () =
   let open Session in
   let states = [ Arriving; Admitted; Streaming; Completed; Retrying; Shed; Rejected ] in
@@ -119,8 +122,6 @@ let test_session_illegal_hops () =
       (Streaming, Retry_after, Retrying);
       (Streaming, Shed_notice, Shed);
       (Retrying, Join, Arriving);
-      (Retrying, Deny, Rejected);
-      (Retrying, Shed_notice, Shed);
     ]
   in
   let msg_name = function

@@ -55,6 +55,41 @@ let test_prng_int_invalid () =
   Alcotest.check_raises "zero bound" (Invalid_argument "Prng.int: bound must be positive")
     (fun () -> ignore (Prng.int g 0))
 
+(* The accept test at its three edges: [max_int62 - bound] (the last
+   draw the fast path takes), [limit - 1] (the last one the limit
+   takes) and [limit] (the first one redrawn).  Random draws reach the
+   last two with probability about bound / 2^62, so they are pinned
+   here.  A power-of-two bound takes every draw. *)
+let test_prng_accept_edges () =
+  let max_int62 = (1 lsl 62) - 1 in
+  List.iter
+    (fun bound ->
+      let limit = max_int62 - (max_int62 mod bound) in
+      let at v = Prng.index_of_bits bound v in
+      let name what = Printf.sprintf "bound %d, %s" bound what in
+      checki (name "fast-path edge")
+        ((max_int62 - bound) mod bound)
+        (at (max_int62 - bound));
+      checki (name "limit - 1") ((limit - 1) mod bound) (at (limit - 1));
+      checki (name "limit") (-1) (at limit);
+      checki (name "top") (-1) (at max_int62))
+    [ 3; 5; 6; 7; 1_000_003; (1 lsl 61) - 1; (1 lsl 61) + 1; (1 lsl 62) - 3 ];
+  List.iter
+    (fun bound ->
+      checki (Printf.sprintf "pow2 %d, top" bound) (max_int62 land (bound - 1))
+        (Prng.index_of_bits bound max_int62))
+    [ 1; 2; 64; 1 lsl 61 ]
+
+(* The shuffle kernel keeps the generator state in unboxed locals: a
+   whole shuffle allocates nothing beyond the two boxed floats the
+   [Gc.minor_words] reads return. *)
+let test_shuffle_kernel_allocates_nothing () =
+  let a = Array.init 100_000 Fun.id and g = Prng.create ~seed:5 () in
+  let w0 = Gc.minor_words () in
+  Prng.shuffle_prefix g a (Array.length a);
+  let words = Gc.minor_words () -. w0 in
+  checkb (Printf.sprintf "%.0f words" words) true (words < 8.0)
+
 let test_prng_float_unit () =
   let g = Prng.create ~seed:17 () in
   for _ = 1 to 10_000 do
@@ -605,9 +640,42 @@ let int_bound_gen =
       (int_range 0 61)
       (oneofl [ -1; 0; 1 ]))
 
+(* The shuffle kernel's specification: backward Fisher-Yates over
+   [Prng.int], one draw per position. *)
+let reference_shuffle_prefix g a len =
+  for i = len - 1 downto 1 do
+    let j = Prng.int g (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done
+
+(* 0, 1, 2, powers of two and any length up to 70,000, with a tail the
+   prefix shuffle must leave alone *)
+let shuffle_case_gen =
+  QCheck.Gen.(
+    triple small_nat
+      (oneof
+         [
+           oneofl [ 0; 1; 2 ];
+           map (fun k -> 1 lsl k) (int_range 2 16);
+           int_range 0 70_000;
+         ])
+      (oneof [ return 0; int_range 1 100 ]))
+
 let qcheck_cases =
   let open QCheck in
   [
+    Test.make ~name:"prng: shuffle kernel is the Prng.int loop" ~count:200
+      (make ~print:Print.(triple int int int) shuffle_case_gen)
+      (fun (seed, len, tail) ->
+        let a = Array.init (len + tail) (fun i -> (3 * i) + 1) in
+        let b = Array.copy a in
+        let g = Prng.create ~seed () and g' = Prng.create ~seed () in
+        Prng.shuffle_prefix g a len;
+        reference_shuffle_prefix g' b len;
+        a = b
+        && List.init 4 (fun _ -> Prng.bits g) = List.init 4 (fun _ -> Prng.bits g'));
     Test.make ~name:"prng: int is the two-division reference" ~count:500
       (pair small_int (make ~print:Print.(list int) Gen.(list_size (int_range 1 40) int_bound_gen)))
       (fun (seed, bounds) ->
@@ -722,6 +790,9 @@ let suites =
         Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
         Alcotest.test_case "int pow2 bounds" `Quick test_prng_int_pow2;
         Alcotest.test_case "int invalid" `Quick test_prng_int_invalid;
+        Alcotest.test_case "accept edges" `Quick test_prng_accept_edges;
+        Alcotest.test_case "shuffle kernel allocates nothing" `Quick
+          test_shuffle_kernel_allocates_nothing;
         Alcotest.test_case "float unit interval" `Quick test_prng_float_unit;
         Alcotest.test_case "uniformity" `Quick test_prng_uniformity;
         Alcotest.test_case "split independence" `Quick test_prng_split_independence;
