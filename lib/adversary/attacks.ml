@@ -16,9 +16,9 @@ let uncovered sim _time =
                (* the box stores part of every video: demand the one it
                   stores least of *)
                let count = Array.make m 0 in
-               Array.iter
-                 (fun s -> count.(Catalog.video_of_stripe cat s) <- count.(Catalog.video_of_stripe cat s) + 1)
-                 (Allocation.stripes_of_box alloc b);
+               Allocation.iter_stored alloc b (fun s ->
+                   let v = Catalog.video_of_stripe cat s in
+                   count.(v) <- count.(v) + 1);
                let best = ref 0 in
                for v = 1 to m - 1 do
                  if count.(v) < count.(!best) then best := v
@@ -40,13 +40,11 @@ let tight_server_set g sim _time =
       let total = ref 0 in
       Array.iter
         (fun s ->
-          Array.iter
-            (fun b ->
+          Allocation.iter_holders alloc s (fun b ->
               if not seen.(b) then begin
                 seen.(b) <- true;
                 total := !total + Engine.upload_slots_of_box sim b
-              end)
-            (Allocation.boxes_of_stripe alloc s))
+              end))
         (Catalog.stripes_of_video cat v);
       !total
     in

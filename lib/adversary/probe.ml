@@ -27,7 +27,7 @@ let check ~fleet ~alloc ~c ~demands =
   in
   let inst =
     Vod_graph.Bipartite.create ~n_left ~n_right:n ~right_cap ~fill:(fun l emit ->
-        Array.iter emit (Allocation.boxes_of_stripe alloc requests.(l)))
+        Allocation.iter_holders alloc requests.(l) emit)
   in
   match Vod_graph.Bipartite.hall_violator inst with
   | None -> Feasible
@@ -39,9 +39,8 @@ let video_slack alloc cat slots pledged v =
   let holders = Hashtbl.create 16 in
   Array.iter
     (fun s ->
-      Array.iter
-        (fun b -> if not (Hashtbl.mem holders b) then Hashtbl.add holders b ())
-        (Allocation.boxes_of_stripe alloc s))
+      Allocation.iter_holders alloc s (fun b ->
+          if not (Hashtbl.mem holders b) then Hashtbl.add holders b ()))
     (Catalog.stripes_of_video cat v);
   Hashtbl.fold (fun b () acc -> acc + max 0 (slots.(b) - pledged.(b))) holders 0
 
@@ -82,9 +81,7 @@ let greedy_worst_demands ~fleet ~alloc ~c =
             approximated by charging each distinct holder once *)
          Array.iter
            (fun s ->
-             Array.iter
-               (fun h -> pledged.(h) <- pledged.(h) + 1)
-               (Allocation.boxes_of_stripe alloc s))
+             Allocation.iter_holders alloc s (fun h -> pledged.(h) <- pledged.(h) + 1))
            (Catalog.stripes_of_video cat !best)
        end
      done

@@ -3,11 +3,17 @@ open Vod_model
 
 type report = { repaired_stripes : int; replicas_added : int; unrepairable : int }
 
-let alive_replicas alloc alive s =
-  Array.fold_left
-    (fun acc b -> if alive.(b) then acc + 1 else acc)
-    0
-    (Allocation.boxes_of_stripe alloc s)
+(* Replicas of stripe [s] on alive boxes, counted up to [target_k]: one
+   plain loop over the row, which allocates nothing. *)
+let alive_replicas ~target_k alloc alive s =
+  let holders = Allocation.holders alloc in
+  let i = ref (Allocation.row_start alloc s) and live = ref 0 in
+  let stop = !i + Allocation.replica_count alloc s in
+  while !live < target_k && !i < stop do
+    if alive.(holders.(!i)) then incr live;
+    incr i
+  done;
+  !live
 
 (* Ascending stripe ids by construction — the pinned iteration order of
    [repair] (see the .mli determinism contract). *)
@@ -15,7 +21,7 @@ let under_replicated ~alloc ~alive ~target_k =
   let total = Catalog.total_stripes (Allocation.catalog alloc) in
   let acc = ref [] in
   for s = total - 1 downto 0 do
-    if alive_replicas alloc alive s < target_k then acc := s :: !acc
+    if alive_replicas ~target_k alloc alive s < target_k then acc := s :: !acc
   done;
   !acc
 
@@ -31,44 +37,49 @@ let repair g ~fleet ~alloc ~alive ~target_k =
           if alive.(b) then Box.storage_slots ~c fleet.(b) - Allocation.box_load alloc b
           else 0)
     in
-    let total = Catalog.total_stripes (Allocation.catalog alloc) in
-    let per_stripe = Array.init total (fun s -> Allocation.boxes_of_stripe alloc s) in
+    let alloc' = Allocation.copy alloc in
+    let candidates = Array.make n 0 in
     let repaired = ref 0 and added = ref 0 and unrepairable = ref 0 in
     (* Determinism contract: stripes are visited in ascending stripe-id
        order and donors are drawn by one [Sample.shuffle] pass per
-       stripe over the candidate array built in ascending box-id order.
-       Every PRNG draw is therefore a pure function of (seed, alloc,
-       alive, target_k) — nothing depends on hash-table or OCaml-version
+       stripe over the candidate array built in ascending box-id order
+       (a prefix of one reused array).  A stripe's installs go into
+       [alloc'] and touch its own row only, so the rows of [alloc] that
+       later stripes read are the rows of [alloc'].  Every PRNG draw is
+       therefore a pure function of (seed, alloc, alive, target_k) —
+       nothing depends on hash-table or OCaml-version
        specifics, so a repair is bit-reproducible anywhere (pinned by
        the repair.determinism regression test). *)
     List.iter
       (fun s ->
-        let holders = per_stripe.(s) in
-        let live = Array.exists (fun b -> alive.(b)) holders in
-        if not live then incr unrepairable
+        let live = alive_replicas ~target_k alloc alive s in
+        if live = 0 then incr unrepairable
         else begin
-          let missing = target_k - alive_replicas alloc alive s in
-          (* candidate targets: alive, free slot, not already holding *)
-          let candidates =
-            Array.to_list (Array.init n Fun.id)
-            |> List.filter (fun b -> free.(b) > 0 && not (Array.mem b holders))
-            |> Array.of_list
-          in
-          Sample.shuffle g candidates;
-          let take = min missing (Array.length candidates) in
+          let missing = target_k - live in
+          (* candidate targets: alive, free slot ([free] is 0 on dead
+             boxes), not already holding *)
+          let count = ref 0 in
+          for b = 0 to n - 1 do
+            if free.(b) > 0 && not (Allocation.possesses alloc ~box:b ~stripe:s)
+            then begin
+              candidates.(!count) <- b;
+              incr count
+            end
+          done;
+          Sample.shuffle_prefix g candidates ~len:!count;
+          let take = min missing !count in
           if take > 0 then begin
             incr repaired;
-            let extra = Array.sub candidates 0 take in
-            Array.iter (fun b -> free.(b) <- free.(b) - 1) extra;
-            per_stripe.(s) <- Array.append holders extra;
+            for i = 0 to take - 1 do
+              free.(candidates.(i)) <- free.(candidates.(i)) - 1
+            done;
+            Allocation.add_replicas alloc'
+              (List.init take (fun i -> (s, candidates.(i))));
             added := !added + take
           end;
           if take < missing then incr unrepairable
         end)
       (under_replicated ~alloc ~alive ~target_k);
-    let alloc' =
-      Allocation.of_replica_lists ~catalog:(Allocation.catalog alloc) ~n_boxes:n per_stripe
-    in
     Ok
       ( alloc',
         { repaired_stripes = !repaired; replicas_added = !added; unrepairable = !unrepairable }

@@ -30,24 +30,28 @@ let random_permutation g ~fleet ~catalog ~k =
   if k * total > Array.length owners then
     invalid_arg "Schemes.random_permutation: replicas exceed storage slots";
   Sample.shuffle g owners;
-  (* stripe [s] takes slots [s*k .. s*k + k - 1], read from the last:
-     a box the stripe already holds is dropped, the later slot winning
-     ([last_stripe.(b)]: the last stripe [b] was kept for) *)
+  (* stripe [s] takes slots [s*k .. s*k + k - 1], read from the last,
+     and its row is written at the same place of [holders]: a box the
+     stripe already holds is dropped, the later slot winning
+     ([last_stripe.(b)]: the last stripe [b] was kept for), and the
+     row's unused tail stays a gap *)
   let last_stripe = Array.make (Array.length fleet) (-1) in
-  let boxes_of_stripe =
-    Array.init total (fun s ->
-        let row = Array.make k 0 and len = ref 0 in
-        for i = (s * k) + k - 1 downto s * k do
-          let b = owners.(i) in
-          if last_stripe.(b) <> s then begin
-            last_stripe.(b) <- s;
-            row.(!len) <- b;
-            incr len
-          end
-        done;
-        if !len = k then row else Array.sub row 0 !len)
-  in
-  Allocation.of_replica_lists ~catalog ~n_boxes:(Array.length fleet) boxes_of_stripe
+  let holders = Array.make (Allocation.capacity_for (total * k)) 0 in
+  let len = Array.make total 0 in
+  for s = 0 to total - 1 do
+    let o = s * k in
+    for i = o + k - 1 downto o do
+      let b = owners.(i) in
+      if last_stripe.(b) <> s then begin
+        last_stripe.(b) <- s;
+        holders.(o + len.(s)) <- b;
+        len.(s) <- len.(s) + 1
+      end
+    done
+  done;
+  Allocation.of_rows ~catalog ~n_boxes:(Array.length fleet)
+    ~start:(Array.init total (fun s -> s * k))
+    ~len holders
 
 let random_independent g ~fleet ~catalog ~k =
   let c = Catalog.stripes_per_video catalog in

@@ -170,10 +170,9 @@ type chaos_outcome = {
 }
 
 let alive_count alloc alive s =
-  Array.fold_left
-    (fun acc b -> if alive.(b) then acc + 1 else acc)
-    0
-    (Vod_model.Allocation.boxes_of_stripe alloc s)
+  let count = ref 0 in
+  Vod_model.Allocation.iter_holders alloc s (fun b -> if alive.(b) then incr count);
+  !count
 
 let chaos_repair_agreement ~params ~fleet ~alloc ~crashed ~target_k ?config ?(seed = 42)
     () =
@@ -181,7 +180,12 @@ let chaos_repair_agreement ~params ~fleet ~alloc ~crashed ~target_k ?config ?(se
   let max_rounds = 500 in
   let n = Array.length fleet in
   let cfg = match config with Some c -> c | None -> Mend.config ~target_k () in
-  let engine = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
+  (* the engine installs into its allocation: give it a copy, so the
+     caller's [alloc] is left as it was *)
+  let engine =
+    Engine.create ~params ~fleet ~alloc:(Vod_model.Allocation.copy alloc)
+      ~policy:Engine.Continue ()
+  in
   List.iter (fun b -> Engine.set_online engine b false) crashed;
   let alive = Array.init n (Engine.is_online engine) in
   (* static oracle: the whole loss repaired at a stroke, for free *)

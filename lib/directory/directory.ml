@@ -31,11 +31,9 @@ let publish t ~origin ~stripe ~holder =
   if not (List.mem holder current) then Hashtbl.replace tbl stripe (holder :: current);
   hops
 
-let publish_allocation t ~boxes_of_stripe ~total_stripes =
+let publish_allocation t ~iter_holders ~total_stripes =
   for s = 0 to total_stripes - 1 do
-    Array.iter
-      (fun holder -> ignore (publish t ~origin:holder ~stripe:s ~holder))
-      (boxes_of_stripe s)
+    iter_holders s (fun holder -> ignore (publish t ~origin:holder ~stripe:s ~holder))
   done
 
 let resolve t ~origin ~stripe =

@@ -18,9 +18,10 @@ val publish : t -> origin:int -> stripe:int -> holder:int -> int
     @raise Not_found when [origin] is not a ring member. *)
 
 val publish_allocation :
-  t -> boxes_of_stripe:(int -> int array) -> total_stripes:int -> unit
-(** Bulk-publish a whole allocation: each holder publishes its own
-    replicas (origin = holder). *)
+  t -> iter_holders:(int -> (int -> unit) -> unit) -> total_stripes:int -> unit
+(** Bulk-publish a whole allocation, whose [iter_holders s f] applies
+    [f] to stripe [s]'s holders: each holder publishes its own replicas
+    (origin = holder). *)
 
 val resolve : t -> origin:int -> stripe:int -> int list * int
 (** [(holders, hops)] — the registered holders of the stripe, resolved

@@ -52,7 +52,10 @@ let seed_allocation ~fleet ~c base =
   done;
   let replica_lists =
     Array.init stripes (fun s ->
-        Array.append (Allocation.boxes_of_stripe base s) (Array.of_list (List.rev extra.(s))))
+        Array.append
+          (Array.sub (Allocation.holders base) (Allocation.row_start base s)
+             (Allocation.replica_count base s))
+          (Array.of_list (List.rev extra.(s))))
   in
   Allocation.of_replica_lists ~catalog ~n_boxes:n replica_lists
 

@@ -51,6 +51,8 @@ type t = {
   mutable under_epoch : int;
   mutable under : int list;
   mutable candidates : int array; (* scratch for [tick], n entries once used *)
+  mutable free : int array; (* scratch for [tick]'s free slots, likewise *)
+  mutable alive : bool array; (* scratch for [under_replicated], likewise *)
 }
 
 let create ?(seed = 42) cfg =
@@ -73,6 +75,8 @@ let create ?(seed = 42) cfg =
     under_epoch = 0;
     under = [];
     candidates = [||];
+    free = [||];
+    alive = [||];
   }
 
 type stats = {
@@ -109,7 +113,12 @@ let under_replicated (t : t) e =
   match t.under_of with
   | Some e' when e' == e && t.under_epoch = epoch -> t.under
   | _ ->
-      let alive = Array.init (Engine.params e).Params.n (Engine.is_online e) in
+      let n = (Engine.params e).Params.n in
+      if Array.length t.alive <> n then t.alive <- Array.make n false;
+      let alive = t.alive in
+      for b = 0 to n - 1 do
+        alive.(b) <- Engine.is_online e b
+      done;
       let under =
         Vod_alloc.Repair.under_replicated ~alloc:(Engine.alloc e) ~alive
           ~target_k:t.cfg.target_k
@@ -124,6 +133,16 @@ let free_slots e ~c alloc b =
   if Engine.is_online e b then
     Box.storage_slots ~c (Engine.fleet e).(b) - Allocation.box_load alloc b
   else 0
+
+(* Does an online box hold stripe [s]? *)
+let has_donor e alloc s =
+  let holders = Allocation.holders alloc in
+  let i = ref (Allocation.row_start alloc s) in
+  let stop = !i + Allocation.replica_count alloc s in
+  while !i < stop && not (Engine.is_online e holders.(!i)) do
+    incr i
+  done;
+  !i < stop
 
 let tick (t : t) e =
   let time = Engine.now e + 1 in
@@ -174,13 +193,20 @@ let tick (t : t) e =
     healed;
   (* 3. schedule new transfers under the bandwidth budget.  Free storage
      accounts for slots already promised to in-flight destinations; it
-     is built the first time a stripe with a live donor is examined,
-     before any transfer of this tick starts. *)
-  let free =
-    lazy
-      (let free = Array.init n (free_slots e ~c alloc) in
-       List.iter (fun tr -> free.(tr.dest) <- free.(tr.dest) - 1) t.in_flight;
-       free)
+     is filled into the controller's scratch the first time a stripe
+     with a live donor is examined, before any transfer of this tick
+     starts. *)
+  let free_filled = ref false in
+  let free () =
+    if not !free_filled then begin
+      if Array.length t.free < n then t.free <- Array.make n 0;
+      for b = 0 to n - 1 do
+        t.free.(b) <- free_slots e ~c alloc b
+      done;
+      List.iter (fun tr -> t.free.(tr.dest) <- t.free.(tr.dest) - 1) t.in_flight;
+      free_filled := true
+    end;
+    t.free
   in
   let slots = ref (t.cfg.budget - List.length t.in_flight) in
   (* Determinism contract (mirrors Vod_alloc.Repair.repair): stripes in
@@ -193,14 +219,12 @@ let tick (t : t) e =
         && (not (List.exists (fun tr -> tr.stripe = s) t.in_flight))
         && Backoff.ready t.backoff ~key:s ~time
       then begin
-        let holders = Allocation.boxes_of_stripe alloc s in
-        let has_donor = Array.exists (Engine.is_online e) holders in
         if Array.length t.candidates < n then t.candidates <- Array.make n 0;
         let candidates = t.candidates in
         let count =
-          if not has_donor then 0
+          if not (has_donor e alloc s) then 0
           else begin
-            let free = Lazy.force free in
+            let free = free () in
             let count = ref 0 in
             for b = 0 to n - 1 do
               (* [free] is 0 on offline boxes *)
@@ -229,7 +253,7 @@ let tick (t : t) e =
             t.retries <- t.retries + 1;
             Registry.incr obs_retries
           end;
-          let free = Lazy.force free in
+          let free = free () in
           free.(dest) <- free.(dest) - 1;
           decr slots
         end
@@ -265,7 +289,7 @@ let collect (t : t) e =
         completed;
       (match !fresh with
       | [] -> ()
-      | fresh -> Engine.set_alloc e (Allocation.add_replicas alloc (List.rev fresh)));
+      | fresh -> Engine.install e (List.rev fresh));
       List.length !fresh
 
 let pending (t : t) e =
@@ -284,11 +308,7 @@ let pending (t : t) e =
         in
         go 0
       in
-      List.partition
-        (fun s ->
-          let holders = Allocation.boxes_of_stripe alloc s in
-          Array.exists (Engine.is_online e) holders && free_somewhere s)
-        under
+      List.partition (fun s -> has_donor e alloc s && free_somewhere s) under
 
 let quiesced (t : t) e =
   match t.in_flight with

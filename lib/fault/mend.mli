@@ -12,7 +12,7 @@
 
     Drive it in lockstep with the engine: {!tick} {e before}
     [Engine.step] (reap lost transfers, schedule new ones), {!collect}
-    {e after} (install completed replicas via [Engine.set_alloc]).
+    {e after} (install completed replicas via [Engine.install]).
 
     Determinism: destination choice draws from the controller's own
     PRNG in a pinned order (ascending stripe id, one shuffle over the
@@ -72,8 +72,8 @@ val tick : t -> Vod_sim.Engine.t -> unit
 
 val collect : t -> Vod_sim.Engine.t -> int
 (** Drain the engine's completed transfers and install the new replicas
-    as one allocation swap ({!Vod_model.Allocation.add_replicas}: the
-    untouched rows are shared); returns how many were installed.  A
+    in place, in one batch ([Engine.install]); returns how many were
+    installed.  A
     replica the allocation already holds is not installed again.  Call
     {e after} [Engine.step]. *)
 

@@ -9,15 +9,12 @@ let to_string alloc =
     (Printf.sprintf "catalog %d %d\n" (Catalog.videos cat) (Catalog.stripes_per_video cat));
   Buffer.add_string buf (Printf.sprintf "boxes %d\n" (Allocation.n_boxes alloc));
   for s = 0 to Catalog.total_stripes cat - 1 do
-    let replicas = Allocation.boxes_of_stripe alloc s in
-    if Array.length replicas > 0 then begin
+    if Allocation.replica_count alloc s > 0 then begin
       Buffer.add_string buf (string_of_int s);
       Buffer.add_char buf ':';
-      Array.iter
-        (fun b ->
+      Allocation.iter_holders alloc s (fun b ->
           Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int b))
-        replicas;
+          Buffer.add_string buf (string_of_int b));
       Buffer.add_char buf '\n'
     end
   done;

@@ -86,7 +86,7 @@ let create cfg =
   let registry = Hashtbl.create 256 in
   for s = 0 to Catalog.total_stripes (Allocation.catalog cfg.alloc) - 1 do
     let v = Vec.create () in
-    Array.iter (fun b -> Vec.push v (b, -1)) (Allocation.boxes_of_stripe cfg.alloc s);
+    Allocation.iter_holders cfg.alloc s (fun b -> Vec.push v (b, -1));
     Hashtbl.add registry s v
   done;
   {

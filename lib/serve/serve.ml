@@ -261,7 +261,7 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
       let box_slots b =
         let slots = Engine.upload_slots_of_box engine b in
         if Engine.is_helper engine b then
-          min slots (Array.length (Allocation.stripes_of_box (Engine.alloc engine) b))
+          min slots (Allocation.box_load (Engine.alloc engine) b)
         else slots
       in
       (* every input of the total moves the engine's box epoch, so the
@@ -540,20 +540,29 @@ let run ?rounds ?seed ?(config = default_config) ?(arrivals = Scenario_rate)
         if at = epoch || (!swept_now && at = !swept_epoch) then
           Bytes.get memo video <> '\000'
         else begin
-          let alloc_now = Engine.alloc engine in
-          let cat = Allocation.catalog alloc_now in
-          let v =
-            Array.for_all
-              (fun stripe ->
-                Array.exists
-                  (fun b ->
-                    Engine.is_online engine b && Engine.upload_slots_of_box engine b > 0)
-                  (Allocation.boxes_of_stripe alloc_now stripe))
-              (Catalog.stripes_of_video cat video)
-          in
-          Bytes.set memo video (if v then '\001' else '\000');
+          let alloc = Engine.alloc engine in
+          let holders = Allocation.holders alloc in
+          let c = Catalog.stripes_per_video (Allocation.catalog alloc) in
+          (* every stripe of the video has an online holder with a slot *)
+          let v = ref true and j = ref 0 in
+          while !v && !j < c do
+            let stripe = (video * c) + !j in
+            let i = ref (Allocation.row_start alloc stripe) in
+            let stop = !i + Allocation.replica_count alloc stripe in
+            while
+              !i < stop
+              && not
+                   (Engine.is_online engine holders.(!i)
+                   && Engine.upload_slots_of_box engine holders.(!i) > 0)
+            do
+              incr i
+            done;
+            v := !i < stop;
+            incr j
+          done;
+          Bytes.set memo video (if !v then '\001' else '\000');
           memo_epoch.(video) <- epoch;
-          v
+          !v
         end
       in
       (* ------------------------------------------------------------ *)

@@ -175,7 +175,7 @@ let schedule_ring = 4
 type t = {
   params : Params.t;
   fleet : Box.t array;
-  mutable alloc : Allocation.t;
+  alloc : Allocation.t; (* installs ([install]) change it in place *)
   compensation : Vod_analysis.Theorem2.compensation option;
   policy : failure_policy;
   preloading : bool;
@@ -228,6 +228,7 @@ type t = {
   online_cap : int array;
       (* per box: [capacity] if online, else 0 — the matching's right
          capacities, kept in step by [set_online]/[set_upload_factor] *)
+  seats : int array; (* the walk's free seats per box, from [online_cap] *)
   sched_rng : Vod_util.Prng.t; (* randomness for the decentralised scheduler *)
   demand_round : int array; (* per box: round of its current demand's first request *)
   awaiting_first : int array; (* per box: stripes of the current demand not yet streaming *)
@@ -307,6 +308,7 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
         ~fill:(fun _ _ -> ());
     arena = Vod_graph.Arena.create ();
     online_cap = Array.copy capacity;
+    seats = Array.make n 0;
     demand_round = Array.make n 0;
     awaiting_first = Array.make n 0;
     startups = Vec.create ();
@@ -436,15 +438,8 @@ let active_request_count t =
   t.active.len
 let upload_slots_of_box t b = t.capacity.(b)
 
-let set_alloc t alloc =
-  let cat = Allocation.catalog alloc and cat0 = Allocation.catalog t.alloc in
-  if Allocation.n_boxes alloc <> t.params.Params.n then
-    invalid_arg "Engine.set_alloc: allocation box count";
-  if
-    Catalog.stripes_per_video cat <> Catalog.stripes_per_video cat0
-    || Catalog.videos cat <> Catalog.videos cat0
-  then invalid_arg "Engine.set_alloc: catalog shape changed";
-  t.alloc <- alloc;
+let install t pairs =
+  Allocation.add_replicas t.alloc pairs;
   t.box_epoch <- t.box_epoch + 1
 
 let set_upload_factor t ~box ~factor =
@@ -668,9 +663,8 @@ let video_request_stats t =
       let count, stripes, servers = entry in
       incr count;
       Hashtbl.replace stripes stripe ();
-      Array.iter
-        (fun b -> if t.online.(b) then Bitset.add servers b)
-        (Allocation.boxes_of_stripe t.alloc stripe);
+      Allocation.iter_holders t.alloc stripe (fun b ->
+          if t.online.(b) then Bitset.add servers b);
       let cand = ref t.window_head.(stripe) in
       while !cand >= 0 do
         let w = !cand in
@@ -745,8 +739,9 @@ let emit_row t s emit =
   let st = t.store and online = t.online in
   let stripe = st.Store.stripe.(s) in
   let skip = if is_repair st.Store.kind.(s) then st.Store.owner.(s) else -1 in
-  let replicas = Allocation.sorted_boxes_of_stripe t.alloc stripe in
-  for i = 0 to Array.length replicas - 1 do
+  let replicas = Allocation.sorted_holders t.alloc in
+  let o = Allocation.row_start t.alloc stripe in
+  for i = o to o + Allocation.replica_count t.alloc stripe - 1 do
     let b = replicas.(i) in
     if online.(b) && b <> skip then emit b
   done;
@@ -801,41 +796,78 @@ let last_instance t =
    order, takes its lowest-id candidate with a free seat.  That is the
    seat [Dinic.solve_csr]'s greedy pass gives it from the sorted,
    deduplicated CSR row, since neither duplicates nor emit order change
-   a minimum.  The result lands in the arena's [assignment] and
-   [right_load] slabs, where the solver would leave it.  True when
-   every row is seated; the walk stops at the first row left free.
-   A closed round still sizes the instance and the solver scratch for
-   its rows, as a build would: the buffers then follow the run's size
-   whether or not a round builds, so a fallback round grows nothing
-   and what a run allocates does not hang on which rounds fall back. *)
+   a minimum.  The candidates are [emit_row]'s, read in place: a box
+   has a free seat exactly when its [seats] entry (its [online_cap]
+   less the rows seated on it, so 0 while offline) is positive, the
+   first such replica of the ascending row is the row's lowest, and
+   the window can only undercut it.  The result lands in the arena's
+   [assignment] and [right_load] slabs, where the solver would leave
+   it.  True when every row is seated; the walk stops at the first row
+   left free.  A closed round still sizes the instance and the solver
+   scratch for its rows, as a build would, from an upper bound on the
+   edges (every replica and window candidate, online or not): the
+   buffers then follow the run's size whether or not a round builds,
+   so a fallback round grows nothing and what a run allocates does
+   not hang on which rounds fall back. *)
 let seat_rows t rows n_left =
   let n = t.params.Params.n and arena = t.arena in
   let load = Vod_graph.Arena.ints arena.Vod_graph.Arena.right_load (max n 1) in
   let assignment = Vod_graph.Arena.ints arena.Vod_graph.Arena.assignment (max n_left 1) in
   Array.fill load 0 n 0;
-  let cap = t.online_cap in
-  (* one visitor per step, shared by every row *)
-  let best = ref max_int and emitted = ref 0 in
-  let visit b =
-    incr emitted;
-    if b < !best && load.(b) < cap.(b) then best := b
-  in
-  let l = ref 0 in
+  let seats = t.seats in
+  Array.blit t.online_cap 0 seats 0 n;
+  let st = t.store and alloc = t.alloc in
+  let replicas = Allocation.sorted_holders alloc in
+  let stripe_of = st.Store.stripe and kind = st.Store.kind in
+  let owner_of = st.Store.owner in
+  let issued_at = st.Store.issued_at and progress = st.Store.progress in
+  let next_in_window = st.Store.next_in_window in
+  let edges = ref 0 and l = ref 0 and best = ref 0 in
   while
     !l < n_left
     && begin
+         let s = rows.(!l) in
+         let stripe = stripe_of.(s) in
+         let skip = if is_repair kind.(s) then owner_of.(s) else -1 in
+         let i = ref (Allocation.row_start alloc stripe) in
+         let stop = !i + Allocation.replica_count alloc stripe in
+         edges := !edges + (stop - !i);
          best := max_int;
-         emit_row t rows.(!l) visit;
+         while !i < stop do
+           let b = replicas.(!i) in
+           if seats.(b) > 0 && b <> skip then begin
+             best := b;
+             i := stop
+           end
+           else incr i
+         done;
+         let issued = issued_at.(s) and position = progress.(s) in
+         let cand = ref t.window_head.(stripe) in
+         while !cand >= 0 && issued_at.(!cand) < issued do
+           let w = !cand in
+           if progress.(w) > position then begin
+             let owner = owner_of.(w) in
+             incr edges;
+             if owner < !best && seats.(owner) > 0 && owner <> skip then best := owner;
+             let relay = Store.relay_cacher st w in
+             if relay >= 0 then begin
+               incr edges;
+               if relay < !best && seats.(relay) > 0 && relay <> skip then best := relay
+             end
+           end;
+           cand := next_in_window.(w)
+         done;
          !best < max_int
        end
   do
     let b = !best in
     assignment.(!l) <- b;
     load.(b) <- load.(b) + 1;
+    seats.(b) <- seats.(b) - 1;
     incr l
   done;
   let closed = !l = n_left in
-  if closed then Vod_graph.Bipartite.reserve ~arena t.inst ~n_left ~n_edges:!emitted;
+  if closed then Vod_graph.Bipartite.reserve ~arena t.inst ~n_left ~n_edges:!edges;
   closed
 
 (* Completed requests leave the active set (their slots stay in their

@@ -133,7 +133,9 @@ val create :
     every box request all [c] stripes at once — the naive strategy the
     paper's Lemma 2 analysis rules out, kept as an ablation.
     A [topology] enables cross-group traffic accounting and the
-    [Prefer_local] scheduler.
+    [Prefer_local] scheduler.  The engine keeps [alloc] itself, and
+    {!install} changes it in place: pass an {!Allocation.copy} to keep
+    the original.
     @raise Invalid_argument when fleet size, allocation, topology and
     params disagree, or [Prefer_local] is chosen without a topology. *)
 
@@ -192,7 +194,7 @@ val box_epoch : t -> int
 (** A counter that moves whenever per-box state a derived view may read
     changes: an online flip ({!set_online}), an upload factor
     ({!set_upload_factor}), a helper mark ({!set_helper}) or the
-    allocation ({!set_alloc}).  A view computed from those (the
+    allocation ({!install}).  A view computed from those (the
     under-replicated stripes, the online upload-slot total) stays valid
     while the epoch is unchanged.  O(1). *)
 
@@ -220,12 +222,14 @@ val set_online : t -> int -> bool -> unit
     no link-fault predicate and no injected repairs the engine is
     bit-identical to one created before these hooks existed. *)
 
-val set_alloc : t -> Vod_model.Allocation.t -> unit
-(** Replace the static allocation — the maintenance controller installs
-    repaired replicas this way.  The catalog shape (videos, stripes per
-    video) and box count must match; stripe ids stay meaningful across
-    the swap, so in-flight requests are unaffected.
-    @raise Invalid_argument on a shape mismatch. *)
+val install : t -> (int * int) list -> unit
+(** [install t pairs] adds one replica of [stripe] on [box] for each
+    [(stripe, box)] to the engine's allocation, in place
+    ({!Vod_model.Allocation.add_replicas}: the allocation passed to
+    {!create} changes with it), and moves {!box_epoch} — the
+    maintenance controller installs repaired replicas this way.
+    In-flight requests are unaffected.
+    @raise Invalid_argument as [add_replicas]; nothing is installed. *)
 
 val set_upload_factor : t -> box:int -> factor:float -> unit
 (** Degrade (or restore) a box's upload: its matching capacity becomes
@@ -263,7 +267,7 @@ val drain_completed_repairs : t -> (int * int) list
 (** [(stripe, dest)] pairs of repair transfers completed since the last
     drain, in completion order; draining clears the buffer.  The caller
     (the maintenance controller) is responsible for installing the
-    replica via {!set_alloc}. *)
+    replica via {!install}. *)
 
 val repair_in_flight : t -> int
 (** Repair transfers currently active or scheduled. *)
@@ -360,7 +364,7 @@ val last_instance : t -> Vod_graph.Bipartite.t option
     instance: the first call after the step builds it from that
     round's requests and capacities.  If the rows may have changed
     before that call — the box epoch moved ({!set_online},
-    {!set_upload_factor}, {!set_helper}, {!set_alloc}) or a request was
+    {!set_upload_factor}, {!set_helper}, {!install}) or a request was
     dropped ({!cancel}, {!abort_repair}) — there is nothing to build
     and the call returns [None].  A round that built its instance in
     the step (one the walk could not close, which includes every stall

@@ -49,7 +49,7 @@ let test_permutation_deterministic_per_seed () =
   let a2 = Schemes.random_permutation (Prng.create ~seed:5 ()) ~fleet:f ~catalog ~k:2 in
   for s = 0 to Catalog.total_stripes catalog - 1 do
     Alcotest.check (Alcotest.array Alcotest.int) "same layout"
-      (Allocation.boxes_of_stripe a1 s) (Allocation.boxes_of_stripe a2 s)
+      (Alloc_rows.boxes_of_stripe a1 s) (Alloc_rows.boxes_of_stripe a2 s)
   done
 
 let test_permutation_overflow_rejected () =
@@ -103,7 +103,7 @@ let test_round_robin_spread () =
   let b = Schemes.round_robin ~fleet:f ~catalog ~k:2 in
   for s = 0 to Catalog.total_stripes catalog - 1 do
     Alcotest.check (Alcotest.array Alcotest.int) "deterministic"
-      (Allocation.boxes_of_stripe a s) (Allocation.boxes_of_stripe b s)
+      (Alloc_rows.boxes_of_stripe a s) (Alloc_rows.boxes_of_stripe b s)
   done
 
 let test_full_replication_covers_everything () =
@@ -337,8 +337,8 @@ let placement_agrees (seed, n, c, k, d, kind, uploads, share) =
   let m = max 1 (int_of_float (share *. float_of_int m_max)) in
   let catalog = Catalog.create ~m ~c in
   let rows a =
-    ( Array.init (Catalog.total_stripes catalog) (Allocation.boxes_of_stripe a),
-      Array.init n (Allocation.stripes_of_box a) )
+    ( Array.init (Catalog.total_stripes catalog) (Alloc_rows.boxes_of_stripe a),
+      Array.init n (Alloc_rows.stripes_of_box a) )
   in
   let outcome place = match place (Prng.create ~seed ()) with
     | a -> Ok (rows a)
@@ -420,6 +420,76 @@ let qcheck_cases =
         !by_box = !by_stripe);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Allocation guards                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Words allocated on both heaps (minor + major - promoted, so arrays too
+   large for the minor heap count too) by [f], net of what an empty
+   measurement window allocates itself.  On OCaml 5.1 each count has one
+   exact reader: [Gc.minor_words] for the minor heap ([Gc.counters]
+   divides its uncollected part by the word size again), and
+   [Gc.counters] for the major and promoted words ([Gc.quick_stat]'s
+   major count, which the engine guard reads, leaves out arrays made
+   straight on the major heap until the next major slice: a 24577-word
+   copy read as 0 there). *)
+let words_of f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let overhead =
+    let w0 = words () in
+    words () -. w0
+  in
+  let w0 = words () in
+  let result = f () in
+  (result, words () -. w0 -. overhead)
+
+(* chaos-outage's placement: n = 8192, d = 4, c = 4, k = 4 and 6144
+   videos, 24576 stripes on 131072 slots. *)
+let chaos_allocation () =
+  let fleet = Box.Fleet.homogeneous ~n:8192 ~u:2.0 ~d:4.0 in
+  Schemes.random_permutation (Prng.create ~seed:3 ()) ~fleet
+    ~catalog:(Catalog.create ~m:6144 ~c:4) ~k:4
+
+(* An install round of 16 replicas on chaos-outage's allocation.  It was
+   57_808 words when [add_replicas] copied the three outer arrays (two
+   of 24576 stripe pointers, one of 8192 box pointers) and its touched
+   rows, and it is 58 in place: the batch check's list and one closure.
+   The bound, 16 words a pair, is far below one outer array. *)
+let test_install_guard () =
+  let a = chaos_allocation () in
+  let g = Prng.create ~seed:9 () in
+  let rec draw acc k =
+    if k = 0 then acc
+    else
+      let stripe = Prng.int g 24576 and box = Prng.int g 8192 in
+      if Allocation.possesses a ~box ~stripe || List.mem (stripe, box) acc then draw acc k
+      else draw ((stripe, box) :: acc) (k - 1)
+  in
+  let pairs = draw [] 16 in
+  let (), spent = words_of (fun () -> Allocation.add_replicas a pairs) in
+  checkb "installed" true
+    (List.for_all (fun (stripe, box) -> Allocation.possesses a ~box ~stripe) pairs);
+  if spent > 16.0 *. 16.0 then
+    Alcotest.failf "a 16-pair install allocated %.0f words (bound %d)" spent (16 * 16)
+
+(* [Repair.under_replicated] with one box in 32 dead: its result list,
+   3 words a stripe, is all it allocates (8_727 words).  With a
+   [fold_left] closure per stripe it was 131_607. *)
+let test_under_replicated_guard () =
+  let a = chaos_allocation () in
+  let alive = Array.init 8192 (fun b -> b mod 32 <> 5) in
+  let under, spent =
+    words_of (fun () -> Repair.under_replicated ~alloc:a ~alive ~target_k:4)
+  in
+  let result = 3.0 *. float_of_int (List.length under) in
+  checkb "some stripe is under-replicated" true (under <> []);
+  if spent > result then
+    Alcotest.failf "under_replicated allocated %.0f words for a %.0f-word result" spent
+      result
+
 let suites =
   [
     ( "alloc.schemes",
@@ -443,6 +513,12 @@ let suites =
         Alcotest.test_case "independent looser" `Quick test_balance_independent_looser_than_permutation;
       ] );
     ("alloc.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
+    ( "alloc.guard",
+      [
+        Alcotest.test_case "install allocates O(pairs)" `Quick test_install_guard;
+        Alcotest.test_case "under-replicated scan allocates its result" `Quick
+          test_under_replicated_guard;
+      ] );
   ]
 
 (* silence unused warnings for helpers used only in some branches *)

@@ -154,14 +154,14 @@ let test_publish_allocation_and_resolve_all () =
   let alloc = Vod_alloc.Schemes.random_permutation g ~fleet ~catalog ~k:3 in
   let d = Directory.create ~nodes:(nodes n) in
   Directory.publish_allocation d
-    ~boxes_of_stripe:(Vod_model.Allocation.boxes_of_stripe alloc)
+    ~iter_holders:(Vod_model.Allocation.iter_holders alloc)
     ~total_stripes:(Vod_model.Catalog.total_stripes catalog);
   for s = 0 to Vod_model.Catalog.total_stripes catalog - 1 do
     let holders, _ = Directory.resolve d ~origin:(s mod n) ~stripe:s in
     Alcotest.check
       (Alcotest.list Alcotest.int)
       (Printf.sprintf "stripe %d holders" s)
-      (Array.to_list (Vod_model.Allocation.boxes_of_stripe alloc s) |> List.sort compare)
+      (Array.to_list (Alloc_rows.boxes_of_stripe alloc s) |> List.sort compare)
       (List.sort compare holders)
   done;
   checkb "hops tracked" true (Directory.mean_lookup_hops d >= 0.0)

@@ -373,8 +373,8 @@ let roundtrip alloc =
       checki "boxes" (Allocation.n_boxes alloc) (Allocation.n_boxes alloc');
       for s = 0 to Catalog.total_stripes cat - 1 do
         Alcotest.check (Alcotest.array Alcotest.int) "replicas"
-          (Allocation.boxes_of_stripe alloc s)
-          (Allocation.boxes_of_stripe alloc' s)
+          (Alloc_rows.boxes_of_stripe alloc s)
+          (Alloc_rows.boxes_of_stripe alloc' s)
       done
 
 let test_codec_roundtrip_random () =

@@ -285,11 +285,12 @@ let test_repair_lifecycle () =
   ignore (Engine.step e);
   checki "completed transfers retire" 0 (Engine.repair_in_flight e);
   (* install the replica and verify the new holder can serve *)
-  let catalog = Allocation.catalog alloc in
-  Engine.set_alloc e
-    (Allocation.of_replica_lists ~catalog ~n_boxes:4 [| [| 0; 1 |]; [| 0; 2 |] |]);
+  let epoch = Engine.box_epoch e in
+  Engine.install e [ (0, 1); (1, 2) ];
   checkb "installed replica visible" true
-    (Allocation.possesses (Engine.alloc e) ~box:1 ~stripe:0)
+    (Allocation.possesses (Engine.alloc e) ~box:1 ~stripe:0);
+  checkb "installed in place" true (Engine.alloc e == alloc);
+  checki "one epoch move per install" (epoch + 1) (Engine.box_epoch e)
 
 let test_repair_dies_with_dest () =
   let params, fleet, alloc = sole_holder_system ~u:2.0 in
@@ -385,7 +386,7 @@ let alive_count alloc alive s =
   Array.fold_left
     (fun acc b -> if alive.(b) then acc + 1 else acc)
     0
-    (Allocation.boxes_of_stripe alloc s)
+    (Alloc_rows.boxes_of_stripe alloc s)
 
 let test_mend_heals_crash () =
   let params, fleet, alloc = build_system ~n:16 ~u:2.0 ~d:4.0 ~c:2 ~k:3 ~m:16 ~seed:5 () in
@@ -455,9 +456,9 @@ let test_mend_collect_skips_held () =
   two_rounds ();
   checki "one install per replica" 2 (Mend.collect mend e);
   checkb "stripe 0 gained box 1 once" true
-    (Allocation.boxes_of_stripe (Engine.alloc e) 0 = [| 0; 1 |]);
+    (Alloc_rows.boxes_of_stripe (Engine.alloc e) 0 = [| 0; 1 |]);
   transfer 1 3;
-  Engine.set_alloc e (Allocation.add_replicas (Engine.alloc e) [ (1, 3) ]);
+  Engine.install e [ (1, 3) ];
   two_rounds ();
   checki "a held replica is not installed again" 0 (Mend.collect mend e);
   let st = Mend.stats mend in
@@ -482,7 +483,7 @@ let reference_pending ~target_k e =
   in
   List.partition
     (fun s ->
-      Array.exists (fun b -> alive.(b)) (Allocation.boxes_of_stripe alloc s)
+      Array.exists (fun b -> alive.(b)) (Alloc_rows.boxes_of_stripe alloc s)
       && List.exists (destination s) (List.init n Fun.id))
     under
 
@@ -490,14 +491,14 @@ type mend_op =
   | Flip of int
   | Factor of int * float
   | Helper of int * bool
-  | Swap_alloc
+  | Install of int * int (* stripe, box: skipped when the box holds it *)
   | Round of int * int (* a demand, then tick / step / collect *)
 
 let mend_op_name = function
   | Flip b -> Printf.sprintf "flip %d" b
   | Factor (b, f) -> Printf.sprintf "factor %d %.1f" b f
   | Helper (b, h) -> Printf.sprintf "helper %d %b" b h
-  | Swap_alloc -> "swap alloc"
+  | Install (s, b) -> Printf.sprintf "install %d on %d" s b
   | Round (b, v) -> Printf.sprintf "round (demand %d %d)" b v
 
 (* After every operation: [Mend.pending] equals the reference, and the
@@ -519,7 +520,8 @@ let mend_epoch_qcheck =
               (int_bound (n - 1))
               (oneofl [ 0.0; 0.5; 1.0 ]) );
           (1, map2 (fun b h -> Helper (b, h)) (int_bound (n - 1)) bool);
-          (1, return Swap_alloc);
+          ( 1,
+            map2 (fun s b -> Install (s, b)) (int_bound ((m * 2) - 1)) (int_bound (n - 1)) );
           (4, map2 (fun b v -> Round (b, v)) (int_bound (n - 1)) (int_bound (m - 1)));
         ])
   in
@@ -529,11 +531,8 @@ let mend_epoch_qcheck =
          Print.(pair int (fun ops -> String.concat "; " (List.map mend_op_name ops)))
        Gen.(pair (int_bound 1_000_000) (list_size (int_range 1 60) op)))
     (fun (seed, ops) ->
-      let params, fleet, alloc_a = build_system ~n ~u:2.0 ~d:4.0 ~c:2 ~k:3 ~m ~seed () in
-      let _, _, alloc_b =
-        build_system ~n ~u:2.0 ~d:4.0 ~c:2 ~k:2 ~m ~seed:(seed + 1) ()
-      in
-      let e = engine_of ~params ~fleet ~alloc:alloc_a in
+      let params, fleet, alloc = build_system ~n ~u:2.0 ~d:4.0 ~c:2 ~k:3 ~m ~seed () in
+      let e = engine_of ~params ~fleet ~alloc in
       let mend =
         Mend.create ~seed:(seed + 2)
           (Mend.config ~target_k ~budget:4 ~transfer_rounds:2 ())
@@ -541,16 +540,17 @@ let mend_epoch_qcheck =
       let state () =
         ( Array.init n (Engine.is_online e),
           Array.init n (Engine.upload_factor e),
-          Array.init n (Engine.is_helper e) )
+          Array.init n (Engine.is_helper e),
+          Array.init n (Allocation.box_load alloc) )
       in
-      let snapshot = ref (Engine.box_epoch e, state (), Engine.alloc e) in
+      let snapshot = ref (Engine.box_epoch e, state ()) in
       let check label =
-        let epoch, st, alloc = !snapshot in
+        let epoch, st = !snapshot in
         if Engine.box_epoch e = epoch then begin
-          if st <> state () || alloc != Engine.alloc e then
+          if st <> state () then
             Test.fail_reportf "%s: box state changed under epoch %d" label epoch
         end
-        else snapshot := (Engine.box_epoch e, state (), Engine.alloc e);
+        else snapshot := (Engine.box_epoch e, state ());
         if Mend.pending mend e <> reference_pending ~target_k e then
           Test.fail_reportf "%s: pending differs from the recomputed reference" label
       in
@@ -561,8 +561,9 @@ let mend_epoch_qcheck =
           | Flip b -> Engine.set_online e b (not (Engine.is_online e b))
           | Factor (box, factor) -> Engine.set_upload_factor e ~box ~factor
           | Helper (b, h) -> Engine.set_helper e b h
-          | Swap_alloc ->
-              Engine.set_alloc e (if Engine.alloc e == alloc_b then alloc_a else alloc_b)
+          | Install (stripe, box) ->
+              if not (Allocation.possesses alloc ~box ~stripe) then
+                Engine.install e [ (stripe, box) ]
           | Round (box, video) ->
               ignore (Engine.try_demand e ~box ~video : Engine.admit);
               Mend.tick mend e;

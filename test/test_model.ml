@@ -141,7 +141,7 @@ let test_allocation_queries () =
   checkb "not possesses" false (Allocation.possesses a ~box:2 ~stripe:0);
   checki "box 0 load" 2 (Allocation.box_load a 0);
   Alcotest.check (Alcotest.array Alcotest.int) "stripes of box 2" [| 2; 3 |]
-    (Allocation.stripes_of_box a 2)
+    (Alloc_rows.stripes_of_box a 2)
 
 let test_allocation_videos_not_stored () =
   let a = tiny_allocation () in
@@ -186,111 +186,166 @@ let test_allocation_utilisation () =
   (* 6 replicas... actually 2+1+1+2 = 6 replicas, 3 boxes x 2 slots = 6 *)
   checkf "utilisation" 1.0 (Allocation.storage_utilisation a ~fleet ~c:2)
 
-(* [add_replicas] against the rebuild it replaces in the repair
-   controller: append each pair's box to its stripe's row, then
-   [of_replica_lists].  [None] where the rebuild rejects the rows. *)
-let rebuilt_with a pairs =
-  let catalog = Allocation.catalog a and n_boxes = Allocation.n_boxes a in
-  let total = Catalog.total_stripes catalog in
-  let rows = Array.init total (Allocation.boxes_of_stripe a) in
-  match
-    List.iter
-      (fun (s, b) ->
-        if s < 0 || s >= total then invalid_arg "stripe out of range";
-        rows.(s) <- Array.append rows.(s) [| b |])
-      pairs;
-    Allocation.of_replica_lists ~catalog ~n_boxes rows
-  with
-  | a' -> Some a'
-  | exception Invalid_argument _ -> None
+(* The array-of-arrays reference the flat rows are checked against:
+   each stripe's boxes in placement order and ascending, and each box's
+   stripes ascending, as plain arrays.  An install appends to the
+   placement row and inserts into the two ascending ones. *)
+type reference = {
+  placed : int array array;
+  sorted : int array array;
+  boxes : int array array;
+}
 
-(* Row for row: both directions of the incidence, loads and membership. *)
-let same_allocation a b =
-  let n = Allocation.n_boxes a in
-  let stripes = List.init (Catalog.total_stripes (Allocation.catalog a)) Fun.id in
-  let boxes = List.init n Fun.id in
-  n = Allocation.n_boxes b
-  && List.for_all
-       (fun s -> Allocation.boxes_of_stripe a s = Allocation.boxes_of_stripe b s)
-       stripes
-  && List.for_all
-       (fun x ->
-         Allocation.stripes_of_box a x = Allocation.stripes_of_box b x
-         && Allocation.box_load a x = Allocation.box_load b x)
-       boxes
+let reference_of a =
+  let total = Catalog.total_stripes (Allocation.catalog a) in
+  {
+    placed = Array.init total (Alloc_rows.boxes_of_stripe a);
+    sorted = Array.init total (Alloc_rows.sorted_boxes_of_stripe a);
+    boxes = Array.init (Allocation.n_boxes a) (Alloc_rows.stripes_of_box a);
+  }
+
+let insert_ascending row x = Array.of_list (List.sort compare (x :: Array.to_list row))
+
+(* [r] with the pairs installed, or [None] where [add_replicas] must
+   raise (a stripe or box out of range, or a pair already held). *)
+let reference_install r pairs =
+  let r =
+    { placed = Array.copy r.placed; sorted = Array.copy r.sorted; boxes = Array.copy r.boxes }
+  in
+  let total = Array.length r.placed and n = Array.length r.boxes in
+  let ok (s, b) =
+    s >= 0 && s < total && b >= 0 && b < n && not (Array.mem b r.placed.(s))
+  in
+  if
+    List.for_all
+      (fun (s, b) ->
+        ok (s, b)
+        && begin
+             r.placed.(s) <- Array.append r.placed.(s) [| b |];
+             r.sorted.(s) <- insert_ascending r.sorted.(s) b;
+             r.boxes.(b) <- insert_ascending r.boxes.(b) s;
+             true
+           end)
+      pairs
+  then Some r
+  else None
+
+(* Every row of both stripe orders and of the boxes, and membership. *)
+let matches a r =
+  let total = Array.length r.placed and n = Array.length r.boxes in
+  Allocation.n_boxes a = n
   && List.for_all
        (fun s ->
-         List.for_all
-           (fun box ->
-             Allocation.possesses a ~box ~stripe:s
-             = Allocation.possesses b ~box ~stripe:s)
-           boxes)
-       stripes
+         Alloc_rows.boxes_of_stripe a s = r.placed.(s)
+         && Alloc_rows.sorted_boxes_of_stripe a s = r.sorted.(s)
+         && Allocation.replica_count a s = Array.length r.placed.(s)
+         && List.for_all
+              (fun box ->
+                Allocation.possesses a ~box ~stripe:s = Array.mem box r.placed.(s))
+              (List.init n Fun.id))
+       (List.init total Fun.id)
   && List.for_all
-       (fun s ->
-         let sorted = Allocation.sorted_boxes_of_stripe a s in
-         sorted = Allocation.sorted_boxes_of_stripe b s
-         && Array.to_list sorted
-            = List.sort compare (Array.to_list (Allocation.boxes_of_stripe a s)))
-       stripes
+       (fun b ->
+         Alloc_rows.stripes_of_box a b = r.boxes.(b)
+         && Allocation.box_load a b = Array.length r.boxes.(b))
+       (List.init n Fun.id)
 
 let test_add_replicas_cases () =
   let a = tiny_allocation () in
-  let a' = Allocation.add_replicas a [ (1, 0); (1, 2); (2, 0) ] in
+  let before = reference_of a in
+  Allocation.add_replicas a [ (1, 0); (1, 2); (2, 0) ];
   checkb "stripe row appended in order" true
-    (Allocation.boxes_of_stripe a' 1 = [| 1; 0; 2 |]);
+    (Alloc_rows.boxes_of_stripe a 1 = [| 1; 0; 2 |]);
   checkb "sorted stripe row stays ascending" true
-    (Allocation.sorted_boxes_of_stripe a' 1 = [| 0; 1; 2 |]);
+    (Alloc_rows.sorted_boxes_of_stripe a 1 = [| 0; 1; 2 |]);
   checkb "box rows stay ascending" true
-    (Allocation.stripes_of_box a' 0 = [| 0; 1; 2; 3 |]
-    && Allocation.stripes_of_box a' 2 = [| 1; 2; 3 |]);
-  checkb "equals the rebuild" true
-    (match rebuilt_with a [ (1, 0); (1, 2); (2, 0) ] with
-    | Some r -> same_allocation a' r
+    (Alloc_rows.stripes_of_box a 0 = [| 0; 1; 2; 3 |]
+    && Alloc_rows.stripes_of_box a 2 = [| 1; 2; 3 |]);
+  checkb "equals the reference" true
+    (match reference_install before [ (1, 0); (1, 2); (2, 0) ] with
+    | Some r -> matches a r
     | None -> false);
-  checkb "the source allocation is unchanged" true
-    (same_allocation a (tiny_allocation ()));
-  checkb "an empty batch changes nothing" true
-    (same_allocation a (Allocation.add_replicas a []));
+  let installed = reference_of a in
+  Allocation.add_replicas a [];
+  checkb "an empty batch changes nothing" true (matches a installed);
+  let copy = Allocation.copy a in
+  Allocation.add_replicas copy [ (0, 2) ];
+  checkb "a copy's installs leave the source alone" true
+    (matches a installed && Allocation.possesses copy ~box:2 ~stripe:0);
   let raises name msg pairs =
     Alcotest.check_raises name (Invalid_argument ("Allocation.add_replicas: " ^ msg))
-      (fun () -> ignore (Allocation.add_replicas a pairs))
+      (fun () -> Allocation.add_replicas a pairs);
+    checkb (name ^ ": nothing installed") true (matches a installed)
   in
-  raises "duplicate pair in one batch" "duplicate replica in one box" [ (1, 0); (1, 0) ];
+  raises "duplicate pair in one batch" "duplicate replica in one box" [ (0, 2); (0, 2) ];
   raises "already held" "duplicate replica in one box" [ (0, 1) ];
-  raises "stripe above range" "stripe out of range" [ (4, 0) ];
+  raises "stripe above range" "stripe out of range" [ (0, 2); (4, 0) ];
   raises "negative stripe" "stripe out of range" [ (-1, 0) ];
   raises "box above range" "box out of range" [ (0, 3) ];
-  raises "negative box" "box out of range" [ (1, -1) ]
+  raises "negative box" "box out of range" [ (0, 2); (1, -1) ]
 
-let add_replicas_qcheck =
+(* Random install sequences on permutation allocations of small
+   homogeneous, two-class and proportional fleets.  A third of the pairs
+   go to two hot stripes and two hot boxes, so rows outgrow their
+   packed slots and then their tail blocks several times over; the rest
+   are spread, and one in ten reaches one past either end.  After every
+   batch the flat rows equal the reference's, or the batch raised and
+   changed nothing. *)
+let installs_qcheck =
   let open QCheck in
   let gen =
     Gen.(
-      let* n = int_range 1 6 and* m = int_range 1 3 and* c = int_range 1 2 in
-      (* distinct boxes per stripe, in any order *)
-      let row =
-        let* boxes = shuffle_l (List.init n Fun.id) and* k = int_range 0 (min n 3) in
-        return (Array.of_list (List.filteri (fun i _ -> i < k) boxes))
+      let* seed = int_range 0 1_000_000 and* n = int_range 2 40 and* c = int_range 1 3 in
+      let* k = int_range 1 3 and* kind = int_range 0 2 in
+      let* uploads = array_size (return n) (float_range 0.5 3.0) in
+      let fleet =
+        match kind with
+        | 0 -> Box.Fleet.homogeneous ~n ~u:1.5 ~d:4.0
+        | 1 -> Box.Fleet.two_class ~n ~rich_fraction:0.25 ~u_rich:3.0 ~u_poor:0.5 ~d:4.0
+        | _ -> Box.Fleet.proportional ~n ~uploads ~ratio:2.0
       in
-      let* rows = array_repeat (m * c) row in
-      (* mostly in range; the rest reach one past each end *)
-      let in_range = pair (int_bound ((m * c) - 1)) (int_bound (n - 1)) in
-      let wild = pair (int_range (-1) (m * c)) (int_range (-1) n) in
-      let* pairs = list_size (int_range 0 5) (frequency [ (9, in_range); (1, wild) ]) in
-      return (n, m, c, rows, pairs))
+      (* k = 1 fits every fleet here: each box stores at least c slots *)
+      let k = if Vod_alloc.Schemes.max_catalog ~fleet ~c ~k < 1 then 1 else k in
+      let m = max 1 (Vod_alloc.Schemes.max_catalog ~fleet ~c ~k / 2) in
+      let total = m * c in
+      let spread = pair (int_bound (total - 1)) (int_bound (n - 1)) in
+      let hot = pair (int_bound (min 1 (total - 1))) (int_bound (n - 1)) in
+      let hot_box = pair (int_bound (total - 1)) (int_bound (min 1 (n - 1))) in
+      let wild = pair (int_range (-1) total) (int_range (-1) n) in
+      let pair = frequency [ (6, spread); (2, hot); (1, hot_box); (1, wild) ] in
+      let* batches = list_size (int_range 1 12) (list_size (int_range 0 8) pair) in
+      return (seed, kind, fleet, m, c, k, batches))
   in
-  Test.make ~name:"add_replicas equals of_replica_lists on the appended rows" ~count:300
-    (make gen) (fun (n, m, c, rows, pairs) ->
+  let print (seed, kind, fleet, m, c, k, batches) =
+    Printf.sprintf "seed %d fleet %d n %d m %d c %d k %d batches %s" seed kind
+      (Array.length fleet) m c k
+      (String.concat " | "
+         (List.map
+            (fun b ->
+              String.concat " " (List.map (fun (s, x) -> Printf.sprintf "%d:%d" s x) b))
+            batches))
+  in
+  Test.make ~name:"installs equal the array-of-arrays reference" ~count:300
+    (make ~print gen) (fun (seed, _, fleet, m, c, k, batches) ->
       let catalog = Catalog.create ~m ~c in
-      let a = Allocation.of_replica_lists ~catalog ~n_boxes:n rows in
-      let added =
-        try Some (Allocation.add_replicas a pairs) with Invalid_argument _ -> None
+      let a =
+        Vod_alloc.Schemes.random_permutation (Vod_util.Prng.create ~seed ()) ~fleet
+          ~catalog ~k
       in
-      match (rebuilt_with a pairs, added) with
-      | Some r, Some a' -> same_allocation r a'
-      | None, None -> true
-      | _ -> false)
+      let r = ref (reference_of a) in
+      List.for_all
+        (fun pairs ->
+          let raised =
+            match Allocation.add_replicas a pairs with
+            | () -> false
+            | exception Invalid_argument _ -> true
+          in
+          (match reference_install !r pairs with
+          | Some r' when not raised -> r := r'
+          | None when raised -> ()
+          | _ -> Test.fail_reportf "add_replicas raised %b against the reference" raised);
+          matches a !r)
+        batches)
 
 let suites =
   [
@@ -328,7 +383,7 @@ let suites =
         Alcotest.test_case "missing replica" `Quick test_allocation_missing_replica;
         Alcotest.test_case "utilisation" `Quick test_allocation_utilisation;
         Alcotest.test_case "add_replicas cases" `Quick test_add_replicas_cases;
-        QCheck_alcotest.to_alcotest add_replicas_qcheck;
+        QCheck_alcotest.to_alcotest installs_qcheck;
       ] );
   ]
 

@@ -87,7 +87,7 @@ let test_repair_input_validation () =
 let replica_lists alloc =
   let total = Catalog.total_stripes (Allocation.catalog alloc) in
   List.init total (fun s ->
-      Allocation.boxes_of_stripe alloc s |> Array.to_list |> List.sort compare)
+      Alloc_rows.boxes_of_stripe alloc s |> Array.to_list |> List.sort compare)
 
 (* Pins the determinism contract of Repair.repair (ascending stripe
    order, one shuffle per stripe): same seed and inputs must yield a
@@ -160,7 +160,7 @@ let test_cancelled_viewer_still_serves_swarm () =
   let g = Prng.create ~seed:13 () in
   let alloc = Vod_alloc.Schemes.random_permutation g ~fleet ~catalog ~k:1 in
   let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
-  let holder = (Allocation.boxes_of_stripe alloc 0).(0) in
+  let holder = (Alloc_rows.boxes_of_stripe alloc 0).(0) in
   let viewers = List.filter (fun b -> b <> holder) (List.init n Fun.id) in
   let a = List.nth viewers 0 and b = List.nth viewers 1 in
   Engine.demand sim ~box:a ~video:0;

@@ -27,7 +27,7 @@ let qcheck_cases =
         | Ok alloc' ->
             let ok = ref (Allocation.n_boxes alloc = Allocation.n_boxes alloc') in
             for s = 0 to Catalog.total_stripes catalog - 1 do
-              if Allocation.boxes_of_stripe alloc s <> Allocation.boxes_of_stripe alloc' s
+              if Alloc_rows.boxes_of_stripe alloc s <> Alloc_rows.boxes_of_stripe alloc' s
               then ok := false
             done;
             !ok);

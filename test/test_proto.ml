@@ -102,7 +102,7 @@ let test_swarm_uses_caches () =
   let g = Prng.create ~seed:11 () in
   let alloc = Vod_alloc.Schemes.random_permutation g ~fleet ~catalog ~k:1 in
   let p = Proto.create { Proto.params; fleet; alloc } in
-  let holder = (Allocation.boxes_of_stripe alloc 0).(0) in
+  let holder = (Alloc_rows.boxes_of_stripe alloc 0).(0) in
   let viewers = List.filter (fun b -> b <> holder) (List.init n Fun.id) in
   Proto.demand p ~box:(List.nth viewers 0) ~video:0;
   for _ = 1 to 8 do
@@ -187,7 +187,7 @@ let test_server_death_failover () =
      k replicas of some stripe it needs *)
   let cat = Vod_model.Allocation.catalog cfg.Proto.alloc in
   let stripe0 = Vod_model.Catalog.stripe_id cat ~video:0 ~index:0 in
-  let holders = Vod_model.Allocation.boxes_of_stripe cfg.Proto.alloc stripe0 in
+  let holders = Alloc_rows.boxes_of_stripe cfg.Proto.alloc stripe0 in
   (* kill one holder only — others must take over *)
   if Array.length holders > 0 && holders.(0) <> 0 then Proto.set_online p holders.(0) false;
   for _ = 1 to 120 do

@@ -111,7 +111,7 @@ let test_cache_serving () =
   let sim = Engine.create ~params ~fleet ~alloc ~policy:Engine.Continue () in
   (* pick a video and a demanding box that does not store it *)
   let video = 0 in
-  let holder = (Allocation.boxes_of_stripe alloc 0).(0) in
+  let holder = (Alloc_rows.boxes_of_stripe alloc 0).(0) in
   let all = List.init 6 Fun.id in
   let viewers = List.filter (fun b -> b <> holder) all in
   let a = List.nth viewers 0 and b = List.nth viewers 1 in
