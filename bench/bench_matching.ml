@@ -26,15 +26,12 @@ type record = {
   alloc_per_round : float; (* bytes *)
 }
 
-(* Bytes allocated so far, on both heaps: minor + major - promoted
-   words.  [Gc.minor_words] includes the live minor heap, whereas
-   [Gc.allocated_bytes] moves by the whole minor heap on the round a
-   minor collection runs, so a delta of it reads how many collections
-   fell inside the timed region, not what that region allocated. *)
-let allocated_bytes () =
-  let s = Gc.quick_stat () in
-  (Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words)
-  *. float_of_int (Sys.word_size / 8)
+(* Bytes allocated so far, on both heaps, from {!Obs.Words}'s exact
+   word count.  [Gc.allocated_bytes] moves by the whole minor heap on
+   the round a minor collection runs, so a delta of it reads how many
+   collections fell inside the timed region, not what that region
+   allocated. *)
+let allocated_bytes () = Obs.Words.allocated () *. float_of_int (Sys.word_size / 8)
 
 (* Best of [repeats] runs of [f], which returns (ns, work, bytes):
    scheduler hiccups only ever add time, so the minimum is the stable

@@ -77,8 +77,9 @@ module Obs = Vod_obs
 (** The observability subsystem: metrics registry ([Obs.Registry]),
     span tracing ([Obs.Span]), JSONL export ([Obs.Export]), trace
     loading/validation/summaries ([Obs.Report]), multi-window SLO burn
-    rates ([Obs.Slo]), collapsed-stack flamegraph folding ([Obs.Flame])
-    and terminal dashboard primitives ([Obs.Dash]).  Solvers and the
+    rates ([Obs.Slo]), collapsed-stack flamegraph folding ([Obs.Flame]),
+    terminal dashboard primitives ([Obs.Dash]) and exact allocation
+    counts ([Obs.Words]).  Solvers and the
     engine record into [Obs.Registry.default]; span recording is off
     until a recorder is installed with [Obs.Span.install].  SLOs are
     fed by the one per-round observer, [Telemetry], which every loop

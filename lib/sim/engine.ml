@@ -186,8 +186,12 @@ type t = {
   mutable box_epoch : int;
       (* bumped by every mutator a derived per-box view reads (online
          flips, upload factors, helper marks, the allocation) *)
-  last_loads : int array;
   cumulative_loads : int array; (* stripe-rounds served per box, ever *)
+  mutable served_by : int array;
+  mutable served_rows : int;
+      (* the last round's assignment, [served_by.(0 .. served_rows - 1)]:
+         each row's server, or -1.  [last_loads] counts it up on demand;
+         it may be the arena's slab, which only the next step writes. *)
   capacity : int array; (* matching upload slots per box, net of reservations *)
   upload_factor : float array; (* per-box degradation factor in [0, 1] *)
   mutable link_faults : (time:int -> owner:int -> server:int -> bool) option;
@@ -204,7 +208,16 @@ type t = {
   expiry : ibuf array;
       (* T + 1 buckets by activation round: the slots that entered a
          window at round r leave it at the start of round r + T + 1 *)
-  busy_until : int array;
+  busy_until : int array; (* written only by [set_busy_until] *)
+  busy_ring : int array;
+      (* T + 5 buckets: [busy_ring.(u mod (T + 5))] counts the boxes
+         whose [busy_until] is [u], for [u > now].  A box is made busy
+         at most [T + 4] rounds ahead, so no two live [u] share a
+         bucket.  An offline box is never counted: going offline sets
+         its [busy_until] to [now], and nothing raises it while the box
+         stays offline. *)
+  mutable busy_now : int; (* the ring's total: boxes busy at [now] *)
+  mutable offline : int; (* boxes offline *)
   idle_from : int array;
       (* per box: the round from which it may be drafted as a viewer
          ([busy_until]), or [max_int] while it is offline, has a demand
@@ -227,8 +240,9 @@ type t = {
   arena : Vod_graph.Arena.t; (* solver scratch, allocated once per engine *)
   online_cap : int array;
       (* per box: [capacity] if online, else 0 — the matching's right
-         capacities, kept in step by [set_online]/[set_upload_factor] *)
-  seats : int array; (* the walk's free seats per box, from [online_cap] *)
+         capacities, kept in step by [set_online]/[set_upload_factor].
+         The walk takes its seats from it and gives every one back
+         before it returns, so between rounds it always holds. *)
   sched_rng : Vod_util.Prng.t; (* randomness for the decentralised scheduler *)
   demand_round : int array; (* per box: round of its current demand's first request *)
   awaiting_first : int array; (* per box: stripes of the current demand not yet streaming *)
@@ -277,8 +291,9 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
     online = Array.make n true;
     helper = Array.make n false;
     box_epoch = 0;
-    last_loads = Array.make n 0;
     cumulative_loads = Array.make n 0;
+    served_by = [||];
+    served_rows = 0;
     capacity;
     upload_factor = Array.make n 1.0;
     link_faults = None;
@@ -292,6 +307,9 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
     window_tail = Array.make stripes (-1);
     expiry = Array.init (params.Params.duration + 1) (fun _ -> ibuf ());
     busy_until = Array.make n 0;
+    busy_ring = Array.make (params.Params.duration + 5) 0;
+    busy_now = 0;
+    offline = 0;
     idle_from = Array.make n 0;
     stripe_counter = Array.make (max m 1) 0;
     swarm = Array.init (max m 1) (fun _ -> ibuf ());
@@ -308,7 +326,6 @@ let create ~params ~fleet ~alloc ?compensation ?(policy = Fail_fast)
         ~fill:(fun _ _ -> ());
     arena = Vod_graph.Arena.create ();
     online_cap = Array.copy capacity;
-    seats = Array.make n 0;
     demand_round = Array.make n 0;
     awaiting_first = Array.make n 0;
     startups = Vec.create ();
@@ -328,6 +345,23 @@ let refresh_idle t b =
     (if t.online.(b) && (not t.pending_box.(b)) && not t.helper.(b) then t.busy_until.(b)
      else max_int)
 
+(* Count box [b]'s [busy_until] into the busy ring ([delta] = 1) or
+   out of it (-1). *)
+let track_busy t b delta =
+  let u = t.busy_until.(b) in
+  if u > t.now then begin
+    let k = u mod Array.length t.busy_ring in
+    t.busy_ring.(k) <- t.busy_ring.(k) + delta;
+    t.busy_now <- t.busy_now + delta
+  end
+
+(* The one writer of [busy_until]: it keeps the busy ring in step. *)
+let set_busy_until t b u =
+  track_busy t b (-1);
+  t.busy_until.(b) <- u;
+  track_busy t b 1;
+  refresh_idle t b
+
 let set_helper t b flag =
   if b < 0 || b >= t.params.Params.n then invalid_arg "Engine.set_helper: box out of range";
   t.helper.(b) <- flag;
@@ -337,7 +371,14 @@ let set_helper t b flag =
 let is_helper t b =
   if b < 0 || b >= t.params.Params.n then invalid_arg "Engine.is_helper: box out of range";
   t.helper.(b)
-let last_loads t = Array.copy t.last_loads
+let last_loads t =
+  let loads = Array.make t.params.Params.n 0 in
+  for l = 0 to t.served_rows - 1 do
+    let b = t.served_by.(l) in
+    if b >= 0 then loads.(b) <- loads.(b) + 1
+  done;
+  loads
+
 let cumulative_loads t = Array.copy t.cumulative_loads
 let is_idle t b = t.online.(b) && t.busy_until.(b) <= t.now && not t.pending_box.(b)
 
@@ -539,7 +580,7 @@ let emit_requests t ~box ~video ~time =
         for j = 0 to c - 1 do
           make ~kind:Postponed ~requester:box ~index:j ~at:time
         done;
-      t.busy_until.(box) <- time + t.params.Params.duration + 2
+      set_busy_until t box (time + t.params.Params.duration + 2)
   | Some relay ->
       (* Theorem 2 strategy: preload via the relay at t, [cb] direct
          requests at t+2, the rest via the relay at t+3. *)
@@ -559,8 +600,7 @@ let emit_requests t ~box ~video ~time =
         make ~kind:Relayed_postponed ~requester:relay ~index:((preload_index + j) mod c)
           ~at:(time + 3)
       done;
-      t.busy_until.(box) <- time + t.params.Params.duration + 4);
-  refresh_idle t box
+      set_busy_until t box (time + t.params.Params.duration + 4))
 
 (* ------------------------------------------------------------------ *)
 (* Repair transfers (vod_fault's maintenance controller)               *)
@@ -704,8 +744,7 @@ let cancel t box =
   ignore
     (drop_requests t (fun s -> st.Store.owner.(s) <> box || is_repair st.Store.kind.(s))
       : bool);
-  t.busy_until.(box) <- t.now;
-  refresh_idle t box;
+  set_busy_until t box t.now;
   t.awaiting_first.(box) <- 0
 
 let set_online t box online =
@@ -726,8 +765,10 @@ let set_online t box online =
       Vec.filter_in_place (fun (pb, _) -> pb <> box) t.pending;
       t.pending_box.(box) <- false
     end;
-    t.busy_until.(box) <- t.now
+    set_busy_until t box t.now;
+    t.offline <- t.offline + 1
   end;
+  if online && not t.online.(box) then t.offline <- t.offline - 1;
   t.online.(box) <- online;
   refresh_idle t box;
   t.online_cap.(box) <- (if online then t.capacity.(box) else 0)
@@ -796,26 +837,27 @@ let last_instance t =
    order, takes its lowest-id candidate with a free seat.  That is the
    seat [Dinic.solve_csr]'s greedy pass gives it from the sorted,
    deduplicated CSR row, since neither duplicates nor emit order change
-   a minimum.  The candidates are [emit_row]'s, read in place: a box
-   has a free seat exactly when its [seats] entry (its [online_cap]
-   less the rows seated on it, so 0 while offline) is positive, the
-   first such replica of the ascending row is the row's lowest, and
-   the window can only undercut it.  The result lands in the arena's
-   [assignment] and [right_load] slabs, where the solver would leave
-   it.  True when every row is seated; the walk stops at the first row
-   left free.  A closed round still sizes the instance and the solver
-   scratch for its rows, as a build would, from an upper bound on the
-   edges (every replica and window candidate, online or not): the
-   buffers then follow the run's size whether or not a round builds,
-   so a fallback round grows nothing and what a run allocates does
-   not hang on which rounds fall back. *)
+   a minimum.  The candidates are [emit_row]'s, read in place: the
+   walk takes each seat off the box's [online_cap] entry, so a box has
+   a free seat exactly when that entry (its capacity less the rows
+   seated on it, 0 while offline) is positive, the first such replica
+   of the ascending row is the row's lowest, and the window can only
+   undercut it.  Each row's server lands in the arena's [assignment]
+   slab, where the solver would leave it; the per-box loads are the
+   account's, read off that assignment.  True when every row is
+   seated; the walk stops at the first row left free.  Either way it
+   then gives back every seat it took, one per seated row, so
+   [online_cap] holds again without a pass over the boxes.  A closed
+   round still sizes the instance and the solver scratch for its rows,
+   as a build would, from an upper bound on the edges (every replica
+   and window candidate, online or not): the buffers then follow the
+   run's size whether or not a round builds, so a fallback round grows
+   nothing and what a run allocates does not hang on which rounds fall
+   back. *)
 let seat_rows t rows n_left =
-  let n = t.params.Params.n and arena = t.arena in
-  let load = Vod_graph.Arena.ints arena.Vod_graph.Arena.right_load (max n 1) in
+  let arena = t.arena in
   let assignment = Vod_graph.Arena.ints arena.Vod_graph.Arena.assignment (max n_left 1) in
-  Array.fill load 0 n 0;
-  let seats = t.seats in
-  Array.blit t.online_cap 0 seats 0 n;
+  let seats = t.online_cap in
   let st = t.store and alloc = t.alloc in
   let replicas = Allocation.sorted_holders alloc in
   let stripe_of = st.Store.stripe and kind = st.Store.kind in
@@ -862,9 +904,12 @@ let seat_rows t rows n_left =
   do
     let b = !best in
     assignment.(!l) <- b;
-    load.(b) <- load.(b) + 1;
     seats.(b) <- seats.(b) - 1;
     incr l
+  done;
+  for i = 0 to !l - 1 do
+    let b = assignment.(i) in
+    seats.(b) <- seats.(b) + 1
   done;
   let closed = !l = n_left in
   if closed then Vod_graph.Bipartite.reserve ~arena t.inst ~n_left ~n_edges:!edges;
@@ -878,8 +923,8 @@ let retire t =
 
 (* The rounds the walk cannot close, and every round of a cost-aware
    or proposal scheduler: build the connection-matching instance and
-   solve it.  A deficient matching leaves its Hall certificate in
-   [last_violator]. *)
+   solve it, for the rows' servers.  A deficient matching leaves its
+   Hall certificate in [last_violator]. *)
 let solve_instance t rows n_left =
   let st = t.store in
   let instance =
@@ -894,12 +939,12 @@ let solve_instance t rows n_left =
     t.inst
   in
   Vod_obs.Span.with_ ~name:"matching" @@ fun () ->
-  let of_outcome o = Vod_graph.Bipartite.(o.matched, o.assignment, o.right_load) in
-  let matched, assignment, right_load =
+  let of_outcome o = Vod_graph.Bipartite.(o.matched, o.assignment) in
+  let matched, assignment =
     match t.scheduler with
     | Arbitrary ->
         let size = Vod_graph.Bipartite.solve_in_arena ~arena:t.arena instance in
-        (size, Vod_graph.Arena.assignment t.arena, Vod_graph.Arena.right_load t.arena)
+        (size, Vod_graph.Arena.assignment t.arena)
     | Prefer_cache ->
         (* serving from a static replica costs 1, from a cache 0: among
            maximum matchings, minimise the load on the allocation *)
@@ -941,13 +986,17 @@ let solve_instance t rows n_left =
           (* re-solves in the arena; these schedulers' results are
              fresh arrays *)
           Vod_graph.Bipartite.hall_violator ~arena:t.arena instance);
-  (assignment, right_load)
+  assignment
 
 let step t =
   Vod_obs.Span.with_ ~name:"round" @@ fun () ->
   flush_dropped t;
   let time = t.now + 1 in
   t.now <- time;
+  (* the boxes busy until [time] are idle from it on *)
+  let due = time mod Array.length t.busy_ring in
+  t.busy_now <- t.busy_now - t.busy_ring.(due);
+  t.busy_ring.(due) <- 0;
   Vod_obs.Registry.incr obs_rounds;
   let new_demands =
     Vod_obs.Span.with_ ~name:"demand-admit" @@ fun () ->
@@ -988,7 +1037,6 @@ let step t =
      arrays and the row buffer stay put. *)
   let st = t.store in
   let rows = t.active.data and n_left = t.active.len in
-  let n = t.params.Params.n in
   Vod_obs.Registry.set obs_active n_left;
   t.faulted_rows.len <- 0;
   (* 4. The connection matching (Section 2.2).  Above the threshold the
@@ -1001,30 +1049,34 @@ let step t =
   in
   t.deferred_epoch <- (if closed then t.box_epoch else -1);
   t.last_instance <- None;
-  (* [assignment] and [right_load] may be borrowed from the arena: only
-     entries [0 .. n_left - 1] and [0 .. n - 1] are read. *)
-  let assignment, right_load =
-    if closed then (Vod_graph.Arena.assignment t.arena, Vod_graph.Arena.right_load t.arena)
-    else solve_instance t rows n_left
+  (* [assignment] may be borrowed from the arena: only entries
+     [0 .. n_left - 1] are read. *)
+  let assignment =
+    if closed then Vod_graph.Arena.assignment t.arena else solve_instance t rows n_left
   in
+  t.served_by <- assignment;
+  t.served_rows <- n_left;
   let report =
     Vod_obs.Span.with_ ~name:"account" @@ fun () ->
     (* 5. Progress the served requests and account cache vs allocation.
        A matched connection may still be dropped by a transient link
        fault (the slot was consumed; the data never arrived): the
-       request stalls exactly like an unmatched one. *)
+       request stalls exactly like an unmatched one, and the slot
+       still counts in the server's load. *)
     let served_from_cache = ref 0 and rewired = ref 0 and cross_group = ref 0 in
     let user_active = ref 0 and user_served = ref 0 in
     let repair_active = ref 0 and repair_served = ref 0 in
     let faulted = ref 0 in
     let stripe_of = st.Store.stripe and owner_of = st.Store.owner in
     let progress = st.Store.progress and last_server = st.Store.last_server in
+    let cumulative_loads = t.cumulative_loads in
     for l = 0 to n_left - 1 do
       let s = rows.(l) in
       let is_repair = is_repair st.Store.kind.(s) in
       if is_repair then incr repair_active else incr user_active;
       let server = assignment.(l) in
       if server >= 0 then begin
+        cumulative_loads.(server) <- cumulative_loads.(server) + 1;
         let owner = owner_of.(s) in
         let dropped =
           match t.link_faults with
@@ -1067,21 +1119,9 @@ let step t =
     let unserved = !user_active - !user_served in
     Vod_obs.Registry.add obs_unserved unserved;
     Vod_obs.Registry.add obs_repair_served !repair_served;
-    (* one pass over the boxes: this round's loads and the box states *)
-    let busy = ref 0 and offline = ref 0 in
-    let online = t.online and busy_until = t.busy_until and pending_box = t.pending_box in
-    let last_loads = t.last_loads and cumulative_loads = t.cumulative_loads in
-    for b = 0 to n - 1 do
-      let load = right_load.(b) in
-      last_loads.(b) <- load;
-      cumulative_loads.(b) <- cumulative_loads.(b) + load;
-      (* [is_idle], inlined *)
-      if not online.(b) then begin
-        incr offline;
-        incr busy
-      end
-      else if busy_until.(b) > time || pending_box.(b) then incr busy
-    done;
+    (* step 2 drained [pending], so no box has a demand pending: the
+       busy boxes are the offline ones and the ones the ring counts *)
+    assert (Vec.length t.pending = 0);
     {
       time;
       new_demands;
@@ -1091,8 +1131,8 @@ let step t =
       served_from_cache = !served_from_cache;
       rewired = !rewired;
       cross_group = !cross_group;
-      busy_boxes = !busy;
-      offline_boxes = !offline;
+      busy_boxes = t.offline + t.busy_now;
+      offline_boxes = t.offline;
       faulted = !faulted;
       repair_active = !repair_active;
       repair_served = !repair_served;
@@ -1163,6 +1203,30 @@ let audit_requests t =
   done;
   if !reachable <> Store.live st then
     fail "%d reachable slots against %d live" !reachable (Store.live st);
+  match List.rev !problems with [] -> Ok () | p :: _ -> Error p
+
+let audit_boxes t =
+  let problems = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
+  let span = Array.length t.busy_ring in
+  let ring = Array.make span 0 and busy = ref 0 and offline = ref 0 in
+  for b = 0 to t.params.Params.n - 1 do
+    let online = t.online.(b) in
+    let cap = if online then t.capacity.(b) else 0 in
+    if t.online_cap.(b) <> cap then
+      fail "box %d: online capacity %d, not %d" b t.online_cap.(b) cap;
+    if not online then incr offline;
+    let u = t.busy_until.(b) in
+    if u > t.now then begin
+      if not online then fail "offline box %d is busy until %d" b u;
+      if u >= t.now + span then fail "box %d is busy until %d, past the ring" b u;
+      incr busy;
+      ring.(u mod span) <- ring.(u mod span) + 1
+    end
+  done;
+  if !offline <> t.offline then fail "%d boxes offline, counted %d" !offline t.offline;
+  if !busy <> t.busy_now then fail "%d boxes busy, counted %d" !busy t.busy_now;
+  if ring <> t.busy_ring then fail "the busy ring's buckets disagree with busy_until";
   match List.rev !problems with [] -> Ok () | p :: _ -> Error p
 
 (* Single source of truth for the report's scalar fields: Metrics.to_csv

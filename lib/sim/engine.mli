@@ -89,7 +89,14 @@ type round_report = {
       (** Served connections crossing topology groups (0 when no
           topology was supplied). *)
   busy_boxes : int;
-  offline_boxes : int;  (** Boxes offline (crashed) during the round. *)
+      (** Boxes that could not take a demand at the round's end: the
+          offline ones, plus the online ones still playing a video
+          (busy until a later round).  A helper takes no demands, so it
+          is never busy while online; offline, it counts like any box.
+          Kept by events (demands, {!cancel}, {!set_online}), so
+          reading it costs no pass over the boxes. *)
+  offline_boxes : int;
+      (** Boxes offline (crashed) during the round, helpers included. *)
   faulted : int;
       (** Matched connections dropped by a transient link fault
           ({!set_link_faults}) — the slot was consumed but no data
@@ -273,12 +280,19 @@ val repair_in_flight : t -> int
 (** Repair transfers currently active or scheduled. *)
 
 val last_loads : t -> int array
-(** Upload slots used per box in the most recent round's matching. *)
+(** Upload slots used per box in the most recent round's matching:
+    every connection the matching made from the box, a connection a
+    link fault dropped included (its slot was consumed, see
+    {!set_link_faults}); 0 for a box that served nothing, and for every
+    box before the first round.  Counted up on each call from the
+    round's assignment, which the engine keeps until the next step:
+    O(n + requests), for tests and reports, not for a per-round loop. *)
 
 val cumulative_loads : t -> int array
-(** Total stripe-rounds served by each box since creation — the
-    forwarding-load balance the paper's introduction worries about,
-    measurable with {!Vod_util.Stats.jain_fairness}. *)
+(** Total stripe-rounds served by each box since creation, the sum of
+    every round's {!last_loads} (link-faulted connections included) —
+    the forwarding-load balance the paper's introduction worries about,
+    measurable with {!Vod_util.Stats.jain_fairness}.  A fresh copy. *)
 
 val startup_delays : t -> int array
 (** Realised start-up delay of every demand whose [c] stripes have all
@@ -347,6 +361,11 @@ val step : t -> round_report
     the instance's buffers and the solver's scratch to its size, so the
     buffers, and what a run allocates, do not depend on which rounds
     fall back.  The other schedulers build and solve every round.
+
+    A round's work follows its requests, not the fleet: the walk gives
+    back the seats it took, the loads are added up per matched request
+    and the box counts of the report are kept as boxes change, so a
+    round the walk closes makes no pass over the [n] boxes.
     @raise Defeated (with the report) under [Fail_fast] when some
     request cannot be served. *)
 
@@ -398,6 +417,14 @@ val audit_requests : t -> (unit, string) result
     its stripe's FIFO, no freed slot is reachable and no live one is
     unreachable.  [Error] names the first violation.  O(pool + stripes);
     for tests. *)
+
+val audit_boxes : t -> (unit, string) result
+(** Check, between steps, the per-box state a round reads without a
+    pass over the boxes: every box's matching capacity is its upload
+    slots while online and 0 offline (the greedy walk of {!step} takes
+    its seats there and must give each one back), and the offline and
+    busy counts {!round_report} reads equal a recount from the boxes'
+    own state.  [Error] names the first violation.  O(n); for tests. *)
 
 val run :
   t -> rounds:int -> demands_for:(t -> int -> (int * int) list) -> round_report list

@@ -424,27 +424,8 @@ let qcheck_cases =
 (* Allocation guards                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Words allocated on both heaps (minor + major - promoted, so arrays too
-   large for the minor heap count too) by [f], net of what an empty
-   measurement window allocates itself.  On OCaml 5.1 each count has one
-   exact reader: [Gc.minor_words] for the minor heap ([Gc.counters]
-   divides its uncollected part by the word size again), and
-   [Gc.counters] for the major and promoted words ([Gc.quick_stat]'s
-   major count, which the engine guard reads, leaves out arrays made
-   straight on the major heap until the next major slice: a 24577-word
-   copy read as 0 there). *)
-let words_of f =
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
-  let overhead =
-    let w0 = words () in
-    words () -. w0
-  in
-  let w0 = words () in
-  let result = f () in
-  (result, words () -. w0 -. overhead)
+(* Words allocated on both heaps by [f], net of the measurement's own. *)
+let words_of = Vod_obs.Words.spent
 
 (* chaos-outage's placement: n = 8192, d = 4, c = 4, k = 4 and 6144
    videos, 24576 stripes on 131072 slots. *)

@@ -575,9 +575,9 @@ let mend_epoch_qcheck =
 
 (* Words [Mend.tick] + [Mend.pending] allocate per fault-free round of a
    warmed n=4096 engine, on both heaps, net of the measurement's own
-   allocation.  The minor count comes from [Gc.minor_words], which is
-   exact at the call; [Gc.quick_stat]'s minor count only moves at a
-   minor collection, too rarely for windows this short.
+   allocation, read by {!Vod_obs.Words}: [Gc.quick_stat]'s minor count
+   only moves at a minor collection, too rarely for windows this short,
+   and its major count misses arrays made straight on the major heap.
 
    It was 21_336 words per round when both calls rebuilt an n-word
    alive array and rescanned the catalogue every round, and [tick] an
@@ -598,29 +598,16 @@ let test_mend_alloc_guard () =
   let arrivals =
     Vod_workload.Generators.uniform_arrivals (Prng.create ~seed:7 ()) ~rate:30.0
   in
-  let words () =
-    let minor = Gc.minor_words () in
-    let s = Gc.quick_stat () in
-    minor +. s.Gc.major_words -. s.Gc.promoted_words
-  in
-  (* what one empty measurement window allocates itself *)
-  let overhead =
-    let w0 = words () in
-    words () -. w0
-  in
   let spent = ref 0.0 in
   let round () =
     List.iter
       (fun (box, video) -> ignore (Engine.try_demand e ~box ~video : Engine.admit))
       (arrivals e (Engine.now e + 1));
-    let w0 = words () in
-    Mend.tick mend e;
-    let w1 = words () in
+    let (), ticked = Vod_obs.Words.spent (fun () -> Mend.tick mend e) in
     ignore (Engine.step e : Engine.round_report);
     ignore (Mend.collect mend e : int);
-    let w2 = words () in
-    ignore (Mend.pending mend e : int list * int list);
-    spent := !spent +. (w1 -. w0) +. (words () -. w2) -. (2.0 *. overhead)
+    let _, pended = Vod_obs.Words.spent (fun () -> Mend.pending mend e) in
+    spent := !spent +. ticked +. pended
   in
   for _ = 1 to 10 do
     round ()

@@ -522,7 +522,7 @@ type walk_sys = Below | Above | Relayed
 let walk_n = 16
 let walk_m = 6
 
-let walk_engine sys =
+let walk_engine ?scheduler sys =
   let n = walk_n and m = walk_m and t = 5 in
   let params, fleet, alloc, compensation =
     match sys with
@@ -541,7 +541,7 @@ let walk_engine sys =
         | None -> Alcotest.fail "the two-class walk fleet should be compensable"
         | Some comp -> (params, fleet, alloc, Some comp))
   in
-  Engine.create ~params ~fleet ~alloc ?compensation ~policy:Engine.Continue ()
+  Engine.create ~params ~fleet ~alloc ?compensation ?scheduler ~policy:Engine.Continue ()
 
 type walk_op =
   | W_demand of int * int
@@ -551,6 +551,8 @@ type walk_op =
   | W_repair of int * int * int
   | W_abort of int (* the k-th injected repair, modulo their count *)
   | W_helper of int * bool
+  | W_factor of int * float
+  | W_install of int * int (* stripe, box *)
   | W_step
 
 let walk_op_name = function
@@ -561,7 +563,37 @@ let walk_op_name = function
   | W_repair (s, d, r) -> Printf.sprintf "repair %d -> %d (%d rounds)" s d r
   | W_abort k -> Printf.sprintf "abort #%d" k
   | W_helper (b, f) -> Printf.sprintf "helper %d %b" b f
+  | W_factor (b, f) -> Printf.sprintf "upload factor %d %g" b f
+  | W_install (s, b) -> Printf.sprintf "install %d on %d" s b
   | W_step -> "step"
+
+(* One op on [e]; [step] runs the round.  [injected] lists the repairs
+   injected so far, for [W_abort]. *)
+let apply_walk_op e injected ~step = function
+  | W_demand (b, v) -> ignore (Engine.try_demand e ~box:b ~video:v : Engine.admit)
+  | W_cancel b -> Engine.cancel e b
+  | W_online (b, flag) -> Engine.set_online e b flag
+  | W_group (g, flag) ->
+      for b = 4 * g to (4 * g) + 3 do
+        Engine.set_online e b flag
+      done
+  | W_repair (stripe, dest, rounds) ->
+      if Engine.is_online e dest then begin
+        Engine.inject_repair e ~stripe ~dest ~rounds;
+        injected := (stripe, dest) :: !injected
+      end
+  | W_abort k -> (
+      match !injected with
+      | [] -> ()
+      | l ->
+          let stripe, dest = List.nth l (k mod List.length l) in
+          ignore (Engine.abort_repair e ~stripe ~dest : bool))
+  | W_helper (b, flag) -> Engine.set_helper e b flag
+  | W_factor (b, factor) -> Engine.set_upload_factor e ~box:b ~factor
+  | W_install (stripe, box) ->
+      if not (Allocation.possesses (Engine.alloc e) ~box ~stripe) then
+        Engine.install e [ (stripe, box) ]
+  | W_step -> step ()
 
 (* Dinic's greedy pass on a built instance: every row, in order, takes
    the first right of its sorted row with a free seat.  True when it
@@ -613,42 +645,22 @@ let walk_matches_solve (sys, faults, ops) =
             (if built then "built an instance greedy closes"
              else "greedy leaves a row free, yet nothing was built")
   in
-  let apply = function
-    | W_demand (b, v) -> ignore (Engine.try_demand e ~box:b ~video:v : Engine.admit)
-    | W_cancel b -> Engine.cancel e b
-    | W_online (b, flag) -> Engine.set_online e b flag
-    | W_group (g, flag) ->
-        for b = 4 * g to (4 * g) + 3 do
-          Engine.set_online e b flag
-        done
-    | W_repair (stripe, dest, rounds) ->
-        if Engine.is_online e dest then begin
-          Engine.inject_repair e ~stripe ~dest ~rounds;
-          injected := (stripe, dest) :: !injected
-        end
-    | W_abort k -> (
-        match !injected with
-        | [] -> ()
-        | l ->
-            let stripe, dest = List.nth l (k mod List.length l) in
-            ignore (Engine.abort_repair e ~stripe ~dest : bool))
-    | W_helper (b, flag) -> Engine.set_helper e b flag
-    | W_step ->
-        let r =
-          Vod_obs.Span.install recorder;
-          Fun.protect ~finally:Vod_obs.Span.uninstall (fun () -> Engine.step e)
-        in
-        check_round r
+  let step () =
+    let r =
+      Vod_obs.Span.install recorder;
+      Fun.protect ~finally:Vod_obs.Span.uninstall (fun () -> Engine.step e)
+    in
+    check_round r
   in
-  List.iter apply ops;
+  List.iter (apply_walk_op e injected ~step) ops;
   true
 
-let walk_qcheck =
+let walk_op_gen ~extra =
   let n = walk_n and m = walk_m in
-  let op =
-    QCheck.Gen.(
-      frequency
-        [
+  QCheck.Gen.(
+    frequency
+      (extra
+      @ [
           (6, map2 (fun b v -> W_demand (b, v)) (int_bound (n - 1)) (int_bound (m - 1)));
           (1, map (fun b -> W_cancel b) (int_bound (n - 1)));
           (1, map2 (fun b f -> W_online (b, f)) (int_bound (n - 1)) bool);
@@ -661,18 +673,114 @@ let walk_qcheck =
           (1, map (fun k -> W_abort k) (int_bound 16));
           (1, map2 (fun b f -> W_helper (b, f)) (int_bound (n - 1)) bool);
           (5, return W_step);
-        ])
-  in
-  let sys_name = function Below -> "u=0.75" | Above -> "u=2" | Relayed -> "relayed" in
+        ]))
+
+let walk_sys_name = function Below -> "u=0.75" | Above -> "u=2" | Relayed -> "relayed"
+
+let walk_qcheck =
   QCheck.Test.make ~count:300 ~name:"walk equals a fresh solve of the round's instance"
     (QCheck.make
        ~print:(fun (sys, faults, ops) ->
-         Printf.sprintf "%s%s: %s" (sys_name sys)
+         Printf.sprintf "%s%s: %s" (walk_sys_name sys)
            (if faults then " + link faults" else "")
            (String.concat "; " (List.map walk_op_name ops)))
        QCheck.Gen.(
-         triple (oneofl [ Below; Above; Relayed ]) bool (list_size (int_range 1 120) op)))
+         triple
+           (oneofl [ Below; Above; Relayed ])
+           bool
+           (list_size (int_range 1 120) (walk_op_gen ~extra:[]))))
     walk_matches_solve
+
+(* A round's box counts and loads are kept by events, not by a pass
+   over the boxes.  After every step they must equal what that pass
+   gave: busy and offline boxes recounted from the public per-box
+   state, and the loads of a fresh solve of the round's instance under
+   the engine's scheduler (a link-faulted connection is load too), added
+   onto the cumulative loads.  Between steps the engine's own audit
+   recounts the busy ring and checks that the walk gave back every seat
+   it took. *)
+let box_counts_law (sys, balance, faults, ops) =
+  let module B = Vod_graph.Bipartite in
+  let scheduler = if balance then Engine.Balance_load else Engine.Arbitrary in
+  let e = walk_engine ~scheduler sys in
+  if faults then
+    Engine.set_link_faults e
+      (Some (fun ~time ~owner ~server -> ((time * 31) + (owner * 7) + server) mod 5 = 0));
+  let count p =
+    let k = ref 0 in
+    for b = 0 to walk_n - 1 do
+      if p b then incr k
+    done;
+    !k
+  in
+  let step () =
+    let before = Engine.cumulative_loads e in
+    let r = Engine.step e in
+    let time = r.Engine.time in
+    let offline = count (fun b -> not (Engine.is_online e b)) in
+    if r.Engine.offline_boxes <> offline then
+      QCheck.Test.fail_reportf "round %d: %d offline boxes reported, %d counted" time
+        r.Engine.offline_boxes offline;
+    let busy = count (fun b -> not (Engine.is_idle e b)) in
+    if r.Engine.busy_boxes <> busy then
+      QCheck.Test.fail_reportf "round %d: %d busy boxes reported, %d counted" time
+        r.Engine.busy_boxes busy;
+    let loads =
+      match Engine.last_instance e with
+      | None -> QCheck.Test.fail_reportf "round %d: no instance" time
+      | Some inst ->
+          let o =
+            if balance then
+              B.solve_min_cost inst ~edge_cost:(fun ~left:_ ~right -> before.(right))
+            else B.solve inst
+          in
+          o.B.right_load
+    in
+    if Engine.last_loads e <> loads then
+      QCheck.Test.fail_reportf "round %d: last loads differ from a fresh solve's" time;
+    if Engine.cumulative_loads e <> Array.map2 ( + ) before loads then
+      QCheck.Test.fail_reportf "round %d: cumulative loads did not grow by its loads" time
+  in
+  let injected = ref [] in
+  List.iter
+    (fun op ->
+      apply_walk_op e injected ~step op;
+      match Engine.audit_boxes e with
+      | Ok () -> ()
+      | Error p -> QCheck.Test.fail_reportf "after %s: %s" (walk_op_name op) p)
+    ops;
+  true
+
+let box_counts_qcheck =
+  let n = walk_n and stripes = 2 * walk_m in
+  let extra =
+    QCheck.Gen.
+      [
+        ( 1,
+          map2
+            (fun b f -> W_factor (b, f))
+            (int_bound (n - 1))
+            (oneofl [ 0.0; 0.3; 0.6; 1.0 ]) );
+        ( 1,
+          map2
+            (fun s b -> W_install (s, b))
+            (int_bound (stripes - 1))
+            (int_bound (n - 1)) );
+      ]
+  in
+  QCheck.Test.make ~count:300 ~name:"box counts and loads equal a recount of the boxes"
+    (QCheck.make
+       ~print:(fun (sys, balance, faults, ops) ->
+         Printf.sprintf "%s, %s%s: %s" (walk_sys_name sys)
+           (if balance then "balance-load" else "arbitrary")
+           (if faults then " + link faults" else "")
+           (String.concat "; " (List.map walk_op_name ops)))
+       QCheck.Gen.(
+         quad
+           (oneofl [ Below; Above; Relayed ])
+           bool bool
+           (list_size (int_range 1 120) (walk_op_gen ~extra))))
+    box_counts_law
 
 (* A round the walk closed builds its instance on the first
    [last_instance] call; a change to the rows before that call leaves
@@ -741,7 +849,8 @@ let test_deferred_instance () =
 
    [Gc.quick_stat]'s minor count only moves at a minor collection, so
    the minor words are read from [Gc.minor_words], which includes the
-   live minor heap.  Measured so, it was 8.87 with boxed request
+   live minor heap, and the major words from [Gc.counters]
+   ({!Vod_obs.Words}).  Measured so, it was 8.87 with boxed request
    records, per-round copies of the active set and of the idle boxes,
    and it is 1.04 with the slot store, the index rings and the borrowed
    idle buffer.  The bound is their geometric mean (3.04): a per-round
@@ -768,17 +877,15 @@ let test_engine_alloc_guard () =
   for _ = 1 to 20 do
     ignore (round () : Engine.round_report)
   done;
-  let words () =
-    let s = Gc.quick_stat () in
-    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
-  in
-  let w0 = words () in
   let active = ref 0 in
-  for _ = 1 to 20 do
-    let r = round () in
-    active := !active + r.Engine.active_requests
-  done;
-  let per_request = (words () -. w0) /. float_of_int !active in
+  let (), spent =
+    Vod_obs.Words.spent (fun () ->
+        for _ = 1 to 20 do
+          let r = round () in
+          active := !active + r.Engine.active_requests
+        done)
+  in
+  let per_request = spent /. float_of_int !active in
   if per_request > 3.04 then
     Alcotest.failf "%.2f words per round per active request (bound 3.04)" per_request
 
@@ -820,6 +927,7 @@ let suites =
     ( "sim.walk",
       [
         QCheck_alcotest.to_alcotest walk_qcheck;
+        QCheck_alcotest.to_alcotest box_counts_qcheck;
         Alcotest.test_case "deferred instance" `Quick test_deferred_instance;
       ] );
     ( "sim.alloc",
